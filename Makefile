@@ -2,87 +2,42 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-hot bench-decode bench-decode-json bench-json bench-diff-all tables fuzz vet fmt examples
+.PHONY: all build test test-short bench bench-hot tables fuzz vet fmt examples
 
 all: vet test build
 
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (it measures the program from outside), so the
+# root ./... does not reach it; testing it here is what catches an API
+# change that would break the benchmark.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...
 
+# The repository's one benchmark (BENCHMARK.json, bench/README.md): every
+# workload, end-to-end metrics.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh
 
-# Hot-path microbenchmarks only: the open-addressed page directory vs the
-# seed's Go map, slab-pooled vs heap-allocated treap nodes, the async event
-# ring and its broadcast sibling, the compact-vs-fixed event codec, the
-# workers' local page-split/filter scan, the producer-side summary stamp and
-# the worker skip-scan it buys, the per-refill label snapshot, the
-# sync-vs-async per-access hook cost, the sharded and parallel-execution
-# main-table measurements, and the racy-workload quiescing pair.
+# Hot-path microbenchmarks bench/ does not cover: the open-addressed page
+# directory vs the seed's Go map, slab-pooled vs heap-allocated treap
+# nodes, the async event ring and its broadcast sibling, the event codec
+# against its fixed-form reference, the workers' local page-split/filter
+# scan, the producer-side summary stamp and the worker skip-scan it buys,
+# the per-refill label snapshot, the sync-vs-async per-access hook cost,
+# the sharded and parallel-execution main-table measurements, and the
+# racy-workload quiescing pair.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
 	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkBcastRing|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkWorkerSplit|BenchmarkWorkerScan|BenchmarkSummaryStamp|BenchmarkWorkerSkipScan' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkViewPerRefill' -benchmem ./internal/depa
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
-
-# Decode-kernel sweep: every op mix (sequential same-size, range-heavy,
-# random-address, ctl-dense) across the three decode paths (fixed slice
-# scan, compact per-event Next shim, compact block kernel), plus the
-# headline encode/decode pair the ≤1.5×-of-fixed target is stated against.
-# Snapshot with `make bench-decode-json` (writes BENCH_<date>_blockdecode.json,
-# verified by bench-diff-all: the BenchmarkEventDecode pattern there
-# prefix-matches BenchmarkEventDecodeBlock too).
-bench-decode:
-	$(GO) test -run '^$$' -bench 'BenchmarkEventEncode|BenchmarkEventDecode' -benchtime 2s ./internal/evstream
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkFig5ShardedEncoding' -benchtime 10x .
-
-bench-decode-json:
-	GOMAXPROCS=4 BENCHTIME=2s BENCHCOUNT=3 ./scripts/benchdiff.sh emit 'BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkViewPerRefill|BenchmarkFig5ShardedEncoding' ./internal/evstream ./internal/depa . > BENCH_$$(date +%Y%m%d)_blockdecode.json
-	@echo wrote BENCH_$$(date +%Y%m%d)_blockdecode.json
-
-# Machine-readable benchmark snapshot: one JSON line per benchmark, written
-# to BENCH_<date>.json. Compare two snapshots with scripts/benchdiff.sh diff.
-bench-json:
-	./scripts/benchdiff.sh emit 'BenchmarkFig5|BenchmarkRunnerReset|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkViewPerRefill' . ./internal/evstream ./internal/depa > BENCH_$$(date +%Y%m%d).json
-	@echo wrote BENCH_$$(date +%Y%m%d).json
-
-# Trace-ingest service snapshot: warm-pool vs fresh-runner-per-trace
-# traces/sec through the full HTTP round-trip (see internal/serve).
-# Verified by bench-diff-all's serve leg.
-bench-serve-json:
-	BENCHTIME=200x ./scripts/benchdiff.sh emit 'BenchmarkServeThroughput' ./internal/serve > BENCH_$$(date +%Y%m%d)_serve.json
-	@echo wrote BENCH_$$(date +%Y%m%d)_serve.json
-
-# Re-run every Fig5 benchmark (sync, async, and sharded modes share one
-# snapshot schema) plus the event-codec and label-snapshot microbenchmarks,
-# and fail if any mode regressed ns/op by more than 10% against the
-# checked-in snapshots. Two legs because two methodologies: the quick
-# 3x-iteration leg only covers the Fig5 macro walls (milliseconds, where 3
-# iterations measure something) against every snapshot except the
-# blockdecode ones; the nanosecond-scale microbenchmarks (codec, label
-# snapshot, the sharded encoding duel) re-run at BENCHTIME=2s best-of-3 —
-# the methodology the blockdecode snapshots were emitted with — against
-# exactly those snapshots. Mixing the methodologies reads as phantom
-# thousand-percent regressions: 3 iterations of a 7 ns op is timer noise.
-# The decode leg's default tolerance is 25% rather than 10% because the
-# snapshot records best-of-N floors and a fresh floor on a busy machine
-# sits 10-20% above a quiet one; the catastrophic regressions the gate
-# exists for (an accidental O(n), a dropped fast path) are multiples, not
-# percents. BENCHDIFF_MAX_REGRESSION still overrides both legs.
-bench-diff-all:
-	./scripts/benchdiff.sh emit 'BenchmarkFig5' . > /tmp/stint_bench_head.json
-	./scripts/benchdiff.sh check /tmp/stint_bench_head.json $$(ls BENCH_*.json | grep -v _blockdecode | grep -v _serve)
-	GOMAXPROCS=4 BENCHTIME=2s BENCHCOUNT=3 ./scripts/benchdiff.sh emit 'BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkViewPerRefill|BenchmarkFig5ShardedEncoding' ./internal/evstream ./internal/depa . > /tmp/stint_bench_decode.json
-	BENCHDIFF_MAX_REGRESSION=$${BENCHDIFF_MAX_REGRESSION:-25} ./scripts/benchdiff.sh check /tmp/stint_bench_decode.json BENCH_*_blockdecode.json
-	BENCHTIME=200x ./scripts/benchdiff.sh emit 'BenchmarkServeThroughput' ./internal/serve > /tmp/stint_bench_serve.json
-	BENCHDIFF_MAX_REGRESSION=$${BENCHDIFF_MAX_REGRESSION:-25} ./scripts/benchdiff.sh check /tmp/stint_bench_serve.json BENCH_*_serve.json
 
 # Regenerate every table of the paper's evaluation (see EXPERIMENTS.md).
 tables:

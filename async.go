@@ -13,13 +13,12 @@
 // sequential algorithm, and the pipeline reports byte-identical races and
 // stats.
 //
-// In sharded mode each batch's Summary — the structure-event offsets plus,
-// unless summaries are disabled, the shard-occupancy mask of every access
-// event — is stamped by one of two stages (Options.SummaryStamping): the
-// producer, as it appends (a mask OR per access on the mutator's hot
-// path), or the label stage, which then decodes each batch once and stamps
-// while it advances the label builder (shards.go). Either way the stamp
-// lets workers skip whole batches they own no pages of.
+// In sharded mode the producer stamps each batch's Summary as it appends —
+// the structure-event offsets and the shard-occupancy mask of every access
+// event (a mask OR per access on the mutator's hot path), exactly as
+// ParallelDetect's executors do (parallel.go). The label stage walks the
+// offsets to advance the label builder without decoding an access, and the
+// mask lets workers skip whole batches they own no pages of (shards.go).
 //
 // All detector-side goroutines hang off one stage.Graph: Run wires the
 // stages, drain closes the stream and waits for the graph's merge, and the
@@ -58,20 +57,12 @@ const (
 type asyncState struct {
 	ring      *evstream.Ring
 	batch     *evstream.Batch
-	batchCap  int // immutable copy of the batch capacity for the consumer side
 	ringDepth int // immutable copy of the ring depth, sizing downstream rings
 	graph     *stage.Graph
-	// Summary stamping (sharded mode): shards is the worker count PickShard
-	// targets, summarize whether access masks are computed (false for plain
-	// async and when Options.DisableBatchSummaries is set — unsummarized
-	// batches carry MaskAll so no worker skips them), and prodStamp whether
-	// the producer stamps Ctl offsets and masks as it appends. With
-	// prodStamp false in sharded mode the label stage stamps instead,
-	// scanning each batch once; plain async stamps nothing at all (no stage
-	// reads the Summary).
-	shards    int
-	summarize bool
-	prodStamp bool
+	// shards is the worker count the summary masks target (PickShard's n);
+	// nonzero means the appending side stamps each batch's Summary. Plain
+	// async leaves it zero and stamps nothing: no stage reads the Summary.
+	shards int
 	// Parallel-detect mode (parallel.go) replaces the producer ring with a
 	// multi-producer chunk queue and shared batch pool; ring and batch are
 	// nil. nextTask hands out task identities to spawned children (the
@@ -110,17 +101,11 @@ type asyncState struct {
 	qlive   bool
 }
 
-func newAsyncState(ringDepth, batchEvents int, compact bool) *asyncState {
-	var ring *evstream.Ring
-	if compact {
-		ring = evstream.NewCompactRing(ringDepth, batchEvents)
-	} else {
-		ring = evstream.NewRing(ringDepth, batchEvents)
-	}
+func newAsyncState(ringDepth, batchEvents int) *asyncState {
+	ring := evstream.NewCompactRing(ringDepth, batchEvents)
 	return &asyncState{
 		ring:      ring,
 		batch:     ring.Get(),
-		batchCap:  batchEvents,
 		ringDepth: ringDepth,
 		graph:     stage.NewGraph(),
 	}
@@ -156,38 +141,27 @@ func (as *asyncState) reset() {
 	as.qlive = false
 }
 
-// setSharded fixes the summary-stamping split before the program starts
-// emitting: which masks are computed (summarize) and which stage computes
-// them (prodStamp). Producer stamping without masks would stamp nothing a
-// worker reads — the label stage owns the MaskAll stamp when summaries are
-// off — so prodStamp implies summarize.
-func (as *asyncState) setSharded(shards int, summarize, prodStamp bool) {
-	as.shards = shards
-	as.summarize = summarize
-	as.prodStamp = prodStamp && summarize
-}
-
 // emitCtl appends one structure event to the working batch, publishing it
-// when full, and — when the producer is the stamping stage — records the
-// event's offset in the batch summary so skip-scanning workers can replay
-// the structure stream without touching the access events.
+// when full, and — in sharded mode — records the event's offset in the
+// batch summary so the label stage and skip-scanning workers can replay the
+// structure stream without touching the access events.
 func (as *asyncState) emitCtl(op evstream.Op) {
 	if as.batch.Full() {
 		as.flush()
 	}
 	off := as.batch.AppendCtl(op)
-	if as.prodStamp {
+	if as.shards > 0 {
 		as.batch.Sum.AddCtl(off)
 	}
 }
 
 // emitAccess appends one per-access event, publishing the batch when full,
-// and ORs the access's page mask into the batch summary when the producer
-// is the stamping stage. This is the producer's entire per-access hot
-// path: an encode, two predictable branches, and one ring handoff per
-// batch. Accesses wholly inside a quiesced page are dropped here — the
-// cheapest possible no-op, saving the encode, the stream bytes, and the
-// consumer's scan (see the quiesce field for why this is sound).
+// and in sharded mode ORs the access's page mask into the batch summary.
+// This is the producer's entire per-access hot path: an encode, two
+// predictable branches, and one ring handoff per batch. Accesses wholly
+// inside a quiesced page are dropped here — the cheapest possible no-op,
+// saving the encode, the stream bytes, and the consumer's scan (see the
+// quiesce field for why this is sound).
 func (as *asyncState) emitAccess(op evstream.Op, addr, size uint64) {
 	if as.qlive && deadEmit(as.quiesce, addr, size) {
 		return
@@ -195,7 +169,7 @@ func (as *asyncState) emitAccess(op evstream.Op, addr, size uint64) {
 	if as.batch.Full() {
 		as.flush()
 	}
-	if as.prodStamp {
+	if as.shards > 0 {
 		as.batch.Sum.Mask |= evstream.SpanMask(addr, size, coalesce.PageBytesBits, as.shards)
 	}
 	as.batch.AppendAccess(op, addr, size)
@@ -211,7 +185,7 @@ func (as *asyncState) emitRange(op evstream.Op, addr uint64, count int, elem uin
 	if as.batch.Full() {
 		as.flush()
 	}
-	if as.prodStamp {
+	if as.shards > 0 {
 		as.batch.Sum.Mask |= evstream.SpanMask(addr, uint64(count)*elem, coalesce.PageBytesBits, as.shards)
 	}
 	as.batch.AppendRange(op, addr, count, elem)
@@ -229,20 +203,6 @@ func deadEmit(q *detect.QuiesceSet, addr, size uint64) bool {
 		return false
 	}
 	return q.Contains(first)
-}
-
-// deadEvent is deadEmit for a decoded event — the label stage's stamping
-// scan consults the registry after the fact for events the producer
-// streamed before its own liveness check caught up.
-func deadEvent(q *detect.QuiesceSet, ev evstream.Event) bool {
-	var size uint64
-	switch ev.EvOp() {
-	case evstream.OpRead, evstream.OpWrite:
-		size = ev.Size()
-	default:
-		size = uint64(ev.Count()) * ev.Elem()
-	}
-	return deadEmit(q, ev.Addr(), size)
 }
 
 // flush publishes the working batch and takes a fresh one from the ring's

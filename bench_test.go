@@ -8,9 +8,9 @@ package stint_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"stint"
+	"stint/internal/cliutil"
 	"stint/workloads"
 )
 
@@ -156,53 +156,8 @@ func BenchmarkFig5Sharded(b *testing.B) {
 				if n := rep.Stats.EventsStreamed; n > 0 {
 					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
 				}
-				var max time.Duration
-				for _, d := range rep.ShardBusy {
-					if d > max {
-						max = d
-					}
-				}
+				_, _, max, _ := cliutil.StageBusy(rep)
 				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
-			})
-		}
-	}
-}
-
-// BenchmarkFig5ShardedEncoding pits the two wire encodings against each
-// other on the sharded pipeline at 4 shards for the two workloads ROADMAP
-// names (sort, fft): compact-blocks must not cost wall clock against the
-// fixed 16-byte stream now that decoding is a block kernel rather than a
-// per-event varint loop. Run with GOMAXPROCS=4 for the true-overlap
-// measurement; on fewer cores the stages timeshare and the comparison
-// degenerates to total CPU, which is the harder bar for the compact side
-// (it pays encode+decode for bandwidth it can't cash). ev/blk reports how
-// well the stream blocks (near 64 is healthy; low flags degenerate
-// blocking as the cause of any gap).
-func BenchmarkFig5ShardedEncoding(b *testing.B) {
-	for _, wl := range benchFactories() {
-		if wl.name != "sort" && wl.name != "fft" {
-			continue
-		}
-		for _, enc := range []struct {
-			name      string
-			nocompact bool
-		}{{"compact-blocks", false}, {"fixed", true}} {
-			b.Run(fmt.Sprintf("%s/%s", wl.name, enc.name), func(b *testing.B) {
-				rep := runDetectionOpts(b, wl.f, stint.Options{
-					Detector: stint.DetectorSTINT, Async: true, DetectShards: 4,
-					DisableCompactEvents: enc.nocompact,
-				})
-				if n := rep.Stats.EventsStreamed; n > 0 {
-					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
-				}
-				var events, blocks uint64
-				for _, l := range rep.ShardLoad {
-					events += l.EventsScanned
-					blocks += l.BlocksDecoded
-				}
-				if blocks > 0 {
-					b.ReportMetric(float64(events)/float64(blocks), "ev-per-blk")
-				}
 			})
 		}
 	}
@@ -226,12 +181,7 @@ func BenchmarkFig5ParallelDetect(b *testing.B) {
 				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
 				b.ReportMetric(float64(rep.ExecutorBusy.Nanoseconds())/1e6, "exec-busy-ms")
 				b.ReportMetric(float64(rep.SequencerBusy.Nanoseconds())/1e6, "merge-busy-ms")
-				var max time.Duration
-				for _, d := range rep.ShardBusy {
-					if d > max {
-						max = d
-					}
-				}
+				_, _, max, _ := cliutil.StageBusy(rep)
 				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
 			})
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +28,6 @@ func main() {
 		timing     = flag.Bool("timing", false, "measure access-history time separately")
 		async      = flag.Bool("async", false, "replay through the pipelined detector (decoder and detector on separate goroutines)")
 		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
-		noCompact  = flag.Bool("no-compact", false, "stream fixed 16-byte events instead of the compact delta encoding (for before/after measurement)")
 		quiesce    = flag.Int("quiesce", 0, "retire a shadow page's access history once it produces N races (0 disables)")
 		maxHistory = flag.Int64("max-history", 0, "abort the replay when the retained access history exceeds N bytes (0 = unlimited)")
 	)
@@ -36,14 +36,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: stint-replay [flags] TRACEFILE")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *detector, *races, *timing, *async, *shards, *noCompact, *quiesce, *maxHistory); err != nil {
+	if err := run(flag.Arg(0), *detector, *races, *timing, *async, *shards, *quiesce, *maxHistory); err != nil {
 		fmt.Fprintln(os.Stderr, "stint-replay:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, detector string, maxRaces int, timing, async bool, shards int, noCompact bool, quiesce int, maxHistory int64) error {
+func run(path, detector string, maxRaces int, timing, async bool, shards int, quiesce int, maxHistory int64) error {
 	mode, err := stint.ParseDetector(detector)
+	if err != nil {
+		return err
+	}
+	if mode == stint.DetectorOff {
+		return errors.New("replay needs a detector (got off)")
+	}
+	r, err := stint.NewRunner(stint.Options{
+		Detector:             mode,
+		MaxRacesRecorded:     maxRaces,
+		TimeAccessHistory:    timing,
+		Async:                async || shards > 0,
+		DetectShards:         shards,
+		PageQuiesceThreshold: quiesce,
+		MaxHistoryBytes:      maxHistory,
+	})
 	if err != nil {
 		return err
 	}
@@ -53,16 +68,7 @@ func run(path, detector string, maxRaces int, timing, async bool, shards int, no
 	}
 	defer f.Close()
 	start := time.Now()
-	rep, err := trace.Replay(f, trace.Options{
-		Detector:             mode,
-		MaxRacesRecorded:     maxRaces,
-		TimeAccessHistory:    timing,
-		Async:                async,
-		Shards:               shards,
-		NoCompact:            noCompact,
-		PageQuiesceThreshold: quiesce,
-		MaxHistoryBytes:      maxHistory,
-	})
+	rep, err := trace.Replay(f, trace.Options{Runner: r})
 	if err != nil {
 		return err
 	}

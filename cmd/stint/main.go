@@ -4,8 +4,8 @@
 // Usage:
 //
 //	stint -workload mmul -detector stint [-scale 2] [-races 10] [-timing]
-//	      [-async] [-parallel-detect] [-shards N] [-no-summaries] [-no-compact]
-//	      [-stamp auto|producer|label] [-quiesce N] [-max-history BYTES]
+//	      [-async] [-parallel-detect] [-shards N] [-quiesce N]
+//	      [-max-history BYTES]
 //
 // Detectors: off, reach, vanilla, compiler, comp+rts, stint,
 // stint-unbalanced, stint-skiplist.
@@ -28,22 +28,19 @@ import (
 
 func main() {
 	var (
-		workload    = flag.String("workload", "mmul", "benchmark: "+strings.Join(workloads.Names(), ", "))
-		detector    = flag.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint, stint-unbalanced, stint-skiplist)")
-		scale       = flag.Int("scale", 1, "problem-size multiplier")
-		races       = flag.Int("races", 10, "max races to print")
-		timing      = flag.Bool("timing", false, "measure access-history time separately")
-		async       = flag.Bool("async", false, "pipeline detection on a dedicated goroutine (overlaps compute with the access history)")
-		parDetect   = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only)")
-		shards      = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async unless -parallel-detect; comp+rts and stint variants only)")
-		noSummaries = flag.Bool("no-summaries", false, "disable per-batch page summaries in sharded mode (workers scan every batch; for before/after measurement)")
-		noCompact   = flag.Bool("no-compact", false, "stream fixed 16-byte events instead of the compact delta encoding (for before/after measurement)")
-		stamp       = flag.String("stamp", "auto", "which stage stamps batch summaries in sharded mode: auto, producer, or label")
-		quiesce     = flag.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")
-		maxHistory  = flag.Int64("max-history", 0, "abort the run with an error when the detector's retained access history exceeds N bytes (0 = unlimited)")
-		traceOut    = flag.String("trace-out", "", "record the execution to this trace file (replay with stint-replay)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the detection run to this file")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
+		workload   = flag.String("workload", "mmul", "benchmark: "+strings.Join(workloads.Names(), ", "))
+		detector   = flag.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint, stint-unbalanced, stint-skiplist)")
+		scale      = flag.Int("scale", 1, "problem-size multiplier")
+		races      = flag.Int("races", 10, "max races to print")
+		timing     = flag.Bool("timing", false, "measure access-history time separately")
+		async      = flag.Bool("async", false, "pipeline detection on a dedicated goroutine (overlaps compute with the access history)")
+		parDetect  = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only)")
+		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async unless -parallel-detect; comp+rts and stint variants only)")
+		quiesce    = flag.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")
+		maxHistory = flag.Int64("max-history", 0, "abort the run with an error when the detector's retained access history exceeds N bytes (0 = unlimited)")
+		traceOut   = flag.String("trace-out", "", "record the execution to this trace file (replay with stint-replay)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the detection run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	)
 	flag.Parse()
 	if *cpuProfile != "" {
@@ -59,13 +56,8 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	stamping, err := parseStamp(*stamp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stint:", err)
-		os.Exit(2)
-	}
-	err = run(*workload, *detector, *scale, *races, *timing,
-		(*async || *shards > 0) && !*parDetect, *parDetect, *shards, *noSummaries, *noCompact, stamping, *traceOut,
+	err := run(*workload, *detector, *scale, *races, *timing,
+		(*async || *shards > 0) && !*parDetect, *parDetect, *shards, *traceOut,
 		*quiesce, *maxHistory)
 	if *memProfile != "" {
 		if perr := writeMemProfile(*memProfile); perr != nil {
@@ -78,18 +70,6 @@ func main() {
 	}
 }
 
-func parseStamp(s string) (stint.SummaryStamping, error) {
-	switch s {
-	case "auto":
-		return stint.StampAuto, nil
-	case "producer":
-		return stint.StampProducer, nil
-	case "label":
-		return stint.StampLabelStage, nil
-	}
-	return 0, fmt.Errorf("unknown -stamp %q (want auto, producer, or label)", s)
-}
-
 func writeMemProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -100,7 +80,7 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
-func run(workload, detector string, scale, maxRaces int, timing, async, parDetect bool, shards int, noSummaries, noCompact bool, stamping stint.SummaryStamping, traceOut string, quiesce int, maxHistory int64) error {
+func run(workload, detector string, scale, maxRaces int, timing, async, parDetect bool, shards int, traceOut string, quiesce int, maxHistory int64) error {
 	factory, err := workloads.ByName(workload, scale)
 	if err != nil {
 		return err
@@ -114,17 +94,14 @@ func run(workload, detector string, scale, maxRaces int, timing, async, parDetec
 	}
 	w := factory()
 	opts := stint.Options{
-		Detector:              mode,
-		MaxRacesRecorded:      maxRaces,
-		TimeAccessHistory:     timing,
-		Async:                 async,
-		ParallelDetect:        parDetect,
-		DetectShards:          shards,
-		DisableBatchSummaries: noSummaries,
-		DisableCompactEvents:  noCompact,
-		SummaryStamping:       stamping,
-		PageQuiesceThreshold:  quiesce,
-		MaxHistoryBytes:       maxHistory,
+		Detector:             mode,
+		MaxRacesRecorded:     maxRaces,
+		TimeAccessHistory:    timing,
+		Async:                async,
+		ParallelDetect:       parDetect,
+		DetectShards:         shards,
+		PageQuiesceThreshold: quiesce,
+		MaxHistoryBytes:      maxHistory,
 	}
 	var rec *trace.Recorder
 	if traceOut != "" {

@@ -164,13 +164,9 @@ func reportFor(t *testing.T, d Detector, shards int, acts []act) *Report {
 	return reportForOpts(t, d, shards, pipeOpts{}, acts)
 }
 
-// pipeOpts selects the pipeline knobs an equivalence leg toggles: batch
-// summaries, the compact event encoding, and which stage stamps summaries.
-// Every combination must produce the identical Report.
+// pipeOpts selects what an equivalence or fuzz leg varies beyond the shard
+// count.
 type pipeOpts struct {
-	nosum     bool
-	nocompact bool
-	stamp     SummaryStamping
 	// parallel selects ParallelDetect instead of Async: real goroutines,
 	// chunk queue, deterministic merge. shards then names the worker count
 	// (0 means one worker).
@@ -180,18 +176,10 @@ type pipeOpts struct {
 	quiesce bool
 }
 
-// reportForOpts is reportFor with the pipeline knobs exposed, so the suite
-// can assert that neither the skip fast path, nor the wire encoding, nor
-// the stamping stage changes a byte of the Report.
+// reportForOpts is reportFor with the executor choice exposed.
 func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act) *Report {
 	t.Helper()
-	opts := Options{
-		Detector:              d,
-		MaxRacesRecorded:      1 << 20,
-		DisableBatchSummaries: po.nosum,
-		DisableCompactEvents:  po.nocompact,
-		SummaryStamping:       po.stamp,
-	}
+	opts := Options{Detector: d, MaxRacesRecorded: 1 << 20}
 	if po.parallel {
 		opts.ParallelDetect = true
 		opts.DetectShards = shards
@@ -217,10 +205,10 @@ func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act
 // checkCanonicalReports asserts the satellite guarantee: the Report —
 // races in canonical order, counts, strands, deterministic stats — is
 // identical across sync, async, and (for supported detectors) shard counts
-// {1, 2, 4}, with batch summaries both on and off, with the compact event
-// encoding both on and off, and regardless of which stage stamps summaries
-// (the stamping choice rotates across shard counts to keep the leg count
-// bounded: producer at n=1, label stage at n=2, auto at n=4).
+// {1, 2, 4} under both the serial-projection pipeline and ParallelDetect.
+// Byte-identity to the synchronous run is also what shows that the worker
+// skip-scan, the wire encoding, and the summary stamp are invisible above
+// the ring.
 func checkCanonicalReports(t *testing.T, seed int64, d Detector, acts []act) {
 	t.Helper()
 	sync := reportFor(t, d, -1, acts)
@@ -240,50 +228,17 @@ func checkCanonicalReports(t *testing.T, seed int64, d Detector, acts []act) {
 		}
 	}
 	check("async", reportFor(t, d, 0, acts))
-	check("async nocompact", reportForOpts(t, d, 0, pipeOpts{nocompact: true}, acts))
 	switch d {
 	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist:
-		stampFor := map[int]SummaryStamping{1: StampProducer, 2: StampLabelStage, 4: StampAuto}
 		for _, n := range []int{1, 2, 4} {
-			stamp := stampFor[n]
-			check(fmt.Sprintf("shards=%d", n), reportForOpts(t, d, n, pipeOpts{stamp: stamp}, acts))
-			// The wire encoding is invisible above the ring: the fixed
-			// 16-byte form must reproduce the compact form's report.
-			check(fmt.Sprintf("shards=%d nocompact", n),
-				reportForOpts(t, d, n, pipeOpts{nocompact: true, stamp: stamp}, acts))
-			// Summaries are a pure scan elision: disabling them must not
-			// change a byte of the report, and without them nothing skips.
-			nosum := reportForOpts(t, d, n, pipeOpts{nosum: true, stamp: stamp}, acts)
-			if nosum.Stats.BatchesSkipped != 0 {
-				t.Fatalf("seed %d: %v shards=%d: summaries disabled but BatchesSkipped = %d",
-					seed, d, n, nosum.Stats.BatchesSkipped)
-			}
-			check(fmt.Sprintf("shards=%d nosum", n), nosum)
+			check(fmt.Sprintf("shards=%d", n), reportFor(t, d, n, acts))
 			// ParallelDetect: spawns on real goroutines behind the chunk
 			// queue and deterministic merge. The documented contract is
 			// race-set equivalence, but the merge reconstructs the exact
 			// serial stream, so the suite asserts the stronger property —
-			// the whole Report identical to sync. Pipeline knobs rotate
-			// with the shard count to bound the leg count (the full
-			// shards × encoding grid runs on the Fig5 workloads in
-			// parallel_equivalence_test.go).
+			// the whole Report identical to sync.
 			check(fmt.Sprintf("parallel-detect shards=%d", n),
 				reportForOpts(t, d, n, pipeOpts{parallel: true}, acts))
-			switch n {
-			case 1:
-				check("parallel-detect shards=1 nocompact",
-					reportForOpts(t, d, n, pipeOpts{parallel: true, nocompact: true}, acts))
-			case 2:
-				pdNosum := reportForOpts(t, d, n, pipeOpts{parallel: true, nosum: true}, acts)
-				if pdNosum.Stats.BatchesSkipped != 0 {
-					t.Fatalf("seed %d: %v parallel-detect shards=2: summaries disabled but BatchesSkipped = %d",
-						seed, d, pdNosum.Stats.BatchesSkipped)
-				}
-				check("parallel-detect shards=2 nosum", pdNosum)
-			case 4:
-				check("parallel-detect shards=4 nocompact nosum",
-					reportForOpts(t, d, n, pipeOpts{parallel: true, nocompact: true, nosum: true}, acts))
-			}
 		}
 	}
 }
@@ -375,25 +330,21 @@ func TestParallelDetectRunToRunDeterminism(t *testing.T) {
 	for seed := int64(7000); seed < 7010; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		acts := genActs(rng, 4, sizes)
-		for _, po := range []pipeOpts{
-			{parallel: true},
-			{parallel: true, nocompact: true},
-		} {
-			first := reportForOpts(t, DetectorSTINT, 2, po, acts)
-			for run := 1; run < 4; run++ {
-				got := reportForOpts(t, DetectorSTINT, 2, po, acts)
-				if got.RaceCount != first.RaceCount || got.Strands != first.Strands {
-					t.Fatalf("seed %d run %d (%+v): RaceCount/Strands %d/%d, first run %d/%d",
-						seed, run, po, got.RaceCount, got.Strands, first.RaceCount, first.Strands)
-				}
-				if !reflect.DeepEqual(got.Races, first.Races) {
-					t.Fatalf("seed %d run %d (%+v): Races differ between identical runs\n got: %v\nfirst: %v",
-						seed, run, po, got.Races, first.Races)
-				}
-				if ns, ng := normStats(first.Stats), normStats(got.Stats); ns != ng {
-					t.Fatalf("seed %d run %d (%+v): stats differ between identical runs\n got: %+v\nfirst: %+v",
-						seed, run, po, ng, ns)
-				}
+		po := pipeOpts{parallel: true}
+		first := reportForOpts(t, DetectorSTINT, 2, po, acts)
+		for run := 1; run < 4; run++ {
+			got := reportForOpts(t, DetectorSTINT, 2, po, acts)
+			if got.RaceCount != first.RaceCount || got.Strands != first.Strands {
+				t.Fatalf("seed %d run %d: RaceCount/Strands %d/%d, first run %d/%d",
+					seed, run, got.RaceCount, got.Strands, first.RaceCount, first.Strands)
+			}
+			if !reflect.DeepEqual(got.Races, first.Races) {
+				t.Fatalf("seed %d run %d: Races differ between identical runs\n got: %v\nfirst: %v",
+					seed, run, got.Races, first.Races)
+			}
+			if ns, ng := normStats(first.Stats), normStats(got.Stats); ns != ng {
+				t.Fatalf("seed %d run %d: stats differ between identical runs\n got: %+v\nfirst: %+v",
+					seed, run, ng, ns)
 			}
 		}
 	}

@@ -22,19 +22,17 @@ func fuzzAllocBufs(r *Runner) ([]*Buffer, []int) {
 
 // FuzzAsyncAgainstSync decodes arbitrary bytes into a fork-join program
 // and pipeline geometry — batch capacity, ring depth, a detection shard
-// count, and a flags byte toggling the compact encoding, the summary-
-// stamping stage, and the ParallelDetect legs — runs it once synchronously,
-// once through the plain async pipeline, (when the shard byte asks for it)
-// twice sharded — once with batch summaries, once with them disabled — and
-// (when the flags byte asks for it) twice under ParallelDetect, and
-// requires identical racing-word sets, canonical race reports, strand
-// counts, and (timing-normalized) stats. A further flags bit re-runs the
-// mode matrix with per-page quiescing enabled and requires the quiesced
-// reports to agree across modes too. Tiny batch capacities and ring
-// depths force the batch-boundary edge cases: events split across batches,
-// empty final batches, backpressure stalls, and drain while a strand's
-// accesses are still buffered. Shard counts above one additionally force
-// page-split routing and cross-worker merge.
+// count, and a flags byte adding the ParallelDetect legs — runs it once
+// synchronously, once through the plain async pipeline, (when the shard
+// byte asks for it) once sharded, and (when the flags byte asks for it)
+// once under ParallelDetect, and requires identical racing-word sets,
+// canonical race reports, strand counts, and (timing-normalized) stats. A
+// further flags bit re-runs the mode matrix with per-page quiescing enabled
+// and requires the quiesced reports to agree across modes too. Tiny batch
+// capacities and ring depths force the batch-boundary edge cases: events
+// split across batches, empty final batches, backpressure stalls, and drain
+// while a strand's accesses are still buffered. Shard counts above one
+// additionally force page-split routing and cross-worker merge.
 func FuzzAsyncAgainstSync(f *testing.F) {
 	f.Add([]byte{})
 	// Geometry 1x1 (max handoffs), unsharded, racy spawn/store/store/sync.
@@ -57,17 +55,11 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 	// same straddling range, so the race itself spans the boundary too.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
 	// All-events-one-page skew: 4 shards but every access on one page, so a
-	// single worker carries the whole load, the others skip-scan off the
-	// batch summaries, and the summaries-off leg re-runs it with every
-	// worker on the slow path.
+	// single worker carries the whole load and the others skip-scan off the
+	// batch summaries.
 	f.Add([]byte{0x00, 0x00, 0x04, 0x00, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	// The same skew under the fixed 16-byte encoding (flags bit 0)...
-	f.Add([]byte{0x00, 0x00, 0x04, 0x01, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	// ...and with both forced stamping stages (flags bits 1-2).
-	f.Add([]byte{0x00, 0x00, 0x04, 0x02, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	f.Add([]byte{0x00, 0x00, 0x04, 0x04, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
 	// All-ones fallback: the two racing range writes span the full 128 KiB
-	// wide buffer (> 2 pages), so AccessMask gives up and stamps MaskAll —
+	// wide buffer (> 2 pages), so SpanMask gives up and stamps MaskAll —
 	// all 4 workers must take the full-scan path even though each owns only
 	// a slice of the pages.
 	f.Add([]byte{0x01, 0x01, 0x04, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
@@ -113,15 +105,11 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 		// mode: -1 = synchronous, 0 = plain async, n > 0 = n-sharded async.
 		// par switches the async modes to ParallelDetect: real goroutines
 		// behind the chunk queue and deterministic merge, with mode naming
-		// the worker count (0 means one worker). nosum disables the batch
-		// summaries, forcing every worker onto the full-scan path.
-		run := func(mode int, nosum, par bool) result {
+		// the worker count (0 means one worker).
+		run := func(mode int, par bool) result {
 			words := make(map[Addr]bool)
 			opts := Options{
-				Detector:              DetectorSTINT,
-				DisableBatchSummaries: nosum,
-				DisableCompactEvents:  po.nocompact,
-				SummaryStamping:       po.stamp,
+				Detector: DetectorSTINT,
 				OnRace: func(rc Race) {
 					for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
 						words[a] = true
@@ -131,7 +119,6 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			if par {
 				opts.ParallelDetect = true
 				opts.DetectShards = mode
-				opts.SummaryStamping = StampAuto // ignored by ParallelDetect
 			} else if mode >= 0 {
 				opts.Async = true
 				opts.DetectShards = mode
@@ -151,7 +138,7 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			return result{words: words, races: rep.Races, strands: rep.Strands, stats: normStats(rep.Stats)}
 		}
 
-		sync := run(-1, false, false)
+		sync := run(-1, false)
 		check := func(name string, got result) {
 			if got.strands != sync.strands {
 				t.Fatalf("strands: %s %d, sync %d (batch=%d depth=%d shards=%d)\nprogram: %+v",
@@ -174,19 +161,15 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 				}
 			}
 		}
-		check("async", run(0, false, false))
+		check("async", run(0, false))
 		if shards > 0 {
-			check("sharded", run(shards, false, false))
-			// Summaries are a pure scan elision: disabling them must not
-			// change a byte of the normalized result.
-			check("sharded-nosum", run(shards, true, false))
+			check("sharded", run(shards, false))
 		}
 		if po.parallel {
 			// ParallelDetect executes the same program on real goroutines;
 			// the deterministic merge reconstructs the serial stream, so the
 			// normalized result must still match sync byte for byte.
-			check("parallel-detect", run(shards, false, true))
-			check("parallel-detect-nosum", run(shards, true, true))
+			check("parallel-detect", run(shards, true))
 		}
 		if po.quiesce {
 			// Quiescing differential: with a threshold of 2, pages retire
@@ -202,7 +185,6 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 				opts := Options{
 					Detector:             DetectorSTINT,
 					PageQuiesceThreshold: 2,
-					DisableCompactEvents: po.nocompact,
 					OnRace: func(rc Race) {
 						for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
 							words[a] = true
@@ -261,10 +243,11 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 // decodeFuzzProgram turns raw bytes into (program, batchEvents, ringDepth,
 // shards, pipeline flags). The first four bytes pick a tiny pipeline
 // geometry — shards of zero means "compare the plain async pipeline only";
-// the flags byte toggles the fixed encoding (bit 0), picks the summary-
-// stamping stage (bits 1-2), adds the ParallelDetect legs (bit 3), and adds
-// the per-page quiescing differential legs (bit 4) — and the rest is a
-// byte-code for act programs.
+// the flags byte adds the ParallelDetect legs (bit 3) and the per-page
+// quiescing differential legs (bit 4) — and the rest is a byte-code for act
+// programs. Flags bits 0-2 once selected pipeline knobs that no longer
+// exist; they are ignored rather than reassigned so every checked-in corpus
+// input still decodes to the program it was saved for.
 // Every input decodes to a valid program — the fuzzer explores program
 // shapes, not parser rejections.
 func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
@@ -283,8 +266,6 @@ func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
 		data = data[1:]
 	}
 	if len(data) > 0 {
-		po.nocompact = data[0]&1 != 0
-		po.stamp = SummaryStamping(((data[0] >> 1) & 3) % 3)
 		po.parallel = data[0]&8 != 0
 		po.quiesce = data[0]&16 != 0
 		data = data[1:]

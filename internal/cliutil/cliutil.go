@@ -34,11 +34,11 @@ func StageBusy(rep *stint.Report) (label, workers, maxWorker time.Duration, ok b
 	label = rep.SequencerBusy
 	workers = st.PipelineDetectTime
 	maxWorker = workers
-	if rep.ShardBusy != nil {
+	if rep.ShardLoad != nil {
 		maxWorker = 0
-		for _, b := range rep.ShardBusy {
-			if b > maxWorker {
-				maxWorker = b
+		for _, l := range rep.ShardLoad {
+			if l.Busy > maxWorker {
+				maxWorker = l.Busy
 			}
 		}
 	}
@@ -79,7 +79,7 @@ func PipelineReport(rep *stint.Report) []string {
 			rep.SequencerBusy.Round(time.Microsecond),
 			rep.ReorderPeak))
 	}
-	if rep.ShardBusy == nil {
+	if rep.ShardLoad == nil {
 		return append(stream, fmt.Sprintf(
 			"detector-goroutine busy %v of %v wall (%s; multi-core floor is max of the two sides)",
 			workers.Round(time.Microsecond),
@@ -88,51 +88,45 @@ func PipelineReport(rep *stint.Report) []string {
 	}
 	lines := append(stream, fmt.Sprintf(
 		"sharded detection: %d workers busy %v total of %v wall (label stage busy %v, %d label snapshots; multi-core floor is max of any side)",
-		len(rep.ShardBusy),
+		len(rep.ShardLoad),
 		workers.Round(time.Microsecond),
 		rep.WallTime.Round(time.Microsecond),
 		label.Round(time.Microsecond),
 		rep.LabelViewSnapshots))
-	for i, busy := range rep.ShardBusy {
-		line := fmt.Sprintf("  shard %d busy %v (%s of detect work)",
-			i, busy.Round(time.Microsecond), pct(busy, workers))
-		if rep.ShardLoad != nil {
-			l := rep.ShardLoad[i]
-			line += fmt.Sprintf(", scanned %d/%d batches (skipped %s), %d ring waits",
-				l.BatchesScanned, l.BatchesScanned+l.BatchesSkipped,
-				pctCount(l.BatchesSkipped, l.BatchesScanned+l.BatchesSkipped),
-				l.RingWaits)
-			if l.BlocksDecoded > 0 {
-				// Events per decode block says how well the stream blocks for
-				// this worker (near 64 is healthy; low means structure-dense
-				// or tiny batches), and the decode share says how much of its
-				// busy time went to block decode itself rather than page
-				// splitting and detection.
-				line += fmt.Sprintf(", %.1f ev/blk (decode %s of busy)",
-					float64(l.EventsScanned)/float64(l.BlocksDecoded),
-					pct(l.DecodeBusy, l.Busy))
-			}
+	for i, l := range rep.ShardLoad {
+		line := fmt.Sprintf("  shard %d busy %v (%s of detect work), scanned %d/%d batches (skipped %s), %d ring waits",
+			i, l.Busy.Round(time.Microsecond), pct(l.Busy, workers),
+			l.BatchesScanned, l.BatchesScanned+l.BatchesSkipped,
+			pctCount(l.BatchesSkipped, l.BatchesScanned+l.BatchesSkipped),
+			l.RingWaits)
+		if l.BlocksDecoded > 0 {
+			// Events per decode block says how well the stream blocks for
+			// this worker (near 64 is healthy; low means structure-dense
+			// or tiny batches), and the decode share says how much of its
+			// busy time went to block decode itself rather than page
+			// splitting and detection.
+			line += fmt.Sprintf(", %.1f ev/blk (decode %s of busy)",
+				float64(l.EventsScanned)/float64(l.BlocksDecoded),
+				pct(l.DecodeBusy, l.Busy))
 		}
 		lines = append(lines, line)
 	}
-	if rep.ShardLoad != nil {
-		// Wait attribution: per-consumer waits distinguish a uniformly
-		// starved fleet (the label stage is the bottleneck) from one
-		// straggler pacing everyone (the low-wait outlier never waits — the
-		// ring's backpressure makes the others wait on it).
-		minW, maxW := rep.ShardLoad[0].RingWaits, rep.ShardLoad[0].RingWaits
-		for _, l := range rep.ShardLoad[1:] {
-			if l.RingWaits < minW {
-				minW = l.RingWaits
-			}
-			if l.RingWaits > maxW {
-				maxW = l.RingWaits
-			}
+	// Wait attribution: per-consumer waits distinguish a uniformly starved
+	// fleet (the label stage is the bottleneck) from one straggler pacing
+	// everyone (the low-wait outlier never waits — the ring's backpressure
+	// makes the others wait on it).
+	minW, maxW := rep.ShardLoad[0].RingWaits, rep.ShardLoad[0].RingWaits
+	for _, l := range rep.ShardLoad[1:] {
+		if l.RingWaits < minW {
+			minW = l.RingWaits
 		}
-		lines = append(lines, fmt.Sprintf(
-			"  ring waits per worker: max %d, min %d (uniform waits = label stage is the bottleneck; a low-wait outlier is the straggler)",
-			maxW, minW))
+		if l.RingWaits > maxW {
+			maxW = l.RingWaits
+		}
 	}
+	lines = append(lines, fmt.Sprintf(
+		"  ring waits per worker: max %d, min %d (uniform waits = label stage is the bottleneck; a low-wait outlier is the straggler)",
+		maxW, minW))
 	return lines
 }
 

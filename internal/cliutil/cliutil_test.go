@@ -26,25 +26,6 @@ func TestPipelineReportAsync(t *testing.T) {
 	}
 }
 
-func TestPipelineReportSharded(t *testing.T) {
-	rep := &stint.Report{WallTime: 10 * time.Millisecond, SequencerBusy: 2 * time.Millisecond}
-	rep.ShardBusy = []time.Duration{3 * time.Millisecond, time.Millisecond}
-	rep.Stats.PipelineDetectTime = 4 * time.Millisecond
-	lines := PipelineReport(rep)
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 worker lines, got %v", lines)
-	}
-	if !strings.Contains(lines[0], "2 workers") || !strings.Contains(lines[0], "label stage busy 2ms") {
-		t.Errorf("unexpected header: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "shard 0") || !strings.Contains(lines[1], "75%") {
-		t.Errorf("unexpected worker line: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "shard 1") || !strings.Contains(lines[2], "25%") {
-		t.Errorf("unexpected worker line: %q", lines[2])
-	}
-}
-
 func TestStageBusy(t *testing.T) {
 	if _, _, _, ok := StageBusy(&stint.Report{}); ok {
 		t.Fatal("synchronous run should report ok=false")
@@ -58,7 +39,7 @@ func TestStageBusy(t *testing.T) {
 	}
 
 	sharded := &stint.Report{SequencerBusy: 2 * time.Millisecond}
-	sharded.ShardBusy = []time.Duration{time.Millisecond, 3 * time.Millisecond}
+	sharded.ShardLoad = []stint.ShardLoad{{Busy: time.Millisecond}, {Busy: 3 * time.Millisecond}}
 	sharded.Stats.PipelineDetectTime = 4 * time.Millisecond
 	label, workers, maxWorker, ok = StageBusy(sharded)
 	if !ok || label != 2*time.Millisecond || workers != 4*time.Millisecond || maxWorker != 3*time.Millisecond {
@@ -129,11 +110,11 @@ func TestPipelineReportFromRealParallelDetectRun(t *testing.T) {
 	}
 }
 
-// TestPipelineReportShardLoad pins the scan-vs-skip readout rendering from
-// a hand-built report.
+// TestPipelineReportShardLoad pins the sharded readout — the header, each
+// worker's share of the detect work, and the scan-vs-skip split — from a
+// hand-built report.
 func TestPipelineReportShardLoad(t *testing.T) {
-	rep := &stint.Report{WallTime: 10 * time.Millisecond, SequencerBusy: time.Millisecond}
-	rep.ShardBusy = []time.Duration{3 * time.Millisecond, time.Millisecond}
+	rep := &stint.Report{WallTime: 10 * time.Millisecond, SequencerBusy: 2 * time.Millisecond}
 	rep.ShardLoad = []stint.ShardLoad{
 		{Busy: 3 * time.Millisecond, BatchesScanned: 10, BatchesSkipped: 0, RingWaits: 1},
 		{Busy: time.Millisecond, BatchesScanned: 2, BatchesSkipped: 8, RingWaits: 7},
@@ -143,10 +124,15 @@ func TestPipelineReportShardLoad(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("want 4 lines, got %v", lines)
 	}
-	if !strings.Contains(lines[1], "scanned 10/10 batches (skipped 0%)") || !strings.Contains(lines[1], "1 ring waits") {
+	if !strings.Contains(lines[0], "2 workers") || !strings.Contains(lines[0], "label stage busy 2ms") {
+		t.Errorf("unexpected header: %q", lines[0])
+	}
+	if !strings.Contains(lines[1], "shard 0") || !strings.Contains(lines[1], "75%") ||
+		!strings.Contains(lines[1], "scanned 10/10 batches (skipped 0%)") || !strings.Contains(lines[1], "1 ring waits") {
 		t.Errorf("shard 0 line: %q", lines[1])
 	}
-	if !strings.Contains(lines[2], "scanned 2/10 batches (skipped 80%)") || !strings.Contains(lines[2], "7 ring waits") {
+	if !strings.Contains(lines[2], "shard 1") || !strings.Contains(lines[2], "25%") ||
+		!strings.Contains(lines[2], "scanned 2/10 batches (skipped 80%)") || !strings.Contains(lines[2], "7 ring waits") {
 		t.Errorf("shard 1 line: %q", lines[2])
 	}
 	if !strings.Contains(lines[3], "max 7") || !strings.Contains(lines[3], "min 1") {

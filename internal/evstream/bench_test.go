@@ -120,28 +120,11 @@ func BenchmarkEventEncode(b *testing.B) {
 
 // BenchmarkEventDecode measures the consumer-side iteration cost per event
 // for both encodings — the price every sharded worker pays per batch it
-// cannot skip. "compact" pulls through the per-event Next shim; "compact-
-// blocks" is the block decode kernel every hot consumer actually uses
-// (DecodeBlock into a stack array), the path the ≤1.5×-of-fixed target
-// applies to.
+// cannot skip. Both go through DecodeBlock: the block decode kernel into a
+// stack array for "compact-blocks" (the path the ≤1.5×-of-fixed target
+// applies to), a zero-copy window of the slice for "fixed".
 func BenchmarkEventDecode(b *testing.B) {
 	const n = 4096
-	decodeNext := func(b *testing.B, batch *Batch) {
-		var sink uint64
-		for i := 0; i < b.N; i += n {
-			it := batch.Iter()
-			for {
-				ev, ok := it.Next()
-				if !ok {
-					break
-				}
-				sink += ev.Addr()
-			}
-		}
-		if sink == 0 {
-			b.Fatal("decoded no addresses")
-		}
-	}
 	decodeBlocks := func(b *testing.B, batch *Batch) {
 		var sink uint64
 		var blk [BlockEvents]Event
@@ -161,14 +144,9 @@ func BenchmarkEventDecode(b *testing.B) {
 			b.Fatal("decoded no addresses")
 		}
 	}
-	for _, bc := range []struct {
-		name   string
-		enc    string
-		decode func(*testing.B, *Batch)
-	}{
-		{"compact", "compact", decodeNext},
-		{"compact-blocks", "compact", decodeBlocks},
-		{"fixed", "fixed", decodeNext},
+	for _, bc := range []struct{ name, enc string }{
+		{"compact-blocks", "compact"},
+		{"fixed", "fixed"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			batch := benchBatch(bc.enc, n)
@@ -176,7 +154,7 @@ func BenchmarkEventDecode(b *testing.B) {
 				benchAppendEvent(batch, j)
 			}
 			b.ResetTimer()
-			bc.decode(b, batch)
+			decodeBlocks(b, batch)
 		})
 	}
 }
@@ -221,14 +199,14 @@ var benchMixes = []struct {
 	}},
 }
 
-// BenchmarkEventDecodeBlock sweeps the op mixes across the three decode
-// paths — the fixed slice scan, the compact per-event Next shim, and the
-// compact block kernel — so the kernel's premium over fixed is visible
-// per mix, not just on the representative average.
+// BenchmarkEventDecodeBlock sweeps the op mixes across the two decode
+// paths — the fixed slice scan and the compact block kernel — so the
+// kernel's premium over fixed is visible per mix, not just on the
+// representative average.
 func BenchmarkEventDecodeBlock(b *testing.B) {
 	const n = 4096
 	for _, mix := range benchMixes {
-		for _, dec := range []string{"fixed", "per-event", "block"} {
+		for _, dec := range []string{"fixed", "block"} {
 			b.Run(mix.name+"/"+dec, func(b *testing.B) {
 				enc := "compact"
 				if dec == "fixed" {
@@ -243,16 +221,6 @@ func BenchmarkEventDecodeBlock(b *testing.B) {
 				var blk [BlockEvents]Event
 				for i := 0; i < b.N; i += n {
 					it := batch.Iter()
-					if dec == "per-event" {
-						for {
-							ev, ok := it.Next()
-							if !ok {
-								break
-							}
-							sink += ev.Addr() + uint64(ev.EvOp())
-						}
-						continue
-					}
 					for {
 						evs := it.DecodeBlock(&blk)
 						if len(evs) == 0 {
@@ -278,7 +246,7 @@ func BenchmarkSummaryStamp(b *testing.B) {
 	var sum Summary
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum.Mask |= AccessMask(Access(OpWrite, uint64(i)*8, 8), 16, 4)
+		sum.Mask |= SpanMask(uint64(i)*8, 8, 16, 4)
 	}
 	if sum.Mask == 0 {
 		b.Fatal("mask never set")

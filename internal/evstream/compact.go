@@ -448,13 +448,13 @@ func (b *Batch) seal() {
 // AppendFrom bulk-appends every event of src to b, reporting false — and
 // leaving b untouched — when they might not fit without growing b's
 // storage. It exists for the parallel-detect merge stage, which coalesces
-// many small per-task chunks into full-size batches. For the compact
-// encoding the rebase must understand block boundaries: only src's FIRST
-// block's deltas depend on the delta base (its first event deltas from
-// zero; everything after re-chains from in-block addresses), so that one
-// block is decoded and re-staged against b's base — re-run-length-encoded
-// and re-grouped — after which every remaining block copies verbatim and
-// b inherits src's final delta base.
+// many small per-task chunks into full-size batches, so it is defined for
+// compact batches only. The rebase must understand block boundaries: only
+// src's FIRST block's deltas depend on the delta base (its first event
+// deltas from zero; everything after re-chains from in-block addresses),
+// so that one block is decoded and re-staged against b's base —
+// re-run-length-encoded and re-grouped — after which every remaining block
+// copies verbatim and b inherits src's final delta base.
 //
 // The source must hold access/range events only (AppendFrom panics on a
 // leading structure event and would silently lose Summary.Ctl offsets for
@@ -466,15 +466,8 @@ func (b *Batch) AppendFrom(src *Batch) bool {
 	if n == 0 {
 		return true
 	}
-	if b.compact != src.compact {
-		panic("evstream: AppendFrom across storage forms")
-	}
-	if !b.compact {
-		if len(b.Ev)+len(src.Ev) > cap(b.Ev) {
-			return false
-		}
-		b.Ev = append(b.Ev, src.Ev...)
-		return true
+	if !b.compact || !src.compact {
+		panic("evstream: AppendFrom needs compact batches")
 	}
 	src.seal()
 	// Conservative: the re-staged first block costs at most its worst-case
@@ -518,30 +511,24 @@ func (b *Batch) CtlOp(i int) Op {
 
 // Iter returns an iterator over the batch's events, sealing any staged
 // block first. Consumers scan both storage forms with one DecodeBlock
-// loop (or the per-event Next shim) without materializing a []Event for
-// the whole compact batch. Concurrent iteration of one batch (every shard
-// worker scans the same broadcast batch) is safe because published
-// batches are sealed and read-only; each Iter carries its own delta base.
+// loop without materializing a []Event for the whole compact batch.
+// Concurrent iteration of one batch (every shard worker scans the same
+// broadcast batch) is safe because published batches are sealed and
+// read-only; each Iter carries its own delta base.
 func (b *Batch) Iter() Iter {
 	b.seal()
 	return Iter{ev: b.Ev, buf: b.Buf, compact: b.compact}
 }
 
 // Iter decodes a batch. The zero Iter is empty; obtain one from
-// Batch.Iter. The primary interface is DecodeBlock — one call decodes a
-// whole block into a caller-owned stack array; Next is a per-event
-// convenience shim over an internal block buffer for callers that don't
-// care about decode throughput.
+// Batch.Iter. One DecodeBlock call decodes a whole block into a
+// caller-owned stack array.
 type Iter struct {
 	ev      []Event
 	buf     []byte
 	pos     int
 	prev    uint64
 	compact bool
-
-	// Next's shim state: the most recently decoded block.
-	blkI, blkN int
-	blk        [BlockEvents]Event
 }
 
 // Pos returns the iterator's position in the same form Summary.Ctl
@@ -550,8 +537,7 @@ type Iter struct {
 // points at the next block boundary. Within a returned group of structure
 // events, the i-th event sits at Pos()+i of the position read *before*
 // the call — structure events are single contiguous tag bytes in a
-// compact batch and single slots in a fixed one — which is how the label
-// stage stamps Summary.Ctl without per-event decoding.
+// compact batch and single slots in a fixed one.
 func (it *Iter) Pos() int { return it.pos }
 
 // DecodeBlock decodes the next block of events and returns them as a
@@ -839,33 +825,6 @@ func (it *Iter) DecodeBlock(dst *[BlockEvents]Event) []Event {
 	it.prev = prev
 	it.pos = pos
 	return dst[:n]
-}
-
-// Next yields the next event, or ok=false at the end of the batch. It is
-// a shim over DecodeBlock (refilling an internal block buffer), kept for
-// callers that want per-event pull semantics; hot consumers use
-// DecodeBlock directly.
-func (it *Iter) Next() (Event, bool) {
-	if it.blkI < it.blkN {
-		ev := it.blk[it.blkI]
-		it.blkI++
-		return ev, true
-	}
-	if !it.compact {
-		if it.pos >= len(it.ev) {
-			return Event{}, false
-		}
-		ev := it.ev[it.pos]
-		it.pos++
-		return ev, true
-	}
-	evs := it.DecodeBlock(&it.blk)
-	if len(evs) == 0 {
-		return Event{}, false
-	}
-	it.blkN = len(evs)
-	it.blkI = 1
-	return evs[0], true
 }
 
 // uvarintAt decodes a uvarint at buf[pos:], with an inlined single-byte

@@ -35,10 +35,10 @@ func newCompactBatch(n int) *Batch {
 
 // decodeBlocks drains a batch through DecodeBlock, returning the flattened
 // event sequence and the Summary.Ctl-form offset of every structure event,
-// computed the way the label stage computes them: the i-th event of a
-// returned group sits at Pos-before-the-call + i (an index for fixed
-// batches; a byte offset for compact ones, where structure events decode
-// as contiguous runs of one tag byte each).
+// computed from Iter.Pos: the i-th event of a returned group sits at
+// Pos-before-the-call + i (an index for fixed batches; a byte offset for
+// compact ones, where structure events decode as contiguous runs of one
+// tag byte each).
 func decodeBlocks(b *Batch) (evs []Event, ctlOffs []int) {
 	it := b.Iter()
 	var blk [BlockEvents]Event
@@ -91,17 +91,6 @@ func checkCodecRoundTrip(t *testing.T, events []codecEvent) {
 		if fevs[i] != cevs[i] {
 			t.Fatalf("event %d: fixed %+v != compact %+v", i, fevs[i], cevs[i])
 		}
-	}
-	// The Next shim must agree with the block decode it wraps.
-	cit := compact.Iter()
-	for i := range cevs {
-		ev, ok := cit.Next()
-		if !ok || ev != cevs[i] {
-			t.Fatalf("Next event %d = %+v (ok=%v), DecodeBlock saw %+v", i, ev, ok, cevs[i])
-		}
-	}
-	if _, ok := cit.Next(); ok {
-		t.Fatal("compact Iter yields past the end")
 	}
 	if len(fctl) != len(fixed.Sum.Ctl) || len(cctl) != len(compact.Sum.Ctl) {
 		t.Fatalf("found %d (fixed) / %d (compact) ctl events, Summary recorded %d / %d",
@@ -206,10 +195,9 @@ func TestCompactDeltaBaseResetsPerBatch(t *testing.T) {
 	if !bytes.Equal(first, b.Buf) {
 		t.Fatalf("same event encodes differently after Reset: %x vs %x", first, b.Buf)
 	}
-	it := b.Iter()
-	ev, ok := it.Next()
-	if !ok || ev.Addr() != 0x12345678 || ev.Size() != 4 {
-		t.Fatalf("decoded %+v after Reset", ev)
+	evs, _ := decodeBlocks(b)
+	if len(evs) != 1 || evs[0].Addr() != 0x12345678 || evs[0].Size() != 4 {
+		t.Fatalf("decoded %+v after Reset", evs)
 	}
 }
 
@@ -380,14 +368,8 @@ func FuzzEventCodec(f *testing.F) {
 					if !ok {
 						break
 					}
-					it := b.Iter()
-					for {
-						ev, ok := it.Next()
-						if !ok {
-							break
-						}
-						got = append(got, ev)
-					}
+					evs, _ := decodeBlocks(b)
+					got = append(got, evs...)
 					r.Recycle(b)
 				}
 				out <- got

@@ -1,10 +1,11 @@
 // Package evstream carries instrumentation events from an executing
 // fork-join program (the producer) to a detector goroutine (the consumer)
 // through a bounded single-producer/single-consumer ring of event batches.
-// Batches store events either as fixed 16-byte structs or — the default at
-// the stint layer — in the delta-packed compact wire format of compact.go,
-// which exploits address locality to spend 2 bytes on the common access
-// instead of 16.
+// Batches store events in the delta-packed compact wire format of
+// compact.go, which exploits address locality to spend 2 bytes on the
+// common access; the fixed form (16-byte structs, NewRing) is kept as the
+// reference the codec's tests and benchmarks compare against, and no
+// pipeline builds it.
 //
 // The design goals mirror the runner's hot-path discipline:
 //
@@ -198,7 +199,8 @@ type Ring struct {
 }
 
 // NewRing returns a ring holding at most depth in-flight batches of
-// batchCap fixed-size events each. Both are clamped to at least 1.
+// batchCap fixed-size events each — the reference form; pipelines use
+// NewCompactRing. Both are clamped to at least 1.
 func NewRing(depth, batchCap int) *Ring {
 	return newRing(depth, batchCap, false)
 }
@@ -235,10 +237,9 @@ func (r *Ring) BatchCap() int { return r.batchCap }
 // Get returns an empty batch for the producer to fill — BatchCap event
 // capacity on a fixed ring, 4*BatchCap bytes on a compact ring — reusing
 // a recycled batch when one is available. The batch's summary starts
-// zeroed (empty mask, no structure offsets); whichever stage stamps
-// summaries must leave Sum.Mask meaningful (MaskAll when not summarizing)
-// before workers see the batch, so none mistakes the zero mask for
-// "skippable by everyone".
+// zeroed (empty mask, no structure offsets); a producer feeding shard
+// workers must stamp every access's mask as it appends, or a worker would
+// read the zero mask as "skippable by everyone".
 func (r *Ring) Get() *Batch {
 	r.mu.Lock()
 	if n := len(r.free); n > 0 {

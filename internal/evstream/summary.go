@@ -32,8 +32,7 @@ type Summary struct {
 	// Mask is the shard-occupancy bitmask: bit (shard & 63) is set when
 	// some access event in the batch may touch a page PickShard maps to
 	// that shard. The zero mask means "no access event can touch any
-	// shard" — every worker may skip. MaskAll disables skipping, and is
-	// also what unsummarized batches carry.
+	// shard" — every worker may skip. MaskAll disables skipping.
 	Mask uint64
 	// Ctl holds the batch-relative offsets of the structure events
 	// (OpSpawn/OpRestore/OpSync), in stream order. The offset unit follows
@@ -45,7 +44,7 @@ type Summary struct {
 }
 
 // MaskAll is the all-shards mask: no worker may skip the batch. It is the
-// fallback for wide ranges and the fixed stamp when summaries are disabled.
+// fallback for wide ranges.
 const MaskAll = ^uint64(0)
 
 // Reset clears the summary for batch reuse, keeping Ctl's capacity.
@@ -65,27 +64,13 @@ func (s *Summary) SkippableBy(shard int) bool {
 	return s.Mask&(1<<(uint(shard)&63)) == 0
 }
 
-// AccessMask returns the summary-mask contribution of one access or range
-// event for an n-shard run: the bits of the first and last page's shards,
-// or MaskAll when the event spans more than two pages (its middle pages
-// could hash to any shard) or wraps the address space (PageSplit rejects
-// such events; the stamp stays conservative rather than guessing).
-func AccessMask(ev Event, pageBits uint, shards int) uint64 {
-	var size uint64
-	switch ev.EvOp() {
-	case OpRead, OpWrite:
-		size = ev.Size()
-	case OpReadRange, OpWriteRange:
-		size = rangeBytes(ev)
-	default:
-		panic("evstream: AccessMask on a non-access event")
-	}
-	return SpanMask(ev.Addr(), size, pageBits, shards)
-}
-
-// SpanMask is AccessMask over a raw (address, total size) span, for
-// producers that stamp summaries from the hook operands before encoding
-// the event — the compact encoding has no Event value to hand AccessMask.
+// SpanMask returns the summary-mask contribution of one access or range
+// event — given as its raw (address, total size) span, the hook operands a
+// producer has in hand before encoding — for an n-shard run: the bits of
+// the first and last page's shards, or MaskAll when the span covers more
+// than two pages (its middle pages could hash to any shard) or wraps the
+// address space (PageSplit rejects such events; the stamp stays
+// conservative rather than guessing).
 func SpanMask(addr, size uint64, pageBits uint, shards int) uint64 {
 	first := addr >> pageBits
 	last := first

@@ -5,11 +5,21 @@ import (
 	"testing"
 )
 
-// TestAccessMaskCoversEverySplitPiece is the exactness property the worker
+// eventMask stamps a decoded event the way a producer stamps its hook
+// operands: SpanMask over the event's address and total byte span.
+func eventMask(ev Event, pageBits uint, shards int) uint64 {
+	size := ev.Size()
+	if op := ev.EvOp(); op == OpReadRange || op == OpWriteRange {
+		size = rangeBytes(ev)
+	}
+	return SpanMask(ev.Addr(), size, pageBits, shards)
+}
+
+// TestSpanMaskCoversEverySplitPiece is the exactness property the worker
 // fast path rests on: for any access or range event, every page PageSplit
-// emits maps to a shard whose mask bit AccessMask set. A clear bit
+// emits maps to a shard whose mask bit SpanMask set. A clear bit
 // therefore proves the worker owns no piece of the event.
-func TestAccessMaskCoversEverySplitPiece(t *testing.T) {
+func TestSpanMaskCoversEverySplitPiece(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5000; trial++ {
 		n := 1 + rng.Intn(6)
@@ -23,7 +33,7 @@ func TestAccessMaskCoversEverySplitPiece(t *testing.T) {
 			elem := uint64(rng.Intn(8) + 1)
 			ev = Range(OpWriteRange, rng.Uint64()%(1<<21), rng.Intn(1<<15), elem)
 		}
-		mask := AccessMask(ev, 16, n)
+		mask := eventMask(ev, 16, n)
 		PageSplit(ev, 16, func(page uint64, _ Event) {
 			s := PickShard(page, n)
 			if mask&(1<<(uint(s)&63)) == 0 {
@@ -34,11 +44,10 @@ func TestAccessMaskCoversEverySplitPiece(t *testing.T) {
 	}
 }
 
-func TestAccessMaskTwoPageSpanIsExact(t *testing.T) {
+func TestSpanMaskTwoPageSpanIsExact(t *testing.T) {
 	const pageBytes = 1 << 16
 	// Straddles pages 0 and 1 only: exactly their two shard bits, not all-ones.
-	ev := Access(OpWrite, pageBytes-8, 16)
-	mask := AccessMask(ev, 16, 4)
+	mask := SpanMask(pageBytes-8, 16, 16, 4)
 	want := uint64(1)<<(uint(PickShard(0, 4))&63) | uint64(1)<<(uint(PickShard(1, 4))&63)
 	if mask != want {
 		t.Fatalf("straddle mask = %#x, want %#x", mask, want)
@@ -48,25 +57,24 @@ func TestAccessMaskTwoPageSpanIsExact(t *testing.T) {
 	}
 }
 
-func TestAccessMaskWideSpanFallsBackToMaskAll(t *testing.T) {
+func TestSpanMaskWideSpanFallsBackToMaskAll(t *testing.T) {
 	const pageBytes = 1 << 16
 	// Three pages: middle page could hash anywhere, so the mask must be
 	// conservative.
-	if mask := AccessMask(Range(OpReadRange, 0, 3*pageBytes/8, 8), 16, 4); mask != MaskAll {
+	if mask := SpanMask(0, 3*pageBytes, 16, 4); mask != MaskAll {
 		t.Fatalf("3-page range mask = %#x, want MaskAll", mask)
 	}
 	// Address-space wrap is conservative too (PageSplit panics on it; the
 	// mask never under-promises).
-	if mask := AccessMask(Access(OpRead, ^uint64(0)-4, 16), 16, 4); mask != MaskAll {
+	if mask := SpanMask(^uint64(0)-4, 16, 16, 4); mask != MaskAll {
 		t.Fatalf("wrapping access mask = %#x, want MaskAll", mask)
 	}
 }
 
-func TestAccessMaskZeroSize(t *testing.T) {
+func TestSpanMaskZeroSize(t *testing.T) {
 	// A zero-size access still emits one piece on its base page, so the
 	// mask must cover that page's shard.
-	ev := Access(OpRead, 3<<16|0x40, 0)
-	mask := AccessMask(ev, 16, 4)
+	mask := SpanMask(3<<16|0x40, 0, 16, 4)
 	if want := uint64(1) << (uint(PickShard(3, 4)) & 63); mask != want {
 		t.Fatalf("zero-size mask = %#x, want %#x", mask, want)
 	}
@@ -125,7 +133,7 @@ func BenchmarkWorkerSkipScan(b *testing.B) {
 			continue
 		}
 		ev := Access(OpWrite, rng.Uint64()%(1<<24), 8)
-		batch.Sum.Mask |= AccessMask(ev, 16, 4)
+		batch.Sum.Mask |= eventMask(ev, 16, 4)
 		batch.Ev = append(batch.Ev, ev)
 	}
 	var sink uint64

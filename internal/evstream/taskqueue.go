@@ -175,30 +175,25 @@ type BatchPool struct {
 	mu       sync.Mutex
 	free     []*Batch
 	batchCap int
-	compact  bool
 	limit    int
 	reused   uint64
 }
 
-// NewBatchPool returns a pool of batches with the given event capacity
-// and encoding, keeping at most limit free batches (clamped to at least
-// 1; batchCap likewise).
-func NewBatchPool(limit, batchCap int, compact bool) *BatchPool {
+// NewBatchPool returns a pool of compact batches with the given event
+// capacity, keeping at most limit free batches (clamped to at least 1;
+// batchCap likewise).
+func NewBatchPool(limit, batchCap int) *BatchPool {
 	if limit < 1 {
 		limit = 1
 	}
 	if batchCap < 1 {
 		batchCap = 1
 	}
-	return &BatchPool{batchCap: batchCap, compact: compact, limit: limit}
+	return &BatchPool{batchCap: batchCap, limit: limit}
 }
 
-// Compact reports which storage form the pool's batches use.
-func (p *BatchPool) Compact() bool { return p.compact }
-
 // Get returns an empty batch — recycled when possible — with the same
-// geometry Ring.Get hands out (batchCap events fixed, 4*batchCap bytes
-// compact).
+// geometry a compact Ring.Get hands out (4*batchCap bytes).
 func (p *BatchPool) Get() *Batch {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
@@ -211,17 +206,14 @@ func (p *BatchPool) Get() *Batch {
 		return b
 	}
 	p.mu.Unlock()
-	if p.compact {
-		return &Batch{Buf: make([]byte, 0, 4*p.batchCap), compact: true}
-	}
-	return &Batch{Ev: make([]Event, 0, p.batchCap)}
+	return &Batch{Buf: make([]byte, 0, 4*p.batchCap), compact: true}
 }
 
 // Put returns a batch to the pool; beyond the limit it is dropped for the
 // garbage collector. Safe from any goroutine (the broadcast ring's last
 // Release recycles from whichever worker finishes last).
 func (p *BatchPool) Put(b *Batch) {
-	if b == nil || (cap(b.Ev) == 0 && cap(b.Buf) == 0) {
+	if b == nil || cap(b.Buf) == 0 {
 		return
 	}
 	p.mu.Lock()

@@ -7,16 +7,11 @@ import (
 	"time"
 )
 
-// appendFromBatch builds a batch of n pseudo-random access/range events in
-// the given encoding, with occasional wild address jumps and escaped
-// operand sizes so AppendFrom's rebase path sees multi-byte deltas.
-func appendFromBatch(rng *rand.Rand, compact bool, n int, base uint64) (*Batch, []Event) {
-	b := &Batch{compact: compact}
-	if compact {
-		b.Buf = make([]byte, 0, 4096)
-	} else {
-		b.Ev = make([]Event, 0, 4096)
-	}
+// appendFromBatch builds a compact batch of n pseudo-random access/range
+// events, with occasional wild address jumps and escaped operand sizes so
+// AppendFrom's rebase path sees multi-byte deltas.
+func appendFromBatch(rng *rand.Rand, n int, base uint64) (*Batch, []Event) {
+	b := newCompactBatch(127)
 	var want []Event
 	addr := base
 	for i := 0; i < n; i++ {
@@ -49,15 +44,8 @@ func appendFromBatch(rng *rand.Rand, compact bool, n int, base uint64) (*Batch, 
 
 func drainBatch(t *testing.T, b *Batch) []Event {
 	t.Helper()
-	var got []Event
-	it := b.Iter()
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			return got
-		}
-		got = append(got, ev)
-	}
+	got, _ := decodeBlocks(b)
+	return got
 }
 
 // TestAppendFromRoundTrip concatenates many source batches into one
@@ -66,69 +54,54 @@ func drainBatch(t *testing.T, b *Batch) []Event {
 // that direct appends after an AppendFrom continue from the inherited
 // delta base.
 func TestAppendFromRoundTrip(t *testing.T) {
-	for _, compact := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(1))
-		out := &Batch{compact: compact}
-		if compact {
-			out.Buf = make([]byte, 0, 1<<16)
-		} else {
-			out.Ev = make([]Event, 0, 1<<16)
+	rng := rand.New(rand.NewSource(1))
+	out := newCompactBatch(2047)
+	var want []Event
+	for i := 0; i < 40; i++ {
+		src, evs := appendFromBatch(rng, 1+rng.Intn(50), rng.Uint64())
+		if !out.AppendFrom(src) {
+			t.Fatal("AppendFrom reported no room in a large accumulator")
 		}
-		var want []Event
-		for i := 0; i < 40; i++ {
-			src, evs := appendFromBatch(rng, compact, 1+rng.Intn(50), rng.Uint64())
-			if !out.AppendFrom(src) {
-				t.Fatalf("compact=%v: AppendFrom reported no room in a large accumulator", compact)
-			}
-			want = append(want, evs...)
-			// Interleave direct appends: they must delta from the source's
-			// final base, not a stale one.
-			b := uint64(0xdead0000 + i)
-			out.AppendAccess(OpWrite, b, 8)
-			want = append(want, Access(OpWrite, b, 8))
+		want = append(want, evs...)
+		// Interleave direct appends: they must delta from the source's
+		// final base, not a stale one.
+		b := uint64(0xdead0000 + i)
+		out.AppendAccess(OpWrite, b, 8)
+		want = append(want, Access(OpWrite, b, 8))
+	}
+	got := drainBatch(t, out)
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
 		}
-		got := drainBatch(t, out)
-		if len(got) != len(want) {
-			t.Fatalf("compact=%v: decoded %d events, want %d", compact, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("compact=%v: event %d = %+v, want %+v", compact, i, got[i], want[i])
-			}
-		}
-		if out.Len() != len(want) {
-			t.Fatalf("compact=%v: Len=%d, want %d", compact, out.Len(), len(want))
-		}
+	}
+	if out.Len() != len(want) {
+		t.Fatalf("Len=%d, want %d", out.Len(), len(want))
 	}
 }
 
 // TestAppendFromNoRoom checks the no-room path leaves the destination
 // bit-for-bit untouched, and that an empty source always fits.
 func TestAppendFromNoRoom(t *testing.T) {
-	for _, compact := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(2))
-		dst := &Batch{compact: compact}
-		if compact {
-			dst.Buf = make([]byte, 0, 64)
-		} else {
-			dst.Ev = make([]Event, 0, 2)
-		}
-		dst.AppendAccess(OpRead, 0x1000, 8)
-		wantLen, wantWire := dst.Len(), dst.WireBytes()
-		src, _ := appendFromBatch(rng, compact, 200, 0x2000)
-		if dst.AppendFrom(src) {
-			t.Fatalf("compact=%v: 200 events reported as fitting a tiny batch", compact)
-		}
-		if dst.Len() != wantLen || dst.WireBytes() != wantWire {
-			t.Fatalf("compact=%v: failed AppendFrom mutated the destination", compact)
-		}
-		empty := &Batch{compact: compact}
-		if !dst.AppendFrom(empty) {
-			t.Fatalf("compact=%v: empty source must always fit", compact)
-		}
-		if dst.Len() != wantLen {
-			t.Fatalf("compact=%v: empty AppendFrom changed Len", compact)
-		}
+	rng := rand.New(rand.NewSource(2))
+	dst := newCompactBatch(1)
+	dst.AppendAccess(OpRead, 0x1000, 8)
+	wantLen, wantWire := dst.Len(), dst.WireBytes()
+	src, _ := appendFromBatch(rng, 200, 0x2000)
+	if dst.AppendFrom(src) {
+		t.Fatal("200 events reported as fitting a tiny batch")
+	}
+	if dst.Len() != wantLen || dst.WireBytes() != wantWire {
+		t.Fatal("failed AppendFrom mutated the destination")
+	}
+	if !dst.AppendFrom(newCompactBatch(1)) {
+		t.Fatal("empty source must always fit")
+	}
+	if dst.Len() != wantLen {
+		t.Fatal("empty AppendFrom changed Len")
 	}
 }
 
@@ -226,10 +199,10 @@ func TestTaskQueueCloseUnblocks(t *testing.T) {
 // TestBatchPoolReuse checks Get/Put recycling, the free-list bound, and
 // that recycled batches come back empty with their geometry intact.
 func TestBatchPoolReuse(t *testing.T) {
-	p := NewBatchPool(2, 16, true)
+	p := NewBatchPool(2, 16)
 	b := p.Get()
 	if !b.Compact() || cap(b.Buf) != 4*16 {
-		t.Fatalf("compact pool batch: compact=%v cap=%d", b.Compact(), cap(b.Buf))
+		t.Fatalf("pool batch: compact=%v cap=%d", b.Compact(), cap(b.Buf))
 	}
 	b.AppendAccess(OpWrite, 42, 8)
 	p.Put(b)
@@ -250,10 +223,5 @@ func TestBatchPoolReuse(t *testing.T) {
 	p.Put(d)
 	if got := len(p.free); got != 2 {
 		t.Fatalf("free list holds %d batches, want limit 2", got)
-	}
-	fixed := NewBatchPool(1, 8, false)
-	fb := fixed.Get()
-	if fb.Compact() || cap(fb.Ev) != 8 {
-		t.Fatalf("fixed pool batch: compact=%v cap=%d", fb.Compact(), cap(fb.Ev))
 	}
 }

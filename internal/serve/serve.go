@@ -120,7 +120,7 @@ type Stats struct {
 	Admitted     uint64  `json:"admitted"`
 	Rejected     uint64  `json:"rejected"`  // 429s: queue full
 	Oversized    uint64  `json:"oversized"` // 413s + MaxEvents/MaxHistoryBytes aborts
-	Failed       uint64  `json:"failed"`    // replay errors other than oversize
+	Failed       uint64  `json:"failed"`    // replay errors other than oversize, panics included
 	Completed    uint64  `json:"completed"`
 	UptimeSec    float64 `json:"uptime_sec"`
 	TracesPerSec float64 `json:"traces_per_sec"` // completed / uptime
@@ -155,21 +155,20 @@ type Server struct {
 
 // New builds the Runner fleet, warms every Runner, and starts the workers.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Opts.Tracer != nil || cfg.Opts.OnRace != nil {
 		return nil, errors.New("serve: Opts.Tracer and Opts.OnRace must be unset")
 	}
+	return start(cfg.withDefaults())
+}
+
+// start is New past validation; tests call it directly to run the fleet
+// with a misbehaving OnRace.
+func start(cfg Config) (*Server, error) {
 	runners := make([]*stint.Runner, cfg.Runners)
 	for i := range runners {
-		r, err := stint.NewRunner(cfg.Opts)
+		r, err := warmRunner(cfg.Opts)
 		if err != nil {
 			return nil, fmt.Errorf("serve: building runner fleet: %w", err)
-		}
-		// Warm the full pipeline (stage graph, rings, engines) before the
-		// first trace arrives, so ingest latency never pays first-run
-		// construction.
-		if _, err := r.Run(func(*stint.Task) {}); err != nil {
-			return nil, fmt.Errorf("serve: warming runner fleet: %w", err)
 		}
 		runners[i] = r
 	}
@@ -187,6 +186,20 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// warmRunner builds one pooled Runner and runs the full pipeline (stage
+// graph, rings, engines) once, empty, so ingest latency never pays
+// first-run construction.
+func warmRunner(opts stint.Options) (*stint.Runner, error) {
+	r, err := stint.NewRunner(opts)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.Run(func(*stint.Task) {}); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // Close stops accepting work and waits for in-flight replays to finish.
 // Queued-but-unstarted traces finish too: the queue is drained, not
 // dropped.
@@ -202,11 +215,11 @@ func (s *Server) worker(r *stint.Runner) {
 		// the queue is empty.
 		select {
 		case j := <-s.queue:
-			s.replay(r, j)
+			r = s.replay(r, j)
 		case <-s.quit:
 			select {
 			case j := <-s.queue:
-				s.replay(r, j)
+				r = s.replay(r, j)
 			default:
 				return
 			}
@@ -214,10 +227,30 @@ func (s *Server) worker(r *stint.Runner) {
 	}
 }
 
-func (s *Server) replay(r *stint.Runner, j job) {
+// replay runs one trace on the worker's Runner and returns the Runner the
+// worker continues with: r itself, or a rebuilt one after a panic. A panic
+// anywhere under the replay — on this goroutine, or in a pipeline stage,
+// whose failure stage.Graph re-raises here once every stage has exited —
+// fails that trace alone: its result becomes "error", and the Runner, whose
+// state the unwind may have left half-updated, is discarded rather than
+// trusted to Reset.
+func (s *Server) replay(r *stint.Runner, j job) (next *stint.Runner) {
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 	s.setStatus(j.id, "running")
+	next = r
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		s.finishErr(j.id, fmt.Errorf("serve: replay panicked: %v", p))
+		// The same Options built the original fleet, so the rebuild cannot
+		// fail; were it to, the worker keeps r and Run's auto-reset.
+		if fresh, err := warmRunner(s.cfg.Opts); err == nil {
+			next = fresh
+		}
+	}()
 
 	opts := trace.Options{Runner: r, MaxEvents: s.cfg.MaxEvents}
 	if s.cfg.FreshRunners {
@@ -245,6 +278,7 @@ func (s *Server) replay(r *stint.Runner, j job) {
 		res.Races = races
 		res.WallTime = rep.WallTime.String()
 	})
+	return
 }
 
 // finishErr records a failed replay. Each failure increments exactly one

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,13 +386,16 @@ func TestServeUnknownResult(t *testing.T) {
 // configuration and checks it against a fresh sharded replay.
 func TestServeShardedPool(t *testing.T) {
 	raw := recordTrace(t, 512, 64)
-	want, err := trace.Replay(bytes.NewReader(raw), trace.Options{Detector: stint.DetectorSTINT, Shards: 2})
+	opts := stint.Options{Detector: stint.DetectorSTINT, Async: true, DetectShards: 2}
+	fresh, err := stint.NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Runners: 2, Opts: stint.Options{
-		Detector: stint.DetectorSTINT, Async: true, DetectShards: 2,
-	}})
+	want, err := trace.Replay(bytes.NewReader(raw), trace.Options{Runner: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Runners: 2, Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,5 +409,77 @@ func TestServeShardedPool(t *testing.T) {
 	res := pollResult(t, ts, id)
 	if res.Status != "done" || res.RaceCount != want.RaceCount {
 		t.Fatalf("sharded serve diverges: %+v, want %d races", res, want.RaceCount)
+	}
+}
+
+// TestServePanickingReplayIsQuarantined is the regression test for a replay
+// that panics: it used to take the whole process down (workers had no
+// recover, and a stage-graph failure is re-raised on the replaying
+// goroutine). Now that upload alone fails — status "error", counted as
+// failed — the worker rebuilds its Runner, and the next upload on the same
+// server gets the correct race set. One worker, so the second upload
+// provably runs on the rebuilt Runner; sync and sharded, so the panic is
+// raised both on the worker goroutine and inside the stage graph.
+func TestServePanickingReplayIsQuarantined(t *testing.T) {
+	raw := recordTrace(t, 512, 64)
+	want, err := trace.Replay(bytes.NewReader(raw), trace.Options{Detector: stint.DetectorSTINT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Racy() {
+		t.Fatal("fixture trace is race-free; the panic would never fire")
+	}
+	for _, mode := range []struct {
+		name string
+		opts stint.Options
+	}{
+		{"sync", stint.Options{Detector: stint.DetectorSTINT}},
+		{"shards2", stint.Options{Detector: stint.DetectorSTINT, Async: true, DetectShards: 2}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			var armed atomic.Bool
+			armed.Store(true)
+			opts := mode.opts
+			opts.OnRace = func(stint.Race) {
+				if armed.Load() {
+					panic("OnRace blew up")
+				}
+			}
+			s, err := start(Config{Runners: 1, Opts: opts}.withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			id, code := postTrace(t, ts, raw)
+			if code != http.StatusAccepted {
+				t.Fatalf("first upload: status %d", code)
+			}
+			res := pollResult(t, ts, id)
+			if res.Status != "error" || !strings.Contains(res.Error, "OnRace blew up") {
+				t.Fatalf("panicking replay: got %+v, want status error naming the panic", res)
+			}
+			if st := s.Stats(); st.Failed != 1 || st.Completed != 0 {
+				t.Fatalf("after the panic: %+v, want failed=1 completed=0", st)
+			}
+
+			armed.Store(false)
+			id, code = postTrace(t, ts, raw)
+			if code != http.StatusAccepted {
+				t.Fatalf("second upload: status %d", code)
+			}
+			res = pollResult(t, ts, id)
+			races := make([]string, len(want.Races))
+			for i, rc := range want.Races {
+				races[i] = rc.String()
+			}
+			if res.Status != "done" || res.RaceCount != want.RaceCount || res.Strands != want.Strands ||
+				!reflect.DeepEqual(res.Races, races) {
+				t.Fatalf("upload after the panic diverges: %+v, want %d races/%d strands",
+					res, want.RaceCount, want.Strands)
+			}
+		})
 	}
 }

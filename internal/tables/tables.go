@@ -484,8 +484,8 @@ func (s *Suite) Async() error {
 // keeps dividing the detection critical path — while a high skip%
 // means the per-worker full-stream scan floor is gone too: workers only
 // scan the batches whose pages hash to them. B/ev is the event stream's
-// wire cost under the compact delta encoding (16.00 with it disabled),
-// and ev/blk the fleet-wide events per decode block on full scans (near
+// wire cost (16.00 would be a struct per event), and ev/blk the
+// fleet-wide events per decode block on full scans (near
 // 64 when the stream blocks well; low values flag degenerate blocking —
 // structure-dense streams or tiny batches — as the straggler cause).
 // Not one of the paper's figures, so Suite.All leaves it out.

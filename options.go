@@ -108,14 +108,6 @@ var optionsRules = []optionsRule{
 		},
 	},
 	{
-		bad: func(o *Options) bool {
-			return o.SummaryStamping < StampAuto || o.SummaryStamping > StampLabelStage
-		},
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: SummaryStamping %d is not one of StampAuto, StampProducer, StampLabelStage", o.SummaryStamping)
-		},
-	},
-	{
 		bad: func(o *Options) bool { return o.PageQuiesceThreshold < 0 },
 		err: func(o *Options) error {
 			return fmt.Errorf("stint: PageQuiesceThreshold must be non-negative, got %d", o.PageQuiesceThreshold)

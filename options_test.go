@@ -1,6 +1,7 @@
 package stint
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -120,5 +121,15 @@ func TestMaxRacesDefaultApplied(t *testing.T) {
 	}
 	if got := r.opts.MaxRacesRecorded; got != 64 {
 		t.Fatalf("defaulted MaxRacesRecorded = %d, want 64", got)
+	}
+}
+
+// TestOptionsFieldCount pins the size of the configuration surface. Every
+// independently settable field multiplies the mode grid the equivalence,
+// soak, and fuzz suites must cover, so adding one is a decision to make in
+// review — by editing this number — not a side effect of a feature.
+func TestOptionsFieldCount(t *testing.T) {
+	if got := reflect.TypeOf(Options{}).NumField(); got != 11 {
+		t.Fatalf("Options has %d fields, want 11: a new option needs its equivalence legs and this count updated together", got)
 	}
 }

@@ -8,13 +8,13 @@
 //
 // Each task goroutine owns a parTask: a private working batch (from the
 // shared BatchPool) it fills with its strand's access events, stamping the
-// shard-occupancy mask as it appends — the per-event summary work that the
-// serial pipeline gives to the producer or label stage here runs on the
-// executor's parallelism. A chunk is cut — published to the bounded
-// multi-producer TaskQueue — when the batch fills or the strand ends, and
-// the strand-ending cuts carry the structure transition as the chunk
-// terminator (spawn naming the child task, strand-creating sync, task
-// end). Structure events never ride in-band.
+// shard-occupancy mask as it appends — the per-event summary work the
+// serial pipeline's producer does, here on the executor's parallelism. A
+// chunk is cut — published to the bounded multi-producer TaskQueue — when
+// the batch fills or the strand ends, and the strand-ending cuts carry the
+// structure transition as the chunk terminator (spawn naming the child
+// task, strand-creating sync, task end). Structure events never ride
+// in-band.
 //
 // The merge stage drains the queue and feeds chunks to stage.Reorder,
 // which re-emits them in serial order: the depth-first walk of the spawn
@@ -54,7 +54,6 @@ import (
 
 	"stint/internal/coalesce"
 	"stint/internal/depa"
-	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/stage"
 )
@@ -64,14 +63,13 @@ import (
 // chunks, and a batch pool sized to cover every stage's working set
 // (in-queue chunks, in-flight broadcast batches, per-goroutine working
 // batches) before Get falls back to allocating.
-func newParallelState(ringDepth, batchEvents int, compact bool) *asyncState {
+func newParallelState(ringDepth, batchEvents int) *asyncState {
 	queueDepth := ringDepth * 8
 	return &asyncState{
-		batchCap:  batchEvents,
 		ringDepth: ringDepth,
 		graph:     stage.NewGraph(),
 		queue:     evstream.NewTaskQueue(queueDepth),
-		pool:      evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents, compact),
+		pool:      evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents),
 	}
 }
 
@@ -99,17 +97,14 @@ func (p *parTask) resume() { p.t0 = time.Now() }
 
 // emitAccess appends one access event to the task's working batch, cutting
 // a mid-strand chunk first when the batch is full. The shard-occupancy
-// mask is stamped here, on the executor's parallelism (ParallelDetect has
-// no producer/label-stage stamping choice to make — the merge never
+// mask is stamped here, on the executor's parallelism: the merge never
 // decodes access events, so the executor is the only stage that can stamp
-// masks without adding a scan).
+// masks without adding a scan.
 func (p *parTask) emitAccess(op evstream.Op, addr, size uint64) {
 	if p.batch.Full() {
 		p.cut(evstream.ChunkCut, 0)
 	}
-	if p.as.summarize {
-		p.batch.Sum.Mask |= evstream.SpanMask(addr, size, coalesce.PageBytesBits, p.as.shards)
-	}
+	p.batch.Sum.Mask |= evstream.SpanMask(addr, size, coalesce.PageBytesBits, p.as.shards)
 	p.batch.AppendAccess(op, addr, size)
 }
 
@@ -118,9 +113,7 @@ func (p *parTask) emitRange(op evstream.Op, addr uint64, count int, elem uint64)
 	if p.batch.Full() {
 		p.cut(evstream.ChunkCut, 0)
 	}
-	if p.as.summarize {
-		p.batch.Sum.Mask |= evstream.SpanMask(addr, uint64(count)*elem, coalesce.PageBytesBits, p.as.shards)
-	}
+	p.batch.Sum.Mask |= evstream.SpanMask(addr, uint64(count)*elem, coalesce.PageBytesBits, p.as.shards)
 	p.batch.AppendRange(op, addr, count, elem)
 }
 
@@ -139,22 +132,6 @@ func (p *parTask) cut(end evstream.ChunkEnd, child uint64) {
 	}
 	p.idx++
 	p.resume()
-}
-
-// buildParallel constructs the retained detector-side state of the
-// ParallelDetect pipeline — label Builder, broadcast ring, and the same N
-// shard workers the Async sharded pipeline uses — without launching
-// anything; launchParallel wires them onto each run's fresh stage graph.
-func (as *asyncState) buildParallel(cfg detect.Config, shards, maxRec int, user func(Race), summarize bool) (*depa.Builder, []*shardWorker, *evstream.BcastRing[labeledBatch]) {
-	as.shards = shards
-	as.summarize = summarize
-	labels := depa.NewBuilder()
-	bcast := evstream.NewBcastRing(as.ringDepth, shards, func(m labeledBatch) {
-		// Last worker release: the batch returns to the shared pool.
-		as.pool.Put(m.batch)
-	})
-	workers := as.buildWorkers(cfg, shards, maxRec, user, bcast)
-	return labels, workers, bcast
 }
 
 // launchParallel wires the ParallelDetect stage graph for one run: the
@@ -190,11 +167,6 @@ func (as *asyncState) mergeParallel(labels *depa.Builder, bcast *evstream.BcastR
 		if labels.StrandCount() > view.StrandCount() {
 			view = labels.View()
 			as.viewSnaps++
-		}
-		if !as.summarize {
-			// Unsummarized batches must carry MaskAll so no worker mistakes
-			// the zero mask for "skippable by everyone".
-			b.Sum.Mask = evstream.MaskAll
 		}
 		t0 := time.Now()
 		if !bcast.Publish(labeledBatch{batch: b, labels: view}) {
@@ -306,13 +278,8 @@ func (as *asyncState) drainParallel() {
 	as.graph.Wait()
 	qs := as.queue.Stats()
 	// Access events stream through the queue; structure events are
-	// synthesized by the merge (1 tag byte compact, 16 bytes fixed). The
-	// totals match what the serial Async pipeline would have streamed for
-	// the same program.
-	ctlBytes := as.mergeCtl * 16
-	if as.pool.Compact() {
-		ctlBytes = as.mergeCtl
-	}
+	// synthesized by the merge (one tag byte each). The totals match what
+	// the serial Async pipeline would have streamed for the same program.
 	as.stats.EventsStreamed = qs.EventsPublished + as.mergeCtl
-	as.stats.StreamBytes = qs.StreamBytes + ctlBytes
+	as.stats.StreamBytes = qs.StreamBytes + as.mergeCtl
 }

@@ -73,8 +73,7 @@ func pdRunWorkload(t *testing.T, f workloads.Factory, opts stint.Options) *stint
 }
 
 // TestFig5ParallelDetectEquivalence runs every Fig5 workload under
-// ParallelDetect across shards {1, 2, 4} × {compact, fixed} encodings and
-// asserts race-set equality with the synchronous run (trivially, the
+// ParallelDetect across shards {1, 2, 4} and asserts race-set equality with the synchronous run (trivially, the
 // empty set — plus the stronger full-report identity the deterministic
 // merge provides), then re-runs one configuration to pin run-to-run
 // byte-identical reports.
@@ -91,27 +90,24 @@ func TestFig5ParallelDetectEquivalence(t *testing.T) {
 				t.Fatalf("sync found %d races in a race-free workload", sync.RaceCount)
 			}
 			for _, shards := range []int{1, 2, 4} {
-				for _, nocompact := range []bool{false, true} {
-					name := fmt.Sprintf("shards=%d nocompact=%v", shards, nocompact)
-					rep := pdRunWorkload(t, tc.f, stint.Options{
-						Detector:             stint.DetectorSTINT,
-						MaxRacesRecorded:     maxRec,
-						ParallelDetect:       true,
-						DetectShards:         shards,
-						DisableCompactEvents: nocompact,
-					})
-					if rep.RaceCount != sync.RaceCount {
-						t.Fatalf("%s: RaceCount %d, sync %d", name, rep.RaceCount, sync.RaceCount)
-					}
-					if !reflect.DeepEqual(rep.Races, sync.Races) {
-						t.Fatalf("%s: race set differs from sync\n got: %v\nsync: %v", name, rep.Races, sync.Races)
-					}
-					if rep.Strands != sync.Strands {
-						t.Fatalf("%s: Strands %d, sync %d", name, rep.Strands, sync.Strands)
-					}
-					if ns, ng := pdNormStats(sync.Stats), pdNormStats(rep.Stats); ns != ng {
-						t.Fatalf("%s: stats differ from sync\n got: %+v\nsync: %+v", name, ng, ns)
-					}
+				name := fmt.Sprintf("shards=%d", shards)
+				rep := pdRunWorkload(t, tc.f, stint.Options{
+					Detector:         stint.DetectorSTINT,
+					MaxRacesRecorded: maxRec,
+					ParallelDetect:   true,
+					DetectShards:     shards,
+				})
+				if rep.RaceCount != sync.RaceCount {
+					t.Fatalf("%s: RaceCount %d, sync %d", name, rep.RaceCount, sync.RaceCount)
+				}
+				if !reflect.DeepEqual(rep.Races, sync.Races) {
+					t.Fatalf("%s: race set differs from sync\n got: %v\nsync: %v", name, rep.Races, sync.Races)
+				}
+				if rep.Strands != sync.Strands {
+					t.Fatalf("%s: Strands %d, sync %d", name, rep.Strands, sync.Strands)
+				}
+				if ns, ng := pdNormStats(sync.Stats), pdNormStats(rep.Stats); ns != ng {
+					t.Fatalf("%s: stats differ from sync\n got: %+v\nsync: %+v", name, ng, ns)
 				}
 			}
 			// Run-to-run determinism on the middle configuration.

@@ -67,9 +67,9 @@ func quiesceRun(t *testing.T, opts Options, words int, acts []act) *Report {
 // TestQuiesceDifferentialModes is the tentpole equivalence check: with a
 // small PageQuiesceThreshold on a racy multi-page program, the races, race
 // count, strand count, and pages-quiesced count are identical across
-// {sync, async, shards 1/2/4, parallel-detect} × {compact, fixed}. Full
-// stat identity is deliberately not asserted — the producer-side drops
-// legitimately elide hook calls the synchronous run counts.
+// {sync, async, shards 1/2/4, parallel-detect}. Full stat identity is
+// deliberately not asserted — the producer-side drops legitimately elide
+// hook calls the synchronous run counts.
 func TestQuiesceDifferentialModes(t *testing.T) {
 	const pages = 5
 	acts := quiesceRacyActs(pages)
@@ -97,27 +97,21 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 						name, got.Stats.PagesQuiesced, sync.Stats.PagesQuiesced)
 				}
 			}
-			for _, nocompact := range []bool{false, true} {
-				opts := base
-				opts.DisableCompactEvents = nocompact
-				enc := map[bool]string{false: "compact", true: "fixed"}[nocompact]
+			async := base
+			async.Async = true
+			check("async", quiesceRun(t, async, pages*qPageWords, acts))
 
-				async := opts
-				async.Async = true
-				check("async/"+enc, quiesceRun(t, async, pages*qPageWords, acts))
-
-				for _, n := range []int{1, 2, 4} {
-					sharded := async
-					sharded.DetectShards = n
-					check(fmt.Sprintf("shards=%d/%s", n, enc),
-						quiesceRun(t, sharded, pages*qPageWords, acts))
-				}
-
-				par := opts
-				par.ParallelDetect = true
-				par.DetectShards = 2
-				check("parallel-detect/"+enc, quiesceRun(t, par, pages*qPageWords, acts))
+			for _, n := range []int{1, 2, 4} {
+				sharded := async
+				sharded.DetectShards = n
+				check(fmt.Sprintf("shards=%d", n),
+					quiesceRun(t, sharded, pages*qPageWords, acts))
 			}
+
+			par := base
+			par.ParallelDetect = true
+			par.DetectShards = 2
+			check("parallel-detect", quiesceRun(t, par, pages*qPageWords, acts))
 		})
 	}
 }

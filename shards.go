@@ -10,14 +10,12 @@
 // structure events (spawn/restore/sync) in exactly the order the inline
 // detector maintains SP-Order, attaches an immutable label snapshot, and
 // republishes the batch onto a single-producer/multi-consumer broadcast
-// ring (evstream.BcastRing). It never splits, copies, or routes access
-// events — the per-event work that made the PR 3 sequencer the multi-core
-// critical path. With producer stamping it does not even scan the batch
-// (the structure events are exactly the offsets in the batch's
-// Summary.Ctl); with label-stage stamping it scans each batch once,
-// stamping the Summary itself so the mutator sheds that per-event work.
-// Label snapshots are demand-driven — re-taken only when a batch created
-// strands — instead of per-batch.
+// ring (evstream.BcastRing). It never splits, copies, routes, or even
+// decodes access events — the per-event work that made the PR 3 sequencer
+// the multi-core critical path: the structure events are exactly the
+// offsets the producer stamped into the batch's Summary.Ctl. Label
+// snapshots are demand-driven — re-taken only when a batch created strands
+// — instead of per-batch.
 //
 // Page splitting and shard filtering happen on the workers instead: every
 // worker scans the same labeled batch, replays the structure events through
@@ -28,15 +26,14 @@
 // the runtime-coalescing engines treat an access as nothing but its set of
 // touched words.
 //
-// The batch Summary — stamped by the producer or the label stage,
-// identically either way — gives workers a fast path: a
-// worker whose mask bit is clear skips the access events entirely — the
-// clear bit proves no piece of any access in the batch maps to its shard
-// (see evstream.Summary) — and replays only the structure events through
-// Summary.Ctl, so its tracker state and strand-boundary flushes stay
-// byte-identical to a full scan. Split-surplus accounting is untouched by
-// skipping: a skipped batch contributes no pieces to this worker, exactly
-// as a full scan of it would have.
+// The batch Summary, stamped by the producer as it appends (async.go),
+// gives workers a fast path: a worker whose mask bit is clear skips the
+// access events entirely — the clear bit proves no piece of any access in
+// the batch maps to its shard (see evstream.Summary) — and replays only the
+// structure events through Summary.Ctl, so its tracker state and
+// strand-boundary flushes stay byte-identical to a full scan. Split-surplus
+// accounting is untouched by skipping: a skipped batch contributes no
+// pieces to this worker, exactly as a full scan of it would have.
 //
 // Workers never share mutable detector state: each owns the page
 // directory, treap pools, and coalesce buffers for its page subset, and
@@ -88,11 +85,8 @@ type labeledBatch struct {
 // strand count has caught up answers Parallel/LeftOf/SeqRank identically
 // to a fresh one (DESIGN.md "Why per-refill label views are exact").
 //
-// With producer stamping the structure events are exactly the offsets in
-// the batch's Summary.Ctl and the access events are never touched; with
-// label-stage stamping (labelScan) the stage decodes the batch once,
-// advancing the builder and stamping the Ctl offsets and page mask in the
-// same pass — per-batch producer work moved off the mutator.
+// The structure events are exactly the offsets the producer stamped into
+// the batch's Summary.Ctl; the access events are never touched.
 //
 // A false broadcast Publish means the graph aborted and closed the rings;
 // the stage recycles the batch it still owns and exits cleanly — the
@@ -107,14 +101,8 @@ func (as *asyncState) labelStage(labels *depa.Builder, bcast *evstream.BcastRing
 			break
 		}
 		t0 := time.Now()
-		if as.prodStamp {
-			// The producer indexed the structure events; no need to scan
-			// the access events at all.
-			for i := range batch.Sum.Ctl {
-				applyCtl(labels, batch.CtlOp(i))
-			}
-		} else {
-			as.labelScan(labels, batch)
+		for i := range batch.Sum.Ctl {
+			applyCtl(labels, batch.CtlOp(i))
 		}
 		if labels.StrandCount() > view.StrandCount() {
 			view = labels.View()
@@ -130,67 +118,7 @@ func (as *asyncState) labelStage(labels *depa.Builder, bcast *evstream.BcastRing
 	bcast.Close()
 }
 
-// labelScan is the label stage's stamping scan (sharded mode without
-// producer stamping): one decode pass that advances the label builder on
-// the structure events and stamps the batch's Summary — Ctl offsets and
-// the access page mask when summaries are on, MaskAll when they are off.
-// The batch arrives with a zeroed Summary (the producer stamped nothing)
-// and is exclusively owned between ring.Next and bcast.Publish, so the
-// stamp is ordinary single-threaded mutation.
-func (as *asyncState) labelScan(labels *depa.Builder, batch *evstream.Batch) {
-	it := batch.Iter()
-	var blk [evstream.BlockEvents]evstream.Event
-	if !as.summarize {
-		for {
-			evs := it.DecodeBlock(&blk)
-			if len(evs) == 0 {
-				break
-			}
-			for _, ev := range evs {
-				applyCtl(labels, ev.EvOp())
-			}
-		}
-		batch.Sum.Mask = evstream.MaskAll
-		return
-	}
-	// Accesses wholly inside a registry-quiesced page stay out of the
-	// stamped mask: the label stage is strictly ahead of the workers in
-	// stream order, so any page in the registry quiesced before every event
-	// in this batch, and the owning worker would drop these events anyway
-	// (deadSpan). Omitting their bits lets that worker skip whole batches
-	// whose only live content is dead pages — its Ctl replay still advances
-	// the tracker and flushes strand boundaries byte-identically. The
-	// registry is read atomically here (this runs on the sequencer
-	// goroutine, not the producer's), and the liveness check is hoisted to
-	// once per batch.
-	q := as.quiesce
-	if q != nil && q.Len() == 0 {
-		q = nil
-	}
-	for {
-		// Ctl offsets are block-relative: the j-th event of a decoded group
-		// sits at Pos-before-the-call + j — an event index in a fixed batch,
-		// a byte offset in a compact one, where structure events decode as
-		// contiguous runs of one tag byte each (access blocks carry none).
-		pos := it.Pos()
-		evs := it.DecodeBlock(&blk)
-		if len(evs) == 0 {
-			break
-		}
-		for j, ev := range evs {
-			op := ev.EvOp()
-			if op <= evstream.OpSync {
-				batch.Sum.AddCtl(pos + j)
-				applyCtl(labels, op)
-			} else if q == nil || !deadEvent(q, ev) {
-				batch.Sum.Mask |= evstream.AccessMask(ev, coalesce.PageBytesBits, as.shards)
-			}
-		}
-	}
-}
-
-// applyCtl advances the label builder for one structure event; access
-// events fall through.
+// applyCtl advances the label builder for one structure event.
 func applyCtl(labels *depa.Builder, op evstream.Op) {
 	switch op {
 	case evstream.OpSpawn:
@@ -374,25 +302,19 @@ func (w *shardWorker) access(engine detect.Engine, ev evstream.Event) {
 	}
 }
 
-// buildSharded constructs the retained detector-side state of the sharded
-// pipeline — label Builder, broadcast ring, and N workers with their
+// buildDetectors constructs the retained detector-side state both sharded
+// pipelines share — label Builder, broadcast ring, and N workers with their
 // engines — without launching anything. The Runner keeps the returned
-// structures warm across runs; launchSharded wires them onto each run's
-// fresh stage graph. summarize controls batch summaries (the worker skip
-// fast path) — with it off, batches carry MaskAll and every worker scans
-// everything — and prodStamp selects the stamping stage (see setSharded;
-// Run refreshes it per run, since StampAuto reads GOMAXPROCS).
-func (as *asyncState) buildSharded(cfg detect.Config, shards, maxRec int, user func(Race), summarize, prodStamp bool) (*depa.Builder, []*shardWorker, *evstream.BcastRing[labeledBatch]) {
-	as.setSharded(shards, summarize, prodStamp)
-	labels := depa.NewBuilder()
-	bcast := evstream.NewBcastRing(as.ringDepth, shards, func(m labeledBatch) {
-		// Last release: the batch is no longer referenced by any worker, so
-		// it can rejoin the main ring's free list. Ring.Recycle is safe from
-		// any goroutine.
-		as.ring.Recycle(m.batch)
-	})
-	workers := as.buildWorkers(cfg, shards, maxRec, user, bcast)
-	return labels, workers, bcast
+// structures warm across runs; launchSharded or launchParallel wires them
+// onto each run's fresh stage graph. recycle takes back a batch no worker
+// references any more — the main ring's free list for the serial producer,
+// the shared pool under ParallelDetect — and must be safe from any
+// goroutine: whichever worker releases last calls it. Setting as.shards
+// switches the appending side's summary stamping on (see emitCtl/emitAccess).
+func (as *asyncState) buildDetectors(cfg detect.Config, shards, maxRec int, user func(Race), recycle func(*evstream.Batch)) (*depa.Builder, []*shardWorker, *evstream.BcastRing[labeledBatch]) {
+	as.shards = shards
+	bcast := evstream.NewBcastRing(as.ringDepth, shards, func(m labeledBatch) { recycle(m.batch) })
+	return depa.NewBuilder(), as.buildWorkers(cfg, shards, maxRec, user, bcast), bcast
 }
 
 // launchSharded wires the sharded stage graph for one run: label stage, the

@@ -175,15 +175,15 @@ func TestShardedTinyBatchGeometries(t *testing.T) {
 // sequencer's own busy time.
 func TestShardedUtilizationReadout(t *testing.T) {
 	rep := runSharded(t, DetectorSTINT, 4, shardProgram(16<<10))
-	if len(rep.ShardBusy) != 4 {
-		t.Fatalf("ShardBusy has %d entries, want 4", len(rep.ShardBusy))
+	if len(rep.ShardLoad) != 4 {
+		t.Fatalf("ShardLoad has %d entries, want 4", len(rep.ShardLoad))
 	}
 	var sum time.Duration
-	for _, d := range rep.ShardBusy {
-		sum += d
+	for _, l := range rep.ShardLoad {
+		sum += l.Busy
 	}
 	if sum != rep.Stats.PipelineDetectTime {
-		t.Errorf("sum(ShardBusy) = %v, PipelineDetectTime = %v", sum, rep.Stats.PipelineDetectTime)
+		t.Errorf("sum(ShardLoad.Busy) = %v, PipelineDetectTime = %v", sum, rep.Stats.PipelineDetectTime)
 	}
 	if rep.SequencerBusy == 0 {
 		t.Error("SequencerBusy not reported")
@@ -229,8 +229,8 @@ func TestShardedIgnoredForReachOnlyAndOff(t *testing.T) {
 	if rep.Strands != 4 {
 		t.Errorf("Strands = %d, want 4", rep.Strands)
 	}
-	if rep.ShardBusy != nil {
-		t.Errorf("ShardBusy reported for an unsharded run: %v", rep.ShardBusy)
+	if rep.ShardLoad != nil {
+		t.Errorf("ShardLoad reported for an unsharded run: %v", rep.ShardLoad)
 	}
 
 	r, err = NewRunner(Options{Detector: DetectorOff, Async: true, DetectShards: 4})
@@ -281,40 +281,29 @@ func skewProgram(r *Runner) (TaskFunc, int) {
 	return prog, owner
 }
 
-// TestShardedSkewSkipScan is the tentpole's payoff case: on a one-hot-page
+// TestShardedSkewSkipScan is the skip-scan payoff case: on a one-hot-page
 // workload the non-owning workers must skip (not scan) at least 80% of
-// their batches, the skip counters must reconcile, and the Report must stay
-// byte-identical to both the synchronous run and a summaries-off run.
+// their batches, the skip counters must reconcile, a reused Runner must skip
+// exactly the batches a fresh one does, and the Report must stay
+// byte-identical to the synchronous run.
 func TestShardedSkewSkipScan(t *testing.T) {
-	runSkew := func(po pipeOpts) (*Report, int) {
-		t.Helper()
-		r, err := NewRunner(Options{
-			Detector: DetectorSTINT, Async: true, DetectShards: skewShards,
-			MaxRacesRecorded: 1 << 20, DisableBatchSummaries: po.nosum,
-			DisableCompactEvents: po.nocompact, SummaryStamping: po.stamp,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Small batches so the run spans many batches and the skip ratio is
-		// meaningful.
-		r.asyncBatchEvents, r.asyncRingDepth = 64, 4
-		prog, owner := skewProgram(r)
-		rep, err := r.Run(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, owner
+	r, err := NewRunner(Options{
+		Detector: DetectorSTINT, Async: true, DetectShards: skewShards,
+		MaxRacesRecorded: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	// Small batches so the run spans many batches and the skip ratio is
+	// meaningful.
+	r.asyncBatchEvents, r.asyncRingDepth = 64, 4
+	prog, owner := skewProgram(r)
 	// checkSkew asserts the skip fast path fired: on the one-hot-page
 	// workload every non-owner shard must skip at least 80% of its batches.
-	// The ratio — not the absolute count — is the invariant: the compact
-	// encoding packs more events per batch at the same byte footprint, so
-	// the two encodings see different batch totals but the same skip rate.
-	checkSkew := func(name string, rep *Report, owner int) {
+	checkSkew := func(name string, rep *Report) {
 		t.Helper()
 		if rep.Stats.BatchesSkipped == 0 {
-			t.Fatalf("%s: summaries on, one-hot-page workload, but no batch was skipped", name)
+			t.Fatalf("%s: one-hot-page workload, but no batch was skipped", name)
 		}
 		var sum uint64
 		for i, l := range rep.ShardLoad {
@@ -335,38 +324,26 @@ func TestShardedSkewSkipScan(t *testing.T) {
 		}
 	}
 
-	rep, owner := runSkew(pipeOpts{})
-	if rep.RaceCount == 0 {
+	fresh, err := r.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.RaceCount == 0 {
 		t.Fatal("skew program produced no races; test is vacuous")
 	}
-	checkSkew("compact", rep, owner)
+	checkSkew("fresh", fresh)
 
-	// The fixed encoding must skip at the same rate: Summary.Ctl switching
-	// from event indexes to byte offsets changed the bookkeeping, not which
-	// batches are skippable.
-	fixed, fixedOwner := runSkew(pipeOpts{nocompact: true})
-	checkSkew("nocompact", fixed, fixedOwner)
-
-	// Producer-side and label-stage stamping produce the identical stamp
-	// over the identical batch boundaries, so with the same geometry and
-	// encoding the skip counts must agree exactly, not just in ratio.
-	prodStamp, prodOwner := runSkew(pipeOpts{stamp: StampProducer})
-	labelStamp, _ := runSkew(pipeOpts{stamp: StampLabelStage})
-	checkSkew("producer-stamp", prodStamp, prodOwner)
-	if prodStamp.Stats.BatchesSkipped != labelStamp.Stats.BatchesSkipped {
-		t.Errorf("producer-stamp skipped %d batches, label-stamp %d: stamping stage changed the skip set",
-			prodStamp.Stats.BatchesSkipped, labelStamp.Stats.BatchesSkipped)
+	// The stamp is a function of the event stream and the batch boundaries,
+	// both of which a reset Runner reproduces, so the skip counts must agree
+	// exactly, not just in ratio.
+	reused, err := r.Run(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Summaries off: nothing skips, and the report is still byte-identical.
-	nosum, _ := runSkew(pipeOpts{nosum: true})
-	if nosum.Stats.BatchesSkipped != 0 {
-		t.Errorf("summaries disabled but BatchesSkipped = %d", nosum.Stats.BatchesSkipped)
-	}
-	for i, l := range nosum.ShardLoad {
-		if l.BatchesSkipped != 0 {
-			t.Errorf("summaries disabled but shard %d skipped %d batches", i, l.BatchesSkipped)
-		}
+	checkSkew("reused", reused)
+	if fresh.Stats.BatchesSkipped != reused.Stats.BatchesSkipped {
+		t.Errorf("fresh Runner skipped %d batches, reused %d: reuse changed the skip set",
+			fresh.Stats.BatchesSkipped, reused.Stats.BatchesSkipped)
 	}
 
 	rSync, err := NewRunner(Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 20})
@@ -382,8 +359,7 @@ func TestShardedSkewSkipScan(t *testing.T) {
 		name string
 		got  *Report
 	}{
-		{"summaries-on", rep}, {"summaries-off", nosum}, {"nocompact", fixed},
-		{"producer-stamp", prodStamp}, {"label-stamp", labelStamp},
+		{"fresh", fresh}, {"reused", reused},
 	} {
 		if c.got.RaceCount != sync.RaceCount || c.got.Strands != sync.Strands {
 			t.Errorf("%s: RaceCount/Strands %d/%d, sync %d/%d",

@@ -29,7 +29,6 @@ package stint
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/metrics"
 	"sync"
 	"time"
@@ -142,14 +141,12 @@ type Options struct {
 	//
 	// Requires a runtime-coalescing detector (DetectorCompRTS or a STINT
 	// variant); incompatible with Parallel, Async, and Tracer. DetectShards
-	// sets the worker count (0 means one worker); SummaryStamping is
-	// ignored — the executors stamp masks, the merge stamps structure
-	// offsets. OnRace may be invoked from any worker while the program is
-	// still running, and the program itself must be safe to execute in
-	// parallel (spawned siblings really do run concurrently — a genuinely
-	// racy program gives nondeterministic *data*, even though every race
-	// the serial projection exhibits is still detected on that
-	// projection).
+	// sets the worker count (0 means one worker). OnRace may be invoked from
+	// any worker while the program is still running, and the program itself
+	// must be safe to execute in parallel (spawned siblings really do run
+	// concurrently — a genuinely racy program gives nondeterministic *data*,
+	// even though every race the serial projection exhibits is still
+	// detected on that projection).
 	ParallelDetect bool
 	// Async pipelines detection: the program executes the serial
 	// projection while a dedicated detector goroutine consumes its event
@@ -181,28 +178,6 @@ type Options struct {
 	// ignored for DetectorOff/DetectorReachOnly (nothing page-partitioned
 	// to shard). n = 1 runs the full sharded machinery with one worker.
 	DetectShards int
-	// DisableBatchSummaries turns off the per-batch page summaries in
-	// sharded mode, forcing every worker to scan every broadcast batch
-	// instead of skipping batches whose page mask proves they own no piece
-	// of any access (Stats.BatchesSkipped stays zero). Reports are
-	// identical either way — the summaries only elide provably irrelevant
-	// scan work. Exists for measurement (the before/after in
-	// EXPERIMENTS.md) and as an escape hatch; ignored outside sharded mode.
-	DisableBatchSummaries bool
-	// DisableCompactEvents makes the Async pipeline carry fixed 16-byte
-	// events instead of the default delta-packed compact encoding
-	// (typically 2-3 bytes per event; see Stats.StreamBytes). The encoding
-	// is invisible above the ring — reports are byte-identical with it on
-	// or off — so, like DisableBatchSummaries, this exists for measurement
-	// and as an escape hatch; ignored outside Async mode.
-	DisableCompactEvents bool
-	// SummaryStamping selects which pipeline stage computes the per-batch
-	// summaries (the Ctl structure offsets and page mask of
-	// DisableBatchSummaries) in sharded mode; see the StampAuto constants.
-	// The stamp is identical whichever stage computes it, so reports do not
-	// depend on this option. Ignored outside sharded mode and when
-	// summaries are disabled (the label stage then owns the MaskAll stamp).
-	SummaryStamping SummaryStamping
 	// PageQuiesceThreshold, when n > 0, retires a 64 KiB shadow page's
 	// access history once that page has produced n races: its treaps,
 	// skiplists, or shadow cells drop back onto the engine's free lists and
@@ -228,40 +203,6 @@ type Options struct {
 	// Tracer, if set, receives every execution event (see Tracer); use
 	// stint/trace to record replayable traces. Incompatible with Parallel.
 	Tracer Tracer
-}
-
-// SummaryStamping selects the pipeline stage that stamps per-batch
-// summaries in sharded mode; see Options.SummaryStamping.
-type SummaryStamping int
-
-const (
-	// StampAuto picks the stage from the machine shape: on a single-CPU
-	// process (GOMAXPROCS 1) every stage timeshares one core, so the
-	// producer stamps as it appends — the label stage's extra decode pass
-	// would be pure added work. With two or more CPUs the mutator is the
-	// serial critical path, so the stamping moves to the label stage, which
-	// is already decoding each batch to advance the labels.
-	StampAuto SummaryStamping = iota
-	// StampProducer forces producer-side stamping: the mutator ORs each
-	// access's page mask into the batch summary as it appends.
-	StampProducer
-	// StampLabelStage forces label-stage stamping: the producer appends
-	// bare events and the label stage stamps Ctl offsets and masks during
-	// its single decode pass, shedding the per-access mask work from the
-	// mutator.
-	StampLabelStage
-)
-
-// producerStamps resolves SummaryStamping to "does the producer stamp".
-func (o *Options) producerStamps() bool {
-	switch o.SummaryStamping {
-	case StampProducer:
-		return true
-	case StampLabelStage:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) == 1
-	}
 }
 
 // Runner executes fork-join programs under one detector configuration. A
@@ -313,7 +254,7 @@ type warmState struct {
 	bcast   *evstream.BcastRing[labeledBatch]
 	// quiesce is the shared quiesced-page registry (serial-projection
 	// pipelines with PageQuiesceThreshold only): engines publish, the
-	// producer and label stage consult.
+	// producer consults.
 	quiesce *detect.QuiesceSet
 }
 
@@ -366,23 +307,22 @@ func (r *Runner) ensureWarm() {
 		// serial positions that may precede a quiesce point already
 		// reached by a worker, so producer-side drops would be unsound.
 		// The engines' own page-local drops carry the optimization.
-		w.as = newParallelState(depth, bcap, !r.opts.DisableCompactEvents)
-		w.labels, w.workers, w.bcast = w.as.buildParallel(cfg, shards, maxRec, user, !r.opts.DisableBatchSummaries)
+		w.as = newParallelState(depth, bcap)
+		w.labels, w.workers, w.bcast = w.as.buildDetectors(cfg, shards, maxRec, user, w.as.pool.Put)
 	case r.opts.Async:
-		w.as = newAsyncState(depth, bcap, !r.opts.DisableCompactEvents)
+		w.as = newAsyncState(depth, bcap)
 		if r.opts.PageQuiesceThreshold > 0 && r.opts.Detector != DetectorReachOnly {
 			// In the serial-projection pipelines the producer is always
 			// ahead of the detector in stream order, so once a page shows
 			// up in the registry every not-yet-emitted event is past the
-			// quiesce point — the producer can drop it (and the label
-			// stage can leave it out of the stamped mask) without
-			// changing any report.
+			// quiesce point — the producer can drop it without changing
+			// any report.
 			w.quiesce = detect.NewQuiesceSet()
 			cfg.Quiesced = w.quiesce
 			w.as.quiesce = w.quiesce
 		}
 		if n := r.opts.DetectShards; n > 0 && r.opts.Detector != DetectorReachOnly {
-			w.labels, w.workers, w.bcast = w.as.buildSharded(cfg, n, maxRec, user, !r.opts.DisableBatchSummaries, r.opts.producerStamps())
+			w.labels, w.workers, w.bcast = w.as.buildDetectors(cfg, n, maxRec, user, w.as.ring.Recycle)
 		} else {
 			w.cons = buildConsume(cfg, r.newEngine, maxRec, user)
 		}
@@ -478,13 +418,10 @@ type Report struct {
 	WallTime time.Duration
 	// Stats exposes the detector's internal counters.
 	Stats Stats
-	// SequencerBusy and ShardBusy report the sharded pipeline's utilization
-	// split (zero/nil otherwise): time the label stage spent consuming
-	// structure events and stamping batches, and per-worker busy time
-	// (scanning, local page splitting, and detection). Stats.
-	// PipelineDetectTime is the sum of ShardBusy in sharded mode.
+	// SequencerBusy is the time the sharded pipeline's label stage spent
+	// applying structure events and snapshotting labels (zero otherwise);
+	// the per-worker side of the utilization split is ShardLoad.
 	SequencerBusy time.Duration
-	ShardBusy     []time.Duration
 	// LabelViewSnapshots counts the reachability-label snapshots the label
 	// stage took (sharded mode, zero otherwise): one covering the root
 	// strand plus one per batch whose structure events grew the label set.
@@ -501,12 +438,13 @@ type Report struct {
 	// waiting for the next chunk in serial order (zero otherwise) — the
 	// memory price of scheduling skew between executor goroutines.
 	ReorderPeak int
-	// ShardLoad breaks each worker's load down further (sharded mode only,
-	// nil otherwise): busy time (ShardBusy[i] == ShardLoad[i].Busy), the
-	// scanned-vs-skipped batch split from the summary fast path, and the
-	// worker's broadcast-ring wait count. A worker with many waits was
-	// starved (ahead of the stream); the low-wait outlier is the straggler
-	// the ring's backpressure paces everyone else behind.
+	// ShardLoad is each worker's load breakdown (sharded mode only, nil
+	// otherwise): busy time (scanning, local page splitting, and detection;
+	// Stats.PipelineDetectTime is their sum), the scanned-vs-skipped batch
+	// split from the summary fast path, and the worker's broadcast-ring
+	// wait count. A worker with many waits was starved (ahead of the
+	// stream); the low-wait outlier is the straggler the ring's
+	// backpressure paces everyone else behind.
 	ShardLoad []ShardLoad
 }
 
@@ -653,10 +591,6 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 				w.as.graph = stage.NewGraph()
 			}
 			if w.workers != nil {
-				// StampAuto reads the machine shape, so re-resolve the
-				// stamping stage each run rather than freezing the
-				// first run's answer into the warm state.
-				w.as.setSharded(w.as.shards, w.as.summarize, r.opts.producerStamps())
 				w.as.launchSharded(w.labels, w.workers, w.bcast, maxRec)
 			} else {
 				w.as.launchConsume(w.cons)
@@ -711,13 +645,7 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		rep.Races = pipe.races
 		rep.SequencerBusy = pipe.seqBusy.Busy()
 		rep.LabelViewSnapshots = pipe.viewSnaps
-		if load := pipe.shardLoad; load != nil {
-			rep.ShardLoad = load
-			rep.ShardBusy = make([]time.Duration, len(load))
-			for i, l := range load {
-				rep.ShardBusy[i] = l.Busy
-			}
-		}
+		rep.ShardLoad = pipe.shardLoad
 	} else {
 		if rs.sp != nil {
 			rep.Strands = rs.sp.StrandCount()

@@ -15,6 +15,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(append([]byte{}, magic[:]...), opEnd))
 	f.Add(append(append([]byte{}, magic[:]...), opSpawn, opRestore, opEnd))
 	f.Add(append(append([]byte{}, magic[:]...), opRead, 0x10, 0x08, opEnd))
+	// The depth bomb: one spawn past the nesting bound, never closed.
+	f.Add(spawnNest(maxSpawnDepth+1, false))
 	// A valid recorded program as a seed.
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)

@@ -146,61 +146,42 @@ func (r *Recorder) Flush() error {
 
 // Options configures a replay.
 type Options struct {
-	// Detector selects the engine (DetectorOff is useless here and treated
-	// as an error — a trace exists to be analyzed).
+	// Detector is the shorthand for a one-off replay: Replay builds a fresh
+	// synchronous Runner with this engine and default Options (DetectorOff
+	// is an error — a trace exists to be analyzed). Ignored when Runner is
+	// set.
 	Detector stint.Detector
-	// OnRace receives every race found during replay.
-	OnRace func(stint.Race)
-	// MaxRacesRecorded bounds Report.Races (default 64).
-	MaxRacesRecorded int
-	// TimeAccessHistory enables the access-history timers.
-	TimeAccessHistory bool
-	// Async replays through the pipelined detector (stint.Options.Async):
-	// the decoder goroutine streams events to a detector goroutine instead
-	// of detecting inline. The Report is identical either way.
-	Async bool
-	// Shards > 0 additionally partitions detection across that many workers
-	// (stint.Options.DetectShards; implies Async): replay then runs the
-	// same stage graph a live run does — label stage, broadcast ring, and
-	// worker-side page splitting. Subject to the same detector restrictions
-	// as the live option.
-	Shards int
-	// NoCompact replays the async pipeline over the fixed 16-byte event
-	// encoding instead of the default compact one
-	// (stint.Options.DisableCompactEvents); ignored without Async/Shards.
-	NoCompact bool
-	// Runner, when non-nil, replays through the caller's Runner instead of
-	// constructing a fresh one. The Runner's own Options govern the replay:
-	// every other field here except MaxEvents is ignored. Run auto-resets a
-	// dirty Runner, so a long-lived Runner can serve many Replay calls with
-	// its warm state — reports are byte-identical to fresh-Runner replays.
-	// The Runner must not be used concurrently by other callers.
+	// Runner, when non-nil, replays through the caller's Runner, whose own
+	// stint.Options govern the replay — pipeline mode, shard count, OnRace,
+	// race budget, quiescing, history cap. Run auto-resets a dirty Runner,
+	// so a long-lived Runner can serve many Replay calls with its warm state
+	// — reports are byte-identical to fresh-Runner replays. The Runner must
+	// not be used concurrently by other callers.
 	Runner *stint.Runner
 	// MaxEvents, when > 0, bounds the number of trace events (structure and
 	// access) a replay will consume. A trace exceeding the budget aborts
 	// with an error matching ErrTooManyEvents; the Runner (caller-provided
 	// or internal) stays valid — its next Run resets it.
 	MaxEvents uint64
-	// PageQuiesceThreshold retires a shadow page's access history after it
-	// produces this many races (stint.Options.PageQuiesceThreshold). Zero
-	// disables quiescing.
-	PageQuiesceThreshold int
-	// MaxHistoryBytes caps the detector's retained access-history
-	// footprint (stint.Options.MaxHistoryBytes). A replay exceeding the
-	// cap aborts with an error matching stint.ErrHistoryCap; the Runner
-	// stays valid, like MaxEvents.
-	MaxHistoryBytes int64
 }
 
 // ErrTooManyEvents is returned (wrapped) by Replay when the trace exceeds
 // Options.MaxEvents. Use errors.Is to test for it.
 var ErrTooManyEvents = errors.New("trace: event budget exceeded")
 
+// maxSpawnDepth bounds spawn nesting in a replayed trace. replayBody
+// recurses once per open spawn, so without a bound a few megabytes of
+// opSpawn bytes overflow the goroutine stack — a fatal error no recover
+// can catch. 2^16 levels cost tens of megabytes of stack and sit far above
+// any workloads.Names() program (divide-and-conquer nesting is logarithmic
+// in the problem size).
+const maxSpawnDepth = 1 << 16
+
 // decoder drives a replayed execution through the public stint API: the
 // trace's structure events become Task.Spawn/Sync calls and its access
 // events become the *At hooks, so a replay exercises exactly the machinery
-// a live run does — including, when requested, the async pipeline and
-// sharded detection.
+// a live run does — including the async pipeline and sharded detection,
+// when the caller's Runner is configured for them.
 type decoder struct {
 	br        *bufio.Reader
 	lastAddr  mem.Addr
@@ -257,6 +238,10 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 			return
 
 		case opSpawn:
+			if depth >= maxSpawnDepth {
+				d.fail(fmt.Errorf("trace: spawn nesting exceeds %d levels", maxSpawnDepth))
+				return
+			}
 			if !d.charge() {
 				return
 			}
@@ -362,9 +347,6 @@ func Replay(src io.Reader, opts Options) (*stint.Report, error) {
 	if opts.Runner == nil && opts.Detector == stint.DetectorOff {
 		return nil, errors.New("trace: replay needs a detector (got DetectorOff)")
 	}
-	if opts.MaxRacesRecorded == 0 {
-		opts.MaxRacesRecorded = stint.DefaultMaxRacesRecorded
-	}
 	br := bufio.NewReaderSize(src, 1<<16)
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -377,17 +359,7 @@ func Replay(src io.Reader, opts Options) (*stint.Report, error) {
 	r := opts.Runner
 	if r == nil {
 		var err error
-		r, err = stint.NewRunner(stint.Options{
-			Detector:             opts.Detector,
-			OnRace:               opts.OnRace,
-			MaxRacesRecorded:     opts.MaxRacesRecorded,
-			TimeAccessHistory:    opts.TimeAccessHistory,
-			Async:                opts.Async || opts.Shards > 0,
-			DetectShards:         opts.Shards,
-			DisableCompactEvents: opts.NoCompact,
-			PageQuiesceThreshold: opts.PageQuiesceThreshold,
-			MaxHistoryBytes:      opts.MaxHistoryBytes,
-		})
+		r, err = stint.NewRunner(stint.Options{Detector: opts.Detector})
 		if err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}

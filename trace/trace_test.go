@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stint"
@@ -97,6 +98,16 @@ func direct(t *testing.T, acts []action, d stint.Detector) *stint.Report {
 	return rep
 }
 
+// replayOn replays raw on a fresh Runner built from opts — how a caller
+// asks for anything beyond Options.Detector's default synchronous replay.
+func replayOn(raw []byte, opts stint.Options) (*stint.Report, error) {
+	r, err := stint.NewRunner(opts)
+	if err != nil {
+		return nil, err
+	}
+	return Replay(bytes.NewReader(raw), Options{Runner: r})
+}
+
 func raceWords(races []stint.Race) map[uint64]bool {
 	words := make(map[uint64]bool)
 	for _, rc := range races {
@@ -118,7 +129,7 @@ func TestReplayMatchesDirectRun(t *testing.T) {
 		raw := record(t, acts)
 		for _, d := range detectors {
 			live := direct(t, acts, d)
-			replayed, err := Replay(bytes.NewReader(raw), Options{Detector: d, MaxRacesRecorded: 1 << 20})
+			replayed, err := replayOn(raw, stint.Options{Detector: d, MaxRacesRecorded: 1 << 20})
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, d, err)
 			}
@@ -154,16 +165,16 @@ func TestReplayAsyncAndShardedMatchSync(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		acts := genActions(rng, 4, bufWords)
 		raw := record(t, acts)
-		sync, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20})
+		sync, err := replayOn(raw, stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, opts := range []Options{
+		for _, opts := range []stint.Options{
 			{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Async: true},
-			{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Shards: 2},
-			{Detector: stint.DetectorCompRTS, MaxRacesRecorded: 1 << 20, Shards: 3},
+			{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20, Async: true, DetectShards: 2},
+			{Detector: stint.DetectorCompRTS, MaxRacesRecorded: 1 << 20, Async: true, DetectShards: 3},
 		} {
-			got, err := Replay(bytes.NewReader(raw), opts)
+			got, err := replayOn(raw, opts)
 			if err != nil {
 				t.Fatalf("seed %d %+v: %v", seed, opts, err)
 			}
@@ -178,11 +189,6 @@ func TestReplayAsyncAndShardedMatchSync(t *testing.T) {
 				t.Fatalf("seed %d %+v: verdict %v vs sync %v", seed, opts, got.Racy(), sync.Racy())
 			}
 		}
-	}
-	// Shards with an unsupported detector surface the live validation error.
-	raw := record(t, []action{{kind: 's', idx: 1}})
-	if _, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorVanilla, Shards: 2}); err == nil {
-		t.Error("sharded replay accepted DetectorVanilla")
 	}
 }
 
@@ -359,12 +365,7 @@ func TestReplayReusedRunner(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				acts := genActions(rng, 4, bufWords)
 				raw := record(t, acts)
-				fresh, err := Replay(bytes.NewReader(raw), Options{
-					Detector:         mode.opts.Detector,
-					MaxRacesRecorded: mode.opts.MaxRacesRecorded,
-					Async:            mode.opts.Async,
-					Shards:           mode.opts.DetectShards,
-				})
+				fresh, err := replayOn(raw, mode.opts)
 				if err != nil {
 					t.Fatalf("seed %d fresh: %v", seed, err)
 				}
@@ -402,7 +403,7 @@ func TestReplayMaxEvents(t *testing.T) {
 	if _, err := Replay(bytes.NewReader(raw), Options{Runner: r, MaxEvents: 2}); !errors.Is(err, ErrTooManyEvents) {
 		t.Fatalf("capped replay: got %v, want ErrTooManyEvents", err)
 	}
-	want, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20})
+	want, err := replayOn(raw, stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,6 +417,64 @@ func TestReplayMaxEvents(t *testing.T) {
 	// A budget exactly covering the trace succeeds.
 	if _, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorSTINT, MaxEvents: 1 << 20}); err != nil {
 		t.Fatalf("generous budget: %v", err)
+	}
+}
+
+// spawnNest returns a trace of depth nested spawns, each child's body being
+// just the next spawn; closed, every spawn gets its restore and the sync
+// that joins it, and the trace its end marker — otherwise it stops at the
+// innermost spawn.
+func spawnNest(depth int, closed bool) []byte {
+	raw := append([]byte{}, magic[:]...)
+	raw = append(raw, bytes.Repeat([]byte{opSpawn}, depth)...)
+	if closed {
+		raw = append(raw, bytes.Repeat([]byte{opRestore, opSync}, depth)...)
+		raw = append(raw, opEnd)
+	}
+	return raw
+}
+
+// TestReplaySpawnDepthBound is the regression test for the depth bomb: a
+// trace of nothing but opSpawn bytes used to recurse until Go's fatal,
+// unrecoverable stack overflow killed the process (16 MiB of 0x01 sufficed).
+// Nesting one past the bound must now fail with a structured error, leave
+// the Runner reusable, and nesting exactly to the bound must still replay.
+func TestReplaySpawnDepthBound(t *testing.T) {
+	opts := stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20}
+	r, err := stint.NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Replay(bytes.NewReader(spawnNest(maxSpawnDepth+1, false)), Options{Runner: r})
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: spawn nesting") {
+		t.Fatalf("depth bomb: got %v, want a trace: spawn nesting error", err)
+	}
+	// The Runner recovers: a racy trace replays byte-identically to a fresh
+	// Runner's replay.
+	good := record(t, []action{
+		{kind: 'S', body: []action{{kind: 'W', idx: 0, n: 16}}},
+		{kind: 'W', idx: 8, n: 16},
+		{kind: 'Y'},
+	})
+	want, err := replayOn(good, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Replay(bytes.NewReader(good), Options{Runner: r})
+	if err != nil {
+		t.Fatalf("post-abort replay: %v", err)
+	}
+	if !want.Racy() || got.RaceCount != want.RaceCount || got.Strands != want.Strands ||
+		!reflect.DeepEqual(got.Races, want.Races) {
+		t.Fatalf("post-abort replay diverges: %d races/%d strands vs %d/%d",
+			got.RaceCount, got.Strands, want.RaceCount, want.Strands)
+	}
+	rep, err := Replay(bytes.NewReader(spawnNest(maxSpawnDepth, true)), Options{Runner: r})
+	if err != nil {
+		t.Fatalf("nesting at the bound: %v", err)
+	}
+	if rep.Racy() {
+		t.Fatalf("access-free trace reported %d races", rep.RaceCount)
 	}
 }
 
@@ -463,7 +522,7 @@ func TestReplayHistoryCap(t *testing.T) {
 		t.Fatalf("post-abort replay diverges: %d races vs %d", got.RaceCount, want.RaceCount)
 	}
 	// A fresh replay with a generous budget handles the big trace.
-	if _, err := Replay(bytes.NewReader(big), Options{Detector: stint.DetectorSTINT, MaxHistoryBytes: 1 << 30}); err != nil {
+	if _, err := replayOn(big, stint.Options{Detector: stint.DetectorSTINT, MaxHistoryBytes: 1 << 30}); err != nil {
 		t.Fatalf("generous budget: %v", err)
 	}
 }
