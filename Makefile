@@ -27,14 +27,16 @@ bench:
 # Hot-path microbenchmarks bench/ does not cover: the open-addressed page
 # directory vs the seed's Go map, slab-pooled vs heap-allocated treap
 # nodes, the async event ring and its broadcast sibling, the event codec
-# against its fixed-form reference, the workers' local page-split/filter
-# scan, the producer-side summary stamp and the worker skip-scan it buys,
-# the per-refill label snapshot, the sync-vs-async per-access hook cost,
-# the sharded and parallel-execution main-table measurements, and the
-# racy-workload quiescing pair.
+# against its fixed-form reference, the workers' page-filter scan, the
+# producer-side summary stamp and the worker skip-scan it buys, the
+# per-refill label snapshot, the per-access hook cost inline and under
+# Async side by side (BenchmarkHookOverhead matches both; both hooks set a
+# bit locally, so they should be within a few ns of each other), the sharded
+# and parallel-execution main-table measurements, and the racy-workload
+# quiescing pair.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
-	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkBcastRing|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkWorkerSplit|BenchmarkWorkerScan|BenchmarkSummaryStamp|BenchmarkWorkerSkipScan' -benchmem ./internal/evstream
+	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkBcastRing|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkWorkerScan|BenchmarkSummaryStamp|BenchmarkWorkerSkipScan' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkViewPerRefill' -benchmem ./internal/depa
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .

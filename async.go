@@ -1,37 +1,46 @@
 // Asynchronous pipelined detection (Options.Async): the mutator executes
-// the serial projection and publishes its instrumentation events into
-// batches over a bounded SPSC ring (internal/evstream), while the detector
-// side — one replay stage, or the label-stage-plus-workers graph of
-// shards.go — consumes the batches in order.
+// the serial projection, coalesces each strand's accesses in its own bit
+// hashmaps (the paper's §3.2, internal/coalesce), and at every strand
+// boundary publishes the strand's intervals, followed by the structure
+// event, into batches over a bounded SPSC ring (internal/evstream). The
+// detector side — one replay stage, or the label-stage-plus-workers graph
+// of shards.go — consumes the batches in order and is a pure history
+// engine: an interval goes to its page's stores as it is decoded.
+//
+// The stream carries intervals, not accesses: a hook that sets a bit
+// locally is cheaper than one that encodes and publishes the access, and a
+// strand flushes 2–4 orders of magnitude fewer intervals than it made
+// accesses (Fig 6). An interval travels as a plain OpRead/OpWrite event —
+// it is an access with a larger size.
 //
 // Sequential semantics are preserved because the stream *is* the serial
-// order: the producer emits spawn/restore/sync and access events in the
-// depth-first execution order, and each consumer stage replays them one at
-// a time against its own reachability structure — the same reconstruction
-// stint/trace uses for offline replay, minus the byte encoding. The only
-// concurrency is the ring handoffs between stages; every stage remains a
-// sequential algorithm, and the pipeline reports byte-identical races and
-// stats.
+// order (DESIGN.md "Why the reports stay byte-identical"): Flush yields the
+// intervals the inline engine's StrandEnd would, the producer emits them
+// reads first, then writes, then the event that ended the strand, and each
+// consumer stage replays the stream one event at a time against its own
+// reachability structure. The only concurrency is the ring handoffs between
+// stages; every stage remains a sequential algorithm.
 //
 // In sharded mode the producer stamps each batch's Summary as it appends —
-// the structure-event offsets and the shard-occupancy mask of every access
-// event (a mask OR per access on the mutator's hot path), exactly as
-// ParallelDetect's executors do (parallel.go). The label stage walks the
-// offsets to advance the label builder without decoding an access, and the
-// mask lets workers skip whole batches they own no pages of (shards.go).
+// the structure-event offsets and the shard bit of every interval's page
+// (one OR per interval), exactly as ParallelDetect's executors do
+// (parallel.go). The label stage walks the offsets to advance the label
+// builder without decoding an interval, and the mask lets workers skip
+// whole batches they own no pages of (shards.go).
 //
 // All detector-side goroutines hang off one stage.Graph: Run wires the
 // stages, drain closes the stream and waits for the graph's merge, and the
 // results fields below are written before the graph reports done. A stage
 // failure (a user OnRace panic, a guard tripping) fires the graph's abort
 // hook, which closes the rings: blocked stages unwind, the producer's
-// publishes start reporting false (flush then drops events on the floor —
+// publishes start reporting false (publish then drops events on the floor —
 // the run is already doomed), and graph.Wait re-raises the failure on the
 // producer so it propagates out of Run exactly as in synchronous mode.
 
 package stint
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,23 +51,74 @@ import (
 	"stint/internal/stage"
 )
 
-// Default pipeline geometry: batches amortize the per-batch ring
-// synchronization over ~4k events, and the rings bound the pipeline at 8
-// in-flight batches per hop before backpressure blocks the upstream stage.
+// Default pipeline geometry. A batch is 1 KiB of wire (256 four-byte
+// slots): a few hundred intervals, which is tens of strands. An interval
+// stream is hundreds of times sparser than the accesses behind it, so a
+// batch sized to amortize ring synchronization over thousands of events
+// would hold a short run's whole stream until drain and start detection
+// only when execution ends; at this size a handoff still costs well under
+// a percent of the work the batch carries, and under ParallelDetect every
+// live task's working batch is 1 KiB instead of 16. The rings keep the
+// in-flight capacity the larger batches gave (64 × 1 KiB per hop) — the
+// slack that lets a detector-bound run (fft) ride out the phases where the
+// producer is the slower side — before backpressure blocks the upstream
+// stage. Batch boundaries are a function of the stream alone, so
+// Stats.StreamBytes repeats exactly.
 const (
-	defaultAsyncBatchEvents = 4096
-	defaultAsyncRingDepth   = 8
+	defaultAsyncBatchEvents = 256
+	defaultAsyncRingDepth   = 64
 )
 
-// asyncState is the per-Run pipeline: the producer's working batch and
-// ring on the mutator side, the stage graph on the detector side, and the
-// consumer results, written by the graph's stages before Seal's merge
-// completes and read only after drain returns.
+// strandBits is the mutator side's runtime coalescer: the read and write
+// bit hashmaps (§3.2) of one executing strand. Flushing a strand leaves
+// both empty with their pages on their freelists, so one pair serves
+// strand after strand.
+type strandBits struct {
+	rd, wr *coalesce.BitSet
+}
+
+func newStrandBits() *strandBits {
+	return &strandBits{rd: coalesce.New(), wr: coalesce.New()}
+}
+
+// reset discards whatever an aborted run left set, keeping the pages.
+func (sb *strandBits) reset() {
+	sb.rd.Reset()
+	sb.wr.Reset()
+}
+
+func (sb *strandBits) pages() int { return sb.rd.Pages() + sb.wr.Pages() }
+
+// countRead and countWrite count one hook call into h, the mutator side's
+// share of the run's Stats: the four hook counters are counted where the
+// hooks run — the detector side never sees a hook — and Accumulated into
+// the run's Stats once the stage graph has joined.
+func countRead(h *Stats, addr, size uint64) {
+	h.ReadHookCalls++
+	h.ReadAccesses += coalesce.Words(addr, size)
+}
+
+func countWrite(h *Stats, addr, size uint64) {
+	h.WriteHookCalls++
+	h.WriteAccesses += coalesce.Words(addr, size)
+}
+
+// asyncState is the per-Run pipeline: the producer's coalescer, working
+// batch and ring on the mutator side, the stage graph on the detector side,
+// and the consumer results, written by the graph's stages before Seal's
+// merge completes and read only after drain returns.
 type asyncState struct {
 	ring      *evstream.Ring
 	batch     *evstream.Batch
 	ringDepth int // immutable copy of the ring depth, sizing downstream rings
 	graph     *stage.Graph
+	// bits coalesces the serial producer's current strand; hooks counts its
+	// hook calls. Under ParallelDetect bits is nil: every parTask borrows a
+	// pair from the pool below for the length of a strand and counts its
+	// own hooks, and hooks is their sum (guarded by bitsMu until the graph
+	// has joined).
+	bits  *strandBits
+	hooks Stats
 	// shards is the worker count the summary masks target (PickShard's n);
 	// nonzero means the appending side stamps each batch's Summary. Plain
 	// async leaves it zero and stamps nothing: no stage reads the Summary.
@@ -69,13 +129,18 @@ type asyncState struct {
 	// root is 0), execBusy accumulates the executor goroutines' busy
 	// nanoseconds, mergeCtl counts the structure events the merge
 	// synthesized from chunk terminators, and reorderPeak records the
-	// merge's reorder-buffer high-water mark.
+	// merge's reorder-buffer high-water mark. bitsAll is every strandBits
+	// pair the run's strands ever needed at once — the pool's high-water
+	// mark — and bitsFree the ones not lent out.
 	queue       *evstream.TaskQueue
 	pool        *evstream.BatchPool
 	nextTask    atomic.Uint64
 	execBusy    atomic.Int64
 	mergeCtl    uint64
 	reorderPeak int
+	bitsMu      sync.Mutex
+	bitsAll     []*strandBits
+	bitsFree    []*strandBits
 	// viewSnaps counts the label stage's depa.View snapshots (sharded mode;
 	// written by the label stage, read after graph.Wait).
 	viewSnaps uint64
@@ -90,13 +155,13 @@ type asyncState struct {
 	// quiesce, when non-nil (PageQuiesceThreshold in a serial-projection
 	// pipeline), is the quiesced-page registry the detector engines publish
 	// into. The producer consults it to drop single-page accesses to dead
-	// pages before they ever hit the ring; qlive caches whether the
-	// registry has any entries, refreshed once per batch in flush() so the
-	// per-access fast path stays two loads. The drop is sound because the
-	// producer is strictly ahead of the detector in stream order: any page
-	// it observes quiesced reached its threshold at an earlier stream
-	// position, so the engine would ignore the event anyway. (Parallel-
-	// detect executors have no such ordering and never set this field.)
+	// pages at the hook, before they set a bit; qlive caches whether the
+	// registry has any entries, refreshed at every strand boundary. The
+	// drop is sound because the producer is ahead of the detector in stream
+	// order: a page it observes quiesced reached its threshold before
+	// anything the current strand will flush, so the engine would drop this
+	// strand's intervals on that page anyway. (Parallel-detect executors
+	// have no such ordering and never set this field.)
 	quiesce *detect.QuiesceSet
 	qlive   bool
 }
@@ -108,18 +173,20 @@ func newAsyncState(ringDepth, batchEvents int) *asyncState {
 		batch:     ring.Get(),
 		ringDepth: ringDepth,
 		graph:     stage.NewGraph(),
+		bits:      newStrandBits(),
 	}
 }
 
-// reset re-arms the pipeline state for another run: the rings, queue, and
-// batch pool retain their warm capacity, every per-run result field zeroes,
-// and the producer's working batch — nilled by drain — is re-armed from the
-// ring's free list. The stage graph is per-run (its done channel cannot be
-// reused) and is recreated by Run before launch.
+// reset re-arms the pipeline state for another run: the rings, queue, batch
+// pool and bit hashmaps retain their warm capacity, every per-run result
+// field zeroes, and the producer's working batch — nilled by drain — is
+// re-armed from the ring's free list. The stage graph is per-run (its done
+// channel cannot be reused) and is recreated by Run before launch.
 func (as *asyncState) reset() {
 	if as.ring != nil {
 		as.ring.Reset()
 		as.batch = as.ring.Get()
+		as.bits.reset()
 	}
 	if as.queue != nil {
 		as.queue.Reset()
@@ -127,6 +194,14 @@ func (as *asyncState) reset() {
 	if as.pool != nil {
 		as.pool.Reset()
 	}
+	// An aborted run can strand lent-out pairs mid-strand; take them all
+	// back, clean.
+	as.bitsFree = as.bitsFree[:0]
+	for _, sb := range as.bitsAll {
+		sb.reset()
+		as.bitsFree = append(as.bitsFree, sb)
+	}
+	as.hooks = Stats{}
 	as.graph = nil
 	as.nextTask.Store(0)
 	as.execBusy.Store(0)
@@ -141,59 +216,29 @@ func (as *asyncState) reset() {
 	as.qlive = false
 }
 
-// emitCtl appends one structure event to the working batch, publishing it
-// when full, and — in sharded mode — records the event's offset in the
-// batch summary so the label stage and skip-scanning workers can replay the
-// structure stream without touching the access events.
-func (as *asyncState) emitCtl(op evstream.Op) {
-	if as.batch.Full() {
-		as.flush()
-	}
-	off := as.batch.AppendCtl(op)
-	if as.shards > 0 {
-		as.batch.Sum.AddCtl(off)
-	}
-}
-
-// emitAccess appends one per-access event, publishing the batch when full,
-// and in sharded mode ORs the access's page mask into the batch summary.
-// This is the producer's entire per-access hot path: an encode, two
-// predictable branches, and one ring handoff per batch. Accesses wholly
-// inside a quiesced page are dropped here — the cheapest possible no-op,
-// saving the encode, the stream bytes, and the consumer's scan (see the
+// read and write are the serial producer's entire per-access hot path:
+// count the hook and set the strand's bits — what the inline engine's hook
+// does. Accesses wholly inside a quiesced page skip the bits (see the
 // quiesce field for why this is sound).
-func (as *asyncState) emitAccess(op evstream.Op, addr, size uint64) {
+func (as *asyncState) read(addr, size uint64) {
+	countRead(&as.hooks, addr, size)
 	if as.qlive && deadEmit(as.quiesce, addr, size) {
 		return
 	}
-	if as.batch.Full() {
-		as.flush()
-	}
-	if as.shards > 0 {
-		as.batch.Sum.Mask |= evstream.SpanMask(addr, size, coalesce.PageBytesBits, as.shards)
-	}
-	as.batch.AppendAccess(op, addr, size)
+	as.bits.rd.Add(addr, size)
 }
 
-// emitRange is emitAccess for compiler-coalesced range events. The span
-// for the mask is count*elem bytes; the hook layer's field validation
-// (count < 2^32, elem < 2^24) keeps the product inside 56 bits.
-func (as *asyncState) emitRange(op evstream.Op, addr uint64, count int, elem uint64) {
-	if as.qlive && deadEmit(as.quiesce, addr, uint64(count)*elem) {
+func (as *asyncState) write(addr, size uint64) {
+	countWrite(&as.hooks, addr, size)
+	if as.qlive && deadEmit(as.quiesce, addr, size) {
 		return
 	}
-	if as.batch.Full() {
-		as.flush()
-	}
-	if as.shards > 0 {
-		as.batch.Sum.Mask |= evstream.SpanMask(addr, uint64(count)*elem, coalesce.PageBytesBits, as.shards)
-	}
-	as.batch.AppendRange(op, addr, count, elem)
+	as.bits.wr.Add(addr, size)
 }
 
 // deadEmit reports whether a span lies wholly within one registry-quiesced
-// page. Mirrors the engines' deadSpan rule: multi-page spans always stream
-// (their dead pieces drop page-locally at the engine).
+// page. Mirrors the engines' deadSpan rule: multi-page spans always set
+// their bits (their dead intervals drop page-locally at the engine).
 func deadEmit(q *detect.QuiesceSet, addr, size uint64) bool {
 	if size == 0 {
 		return false
@@ -205,19 +250,52 @@ func deadEmit(q *detect.QuiesceSet, addr, size uint64) bool {
 	return q.Contains(first)
 }
 
-// flush publishes the working batch and takes a fresh one from the ring's
-// free list. Kept out of the emit paths so they stay under the inlining
-// budget. A false Publish means the graph aborted and closed the ring
-// underneath us: the working batch is reset and reused, events are dropped
-// (the failure, re-raised by drain, is the run's result), and the producer
-// keeps running to its natural unwind point.
-func (as *asyncState) flush() {
+// emitCtl ends the current strand: its intervals go into the stream, then
+// the structure event that ended it — recorded, in sharded mode, in the
+// batch summary so the label stage and skip-scanning workers can replay the
+// structure stream without touching the intervals. A strand boundary is
+// also where the producer refreshes its view of the quiesce registry.
+func (as *asyncState) emitCtl(op evstream.Op) {
+	as.endStrand()
+	if as.batch.Full() {
+		as.publish()
+	}
+	off := as.batch.AppendCtl(op)
+	if as.shards > 0 {
+		as.batch.Sum.AddCtl(off)
+	}
 	if as.quiesce != nil {
-		// Refresh the quiesce fast-path flag once per batch, off the
-		// per-access path. A page quiesced mid-batch starts dropping at
-		// the next batch boundary; the engine drops it until then.
 		as.qlive = as.quiesce.Len() > 0
 	}
+}
+
+// endStrand flushes the finishing strand's bit hashmaps into the stream:
+// reads, then writes, each in address order and page-contained — the order
+// the inline engine's StrandEnd applies them in.
+func (as *asyncState) endStrand() {
+	as.bits.rd.Flush(func(addr, size uint64) { as.emitInterval(evstream.OpRead, addr, size) })
+	as.bits.wr.Flush(func(addr, size uint64) { as.emitInterval(evstream.OpWrite, addr, size) })
+}
+
+// emitInterval appends one flushed interval, publishing the batch first
+// when it is full, and in sharded mode ORs the shard bit of the interval's
+// page into the batch summary.
+func (as *asyncState) emitInterval(op evstream.Op, addr, size uint64) {
+	if as.batch.Full() {
+		as.publish()
+	}
+	if as.shards > 0 {
+		as.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, as.shards)
+	}
+	as.batch.AppendAccess(op, addr, size)
+}
+
+// publish hands the working batch to the ring and takes a fresh one from
+// its free list. A false Publish means the graph aborted and closed the
+// ring underneath us: the working batch is reset and reused, events are
+// dropped (the failure, re-raised by drain, is the run's result), and the
+// producer keeps running to its natural unwind point.
+func (as *asyncState) publish() {
 	if !as.ring.Publish(as.batch) {
 		as.batch.Reset()
 		return
@@ -225,16 +303,19 @@ func (as *asyncState) flush() {
 	as.batch = as.ring.Get()
 }
 
-// drain flushes the final (possibly partial, possibly empty) batch,
-// signals end-of-stream, and waits for the stage graph to finish — re-
-// panicking the first stage failure, if any, on the producer goroutine.
-// After drain returns normally, strands, stats, and races are exact, and
-// the ring's stream totals are folded into them.
+// drain flushes the root's final strand and the last (possibly partial,
+// possibly empty) batch, signals end-of-stream, and waits for the stage
+// graph to finish — re-panicking the first stage failure, if any, on the
+// producer goroutine. After drain returns normally, strands, stats, and
+// races are exact, and the hook counters and the ring's stream totals are
+// folded into them.
 func (as *asyncState) drain() {
+	as.endStrand()
 	as.ring.Publish(as.batch) // a false return means the graph aborted; Wait surfaces why
 	as.batch = nil
 	as.ring.Close()
 	as.graph.Wait()
+	as.stats.Accumulate(&as.hooks)
 	rs := as.ring.Stats()
 	as.stats.EventsStreamed = rs.EventsPublished
 	as.stats.StreamBytes = rs.StreamBytes
@@ -245,16 +326,15 @@ func (as *asyncState) drain() {
 // collector, and replay stack all keep their warm capacity between runs.
 type consumeState struct {
 	sp     *spord.SP
-	engine detect.Engine
+	engine detect.History
 	col    *stage.Collector
 	stack  []consumeFrame
 }
 
 // buildConsume constructs the retained consume-stage state; the OnRace
 // closure captures the retained structures, so it survives reuse unchanged.
-// newEngine is the Runner's test seam (nil outside tests); maxRec and user
-// mirror the Options fields.
-func buildConsume(cfg detect.Config, newEngine func(detect.Config, *spord.SP) detect.Engine, maxRec int, user func(Race)) *consumeState {
+// maxRec and user mirror the Options fields.
+func buildConsume(cfg detect.Config, maxRec int, user func(Race)) *consumeState {
 	cs := &consumeState{
 		sp:  spord.New(),
 		col: stage.NewCollector(maxRec),
@@ -265,11 +345,7 @@ func buildConsume(cfg detect.Config, newEngine func(detect.Config, *spord.SP) de
 			user(race)
 		}
 	}
-	if newEngine != nil {
-		cs.engine = newEngine(cfg, cs.sp)
-	} else {
-		cs.engine = detect.New(cfg, cs.sp)
-	}
+	cs.engine = detect.NewHistory(cfg, cs.sp)
 	cs.stack = make([]consumeFrame, 1, 16) // stack[0] is the root instance
 	return cs
 }
@@ -303,8 +379,8 @@ type consumeFrame struct {
 }
 
 // consume is the replay stage: it rebuilds SP-Order from the structure
-// events and feeds the access events to the engine, in stream order,
-// exactly as the inline path interleaves them. The stage owns the canonical
+// events and feeds each strand's intervals to the engine, in stream order,
+// exactly as the inline path's strand-end flush would. The stage owns the canonical
 // race collector because the sequential ranks live on its SP structure.
 func (as *asyncState) consume(cs *consumeState) {
 	sp, engine, col := cs.sp, cs.engine, cs.col
@@ -338,13 +414,9 @@ func (as *asyncState) consume(cs *consumeState) {
 					engine.StrandEnd()
 					sp.Sync(&stack[len(stack)-1].frame)
 				case evstream.OpRead:
-					engine.ReadHook(ev.Addr(), ev.Size())
+					engine.ReadInterval(ev.Addr(), ev.Size())
 				case evstream.OpWrite:
-					engine.WriteHook(ev.Addr(), ev.Size())
-				case evstream.OpReadRange:
-					engine.ReadRangeHook(ev.Addr(), ev.Count(), ev.Elem())
-				case evstream.OpWriteRange:
-					engine.WriteRangeHook(ev.Addr(), ev.Count(), ev.Elem())
+					engine.WriteInterval(ev.Addr(), ev.Size())
 				}
 			}
 		}

@@ -57,7 +57,7 @@ func TestAsyncMatchesSyncVerdicts(t *testing.T) {
 			task.Sync()
 		}},
 	}
-	for _, d := range allDetectors {
+	for _, d := range shardTestDetectors {
 		for _, p := range programs {
 			sync := runOne(t, d, p.body)
 			async := runOneAsync(t, d, 0, 0, p.body)
@@ -86,7 +86,7 @@ func TestAsyncStatsMatchSync(t *testing.T) {
 		task.Store(buf, 300)
 		task.Sync()
 	}
-	for _, d := range allDetectors {
+	for _, d := range shardTestDetectors {
 		sync := runOne(t, d, body)
 		async := runOneAsync(t, d, 0, 0, body)
 		// Everything except the timing and allocation fields must be

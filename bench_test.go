@@ -356,9 +356,10 @@ func BenchmarkHookOverhead(b *testing.B) {
 }
 
 // BenchmarkHookOverheadAsync is the same hook loop with Options.Async: the
-// hook becomes an event append plus a ring handoff every batch, and the
-// hashmap work moves to the detector goroutine. The sync/async pair is the
-// per-access price of the pipeline transport.
+// hook sets the same bit, in the producer's own bit hashmap, and only the
+// strand-end flush crosses the ring. The sync/async pair should sit within
+// a few ns of each other; a gap is per-access work leaking back onto the
+// pipeline's mutator side.
 func BenchmarkHookOverheadAsync(b *testing.B) {
 	benchHookOverhead(b, true)
 }
@@ -408,9 +409,9 @@ func benchHookOverhead(b *testing.B, async bool) {
 		for i := 0; i < b.N; i++ {
 			t.Load(buf, i&(1<<16-1))
 		}
-		// Timer left running: Run's return drains the pipeline, so the
-		// async variant pays for detecting every event it emitted —
-		// excluding the drain would make async look artificially free.
+		// Timer left running: Run's return flushes the strand and drains the
+		// pipeline, so the async variant pays for detecting what it
+		// streamed.
 	}); err != nil {
 		b.Fatal(err)
 	}

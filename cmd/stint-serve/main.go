@@ -37,7 +37,7 @@ func main() {
 		detector   = flag.String("detector", "stint", "detector mode for every replay")
 		races      = flag.Int("races", 64, "max races recorded per trace")
 		shards     = flag.Int("shards", 0, "detection shards per replay (implies async pipeline)")
-		async      = flag.Bool("async", false, "replay through the pipelined detector")
+		async      = flag.Bool("async", false, "replay through the pipelined detector, which streams each strand's coalesced intervals to a detector goroutine (comp+rts and stint variants only)")
 		maxBytes   = flag.Int64("max-trace-bytes", 64<<20, "reject uploads larger than this (413); negative disables")
 		maxEvents  = flag.Uint64("max-events", 0, "abort replays exceeding this many trace events (0 = unbounded)")
 		quiesce    = flag.Int("quiesce", 0, "retire a shadow page's access history once it produces N races during a replay (0 disables)")

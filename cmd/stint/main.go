@@ -33,7 +33,7 @@ func main() {
 		scale      = flag.Int("scale", 1, "problem-size multiplier")
 		races      = flag.Int("races", 10, "max races to print")
 		timing     = flag.Bool("timing", false, "measure access-history time separately")
-		async      = flag.Bool("async", false, "pipeline detection on a dedicated goroutine (overlaps compute with the access history)")
+		async      = flag.Bool("async", false, "pipeline detection: the program coalesces each strand and streams its intervals to a detector goroutine, overlapping compute with the access history (comp+rts and stint variants only; -detector all applies it to those)")
 		parDetect  = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only)")
 		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async unless -parallel-detect; comp+rts and stint variants only)")
 		quiesce    = flag.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")
@@ -210,7 +210,10 @@ func runAll(factory workloads.Factory, timing, async bool) error {
 	fmt.Printf("%-18s %12s %9s %12s %12s %10s %8s\n", "detector", "time", "overhead", "intervals", "ah-time", "allocs", "races")
 	for _, mode := range modes {
 		w := factory()
-		r, err := stint.NewRunner(stint.Options{Detector: mode, TimeAccessHistory: timing, Async: async})
+		// The pipeline streams coalesced intervals, so -async reaches only
+		// the detectors that consume them; the rest run inline.
+		piped := async && mode != stint.DetectorVanilla && mode != stint.DetectorCompiler
+		r, err := stint.NewRunner(stint.Options{Detector: mode, TimeAccessHistory: timing, Async: piped})
 		if err != nil {
 			return err
 		}

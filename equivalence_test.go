@@ -202,10 +202,11 @@ func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act
 	return rep
 }
 
-// checkCanonicalReports asserts the satellite guarantee: the Report —
-// races in canonical order, counts, strands, deterministic stats — is
-// identical across sync, async, and (for supported detectors) shard counts
-// {1, 2, 4} under both the serial-projection pipeline and ParallelDetect.
+// checkCanonicalReports asserts the satellite guarantee for a
+// runtime-coalescing detector: the Report — races in canonical order,
+// counts, strands, deterministic stats — is identical across sync, async,
+// and shard counts {1, 2, 4} under both the serial-projection pipeline and
+// ParallelDetect.
 // Byte-identity to the synchronous run is also what shows that the worker
 // skip-scan, the wire encoding, and the summary stamp are invisible above
 // the ring.
@@ -228,18 +229,15 @@ func checkCanonicalReports(t *testing.T, seed int64, d Detector, acts []act) {
 		}
 	}
 	check("async", reportFor(t, d, 0, acts))
-	switch d {
-	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist:
-		for _, n := range []int{1, 2, 4} {
-			check(fmt.Sprintf("shards=%d", n), reportFor(t, d, n, acts))
-			// ParallelDetect: spawns on real goroutines behind the chunk
-			// queue and deterministic merge. The documented contract is
-			// race-set equivalence, but the merge reconstructs the exact
-			// serial stream, so the suite asserts the stronger property —
-			// the whole Report identical to sync.
-			check(fmt.Sprintf("parallel-detect shards=%d", n),
-				reportForOpts(t, d, n, pipeOpts{parallel: true}, acts))
-		}
+	for _, n := range []int{1, 2, 4} {
+		check(fmt.Sprintf("shards=%d", n), reportFor(t, d, n, acts))
+		// ParallelDetect: spawns on real goroutines behind the chunk
+		// queue and deterministic merge. The documented contract is
+		// race-set equivalence, but the merge reconstructs the exact
+		// serial stream, so the suite asserts the stronger property —
+		// the whole Report identical to sync.
+		check(fmt.Sprintf("parallel-detect shards=%d", n),
+			reportForOpts(t, d, n, pipeOpts{parallel: true}, acts))
 	}
 }
 
@@ -257,6 +255,11 @@ func checkEquivalence(t *testing.T, seed int64, acts []act) {
 				t.Fatalf("seed %d: %v missed racing word %#x\nprogram: %+v", seed, d, w, acts)
 			}
 		}
+		if !coalescingDetector(d) {
+			continue // no pipeline streams to the per-access detectors
+		}
+		// Full-report identity across execution modes and shard counts.
+		checkCanonicalReports(t, seed, d, acts)
 		// The async pipeline must agree with both the oracle and the
 		// synchronous path it mirrors.
 		async := racingWordsFor(t, d, true, acts)
@@ -270,8 +273,6 @@ func checkEquivalence(t *testing.T, seed int64, acts []act) {
 					seed, d, w, acts)
 			}
 		}
-		// Full-report identity across execution modes and shard counts.
-		checkCanonicalReports(t, seed, d, acts)
 	}
 }
 
@@ -379,6 +380,9 @@ func TestDetectorEquivalenceRaceFreePrograms(t *testing.T) {
 	for _, d := range allDetectors {
 		if got := racingWordsFor(t, d, false, acts); len(got) != 0 {
 			t.Errorf("%v: false positives in race-free program: %d words", d, len(got))
+		}
+		if !coalescingDetector(d) {
+			continue
 		}
 		if got := racingWordsFor(t, d, true, acts); len(got) != 0 {
 			t.Errorf("async %v: false positives in race-free program: %d words", d, len(got))

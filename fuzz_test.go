@@ -7,7 +7,8 @@ import (
 
 // fuzzWideElems sizes the fuzz-only "wide" buffer: 128 KiB of words, so it
 // straddles at least one 64 KiB shadow-page boundary and range accesses on
-// it exercise the workers' local page splitting and shard filtering.
+// it exercise the flush's split at page boundaries and the workers' shard
+// filtering.
 const fuzzWideElems = 32768
 
 // fuzzAllocBufs allocates the equivalence suite's buffers plus the wide
@@ -29,10 +30,11 @@ func fuzzAllocBufs(r *Runner) ([]*Buffer, []int) {
 // canonical race reports, strand counts, and (timing-normalized) stats. A
 // further flags bit re-runs the mode matrix with per-page quiescing enabled
 // and requires the quiesced reports to agree across modes too. Tiny batch
-// capacities and ring depths force the batch-boundary edge cases: events
-// split across batches, empty final batches, backpressure stalls, and drain
-// while a strand's accesses are still buffered. Shard counts above one
-// additionally force page-split routing and cross-worker merge.
+// capacities and ring depths force the batch-boundary edge cases: a
+// strand's flush split across batches, empty final batches, backpressure
+// stalls, and drain while a strand's accesses are still in its bit
+// hashmaps. Shard counts above one additionally force page-hash filtering
+// and cross-worker merge.
 func FuzzAsyncAgainstSync(f *testing.F) {
 	f.Add([]byte{})
 	// Geometry 1x1 (max handoffs), unsharded, racy spawn/store/store/sync.
@@ -47,21 +49,20 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 	// Cross-shard racy pair: two strands write the same 128 KiB span of the
 	// wide buffer, so the racing pieces land on different shards.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
-	// Worker-side split of one page-straddling access: a 16-byte range write
-	// at wide index 13310 crosses the 64 KiB boundary at index 13312, so each
-	// worker page-splits the event locally, keeps only its own piece, and the
-	// hook-call adjustment (only the first piece's owner counts the original
-	// call) must reconcile across two shards. Two parallel strands write the
-	// same straddling range, so the race itself spans the boundary too.
+	// One page-straddling access: a 16-byte range write at wide index 13310
+	// crosses the 64 KiB boundary at index 13312, so the flush emits one
+	// interval per page, each worker keeps only its own, and the single hook
+	// call is counted once, on the mutator side. Two parallel strands write
+	// the same straddling range, so the race itself spans the boundary too.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x00, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
 	// All-events-one-page skew: 4 shards but every access on one page, so a
 	// single worker carries the whole load and the others skip-scan off the
 	// batch summaries.
 	f.Add([]byte{0x00, 0x00, 0x04, 0x00, 0x00, 0x04, 0x00, 0x05, 0x01, 0x04, 0x00, 0x05, 0x02})
-	// All-ones fallback: the two racing range writes span the full 128 KiB
-	// wide buffer (> 2 pages), so SpanMask gives up and stamps MaskAll —
-	// all 4 workers must take the full-scan path even though each owns only
-	// a slice of the pages.
+	// Wide spans: the two racing range writes cover the full 128 KiB wide
+	// buffer (3 pages), so each flushes one interval per page and the batch
+	// mask is the union of their shards' bits — a worker scans exactly the
+	// batches that carry one of its pages.
 	f.Add([]byte{0x01, 0x01, 0x04, 0x00, 0x00, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x01, 0x06, 0x03, 0x00, 0x00, 0x7f, 0xff, 0x02})
 	// Parallel-detect (flags bit 3) over the cross-shard racy pair: the two
 	// racing strands execute on distinct goroutines and their chunks reach
@@ -74,9 +75,8 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x08, 0x00, 0x03, 0x00, 0x05, 0x04, 0x00, 0x06, 0x05, 0x00, 0x07})
 	// Quiescing mid-batch (flags bit 4): the page-straddling racy range pair
 	// again, now with a threshold-2 quiesce differential — the page under the
-	// straddle retires while the range's other piece is still live, and the
-	// sharded workers' local page splits must agree with sync on which piece
-	// died.
+	// straddle retires while the range's other interval is still live, and
+	// the sharded workers must agree with sync on which interval died.
 	f.Add([]byte{0x01, 0x01, 0x02, 0x10, 0x00, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x01, 0x06, 0x03, 0x33, 0xfe, 0x00, 0x03, 0x02})
 	// The same under ParallelDetect too (bits 3+4), and with repeated racy
 	// pairs so the threshold actually trips.
@@ -89,6 +89,15 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 	// chunk cuts land on every structure boundary — the deterministic merge
 	// must re-interleave the per-task chunk streams exactly.
 	f.Add([]byte{0x00, 0x00, 0x02, 0x08, 0x00, 0x04, 0x00, 0x00, 0x04, 0x00, 0x05, 0x01, 0x01, 0x02, 0x04, 0x00, 0x05, 0x02, 0x01, 0x02})
+	// Mid-flush batch boundary, serial: one-event batches, and every strand
+	// flushes two read and two write intervals, so the producer publishes
+	// between two intervals of one strand and the strand's structure event
+	// lands in yet another batch.
+	f.Add([]byte{0x00, 0x01, 0x02, 0x00, 0x00, 0x04, 0x01, 0x00, 0x04, 0x01, 0x08, 0x03, 0x01, 0x10, 0x03, 0x01, 0x04, 0x01, 0x04, 0x01, 0x08, 0x04, 0x01, 0x14, 0x03, 0x01, 0x00, 0x03, 0x01, 0x20, 0x02})
+	// The same under ParallelDetect at batch capacity 2: each task's flush
+	// is cut into ChunkCut chunks mid-strand, and the merge must splice them
+	// back ahead of the strand's terminator.
+	f.Add([]byte{0x01, 0x01, 0x02, 0x08, 0x00, 0x04, 0x01, 0x00, 0x04, 0x01, 0x08, 0x03, 0x01, 0x10, 0x03, 0x01, 0x04, 0x01, 0x04, 0x01, 0x08, 0x04, 0x01, 0x14, 0x03, 0x01, 0x00, 0x03, 0x01, 0x20, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
@@ -105,11 +114,13 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 		// mode: -1 = synchronous, 0 = plain async, n > 0 = n-sharded async.
 		// par switches the async modes to ParallelDetect: real goroutines
 		// behind the chunk queue and deterministic merge, with mode naming
-		// the worker count (0 means one worker).
-		run := func(mode int, par bool) result {
+		// the worker count (0 means one worker). qthresh, when nonzero, is
+		// the run's PageQuiesceThreshold.
+		run := func(mode int, par bool, qthresh int) result {
 			words := make(map[Addr]bool)
 			opts := Options{
-				Detector: DetectorSTINT,
+				Detector:             DetectorSTINT,
+				PageQuiesceThreshold: qthresh,
 				OnRace: func(rc Race) {
 					for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
 						words[a] = true
@@ -137,105 +148,48 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 			}
 			return result{words: words, races: rep.Races, strands: rep.Strands, stats: normStats(rep.Stats)}
 		}
-
-		sync := run(-1, false)
-		check := func(name string, got result) {
-			if got.strands != sync.strands {
-				t.Fatalf("strands: %s %d, sync %d (batch=%d depth=%d shards=%d)\nprogram: %+v",
-					name, got.strands, sync.strands, batchEvents, ringDepth, shards, prog)
-			}
-			if got.stats != sync.stats {
-				t.Fatalf("stats diverge (%s, batch=%d depth=%d shards=%d)\n%s: %+v\nsync:  %+v\nprogram: %+v",
-					name, batchEvents, ringDepth, shards, name, got.stats, sync.stats, prog)
-			}
-			if !reflect.DeepEqual(got.races, sync.races) {
-				t.Fatalf("canonical races diverge (%s, batch=%d depth=%d shards=%d)\n%s: %v\nsync:  %v\nprogram: %+v",
-					name, batchEvents, ringDepth, shards, name, got.races, sync.races, prog)
-			}
-			if len(got.words) != len(sync.words) {
-				t.Fatalf("racing words: %s %d, sync %d\nprogram: %+v", name, len(got.words), len(sync.words), prog)
-			}
-			for w := range sync.words {
-				if !got.words[w] {
-					t.Fatalf("%s missed racing word %#x\nprogram: %+v", name, w, prog)
+		// matrix holds every pipelined mode the input selects to the
+		// synchronous run at the same quiesce threshold.
+		matrix := func(qthresh int) {
+			sync := run(-1, false, qthresh)
+			check := func(name string, got result) {
+				if got.strands != sync.strands {
+					t.Fatalf("strands: %s %d, sync %d (batch=%d depth=%d shards=%d quiesce=%d)\nprogram: %+v",
+						name, got.strands, sync.strands, batchEvents, ringDepth, shards, qthresh, prog)
+				}
+				if got.stats != sync.stats {
+					t.Fatalf("stats diverge (%s, batch=%d depth=%d shards=%d quiesce=%d)\n%s: %+v\nsync:  %+v\nprogram: %+v",
+						name, batchEvents, ringDepth, shards, qthresh, name, got.stats, sync.stats, prog)
+				}
+				if !reflect.DeepEqual(got.races, sync.races) {
+					t.Fatalf("canonical races diverge (%s, batch=%d depth=%d shards=%d quiesce=%d)\n%s: %v\nsync:  %v\nprogram: %+v",
+						name, batchEvents, ringDepth, shards, qthresh, name, got.races, sync.races, prog)
+				}
+				if !reflect.DeepEqual(got.words, sync.words) {
+					t.Fatalf("racing words diverge (%s, quiesce=%d): %d vs sync %d\nprogram: %+v",
+						name, qthresh, len(got.words), len(sync.words), prog)
 				}
 			}
+			check("async", run(0, false, qthresh))
+			if shards > 0 {
+				check("sharded", run(shards, false, qthresh))
+			}
+			if po.parallel {
+				// ParallelDetect executes the same program on real goroutines;
+				// the deterministic merge reconstructs the serial stream, so the
+				// normalized result must still match sync byte for byte.
+				check("parallel-detect", run(shards, true, qthresh))
+			}
 		}
-		check("async", run(0, false))
-		if shards > 0 {
-			check("sharded", run(shards, false))
-		}
-		if po.parallel {
-			// ParallelDetect executes the same program on real goroutines;
-			// the deterministic merge reconstructs the serial stream, so the
-			// normalized result must still match sync byte for byte.
-			check("parallel-detect", run(shards, true))
-		}
+		matrix(0)
 		if po.quiesce {
 			// Quiescing differential: with a threshold of 2, pages retire
 			// their history mid-run — possibly mid-batch, possibly under a
 			// page-straddling range. The quiesce decision is page-local and
-			// taken at a deterministic point in the serial order, so races,
-			// racing words, strands, and the pages-quiesced count must be
-			// identical across every mode. Full stats are NOT compared: the
-			// producer-side drops legitimately elide hook calls the
-			// synchronous run counts.
-			qrun := func(mode int, par bool) result {
-				words := make(map[Addr]bool)
-				opts := Options{
-					Detector:             DetectorSTINT,
-					PageQuiesceThreshold: 2,
-					OnRace: func(rc Race) {
-						for a := rc.Addr &^ 3; a < rc.Addr+rc.Size; a += 4 {
-							words[a] = true
-						}
-					},
-				}
-				if par {
-					opts.ParallelDetect = true
-					opts.DetectShards = mode
-				} else if mode >= 0 {
-					opts.Async = true
-					opts.DetectShards = mode
-				}
-				r, err := NewRunner(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par || mode >= 0 {
-					r.asyncBatchEvents, r.asyncRingDepth = batchEvents, ringDepth
-				}
-				bufs, _ := fuzzAllocBufs(r)
-				rep, err := r.Run(func(task *Task) { runActs(task, bufs, prog) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := Stats{PagesQuiesced: rep.Stats.PagesQuiesced}
-				return result{words: words, races: rep.Races, strands: rep.Strands, stats: st}
-			}
-			qsync := qrun(-1, false)
-			qcheck := func(name string, got result) {
-				if got.strands != qsync.strands || got.stats.PagesQuiesced != qsync.stats.PagesQuiesced {
-					t.Fatalf("%s: strands/quiesced %d/%d, sync %d/%d (batch=%d depth=%d shards=%d)\nprogram: %+v",
-						name, got.strands, got.stats.PagesQuiesced, qsync.strands, qsync.stats.PagesQuiesced,
-						batchEvents, ringDepth, shards, prog)
-				}
-				if !reflect.DeepEqual(got.races, qsync.races) {
-					t.Fatalf("quiesced races diverge (%s, batch=%d depth=%d shards=%d)\n%s: %v\nsync:  %v\nprogram: %+v",
-						name, batchEvents, ringDepth, shards, name, got.races, qsync.races, prog)
-				}
-				if !reflect.DeepEqual(got.words, qsync.words) {
-					t.Fatalf("quiesced racing words diverge (%s): %d vs sync %d\nprogram: %+v",
-						name, len(got.words), len(qsync.words), prog)
-				}
-			}
-			qcheck("quiesce-async", qrun(0, false))
-			if shards > 0 {
-				qcheck("quiesce-sharded", qrun(shards, false))
-			}
-			if po.parallel {
-				qcheck("quiesce-parallel-detect", qrun(shards, true))
-			}
+			// taken at a deterministic point in the serial order, so the
+			// whole normalized result (pages quiesced included) must again be
+			// identical across every mode.
+			matrix(2)
 		}
 	})
 }

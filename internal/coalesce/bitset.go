@@ -186,6 +186,25 @@ func (b *BitSet) Set(addr mem.Addr) {
 	p.bits[slot] |= 1 << (lo & slotWordMask)
 }
 
+// Add marks the words of one access of size bytes at addr, routing aligned
+// single-word accesses through Set's fast path. It is SetRange with that
+// shortcut: an empty access marks nothing.
+func (b *BitSet) Add(addr mem.Addr, size uint64) {
+	if size-1 < mem.WordSize && addr&(mem.WordSize-1) == 0 {
+		b.Set(addr)
+		return
+	}
+	b.SetRange(addr, size)
+}
+
+// Words returns the number of shadow words covered by size bytes at addr.
+func Words(addr mem.Addr, size uint64) uint64 {
+	if size == 0 {
+		return 0
+	}
+	return (addr+size-1)>>wordBits - addr>>wordBits + 1
+}
+
 // sortOrdered sorts the per-strand dedup lists. Strands commonly touch a
 // handful of pages/slots, so the ≤8-element case uses a branchy insertion
 // sort; larger lists fall through to the non-reflective slices.Sort (the

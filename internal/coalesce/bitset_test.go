@@ -2,6 +2,7 @@ package coalesce
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -295,6 +296,38 @@ func BenchmarkSetSingleWords(b *testing.B) {
 		bs.Set(uint64(i%(1<<16)) * 4)
 		if i%(1<<16) == (1<<16)-1 {
 			bs.Flush(func(mem.Addr, uint64) {})
+		}
+	}
+}
+
+func TestWords(t *testing.T) {
+	cases := []struct {
+		addr, size, want uint64
+	}{
+		{0, 4, 1}, {0, 8, 2}, {2, 4, 2}, {0, 1, 1}, {3, 2, 2}, {4, 0, 0}, {0, 16, 4},
+	}
+	for _, c := range cases {
+		if got := Words(c.addr, c.size); got != c.want {
+			t.Errorf("Words(%d,%d) = %d, want %d", c.addr, c.size, got, c.want)
+		}
+	}
+}
+
+// TestAddMatchesSetRange pins Add as SetRange with a fast path: whatever the
+// alignment and size — empty accesses included — both leave the same words
+// set.
+func TestAddMatchesSetRange(t *testing.T) {
+	for _, c := range []struct{ addr, size uint64 }{
+		{0x1000, 0}, {0x1002, 0}, {0x1000, 1}, {0x1000, 4}, {0x1001, 4}, {0x1000, 8}, {0xfffe, 6},
+	} {
+		a, b := New(), New()
+		a.Add(c.addr, c.size)
+		b.SetRange(c.addr, c.size)
+		var ga, gb [][2]uint64
+		a.Flush(func(s, n uint64) { ga = append(ga, [2]uint64{s, n}) })
+		b.Flush(func(s, n uint64) { gb = append(gb, [2]uint64{s, n}) })
+		if !reflect.DeepEqual(ga, gb) {
+			t.Errorf("Add(%#x, %d) flushed %v, SetRange %v", c.addr, c.size, ga, gb)
 		}
 	}
 }

@@ -174,11 +174,10 @@ type Stats struct {
 	// merge (summed across workers), not by the engines, and — like the
 	// other runner-populated fields — deliberately not Accumulated.
 	BatchesSkipped uint64
-	// EventsStreamed and StreamBytes describe the async event stream:
-	// logical events published through the pipeline ring and the wire bytes
-	// they occupied (StreamBytes/EventsStreamed is the stream's bytes-per-
-	// event — 16 under the fixed encoding, typically 2-3 under the compact
-	// delta encoding). Zero in synchronous mode. Populated by the stint
+	// EventsStreamed and StreamBytes describe the pipelined modes' event
+	// stream: the logical events published through the pipeline — one per
+	// flushed interval plus one per structure event — and the wire bytes
+	// they occupied. Zero in synchronous mode. Populated by the stint
 	// runner's drain, not by the engines, and not Accumulated.
 	EventsStreamed uint64
 	StreamBytes    uint64
@@ -188,8 +187,8 @@ type Stats struct {
 	// across execution modes.
 	PagesQuiesced uint64
 	// HistoryBytesPeak is the high-water mark of the engine's retained
-	// access-history footprint (history stores plus coalescing bitmaps),
-	// sampled at strand boundaries. Pool-chunk granularity makes it an
+	// access-history footprint (history stores and page shells), sampled at
+	// strand boundaries. Pool-chunk granularity makes it an
 	// estimate that varies with shard count; compare it only within one
 	// configuration.
 	HistoryBytesPeak uint64
@@ -198,7 +197,8 @@ type Stats struct {
 // Accumulate adds o's deterministic detection counters into s. It is the
 // sharded merge: pages are disjoint across workers and flushed intervals
 // page-contained, so per-worker counters partition the synchronous run's
-// totals and summing them restores it exactly. The runner-populated fields
+// totals and summing them restores it exactly. The pipelines' mutator side
+// contributes its share — the hook counters — the same way. The runner-populated fields
 // (AllocObjects, AllocBytes, PipelineDetectTime) are owned by whoever
 // orchestrates the run and deliberately not accumulated.
 func (s *Stats) Accumulate(o *Stats) {
@@ -276,17 +276,39 @@ type Engine interface {
 	Reset()
 }
 
+// History is the detector side of the pipelined modes: an Engine fed a
+// strand's intervals instead of its accesses. The mutator side owns the
+// bit hashmaps there and streams each strand's Flush output — address-
+// sorted, page-contained, reads before writes — so ReadInterval and
+// WriteInterval apply an interval to its page's history at once, and
+// StrandEnd only samples the footprint and the cap. The hook counters stay
+// zero: they are counted where the hooks run.
+type History interface {
+	Engine
+	ReadInterval(addr mem.Addr, size uint64)
+	WriteInterval(addr mem.Addr, size uint64)
+}
+
 // New builds the engine for cfg.Mode over the given reachability structure.
 // Off and ReachOnly return a no-op engine (the runner additionally skips
 // hook dispatch entirely for Off).
 func New(cfg Config, reach Reach) Engine {
 	switch cfg.Mode {
-	case Off, ReachOnly:
-		return &nopEngine{}
 	case Vanilla:
 		return newHashEngine(cfg, reach, true, false)
 	case Compiler:
 		return newHashEngine(cfg, reach, false, false)
+	}
+	return NewHistory(cfg, reach)
+}
+
+// NewHistory builds the engine for a mode whose access history is fed by
+// runtime coalescing — the only ones a pipeline can stream intervals to —
+// or the no-op engine for Off and ReachOnly.
+func NewHistory(cfg Config, reach Reach) History {
+	switch cfg.Mode {
+	case Off, ReachOnly:
+		return &nopEngine{}
 	case CompRTS:
 		return newHashEngine(cfg, reach, false, true)
 	case STINT:
@@ -296,7 +318,7 @@ func New(cfg Config, reach Reach) Engine {
 	case STINTSkiplist:
 		return newTreeEngine(cfg, reach, treeBackendSkiplist)
 	}
-	panic(fmt.Sprintf("detect: no engine for mode %v", cfg.Mode))
+	panic(fmt.Sprintf("detect: no interval-fed engine for mode %v", cfg.Mode))
 }
 
 // Footprint describes an engine's retained warm capacity — the memory a
@@ -344,6 +366,8 @@ func (e *nopEngine) ReadHook(mem.Addr, uint64)            {}
 func (e *nopEngine) WriteHook(mem.Addr, uint64)           {}
 func (e *nopEngine) ReadRangeHook(mem.Addr, int, uint64)  {}
 func (e *nopEngine) WriteRangeHook(mem.Addr, int, uint64) {}
+func (e *nopEngine) ReadInterval(mem.Addr, uint64)        {}
+func (e *nopEngine) WriteInterval(mem.Addr, uint64)       {}
 func (e *nopEngine) StrandEnd()                           {}
 func (e *nopEngine) Finish()                              {}
 func (e *nopEngine) Stats() *Stats                        { return &e.stats }

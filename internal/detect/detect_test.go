@@ -223,19 +223,6 @@ func TestNopEngineDoesNothing(t *testing.T) {
 	}
 }
 
-func TestWordsIn(t *testing.T) {
-	cases := []struct {
-		addr, size, want uint64
-	}{
-		{0, 4, 1}, {0, 8, 2}, {2, 4, 2}, {0, 1, 1}, {3, 2, 2}, {4, 0, 0}, {0, 16, 4},
-	}
-	for _, c := range cases {
-		if got := wordsIn(c.addr, c.size); got != c.want {
-			t.Errorf("wordsIn(%d,%d) = %d, want %d", c.addr, c.size, got, c.want)
-		}
-	}
-}
-
 func TestLeftmostReaderSemantics(t *testing.T) {
 	// Three siblings read the same word; then the parent (after sync)
 	// writes it. Every engine must flag the race even though only one

@@ -123,16 +123,6 @@ func (e *hashEngine) quiescePage(idx uint64) {
 	}
 }
 
-// wordsIn returns the number of shadow words covered by size bytes at addr.
-func wordsIn(addr mem.Addr, size uint64) uint64 {
-	if size == 0 {
-		return 0
-	}
-	first := addr >> 2
-	last := (addr + size - 1) >> 2
-	return last - first + 1
-}
-
 // accessWord performs the Feng–Leiserson check-and-update on one word: a
 // read races with a parallel last writer; a write races with a parallel
 // last writer or leftmost reader. Reads replace the stored reader only when
@@ -179,12 +169,12 @@ func (e *hashEngine) ReadHook(addr mem.Addr, size uint64) {
 		return
 	}
 	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += wordsIn(addr, size)
+	e.stats.ReadAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
 	if e.rts {
-		setBits(e.readBits, addr, size)
+		e.readBits.Add(addr, size)
 		return
 	}
 	e.accessRange(addr, size, false)
@@ -195,25 +185,15 @@ func (e *hashEngine) WriteHook(addr mem.Addr, size uint64) {
 		return
 	}
 	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += wordsIn(addr, size)
+	e.stats.WriteAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
 	if e.rts {
-		setBits(e.writeBits, addr, size)
+		e.writeBits.Add(addr, size)
 		return
 	}
 	e.accessRange(addr, size, true)
-}
-
-// setBits routes aligned single-word accesses through the bit hashmap's
-// fast path.
-func setBits(b *coalesce.BitSet, addr mem.Addr, size uint64) {
-	if size <= mem.WordSize && addr&(mem.WordSize-1) == 0 {
-		b.Set(addr)
-		return
-	}
-	b.SetRange(addr, size)
 }
 
 func (e *hashEngine) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
@@ -229,7 +209,7 @@ func (e *hashEngine) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
 	}
 	size := uint64(count) * elemBytes
 	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += wordsIn(addr, size)
+	e.stats.ReadAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
@@ -252,7 +232,7 @@ func (e *hashEngine) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) 
 	}
 	size := uint64(count) * elemBytes
 	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += wordsIn(addr, size)
+	e.stats.WriteAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
@@ -294,44 +274,60 @@ func (e *hashEngine) flush(bits *coalesce.BitSet, isWrite bool) {
 	if e.timeAH {
 		t0 = time.Now()
 	}
-	// Spans on retired pages drop before they are counted as intervals —
-	// page-local, so every execution mode drops the same spans. A page can
-	// also retire mid-flush (its threshold race fires inside accessRange);
-	// the per-word guard there drops the rest of that page's words and the
-	// span check here drops its later spans.
-	var n, bytes uint64
 	for _, s := range e.scratch {
-		if e.nQuiesced > 0 && e.quiescedIdx(uint64(s.addr)>>coalesce.PageBytesBits) {
-			continue
-		}
-		n++
-		bytes += s.size
-		e.accessRange(s.addr, s.size, isWrite)
-	}
-	if isWrite {
-		e.stats.WriteIntervals += n
-		e.stats.WriteIntervalBytes += bytes
-	} else {
-		e.stats.ReadIntervals += n
-		e.stats.ReadIntervalBytes += bytes
+		e.apply(s.addr, s.size, isWrite)
 	}
 	if e.timeAH {
 		e.stats.AccessHistoryTime += time.Since(t0)
 	}
 }
 
-// histBytes estimates the engine's live footprint for this run: shadow
-// pages currently in the directory plus live coalescing bit pages. Warm
-// capacity parked on free lists across Reset is excluded so a Runner that
-// auto-resets after a MaxHistoryBytes trip starts the next run near zero;
-// quiesced pages are retired to the free list and leave this measure.
-func (e *hashEngine) histBytes() uint64 {
-	b := e.table.Bytes()
-	if e.rts {
-		b += uint64(e.readBits.LivePages()+e.writeBits.LivePages()) * bitPageBytes
+// apply replays one page-contained interval of the current strand against
+// the word-granularity history. Intervals on retired pages drop before they
+// are counted — page-local, so every execution mode drops the same ones. A
+// page can also retire mid-interval (its threshold race fires inside
+// accessRange); the per-word guard there drops the rest of its words and
+// the check here drops its later intervals.
+func (e *hashEngine) apply(addr mem.Addr, size uint64, isWrite bool) {
+	if e.nQuiesced > 0 && e.quiescedIdx(uint64(addr)>>coalesce.PageBytesBits) {
+		return
 	}
-	return b
+	if isWrite {
+		e.stats.WriteIntervals++
+		e.stats.WriteIntervalBytes += size
+	} else {
+		e.stats.ReadIntervals++
+		e.stats.ReadIntervalBytes += size
+	}
+	e.accessRange(addr, size, isWrite)
 }
+
+// ReadInterval and WriteInterval are the pipelined modes' entry (see
+// History): the mutator side already coalesced the strand, so the interval
+// goes straight to the history.
+func (e *hashEngine) ReadInterval(addr mem.Addr, size uint64)  { e.interval(addr, size, false) }
+func (e *hashEngine) WriteInterval(addr mem.Addr, size uint64) { e.interval(addr, size, true) }
+
+func (e *hashEngine) interval(addr mem.Addr, size uint64, isWrite bool) {
+	if e.capErr != nil {
+		return
+	}
+	var t0 time.Time
+	if e.timeAH {
+		t0 = time.Now()
+	}
+	e.apply(addr, size, isWrite)
+	if e.timeAH {
+		e.stats.AccessHistoryTime += time.Since(t0)
+	}
+}
+
+// histBytes estimates the engine's live footprint for this run: the shadow
+// pages currently in the directory. Warm capacity parked on free lists
+// across Reset is excluded so a Runner that auto-resets after a
+// MaxHistoryBytes trip starts the next run near zero; quiesced pages are
+// retired to the free list and leave this measure.
+func (e *hashEngine) histBytes() uint64 { return e.table.Bytes() }
 
 // CapError returns the history-cap error, if the footprint tripped
 // Config.MaxHistoryBytes during the run.

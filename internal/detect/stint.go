@@ -213,11 +213,11 @@ func (e *treeEngine) ReadHook(addr mem.Addr, size uint64) {
 		return
 	}
 	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += wordsIn(addr, size)
+	e.stats.ReadAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
-	setBits(e.readBits, addr, size)
+	e.readBits.Add(addr, size)
 }
 
 func (e *treeEngine) WriteHook(addr mem.Addr, size uint64) {
@@ -225,11 +225,11 @@ func (e *treeEngine) WriteHook(addr mem.Addr, size uint64) {
 		return
 	}
 	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += wordsIn(addr, size)
+	e.stats.WriteAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
-	setBits(e.writeBits, addr, size)
+	e.writeBits.Add(addr, size)
 }
 
 func (e *treeEngine) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
@@ -238,7 +238,7 @@ func (e *treeEngine) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
 	}
 	size := uint64(count) * elemBytes
 	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += wordsIn(addr, size)
+	e.stats.ReadAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
@@ -251,7 +251,7 @@ func (e *treeEngine) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) 
 	}
 	size := uint64(count) * elemBytes
 	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += wordsIn(addr, size)
+	e.stats.WriteAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
 		return
 	}
@@ -300,36 +300,59 @@ func (e *treeEngine) flushSpans(write bool) {
 	if e.timeAH {
 		t0 = time.Now()
 	}
-	var n, bytes uint64
 	for _, s := range e.scratch {
-		idx := s.addr >> coalesce.PageBytesBits
-		if e.nQuiesced > 0 && e.quiescedIdx(idx) {
-			continue
-		}
-		n++
-		bytes += s.size
-		pg := e.pageFor(idx)
-		e.curPage = pg
-		iv := core.Interval{Start: s.addr, End: s.addr + s.size, Acc: e.curID}
-		if write {
-			pg.read.Query(iv, e.writeQueryCB)
-			pg.write.InsertWrite(iv, e.writeInsertCB)
-		} else {
-			pg.write.Query(iv, e.readQueryCB)
-			pg.read.InsertRead(iv, e.leftOf, nil)
-		}
-		e.curPage = nil
-		if e.qthresh > 0 && int(pg.races) >= e.qthresh {
-			e.quiescePage(idx, pg)
-		}
+		e.apply(s.addr, s.size, write)
 	}
+	if e.timeAH {
+		e.stats.AccessHistoryTime += time.Since(t0)
+	}
+}
+
+// apply runs one page-contained interval of strand curID through its page's
+// stores: the race check against the opposite history, then the insert. An
+// interval whose page has quiesced drops before it is counted.
+func (e *treeEngine) apply(addr mem.Addr, size uint64, write bool) {
+	idx := addr >> coalesce.PageBytesBits
+	if e.nQuiesced > 0 && e.quiescedIdx(idx) {
+		return
+	}
+	pg := e.pageFor(idx)
+	e.curPage = pg
+	iv := core.Interval{Start: addr, End: addr + size, Acc: e.curID}
 	if write {
-		e.stats.WriteIntervals += n
-		e.stats.WriteIntervalBytes += bytes
+		e.stats.WriteIntervals++
+		e.stats.WriteIntervalBytes += size
+		pg.read.Query(iv, e.writeQueryCB)
+		pg.write.InsertWrite(iv, e.writeInsertCB)
 	} else {
-		e.stats.ReadIntervals += n
-		e.stats.ReadIntervalBytes += bytes
+		e.stats.ReadIntervals++
+		e.stats.ReadIntervalBytes += size
+		pg.write.Query(iv, e.readQueryCB)
+		pg.read.InsertRead(iv, e.leftOf, nil)
 	}
+	e.curPage = nil
+	if e.qthresh > 0 && int(pg.races) >= e.qthresh {
+		e.quiescePage(idx, pg)
+	}
+}
+
+// ReadInterval and WriteInterval are the pipelined modes' entry (see
+// History): the mutator side already coalesced the strand, so the interval
+// goes straight to its page's stores. With TimeAccessHistory the clock is
+// read per interval instead of per strand.
+func (e *treeEngine) ReadInterval(addr mem.Addr, size uint64)  { e.interval(addr, size, false) }
+func (e *treeEngine) WriteInterval(addr mem.Addr, size uint64) { e.interval(addr, size, true) }
+
+func (e *treeEngine) interval(addr mem.Addr, size uint64, write bool) {
+	if e.capErr != nil {
+		return
+	}
+	var t0 time.Time
+	if e.timeAH {
+		t0 = time.Now()
+	}
+	e.curID = e.reach.CurrentID()
+	e.apply(addr, size, write)
 	if e.timeAH {
 		e.stats.AccessHistoryTime += time.Since(t0)
 	}
@@ -363,17 +386,13 @@ func (e *treeEngine) quiescePage(idx uint64, pg *histPage) {
 	}
 }
 
-// bitPageBytes approximates one coalescing bit-hashmap page: 2 KiB of bits
-// plus the touched-word index.
-const bitPageBytes = 3 << 10
-
 // histPageShellBytes approximates a histPage shell plus its directory slot.
 const histPageShellBytes = 256
 
 // histBytes estimates the engine's live access-history footprint for this
-// run: interval nodes currently linked into page trees, live page shells,
-// and live coalescing bit pages. Warm capacity retained across Reset (slab
-// chunks, parked shells, free bit pages) is deliberately excluded — the
+// run: interval nodes currently linked into page trees and live page
+// shells. Warm capacity retained across Reset (slab chunks, parked shells)
+// is deliberately excluded — the
 // MaxHistoryBytes cap bounds what the current run accumulates, and a Runner
 // that auto-resets after tripping the cap must start the next run back at
 // (near) zero. Quiescing a page moves its nodes and shell onto free lists,
@@ -388,9 +407,7 @@ func (e *treeEngine) histBytes() uint64 {
 			b += uint64(p.read.Size()+p.write.Size()) * skiplistNodeBytes
 		})
 	}
-	b += uint64(e.pages.Len()) * histPageShellBytes
-	b += uint64(e.readBits.LivePages()+e.writeBits.LivePages()) * bitPageBytes
-	return b
+	return b + uint64(e.pages.Len())*histPageShellBytes
 }
 
 // CapError returns the history-cap error, if the footprint tripped

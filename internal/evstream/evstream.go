@@ -13,7 +13,7 @@
 //     no channel, no allocation on the access hook path.
 //   - Synchronization happens once per batch, not once per event: Publish
 //     and Next take one mutex acquisition each, amortized over the batch
-//     size (4096 events by default at the stint layer).
+//     size (a few hundred interval events by default at the stint layer).
 //   - Consumed batches return to a free list and are reused, so a
 //     steady-state pipeline allocates a fixed set of batches regardless of
 //     how many events flow through it.

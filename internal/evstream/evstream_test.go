@@ -115,7 +115,7 @@ func TestRingReusesBatches(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b := r.Get()
 		b.Ev = append(b.Ev, Access(OpRead, uint64(i), 4))
-		b.Sum.Mask = MaskAll
+		b.Sum.Mask = ^uint64(0)
 		b.Sum.AddCtl(0)
 		r.Publish(b)
 		got, ok := r.Next()

@@ -68,11 +68,16 @@ var optionsRules = []optionsRule{
 		},
 	},
 	{
+		// Every pipeline streams the strand-end flush of the mutator-side
+		// bit hashmaps, so its detector must be fed by runtime coalescing.
+		// Async (and DetectShards under it) is inert under Off and ReachOnly
+		// — there is no access history to pipeline — which stay legal.
 		bad: func(o *Options) bool {
-			return o.ParallelDetect && !coalescingDetector(o.Detector)
+			inert := o.Async && (o.Detector == DetectorOff || o.Detector == DetectorReachOnly)
+			return (o.Async || o.ParallelDetect) && !inert && !coalescingDetector(o.Detector)
 		},
 		err: func(o *Options) error {
-			return fmt.Errorf("stint: ParallelDetect requires a runtime-coalescing detector (comp+rts or a stint variant), got %v; for detection-off parallel execution use Parallel", o.Detector)
+			return fmt.Errorf("stint: Async, DetectShards and ParallelDetect stream coalesced intervals and require a runtime-coalescing detector (comp+rts or a stint variant), got %v; for detection-off parallel execution use Parallel", o.Detector)
 		},
 	},
 	{
@@ -100,14 +105,6 @@ var optionsRules = []optionsRule{
 		},
 	},
 	{
-		bad: func(o *Options) bool {
-			return o.DetectShards > 0 && (o.Detector == DetectorVanilla || o.Detector == DetectorCompiler)
-		},
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: DetectShards requires a runtime-coalescing detector (comp+rts or a stint variant), got %v", o.Detector)
-		},
-	},
-	{
 		bad: func(o *Options) bool { return o.PageQuiesceThreshold < 0 },
 		err: func(o *Options) error {
 			return fmt.Errorf("stint: PageQuiesceThreshold must be non-negative, got %d", o.PageQuiesceThreshold)
@@ -130,8 +127,8 @@ var optionsRules = []optionsRule{
 }
 
 // coalescingDetector reports whether d is one of the runtime-coalescing
-// engines — the ones whose hooks only touch per-page state, which is what
-// both sharding and the parallel-detect merge rely on.
+// engines — the ones whose history is fed a strand's flushed intervals,
+// which is all a pipeline streams.
 func coalescingDetector(d Detector) bool {
 	switch d {
 	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist:

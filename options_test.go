@@ -40,6 +40,16 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"zero max races defaults", Options{Detector: DetectorSTINT}, ""},
 		{"positive max races", Options{Detector: DetectorSTINT, MaxRacesRecorded: 3}, ""},
 
+		// Pipelines stream coalesced intervals: Async, DetectShards and
+		// ParallelDetect all need a runtime-coalescing detector (one rule);
+		// Async under Off/ReachOnly is inert and stays legal.
+		{"async vanilla", Options{Detector: DetectorVanilla, Async: true}, "runtime-coalescing"},
+		{"async compiler", Options{Detector: DetectorCompiler, Async: true}, "runtime-coalescing"},
+		{"async comp+rts ok", Options{Detector: DetectorCompRTS, Async: true}, ""},
+		{"async stint-skiplist ok", Options{Detector: DetectorSTINTSkiplist, Async: true}, ""},
+		{"async off ignored", Options{Detector: DetectorOff, Async: true}, ""},
+		{"async reach-only ok", Options{Detector: DetectorReachOnly, Async: true}, ""},
+
 		// DetectShards: sign, magnitude, async requirement, detector class.
 		{"negative shards", Options{Detector: DetectorSTINT, Async: true, DetectShards: -1}, "non-negative"},
 		{"absurd shards", Options{Detector: DetectorSTINT, Async: true, DetectShards: maxDetectShards + 1}, "maximum"},

@@ -4,14 +4,17 @@
 //
 // Topology:
 //
-//	task goroutines ──chunk queue──▶ merge stage ──broadcast ring──▶ N workers ──▶ merge finalizer
+//	task goroutines+coalescers ──chunk queue──▶ merge stage ──broadcast ring──▶ N workers ──▶ merge finalizer
 //
-// Each task goroutine owns a parTask: a private working batch (from the
-// shared BatchPool) it fills with its strand's access events, stamping the
-// shard-occupancy mask as it appends — the per-event summary work the
-// serial pipeline's producer does, here on the executor's parallelism. A
-// chunk is cut — published to the bounded multi-producer TaskQueue — when
-// the batch fills or the strand ends, and the strand-ending cuts carry the
+// Each task goroutine owns a parTask: its hooks set bits in a strand-local
+// pair of bit hashmaps (borrowed from a pool for the length of the strand,
+// so a task parked in Sync holds none), and when the strand ends the pair
+// flushes its intervals into the task's private working batch (from the
+// shared BatchPool), stamping the shard-occupancy mask as it appends — the
+// per-strand coalescing and per-interval summary work the serial pipeline's
+// producer does, here on the executor's parallelism. A chunk is cut —
+// published to the bounded multi-producer TaskQueue — when the strand ends
+// or, mid-flush, when the batch fills, and the strand-ending cuts carry the
 // structure transition as the chunk terminator (spawn naming the child
 // task, strand-creating sync, task end). Structure events never ride
 // in-band.
@@ -34,10 +37,11 @@
 // strand IDs are dense serial ranks — a strand's ID depends on how many
 // strands precede it in the serial projection, which for a spawned task is
 // unknowable until every earlier subtree has finished. Executors therefore
-// stamp only schedule-independent facts (the page masks); the merge, which
-// is the first point where serial order exists again, owns ID assignment.
-// That also keeps the Builder single-threaded, preserving its immutable-
-// snapshot contract for the workers.
+// produce only schedule-independent facts — a strand's intervals are a
+// function of the strand alone, and so are their page masks; the merge,
+// which is the first point where serial order exists again, owns ID
+// assignment. That also keeps the Builder single-threaded, preserving its
+// immutable-snapshot contract for the workers.
 //
 // Deadlock-freedom: the dependency chain is acyclic — executors block only
 // on the queue, the merge blocks only on the queue (drain) and the
@@ -74,15 +78,21 @@ func newParallelState(ringDepth, batchEvents int) *asyncState {
 }
 
 // parTask is one executor goroutine's chunk emitter: the task's identity,
-// its working batch, the running chunk index, and the busy-lap start. Each
-// task goroutine owns exactly one parTask; nothing here is shared except
-// the asyncState's queue, pool, and counters.
+// its working batch, the running chunk index, the busy-lap start, the bit
+// hashmaps of its current strand, and its hook counters. Each task
+// goroutine owns exactly one parTask; nothing here is shared except the
+// asyncState's queue, pools, and counters.
 type parTask struct {
 	as    *asyncState
 	id    uint64
 	idx   uint32
 	batch *evstream.Batch
 	t0    time.Time
+	// bits is borrowed from the asyncState at the strand's first hook and
+	// returned when the strand ends, so only strands that are executing and
+	// have touched memory hold a pair.
+	bits  *strandBits
+	hooks Stats
 }
 
 func newParTask(as *asyncState, id uint64) *parTask {
@@ -91,39 +101,84 @@ func newParTask(as *asyncState, id uint64) *parTask {
 
 // pause banks the busy lap before a blocking handoff (queue publish, child
 // join); resume starts the next lap after it. Their net effect is
-// Report.ExecutorBusy: execution and encoding time, not waiting time.
+// Report.ExecutorBusy: execution and coalescing time, not waiting time.
 func (p *parTask) pause()  { p.as.execBusy.Add(int64(time.Since(p.t0))) }
 func (p *parTask) resume() { p.t0 = time.Now() }
 
-// emitAccess appends one access event to the task's working batch, cutting
-// a mid-strand chunk first when the batch is full. The shard-occupancy
-// mask is stamped here, on the executor's parallelism: the merge never
-// decodes access events, so the executor is the only stage that can stamp
-// masks without adding a scan.
-func (p *parTask) emitAccess(op evstream.Op, addr, size uint64) {
+// read and write are the executor's per-access hot path: count the hook and
+// set a bit in the strand's own hashmaps.
+func (p *parTask) read(addr, size uint64) {
+	countRead(&p.hooks, addr, size)
+	if p.bits == nil {
+		p.bits = p.as.borrowBits()
+	}
+	p.bits.rd.Add(addr, size)
+}
+
+func (p *parTask) write(addr, size uint64) {
+	countWrite(&p.hooks, addr, size)
+	if p.bits == nil {
+		p.bits = p.as.borrowBits()
+	}
+	p.bits.wr.Add(addr, size)
+}
+
+// borrowBits lends a clean strandBits pair, growing the pool when every
+// pair is out; returnBits takes a flushed one back.
+func (as *asyncState) borrowBits() *strandBits {
+	as.bitsMu.Lock()
+	defer as.bitsMu.Unlock()
+	if n := len(as.bitsFree); n > 0 {
+		sb := as.bitsFree[n-1]
+		as.bitsFree = as.bitsFree[:n-1]
+		return sb
+	}
+	sb := newStrandBits()
+	as.bitsAll = append(as.bitsAll, sb)
+	return sb
+}
+
+func (as *asyncState) returnBits(sb *strandBits) {
+	as.bitsMu.Lock()
+	as.bitsFree = append(as.bitsFree, sb)
+	as.bitsMu.Unlock()
+}
+
+// emitInterval appends one flushed interval to the task's working batch,
+// cutting a mid-strand chunk first when the batch is full. The shard-
+// occupancy mask is stamped here, on the executor's parallelism: the merge
+// never decodes interval events, so the executor is the only stage that can
+// stamp masks without adding a scan.
+func (p *parTask) emitInterval(op evstream.Op, addr, size uint64) {
 	if p.batch.Full() {
 		p.cut(evstream.ChunkCut, 0)
 	}
-	p.batch.Sum.Mask |= evstream.SpanMask(addr, size, coalesce.PageBytesBits, p.as.shards)
+	p.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, p.as.shards)
 	p.batch.AppendAccess(op, addr, size)
 }
 
-// emitRange is emitAccess for compiler-coalesced range events.
-func (p *parTask) emitRange(op evstream.Op, addr uint64, count int, elem uint64) {
-	if p.batch.Full() {
-		p.cut(evstream.ChunkCut, 0)
-	}
-	p.batch.Sum.Mask |= evstream.SpanMask(addr, uint64(count)*elem, coalesce.PageBytesBits, p.as.shards)
-	p.batch.AppendRange(op, addr, count, elem)
-}
-
 // cut publishes the working batch as a chunk with the given terminator and
-// starts a fresh one. A false Publish means the graph aborted and closed
-// the queue: the batch is reset and reused, events drop on the floor, and
-// the goroutine keeps unwinding to its natural exit (the failure is the
-// run's result, re-raised by drainParallel). The chunk index advances
-// regardless so the doomed stream stays internally consistent.
+// starts a fresh one. Every terminator but the mid-strand ChunkCut ends the
+// strand: its intervals flush into the batch first — reads, then writes,
+// the inline engine's order — and its bit hashmaps go back to the pool; the
+// task's last chunk also banks its hook counters. A false Publish means the
+// graph aborted and closed the queue: the batch is reset and reused, events
+// drop on the floor, and the goroutine keeps unwinding to its natural exit
+// (the failure is the run's result, re-raised by drainParallel). The chunk
+// index advances regardless so the doomed stream stays internally
+// consistent.
 func (p *parTask) cut(end evstream.ChunkEnd, child uint64) {
+	if sb := p.bits; sb != nil && end != evstream.ChunkCut {
+		sb.rd.Flush(func(addr, size uint64) { p.emitInterval(evstream.OpRead, addr, size) })
+		sb.wr.Flush(func(addr, size uint64) { p.emitInterval(evstream.OpWrite, addr, size) })
+		p.bits = nil
+		p.as.returnBits(sb)
+	}
+	if end == evstream.ChunkTask || end == evstream.ChunkRoot {
+		p.as.bitsMu.Lock()
+		p.as.hooks.Accumulate(&p.hooks)
+		p.as.bitsMu.Unlock()
+	}
 	p.pause()
 	if p.as.queue.Publish(evstream.Chunk{Batch: p.batch, Task: p.id, Idx: p.idx, End: end, Child: child}) {
 		p.batch = p.as.pool.Get()
@@ -277,7 +332,8 @@ func (as *asyncState) drainParallel() {
 	as.queue.Close()
 	as.graph.Wait()
 	qs := as.queue.Stats()
-	// Access events stream through the queue; structure events are
+	as.stats.Accumulate(&as.hooks)
+	// Interval events stream through the queue; structure events are
 	// synthesized by the merge (one tag byte each). The totals match what
 	// the serial Async pipeline would have streamed for the same program.
 	as.stats.EventsStreamed = qs.EventsPublished + as.mergeCtl

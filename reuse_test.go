@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
+
+	"stint/internal/detect"
 )
 
 // The reuse suite pins the Runner lifecycle contract: a Runner reused
@@ -92,11 +95,24 @@ func TestReuseByteIdenticalReports(t *testing.T) {
 	}
 }
 
+// stableFootprint returns the part of r's footprint that is a function of
+// the workload alone. Under ParallelDetect the mutator-side bit pages are
+// not: how many strandBits pairs the pool grows to depends on how many
+// strands the scheduler happened to overlap — TestReuseBitPoolStopsGrowing
+// pins that side with a program that fixes the overlap.
+func stableFootprint(r *Runner) detect.Footprint {
+	f := r.footprint()
+	if r.opts.ParallelDetect {
+		f.BitPages = 0
+	}
+	return f
+}
+
 // TestReuseFootprintStopsGrowing reruns the same workload set on one Runner
 // and checks the retained warm capacity — pool chunks, page-directory
-// capacity, history and bitmap pages — is identical after every lap: the
-// first pass over the workloads warms the structures to their peak, and
-// reuse never grows them again.
+// capacity, history pages, and the mutator side's bitmap pages — is
+// identical after every lap: the first pass over the workloads warms the
+// structures to their peak, and reuse never grows them again.
 func TestReuseFootprintStopsGrowing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
@@ -121,13 +137,13 @@ func TestReuseFootprintStopsGrowing(t *testing.T) {
 				}
 			}
 			lap() // warm-up: the structures grow to the workload's peak
-			warm := r.footprint()
-			if warm.HistPages == 0 && warm.BitPages == 0 {
-				t.Fatalf("%s: footprint reports nothing after a detecting run: %+v", mode.name, warm)
+			warm := stableFootprint(r)
+			if full := r.footprint(); full.HistPages == 0 || full.BitPages == 0 {
+				t.Fatalf("%s: footprint misses a side after a detecting run: %+v", mode.name, full)
 			}
 			for i := 0; i < 3; i++ {
 				lap()
-				if got := r.footprint(); got != warm {
+				if got := stableFootprint(r); got != warm {
 					t.Fatalf("%s: footprint grew on lap %d: warm %+v, now %+v",
 						mode.name, i+1, warm, got)
 				}
@@ -160,15 +176,64 @@ func TestReuseFootprintStopsGrowing(t *testing.T) {
 			if rep := lap(); rep.Stats.PagesQuiesced == 0 {
 				t.Fatalf("%s: no pages quiesced; the leg is vacuous", mode.name)
 			}
-			warm := r.footprint()
+			warm := stableFootprint(r)
 			for i := 0; i < 3; i++ {
 				lap()
-				if got := r.footprint(); got != warm {
+				if got := stableFootprint(r); got != warm {
 					t.Fatalf("%s: footprint grew on quiesce lap %d: warm %+v, now %+v",
 						mode.name, i+1, warm, got)
 				}
 			}
 		})
+	}
+}
+
+// TestReuseBitPoolStopsGrowing pins the ParallelDetect strandBits pool: a
+// program whose k sibling strands are all mid-strand at once (each hooks,
+// then waits for the others at a barrier) needs exactly k pairs — the
+// parent, parked in Sync, holds none — so the pool's high-water mark is k
+// after the first lap and every later lap borrows the same k pairs back.
+func TestReuseBitPoolStopsGrowing(t *testing.T) {
+	const k = 6
+	r, err := NewRunner(Options{Detector: DetectorSTINT, ParallelDetect: true, DetectShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := r.Arena().AllocWords("b", k*64)
+	lap := func() {
+		var hooked sync.WaitGroup
+		hooked.Add(k)
+		_, err := r.Run(func(task *Task) {
+			for i := 0; i < k; i++ {
+				i := i
+				task.Spawn(func(c *Task) {
+					c.Store(buf, i*64)
+					hooked.Done()
+					hooked.Wait()
+					c.Load(buf, i*64+1)
+				})
+			}
+			task.Sync()
+			task.LoadRange(buf, 0, k*64)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lap()
+	as := r.warm.as
+	if got := len(as.bitsAll); got != k {
+		t.Fatalf("pool grew to %d pairs for %d overlapping strands", got, k)
+	}
+	warm := r.footprint()
+	if warm.BitPages < k {
+		t.Fatalf("footprint counts %d bit pages for %d pooled pairs", warm.BitPages, k)
+	}
+	for i := 0; i < 3; i++ {
+		lap()
+		if got := r.footprint(); got != warm || len(as.bitsAll) != k || len(as.bitsFree) != k {
+			t.Fatalf("lap %d: footprint %+v (warm %+v), %d pairs, %d free", i+1, got, warm, len(as.bitsAll), len(as.bitsFree))
+		}
 	}
 }
 

@@ -4,55 +4,51 @@
 //
 // Topology:
 //
-//	mutator ──main ring──▶ label stage ──broadcast ring──▶ N workers ──▶ merge
+//	mutator+coalescer ──main ring──▶ label stage ──broadcast ring──▶ N workers ──▶ merge
+//
+// The stream is the serial producer's (async.go): per strand, its flushed
+// intervals — page-contained by construction — then the structure event.
 //
 // The label stage advances an internal/depa label Builder over the
 // structure events (spawn/restore/sync) in exactly the order the inline
 // detector maintains SP-Order, attaches an immutable label snapshot, and
 // republishes the batch onto a single-producer/multi-consumer broadcast
 // ring (evstream.BcastRing). It never splits, copies, routes, or even
-// decodes access events — the per-event work that made the PR 3 sequencer
-// the multi-core critical path: the structure events are exactly the
-// offsets the producer stamped into the batch's Summary.Ctl. Label
-// snapshots are demand-driven — re-taken only when a batch created strands
-// — instead of per-batch.
+// decodes interval events: the structure events are exactly the offsets the
+// producer stamped into the batch's Summary.Ctl. Label snapshots are
+// demand-driven — re-taken only when a batch created strands — instead of
+// per-batch.
 //
-// Page splitting and shard filtering happen on the workers instead: every
-// worker scans the same labeled batch, replays the structure events through
-// its own depa.Tracker (strand IDs are a deterministic function of the
-// structure stream, so all trackers agree with the Builder), page-splits
-// each access locally, and keeps only the pieces whose 64 KiB shadow page
-// hashes to its shard index. Splitting at page boundaries is exact because
-// the runtime-coalescing engines treat an access as nothing but its set of
-// touched words.
+// Shard filtering happens on the workers: every worker scans the same
+// labeled batch, replays the structure events through its own depa.Tracker
+// (strand IDs are a deterministic function of the structure stream, so all
+// trackers agree with the Builder), and keeps an interval iff its 64 KiB
+// shadow page hashes to its shard index — the interval then goes straight
+// to that page's stores.
 //
 // The batch Summary, stamped by the producer as it appends (async.go),
 // gives workers a fast path: a worker whose mask bit is clear skips the
-// access events entirely — the clear bit proves no piece of any access in
-// the batch maps to its shard (see evstream.Summary) — and replays only the
+// interval events entirely — the clear bit proves no interval in the batch
+// lies on one of its pages (see evstream.Summary) — and replays only the
 // structure events through Summary.Ctl, so its tracker state and
-// strand-boundary flushes stay byte-identical to a full scan. Split-surplus
-// accounting is untouched by skipping: a skipped batch contributes no
-// pieces to this worker, exactly as a full scan of it would have.
+// strand-boundary samples stay byte-identical to a full scan.
 //
-// Workers never share mutable detector state: each owns the page
-// directory, treap pools, and coalesce buffers for its page subset, and
-// answers Parallel/LeftOf from the immutable label snapshot carried inside
-// each batch. The only cross-goroutine data are the rings, the read-only
-// labels (published before the events that reference them), and the
-// batches themselves, which are read-only between Publish and the
-// broadcast ring's last Release (the refcounted recycle hands them back to
-// the main ring's free list).
+// Workers never share mutable detector state: each owns the page directory
+// and treap pools for its page subset, and answers Parallel/LeftOf from the
+// immutable label snapshot carried inside each batch. The only
+// cross-goroutine data are the rings, the read-only labels (published
+// before the events that reference them), and the batches themselves, which
+// are read-only between Publish and the broadcast ring's last Release (the
+// refcounted recycle hands them back to the main ring's free list).
 //
 // Correctness argument (see DESIGN.md "Why sharding is exact"): the access
-// history is independent per page, every flushed interval is page-
-// contained, and each worker — flushing at every strand boundary it
-// observes, which is every strand boundary — replays its pages' intervals
-// in the same serial strand order the inline detector would. So each
-// page's store evolves byte-identically to the synchronous run, and the
-// union of the workers' race reports equals the synchronous report as a
-// multiset. The canonical collector then makes Report.Races identical, not
-// just equivalent.
+// history is independent per page, every streamed interval is page-
+// contained, and each worker sees its pages' intervals in the serial strand
+// order the producer flushed them in — the order the inline detector
+// applies them. So each page's store evolves byte-identically to the
+// synchronous run, and the union of the workers' race reports equals the
+// synchronous report as a multiset. The canonical collector then makes
+// Report.Races identical, not just equivalent.
 
 package stint
 
@@ -86,7 +82,7 @@ type labeledBatch struct {
 // to a fresh one (DESIGN.md "Why per-refill label views are exact").
 //
 // The structure events are exactly the offsets the producer stamped into
-// the batch's Summary.Ctl; the access events are never touched.
+// the batch's Summary.Ctl; the interval events are never touched.
 //
 // A false broadcast Publish means the graph aborted and closed the rings;
 // the stage recycles the batch it still owns and exits cleanly — the
@@ -141,15 +137,7 @@ type shardWorker struct {
 	track *depa.Tracker
 	// engine is built once (its OnRace closure captures the worker, whose
 	// identity is stable) and retained across runs; reset re-arms it.
-	engine detect.Engine
-
-	// splitReads/splitWrites count the extra hook calls this worker's local
-	// splitting introduced beyond the piece the access's first page owns;
-	// summed across workers they equal pieces-1 per split access, and the
-	// merge subtracts them so ReadHookCalls/WriteHookCalls match the
-	// synchronous run exactly.
-	splitReads  uint64
-	splitWrites uint64
+	engine detect.History
 
 	// Decode-side telemetry for Report.ShardLoad: logical events and blocks
 	// this worker full-scanned (their ratio is the events-per-block figure —
@@ -180,7 +168,6 @@ func (w *shardWorker) reset() {
 	w.track.Reset()
 	w.engine.Reset()
 	w.view = depa.View{}
-	w.splitReads, w.splitWrites = 0, 0
 	w.eventsScanned, w.blocksDecoded = 0, 0
 	w.decodeBusy = 0
 	w.stats = Stats{}
@@ -199,10 +186,10 @@ func (w *shardWorker) run() {
 		t0 := time.Now()
 		w.view = m.labels
 		if m.batch.Sum.SkippableBy(w.id) {
-			// Fast path: the batch's mask proves no piece of any access
-			// maps to this shard. Jump through the structure-event offsets
-			// so the tracker and the strand-boundary flushes advance
-			// exactly as a full scan would, and never touch the accesses —
+			// Fast path: the batch's mask proves no interval in it lies on
+			// this shard's pages. Jump through the structure-event offsets
+			// so the tracker and the strand-boundary samples advance
+			// exactly as a full scan would, and never touch the intervals —
 			// in a compact batch CtlOp reads one tag byte per offset, no
 			// varint decoding at all.
 			for i := range m.batch.Sum.Ctl {
@@ -240,9 +227,8 @@ func (w *shardWorker) run() {
 			for _, ev := range evs {
 				switch ev.EvOp() {
 				case evstream.OpSpawn:
-					// A strand boundary: flush the ending strand's page-local
-					// intervals (a no-op for strands that touched none of this
-					// shard's pages), then advance the tracker.
+					// A strand boundary: sample the footprint, then advance
+					// the tracker.
 					engine.StrandEnd()
 					w.track.Spawn()
 				case evstream.OpRestore:
@@ -251,8 +237,14 @@ func (w *shardWorker) run() {
 				case evstream.OpSync:
 					engine.StrandEnd()
 					w.track.Sync()
-				default:
-					w.access(engine, ev)
+				case evstream.OpRead:
+					if w.owns(ev) {
+						engine.ReadInterval(ev.Addr(), ev.Size())
+					}
+				case evstream.OpWrite:
+					if w.owns(ev) {
+						engine.WriteInterval(ev.Addr(), ev.Size())
+					}
 				}
 			}
 		}
@@ -260,46 +252,16 @@ func (w *shardWorker) run() {
 		w.bcast.Release(w.id)
 	}
 	t0 := time.Now()
-	// Finish flushes the root's final strand (the tracker is parked on it)
-	// and aggregates the per-page store statistics.
+	// Finish samples the root's final strand boundary and aggregates the
+	// per-page store statistics.
 	engine.Finish()
 	w.busy.Add(t0)
 	w.stats = *engine.Stats()
 }
 
-// access page-splits one access or range event locally and feeds the
-// engine the pieces living on this worker's pages.
-func (w *shardWorker) access(engine detect.Engine, ev evstream.Event) {
-	op := ev.EvOp()
-	isRead := op == evstream.OpRead || op == evstream.OpReadRange
-	kept, first, owned := 0, true, false
-	evstream.PageSplit(ev, coalesce.PageBytesBits, func(page uint64, piece evstream.Event) {
-		mine := evstream.PickShard(page, w.n) == w.id
-		if first {
-			first, owned = false, mine
-		}
-		if !mine {
-			return
-		}
-		kept++
-		if isRead {
-			engine.ReadHook(piece.Addr(), piece.Size())
-		} else {
-			engine.WriteHook(piece.Addr(), piece.Size())
-		}
-	})
-	// The shard owning the first piece's page accounts for the original
-	// hook call; everything else a worker kept is split surplus. Summed
-	// over workers: kept totals the pieces, owned holds exactly once.
-	extra := uint64(kept)
-	if owned {
-		extra--
-	}
-	if isRead {
-		w.splitReads += extra
-	} else {
-		w.splitWrites += extra
-	}
+// owns reports whether an interval event's page hashes to this worker.
+func (w *shardWorker) owns(ev evstream.Event) bool {
+	return evstream.PickShard(ev.Addr()>>coalesce.PageBytesBits, w.n) == w.id
 }
 
 // buildDetectors constructs the retained detector-side state both sharded
@@ -310,7 +272,7 @@ func (w *shardWorker) access(engine detect.Engine, ev evstream.Event) {
 // references any more — the main ring's free list for the serial producer,
 // the shared pool under ParallelDetect — and must be safe from any
 // goroutine: whichever worker releases last calls it. Setting as.shards
-// switches the appending side's summary stamping on (see emitCtl/emitAccess).
+// switches the appending side's summary stamping on (see emitCtl/emitInterval).
 func (as *asyncState) buildDetectors(cfg detect.Config, shards, maxRec int, user func(Race), recycle func(*evstream.Batch)) (*depa.Builder, []*shardWorker, *evstream.BcastRing[labeledBatch]) {
 	as.shards = shards
 	bcast := evstream.NewBcastRing(as.ringDepth, shards, func(m labeledBatch) { recycle(m.batch) })
@@ -366,7 +328,7 @@ func (as *asyncState) buildWorkers(cfg detect.Config, shards, maxRec int, user f
 				user(race)
 			}
 		}
-		w.engine = detect.New(wcfg, w)
+		w.engine = detect.NewHistory(wcfg, w)
 		workers[i] = w
 	}
 	return workers
@@ -374,18 +336,16 @@ func (as *asyncState) buildWorkers(cfg detect.Config, shards, maxRec int, user f
 
 // mergeSharded folds the workers' results into canonical totals: counters
 // partition exactly across shards (pages are disjoint and intervals page-
-// contained), except the hook-call counts, which grew by one per page
-// split and are corrected by the workers' surplus counters. It also
-// assembles the per-worker load breakdown (busy, scanned/skipped batches,
-// broadcast-ring waits) behind Report.ShardLoad.
+// contained); the hook counters are not theirs to report (the mutator side
+// counts them, drain folds them in). It also assembles the per-worker load
+// breakdown (busy, scanned/skipped batches, broadcast-ring waits) behind
+// Report.ShardLoad.
 func (as *asyncState) mergeSharded(labels *depa.Builder, workers []*shardWorker, bcast *evstream.BcastRing[labeledBatch], maxRec int) {
 	col := stage.NewCollector(maxRec)
 	as.shardLoad = make([]ShardLoad, len(workers))
 	var detectBusy time.Duration
 	for i, w := range workers {
 		as.stats.Accumulate(&w.stats)
-		as.stats.ReadHookCalls -= w.splitReads
-		as.stats.WriteHookCalls -= w.splitWrites
 		as.stats.BatchesSkipped += w.busy.Skipped()
 		col.Merge(w.col)
 		as.shardLoad[i] = ShardLoad{

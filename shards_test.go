@@ -69,7 +69,7 @@ func TestNewRunnerShardValidation(t *testing.T) {
 }
 
 // shardProgram writes from parallel strands across several shadow pages so
-// races, page splits, and cross-shard routing all occur.
+// races, page-straddling intervals, and cross-shard routing all occur.
 func shardProgram(pageStride int) func(r *Runner) TaskFunc {
 	return func(r *Runner) TaskFunc {
 		// Several buffers; the arena's 4 KiB padding keeps them on a mix of
@@ -251,7 +251,7 @@ const skewShards = 4
 
 // skewProgram builds a one-hot-page workload: every access lands on a
 // single 64 KiB shadow page, so under 4-shard detection exactly one worker
-// owns all access work and the batch summaries let the other three skip
+// owns every interval and the batch summaries let the other three skip
 // every batch. It returns the program and the owning shard index.
 func skewProgram(r *Runner) (TaskFunc, int) {
 	buf := r.Arena().AllocWords("hot", 48<<10)
@@ -266,10 +266,12 @@ func skewProgram(r *Runner) (TaskFunc, int) {
 	page := uint64(base+Addr(start)*4) >> coalesce.PageBytesBits
 	owner := evstream.PickShard(page, skewShards)
 	prog := func(t *Task) {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 16; i++ {
 			i := i
 			t.Spawn(func(c *Task) {
 				c.StoreRange(buf, start+i*512, 1024) // overlapping writes: races
+				// Scattered words: each is its own interval, so the strand
+				// flushes ~200 events, not a handful.
 				for j := 0; j < 200; j++ {
 					c.Load(buf, start+(i*389+j*7)%8192)
 				}
@@ -294,9 +296,11 @@ func TestShardedSkewSkipScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small batches so the run spans many batches and the skip ratio is
-	// meaningful.
-	r.asyncBatchEvents, r.asyncRingDepth = 64, 4
+	// Small batches so the interval stream — a few thousand events — spans
+	// on the order of a hundred batches and the skip ratio is meaningful.
+	// They fill well below earlyPublishEvents, so batch boundaries are a
+	// function of the stream alone.
+	r.asyncBatchEvents, r.asyncRingDepth = 16, 4
 	prog, owner := skewProgram(r)
 	// checkSkew asserts the skip fast path fired: on the one-hot-page
 	// workload every non-owner shard must skip at least 80% of its batches.
@@ -315,7 +319,12 @@ func TestShardedSkewSkipScan(t *testing.T) {
 			if total == 0 {
 				t.Fatalf("%s: non-owner shard %d saw no batches", name, i)
 			}
-			if ratio := float64(l.BatchesSkipped) / float64(total); ratio < 0.8 {
+			if total < 50 {
+				t.Errorf("%s: the run spans only %d batches; the skip ratio means little", name, total)
+			}
+			ratio := float64(l.BatchesSkipped) / float64(total)
+			t.Logf("%s: non-owner shard %d skipped %.0f%% of %d batches", name, i, 100*ratio, total)
+			if ratio < 0.8 {
 				t.Errorf("%s: non-owner shard %d skipped only %.0f%% of %d batches", name, i, 100*ratio, total)
 			}
 		}

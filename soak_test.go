@@ -102,7 +102,7 @@ func TestSoakAsyncDeterminismAndSyncAgreement(t *testing.T) {
 	}
 	for seed := int64(20); seed < 26; seed++ {
 		acts, sizes := soakProgram(seed)
-		for _, d := range allDetectors {
+		for _, d := range shardTestDetectors {
 			a := soakRunMode(t, acts, sizes, d, true)
 			b := soakRunMode(t, acts, sizes, d, true)
 			if norm(a.Stats) != norm(b.Stats) || a.Strands != b.Strands {
@@ -157,7 +157,9 @@ func TestSoakShardedDeterminismAndSyncAgreement(t *testing.T) {
 // MaxRacesRecorded is deliberately large so truncation cannot mask a
 // reordered race list. Designed to run under -race in CI (the race job
 // runs the full suite), where the parallel executor's goroutines get the
-// most adversarial interleavings.
+// most adversarial interleavings. The hook counters get their own check
+// against sync: they are counted per task goroutine and summed as the tasks
+// join, the one part of Stats the executors (not the merge) produce.
 func TestSoakParallelDetectDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
@@ -184,6 +186,12 @@ func TestSoakParallelDetectDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(rep.Races, sync.Races) {
 				t.Fatalf("seed %d iter %d: race set diverges from sync\n got: %v\nsync: %v",
 					seed, it, rep.Races, sync.Races)
+			}
+			if g, w := rep.Stats, sync.Stats; g.ReadHookCalls != w.ReadHookCalls || g.WriteHookCalls != w.WriteHookCalls ||
+				g.ReadAccesses != w.ReadAccesses || g.WriteAccesses != w.WriteAccesses {
+				t.Fatalf("seed %d iter %d: hook counters %d/%d calls %d/%d words, sync %d/%d calls %d/%d words",
+					seed, it, g.ReadHookCalls, g.WriteHookCalls, g.ReadAccesses, g.WriteAccesses,
+					w.ReadHookCalls, w.WriteHookCalls, w.ReadAccesses, w.WriteAccesses)
 			}
 			if first == nil {
 				first = rep

@@ -126,12 +126,14 @@ type Options struct {
 	// execution with online detection, use ParallelDetect.
 	Parallel bool
 	// ParallelDetect executes spawns on goroutines — like Parallel — while
-	// detecting races online. Each task goroutine buffers its strand's
-	// access events into chunks and stamps their shard-occupancy masks; a
-	// merge stage reorders the arriving chunks into the serial projection
-	// (a depth-first walk of the spawn structure, so the order depends
-	// only on the program, never on scheduling), advances the reachability
-	// labels, and feeds the same sharded worker graph DetectShards uses.
+	// detecting races online. Each task goroutine coalesces its current
+	// strand's accesses in strand-local bit hashmaps and, when the strand
+	// ends, flushes the intervals into a chunk, stamping their
+	// shard-occupancy mask; a merge stage reorders the arriving chunks into
+	// the serial projection (a depth-first walk of the spawn structure, so
+	// the order depends only on the program, never on scheduling), advances
+	// the reachability labels, and feeds the same sharded worker graph
+	// DetectShards uses.
 	//
 	// The contract is race-set equivalence with the synchronous run — the
 	// same set of (location, access-pair) races — and repeated runs are
@@ -149,34 +151,39 @@ type Options struct {
 	// detected on that projection).
 	ParallelDetect bool
 	// Async pipelines detection: the program executes the serial
-	// projection while a dedicated detector goroutine consumes its event
-	// stream from a bounded ring, overlapping compute with the access
-	// history. Race reports and Stats are identical to the synchronous
-	// path (the stream is the serial order); wall clock approaches
-	// max(compute, detect) instead of their sum. OnRace is invoked from
-	// the detector goroutine while the program is still running; Run does
-	// not return until the stream has fully drained. Async is ignored
-	// under DetectorOff (there is nothing to pipeline) and is incompatible
+	// projection and coalesces each strand's accesses in its own bit
+	// hashmaps — the hook costs what the synchronous one does — while a
+	// dedicated detector goroutine consumes the strands' flushed intervals
+	// from a bounded ring, overlapping compute and coalescing with the
+	// access history. Race reports and Stats are identical to the
+	// synchronous path (the stream is the serial order); wall clock
+	// approaches max(compute, detect) instead of their sum. OnRace is
+	// invoked from the detector goroutine while the program is still
+	// running; Run does not return until the stream has fully drained.
+	//
+	// Requires a runtime-coalescing detector (DetectorCompRTS or a STINT
+	// variant) — intervals are all the stream carries. Async is ignored
+	// under DetectorOff (there is nothing to pipeline), pipelines only the
+	// reachability structure under DetectorReachOnly, and is incompatible
 	// with Parallel.
 	Async bool
 	// DetectShards, when n > 0, spreads the detector side of the Async
 	// pipeline over n shard workers behind a two-stage graph. A thin label
 	// stage consumes only the structure events, stamps each batch with an
 	// immutable DePa-style reachability label snapshot (internal/depa), and
-	// broadcasts the batch unmodified to all workers; each worker filters
-	// and page-splits the access events locally, keeping the 64 KiB shadow
-	// pages that hash to its shard — it owns their access history, its own
-	// page directory, treap node pool, and coalescing buffers — and answers
-	// reachability from the read-only labels. Race reports, counts, and
-	// Stats are canonical: independent of n and identical to the
-	// synchronous path. OnRace may be invoked from any worker (serialized,
-	// but in no deterministic order across shard counts).
+	// broadcasts the batch unmodified to all workers; each worker keeps the
+	// intervals — page-contained as flushed — whose 64 KiB shadow page
+	// hashes to its shard, owns that page's access history in its own page
+	// directory and treap node pool, and answers reachability from the
+	// read-only labels. Race reports, counts, and Stats are canonical:
+	// independent of n and identical to the synchronous path. OnRace may be
+	// invoked from any worker (serialized, but in no deterministic order
+	// across shard counts).
 	//
-	// Requires Async. Supported for the runtime-coalescing detectors
-	// (DetectorCompRTS and the STINT variants), whose hooks only update
-	// per-page state; rejected for DetectorVanilla/DetectorCompiler, and
-	// ignored for DetectorOff/DetectorReachOnly (nothing page-partitioned
-	// to shard). n = 1 runs the full sharded machinery with one worker.
+	// Requires Async or ParallelDetect, and with them a runtime-coalescing
+	// detector; ignored for DetectorOff/DetectorReachOnly (nothing
+	// page-partitioned to shard). n = 1 runs the full sharded machinery
+	// with one worker.
 	DetectShards int
 	// PageQuiesceThreshold, when n > 0, retires a 64 KiB shadow page's
 	// access history once that page has produced n races: its treaps,
@@ -191,8 +198,8 @@ type Options struct {
 	// itself). Zero (the default) disables quiescing entirely.
 	PageQuiesceThreshold int
 	// MaxHistoryBytes, when n > 0, caps the detector's retained
-	// access-history footprint (history stores, shadow pages, coalescing
-	// bitmaps), estimated at strand boundaries; under DetectShards the
+	// access-history footprint (history stores and their page shells, or
+	// shadow pages), estimated at strand boundaries; under DetectShards the
 	// budget divides evenly across the shard workers. On trip, Run aborts
 	// with an error wrapping ErrHistoryCap instead of growing further — a
 	// structured error, not a panic — and the Runner stays valid: its next
@@ -234,9 +241,10 @@ type Runner struct {
 // is populated, fixed by the Options mode:
 //
 //   - sync (and ReachOnly): sp + engine + col;
-//   - plain Async: as (ring, working batch) + cons;
+//   - plain Async: as (ring, working batch, bit hashmaps) + cons;
 //   - Async + DetectShards: as + labels + workers + bcast;
-//   - ParallelDetect: as (queue, pool) + labels + workers + bcast;
+//   - ParallelDetect: as (queue, batch and bit-hashmap pools) + labels +
+//     workers + bcast;
 //   - DetectorOff / Parallel / pure tracing: nothing.
 //
 // The OnRace closures built here capture the retained structures, so they
@@ -324,7 +332,7 @@ func (r *Runner) ensureWarm() {
 		if n := r.opts.DetectShards; n > 0 && r.opts.Detector != DetectorReachOnly {
 			w.labels, w.workers, w.bcast = w.as.buildDetectors(cfg, n, maxRec, user, w.as.ring.Recycle)
 		} else {
-			w.cons = buildConsume(cfg, r.newEngine, maxRec, user)
+			w.cons = buildConsume(cfg, maxRec, user)
 		}
 	default:
 		w.sp = spord.New()
@@ -430,7 +438,8 @@ type Report struct {
 	LabelViewSnapshots uint64
 	// ExecutorBusy is the summed busy time of the parallel executor's task
 	// goroutines under ParallelDetect (zero otherwise): program execution
-	// plus chunk encoding, excluding queue handoffs and joins. Divided by
+	// plus strand coalescing and flushing, excluding queue handoffs and
+	// joins. Divided by
 	// the worker count it approximates the executor's critical path; in
 	// this mode SequencerBusy reports the merge stage's busy time.
 	ExecutorBusy time.Duration
@@ -439,7 +448,7 @@ type Report struct {
 	// memory price of scheduling skew between executor goroutines.
 	ReorderPeak int
 	// ShardLoad is each worker's load breakdown (sharded mode only, nil
-	// otherwise): busy time (scanning, local page splitting, and detection;
+	// otherwise): busy time (scanning, page filtering, and detection;
 	// Stats.PipelineDetectTime is their sum), the scanned-vs-skipped batch
 	// split from the summary fast path, and the worker's broadcast-ring
 	// wait count. A worker with many waits was starved (ahead of the
@@ -469,7 +478,7 @@ type ShardLoad struct {
 	BlocksDecoded uint64
 	// DecodeBusy estimates the time the worker spent inside block decode
 	// itself (sampled at one timed call in eight, scaled), as distinct from
-	// page splitting and detection. DecodeBusy/Busy is the decode share the
+	// page filtering and detection. DecodeBusy/Busy is the decode share the
 	// block-kernel work targets.
 	DecodeBusy time.Duration
 }
@@ -529,12 +538,22 @@ type Task struct {
 }
 
 // footprint sums the retained warm capacity of every engine the Runner
-// holds; the reuse-soak suite asserts it stops growing after warm-up.
+// holds, plus the mutator side's bit hashmaps — the serial producer's pair,
+// or every pair the ParallelDetect pool grew to; the reuse-soak suite
+// asserts it stops growing after warm-up.
 func (r *Runner) footprint() detect.Footprint {
 	var f detect.Footprint
 	w := r.warm
 	if w == nil {
 		return f
+	}
+	if as := w.as; as != nil {
+		if as.bits != nil {
+			f.BitPages += as.bits.pages()
+		}
+		for _, sb := range as.bitsAll {
+			f.BitPages += sb.pages()
+		}
 	}
 	if w.engine != nil {
 		f.Add(detect.FootprintOf(w.engine))
@@ -570,8 +589,8 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		maxRec := r.opts.MaxRacesRecorded
 		switch {
 		case r.opts.ParallelDetect:
-			// Parallel execution with online detection: task goroutines emit
-			// chunks onto a multi-producer queue, the merge stage
+			// Parallel execution with online detection: task goroutines flush
+			// their strands into chunks on a multi-producer queue, the merge stage
 			// reconstructs the serial projection and labels it, and the
 			// sharded worker graph consumes the result (parallel.go).
 			rs.parallel = true
@@ -828,11 +847,11 @@ func (t *Task) Load(b *Buffer, i int) {
 	addr, size := b.Addr(i), uint64(b.ElemBytes())
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitAccess(evstream.OpRead, addr, size)
+			as.read(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.ReadHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpRead, addr, size)
+			t.par.read(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -849,11 +868,11 @@ func (t *Task) Store(b *Buffer, i int) {
 	addr, size := b.Addr(i), uint64(b.ElemBytes())
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitAccess(evstream.OpWrite, addr, size)
+			as.write(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.WriteHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpWrite, addr, size)
+			t.par.write(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -869,14 +888,14 @@ func (t *Task) LoadRange(b *Buffer, i, n int) {
 	if (!rs.hooks && rs.tracer == nil) || n == 0 {
 		return
 	}
-	addr, _ := b.Range(i, n)
+	addr, size := b.Range(i, n)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitRange(evstream.OpReadRange, addr, n, uint64(b.ElemBytes()))
+			as.read(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.ReadRangeHook(addr, n, uint64(b.ElemBytes()))
 		} else {
-			t.par.emitRange(evstream.OpReadRange, addr, n, uint64(b.ElemBytes()))
+			t.par.read(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -890,14 +909,14 @@ func (t *Task) StoreRange(b *Buffer, i, n int) {
 	if (!rs.hooks && rs.tracer == nil) || n == 0 {
 		return
 	}
-	addr, _ := b.Range(i, n)
+	addr, size := b.Range(i, n)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitRange(evstream.OpWriteRange, addr, n, uint64(b.ElemBytes()))
+			as.write(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.WriteRangeHook(addr, n, uint64(b.ElemBytes()))
 		} else {
-			t.par.emitRange(evstream.OpWriteRange, addr, n, uint64(b.ElemBytes()))
+			t.par.write(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -906,10 +925,9 @@ func (t *Task) StoreRange(b *Buffer, i, n int) {
 }
 
 // checkAccess rejects per-access sizes beyond the event encodings' shared
-// 56-bit field, so sync and async runs accept exactly the same programs (the
-// encodings would otherwise panic only on the async path). Like checkRange,
-// it guards only the raw-address hooks — arena-backed accesses are bounded
-// by their Buffer.
+// 56-bit field, in every mode, so a program a trace can carry is a program
+// every mode accepts. Like checkRange, it guards only the raw-address hooks
+// — arena-backed accesses are bounded by their Buffer.
 func checkAccess(size uint64) {
 	if size > evstream.MaxAccessSize {
 		panic(fmt.Sprintf("stint: access size %d outside [0, 2^56)", size))
@@ -923,11 +941,11 @@ func (t *Task) LoadAt(addr Addr, size uint64) {
 	checkAccess(size)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitAccess(evstream.OpRead, addr, size)
+			as.read(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.ReadHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpRead, addr, size)
+			t.par.read(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -942,11 +960,11 @@ func (t *Task) StoreAt(addr Addr, size uint64) {
 	checkAccess(size)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitAccess(evstream.OpWrite, addr, size)
+			as.write(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.WriteHook(addr, size)
 		} else {
-			t.par.emitAccess(evstream.OpWrite, addr, size)
+			t.par.write(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -954,10 +972,10 @@ func (t *Task) StoreAt(addr Addr, size uint64) {
 	}
 }
 
-// checkRange rejects range-hook operands the pipeline cannot represent: a
-// count or element size outside the event encoding's fields (which would
+// checkRange rejects range-hook operands the event encodings cannot
+// represent: a count or element size outside their fields (which would
 // silently truncate into a different, smaller range) or a span wrapping the
-// address space (which would mis-split across bogus low pages). The
+// address space (which would set bits on bogus low pages). The
 // arena-backed LoadRange/StoreRange can never trip it — Buffer.Range bounds
 // the span — so the guard lives only on the raw-address hooks, where the
 // caller manages its own layout.
@@ -987,11 +1005,11 @@ func (t *Task) LoadRangeAt(addr Addr, count int, elemBytes uint64) {
 	checkRange(addr, count, elemBytes)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitRange(evstream.OpReadRange, addr, count, elemBytes)
+			as.read(addr, uint64(count)*elemBytes)
 		} else if e := rs.engine; e != nil {
 			e.ReadRangeHook(addr, count, elemBytes)
 		} else {
-			t.par.emitRange(evstream.OpReadRange, addr, count, elemBytes)
+			t.par.read(addr, uint64(count)*elemBytes)
 		}
 	}
 	if rs.tracer != nil {
@@ -1009,11 +1027,11 @@ func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
 	checkRange(addr, count, elemBytes)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.emitRange(evstream.OpWriteRange, addr, count, elemBytes)
+			as.write(addr, uint64(count)*elemBytes)
 		} else if e := rs.engine; e != nil {
 			e.WriteRangeHook(addr, count, elemBytes)
 		} else {
-			t.par.emitRange(evstream.OpWriteRange, addr, count, elemBytes)
+			t.par.write(addr, uint64(count)*elemBytes)
 		}
 	}
 	if rs.tracer != nil {
