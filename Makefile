@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-hot tables fuzz vet fmt examples
+.PHONY: all build test test-short bench bench-hot tables fuzz vet fmt examples loc
 
 all: vet test build
 
@@ -26,20 +26,25 @@ bench:
 
 # Hot-path microbenchmarks bench/ does not cover: the open-addressed page
 # directory vs the seed's Go map, slab-pooled vs heap-allocated treap
-# nodes, the async event ring and its broadcast sibling, the event codec
-# against its fixed-form reference, the workers' page-filter scan, the
-# producer-side summary stamp and the worker skip-scan it buys, the
-# per-refill label snapshot, the per-access hook cost inline and under
-# Async side by side (BenchmarkHookOverhead matches both; both hooks set a
-# bit locally, so they should be within a few ns of each other), the sharded
-# and parallel-execution main-table measurements, and the racy-workload
-# quiescing pair.
+# nodes, the broadcast ring the pipelines publish on and the reference SPSC
+# ring, the event codec against its fixed-form reference, the workers'
+# page-filter scan, the producer-side summary stamp and the worker skip-scan
+# it buys, the per-access hook cost inline and under Async side by side
+# (BenchmarkHookOverhead matches both; both hooks set a bit locally, so they
+# should be within a few ns of each other), the sharded and
+# parallel-execution main-table measurements, and the racy-workload
+# quiescing pair. (internal/depa is off the production path; its
+# BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
 	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkBcastRing|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkWorkerScan|BenchmarkSummaryStamp|BenchmarkWorkerSkipScan' -benchmem ./internal/evstream
-	$(GO) test -run '^$$' -bench 'BenchmarkViewPerRefill' -benchmem ./internal/depa
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
+
+# The size ROADMAP tracks: non-test Go lines outside bench/ (the benchmark
+# measures the program from outside and is not part of it).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # Regenerate every table of the paper's evaluation (see EXPERIMENTS.md).
 tables:

@@ -1,11 +1,11 @@
 // Asynchronous pipelined detection (Options.Async): the mutator executes
 // the serial projection, coalesces each strand's accesses in its own bit
 // hashmaps (the paper's §3.2, internal/coalesce), and at every strand
-// boundary publishes the strand's intervals, followed by the structure
-// event, into batches over a bounded SPSC ring (internal/evstream). The
-// detector side — one replay stage, or the label-stage-plus-workers graph
-// of shards.go — consumes the batches in order and is a pure history
-// engine: an interval goes to its page's stores as it is decoded.
+// boundary appends the strand's intervals, followed by the structure
+// event, to a batch it publishes straight onto the broadcast ring
+// (evstream.BcastRing) the detector side's workers consume (shards.go).
+// Plain Async is the one-worker case of that graph; DetectShards only sets
+// the worker count.
 //
 // The stream carries intervals, not accesses: a hook that sets a bit
 // locally is cheaper than one that encodes and publishes the access, and a
@@ -17,37 +17,35 @@
 // order (DESIGN.md "Why the reports stay byte-identical"): Flush yields the
 // intervals the inline engine's StrandEnd would, the producer emits them
 // reads first, then writes, then the event that ended the strand, and each
-// consumer stage replays the stream one event at a time against its own
-// reachability structure. The only concurrency is the ring handoffs between
-// stages; every stage remains a sequential algorithm.
+// worker replays the stream one event at a time against its own SP-Order
+// structure. The only concurrency is the ring handoff; every stage remains
+// a sequential algorithm.
 //
-// In sharded mode the producer stamps each batch's Summary as it appends —
-// the structure-event offsets and the shard bit of every interval's page
-// (one OR per interval), exactly as ParallelDetect's executors do
-// (parallel.go). The label stage walks the offsets to advance the label
-// builder without decoding an interval, and the mask lets workers skip
-// whole batches they own no pages of (shards.go).
+// The producer stamps each batch's Summary as it appends — the
+// structure-event offsets and the shard bit of every interval's page (one
+// OR per interval), exactly as ParallelDetect's executors do (parallel.go)
+// — so a worker that owns no page of a batch replays only its structure
+// events (shards.go).
 //
-// All detector-side goroutines hang off one stage.Graph: Run wires the
+// All detector-side goroutines hang off one stage.Graph: launch wires the
 // stages, drain closes the stream and waits for the graph's merge, and the
-// results fields below are written before the graph reports done. A stage
-// failure (a user OnRace panic, a guard tripping) fires the graph's abort
-// hook, which closes the rings: blocked stages unwind, the producer's
-// publishes start reporting false (publish then drops events on the floor —
-// the run is already doomed), and graph.Wait re-raises the failure on the
-// producer so it propagates out of Run exactly as in synchronous mode.
+// results fields below are written before the graph reports done. A failure
+// — a stage's (a user OnRace panic, a guard tripping) or the program
+// body's (exec) — fires the graph's abort hook, which closes the ring and,
+// under ParallelDetect, the chunk queue: blocked stages unwind, publishes
+// start reporting false (publish then drops events on the floor — the run
+// is already doomed), and the failure propagates out of Run on the
+// producer goroutine exactly as in synchronous mode.
 
 package stint
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"stint/internal/coalesce"
 	"stint/internal/detect"
 	"stint/internal/evstream"
-	"stint/internal/spord"
 	"stint/internal/stage"
 )
 
@@ -59,7 +57,7 @@ import (
 // only when execution ends; at this size a handoff still costs well under
 // a percent of the work the batch carries, and under ParallelDetect every
 // live task's working batch is 1 KiB instead of 16. The rings keep the
-// in-flight capacity the larger batches gave (64 × 1 KiB per hop) — the
+// in-flight capacity the larger batches gave (64 × 1 KiB) — the
 // slack that lets a detector-bound run (fft) ride out the phases where the
 // producer is the slower side — before backpressure blocks the upstream
 // stage. Batch boundaries are a function of the stream alone, so
@@ -103,54 +101,51 @@ func countWrite(h *Stats, addr, size uint64) {
 	h.WriteAccesses += coalesce.Words(addr, size)
 }
 
-// asyncState is the per-Run pipeline: the producer's coalescer, working
-// batch and ring on the mutator side, the stage graph on the detector side,
-// and the consumer results, written by the graph's stages before Seal's
-// merge completes and read only after drain returns.
+// asyncState is a pipelined Runner's retained state and per-run results:
+// the mutator side (the serial producer's coalescer and working batch, or
+// ParallelDetect's chunk queue and bit-hashmap pool), the broadcast ring and
+// the workers behind it, the run's stage graph, and the results the graph's
+// stages write before Seal's merge completes, read only after drain returns.
 type asyncState struct {
-	ring      *evstream.Ring
-	batch     *evstream.Batch
-	ringDepth int // immutable copy of the ring depth, sizing downstream rings
-	graph     *stage.Graph
-	// bits coalesces the serial producer's current strand; hooks counts its
-	// hook calls. Under ParallelDetect bits is nil: every parTask borrows a
-	// pair from the pool below for the length of a strand and counts its
-	// own hooks, and hooks is their sum (guarded by bitsMu until the graph
-	// has joined).
+	// pool hands out every batch of the pipeline and takes each back when
+	// the last worker releases it; bcast is the ring the workers consume.
+	pool    *evstream.BatchPool
+	bcast   *evstream.BcastRing[*evstream.Batch]
+	workers []*shardWorker
+	maxRec  int
+	graph   *stage.Graph
+	// batch is the serial producer's working batch, bits the coalescer of
+	// its current strand, hooks the mutator side's share of the run's Stats
+	// (hook calls, and for the serial producer the stream totals, counted at
+	// publish). Under ParallelDetect batch and bits are nil: every parTask
+	// owns a working batch, borrows a pair from the pool below for the
+	// length of a strand and counts its own hooks, and hooks is their sum
+	// (guarded by bitsMu until the graph has joined).
+	batch *evstream.Batch
 	bits  *strandBits
 	hooks Stats
-	// shards is the worker count the summary masks target (PickShard's n);
-	// nonzero means the appending side stamps each batch's Summary. Plain
-	// async leaves it zero and stamps nothing: no stage reads the Summary.
-	shards int
-	// Parallel-detect mode (parallel.go) replaces the producer ring with a
-	// multi-producer chunk queue and shared batch pool; ring and batch are
-	// nil. nextTask hands out task identities to spawned children (the
-	// root is 0), execBusy accumulates the executor goroutines' busy
-	// nanoseconds, mergeCtl counts the structure events the merge
-	// synthesized from chunk terminators, and reorderPeak records the
-	// merge's reorder-buffer high-water mark. bitsAll is every strandBits
-	// pair the run's strands ever needed at once — the pool's high-water
-	// mark — and bitsFree the ones not lent out.
+	// Parallel-detect mode (parallel.go) feeds the ring from a merge stage
+	// behind a multi-producer chunk queue. nextTask hands out task identities
+	// to spawned children (the root is 0), execBusy accumulates the executor
+	// goroutines' busy nanoseconds, mergeCtl counts the structure events the
+	// merge synthesized from chunk terminators, seqBusy is the merge's busy
+	// time, and reorderPeak its reorder-buffer high-water mark. bitsAll is
+	// every strandBits pair the run's strands ever needed at once — the
+	// pool's high-water mark — and bitsFree the ones not lent out.
 	queue       *evstream.TaskQueue
-	pool        *evstream.BatchPool
 	nextTask    atomic.Uint64
 	execBusy    atomic.Int64
 	mergeCtl    uint64
+	seqBusy     stage.Meter
 	reorderPeak int
 	bitsMu      sync.Mutex
 	bitsAll     []*strandBits
 	bitsFree    []*strandBits
-	// viewSnaps counts the label stage's depa.View snapshots (sharded mode;
-	// written by the label stage, read after graph.Wait).
-	viewSnaps uint64
-	// Written by the detector-side stages, read after graph.Wait().
-	strands int
-	stats   Stats
-	races   []Race
-	// Pipeline utilization split: seqBusy is the label stage's busy time
-	// and shardLoad the per-worker load breakdown (sharded mode only).
-	seqBusy   stage.Meter
+	// Written by the graph's merge, read after graph.Wait(): the totals and
+	// the per-worker load breakdown behind Report.ShardLoad.
+	strands   int
+	stats     Stats
+	races     []Race
 	shardLoad []ShardLoad
 	// quiesce, when non-nil (PageQuiesceThreshold in a serial-projection
 	// pipeline), is the quiesced-page registry the detector engines publish
@@ -166,33 +161,32 @@ type asyncState struct {
 	qlive   bool
 }
 
+// newAsyncState builds the serial producer's side: a pool covering the
+// ring's in-flight batches plus the working one, and the strand coalescer.
 func newAsyncState(ringDepth, batchEvents int) *asyncState {
-	ring := evstream.NewCompactRing(ringDepth, batchEvents)
-	return &asyncState{
-		ring:      ring,
-		batch:     ring.Get(),
-		ringDepth: ringDepth,
-		graph:     stage.NewGraph(),
-		bits:      newStrandBits(),
+	as := &asyncState{
+		pool: evstream.NewBatchPool(ringDepth+1, batchEvents),
+		bits: newStrandBits(),
 	}
+	as.batch = as.pool.Get()
+	return as
 }
 
-// reset re-arms the pipeline state for another run: the rings, queue, batch
-// pool and bit hashmaps retain their warm capacity, every per-run result
-// field zeroes, and the producer's working batch — nilled by drain — is
-// re-armed from the ring's free list. The stage graph is per-run (its done
-// channel cannot be reused) and is recreated by Run before launch.
+// reset re-arms the pipeline state for another run: the ring, queue, batch
+// pool, workers and bit hashmaps retain their warm capacity and every
+// per-run result field zeroes. The stage graph is per-run (its done channel
+// cannot be reused); launch recreates it.
 func (as *asyncState) reset() {
-	if as.ring != nil {
-		as.ring.Reset()
-		as.batch = as.ring.Get()
-		as.bits.reset()
+	as.bcast.Reset()
+	for _, w := range as.workers {
+		w.reset()
 	}
+	as.pool.Reset()
 	if as.queue != nil {
 		as.queue.Reset()
-	}
-	if as.pool != nil {
-		as.pool.Reset()
+	} else {
+		as.batch.Reset() // an aborted run leaves it part-filled
+		as.bits.reset()
 	}
 	// An aborted run can strand lent-out pairs mid-strand; take them all
 	// back, clean.
@@ -202,17 +196,18 @@ func (as *asyncState) reset() {
 		as.bitsFree = append(as.bitsFree, sb)
 	}
 	as.hooks = Stats{}
-	as.graph = nil
 	as.nextTask.Store(0)
 	as.execBusy.Store(0)
 	as.mergeCtl = 0
+	as.seqBusy.Reset()
 	as.reorderPeak = 0
-	as.viewSnaps = 0
 	as.strands = 0
 	as.stats = Stats{}
 	as.races = nil
-	as.seqBusy.Reset()
 	as.shardLoad = nil
+	if as.quiesce != nil {
+		as.quiesce.Reset()
+	}
 	as.qlive = false
 }
 
@@ -251,19 +246,16 @@ func deadEmit(q *detect.QuiesceSet, addr, size uint64) bool {
 }
 
 // emitCtl ends the current strand: its intervals go into the stream, then
-// the structure event that ended it — recorded, in sharded mode, in the
-// batch summary so the label stage and skip-scanning workers can replay the
-// structure stream without touching the intervals. A strand boundary is
-// also where the producer refreshes its view of the quiesce registry.
+// the structure event that ended it, recorded in the batch summary so a
+// skip-scanning worker can replay the structure stream without touching
+// the intervals. A strand boundary is also where the producer refreshes its
+// view of the quiesce registry.
 func (as *asyncState) emitCtl(op evstream.Op) {
 	as.endStrand()
 	if as.batch.Full() {
 		as.publish()
 	}
-	off := as.batch.AppendCtl(op)
-	if as.shards > 0 {
-		as.batch.Sum.AddCtl(off)
-	}
+	as.batch.Sum.AddCtl(as.batch.AppendCtl(op))
 	if as.quiesce != nil {
 		as.qlive = as.quiesce.Len() > 0
 	}
@@ -278,157 +270,62 @@ func (as *asyncState) endStrand() {
 }
 
 // emitInterval appends one flushed interval, publishing the batch first
-// when it is full, and in sharded mode ORs the shard bit of the interval's
-// page into the batch summary.
+// when it is full, and ORs the shard bit of the interval's page into the
+// batch summary.
 func (as *asyncState) emitInterval(op evstream.Op, addr, size uint64) {
 	if as.batch.Full() {
 		as.publish()
 	}
-	if as.shards > 0 {
-		as.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, as.shards)
-	}
+	as.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, len(as.workers))
 	as.batch.AppendAccess(op, addr, size)
 }
 
-// publish hands the working batch to the ring and takes a fresh one from
-// its free list. A false Publish means the graph aborted and closed the
-// ring underneath us: the working batch is reset and reused, events are
-// dropped (the failure, re-raised by drain, is the run's result), and the
-// producer keeps running to its natural unwind point.
+// publish broadcasts the working batch, counting it into the stream totals,
+// and takes a fresh one from the pool. A false Publish means the graph
+// aborted and closed the ring underneath us: the working batch is reset and
+// reused, events are dropped (the failure, re-raised by drain, is the run's
+// result), and the producer keeps running to its natural unwind point.
 func (as *asyncState) publish() {
-	if !as.ring.Publish(as.batch) {
+	as.hooks.EventsStreamed += uint64(as.batch.Len())
+	as.hooks.StreamBytes += uint64(as.batch.WireBytes())
+	if !as.bcast.Publish(as.batch) {
 		as.batch.Reset()
 		return
 	}
-	as.batch = as.ring.Get()
+	as.batch = as.pool.Get()
 }
 
 // drain flushes the root's final strand and the last (possibly partial,
 // possibly empty) batch, signals end-of-stream, and waits for the stage
 // graph to finish — re-panicking the first stage failure, if any, on the
 // producer goroutine. After drain returns normally, strands, stats, and
-// races are exact, and the hook counters and the ring's stream totals are
-// folded into them.
+// races are exact, and the mutator side's hook counters and stream totals
+// are folded into them.
 func (as *asyncState) drain() {
 	as.endStrand()
-	as.ring.Publish(as.batch) // a false return means the graph aborted; Wait surfaces why
-	as.batch = nil
-	as.ring.Close()
+	as.publish()
+	as.bcast.Close()
 	as.graph.Wait()
 	as.stats.Accumulate(&as.hooks)
-	rs := as.ring.Stats()
-	as.stats.EventsStreamed = rs.EventsPublished
-	as.stats.StreamBytes = rs.StreamBytes
+	as.stats.EventsStreamed, as.stats.StreamBytes = as.hooks.EventsStreamed, as.hooks.StreamBytes
 }
 
-// consumeState is the plain-Async detector side, retained across runs on a
-// reused Runner: the consumer's SP-Order structure, engine, canonical race
-// collector, and replay stack all keep their warm capacity between runs.
-type consumeState struct {
-	sp     *spord.SP
-	engine detect.History
-	col    *stage.Collector
-	stack  []consumeFrame
-}
-
-// buildConsume constructs the retained consume-stage state; the OnRace
-// closure captures the retained structures, so it survives reuse unchanged.
-// maxRec and user mirror the Options fields.
-func buildConsume(cfg detect.Config, maxRec int, user func(Race)) *consumeState {
-	cs := &consumeState{
-		sp:  spord.New(),
-		col: stage.NewCollector(maxRec),
-	}
-	cfg.OnRace = func(race Race) {
-		cs.col.Add(cs.sp.SeqRank(race.Cur), race)
-		if user != nil {
-			user(race)
-		}
-	}
-	cs.engine = detect.NewHistory(cfg, cs.sp)
-	cs.stack = make([]consumeFrame, 1, 16) // stack[0] is the root instance
-	return cs
-}
-
-// reset re-arms the consume stage for another run: SP-Order re-derives its
-// root, the engine drops its history (retaining warm capacity), the
-// collector empties, and the replay stack rewinds to the root frame.
-func (cs *consumeState) reset() {
-	cs.sp.Reset()
-	cs.engine.Reset()
-	cs.col.Reset()
-	cs.stack = cs.stack[:1]
-	cs.stack[0] = consumeFrame{}
-}
-
-// launchConsume wires the single-stage pipeline: one replay stage consuming
-// the main ring. Used for plain Async (no sharding). The abort hook closes
-// the ring so a panic in the stage (a user OnRace callback) unblocks the
-// producer instead of deadlocking the run.
-func (as *asyncState) launchConsume(cs *consumeState) {
-	as.graph.OnAbort(as.ring.Close)
-	as.graph.Go(func() { as.consume(cs) })
-	as.graph.Seal(nil)
-}
-
-// consumeFrame tracks one in-flight function instance on the consumer's
-// replay stack, mirroring trace.replayFrame.
-type consumeFrame struct {
-	frame spord.Frame
-	cont  *spord.Strand
-}
-
-// consume is the replay stage: it rebuilds SP-Order from the structure
-// events and feeds each strand's intervals to the engine, in stream order,
-// exactly as the inline path's strand-end flush would. The stage owns the canonical
-// race collector because the sequential ranks live on its SP structure.
-func (as *asyncState) consume(cs *consumeState) {
-	sp, engine, col := cs.sp, cs.engine, cs.col
-	stack := cs.stack
-	var busy stage.Meter
-	var blk [evstream.BlockEvents]evstream.Event
-	for {
-		batch, ok := as.ring.Next()
-		if !ok {
-			break
-		}
-		t0 := time.Now()
-		it := batch.Iter()
-		for {
-			evs := it.DecodeBlock(&blk)
-			if len(evs) == 0 {
-				break
+// exec runs the program body on the producer goroutine. A panic out of it
+// must not strand the stage graph behind a ring nobody will close: it fails
+// the graph — the abort hook closes the ring and queue — waits for every
+// stage (and, under ParallelDetect, every spawned task, whose publishes now
+// fail) to unwind, and re-raises the original value. The Runner stays
+// dirty, so its next Run resets what the aborted one left behind.
+func (as *asyncState) exec(root TaskFunc, t *Task) {
+	defer func() {
+		if p := recover(); p != nil {
+			as.graph.Abort(p)
+			if t.wg != nil {
+				t.wg.Wait()
 			}
-			for _, ev := range evs {
-				switch ev.EvOp() {
-				case evstream.OpSpawn:
-					engine.StrandEnd()
-					_, cont := sp.Spawn(&stack[len(stack)-1].frame)
-					stack = append(stack, consumeFrame{cont: cont})
-				case evstream.OpRestore:
-					cont := stack[len(stack)-1].cont
-					stack = stack[:len(stack)-1]
-					engine.StrandEnd() // the child's final strand ends here
-					sp.Restore(cont)
-				case evstream.OpSync:
-					engine.StrandEnd()
-					sp.Sync(&stack[len(stack)-1].frame)
-				case evstream.OpRead:
-					engine.ReadInterval(ev.Addr(), ev.Size())
-				case evstream.OpWrite:
-					engine.WriteInterval(ev.Addr(), ev.Size())
-				}
-			}
+			panic(p)
 		}
-		busy.Add(t0)
-		as.ring.Recycle(batch)
-	}
-	t0 := time.Now()
-	engine.Finish()
-	busy.Add(t0)
-	cs.stack = stack // hand the (possibly grown) stack back for reuse
-	as.strands = sp.StrandCount()
-	as.stats = *engine.Stats()
-	as.stats.PipelineDetectTime = busy.Busy()
-	as.races = col.Sorted()
+	}()
+	root(t)
+	t.Sync()
 }

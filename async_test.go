@@ -1,6 +1,7 @@
 package stint
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -64,12 +65,7 @@ func TestAsyncMatchesSyncVerdicts(t *testing.T) {
 			if sync.Racy() != p.racy {
 				t.Fatalf("%v/%s: sync verdict %v, want %v", d, p.name, sync.Racy(), p.racy)
 			}
-			if async.RaceCount != sync.RaceCount {
-				t.Errorf("%v/%s: async %d races, sync %d", d, p.name, async.RaceCount, sync.RaceCount)
-			}
-			if async.Strands != sync.Strands {
-				t.Errorf("%v/%s: async %d strands, sync %d", d, p.name, async.Strands, sync.Strands)
-			}
+			assertSameReport(t, fmt.Sprintf("%v/%s", d, p.name), async, sync)
 		}
 	}
 }
@@ -91,14 +87,7 @@ func TestAsyncStatsMatchSync(t *testing.T) {
 		async := runOneAsync(t, d, 0, 0, body)
 		// Everything except the timing and allocation fields must be
 		// byte-identical: same events, same serial order, same engine.
-		norm := func(s Stats) Stats {
-			s.AccessHistoryTime, s.AllocObjects, s.AllocBytes, s.PipelineDetectTime, s.BatchesSkipped = 0, 0, 0, 0, 0
-			s.EventsStreamed, s.StreamBytes = 0, 0
-			return s
-		}
-		if norm(async.Stats) != norm(sync.Stats) {
-			t.Errorf("%v: stats diverge\nasync: %+v\nsync:  %+v", d, norm(async.Stats), norm(sync.Stats))
-		}
+		assertSameReport(t, d.String(), async, sync)
 	}
 }
 
@@ -115,10 +104,7 @@ func TestAsyncTinyBatchesAndBackpressure(t *testing.T) {
 	want := runOne(t, DetectorSTINT, body)
 	for _, geom := range [][2]int{{1, 1}, {2, 1}, {3, 2}, {7, 3}} {
 		got := runOneAsync(t, DetectorSTINT, geom[0], geom[1], body)
-		if got.RaceCount != want.RaceCount || got.Strands != want.Strands {
-			t.Errorf("geometry %v: races/strands = %d/%d, want %d/%d",
-				geom, got.RaceCount, got.Strands, want.RaceCount, want.Strands)
-		}
+		assertSameReport(t, fmt.Sprintf("geometry %v", geom), got, want)
 	}
 }
 
@@ -145,8 +131,8 @@ func TestAsyncOnRaceDeliveredBeforeRunReturns(t *testing.T) {
 	}
 }
 
-// TestAsyncOnRacePanicPropagates hardens the single-stage pipeline's
-// teardown: a panicking user OnRace callback on the detector goroutine must
+// TestAsyncOnRacePanicPropagates hardens the one-worker pipeline's
+// teardown: a panicking user OnRace callback on the worker goroutine must
 // close the ring (unblocking a producer stuck in Publish), and re-panic out
 // of Run on the mutator side — not deadlock and not get swallowed.
 func TestAsyncOnRacePanicPropagates(t *testing.T) {
@@ -219,10 +205,7 @@ func TestAsyncMultipleRunsIndependent(t *testing.T) {
 	}
 	rep1, _ := r.Run(racy)
 	rep2, _ := r.Run(racy)
-	if rep1.RaceCount != rep2.RaceCount || rep1.Strands != rep2.Strands {
-		t.Errorf("async runs differ: %d/%d vs %d/%d (state leaked)",
-			rep1.RaceCount, rep1.Strands, rep2.RaceCount, rep2.Strands)
-	}
+	assertSameReport(t, "second run (state leaked)", rep2, rep1)
 }
 
 func TestNewRunnerRejectsAsyncParallel(t *testing.T) {

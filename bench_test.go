@@ -140,9 +140,8 @@ func BenchmarkFig5Async(b *testing.B) {
 // BenchmarkFig5Sharded repeats the Figure 5 measurement with detection
 // partitioned across 4 page-sharded workers (Options.DetectShards). Beyond
 // the headline ns/op it reports the utilization split: detect-busy-ms sums
-// the workers, seq-busy-ms is the sequencer's labeling-and-routing time,
-// and max-shard-ms is the busiest worker — the sharded pipeline's
-// multi-core critical path. On a single core the workers timeshare, so
+// the workers and max-shard-ms is the busiest worker — the sharded
+// pipeline's multi-core critical path. On a single core the workers timeshare, so
 // compare max-shard-ms against BenchmarkFig5Async's detect-busy-ms for the
 // parallelism headroom rather than expecting a wall-clock win.
 func BenchmarkFig5Sharded(b *testing.B) {
@@ -152,11 +151,10 @@ func BenchmarkFig5Sharded(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
 				rep := runDetectionOpts(b, wl.f, stint.Options{Detector: mode, Async: true, DetectShards: 4})
 				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
-				b.ReportMetric(float64(rep.SequencerBusy.Nanoseconds())/1e6, "seq-busy-ms")
 				if n := rep.Stats.EventsStreamed; n > 0 {
 					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
 				}
-				_, _, max, _ := cliutil.StageBusy(rep)
+				_, max, _ := cliutil.StageBusy(rep)
 				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
 			})
 		}
@@ -168,7 +166,7 @@ func BenchmarkFig5Sharded(b *testing.B) {
 // detection shards. exec-busy-ms sums the task goroutines' execution-and-
 // encoding time — divide by the core count for the executor side's
 // multi-core floor — while merge-busy-ms is the deterministic merge's
-// serial labeling-and-reordering time and max-shard-ms the busiest
+// serial reordering-and-coalescing time and max-shard-ms the busiest
 // detection worker; the pipeline's critical path is the max of the three.
 // On a single core everything timeshares, so read the busy split for
 // headroom rather than expecting a wall-clock win over BenchmarkFig5.
@@ -181,7 +179,7 @@ func BenchmarkFig5ParallelDetect(b *testing.B) {
 				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
 				b.ReportMetric(float64(rep.ExecutorBusy.Nanoseconds())/1e6, "exec-busy-ms")
 				b.ReportMetric(float64(rep.SequencerBusy.Nanoseconds())/1e6, "merge-busy-ms")
-				_, _, max, _ := cliutil.StageBusy(rep)
+				_, max, _ := cliutil.StageBusy(rep)
 				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
 			})
 		}

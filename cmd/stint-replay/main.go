@@ -26,7 +26,7 @@ func main() {
 		detector   = flag.String("detector", "stint", "detector mode for the replay")
 		races      = flag.Int("races", 10, "max races to print")
 		timing     = flag.Bool("timing", false, "measure access-history time separately")
-		async      = flag.Bool("async", false, "replay through the pipelined detector: the decoder side coalesces each strand and streams its intervals to a detector goroutine (comp+rts and stint variants only)")
+		async      = flag.Bool("async", false, "replay through the pipelined detector: the decoder side coalesces each strand and streams its intervals to detector workers (comp+rts and stint variants only)")
 		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
 		quiesce    = flag.Int("quiesce", 0, "retire a shadow page's access history once it produces N races (0 disables)")
 		maxHistory = flag.Int64("max-history", 0, "abort the replay when the retained access history exceeds N bytes (0 = unlimited)")

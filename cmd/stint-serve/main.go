@@ -14,16 +14,22 @@
 // fresh-Runner replays. Admission is backpressured (full queue → 429) and
 // per-run caps bound each replay's memory (oversized upload → 413; event
 // budget or access-history cap exceeded → result status "error", counted
-// as oversized in /v1/statusz).
+// as oversized in /v1/statusz). Slow or idle connections are bounded by
+// header-read and keep-alive timeouts, and SIGTERM/SIGINT drain in-flight
+// requests and queued replays before the process exits 0.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
+	"syscall"
+	"time"
 
 	"stint"
 	"stint/internal/serve"
@@ -37,7 +43,7 @@ func main() {
 		detector   = flag.String("detector", "stint", "detector mode for every replay")
 		races      = flag.Int("races", 64, "max races recorded per trace")
 		shards     = flag.Int("shards", 0, "detection shards per replay (implies async pipeline)")
-		async      = flag.Bool("async", false, "replay through the pipelined detector, which streams each strand's coalesced intervals to a detector goroutine (comp+rts and stint variants only)")
+		async      = flag.Bool("async", false, "replay through the pipelined detector, which streams each strand's coalesced intervals to detector workers (comp+rts and stint variants only)")
 		maxBytes   = flag.Int64("max-trace-bytes", 64<<20, "reject uploads larger than this (413); negative disables")
 		maxEvents  = flag.Uint64("max-events", 0, "abort replays exceeding this many trace events (0 = unbounded)")
 		quiesce    = flag.Int("quiesce", 0, "retire a shadow page's access history once it produces N races during a replay (0 disables)")
@@ -87,5 +93,23 @@ func run(addr string, runners, queue int, detector string, races, shards int, as
 	}
 	fmt.Printf("stint-serve: listening on %s (%d runners, %s, detector %v)\n",
 		ln.Addr(), runners, pool, mode)
-	return http.Serve(ln, s.Handler())
+	// A client that stalls before its headers are in, or parks an idle
+	// keep-alive connection, is cut off. There is deliberately no body
+	// ReadTimeout: a 15 MB trace upload takes as long as the link needs,
+	// and MaxTraceBytes already bounds what it can cost.
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+		// Stop accepting and let in-flight requests finish; the deferred
+		// s.Close() then drains the admitted replays.
+		grace, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		return srv.Shutdown(grace)
+	}
 }

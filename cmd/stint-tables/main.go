@@ -14,9 +14,9 @@
 // run, backing the allocation-free hot-path work in EXPERIMENTS.md. The
 // extra "async" table (also outside the paper, whose detector is strictly
 // inline) compares synchronous vs pipelined detection wall clock. The
-// extra "util" table breaks the sharded stage graph's busy time down by
-// stage — the thin label stage against the busiest shard worker — backing
-// the sequencer-bottleneck numbers in EXPERIMENTS.md. The extra "serve"
+// extra "util" table reads the sharded worker graph's utilization — the
+// busiest shard worker, the skip-scan share, the stream's wire cost. The
+// extra "serve"
 // table (also outside the paper) records every benchmark once, ingests the
 // traces through an in-process stint-serve warm-pool instance, and prints
 // the service's pool utilization from /v1/statusz.

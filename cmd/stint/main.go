@@ -33,7 +33,7 @@ func main() {
 		scale      = flag.Int("scale", 1, "problem-size multiplier")
 		races      = flag.Int("races", 10, "max races to print")
 		timing     = flag.Bool("timing", false, "measure access-history time separately")
-		async      = flag.Bool("async", false, "pipeline detection: the program coalesces each strand and streams its intervals to a detector goroutine, overlapping compute with the access history (comp+rts and stint variants only; -detector all applies it to those)")
+		async      = flag.Bool("async", false, "pipeline detection: the program coalesces each strand and streams its intervals to detector workers, overlapping compute with the access history (comp+rts and stint variants only; -detector all applies it to those)")
 		parDetect  = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only)")
 		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async unless -parallel-detect; comp+rts and stint variants only)")
 		quiesce    = flag.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")

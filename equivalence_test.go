@@ -3,7 +3,6 @@ package stint
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -156,44 +155,16 @@ func wordSetDiff(a, b map[Addr]bool) string {
 	return fmt.Sprintf("only-first=%v only-second=%v", onlyA, onlyB)
 }
 
-// reportFor runs the program under one detector and execution mode
-// (shards: -1 = synchronous, 0 = plain async, n > 0 = sharded async) and
-// returns the full Report, using the same tiny pipeline geometry as
-// racingWordsFor.
-func reportFor(t *testing.T, d Detector, shards int, acts []act) *Report {
-	return reportForOpts(t, d, shards, pipeOpts{}, acts)
-}
-
-// pipeOpts selects what an equivalence or fuzz leg varies beyond the shard
-// count.
-type pipeOpts struct {
-	// parallel selects ParallelDetect instead of Async: real goroutines,
-	// chunk queue, deterministic merge. shards then names the worker count
-	// (0 means one worker).
-	parallel bool
-	// quiesce adds the fuzzer's per-page quiescing differential legs
-	// (PageQuiesceThreshold 2 on every mode).
-	quiesce bool
-}
-
-// reportForOpts is reportFor with the executor choice exposed.
-func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act) *Report {
+// reportFor runs the program under opts and returns the full Report; the
+// pipelined modes get the same tiny geometry as racingWordsFor.
+func reportFor(t *testing.T, opts Options, acts []act) *Report {
 	t.Helper()
-	opts := Options{Detector: d, MaxRacesRecorded: 1 << 20}
-	if po.parallel {
-		opts.ParallelDetect = true
-		opts.DetectShards = shards
-	} else if shards >= 0 {
-		opts.Async = true
-		opts.DetectShards = shards
-	}
+	opts.MaxRacesRecorded = 1 << 20
 	r, err := NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if po.parallel || shards >= 0 {
-		r.asyncBatchEvents, r.asyncRingDepth = 8, 2
-	}
+	r.asyncBatchEvents, r.asyncRingDepth = 8, 2
 	bufs, _ := allocBufs(r)
 	rep, err := r.Run(func(task *Task) { runActs(task, bufs, acts) })
 	if err != nil {
@@ -202,42 +173,21 @@ func reportForOpts(t *testing.T, d Detector, shards int, po pipeOpts, acts []act
 	return rep
 }
 
-// checkCanonicalReports asserts the satellite guarantee for a
-// runtime-coalescing detector: the Report — races in canonical order,
-// counts, strands, deterministic stats — is identical across sync, async,
-// and shard counts {1, 2, 4} under both the serial-projection pipeline and
-// ParallelDetect.
-// Byte-identity to the synchronous run is also what shows that the worker
-// skip-scan, the wire encoding, and the summary stamp are invisible above
-// the ring.
+// checkCanonicalReports asserts the core guarantee for a runtime-coalescing
+// detector: the Report — races in canonical order, counts, strands,
+// deterministic stats — is identical to the synchronous run's in every
+// pipelined mode. For ParallelDetect the documented contract is race-set
+// equivalence, but the merge reconstructs the exact serial stream, so the
+// suite asserts the stronger property. Byte-identity to sync is also what
+// shows that the worker skip-scan, the wire encoding, the summary stamp and
+// each worker's private SP-Order replay are invisible above the ring.
 func checkCanonicalReports(t *testing.T, seed int64, d Detector, acts []act) {
 	t.Helper()
-	sync := reportFor(t, d, -1, acts)
-	check := func(name string, got *Report) {
-		t.Helper()
-		if got.RaceCount != sync.RaceCount || got.Strands != sync.Strands {
-			t.Fatalf("seed %d: %v %s: RaceCount/Strands %d/%d, sync %d/%d\nprogram: %+v",
-				seed, d, name, got.RaceCount, got.Strands, sync.RaceCount, sync.Strands, acts)
-		}
-		if !reflect.DeepEqual(got.Races, sync.Races) {
-			t.Fatalf("seed %d: %v %s: Races differ from sync\n got: %v\nsync: %v\nprogram: %+v",
-				seed, d, name, got.Races, sync.Races, acts)
-		}
-		if ns, ng := normStats(sync.Stats), normStats(got.Stats); ns != ng {
-			t.Fatalf("seed %d: %v %s: stats differ\n got: %+v\nsync: %+v\nprogram: %+v",
-				seed, d, name, ng, ns, acts)
-		}
-	}
-	check("async", reportFor(t, d, 0, acts))
-	for _, n := range []int{1, 2, 4} {
-		check(fmt.Sprintf("shards=%d", n), reportFor(t, d, n, acts))
-		// ParallelDetect: spawns on real goroutines behind the chunk
-		// queue and deterministic merge. The documented contract is
-		// race-set equivalence, but the merge reconstructs the exact
-		// serial stream, so the suite asserts the stronger property —
-		// the whole Report identical to sync.
-		check(fmt.Sprintf("parallel-detect shards=%d", n),
-			reportForOpts(t, d, n, pipeOpts{parallel: true}, acts))
+	defer logProgramOnFailure(t, acts)
+	sync := reportFor(t, Options{Detector: d}, acts)
+	for _, m := range pipeModes {
+		assertSameReport(t, fmt.Sprintf("seed %d: %v %s", seed, d, m.Name),
+			reportFor(t, m.With(Options{Detector: d}), acts), sync)
 	}
 }
 
@@ -331,22 +281,10 @@ func TestParallelDetectRunToRunDeterminism(t *testing.T) {
 	for seed := int64(7000); seed < 7010; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		acts := genActs(rng, 4, sizes)
-		po := pipeOpts{parallel: true}
-		first := reportForOpts(t, DetectorSTINT, 2, po, acts)
+		opts := modeNamed("parallel-detect").With(Options{Detector: DetectorSTINT})
+		first := reportFor(t, opts, acts)
 		for run := 1; run < 4; run++ {
-			got := reportForOpts(t, DetectorSTINT, 2, po, acts)
-			if got.RaceCount != first.RaceCount || got.Strands != first.Strands {
-				t.Fatalf("seed %d run %d: RaceCount/Strands %d/%d, first run %d/%d",
-					seed, run, got.RaceCount, got.Strands, first.RaceCount, first.Strands)
-			}
-			if !reflect.DeepEqual(got.Races, first.Races) {
-				t.Fatalf("seed %d run %d: Races differ between identical runs\n got: %v\nfirst: %v",
-					seed, run, got.Races, first.Races)
-			}
-			if ns, ng := normStats(first.Stats), normStats(got.Stats); ns != ng {
-				t.Fatalf("seed %d run %d: stats differ between identical runs\n got: %+v\nfirst: %+v",
-					seed, run, ng, ns)
-			}
+			assertSameReport(t, fmt.Sprintf("seed %d run %d vs first run", seed, run), reportFor(t, opts, acts), first)
 		}
 	}
 }

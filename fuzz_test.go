@@ -1,6 +1,7 @@
 package stint
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -25,7 +26,7 @@ func fuzzAllocBufs(r *Runner) ([]*Buffer, []int) {
 // and pipeline geometry — batch capacity, ring depth, a detection shard
 // count, and a flags byte adding the ParallelDetect legs — runs it once
 // synchronously, once through the plain async pipeline, (when the shard
-// byte asks for it) once sharded, and (when the flags byte asks for it)
+// byte asks for two or more workers) once sharded, and (when the flags byte asks for it)
 // once under ParallelDetect, and requires identical racing-word sets,
 // canonical race reports, strand counts, and (timing-normalized) stats. A
 // further flags bit re-runs the mode matrix with per-page quiescing enabled
@@ -103,22 +104,15 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 		if len(data) > 4096 {
 			return // keep individual executions fast
 		}
-		prog, batchEvents, ringDepth, shards, po := decodeFuzzProgram(data)
+		prog, batchEvents, ringDepth, shards, parallel, quiesce := decodeFuzzProgram(data)
+		defer logProgramOnFailure(t, prog)
 
-		type result struct {
-			words   map[Addr]bool
-			races   []Race
-			strands int
-			stats   Stats
-		}
-		// mode: -1 = synchronous, 0 = plain async, n > 0 = n-sharded async.
-		// par switches the async modes to ParallelDetect: real goroutines
-		// behind the chunk queue and deterministic merge, with mode naming
-		// the worker count (0 means one worker). qthresh, when nonzero, is
-		// the run's PageQuiesceThreshold.
-		run := func(mode int, par bool, qthresh int) result {
+		// run executes the program under the mode fields of mode (the zero
+		// Options is the synchronous run) at the given PageQuiesceThreshold
+		// and returns the report and the racing-word set.
+		run := func(mode Options, qthresh int) (*Report, map[Addr]bool) {
 			words := make(map[Addr]bool)
-			opts := Options{
+			opts := pipeMode{Opts: mode}.With(Options{
 				Detector:             DetectorSTINT,
 				PageQuiesceThreshold: qthresh,
 				OnRace: func(rc Race) {
@@ -126,63 +120,45 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 						words[a] = true
 					}
 				},
-			}
-			if par {
-				opts.ParallelDetect = true
-				opts.DetectShards = mode
-			} else if mode >= 0 {
-				opts.Async = true
-				opts.DetectShards = mode
-			}
+			})
 			r, err := NewRunner(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if par || mode >= 0 {
-				r.asyncBatchEvents, r.asyncRingDepth = batchEvents, ringDepth
-			}
+			r.asyncBatchEvents, r.asyncRingDepth = batchEvents, ringDepth
 			bufs, _ := fuzzAllocBufs(r)
 			rep, err := r.Run(func(task *Task) { runActs(task, bufs, prog) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			return result{words: words, races: rep.Races, strands: rep.Strands, stats: normStats(rep.Stats)}
+			return rep, words
 		}
 		// matrix holds every pipelined mode the input selects to the
 		// synchronous run at the same quiesce threshold.
 		matrix := func(qthresh int) {
-			sync := run(-1, false, qthresh)
-			check := func(name string, got result) {
-				if got.strands != sync.strands {
-					t.Fatalf("strands: %s %d, sync %d (batch=%d depth=%d shards=%d quiesce=%d)\nprogram: %+v",
-						name, got.strands, sync.strands, batchEvents, ringDepth, shards, qthresh, prog)
-				}
-				if got.stats != sync.stats {
-					t.Fatalf("stats diverge (%s, batch=%d depth=%d shards=%d quiesce=%d)\n%s: %+v\nsync:  %+v\nprogram: %+v",
-						name, batchEvents, ringDepth, shards, qthresh, name, got.stats, sync.stats, prog)
-				}
-				if !reflect.DeepEqual(got.races, sync.races) {
-					t.Fatalf("canonical races diverge (%s, batch=%d depth=%d shards=%d quiesce=%d)\n%s: %v\nsync:  %v\nprogram: %+v",
-						name, batchEvents, ringDepth, shards, qthresh, name, got.races, sync.races, prog)
-				}
-				if !reflect.DeepEqual(got.words, sync.words) {
-					t.Fatalf("racing words diverge (%s, quiesce=%d): %d vs sync %d\nprogram: %+v",
-						name, qthresh, len(got.words), len(sync.words), prog)
+			sync, syncWords := run(Options{}, qthresh)
+			check := func(name string, mode Options) {
+				got, words := run(mode, qthresh)
+				assertSameReport(t, fmt.Sprintf("%s (batch=%d depth=%d shards=%d quiesce=%d)",
+					name, batchEvents, ringDepth, shards, qthresh), got, sync)
+				if !reflect.DeepEqual(words, syncWords) {
+					t.Fatalf("racing words diverge (%s, quiesce=%d): %d vs sync %d",
+						name, qthresh, len(words), len(syncWords))
 				}
 			}
-			check("async", run(0, false, qthresh))
-			if shards > 0 {
-				check("sharded", run(shards, false, qthresh))
+			check("async", Options{Async: true})
+			if shards > 1 { // one shard is the async leg
+				check("sharded", Options{Async: true, DetectShards: shards})
 			}
-			if po.parallel {
+			if parallel {
 				// ParallelDetect executes the same program on real goroutines;
 				// the deterministic merge reconstructs the serial stream, so the
 				// normalized result must still match sync byte for byte.
-				check("parallel-detect", run(shards, true, qthresh))
+				check("parallel-detect", Options{ParallelDetect: true, DetectShards: shards})
 			}
 		}
 		matrix(0)
-		if po.quiesce {
+		if quiesce {
 			// Quiescing differential: with a threshold of 2, pages retire
 			// their history mid-run — possibly mid-batch, possibly under a
 			// page-straddling range. The quiesce decision is page-local and
@@ -195,18 +171,18 @@ func FuzzAsyncAgainstSync(f *testing.F) {
 }
 
 // decodeFuzzProgram turns raw bytes into (program, batchEvents, ringDepth,
-// shards, pipeline flags). The first four bytes pick a tiny pipeline
-// geometry — shards of zero means "compare the plain async pipeline only";
-// the flags byte adds the ParallelDetect legs (bit 3) and the per-page
-// quiescing differential legs (bit 4) — and the rest is a byte-code for act
-// programs. Flags bits 0-2 once selected pipeline knobs that no longer
+// shards, parallel, quiesce). The first four bytes pick a tiny pipeline
+// geometry — shards of zero or one means "compare the plain async pipeline
+// only", the one-worker case; the flags byte adds the ParallelDetect legs
+// (bit 3) and the per-page quiescing differential legs (bit 4,
+// PageQuiesceThreshold 2 on every mode) — and the rest is a byte-code for
+// act programs. Flags bits 0-2 once selected pipeline knobs that no longer
 // exist; they are ignored rather than reassigned so every checked-in corpus
 // input still decodes to the program it was saved for.
 // Every input decodes to a valid program — the fuzzer explores program
 // shapes, not parser rejections.
-func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
-	batchEvents, ringDepth, shards := 1, 1, 0
-	var po pipeOpts
+func decodeFuzzProgram(data []byte) (prog []act, batchEvents, ringDepth, shards int, parallel, quiesce bool) {
+	batchEvents, ringDepth = 1, 1
 	if len(data) > 0 {
 		batchEvents = int(data[0]%16) + 1
 		data = data[1:]
@@ -220,8 +196,8 @@ func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
 		data = data[1:]
 	}
 	if len(data) > 0 {
-		po.parallel = data[0]&8 != 0
-		po.quiesce = data[0]&16 != 0
+		parallel = data[0]&8 != 0
+		quiesce = data[0]&16 != 0
 		data = data[1:]
 	}
 	pos := 0
@@ -284,5 +260,5 @@ func decodeFuzzProgram(data []byte) ([]act, int, int, int, pipeOpts) {
 		}
 		return acts
 	}
-	return parse(0), batchEvents, ringDepth, shards, po
+	return parse(0), batchEvents, ringDepth, shards, parallel, quiesce
 }

@@ -19,59 +19,45 @@ func pct(part, whole time.Duration) string {
 	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
 }
 
-// StageBusy decomposes a pipelined run's busy time by stage: the label
-// stage (which only consumes structure events and stamps batches with
-// reachability labels), the summed detection work across workers, and the
-// busiest single worker — the detection side's critical path once cores
-// are available. ok is false for synchronous runs (no pipeline). For plain
-// async runs the one consumer is both the only worker and the maximum, and
-// the label stage's work is folded into it (label = 0).
-func StageBusy(rep *stint.Report) (label, workers, maxWorker time.Duration, ok bool) {
-	st := rep.Stats
-	if st.PipelineDetectTime <= 0 {
-		return 0, 0, 0, false
+// StageBusy decomposes a pipelined run's detector-side busy time: the
+// summed detection work across the workers and the busiest single worker —
+// the detection side's critical path once cores are available. ok is false
+// for synchronous runs (no pipeline, no workers); a plain async run has one
+// worker, which is both the sum and the maximum.
+func StageBusy(rep *stint.Report) (workers, maxWorker time.Duration, ok bool) {
+	for _, l := range rep.ShardLoad {
+		workers += l.Busy
+		maxWorker = max(maxWorker, l.Busy)
 	}
-	label = rep.SequencerBusy
-	workers = st.PipelineDetectTime
-	maxWorker = workers
-	if rep.ShardLoad != nil {
-		maxWorker = 0
-		for _, l := range rep.ShardLoad {
-			if l.Busy > maxWorker {
-				maxWorker = l.Busy
-			}
-		}
-	}
-	return label, workers, maxWorker, true
+	return workers, maxWorker, len(rep.ShardLoad) > 0
 }
 
-// PipelineReport renders the async pipeline's utilization readout: the
-// detector side's busy time against the run's wall time and, for sharded
-// runs, the label-stage/worker split. It returns nil for synchronous runs
-// (no pipeline, nothing to report).
+// PipelineReport renders a pipelined run's utilization readout: the event
+// stream, under ParallelDetect the executor/merge split, and the workers'
+// busy time against the run's wall time with each worker's load. It returns
+// nil for synchronous runs (no pipeline, nothing to report).
 //
 // On a single core the pipeline cannot beat the synchronous run — the busy
 // figures then say how much detection work would overlap with compute once
-// cores are available, which is why the lines spell out the "max of the
-// two sides" floor instead of promising a speedup.
+// cores are available, which is why the lines spell out the "max of any
+// side" floor instead of promising a speedup.
 func PipelineReport(rep *stint.Report) []string {
-	label, workers, _, ok := StageBusy(rep)
+	workers, _, ok := StageBusy(rep)
 	if !ok {
 		return nil
 	}
-	var stream []string
+	var lines []string
 	if st := rep.Stats; st.EventsStreamed > 0 {
-		stream = []string{fmt.Sprintf(
+		lines = append(lines, fmt.Sprintf(
 			"event stream: %d events in %d bytes (%.2f B/event)",
 			st.EventsStreamed, st.StreamBytes,
-			float64(st.StreamBytes)/float64(st.EventsStreamed))}
+			float64(st.StreamBytes)/float64(st.EventsStreamed)))
 	}
 	if rep.ExecutorBusy > 0 {
 		// Parallel-detect run: the mutator itself ran on many goroutines.
-		// SequencerBusy is the deterministic merge here (it inherits the
-		// label stage's role); the reorder peak says how much scheduling
-		// skew the merge had to buffer.
-		stream = append(stream, fmt.Sprintf(
+		// SequencerBusy is the deterministic merge; the reorder peak says
+		// how much scheduling skew it had to buffer.
+		lines = append(lines, fmt.Sprintf(
 			"parallel executors busy %v of %v wall (%s; merge stage busy %v, reorder peak %d chunks)",
 			rep.ExecutorBusy.Round(time.Microsecond),
 			rep.WallTime.Round(time.Microsecond),
@@ -79,20 +65,13 @@ func PipelineReport(rep *stint.Report) []string {
 			rep.SequencerBusy.Round(time.Microsecond),
 			rep.ReorderPeak))
 	}
-	if rep.ShardLoad == nil {
-		return append(stream, fmt.Sprintf(
-			"detector-goroutine busy %v of %v wall (%s; multi-core floor is max of the two sides)",
-			workers.Round(time.Microsecond),
-			rep.WallTime.Round(time.Microsecond),
-			pct(workers, rep.WallTime)))
-	}
-	lines := append(stream, fmt.Sprintf(
-		"sharded detection: %d workers busy %v total of %v wall (label stage busy %v, %d label snapshots; multi-core floor is max of any side)",
+	lines = append(lines, fmt.Sprintf(
+		"detection: %d workers busy %v total of %v wall (%s; multi-core floor is max of any side)",
 		len(rep.ShardLoad),
 		workers.Round(time.Microsecond),
 		rep.WallTime.Round(time.Microsecond),
-		label.Round(time.Microsecond),
-		rep.LabelViewSnapshots))
+		pct(workers, rep.WallTime)))
+	minW, maxW := rep.ShardLoad[0].RingWaits, rep.ShardLoad[0].RingWaits
 	for i, l := range rep.ShardLoad {
 		line := fmt.Sprintf("  shard %d busy %v (%s of detect work), scanned %d/%d batches (skipped %s), %d ring waits",
 			i, l.Busy.Round(time.Microsecond), pct(l.Busy, workers),
@@ -104,30 +83,21 @@ func PipelineReport(rep *stint.Report) []string {
 			// this worker (near 64 is healthy; low means structure-dense
 			// or tiny batches), and the decode share says how much of its
 			// busy time went to block decode itself rather than page
-			// splitting and detection.
+			// filtering and detection.
 			line += fmt.Sprintf(", %.1f ev/blk (decode %s of busy)",
 				float64(l.EventsScanned)/float64(l.BlocksDecoded),
 				pct(l.DecodeBusy, l.Busy))
 		}
 		lines = append(lines, line)
+		minW, maxW = min(minW, l.RingWaits), max(maxW, l.RingWaits)
 	}
 	// Wait attribution: per-consumer waits distinguish a uniformly starved
-	// fleet (the label stage is the bottleneck) from one straggler pacing
-	// everyone (the low-wait outlier never waits — the ring's backpressure
-	// makes the others wait on it).
-	minW, maxW := rep.ShardLoad[0].RingWaits, rep.ShardLoad[0].RingWaits
-	for _, l := range rep.ShardLoad[1:] {
-		if l.RingWaits < minW {
-			minW = l.RingWaits
-		}
-		if l.RingWaits > maxW {
-			maxW = l.RingWaits
-		}
-	}
-	lines = append(lines, fmt.Sprintf(
-		"  ring waits per worker: max %d, min %d (uniform waits = label stage is the bottleneck; a low-wait outlier is the straggler)",
+	// fleet (the stage feeding the ring is the bottleneck) from one straggler
+	// pacing everyone (the low-wait outlier never waits — the ring's
+	// backpressure makes the others wait on it).
+	return append(lines, fmt.Sprintf(
+		"  ring waits per worker: max %d, min %d (uniform waits = the producer is the bottleneck; a low-wait outlier is the straggler)",
 		maxW, minW))
-	return lines
 }
 
 // pctCount formats part as a percentage of whole for plain counters.

@@ -16,34 +16,32 @@ func TestPipelineReportSyncRunIsSilent(t *testing.T) {
 
 func TestPipelineReportAsync(t *testing.T) {
 	rep := &stint.Report{WallTime: 10 * time.Millisecond}
-	rep.Stats.PipelineDetectTime = 5 * time.Millisecond
+	rep.ShardLoad = []stint.ShardLoad{{Busy: 5 * time.Millisecond}}
 	lines := PipelineReport(rep)
-	if len(lines) != 1 {
-		t.Fatalf("want 1 line, got %v", lines)
+	if len(lines) != 3 {
+		t.Fatalf("want header + 1 shard line + waits line, got %v", lines)
 	}
-	if !strings.Contains(lines[0], "detector-goroutine busy") || !strings.Contains(lines[0], "50%") {
+	if !strings.Contains(lines[0], "1 workers busy 5ms") || !strings.Contains(lines[0], "50%") {
 		t.Errorf("unexpected line: %q", lines[0])
 	}
 }
 
 func TestStageBusy(t *testing.T) {
-	if _, _, _, ok := StageBusy(&stint.Report{}); ok {
+	if _, _, ok := StageBusy(&stint.Report{}); ok {
 		t.Fatal("synchronous run should report ok=false")
 	}
 
-	async := &stint.Report{}
-	async.Stats.PipelineDetectTime = 5 * time.Millisecond
-	label, workers, maxWorker, ok := StageBusy(async)
-	if !ok || label != 0 || workers != 5*time.Millisecond || maxWorker != 5*time.Millisecond {
-		t.Fatalf("async split = (%v, %v, %v, %v)", label, workers, maxWorker, ok)
+	async := &stint.Report{ShardLoad: []stint.ShardLoad{{Busy: 5 * time.Millisecond}}}
+	workers, maxWorker, ok := StageBusy(async)
+	if !ok || workers != 5*time.Millisecond || maxWorker != 5*time.Millisecond {
+		t.Fatalf("async split = (%v, %v, %v)", workers, maxWorker, ok)
 	}
 
-	sharded := &stint.Report{SequencerBusy: 2 * time.Millisecond}
+	sharded := &stint.Report{}
 	sharded.ShardLoad = []stint.ShardLoad{{Busy: time.Millisecond}, {Busy: 3 * time.Millisecond}}
-	sharded.Stats.PipelineDetectTime = 4 * time.Millisecond
-	label, workers, maxWorker, ok = StageBusy(sharded)
-	if !ok || label != 2*time.Millisecond || workers != 4*time.Millisecond || maxWorker != 3*time.Millisecond {
-		t.Fatalf("sharded split = (%v, %v, %v, %v)", label, workers, maxWorker, ok)
+	workers, maxWorker, ok = StageBusy(sharded)
+	if !ok || workers != 4*time.Millisecond || maxWorker != 3*time.Millisecond {
+		t.Fatalf("sharded split = (%v, %v, %v)", workers, maxWorker, ok)
 	}
 }
 
@@ -68,8 +66,8 @@ func TestPipelineReportFromRealShardedRun(t *testing.T) {
 	if !strings.Contains(lines[0], "event stream") || !strings.Contains(lines[0], "B/event") {
 		t.Errorf("missing stream readout: %q", lines[0])
 	}
-	if !strings.Contains(lines[1], "label snapshots") {
-		t.Errorf("header missing snapshot count: %q", lines[1])
+	if !strings.Contains(lines[1], "2 workers busy") {
+		t.Errorf("header missing the worker count: %q", lines[1])
 	}
 	for _, line := range lines[2:4] {
 		if !strings.Contains(line, "scanned") || !strings.Contains(line, "ring waits") {
@@ -114,17 +112,16 @@ func TestPipelineReportFromRealParallelDetectRun(t *testing.T) {
 // worker's share of the detect work, and the scan-vs-skip split — from a
 // hand-built report.
 func TestPipelineReportShardLoad(t *testing.T) {
-	rep := &stint.Report{WallTime: 10 * time.Millisecond, SequencerBusy: 2 * time.Millisecond}
+	rep := &stint.Report{WallTime: 10 * time.Millisecond}
 	rep.ShardLoad = []stint.ShardLoad{
 		{Busy: 3 * time.Millisecond, BatchesScanned: 10, BatchesSkipped: 0, RingWaits: 1},
 		{Busy: time.Millisecond, BatchesScanned: 2, BatchesSkipped: 8, RingWaits: 7},
 	}
-	rep.Stats.PipelineDetectTime = 4 * time.Millisecond
 	lines := PipelineReport(rep)
 	if len(lines) != 4 {
 		t.Fatalf("want 4 lines, got %v", lines)
 	}
-	if !strings.Contains(lines[0], "2 workers") || !strings.Contains(lines[0], "label stage busy 2ms") {
+	if !strings.Contains(lines[0], "2 workers busy 4ms") || !strings.Contains(lines[0], "40%") {
 		t.Errorf("unexpected header: %q", lines[0])
 	}
 	if !strings.Contains(lines[1], "shard 0") || !strings.Contains(lines[1], "75%") ||

@@ -160,8 +160,8 @@ type Stats struct {
 	// allocation-regression numbers in EXPERIMENTS.md.
 	AllocObjects uint64
 	AllocBytes   uint64
-	// PipelineDetectTime is the detector goroutine's busy time under
-	// Options.Async: the wall clock it spent processing event batches,
+	// PipelineDetectTime is the detector workers' summed busy time in the
+	// pipelined modes: the wall clock they spent processing event batches,
 	// excluding waits for the producer. Zero in synchronous mode. On a
 	// machine with >=2 cores the pipelined wall clock approaches
 	// max(compute, PipelineDetectTime) instead of their sum. Populated by

@@ -4,10 +4,9 @@ import "sync"
 
 // BcastRing is a bounded single-producer/multi-consumer broadcast ring:
 // every published message is delivered to every consumer, in publish order.
-// It is the fan-out half of the stage-graph pipeline — the label stage
-// publishes each labeled batch once, and all shard workers scan the same
-// batch concurrently — replacing the per-shard copy-and-route rings the
-// sequencer used to feed.
+// It is the pipelines' one transport — the serial producer (or
+// ParallelDetect's merge stage) publishes each batch once, and all shard
+// workers scan the same batch concurrently.
 //
 // Delivery is cursor-based: consumer i advances its own cursor with
 // Next(i), so a slot is logically consumed only once the slowest consumer

@@ -59,9 +59,8 @@ import (
 // batch but resets to zero with every batch (Batch.Reset clears prev):
 // each batch decodes independently of every other. That is load-bearing,
 // not just convenient — shard workers skip batches wholesale on the
-// Summary fast path, and the label stage may stamp summaries by decoding
-// batches the producer already finished, so no decoder can rely on state
-// carried over from a batch someone else may never have scanned.
+// Summary fast path, so no decoder can rely on state carried over from a
+// batch it may never have scanned.
 //
 // The sequential fast path — a run of same-size accesses striding
 // through a buffer — costs 1 delta byte + 2 op bits + 1/4 control byte

@@ -1,8 +1,7 @@
 // Package evstream carries instrumentation events from an executing
-// fork-join program (the producer) to a detector goroutine (the consumer)
-// through a bounded single-producer/single-consumer ring of event batches.
-// Batches store events in the delta-packed compact wire format of
-// compact.go, which exploits address locality to spend 2 bytes on the
+// fork-join program (the producer) to the detector workers (the consumers)
+// in batches. Batches store events in the delta-packed compact wire format
+// of compact.go, which exploits address locality to spend 2 bytes on the
 // common access; the fixed form (16-byte structs, NewRing) is kept as the
 // reference the codec's tests and benchmarks compare against, and no
 // pipeline builds it.
@@ -17,17 +16,16 @@
 //   - Consumed batches return to a free list and are reused, so a
 //     steady-state pipeline allocates a fixed set of batches regardless of
 //     how many events flow through it.
-//   - The ring is bounded: when the consumer falls behind, Publish blocks
+//   - The rings are bounded: when the consumers fall behind, Publish blocks
 //     (backpressure) instead of queueing unbounded memory.
 //
-// Because there is exactly one producer and one consumer, batches hand
-// over cleanly: the producer never touches a batch after Publish, the
-// consumer never touches one after Recycle.
-//
-// The package also provides BcastRing, the single-producer/multi-consumer
-// broadcast sibling used by the sharded stage graph: one labeled batch
-// published once, scanned by every shard worker, and recycled by
-// refcount once the last worker releases it.
+// The pipelines' transport is BcastRing, the single-producer/multi-consumer
+// broadcast ring: a batch from a BatchPool is published once, scanned by
+// every shard worker, and recycled by refcount once the last worker releases
+// it; TaskQueue is ParallelDetect's multi-producer ingest ahead of it. Ring,
+// the single-consumer ring with an integrated free list, is the transport's
+// reference form: no pipeline builds one any more, the benchmark's codec
+// isolation still does.
 package evstream
 
 import "sync"

@@ -3,7 +3,7 @@ package evstream
 import "sync"
 
 // Multi-producer chunk ingest for the parallel-detect executor. Where the
-// serial Async pipeline has one mutator goroutine feeding one SPSC Ring,
+// serial Async pipeline has one mutator goroutine feeding the ring,
 // the parallel executor runs one goroutine per spawned task, and the set
 // of live producers changes as the program forks and joins — a fixed
 // per-producer ring cannot hold them. Instead every task goroutine fills
@@ -167,9 +167,8 @@ func (q *TaskQueue) Stats() Stats {
 	return s
 }
 
-// BatchPool is a concurrency-safe batch allocator shared by all executor
-// goroutines and the merge stage — the parallel sibling of Ring's
-// integrated free list. Get never blocks (it allocates on a dry pool);
+// BatchPool is the pipelines' concurrency-safe batch allocator: the serial
+// producer's, or the one all executor goroutines and the merge stage share. Get never blocks (it allocates on a dry pool);
 // Put bounds the free list so teardown bursts cannot pin memory.
 type BatchPool struct {
 	mu       sync.Mutex

@@ -12,8 +12,9 @@ package stage
 import "stint/internal/detect"
 
 // keyedRace pairs a race with the sequential rank of its Cur strand. Ranks
-// come from spord (sync/async) or a depa.View (sharded) — the differential
-// tests pin the two to agree.
+// come from the engine's own SP-Order structure — the inline one, or a
+// pipeline worker's private replay, which the differential tests pin to
+// agree.
 type keyedRace struct {
 	seq int32
 	r   detect.Race

@@ -25,7 +25,8 @@ import (
 // rings so peer stages blocked in Publish/Next unwind instead of
 // deadlocking — the merge is skipped, and Wait re-panics the failure on the
 // producer goroutine so it propagates out of Run exactly as it would have
-// in synchronous mode.
+// in synchronous mode. A producer that fails on its own (the program body
+// panicking mid-run) tears the graph down the same way through Abort.
 type Graph struct {
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -63,6 +64,15 @@ func (g *Graph) fail(r any) {
 	if first && abort != nil {
 		abort()
 	}
+}
+
+// Abort is the producer's own failure path: it fails the graph with r —
+// firing the abort hook unless a stage failed first — and blocks until every
+// stage has unwound. Unlike Wait it re-raises nothing; the caller is already
+// unwinding with r in hand. Call it only on a sealed graph.
+func (g *Graph) Abort(r any) {
+	g.fail(r)
+	<-g.done
 }
 
 // Failed reports whether any stage or the merge has panicked so far.

@@ -475,15 +475,12 @@ func (s *Suite) Async() error {
 	return nil
 }
 
-// Util reports the sharded stage graph's per-stage utilization on every
-// workload: wall clock, label-stage busy time, the busiest worker's busy
-// time, their ratio, and the fleet-wide share of broadcast batches the
-// workers skipped via batch summaries. With worker-side page splitting the
-// label stage only consumes structure events, so lbl/wrk far below 1 means
-// the sequencer has stopped being the scaling bottleneck — adding shards
-// keeps dividing the detection critical path — while a high skip%
-// means the per-worker full-stream scan floor is gone too: workers only
-// scan the batches whose pages hash to them. B/ev is the event stream's
+// Util reports the sharded worker graph's utilization on every workload:
+// wall clock, the busiest worker's busy time — the detection side's
+// critical path once cores are available — and the fleet-wide share of
+// broadcast batches the workers skipped via batch summaries: a high skip%
+// means the per-worker full-stream scan floor is gone, workers only scan
+// the batches whose pages hash to them. B/ev is the event stream's
 // wire cost (16.00 would be a struct per event), and ev/blk the
 // fleet-wide events per decode block on full scans (near
 // 64 when the stream blocks well; low values flag degenerate blocking —
@@ -492,10 +489,10 @@ func (s *Suite) Async() error {
 func (s *Suite) Util() error {
 	const shards = 4
 	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	s.printf("== Stage utilization: label stage vs %d shard workers ==\n", shards)
+	s.printf("== Stage utilization: %d shard workers ==\n", shards)
 	s.printf("%-6s |", "")
 	for _, m := range modes {
-		s.printf(" %-9s %10s %10s %10s %8s %6s %6s %7s |", m, "wall", "label", "max-wrk", "lbl/wrk", "skip%", "B/ev", "ev/blk")
+		s.printf(" %-9s %10s %10s %6s %6s %7s |", m, "wall", "max-wrk", "skip%", "B/ev", "ev/blk")
 	}
 	s.printf("\n")
 	for _, name := range workloads.Names() {
@@ -509,9 +506,9 @@ func (s *Suite) Util() error {
 			if err != nil {
 				return err
 			}
-			label, _, maxWorker, ok := cliutil.StageBusy(res.Report)
+			_, maxWorker, ok := cliutil.StageBusy(res.Report)
 			if !ok || maxWorker <= 0 {
-				s.printf(" %-9s %10v %10s %10s %8s %6s %6s %7s |", "", res.Wall.Round(time.Millisecond), "-", "-", "-", "-", "-", "-")
+				s.printf(" %-9s %10v %10s %6s %6s %7s |", "", res.Wall.Round(time.Millisecond), "-", "-", "-", "-")
 				continue
 			}
 			var scanned, skipped, events, blocks uint64
@@ -533,11 +530,9 @@ func (s *Suite) Util() error {
 			if blocks > 0 {
 				evPerBlk = fmt.Sprintf("%.1f", float64(events)/float64(blocks))
 			}
-			s.printf(" %-9s %10v %10v %10v %7.2fx %6s %6s %7s |", "",
+			s.printf(" %-9s %10v %10v %6s %6s %7s |", "",
 				res.Wall.Round(time.Millisecond),
-				label.Round(time.Microsecond),
 				maxWorker.Round(time.Microsecond),
-				float64(label)/float64(maxWorker),
 				skipPct,
 				bytesPerEv,
 				evPerBlk)

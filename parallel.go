@@ -1,5 +1,5 @@
 // Parallel execution with online detection (Options.ParallelDetect): the
-// goroutine-based executor and the sharded detector, joined by a
+// goroutine-based executor and the worker graph of shards.go, joined by a
 // deterministic merge.
 //
 // Topology:
@@ -23,25 +23,16 @@
 // which re-emits them in serial order: the depth-first walk of the spawn
 // tree that the serial executor takes by construction. The walk is driven
 // entirely by the chunks' own linkage (task identities and terminators),
-// so the output order — and with it batch composition, label assignment,
-// and ultimately the Report — depends only on the program, never on the
-// scheduler. In serial order the merge coalesces small chunks into
-// full-size batches (Batch.AppendFrom rebases the compact delta across the
-// seam), appends each terminator's structure event, advances the depa
-// label Builder exactly as the label stage would, and publishes labeled
-// batches onto the same broadcast ring the sharded workers already
-// consume. Downstream of the ring, nothing knows the execution was
+// so the output order — and with it batch composition and ultimately the
+// Report — depends only on the program, never on the scheduler. In serial
+// order the merge coalesces small chunks into full-size batches
+// (Batch.AppendFrom rebases the compact delta across the seam), appends
+// each terminator's structure event, and publishes the batches onto the
+// same broadcast ring the serial producer feeds. That is all it does: the
+// merged stream *is* the serial stream, and the workers derive strand
+// identities and reachability from its structure events themselves
+// (shards.go). Downstream of the ring, nothing knows the execution was
 // parallel.
-//
-// Why the labels must be assigned here and not by the executors: depa
-// strand IDs are dense serial ranks — a strand's ID depends on how many
-// strands precede it in the serial projection, which for a spawned task is
-// unknowable until every earlier subtree has finished. Executors therefore
-// produce only schedule-independent facts — a strand's intervals are a
-// function of the strand alone, and so are their page masks; the merge,
-// which is the first point where serial order exists again, owns ID
-// assignment. That also keeps the Builder single-threaded, preserving its
-// immutable-snapshot contract for the workers.
 //
 // Deadlock-freedom: the dependency chain is acyclic — executors block only
 // on the queue, the merge blocks only on the queue (drain) and the
@@ -57,7 +48,6 @@ import (
 	"time"
 
 	"stint/internal/coalesce"
-	"stint/internal/depa"
 	"stint/internal/evstream"
 	"stint/internal/stage"
 )
@@ -70,10 +60,8 @@ import (
 func newParallelState(ringDepth, batchEvents int) *asyncState {
 	queueDepth := ringDepth * 8
 	return &asyncState{
-		ringDepth: ringDepth,
-		graph:     stage.NewGraph(),
-		queue:     evstream.NewTaskQueue(queueDepth),
-		pool:      evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents),
+		queue: evstream.NewTaskQueue(queueDepth),
+		pool:  evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents),
 	}
 }
 
@@ -153,7 +141,7 @@ func (p *parTask) emitInterval(op evstream.Op, addr, size uint64) {
 	if p.batch.Full() {
 		p.cut(evstream.ChunkCut, 0)
 	}
-	p.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, p.as.shards)
+	p.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, len(p.as.workers))
 	p.batch.AppendAccess(op, addr, size)
 }
 
@@ -189,42 +177,20 @@ func (p *parTask) cut(end evstream.ChunkEnd, child uint64) {
 	p.resume()
 }
 
-// launchParallel wires the ParallelDetect stage graph for one run: the
-// merge stage bridging the chunk queue to the broadcast ring, and the same
-// prebuilt shard workers and merge finalizer the Async sharded pipeline
-// uses.
-func (as *asyncState) launchParallel(labels *depa.Builder, workers []*shardWorker, bcast *evstream.BcastRing[labeledBatch], maxRec int) {
-	as.graph.OnAbort(func() {
-		as.queue.Close()
-		bcast.Close()
-	})
-	for _, w := range workers {
-		as.graph.Go(w.run)
-	}
-	as.graph.Go(func() { as.mergeParallel(labels, bcast) })
-	as.graph.Seal(func() { as.mergeSharded(labels, workers, bcast, maxRec) })
-}
-
 // mergeParallel is the merge stage: it reorders the chunk stream into the
-// serial projection, coalesces it into labeled full-size batches, and
-// broadcasts them. Its busy meter lands in asyncState.seqBusy — reported
-// as Report.SequencerBusy, whose role it inherits from the label stage —
-// and excludes both queue waits and broadcast-publish blocking.
-func (as *asyncState) mergeParallel(labels *depa.Builder, bcast *evstream.BcastRing[labeledBatch]) {
-	view := labels.View() // covers the root strand until the first spawn
-	as.viewSnaps++
+// serial projection, coalesces it into full-size batches, and broadcasts
+// them. Its busy meter lands in asyncState.seqBusy — reported as
+// Report.SequencerBusy — and excludes both queue waits and
+// broadcast-publish blocking.
+func (as *asyncState) mergeParallel() {
 	out := as.pool.Get()
 	reorder := stage.NewReorder()
 	aborted := false
 	var blocked time.Duration // publish-blocking time inside the current lap
 
 	publish := func(b *evstream.Batch) {
-		if labels.StrandCount() > view.StrandCount() {
-			view = labels.View()
-			as.viewSnaps++
-		}
 		t0 := time.Now()
-		if !bcast.Publish(labeledBatch{batch: b, labels: view}) {
+		if !as.bcast.Publish(b) {
 			as.pool.Put(b)
 			aborted = true
 		}
@@ -267,9 +233,7 @@ func (as *asyncState) mergeParallel(labels *depa.Builder, bcast *evstream.BcastR
 			return
 		}
 		// The terminator becomes the structure event the serial stream
-		// would carry here, stamped into the summary's Ctl offsets and
-		// applied to the label builder — the merge is the label stage for
-		// this pipeline.
+		// would carry here, stamped into the summary's Ctl offsets.
 		var op evstream.Op
 		switch c.End {
 		case evstream.ChunkSpawn:
@@ -287,9 +251,7 @@ func (as *asyncState) mergeParallel(labels *depa.Builder, bcast *evstream.BcastR
 				return
 			}
 		}
-		off := out.AppendCtl(op)
-		out.Sum.AddCtl(off)
-		applyCtl(labels, op)
+		out.Sum.AddCtl(out.AppendCtl(op))
 		as.mergeCtl++
 	}
 
@@ -318,7 +280,7 @@ func (as *asyncState) mergeParallel(labels *depa.Builder, bcast *evstream.BcastR
 	} else {
 		as.pool.Put(out)
 	}
-	bcast.Close()
+	as.bcast.Close()
 	as.reorderPeak = reorder.Peak()
 }
 

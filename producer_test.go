@@ -1,7 +1,7 @@
 package stint
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 )
 
@@ -37,21 +37,13 @@ func midFlushActs() []act {
 // intervals of one strand, and neither boundary may show in the Report.
 func TestMidFlushBatchBoundaries(t *testing.T) {
 	acts := midFlushActs()
-	sync := reportFor(t, DetectorSTINT, -1, acts)
+	sync := reportFor(t, Options{Detector: DetectorSTINT}, acts)
 	if sync.RaceCount == 0 {
 		t.Fatal("program produced no races; test is vacuous")
 	}
 	for _, batchEvents := range []int{1, 2} {
-		for _, m := range []struct {
-			name string
-			opts Options
-		}{
-			{"async", Options{Async: true}},
-			{"shards=2", Options{Async: true, DetectShards: 2}},
-			{"parallel-detect", Options{ParallelDetect: true, DetectShards: 2}},
-		} {
-			opts := m.opts
-			opts.Detector, opts.MaxRacesRecorded = DetectorSTINT, 1<<20
+		for _, m := range pipeModes {
+			opts := m.With(Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 20})
 			r, err := NewRunner(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -62,11 +54,7 @@ func TestMidFlushBatchBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.RaceCount != sync.RaceCount || got.Strands != sync.Strands ||
-				!reflect.DeepEqual(got.Races, sync.Races) || normStats(got.Stats) != normStats(sync.Stats) {
-				t.Errorf("batch=%d %s: report diverges from sync\n got: %+v\nsync: %+v",
-					batchEvents, m.name, normStats(got.Stats), normStats(sync.Stats))
-			}
+			assertSameReport(t, fmt.Sprintf("batch=%d %s", batchEvents, m.Name), got, sync)
 			// A batch this small holds one event, so every event travelled
 			// alone: each multi-interval flush was cut.
 			as := r.warm.as
@@ -75,11 +63,11 @@ func TestMidFlushBatchBoundaries(t *testing.T) {
 				// event plus the root's last); the rest are mid-flush cuts.
 				if chunks := as.queue.Stats().BatchesPublished; chunks <= as.mergeCtl+1 {
 					t.Errorf("batch=%d %s: %d chunks for %d strand ends: no mid-flush ChunkCut",
-						batchEvents, m.name, chunks, as.mergeCtl+1)
+						batchEvents, m.Name, chunks, as.mergeCtl+1)
 				}
-			} else if batches := as.ring.Stats().BatchesPublished; batches < got.Stats.EventsStreamed {
+			} else if batches := as.bcast.Stats().BatchesPublished; batches < got.Stats.EventsStreamed {
 				t.Errorf("batch=%d %s: %d batches for %d events: no mid-flush publish",
-					batchEvents, m.name, batches, got.Stats.EventsStreamed)
+					batchEvents, m.Name, batches, got.Stats.EventsStreamed)
 			}
 		}
 	}
@@ -115,7 +103,7 @@ func TestShortRunStreamsBeforeDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches[i], bytes[i] = r.warm.as.ring.Stats().BatchesPublished, rep.Stats.StreamBytes
+		batches[i], bytes[i] = r.warm.as.bcast.Stats().BatchesPublished, rep.Stats.StreamBytes
 		// drain publishes the last batch; everything before it crossed the
 		// ring while the program ran.
 		if rep.Stats.EventsStreamed > 4096 || batches[i] < 3 {

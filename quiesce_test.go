@@ -68,8 +68,8 @@ func quiesceRun(t *testing.T, opts Options, words int, acts []act) *Report {
 // TestQuiesceDifferentialModes is the tentpole equivalence check: with a
 // small PageQuiesceThreshold on a racy multi-page program, the races, race
 // count, strand count, and every deterministic counter (pages quiesced
-// included) are identical across {sync, async, shards 1/2/4,
-// parallel-detect} — the hook counters too: a hook the producer drops for a
+// included) are identical across sync and every pipelined mode — the hook
+// counters too: a hook the producer drops for a
 // dead page is still counted, on the mutator side.
 func TestQuiesceDifferentialModes(t *testing.T) {
 	const pages = 5
@@ -84,34 +84,9 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 			if sync.RaceCount == 0 {
 				t.Fatalf("%v: fixture program found no races", d)
 			}
-			check := func(name string, got *Report) {
-				t.Helper()
-				if got.RaceCount != sync.RaceCount || got.Strands != sync.Strands {
-					t.Fatalf("%s: RaceCount/Strands %d/%d, sync %d/%d",
-						name, got.RaceCount, got.Strands, sync.RaceCount, sync.Strands)
-				}
-				if !reflect.DeepEqual(got.Races, sync.Races) {
-					t.Fatalf("%s: races diverge from sync\n got: %v\nsync: %v", name, got.Races, sync.Races)
-				}
-				if ng, ns := normStats(got.Stats), normStats(sync.Stats); ng != ns {
-					t.Fatalf("%s: stats diverge from sync\n got: %+v\nsync: %+v", name, ng, ns)
-				}
+			for _, m := range pipeModes {
+				assertSameReport(t, m.Name, quiesceRun(t, m.With(base), pages*qPageWords, acts), sync)
 			}
-			async := base
-			async.Async = true
-			check("async", quiesceRun(t, async, pages*qPageWords, acts))
-
-			for _, n := range []int{1, 2, 4} {
-				sharded := async
-				sharded.DetectShards = n
-				check(fmt.Sprintf("shards=%d", n),
-					quiesceRun(t, sharded, pages*qPageWords, acts))
-			}
-
-			par := base
-			par.ParallelDetect = true
-			par.DetectShards = 2
-			check("parallel-detect", quiesceRun(t, par, pages*qPageWords, acts))
 		})
 	}
 }

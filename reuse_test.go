@@ -1,7 +1,6 @@
 package stint
 
 import (
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -15,37 +14,19 @@ import (
 // byte-identical to fresh Runners, across every execution mode, and its
 // retained footprint stops growing once it has seen its peak workload.
 
-// reuseModes are the execution-mode configurations the reuse contract
-// covers: synchronous inline, plain pipelined, sharded at one and four
-// workers, and parallel execution with online detection.
+// reuseModes are the configurations the reuse contract is pinned on:
+// synchronous inline, and one leg of the mode table per topology — one
+// worker, four workers, parallel execution. (The subtest names predate the
+// table.)
+var reuseBase = Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10}
 var reuseModes = []struct {
 	name string
 	opts Options
 }{
-	{"sync", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10}},
-	{"async", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true}},
-	{"shards1", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true, DetectShards: 1}},
-	{"shards4", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, Async: true, DetectShards: 4}},
-	{"parallel", Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10, ParallelDetect: true, DetectShards: 2}},
-}
-
-// reuseCompare fails the test unless the two reports agree on every
-// deterministic field: the race list byte for byte, the counts, and the
-// normalized stats.
-func reuseCompare(t *testing.T, label string, got, want *Report) {
-	t.Helper()
-	if got.RaceCount != want.RaceCount || got.Strands != want.Strands {
-		t.Fatalf("%s: RaceCount/Strands %d/%d, fresh %d/%d",
-			label, got.RaceCount, got.Strands, want.RaceCount, want.Strands)
-	}
-	if !reflect.DeepEqual(got.Races, want.Races) {
-		t.Fatalf("%s: race list diverges from fresh runner\n got: %v\nwant: %v",
-			label, got.Races, want.Races)
-	}
-	if normStats(got.Stats) != normStats(want.Stats) {
-		t.Fatalf("%s: stats diverge from fresh runner\n got: %+v\nwant: %+v",
-			label, normStats(got.Stats), normStats(want.Stats))
-	}
+	{"sync", reuseBase},
+	{"async", modeNamed("async").With(reuseBase)},
+	{"shards4", modeNamed("shards=4").With(reuseBase)},
+	{"parallel", modeNamed("parallel-detect").With(reuseBase)},
 }
 
 // TestReuseByteIdenticalReports drives one Runner per mode through a
@@ -79,7 +60,7 @@ func TestReuseByteIdenticalReports(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := soakRunOpts(t, acts, sizes, mode.opts)
-				reuseCompare(t, mode.name, got, want)
+				assertSameReport(t, mode.name, got, want)
 			}
 			// An explicit Reset between runs is equivalent to the automatic
 			// one: re-running the last seed still matches fresh.
@@ -90,7 +71,7 @@ func TestReuseByteIdenticalReports(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := soakRunOpts(t, acts, sizes, mode.opts)
-			reuseCompare(t, mode.name+"/explicit-reset", got, want)
+			assertSameReport(t, mode.name+"/explicit-reset", got, want)
 		})
 	}
 }
@@ -294,16 +275,5 @@ func TestResetClearsCountersAndOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.RaceCount != first.RaceCount {
-		t.Fatalf("RaceCount accumulated across runs: first %d, second %d",
-			first.RaceCount, second.RaceCount)
-	}
-	if normStats(second.Stats) != normStats(first.Stats) {
-		t.Fatalf("stats bled across Reset\nfirst:  %+v\nsecond: %+v",
-			normStats(first.Stats), normStats(second.Stats))
-	}
-	if !reflect.DeepEqual(second.Races, first.Races) {
-		t.Fatalf("canonical race ordering moved across Reset\nfirst:  %v\nsecond: %v",
-			first.Races, second.Races)
-	}
+	assertSameReport(t, "second run vs first", second, first)
 }

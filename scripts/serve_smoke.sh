@@ -6,7 +6,7 @@
 # Runner the first one dirtied — reuse must not change the report), polls
 # both results, and asserts the served race set is byte-identical to an
 # offline stint-replay of the same file. Also checks /v1/statusz accounting
-# and the oversize rejection path.
+# and that SIGTERM drains the service to a clean exit 0.
 #
 # Usage: scripts/serve_smoke.sh [workload]   (default mmul-racy)
 set -euo pipefail
@@ -102,4 +102,13 @@ case "$statusz" in
 *) echo "FAIL: statusz did not count 2 completions: $statusz" >&2; exit 1 ;;
 esac
 echo "statusz OK: $statusz"
+
+# Graceful shutdown: SIGTERM must drain and exit 0, not die on the signal.
+kill -TERM "$server_pid"
+if wait "$server_pid"; then
+    echo "SIGTERM: clean exit 0"
+else
+    echo "FAIL: stint-serve exited $? on SIGTERM" >&2; exit 1
+fi
+server_pid=""
 echo "PASS"

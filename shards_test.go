@@ -1,7 +1,8 @@
 package stint
 
 import (
-	"reflect"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -12,30 +13,6 @@ import (
 // shardTestDetectors are the detectors DetectShards supports.
 var shardTestDetectors = []Detector{
 	DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist,
-}
-
-// normStats zeroes the timing-, allocation-, and scheduling-dependent
-// fields so the deterministic counters can be compared across execution
-// modes. BatchesSkipped is scheduling-dependent by construction: it counts
-// elided scan work, which varies with shard count and batch geometry while
-// every detection counter stays identical. EventsStreamed and StreamBytes
-// describe the transport, not the detection: sync runs have no stream and
-// the wire bytes vary with the encoding by design. HistoryBytesPeak sums
-// each engine's retained footprint, so a sharded run's N directories and
-// pools legitimately peak higher than one inline engine's.
-// PagesQuiesced stays compared: quiesce decisions are page-local and
-// deterministic, so the count is mode-independent (and zero with
-// quiescing off).
-func normStats(s Stats) Stats {
-	s.AccessHistoryTime = 0
-	s.AllocObjects = 0
-	s.AllocBytes = 0
-	s.PipelineDetectTime = 0
-	s.BatchesSkipped = 0
-	s.EventsStreamed = 0
-	s.StreamBytes = 0
-	s.HistoryBytesPeak = 0
-	return s
 }
 
 func TestNewRunnerShardValidation(t *testing.T) {
@@ -53,9 +30,9 @@ func TestNewRunnerShardValidation(t *testing.T) {
 		{"comp+rts", Options{Detector: DetectorCompRTS, Async: true, DetectShards: 2}, true},
 		{"stint", Options{Detector: DetectorSTINT, Async: true, DetectShards: 4}, true},
 		{"one shard", Options{Detector: DetectorSTINT, Async: true, DetectShards: 1}, true},
-		{"zero disables", Options{Detector: DetectorSTINT, Async: true, DetectShards: 0}, true},
+		{"zero is one worker", Options{Detector: DetectorSTINT, Async: true, DetectShards: 0}, true},
 		{"off ignored", Options{Detector: DetectorOff, Async: true, DetectShards: 2}, true},
-		{"reach-only ignored", Options{Detector: DetectorReachOnly, Async: true, DetectShards: 2}, true},
+		{"reach-only", Options{Detector: DetectorReachOnly, Async: true, DetectShards: 2}, true},
 	}
 	for _, c := range cases {
 		_, err := NewRunner(c.opts)
@@ -94,15 +71,11 @@ func shardProgram(pageStride int) func(r *Runner) TaskFunc {
 	}
 }
 
-// runSharded executes prog under the given shard count (0 = plain async,
-// -1 = synchronous) and returns the report.
-func runSharded(t *testing.T, d Detector, shards int, prog func(r *Runner) TaskFunc) *Report {
+// runSharded executes prog on a fresh Runner under opts and returns the
+// report.
+func runSharded(t *testing.T, opts Options, prog func(r *Runner) TaskFunc) *Report {
 	t.Helper()
-	opts := Options{Detector: d, MaxRacesRecorded: 1 << 20}
-	if shards >= 0 {
-		opts.Async = true
-		opts.DetectShards = shards
-	}
+	opts.MaxRacesRecorded = 1 << 20
 	r, err := NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -115,40 +88,28 @@ func runSharded(t *testing.T, d Detector, shards int, prog func(r *Runner) TaskF
 	return rep
 }
 
-// TestShardedByteIdenticalReports is the tentpole's core guarantee: for
-// each supported detector, shard counts 1, 2, and 4 produce a Report —
-// races, counts, strands, deterministic stats — byte-identical to the
-// synchronous run.
+// TestShardedByteIdenticalReports is the sharding guarantee: for each
+// supported detector, every pipelined mode produces a Report — races,
+// counts, strands, deterministic stats — byte-identical to the synchronous
+// run.
 func TestShardedByteIdenticalReports(t *testing.T) {
 	prog := shardProgram(16 << 10)
 	for _, d := range shardTestDetectors {
-		sync := runSharded(t, d, -1, prog)
+		sync := runSharded(t, Options{Detector: d}, prog)
 		if sync.RaceCount == 0 {
 			t.Fatalf("%v: program produced no races; test is vacuous", d)
 		}
-		for _, n := range []int{1, 2, 4} {
-			got := runSharded(t, d, n, prog)
-			if got.RaceCount != sync.RaceCount {
-				t.Errorf("%v shards=%d: RaceCount %d, sync %d", d, n, got.RaceCount, sync.RaceCount)
-			}
-			if got.Strands != sync.Strands {
-				t.Errorf("%v shards=%d: Strands %d, sync %d", d, n, got.Strands, sync.Strands)
-			}
-			if !reflect.DeepEqual(got.Races, sync.Races) {
-				t.Errorf("%v shards=%d: Races differ\n got: %v\nsync: %v", d, n, got.Races, sync.Races)
-			}
-			if ns, ng := normStats(sync.Stats), normStats(got.Stats); ns != ng {
-				t.Errorf("%v shards=%d: stats differ\n got: %+v\nsync: %+v", d, n, ng, ns)
-			}
+		for _, m := range pipeModes {
+			assertSameReport(t, fmt.Sprintf("%v %s", d, m.Name), runSharded(t, m.With(Options{Detector: d}), prog), sync)
 		}
 	}
 }
 
 // TestShardedTinyBatchGeometries forces batch-boundary and backpressure
-// cases through both the main ring and the per-shard rings.
+// cases through the broadcast ring.
 func TestShardedTinyBatchGeometries(t *testing.T) {
 	prog := shardProgram(16 << 10)
-	sync := runSharded(t, DetectorSTINT, -1, prog)
+	sync := runSharded(t, Options{Detector: DetectorSTINT}, prog)
 	for _, geom := range [][2]int{{1, 1}, {3, 2}, {7, 3}} {
 		r, err := NewRunner(Options{
 			Detector: DetectorSTINT, Async: true, DetectShards: 3,
@@ -163,30 +124,31 @@ func TestShardedTinyBatchGeometries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rep.Races, sync.Races) || rep.Strands != sync.Strands ||
-			normStats(rep.Stats) != normStats(sync.Stats) {
-			t.Errorf("geometry %v: sharded run diverged from sync", geom)
-		}
+		assertSameReport(t, fmt.Sprintf("geometry %v", geom), rep, sync)
 	}
 }
 
-// TestShardedUtilizationReadout checks the Report's sharded observability:
-// one busy figure per worker, summing to PipelineDetectTime, plus the
-// sequencer's own busy time.
+// TestShardedUtilizationReadout checks the Report's pipeline observability:
+// one busy figure per worker, summing to PipelineDetectTime; no sequencer
+// stage and no label snapshots behind the serial producer; the merge
+// stage's busy time under ParallelDetect.
 func TestShardedUtilizationReadout(t *testing.T) {
-	rep := runSharded(t, DetectorSTINT, 4, shardProgram(16<<10))
-	if len(rep.ShardLoad) != 4 {
-		t.Fatalf("ShardLoad has %d entries, want 4", len(rep.ShardLoad))
-	}
-	var sum time.Duration
-	for _, l := range rep.ShardLoad {
-		sum += l.Busy
-	}
-	if sum != rep.Stats.PipelineDetectTime {
-		t.Errorf("sum(ShardLoad.Busy) = %v, PipelineDetectTime = %v", sum, rep.Stats.PipelineDetectTime)
-	}
-	if rep.SequencerBusy == 0 {
-		t.Error("SequencerBusy not reported")
+	for _, m := range pipeModes {
+		rep := runSharded(t, m.With(Options{Detector: DetectorSTINT}), shardProgram(16<<10))
+		if want := max(m.Opts.DetectShards, 1); len(rep.ShardLoad) != want {
+			t.Fatalf("%s: ShardLoad has %d entries, want %d", m.Name, len(rep.ShardLoad), want)
+		}
+		var sum time.Duration
+		for _, l := range rep.ShardLoad {
+			sum += l.Busy
+		}
+		if sum != rep.Stats.PipelineDetectTime {
+			t.Errorf("%s: sum(ShardLoad.Busy) = %v, PipelineDetectTime = %v", m.Name, sum, rep.Stats.PipelineDetectTime)
+		}
+		if (rep.SequencerBusy > 0) != m.Opts.ParallelDetect || rep.LabelViewSnapshots != 0 {
+			t.Errorf("%s: SequencerBusy %v, LabelViewSnapshots %d; want merge busy time under ParallelDetect only, never a snapshot",
+				m.Name, rep.SequencerBusy, rep.LabelViewSnapshots)
+		}
 	}
 }
 
@@ -212,8 +174,9 @@ func TestShardedOnRaceDelivered(t *testing.T) {
 	}
 }
 
-// TestShardedIgnoredForReachOnlyAndOff: DetectShards is accepted but inert
-// when there is no page-partitioned work.
+// TestShardedIgnoredForReachOnlyAndOff: DetectShards is accepted when there
+// is no page-partitioned work — under ReachOnly each worker just replays the
+// structure stream on its own SP-Order; under Off nothing is built.
 func TestShardedIgnoredForReachOnlyAndOff(t *testing.T) {
 	r, err := NewRunner(Options{Detector: DetectorReachOnly, Async: true, DetectShards: 4})
 	if err != nil {
@@ -229,8 +192,8 @@ func TestShardedIgnoredForReachOnlyAndOff(t *testing.T) {
 	if rep.Strands != 4 {
 		t.Errorf("Strands = %d, want 4", rep.Strands)
 	}
-	if rep.ShardLoad != nil {
-		t.Errorf("ShardLoad reported for an unsharded run: %v", rep.ShardLoad)
+	if len(rep.ShardLoad) != 4 || rep.Racy() {
+		t.Errorf("ReachOnly with 4 workers: %d ShardLoad entries, %d races", len(rep.ShardLoad), rep.RaceCount)
 	}
 
 	r, err = NewRunner(Options{Detector: DetectorOff, Async: true, DetectShards: 4})
@@ -241,8 +204,8 @@ func TestShardedIgnoredForReachOnlyAndOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Racy() {
-		t.Error("DetectorOff reported races")
+	if rep.Racy() || rep.ShardLoad != nil {
+		t.Errorf("DetectorOff reported %d races, ShardLoad %v", rep.RaceCount, rep.ShardLoad)
 	}
 }
 
@@ -298,8 +261,6 @@ func TestShardedSkewSkipScan(t *testing.T) {
 	}
 	// Small batches so the interval stream — a few thousand events — spans
 	// on the order of a hundred batches and the skip ratio is meaningful.
-	// They fill well below earlyPublishEvents, so batch boundaries are a
-	// function of the stream alone.
 	r.asyncBatchEvents, r.asyncRingDepth = 16, 4
 	prog, owner := skewProgram(r)
 	// checkSkew asserts the skip fast path fired: on the one-hot-page
@@ -364,23 +325,8 @@ func TestShardedSkewSkipScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		got  *Report
-	}{
-		{"fresh", fresh}, {"reused", reused},
-	} {
-		if c.got.RaceCount != sync.RaceCount || c.got.Strands != sync.Strands {
-			t.Errorf("%s: RaceCount/Strands %d/%d, sync %d/%d",
-				c.name, c.got.RaceCount, c.got.Strands, sync.RaceCount, sync.Strands)
-		}
-		if !reflect.DeepEqual(c.got.Races, sync.Races) {
-			t.Errorf("%s: Races differ from sync", c.name)
-		}
-		if ns, ng := normStats(sync.Stats), normStats(c.got.Stats); ns != ng {
-			t.Errorf("%s: stats differ\n got: %+v\nsync: %+v", c.name, ng, ns)
-		}
-	}
+	assertSameReport(t, "fresh", fresh, sync)
+	assertSameReport(t, "reused", reused, sync)
 }
 
 // TestShardedOnRacePanicPropagates hardens teardown: a panicking user
@@ -432,7 +378,83 @@ func TestShardedMultipleRunsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first.Races, second.Races) || first.RaceCount != second.RaceCount {
-		t.Errorf("re-running changed the report: %d vs %d races", first.RaceCount, second.RaceCount)
+	assertSameReport(t, "second run", second, first)
+}
+
+// TestAsyncZeroAndOneShardIdentical pins that plain Async is the one-worker
+// case of the worker graph, not a second implementation: DetectShards 0 and
+// 1 produce the same Report — the stream totals and the one-entry ShardLoad
+// included — on a fresh Runner and on a reused one.
+func TestAsyncZeroAndOneShardIdentical(t *testing.T) {
+	var reps [2][2]*Report // [DetectShards][lap]
+	for n := range reps {
+		r, err := NewRunner(Options{Detector: DetectorSTINT, Async: true, DetectShards: n, MaxRacesRecorded: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := shardProgram(16 << 10)(r)
+		for lap := range reps[n] {
+			if reps[n][lap], err = r.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for lap, zero := range reps[0] {
+		one := reps[1][lap]
+		assertSameReport(t, fmt.Sprintf("lap %d: DetectShards 1 vs 0", lap), one, zero)
+		if len(zero.ShardLoad) != 1 || len(one.ShardLoad) != 1 {
+			t.Errorf("lap %d: %d and %d ShardLoad entries, want 1 and 1", lap, len(zero.ShardLoad), len(one.ShardLoad))
+		}
+		if zero.Stats.EventsStreamed == 0 || zero.Stats.EventsStreamed != one.Stats.EventsStreamed ||
+			zero.Stats.StreamBytes != one.Stats.StreamBytes || zero.Stats.BatchesSkipped != one.Stats.BatchesSkipped {
+			t.Errorf("lap %d: stream totals differ: %d events / %d bytes / %d skipped vs %d / %d / %d", lap,
+				zero.Stats.EventsStreamed, zero.Stats.StreamBytes, zero.Stats.BatchesSkipped,
+				one.Stats.EventsStreamed, one.Stats.StreamBytes, one.Stats.BatchesSkipped)
+		}
+	}
+}
+
+// TestWorkersReplayTheSameSPOrder pins why nothing about reachability is
+// shipped: every worker replays the whole structure stream on a private
+// SP-Order, and strand IDs and sequential ranks are a function of that
+// stream alone — so after a run each worker's structure has the synchronous
+// run's strands (the merge reads worker 0's count) and ranks every strand as
+// the inline detector's structure does.
+func TestWorkersReplayTheSameSPOrder(t *testing.T) {
+	sizes := make([]int, len(bufSpecs))
+	for i, s := range bufSpecs {
+		sizes[i] = s.elems
+	}
+	for seed := int64(9000); seed < 9010; seed++ {
+		acts := genActs(rand.New(rand.NewSource(seed)), 5, sizes)
+		run := func(opts Options) (*Runner, *Report) {
+			r, err := NewRunner(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs, _ := allocBufs(r)
+			rep, err := r.Run(func(task *Task) { runActs(task, bufs, acts) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r, rep
+		}
+		syncR, sync := run(Options{Detector: DetectorSTINT})
+		for _, name := range []string{"shards=4", "parallel-detect=4"} {
+			r, rep := run(modeNamed(name).With(Options{Detector: DetectorSTINT}))
+			if rep.Strands != sync.Strands {
+				t.Fatalf("seed %d %s: Strands %d, sync %d", seed, name, rep.Strands, sync.Strands)
+			}
+			for i, w := range r.warm.as.workers {
+				if w.sp.StrandCount() != sync.Strands {
+					t.Fatalf("seed %d %s: worker %d replayed %d strands, sync has %d", seed, name, i, w.sp.StrandCount(), sync.Strands)
+				}
+				for id := int32(0); int(id) < sync.Strands; id++ {
+					if got, want := w.sp.SeqRank(id), syncR.warm.sp.SeqRank(id); got != want {
+						t.Fatalf("seed %d %s: worker %d ranks strand %d at %d, sync at %d", seed, name, i, id, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package stint
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 )
@@ -42,15 +42,7 @@ func soakProgram(seed int64) ([]act, []int) {
 }
 
 func soakRun(t *testing.T, acts []act, sizes []int, d Detector) *Report {
-	return soakRunMode(t, acts, sizes, d, false)
-}
-
-func soakRunMode(t *testing.T, acts []act, sizes []int, d Detector, async bool) *Report {
-	return soakRunShards(t, acts, sizes, d, async, 0)
-}
-
-func soakRunShards(t *testing.T, acts []act, sizes []int, d Detector, async bool, shards int) *Report {
-	return soakRunOpts(t, acts, sizes, Options{Detector: d, MaxRacesRecorded: 1, Async: async, DetectShards: shards})
+	return soakRunOpts(t, acts, sizes, Options{Detector: d, MaxRacesRecorded: 1})
 }
 
 func soakRunOpts(t *testing.T, acts []act, sizes []int, opts Options) *Report {
@@ -88,66 +80,36 @@ func TestSoakDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestSoakAsyncDeterminismAndSyncAgreement(t *testing.T) {
+// soakPipelined holds every mode of modes to two properties at soak scale,
+// for every supported detector: runs are deterministic across repetitions
+// (the ring hands over batches, it never reorders, and per-page state is
+// owned by exactly one worker, so scheduling cannot change any counter) and
+// match the synchronous path on every deterministic field.
+func soakPipelined(t *testing.T, seeds [2]int64, modes []pipeMode) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	// Async runs must be deterministic across runs (the ring hands over
-	// batches, it never reorders) and must match the synchronous path on
-	// every counter that is not timing- or allocation-dependent.
-	norm := func(s Stats) Stats {
-		s.AccessHistoryTime, s.AllocObjects, s.AllocBytes, s.PipelineDetectTime, s.BatchesSkipped = 0, 0, 0, 0, 0
-		s.EventsStreamed, s.StreamBytes = 0, 0
-		return s
-	}
-	for seed := int64(20); seed < 26; seed++ {
+	for seed := seeds[0]; seed < seeds[1]; seed++ {
 		acts, sizes := soakProgram(seed)
 		for _, d := range shardTestDetectors {
-			a := soakRunMode(t, acts, sizes, d, true)
-			b := soakRunMode(t, acts, sizes, d, true)
-			if norm(a.Stats) != norm(b.Stats) || a.Strands != b.Strands {
-				t.Fatalf("seed %d %v: nondeterministic async runs\n%+v\n%+v", seed, d, a.Stats, b.Stats)
-			}
-			s := soakRunMode(t, acts, sizes, d, false)
-			if norm(a.Stats) != norm(s.Stats) || a.Strands != s.Strands {
-				t.Fatalf("seed %d %v: async diverges from sync\nasync: %+v\nsync:  %+v",
-					seed, d, norm(a.Stats), norm(s.Stats))
+			base := Options{Detector: d, MaxRacesRecorded: 1}
+			sync := soakRunOpts(t, acts, sizes, base)
+			for _, m := range modes {
+				a := soakRunOpts(t, acts, sizes, m.With(base))
+				b := soakRunOpts(t, acts, sizes, m.With(base))
+				assertSameReport(t, fmt.Sprintf("seed %d %v %s: second run", seed, d, m.Name), b, a)
+				assertSameReport(t, fmt.Sprintf("seed %d %v %s vs sync", seed, d, m.Name), a, sync)
 			}
 		}
 	}
 }
 
+func TestSoakAsyncDeterminismAndSyncAgreement(t *testing.T) {
+	soakPipelined(t, [2]int64{20, 26}, pipeModes[:1])
+}
+
 func TestSoakShardedDeterminismAndSyncAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak")
-	}
-	// Sharded runs must be deterministic across repetitions (per-page state
-	// is owned by exactly one worker, so scheduling cannot change any
-	// counter) and must match the synchronous path on every deterministic
-	// counter, for every supported detector and shard count.
-	norm := func(s Stats) Stats {
-		s.AccessHistoryTime, s.AllocObjects, s.AllocBytes, s.PipelineDetectTime, s.BatchesSkipped = 0, 0, 0, 0, 0
-		s.EventsStreamed, s.StreamBytes = 0, 0
-		return s
-	}
-	for seed := int64(30); seed < 34; seed++ {
-		acts, sizes := soakProgram(seed)
-		for _, d := range shardTestDetectors {
-			sync := soakRunMode(t, acts, sizes, d, false)
-			for _, n := range []int{1, 2, 4} {
-				a := soakRunShards(t, acts, sizes, d, true, n)
-				b := soakRunShards(t, acts, sizes, d, true, n)
-				if norm(a.Stats) != norm(b.Stats) || a.Strands != b.Strands || a.RaceCount != b.RaceCount {
-					t.Fatalf("seed %d %v shards=%d: nondeterministic sharded runs\n%+v\n%+v",
-						seed, d, n, a.Stats, b.Stats)
-				}
-				if norm(a.Stats) != norm(sync.Stats) || a.Strands != sync.Strands || a.RaceCount != sync.RaceCount {
-					t.Fatalf("seed %d %v shards=%d: sharded diverges from sync\nsharded: %+v\nsync:    %+v",
-						seed, d, n, norm(a.Stats), norm(sync.Stats))
-				}
-			}
-		}
-	}
+	soakPipelined(t, [2]int64{30, 34}, pipeModes[1:3])
 }
 
 // TestSoakParallelDetectDeterminism hammers the ParallelDetect pipeline
@@ -157,8 +119,8 @@ func TestSoakShardedDeterminismAndSyncAgreement(t *testing.T) {
 // MaxRacesRecorded is deliberately large so truncation cannot mask a
 // reordered race list. Designed to run under -race in CI (the race job
 // runs the full suite), where the parallel executor's goroutines get the
-// most adversarial interleavings. The hook counters get their own check
-// against sync: they are counted per task goroutine and summed as the tasks
+// most adversarial interleavings. The comparison to sync covers the hook
+// counters too: they are counted per task goroutine and summed as the tasks
 // join, the one part of Stats the executors (not the merge) produce.
 func TestSoakParallelDetectDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -169,38 +131,12 @@ func TestSoakParallelDetectDeterminism(t *testing.T) {
 	for seed := int64(40); seed < 42; seed++ {
 		acts, sizes := soakProgram(seed)
 		rng := rand.New(rand.NewSource(seed * 101))
-		sync := soakRunOpts(t, acts, sizes, Options{
-			Detector: DetectorSTINT, MaxRacesRecorded: 1 << 16,
-		})
-		var first *Report
+		base := Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 16}
+		sync := soakRunOpts(t, acts, sizes, base)
 		for it := 0; it < iters; it++ {
 			runtime.GOMAXPROCS(1 + rng.Intn(4))
-			rep := soakRunOpts(t, acts, sizes, Options{
-				Detector: DetectorSTINT, MaxRacesRecorded: 1 << 16,
-				ParallelDetect: true, DetectShards: 2,
-			})
-			if rep.RaceCount != sync.RaceCount || rep.Strands != sync.Strands {
-				t.Fatalf("seed %d iter %d: RaceCount/Strands %d/%d, sync %d/%d",
-					seed, it, rep.RaceCount, rep.Strands, sync.RaceCount, sync.Strands)
-			}
-			if !reflect.DeepEqual(rep.Races, sync.Races) {
-				t.Fatalf("seed %d iter %d: race set diverges from sync\n got: %v\nsync: %v",
-					seed, it, rep.Races, sync.Races)
-			}
-			if g, w := rep.Stats, sync.Stats; g.ReadHookCalls != w.ReadHookCalls || g.WriteHookCalls != w.WriteHookCalls ||
-				g.ReadAccesses != w.ReadAccesses || g.WriteAccesses != w.WriteAccesses {
-				t.Fatalf("seed %d iter %d: hook counters %d/%d calls %d/%d words, sync %d/%d calls %d/%d words",
-					seed, it, g.ReadHookCalls, g.WriteHookCalls, g.ReadAccesses, g.WriteAccesses,
-					w.ReadHookCalls, w.WriteHookCalls, w.ReadAccesses, w.WriteAccesses)
-			}
-			if first == nil {
-				first = rep
-				continue
-			}
-			if normStats(rep.Stats) != normStats(first.Stats) {
-				t.Fatalf("seed %d iter %d: stats moved across iterations\n got: %+v\nfirst: %+v",
-					seed, it, normStats(rep.Stats), normStats(first.Stats))
-			}
+			rep := soakRunOpts(t, acts, sizes, modeNamed("parallel-detect").With(base))
+			assertSameReport(t, fmt.Sprintf("seed %d iter %d", seed, it), rep, sync)
 		}
 	}
 }

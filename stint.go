@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"stint/internal/depa"
 	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/mem"
@@ -131,9 +130,8 @@ type Options struct {
 	// ends, flushes the intervals into a chunk, stamping their
 	// shard-occupancy mask; a merge stage reorders the arriving chunks into
 	// the serial projection (a depth-first walk of the spawn structure, so
-	// the order depends only on the program, never on scheduling), advances
-	// the reachability labels, and feeds the same sharded worker graph
-	// DetectShards uses.
+	// the order depends only on the program, never on scheduling) and feeds
+	// the same worker graph Async does.
 	//
 	// The contract is race-set equivalence with the synchronous run — the
 	// same set of (location, access-pair) races — and repeated runs are
@@ -152,14 +150,16 @@ type Options struct {
 	ParallelDetect bool
 	// Async pipelines detection: the program executes the serial
 	// projection and coalesces each strand's accesses in its own bit
-	// hashmaps — the hook costs what the synchronous one does — while a
-	// dedicated detector goroutine consumes the strands' flushed intervals
-	// from a bounded ring, overlapping compute and coalescing with the
+	// hashmaps — the hook costs what the synchronous one does — while
+	// detector workers (one unless DetectShards asks for more) consume the
+	// strands' flushed intervals from a bounded broadcast ring, overlapping
+	// compute and coalescing with the access history. Each worker rebuilds
+	// SP-Order from the stream's structure events and owns its share of the
 	// access history. Race reports and Stats are identical to the
 	// synchronous path (the stream is the serial order); wall clock
 	// approaches max(compute, detect) instead of their sum. OnRace is
-	// invoked from the detector goroutine while the program is still
-	// running; Run does not return until the stream has fully drained.
+	// invoked from a worker goroutine while the program is still running;
+	// Run does not return until the stream has fully drained.
 	//
 	// Requires a runtime-coalescing detector (DetectorCompRTS or a STINT
 	// variant) — intervals are all the stream carries. Async is ignored
@@ -167,23 +167,22 @@ type Options struct {
 	// reachability structure under DetectorReachOnly, and is incompatible
 	// with Parallel.
 	Async bool
-	// DetectShards, when n > 0, spreads the detector side of the Async
-	// pipeline over n shard workers behind a two-stage graph. A thin label
-	// stage consumes only the structure events, stamps each batch with an
-	// immutable DePa-style reachability label snapshot (internal/depa), and
-	// broadcasts the batch unmodified to all workers; each worker keeps the
-	// intervals — page-contained as flushed — whose 64 KiB shadow page
-	// hashes to its shard, owns that page's access history in its own page
-	// directory and treap node pool, and answers reachability from the
-	// read-only labels. Race reports, counts, and Stats are canonical:
+	// DetectShards is the worker count of the pipeline's detector side; 0
+	// means 1, and the two are the same code path. Every worker scans every
+	// batch, replays the structure events on a private SP-Order structure,
+	// keeps the intervals — page-contained as flushed — whose 64 KiB shadow
+	// page hashes to its shard, and owns that page's access history in its
+	// own page directory and treap node pool. Nothing is shared between
+	// workers, so reachability memory (one SP-Order structure per worker)
+	// scales with n. Race reports, counts, and Stats are canonical:
 	// independent of n and identical to the synchronous path. OnRace may be
 	// invoked from any worker (serialized, but in no deterministic order
 	// across shard counts).
 	//
 	// Requires Async or ParallelDetect, and with them a runtime-coalescing
-	// detector; ignored for DetectorOff/DetectorReachOnly (nothing
-	// page-partitioned to shard). n = 1 runs the full sharded machinery
-	// with one worker.
+	// detector; ignored for DetectorOff, and under DetectorReachOnly the n
+	// workers only replay the structure stream (nothing page-partitioned to
+	// shard).
 	DetectShards int
 	// PageQuiesceThreshold, when n > 0, retires a 64 KiB shadow page's
 	// access history once that page has produced n races: its treaps,
@@ -240,30 +239,18 @@ type Runner struct {
 // warmState is everything a Runner retains across runs. Exactly one shape
 // is populated, fixed by the Options mode:
 //
-//   - sync (and ReachOnly): sp + engine + col;
-//   - plain Async: as (ring, working batch, bit hashmaps) + cons;
-//   - Async + DetectShards: as + labels + workers + bcast;
-//   - ParallelDetect: as (queue, batch and bit-hashmap pools) + labels +
-//     workers + bcast;
+//   - sync: sp + engine + col;
+//   - Async or ParallelDetect: as — the mutator side, the broadcast ring
+//     and the workers behind it (async.go);
 //   - DetectorOff / Parallel / pure tracing: nothing.
 //
 // The OnRace closures built here capture the retained structures, so they
 // remain valid for every subsequent run.
 type warmState struct {
-	// Synchronous inline detection.
 	sp     *spord.SP
 	engine detect.Engine
 	col    *stage.Collector
-	// Pipelined modes.
-	as      *asyncState
-	cons    *consumeState
-	labels  *depa.Builder
-	workers []*shardWorker
-	bcast   *evstream.BcastRing[labeledBatch]
-	// quiesce is the shared quiesced-page registry (serial-projection
-	// pipelines with PageQuiesceThreshold only): engines publish, the
-	// producer consults.
-	quiesce *detect.QuiesceSet
+	as     *asyncState
 }
 
 // ensureWarm builds the retained detector state on first use.
@@ -281,20 +268,12 @@ func (r *Runner) ensureWarm() {
 		TimeAccessHistory: r.opts.TimeAccessHistory,
 		QuiesceThreshold:  r.opts.PageQuiesceThreshold,
 	}
-	// The history budget divides evenly across the engines that will share
-	// it (one per shard worker); a lone engine gets the whole cap.
-	engines := 1
-	if r.opts.ParallelDetect || (r.opts.Async && r.opts.Detector != DetectorReachOnly) {
-		if n := r.opts.DetectShards; n > 1 {
-			engines = n
-		}
-	}
+	// A pipeline runs max(DetectShards, 1) workers, one engine each; the
+	// history budget divides evenly across them (validate ties DetectShards
+	// to a pipelined mode, so the inline engine gets the whole cap).
+	workers := max(r.opts.DetectShards, 1)
 	if r.opts.MaxHistoryBytes > 0 {
-		per := uint64(r.opts.MaxHistoryBytes) / uint64(engines)
-		if per == 0 {
-			per = 1
-		}
-		cfg.MaxHistoryBytes = per
+		cfg.MaxHistoryBytes = max(uint64(r.opts.MaxHistoryBytes)/uint64(workers), 1)
 	}
 	user := r.opts.OnRace
 	maxRec := r.opts.MaxRacesRecorded
@@ -307,33 +286,24 @@ func (r *Runner) ensureWarm() {
 	}
 	switch {
 	case r.opts.ParallelDetect:
-		shards := r.opts.DetectShards
-		if shards == 0 {
-			shards = 1
-		}
 		// No quiesce registry here: parallel executors emit events at
 		// serial positions that may precede a quiesce point already
 		// reached by a worker, so producer-side drops would be unsound.
 		// The engines' own page-local drops carry the optimization.
 		w.as = newParallelState(depth, bcap)
-		w.labels, w.workers, w.bcast = w.as.buildDetectors(cfg, shards, maxRec, user, w.as.pool.Put)
+		w.as.buildWorkers(cfg, workers, depth, maxRec, user)
 	case r.opts.Async:
 		w.as = newAsyncState(depth, bcap)
-		if r.opts.PageQuiesceThreshold > 0 && r.opts.Detector != DetectorReachOnly {
+		if r.opts.PageQuiesceThreshold > 0 {
 			// In the serial-projection pipelines the producer is always
 			// ahead of the detector in stream order, so once a page shows
 			// up in the registry every not-yet-emitted event is past the
 			// quiesce point — the producer can drop it without changing
 			// any report.
-			w.quiesce = detect.NewQuiesceSet()
-			cfg.Quiesced = w.quiesce
-			w.as.quiesce = w.quiesce
+			w.as.quiesce = detect.NewQuiesceSet()
+			cfg.Quiesced = w.as.quiesce
 		}
-		if n := r.opts.DetectShards; n > 0 && r.opts.Detector != DetectorReachOnly {
-			w.labels, w.workers, w.bcast = w.as.buildDetectors(cfg, n, maxRec, user, w.as.ring.Recycle)
-		} else {
-			w.cons = buildConsume(cfg, maxRec, user)
-		}
+		w.as.buildWorkers(cfg, workers, depth, maxRec, user)
 	default:
 		w.sp = spord.New()
 		w.col = stage.NewCollector(maxRec)
@@ -353,7 +323,7 @@ func (r *Runner) ensureWarm() {
 
 // Reset returns the Runner to fresh-but-warm state: every retained layer —
 // reachability structures, detector engines with their page directories and
-// node pools, race collectors, event rings and batch pools — is emptied in
+// node pools, race collectors, the event ring and batch pools — is emptied in
 // place with its capacity kept, so in steady state Reset allocates nothing
 // and the Runner's heap footprint stops growing once it has seen its peak
 // run. Deterministic seeds re-derive, so the next Run's Report is
@@ -377,23 +347,8 @@ func (r *Runner) Reset() {
 	if w.col != nil {
 		w.col.Reset()
 	}
-	if w.cons != nil {
-		w.cons.reset()
-	}
-	if w.labels != nil {
-		w.labels.Reset()
-	}
-	for _, sw := range w.workers {
-		sw.reset()
-	}
-	if w.bcast != nil {
-		w.bcast.Reset()
-	}
 	if w.as != nil {
 		w.as.reset()
-	}
-	if w.quiesce != nil {
-		w.quiesce.Reset()
 	}
 }
 
@@ -426,29 +381,29 @@ type Report struct {
 	WallTime time.Duration
 	// Stats exposes the detector's internal counters.
 	Stats Stats
-	// SequencerBusy is the time the sharded pipeline's label stage spent
-	// applying structure events and snapshotting labels (zero otherwise);
-	// the per-worker side of the utilization split is ShardLoad.
+	// SequencerBusy is the busy time of the one serial stage between the
+	// mutator side and the workers: ParallelDetect's merge (reordering and
+	// coalescing chunks, excluding its waits). Zero in every other mode —
+	// the serial producer publishes straight to the workers. The per-worker
+	// side of the utilization split is ShardLoad.
 	SequencerBusy time.Duration
-	// LabelViewSnapshots counts the reachability-label snapshots the label
-	// stage took (sharded mode, zero otherwise): one covering the root
-	// strand plus one per batch whose structure events grew the label set.
-	// Batches with no spawns reuse the previous snapshot, so this is
-	// typically far below the batch count on access-dense programs.
+	// LabelViewSnapshots is always zero: no pipeline ships reachability
+	// labels any more (each worker replays SP-Order itself). The field
+	// stays for the benchmark's ledger, which still reads it.
 	LabelViewSnapshots uint64
 	// ExecutorBusy is the summed busy time of the parallel executor's task
 	// goroutines under ParallelDetect (zero otherwise): program execution
 	// plus strand coalescing and flushing, excluding queue handoffs and
-	// joins. Divided by
-	// the worker count it approximates the executor's critical path; in
-	// this mode SequencerBusy reports the merge stage's busy time.
+	// joins. Divided by the core count it approximates the executor's
+	// critical path.
 	ExecutorBusy time.Duration
 	// ReorderPeak is the most chunks the ParallelDetect merge ever held
 	// waiting for the next chunk in serial order (zero otherwise) — the
 	// memory price of scheduling skew between executor goroutines.
 	ReorderPeak int
-	// ShardLoad is each worker's load breakdown (sharded mode only, nil
-	// otherwise): busy time (scanning, page filtering, and detection;
+	// ShardLoad is each worker's load breakdown (pipelined modes only, nil
+	// otherwise; one entry under plain Async): busy time (scanning, page
+	// filtering, SP-Order replay, and detection;
 	// Stats.PipelineDetectTime is their sum), the scanned-vs-skipped batch
 	// split from the summary fast path, and the worker's broadcast-ring
 	// wait count. A worker with many waits was starved (ahead of the
@@ -467,7 +422,7 @@ type ShardLoad struct {
 	BatchesScanned uint64
 	BatchesSkipped uint64
 	// RingWaits counts the worker's blocking episodes waiting on the
-	// broadcast ring for the label stage to publish.
+	// broadcast ring for the producer (or the merge stage) to publish.
 	RingWaits uint64
 	// EventsScanned and BlocksDecoded count the logical events and decode
 	// blocks of the worker's full scans (skipped batches contribute
@@ -554,15 +509,12 @@ func (r *Runner) footprint() detect.Footprint {
 		for _, sb := range as.bitsAll {
 			f.BitPages += sb.pages()
 		}
+		for _, sw := range as.workers {
+			f.Add(detect.FootprintOf(sw.engine))
+		}
 	}
 	if w.engine != nil {
 		f.Add(detect.FootprintOf(w.engine))
-	}
-	if w.cons != nil {
-		f.Add(detect.FootprintOf(w.cons.engine))
-	}
-	for _, sw := range w.workers {
-		f.Add(detect.FootprintOf(sw.engine))
 	}
 	return f
 }
@@ -581,44 +533,34 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	rep := &Report{}
 	rs := &runState{parallel: r.opts.Parallel, tracer: r.opts.Tracer}
 	var syncCol *stage.Collector
+	pipe := w.as // non-nil exactly in the pipelined modes
 	if r.opts.Detector != DetectorOff {
 		// ReachOnly isolates the reachability component: SP-Order is
 		// maintained but memory hooks are skipped at the dispatch layer,
 		// matching the paper's near-zero "reach." column.
 		rs.hooks = r.opts.Detector != DetectorReachOnly
-		maxRec := r.opts.MaxRacesRecorded
 		switch {
 		case r.opts.ParallelDetect:
 			// Parallel execution with online detection: task goroutines flush
-			// their strands into chunks on a multi-producer queue, the merge stage
-			// reconstructs the serial projection and labels it, and the
-			// sharded worker graph consumes the result (parallel.go).
+			// their strands into chunks on a multi-producer queue, the merge
+			// stage reconstructs the serial projection, and the worker graph
+			// consumes the result (parallel.go).
 			rs.parallel = true
-			rs.parPipe = w.as
-			if w.as.graph == nil {
-				w.as.graph = stage.NewGraph()
-			}
-			w.as.launchParallel(w.labels, w.workers, w.bcast, maxRec)
+			rs.parPipe = pipe
 		case r.opts.Async:
-			// Pipelined detection: SP-Order (or the depa labels, when
-			// sharded) and the engine(s) live behind the event stream as a
-			// stage graph; the consumer stages own the race collectors and
-			// user OnRace calls. rep is safe to read once drain() has
-			// waited out the graph.
-			rs.async = w.as
-			if w.as.graph == nil {
-				w.as.graph = stage.NewGraph()
-			}
-			if w.workers != nil {
-				w.as.launchSharded(w.labels, w.workers, w.bcast, maxRec)
-			} else {
-				w.as.launchConsume(w.cons)
-			}
+			// Pipelined detection: SP-Order and the engines live behind the
+			// event stream as a stage graph whose workers own the race
+			// collectors and user OnRace calls (shards.go). rep is safe to
+			// read once drain() has waited out the graph.
+			rs.async = pipe
 		default:
 			rs.sp = w.sp
 			rs.engine = w.engine
 			syncCol = w.col
 		}
+	}
+	if pipe != nil {
+		pipe.launch()
 	}
 	t := &Task{rs: rs}
 	if rs.parallel {
@@ -635,15 +577,19 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	after := before
 	metrics.Read(before[:])
 	start := time.Now()
-	root(t)
-	t.Sync()
+	if pipe != nil {
+		pipe.exec(root, t)
+	} else {
+		root(t)
+		t.Sync()
+	}
 	if rs.parPipe != nil {
 		// The root's final chunk completes the serial projection; the
 		// drain waits out the merge and worker graph.
 		t.par.cut(evstream.ChunkRoot, 0)
 		rs.parPipe.drainParallel()
 	} else if rs.async != nil {
-		// Flush the stream and join the detector goroutine: WallTime then
+		// Flush the stream and join the worker graph: WallTime then
 		// covers max(compute, detect) plus the residual drain, and Stats
 		// are exact.
 		rs.async.drain()
@@ -652,19 +598,15 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	}
 	rep.WallTime = time.Since(start)
 	metrics.Read(after[:])
-	if pipe := rs.async; pipe != nil || rs.parPipe != nil {
-		if pipe == nil {
-			pipe = rs.parPipe
-			rep.ExecutorBusy = time.Duration(pipe.execBusy.Load())
-			rep.ReorderPeak = pipe.reorderPeak
-		}
+	if pipe != nil {
 		rep.Strands = pipe.strands
 		rep.Stats = pipe.stats
 		rep.RaceCount = rep.Stats.Races
 		rep.Races = pipe.races
-		rep.SequencerBusy = pipe.seqBusy.Busy()
-		rep.LabelViewSnapshots = pipe.viewSnaps
 		rep.ShardLoad = pipe.shardLoad
+		rep.ExecutorBusy = time.Duration(pipe.execBusy.Load())
+		rep.SequencerBusy = pipe.seqBusy.Busy()
+		rep.ReorderPeak = pipe.reorderPeak
 	} else {
 		if rs.sp != nil {
 			rep.Strands = rs.sp.StrandCount()
@@ -699,18 +641,13 @@ func (r *Runner) capError() error {
 		return nil
 	}
 	if w.engine != nil {
-		if err := detect.CapErrorOf(w.engine); err != nil {
-			return err
-		}
+		return detect.CapErrorOf(w.engine)
 	}
-	if w.cons != nil {
-		if err := detect.CapErrorOf(w.cons.engine); err != nil {
-			return err
-		}
-	}
-	for _, sw := range w.workers {
-		if err := detect.CapErrorOf(sw.engine); err != nil {
-			return err
+	if w.as != nil {
+		for _, sw := range w.as.workers {
+			if err := detect.CapErrorOf(sw.engine); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -49,24 +49,12 @@ func TestStreamCarriesIntervals(t *testing.T) {
 		{"fft", func() workloads.Workload { return workloads.NewFFT(2048, 64) }},
 		{"mmul", func() workloads.Workload { return workloads.NewMMul(48, 16) }},
 	}
-	modes := []struct {
-		name string
-		opts stint.Options
-	}{
-		{"async", stint.Options{Async: true}},
-		{"shards=1", stint.Options{Async: true, DetectShards: 1}},
-		{"shards=2", stint.Options{Async: true, DetectShards: 2}},
-		{"shards=4", stint.Options{Async: true, DetectShards: 4}},
-		{"parallel-detect", stint.Options{ParallelDetect: true, DetectShards: 2}},
-	}
 	for _, p := range progs {
 		var ctl ctlCounter
 		runWorkload(t, p.f, stint.Options{Tracer: &ctl})
-		for _, m := range modes {
-			t.Run(fmt.Sprintf("%s/%s", p.name, m.name), func(t *testing.T) {
-				opts := m.opts
-				opts.Detector = stint.DetectorSTINT
-				rep := runWorkload(t, p.f, opts)
+		for _, m := range stint.PipeModes {
+			t.Run(fmt.Sprintf("%s/%s", p.name, m.Name), func(t *testing.T) {
+				rep := runWorkload(t, p.f, m.With(stint.Options{Detector: stint.DetectorSTINT}))
 				if rep.Racy() {
 					t.Fatalf("workload is not race-free: %d races", rep.RaceCount)
 				}
