@@ -30,8 +30,9 @@ bench:
 # ring, the event codec against its fixed-form reference, the workers'
 # page-filter scan, the producer-side summary stamp and the worker skip-scan
 # it buys, the per-access hook cost inline and under Async side by side
-# (BenchmarkHookOverhead matches both; both hooks set a bit locally, so they
-# should be within a few ns of each other), the sharded and
+# (BenchmarkHookOverhead matches both; the two hooks are the same code,
+# detect.Coalescer's, reached through different dispatch arms, so they should
+# be within a few ns of each other), the sharded and
 # parallel-execution main-table measurements, and the racy-workload
 # quiescing pair. (internal/depa is off the production path; its
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)

@@ -1,8 +1,9 @@
 // Asynchronous pipelined detection (Options.Async): the mutator executes
-// the serial projection, coalesces each strand's accesses in its own bit
-// hashmaps (the paper's §3.2, internal/coalesce), and at every strand
-// boundary appends the strand's intervals, followed by the structure
-// event, to a batch it publishes straight onto the broadcast ring
+// the serial projection, coalesces each strand's accesses in a
+// detect.Coalescer (the paper's §3.2 — the same mutator side the synchronous
+// detector runs), and at every strand boundary appends the strand's
+// intervals, followed by the structure event, to a batch it publishes
+// straight onto the broadcast ring
 // (evstream.BcastRing) the detector side's workers consume (shards.go).
 // Plain Async is the one-worker case of that graph; DetectShards only sets
 // the worker count.
@@ -15,8 +16,9 @@
 //
 // Sequential semantics are preserved because the stream *is* the serial
 // order (DESIGN.md "Why the reports stay byte-identical"): Flush yields the
-// intervals the inline engine's StrandEnd would, the producer emits them
-// reads first, then writes, then the event that ended the strand, and each
+// intervals the inline engine's StrandEnd applies, in the same order — reads
+// first, then writes — the producer follows them with the event that ended
+// the strand, and each
 // worker replays the stream one event at a time against its own SP-Order
 // structure. The only concurrency is the ring handoff; every stage remains
 // a sequential algorithm.
@@ -67,40 +69,6 @@ const (
 	defaultAsyncRingDepth   = 64
 )
 
-// strandBits is the mutator side's runtime coalescer: the read and write
-// bit hashmaps (§3.2) of one executing strand. Flushing a strand leaves
-// both empty with their pages on their freelists, so one pair serves
-// strand after strand.
-type strandBits struct {
-	rd, wr *coalesce.BitSet
-}
-
-func newStrandBits() *strandBits {
-	return &strandBits{rd: coalesce.New(), wr: coalesce.New()}
-}
-
-// reset discards whatever an aborted run left set, keeping the pages.
-func (sb *strandBits) reset() {
-	sb.rd.Reset()
-	sb.wr.Reset()
-}
-
-func (sb *strandBits) pages() int { return sb.rd.Pages() + sb.wr.Pages() }
-
-// countRead and countWrite count one hook call into h, the mutator side's
-// share of the run's Stats: the four hook counters are counted where the
-// hooks run — the detector side never sees a hook — and Accumulated into
-// the run's Stats once the stage graph has joined.
-func countRead(h *Stats, addr, size uint64) {
-	h.ReadHookCalls++
-	h.ReadAccesses += coalesce.Words(addr, size)
-}
-
-func countWrite(h *Stats, addr, size uint64) {
-	h.WriteHookCalls++
-	h.WriteAccesses += coalesce.Words(addr, size)
-}
-
 // asyncState is a pipelined Runner's retained state and per-run results:
 // the mutator side (the serial producer's coalescer and working batch, or
 // ParallelDetect's chunk queue and bit-hashmap pool), the broadcast ring and
@@ -114,24 +82,23 @@ type asyncState struct {
 	workers []*shardWorker
 	maxRec  int
 	graph   *stage.Graph
-	// batch is the serial producer's working batch, bits the coalescer of
-	// its current strand, hooks the mutator side's share of the run's Stats
-	// (hook calls, and for the serial producer the stream totals, counted at
-	// publish). Under ParallelDetect batch and bits are nil: every parTask
-	// owns a working batch, borrows a pair from the pool below for the
-	// length of a strand and counts its own hooks, and hooks is their sum
-	// (guarded by bitsMu until the graph has joined).
+	// batch is the serial producer's working batch and bits its coalescer;
+	// with PageQuiesceThreshold set, bits drops accesses to pages the workers'
+	// histories have retired (the registry they share is built in
+	// ensureWarm). Under ParallelDetect both are nil: every parTask owns a
+	// working batch and borrows a Coalescer from the pool below for the
+	// length of a strand. The mutator side's share of the run's Stats — the
+	// hook counters — is read off the Coalescers at drain.
 	batch *evstream.Batch
-	bits  *strandBits
-	hooks Stats
+	bits  *detect.Coalescer
 	// Parallel-detect mode (parallel.go) feeds the ring from a merge stage
 	// behind a multi-producer chunk queue. nextTask hands out task identities
 	// to spawned children (the root is 0), execBusy accumulates the executor
 	// goroutines' busy nanoseconds, mergeCtl counts the structure events the
 	// merge synthesized from chunk terminators, seqBusy is the merge's busy
 	// time, and reorderPeak its reorder-buffer high-water mark. bitsAll is
-	// every strandBits pair the run's strands ever needed at once — the
-	// pool's high-water mark — and bitsFree the ones not lent out.
+	// every Coalescer the run's strands ever needed at once — the pool's
+	// high-water mark — and bitsFree the ones not lent out.
 	queue       *evstream.TaskQueue
 	nextTask    atomic.Uint64
 	execBusy    atomic.Int64
@@ -139,34 +106,25 @@ type asyncState struct {
 	seqBusy     stage.Meter
 	reorderPeak int
 	bitsMu      sync.Mutex
-	bitsAll     []*strandBits
-	bitsFree    []*strandBits
+	bitsAll     []*detect.Coalescer
+	bitsFree    []*detect.Coalescer
 	// Written by the graph's merge, read after graph.Wait(): the totals and
-	// the per-worker load breakdown behind Report.ShardLoad.
+	// the per-worker load breakdown behind Report.ShardLoad. (The serial
+	// producer counts the stream totals into stats at publish; the merge,
+	// which runs after the ring closes, touches only the other fields.)
 	strands   int
 	stats     Stats
 	races     []Race
 	shardLoad []ShardLoad
-	// quiesce, when non-nil (PageQuiesceThreshold in a serial-projection
-	// pipeline), is the quiesced-page registry the detector engines publish
-	// into. The producer consults it to drop single-page accesses to dead
-	// pages at the hook, before they set a bit; qlive caches whether the
-	// registry has any entries, refreshed at every strand boundary. The
-	// drop is sound because the producer is ahead of the detector in stream
-	// order: a page it observes quiesced reached its threshold before
-	// anything the current strand will flush, so the engine would drop this
-	// strand's intervals on that page anyway. (Parallel-detect executors
-	// have no such ordering and never set this field.)
-	quiesce *detect.QuiesceSet
-	qlive   bool
 }
 
 // newAsyncState builds the serial producer's side: a pool covering the
-// ring's in-flight batches plus the working one, and the strand coalescer.
-func newAsyncState(ringDepth, batchEvents int) *asyncState {
+// ring's in-flight batches plus the working one, and the strand coalescer
+// over the quiesce registry (nil without quiescing).
+func newAsyncState(ringDepth, batchEvents int, quiesced *detect.QuiesceSet) *asyncState {
 	as := &asyncState{
 		pool: evstream.NewBatchPool(ringDepth+1, batchEvents),
-		bits: newStrandBits(),
+		bits: detect.NewCoalescer(quiesced),
 	}
 	as.batch = as.pool.Get()
 	return as
@@ -186,16 +144,15 @@ func (as *asyncState) reset() {
 		as.queue.Reset()
 	} else {
 		as.batch.Reset() // an aborted run leaves it part-filled
-		as.bits.reset()
+		as.bits.Reset()  // workers are idle: the registry empties with it
 	}
-	// An aborted run can strand lent-out pairs mid-strand; take them all
-	// back, clean.
+	// An aborted run can strand lent-out Coalescers mid-strand; take them
+	// all back, clean.
 	as.bitsFree = as.bitsFree[:0]
-	for _, sb := range as.bitsAll {
-		sb.reset()
-		as.bitsFree = append(as.bitsFree, sb)
+	for _, c := range as.bitsAll {
+		c.Reset()
+		as.bitsFree = append(as.bitsFree, c)
 	}
-	as.hooks = Stats{}
 	as.nextTask.Store(0)
 	as.execBusy.Store(0)
 	as.mergeCtl = 0
@@ -205,68 +162,25 @@ func (as *asyncState) reset() {
 	as.stats = Stats{}
 	as.races = nil
 	as.shardLoad = nil
-	if as.quiesce != nil {
-		as.quiesce.Reset()
-	}
-	as.qlive = false
-}
-
-// read and write are the serial producer's entire per-access hot path:
-// count the hook and set the strand's bits — what the inline engine's hook
-// does. Accesses wholly inside a quiesced page skip the bits (see the
-// quiesce field for why this is sound).
-func (as *asyncState) read(addr, size uint64) {
-	countRead(&as.hooks, addr, size)
-	if as.qlive && deadEmit(as.quiesce, addr, size) {
-		return
-	}
-	as.bits.rd.Add(addr, size)
-}
-
-func (as *asyncState) write(addr, size uint64) {
-	countWrite(&as.hooks, addr, size)
-	if as.qlive && deadEmit(as.quiesce, addr, size) {
-		return
-	}
-	as.bits.wr.Add(addr, size)
-}
-
-// deadEmit reports whether a span lies wholly within one registry-quiesced
-// page. Mirrors the engines' deadSpan rule: multi-page spans always set
-// their bits (their dead intervals drop page-locally at the engine).
-func deadEmit(q *detect.QuiesceSet, addr, size uint64) bool {
-	if size == 0 {
-		return false
-	}
-	first := addr >> coalesce.PageBytesBits
-	if (addr+size-1)>>coalesce.PageBytesBits != first {
-		return false
-	}
-	return q.Contains(first)
 }
 
 // emitCtl ends the current strand: its intervals go into the stream, then
 // the structure event that ended it, recorded in the batch summary so a
 // skip-scanning worker can replay the structure stream without touching
-// the intervals. A strand boundary is also where the producer refreshes its
-// view of the quiesce registry.
+// the intervals.
 func (as *asyncState) emitCtl(op evstream.Op) {
 	as.endStrand()
 	if as.batch.Full() {
 		as.publish()
 	}
 	as.batch.Sum.AddCtl(as.batch.AppendCtl(op))
-	if as.quiesce != nil {
-		as.qlive = as.quiesce.Len() > 0
-	}
 }
 
-// endStrand flushes the finishing strand's bit hashmaps into the stream:
-// reads, then writes, each in address order and page-contained — the order
-// the inline engine's StrandEnd applies them in.
+// endStrand flushes the finishing strand's intervals into the stream.
 func (as *asyncState) endStrand() {
-	as.bits.rd.Flush(func(addr, size uint64) { as.emitInterval(evstream.OpRead, addr, size) })
-	as.bits.wr.Flush(func(addr, size uint64) { as.emitInterval(evstream.OpWrite, addr, size) })
+	as.bits.Flush(
+		func(addr, size uint64) { as.emitInterval(evstream.OpRead, addr, size) },
+		func(addr, size uint64) { as.emitInterval(evstream.OpWrite, addr, size) })
 }
 
 // emitInterval appends one flushed interval, publishing the batch first
@@ -286,8 +200,8 @@ func (as *asyncState) emitInterval(op evstream.Op, addr, size uint64) {
 // reused, events are dropped (the failure, re-raised by drain, is the run's
 // result), and the producer keeps running to its natural unwind point.
 func (as *asyncState) publish() {
-	as.hooks.EventsStreamed += uint64(as.batch.Len())
-	as.hooks.StreamBytes += uint64(as.batch.WireBytes())
+	as.stats.EventsStreamed += uint64(as.batch.Len())
+	as.stats.StreamBytes += uint64(as.batch.WireBytes())
 	if !as.bcast.Publish(as.batch) {
 		as.batch.Reset()
 		return
@@ -299,15 +213,14 @@ func (as *asyncState) publish() {
 // possibly empty) batch, signals end-of-stream, and waits for the stage
 // graph to finish — re-panicking the first stage failure, if any, on the
 // producer goroutine. After drain returns normally, strands, stats, and
-// races are exact, and the mutator side's hook counters and stream totals
-// are folded into them.
+// races are exact, and the mutator side's hook counters are folded into
+// them.
 func (as *asyncState) drain() {
 	as.endStrand()
 	as.publish()
 	as.bcast.Close()
 	as.graph.Wait()
-	as.stats.Accumulate(&as.hooks)
-	as.stats.EventsStreamed, as.stats.StreamBytes = as.hooks.EventsStreamed, as.hooks.StreamBytes
+	as.stats.Accumulate(as.bits.Hooks())
 }
 
 // exec runs the program body on the producer goroutine. A panic out of it

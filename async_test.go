@@ -209,8 +209,8 @@ func TestAsyncMultipleRunsIndependent(t *testing.T) {
 }
 
 func TestNewRunnerRejectsAsyncParallel(t *testing.T) {
-	if _, err := NewRunner(Options{Async: true, Parallel: true}); err == nil {
-		t.Fatal("expected error for Async + Parallel")
+	if _, err := NewRunner(Options{Async: true, ParallelDetect: true}); err == nil {
+		t.Fatal("expected error for Async + ParallelDetect")
 	}
 }
 

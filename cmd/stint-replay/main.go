@@ -23,42 +23,31 @@ import (
 
 func main() {
 	var (
-		detector   = flag.String("detector", "stint", "detector mode for the replay")
-		races      = flag.Int("races", 10, "max races to print")
-		timing     = flag.Bool("timing", false, "measure access-history time separately")
-		async      = flag.Bool("async", false, "replay through the pipelined detector: the decoder side coalesces each strand and streams its intervals to detector workers (comp+rts and stint variants only)")
-		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
-		quiesce    = flag.Int("quiesce", 0, "retire a shadow page's access history once it produces N races (0 disables)")
-		maxHistory = flag.Int64("max-history", 0, "abort the replay when the retained access history exceeds N bytes (0 = unlimited)")
+		detOpts = cliutil.DetectorFlags(flag.CommandLine)
+		races   = flag.Int("races", 10, "max races to print")
+		timing  = flag.Bool("timing", false, "measure access-history time separately")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: stint-replay [flags] TRACEFILE")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *detector, *races, *timing, *async, *shards, *quiesce, *maxHistory); err != nil {
+	opts, err := detOpts()
+	if err == nil {
+		opts.MaxRacesRecorded, opts.TimeAccessHistory = *races, *timing
+		err = run(flag.Arg(0), opts)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "stint-replay:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, detector string, maxRaces int, timing, async bool, shards int, quiesce int, maxHistory int64) error {
-	mode, err := stint.ParseDetector(detector)
-	if err != nil {
-		return err
-	}
-	if mode == stint.DetectorOff {
+func run(path string, opts stint.Options) error {
+	if opts.Detector == stint.DetectorOff {
 		return errors.New("replay needs a detector (got off)")
 	}
-	r, err := stint.NewRunner(stint.Options{
-		Detector:             mode,
-		MaxRacesRecorded:     maxRaces,
-		TimeAccessHistory:    timing,
-		Async:                async || shards > 0,
-		DetectShards:         shards,
-		PageQuiesceThreshold: quiesce,
-		MaxHistoryBytes:      maxHistory,
-	})
+	r, err := stint.NewRunner(opts)
 	if err != nil {
 		return err
 	}
@@ -73,19 +62,19 @@ func run(path, detector string, maxRaces int, timing, async bool, shards int, qu
 		return err
 	}
 	pipe := ""
-	if async || shards > 0 {
+	if opts.Async {
 		pipe = " (async pipeline)"
-		if shards > 0 {
-			pipe = fmt.Sprintf(" (async pipeline, %d detection shards)", shards)
+		if opts.DetectShards > 0 {
+			pipe = fmt.Sprintf(" (async pipeline, %d detection shards)", opts.DetectShards)
 		}
 	}
-	fmt.Printf("replayed %s under %v%s in %v\n", path, mode, pipe, time.Since(start).Round(time.Microsecond))
+	fmt.Printf("replayed %s under %v%s in %v\n", path, opts.Detector, pipe, time.Since(start).Round(time.Microsecond))
 	fmt.Printf("strands    %d\n", rep.Strands)
 	fmt.Printf("accesses   read %d  write %d\n", rep.Stats.ReadAccesses, rep.Stats.WriteAccesses)
 	if rep.Stats.ReadIntervals+rep.Stats.WriteIntervals > 0 {
 		fmt.Printf("intervals  read %d  write %d\n", rep.Stats.ReadIntervals, rep.Stats.WriteIntervals)
 	}
-	if timing {
+	if opts.TimeAccessHistory {
 		fmt.Printf("access-history time %v\n", rep.Stats.AccessHistoryTime.Round(time.Microsecond))
 	}
 	for _, line := range cliutil.PipelineReport(rep) {
@@ -94,8 +83,8 @@ func run(path, detector string, maxRaces int, timing, async bool, shards int, qu
 	if rep.Stats.HistoryBytesPeak > 0 {
 		fmt.Printf("history    %.1f KiB peak retained\n", float64(rep.Stats.HistoryBytesPeak)/1024)
 	}
-	if quiesce > 0 {
-		fmt.Printf("quiesced   %d pages (threshold %d races/page)\n", rep.Stats.PagesQuiesced, quiesce)
+	if q := opts.PageQuiesceThreshold; q > 0 {
+		fmt.Printf("quiesced   %d pages (threshold %d races/page)\n", rep.Stats.PagesQuiesced, q)
 	}
 	if rep.Racy() {
 		fmt.Printf("RACES: %d found\n", rep.RaceCount)

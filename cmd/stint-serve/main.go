@@ -31,58 +31,48 @@ import (
 	"syscall"
 	"time"
 
-	"stint"
+	"stint/internal/cliutil"
 	"stint/internal/serve"
 )
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		runners    = flag.Int("runners", runtime.GOMAXPROCS(0), "warm Runner pool size (max concurrent replays)")
-		queue      = flag.Int("queue", 0, "admission queue depth (default 2x runners)")
-		detector   = flag.String("detector", "stint", "detector mode for every replay")
-		races      = flag.Int("races", 64, "max races recorded per trace")
-		shards     = flag.Int("shards", 0, "detection shards per replay (implies async pipeline)")
-		async      = flag.Bool("async", false, "replay through the pipelined detector, which streams each strand's coalesced intervals to detector workers (comp+rts and stint variants only)")
-		maxBytes   = flag.Int64("max-trace-bytes", 64<<20, "reject uploads larger than this (413); negative disables")
-		maxEvents  = flag.Uint64("max-events", 0, "abort replays exceeding this many trace events (0 = unbounded)")
-		quiesce    = flag.Int("quiesce", 0, "retire a shadow page's access history once it produces N races during a replay (0 disables)")
-		maxHistory = flag.Int64("max-history", 0, "abort replays whose retained access history exceeds N bytes (0 = unlimited)")
-		fresh      = flag.Bool("fresh-runners", false, "build a fresh Runner per trace instead of reusing the warm pool (baseline mode)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		runners   = flag.Int("runners", runtime.GOMAXPROCS(0), "warm Runner pool size (max concurrent replays)")
+		queue     = flag.Int("queue", 0, "admission queue depth (default 2x runners)")
+		detOpts   = cliutil.DetectorFlags(flag.CommandLine) // applied to every replay
+		races     = flag.Int("races", 64, "max races recorded per trace")
+		maxBytes  = flag.Int64("max-trace-bytes", 64<<20, "reject uploads larger than this (413); negative disables")
+		maxEvents = flag.Uint64("max-events", 0, "abort replays exceeding this many trace events (0 = unbounded)")
+		fresh     = flag.Bool("fresh-runners", false, "build a fresh Runner per trace instead of reusing the warm pool (baseline mode)")
 	)
 	flag.Parse()
-	if err := run(*addr, *runners, *queue, *detector, *races, *shards, *async, *maxBytes, *maxEvents, *quiesce, *maxHistory, *fresh); err != nil {
+	opts, err := detOpts()
+	if err == nil {
+		opts.MaxRacesRecorded = *races
+		err = run(*addr, serve.Config{
+			Runners:       *runners,
+			QueueDepth:    *queue,
+			MaxTraceBytes: *maxBytes,
+			MaxEvents:     *maxEvents,
+			FreshRunners:  *fresh,
+			Opts:          opts,
+		})
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "stint-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, runners, queue int, detector string, races, shards int, async bool, maxBytes int64, maxEvents uint64, quiesce int, maxHistory int64, fresh bool) error {
-	mode, err := stint.ParseDetector(detector)
-	if err != nil {
-		return err
-	}
-	s, err := serve.New(serve.Config{
-		Runners:       runners,
-		QueueDepth:    queue,
-		MaxTraceBytes: maxBytes,
-		MaxEvents:     maxEvents,
-		FreshRunners:  fresh,
-		Opts: stint.Options{
-			Detector:             mode,
-			MaxRacesRecorded:     races,
-			Async:                async || shards > 0,
-			DetectShards:         shards,
-			PageQuiesceThreshold: quiesce,
-			MaxHistoryBytes:      maxHistory,
-		},
-	})
+func run(addr string, cfg serve.Config) error {
+	s, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
 	defer s.Close()
 	pool := "warm pool"
-	if fresh {
+	if cfg.FreshRunners {
 		pool = "fresh runner per trace"
 	}
 	// Bind before announcing so ":0" reports the kernel-chosen port — the
@@ -92,7 +82,7 @@ func run(addr string, runners, queue int, detector string, races, shards int, as
 		return err
 	}
 	fmt.Printf("stint-serve: listening on %s (%d runners, %s, detector %v)\n",
-		ln.Addr(), runners, pool, mode)
+		ln.Addr(), cfg.Runners, pool, cfg.Opts.Detector)
 	// A client that stalls before its headers are in, or parks an idle
 	// keep-alive connection, is cut off. There is deliberately no body
 	// ReadTimeout: a 15 MB trace upload takes as long as the link needs,

@@ -8,7 +8,10 @@
 //	      [-max-history BYTES]
 //
 // Detectors: off, reach, vanilla, compiler, comp+rts, stint,
-// stint-unbalanced, stint-skiplist.
+// stint-unbalanced, stint-skiplist — or all, which compares every one on
+// the workload (-async then applies to the coalescing detectors only). With
+// -parallel-detect, -shards sizes its worker side instead of implying
+// -async.
 package main
 
 import (
@@ -29,15 +32,11 @@ import (
 func main() {
 	var (
 		workload   = flag.String("workload", "mmul", "benchmark: "+strings.Join(workloads.Names(), ", "))
-		detector   = flag.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint, stint-unbalanced, stint-skiplist)")
+		detOpts    = cliutil.DetectorFlags(flag.CommandLine)
 		scale      = flag.Int("scale", 1, "problem-size multiplier")
 		races      = flag.Int("races", 10, "max races to print")
 		timing     = flag.Bool("timing", false, "measure access-history time separately")
-		async      = flag.Bool("async", false, "pipeline detection: the program coalesces each strand and streams its intervals to detector workers, overlapping compute with the access history (comp+rts and stint variants only; -detector all applies it to those)")
-		parDetect  = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only)")
-		shards     = flag.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async unless -parallel-detect; comp+rts and stint variants only)")
-		quiesce    = flag.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")
-		maxHistory = flag.Int64("max-history", 0, "abort the run with an error when the detector's retained access history exceeds N bytes (0 = unlimited)")
+		parDetect  = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only; -shards then sizes its worker side)")
 		traceOut   = flag.String("trace-out", "", "record the execution to this trace file (replay with stint-replay)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the detection run to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
@@ -56,9 +55,20 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(*workload, *detector, *scale, *races, *timing,
-		(*async || *shards > 0) && !*parDetect, *parDetect, *shards, *traceOut,
-		*quiesce, *maxHistory)
+	opts, err := detOpts()
+	opts.MaxRacesRecorded, opts.TimeAccessHistory = *races, *timing
+	if *parDetect {
+		opts.Async, opts.ParallelDetect = false, true
+	}
+	factory, werr := workloads.ByName(*workload, *scale)
+	switch {
+	case werr != nil:
+		err = werr
+	case flag.Lookup("detector").Value.String() == "all":
+		err = runAll(factory, *timing, opts.Async)
+	case err == nil:
+		err = run(factory(), opts, *traceOut)
+	}
 	if *memProfile != "" {
 		if perr := writeMemProfile(*memProfile); perr != nil {
 			fmt.Fprintln(os.Stderr, "stint: memprofile:", perr)
@@ -80,29 +90,8 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
-func run(workload, detector string, scale, maxRaces int, timing, async, parDetect bool, shards int, traceOut string, quiesce int, maxHistory int64) error {
-	factory, err := workloads.ByName(workload, scale)
-	if err != nil {
-		return err
-	}
-	if detector == "all" {
-		return runAll(factory, timing, async)
-	}
-	mode, err := stint.ParseDetector(detector)
-	if err != nil {
-		return err
-	}
-	w := factory()
-	opts := stint.Options{
-		Detector:             mode,
-		MaxRacesRecorded:     maxRaces,
-		TimeAccessHistory:    timing,
-		Async:                async,
-		ParallelDetect:       parDetect,
-		DetectShards:         shards,
-		PageQuiesceThreshold: quiesce,
-		MaxHistoryBytes:      maxHistory,
-	}
+func run(w workloads.Workload, opts stint.Options, traceOut string) error {
+	mode, shards := opts.Detector, opts.DetectShards
 	var rec *trace.Recorder
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
@@ -120,13 +109,9 @@ func run(workload, detector string, scale, maxRaces int, timing, async, parDetec
 	setupStart := time.Now()
 	w.Setup(r)
 	pipe := ""
-	if parDetect {
-		n := shards
-		if n == 0 {
-			n = 1
-		}
-		pipe = fmt.Sprintf(", parallel execution, %d detection shards", n)
-	} else if async && mode != stint.DetectorOff {
+	if opts.ParallelDetect {
+		pipe = fmt.Sprintf(", parallel execution, %d detection shards", max(shards, 1))
+	} else if opts.Async && mode != stint.DetectorOff {
 		pipe = ", async pipeline"
 		if shards > 0 {
 			pipe = fmt.Sprintf(", async pipeline, %d detection shards", shards)
@@ -167,7 +152,7 @@ func run(workload, detector string, scale, maxRaces int, timing, async, parDetec
 		fmt.Printf("treap ops  %d  (%.2f nodes, %.2f overlaps per op)\n", st.TreapOps,
 			avg(st.TreapNodesVisited, st.TreapOps), avg(st.TreapOverlaps, st.TreapOps))
 	}
-	if timing {
+	if opts.TimeAccessHistory {
 		fmt.Printf("access-history time %v\n", st.AccessHistoryTime.Round(time.Microsecond))
 	}
 	for _, line := range cliutil.PipelineReport(rep) {
@@ -176,8 +161,8 @@ func run(workload, detector string, scale, maxRaces int, timing, async, parDetec
 	if st.HistoryBytesPeak > 0 {
 		fmt.Printf("history    %.1f KiB peak retained\n", float64(st.HistoryBytesPeak)/1024)
 	}
-	if quiesce > 0 {
-		fmt.Printf("quiesced   %d pages (threshold %d races/page)\n", st.PagesQuiesced, quiesce)
+	if q := opts.PageQuiesceThreshold; q > 0 {
+		fmt.Printf("quiesced   %d pages (threshold %d races/page)\n", st.PagesQuiesced, q)
 	}
 	fmt.Printf("heap allocs %d objects, %.1f KiB during the run\n",
 		st.AllocObjects, float64(st.AllocBytes)/1024)

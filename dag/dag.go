@@ -26,8 +26,9 @@
 //     stint/internal/multiread: intervals carrying antichains of readers,
 //     pruned by the happens-before relation.
 //
-// Runtime coalescing (the bit hashmap flushed per node) carries over
-// unchanged.
+// Runtime coalescing carries over unchanged — it is the fork-join
+// detectors' own detect.Coalescer, flushed per node: by the paper's §7 a
+// DAG needs a different *history* and nothing else.
 package dag
 
 import (
@@ -36,8 +37,8 @@ import (
 	"time"
 
 	"stint"
-	"stint/internal/coalesce"
 	"stint/internal/core"
+	"stint/internal/detect"
 	"stint/internal/mem"
 	"stint/internal/multiread"
 )
@@ -239,41 +240,23 @@ type Node struct {
 }
 
 // Load reports a read of element i of b.
-func (n *Node) Load(b *stint.Buffer, i int) {
-	addr, size := b.Range(i, 1)
-	n.eng.stats.ReadAccesses += (size + 3) / 4
-	n.eng.stats.ReadHookCalls++
-	n.eng.readBits.SetRange(addr, size)
-}
+func (n *Node) Load(b *stint.Buffer, i int) { n.eng.bits.ReadHook(b.Range(i, 1)) }
 
 // Store reports a write of element i of b.
-func (n *Node) Store(b *stint.Buffer, i int) {
-	addr, size := b.Range(i, 1)
-	n.eng.stats.WriteAccesses += (size + 3) / 4
-	n.eng.stats.WriteHookCalls++
-	n.eng.writeBits.SetRange(addr, size)
-}
+func (n *Node) Store(b *stint.Buffer, i int) { n.eng.bits.WriteHook(b.Range(i, 1)) }
 
 // LoadRange reports a read of elements [i, i+n) of b.
 func (n *Node) LoadRange(b *stint.Buffer, i, cnt int) {
-	if cnt == 0 {
-		return
+	if cnt != 0 {
+		n.eng.bits.ReadHook(b.Range(i, cnt))
 	}
-	addr, size := b.Range(i, cnt)
-	n.eng.stats.ReadAccesses += (size + 3) / 4
-	n.eng.stats.ReadHookCalls++
-	n.eng.readBits.SetRange(addr, size)
 }
 
 // StoreRange reports a write of elements [i, i+n) of b.
 func (n *Node) StoreRange(b *stint.Buffer, i, cnt int) {
-	if cnt == 0 {
-		return
+	if cnt != 0 {
+		n.eng.bits.WriteHook(b.Range(i, cnt))
 	}
-	addr, size := b.Range(i, cnt)
-	n.eng.stats.WriteAccesses += (size + 3) / 4
-	n.eng.stats.WriteHookCalls++
-	n.eng.writeBits.SetRange(addr, size)
 }
 
 // engine is the multi-reader detector: the paper's write treap plus the
@@ -282,11 +265,9 @@ type engine struct {
 	reach     *reach
 	writeHist *core.Tree
 	readHist  *multiread.Map
-	readBits  *coalesce.BitSet
-	writeBits *coalesce.BitSet
+	bits      *detect.Coalescer
 	stats     stint.Stats
 	onRace    func(stint.Race)
-	scratch   [][2]uint64
 }
 
 func (e *engine) race(rc stint.Race) {
@@ -296,46 +277,34 @@ func (e *engine) race(rc stint.Race) {
 	}
 }
 
-// nodeEnd flushes the finishing node's accesses through the access history.
-func (e *engine) nodeEnd() {
+// readInterval and writeInterval apply one flushed interval of the
+// finishing node to the access history.
+func (e *engine) readInterval(start mem.Addr, size uint64) {
 	cur := e.reach.CurrentID()
-	series := e.reach.series
-
-	e.scratch = e.scratch[:0]
-	e.readBits.Flush(func(start mem.Addr, size uint64) {
-		e.scratch = append(e.scratch, [2]uint64{start, size})
+	e.stats.ReadIntervals++
+	e.stats.ReadIntervalBytes += size
+	e.writeHist.Query(core.Interval{Start: start, End: start + size, Acc: cur}, func(acc int32, lo, hi uint64) {
+		if e.reach.Parallel(acc, cur) {
+			e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, PrevWrite: true})
+		}
 	})
-	e.stats.ReadIntervals += uint64(len(e.scratch))
-	for _, s := range e.scratch {
-		e.stats.ReadIntervalBytes += s[1]
-		iv := core.Interval{Start: s[0], End: s[0] + s[1], Acc: cur}
-		e.writeHist.Query(iv, func(acc int32, lo, hi uint64) {
-			if e.reach.Parallel(acc, cur) {
-				e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, PrevWrite: true})
-			}
-		})
-		e.readHist.Insert(iv.Start, iv.End, cur, series)
-	}
+	e.readHist.Insert(start, start+size, cur, e.reach.series)
+}
 
-	e.scratch = e.scratch[:0]
-	e.writeBits.Flush(func(start mem.Addr, size uint64) {
-		e.scratch = append(e.scratch, [2]uint64{start, size})
+func (e *engine) writeInterval(start mem.Addr, size uint64) {
+	cur := e.reach.CurrentID()
+	e.stats.WriteIntervals++
+	e.stats.WriteIntervalBytes += size
+	e.readHist.Query(start, start+size, func(acc int32, lo, hi uint64) {
+		if e.reach.Parallel(acc, cur) {
+			e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, CurWrite: true})
+		}
 	})
-	e.stats.WriteIntervals += uint64(len(e.scratch))
-	for _, s := range e.scratch {
-		e.stats.WriteIntervalBytes += s[1]
-		iv := core.Interval{Start: s[0], End: s[0] + s[1], Acc: cur}
-		e.readHist.Query(iv.Start, iv.End, func(acc int32, lo, hi uint64) {
-			if e.reach.Parallel(acc, cur) {
-				e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, CurWrite: true})
-			}
-		})
-		e.writeHist.InsertWrite(iv, func(acc int32, lo, hi uint64) {
-			if e.reach.Parallel(acc, cur) {
-				e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, PrevWrite: true, CurWrite: true})
-			}
-		})
-	}
+	e.writeHist.InsertWrite(core.Interval{Start: start, End: start + size, Acc: cur}, func(acc int32, lo, hi uint64) {
+		if e.reach.Parallel(acc, cur) {
+			e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, PrevWrite: true, CurWrite: true})
+		}
+	})
 }
 
 // Run executes the graph's nodes in topological order under multi-reader
@@ -353,8 +322,7 @@ func (r *Runner) Run(g *Graph, body func(n *Node, id NodeID)) (*stint.Report, er
 		reach:     newReach(g, order),
 		writeHist: core.NewTree(),
 		readHist:  &multiread.Map{},
-		readBits:  coalesce.New(),
-		writeBits: coalesce.New(),
+		bits:      detect.NewCoalescer(nil),
 	}
 	maxRec := r.opts.MaxRacesRecorded
 	user := r.opts.OnRace
@@ -371,7 +339,7 @@ func (r *Runner) Run(g *Graph, body func(n *Node, id NodeID)) (*stint.Report, er
 	for _, id := range order {
 		e.reach.cur = id
 		body(node, id)
-		e.nodeEnd()
+		e.bits.Flush(e.readInterval, e.writeInterval)
 	}
 	rep.WallTime = time.Since(start)
 	rep.Strands = g.Len()
@@ -379,6 +347,7 @@ func (r *Runner) Run(g *Graph, body func(n *Node, id NodeID)) (*stint.Report, er
 	e.stats.TreapOps = ws.Ops + e.readHist.Ops()
 	e.stats.TreapNodesVisited = ws.NodesVisited
 	e.stats.TreapOverlaps = ws.Overlaps
+	e.stats.Accumulate(e.bits.Hooks())
 	rep.Stats = e.stats
 	rep.RaceCount = e.stats.Races
 	return rep, nil

@@ -1,6 +1,9 @@
 package stint
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDeepSpawnRecursion(t *testing.T) {
 	// Serial execution nests one Go call frame per spawn level; 10k levels
@@ -128,5 +131,78 @@ func TestSpawnInsideSpawnSameBlock(t *testing.T) {
 	}
 	if rep.Racy() {
 		t.Fatalf("disjoint nested writes raced: %v", rep.Races[0])
+	}
+}
+
+// lastWord is the final shadow word of the address space, [2^64-4, 2^64).
+const lastWord = ^Addr(3)
+
+// TestRawAccessWrappingAddressSpacePanics: two logically parallel raw stores
+// that run off the end of the address space used to vanish — no bit set, no
+// race, a 2^63 word count — while the same span through StoreRangeAt
+// panicked. Every raw hook now rejects it the way checkRange always did, in
+// every mode, and the last word the detector can represent still races.
+func TestRawAccessWrappingAddressSpacePanics(t *testing.T) {
+	for _, d := range []Detector{DetectorOff, DetectorVanilla, DetectorSTINT} {
+		for _, hook := range []func(*Task){
+			func(task *Task) { task.StoreAt(lastWord, 8) },
+			func(task *Task) { task.LoadAt(lastWord, 4) }, // the end computation, not just addr+size, overflows
+			func(task *Task) { task.StoreRangeAt(lastWord, 1, 4) },
+		} {
+			r, err := NewRunner(Options{Detector: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if p, _ := recover().(string); !strings.Contains(p, "wraps the address space") {
+						t.Fatalf("%v: want the wrap panic, got %q", d, p)
+					}
+				}()
+				r.Run(func(task *Task) {
+					task.Spawn(hook)
+					hook(task)
+					task.Sync()
+				})
+			}()
+		}
+	}
+	for _, d := range []Detector{DetectorVanilla, DetectorSTINT} {
+		r, _ := NewRunner(Options{Detector: d})
+		rep, err := r.Run(func(task *Task) {
+			task.Spawn(func(c *Task) { c.StoreAt(lastWord-4, 4) })
+			task.StoreAt(lastWord-4, 4)
+			task.Sync()
+		})
+		if err != nil || rep.RaceCount != 1 || rep.Stats.WriteAccesses != 2 {
+			t.Fatalf("%v: last representable word: %d races, %d write words, err %v; want 1, 2, nil",
+				d, rep.RaceCount, rep.Stats.WriteAccesses, err)
+		}
+	}
+}
+
+// TestTimeAccessHistorySyncTimesEachFlushOnce: a synchronous run with
+// TimeAccessHistory reports the strand flushes' apply time — positive, and
+// inside the wall clock it is a part of (the history behind the coalescer
+// is built with timing off, so nothing is counted twice).
+func TestTimeAccessHistorySyncTimesEachFlushOnce(t *testing.T) {
+	for _, d := range []Detector{DetectorCompRTS, DetectorSTINT} {
+		r, err := NewRunner(Options{Detector: d, TimeAccessHistory: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := r.Arena().AllocWords("b", 1<<14)
+		rep, err := r.Run(func(task *Task) {
+			for i := 0; i < 64; i++ {
+				task.Spawn(func(c *Task) { c.StoreRange(buf, i*256, 128) })
+			}
+			task.Sync()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ah := rep.Stats.AccessHistoryTime; ah <= 0 || ah >= rep.WallTime {
+			t.Fatalf("%v: AccessHistoryTime %v outside (0, wall %v)", d, ah, rep.WallTime)
+		}
 	}
 }

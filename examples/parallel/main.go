@@ -1,10 +1,11 @@
 // Parallel: the develop-check-deploy workflow.
 //
-// Race detection is sequential by design (the detector needs the serial
-// projection of the fork-join program), but the same Task-based program
-// can run on goroutines once it is certified race-free. This example
-// checks a divide-and-conquer reduction under STINT, then runs it in
-// parallel with detection off and compares times and results.
+// Options.ParallelDetect runs a Task-based program's spawns on goroutines.
+// With a detector it checks the program online (the detector reconstructs
+// the serial projection of the fork-join program behind a deterministic
+// merge); with DetectorOff the same executor runs bare. This example checks
+// a divide-and-conquer reduction under STINT, then deploys it with detection
+// off and compares times and results.
 //
 //	go run ./examples/parallel
 package main
@@ -63,26 +64,26 @@ func main() {
 		data[i] = 1.0 / float64(i+1)
 	}
 
-	// Phase 1: certify race-freedom sequentially.
-	rc, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT})
+	// Phase 1: certify race-freedom — same executor, detector on.
+	rc, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	buf := rc.Arena().AllocFloat64("data", size)
-	var serialSum atomic.Uint64
+	var checkedSum atomic.Uint64
 	start := time.Now()
-	report, err := rc.Run(func(t *stint.Task) { sumRec(t, data, buf, 0, size, &serialSum) })
+	report, err := rc.Run(func(t *stint.Task) { sumRec(t, data, buf, 0, size, &checkedSum) })
 	if err != nil {
 		log.Fatal(err)
 	}
-	serialTime := time.Since(start)
+	checkTime := time.Since(start)
 	if report.Racy() {
 		log.Fatalf("reduction races: %v", report.Races[0])
 	}
-	fmt.Printf("sequential + STINT: %v, 0 races across %d strands\n", serialTime.Round(time.Millisecond), report.Strands)
+	fmt.Printf("parallel + STINT: %v, 0 races across %d strands\n", checkTime.Round(time.Millisecond), report.Strands)
 
-	// Phase 2: run the identical program on goroutines.
-	rp, err := stint.NewRunner(stint.Options{Parallel: true})
+	// Phase 2: run the identical program with the detector off.
+	rp, err := stint.NewRunner(stint.Options{ParallelDetect: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,9 +93,9 @@ func main() {
 		log.Fatal(err)
 	}
 	parallelTime := time.Since(start)
-	fmt.Printf("parallel (%d cores): %v\n", runtime.GOMAXPROCS(0), parallelTime.Round(time.Millisecond))
+	fmt.Printf("parallel, detector off (%d cores): %v\n", runtime.GOMAXPROCS(0), parallelTime.Round(time.Millisecond))
 
-	a, b := math.Float64frombits(serialSum.Load()), math.Float64frombits(parallelSum.Load())
+	a, b := math.Float64frombits(checkedSum.Load()), math.Float64frombits(parallelSum.Load())
 	diff := a - b
 	if diff < 0 {
 		diff = -diff

@@ -1,15 +1,42 @@
-// Package cliutil holds output helpers shared by the stint command-line
-// tools, so the live-run and replay binaries describe pipeline behavior in
-// the same words and the same arithmetic.
+// Package cliutil holds what the stint command-line tools share: the
+// detector flag set, declared once, and the output helpers that make the
+// live-run and replay binaries describe pipeline behavior in the same words
+// and the same arithmetic.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"time"
 
 	"stint"
 	"stint/internal/serve"
 )
+
+// DetectorFlags registers the detector flags every stint CLI takes —
+// -detector, -async, -shards (which implies -async), -quiesce and
+// -max-history — on fs and returns a function that, once fs is parsed,
+// folds them into a stint.Options. An unknown -detector name is an error,
+// returned with every other field still filled in (cmd/stint's own
+// "-detector all" reads -async that way); combinations are validated by
+// stint.NewRunner, which every caller hands the Options to.
+func DetectorFlags(fs *flag.FlagSet) func() (stint.Options, error) {
+	detector := fs.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint, stint-unbalanced, stint-skiplist)")
+	async := fs.Bool("async", false, "pipeline detection: each strand is coalesced where the program (or the trace decoder) runs and its intervals stream to detector workers, overlapping compute with the access history (comp+rts and stint variants only)")
+	shards := fs.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
+	quiesce := fs.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")
+	maxHistory := fs.Int64("max-history", 0, "abort the run with an error when the retained access history exceeds N bytes (0 = unlimited)")
+	return func() (stint.Options, error) {
+		mode, err := stint.ParseDetector(*detector)
+		return stint.Options{
+			Detector:             mode,
+			Async:                *async || *shards > 0,
+			DetectShards:         *shards,
+			PageQuiesceThreshold: *quiesce,
+			MaxHistoryBytes:      *maxHistory,
+		}, err
+	}
+}
 
 // pct formats part as a percentage of whole, guarding division by zero.
 func pct(part, whole time.Duration) string {

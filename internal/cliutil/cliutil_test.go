@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -134,5 +136,45 @@ func TestPipelineReportShardLoad(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "max 7") || !strings.Contains(lines[3], "min 1") {
 		t.Errorf("waits line: %q", lines[3])
+	}
+}
+
+// TestDetectorFlags pins the one flag set the three CLIs share: names,
+// defaults, -shards implying -async, and the detector-name error arriving
+// with the other fields still filled in.
+func TestDetectorFlags(t *testing.T) {
+	cases := []struct {
+		args    []string
+		want    stint.Options
+		wantErr string
+	}{
+		{nil, stint.Options{Detector: stint.DetectorSTINT}, ""},
+		{[]string{"-detector", "comp+rts", "-async"}, stint.Options{Detector: stint.DetectorCompRTS, Async: true}, ""},
+		{[]string{"-shards", "4"}, stint.Options{Detector: stint.DetectorSTINT, Async: true, DetectShards: 4}, ""},
+		{[]string{"-detector", "vanilla", "-quiesce", "3", "-max-history", "4096"},
+			stint.Options{Detector: stint.DetectorVanilla, PageQuiesceThreshold: 3, MaxHistoryBytes: 4096}, ""},
+		{[]string{"-detector", "off"}, stint.Options{}, ""},
+		{[]string{"-detector", "all", "-async"}, stint.Options{Async: true}, `unknown mode "all"`},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		opts := DetectorFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		got, err := opts()
+		if (err == nil) != (c.wantErr == "") || (err != nil && !strings.Contains(err.Error(), c.wantErr)) {
+			t.Fatalf("%v: error %v, want %q", c.args, err, c.wantErr)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%v: options %+v, want %+v", c.args, got, c.want)
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	DetectorFlags(fs)
+	for _, name := range []string{"detector", "async", "shards", "quiesce", "max-history"} {
+		if f := fs.Lookup(name); f == nil || f.Usage == "" {
+			t.Errorf("flag -%s missing or undocumented", name)
+		}
 	}
 }

@@ -314,7 +314,3 @@ func (b *BitSet) Reset() {
 // Pages returns the number of second-level pages ever allocated (live plus
 // retired), a proxy for the structure's footprint.
 func (b *BitSet) Pages() int { return b.allocs }
-
-// LivePages returns the number of pages currently in the directory (i.e.
-// touched since the last Flush).
-func (b *BitSet) LivePages() int { return b.dir.Len() }

@@ -31,8 +31,8 @@ func TestFlushCyclesMatchNaive(t *testing.T) {
 			if words != uint64(len(n)) {
 				t.Fatalf("seed %d round %d: words = %d, want %d", seed, round, words, len(n))
 			}
-			if b.LivePages() != 0 {
-				t.Fatalf("seed %d round %d: %d pages still live after flush", seed, round, b.LivePages())
+			if again, w := flushAll(b); len(again) != 0 || w != 0 {
+				t.Fatalf("seed %d round %d: flush left %d intervals (%d words) behind", seed, round, len(again), w)
 			}
 		}
 	}

@@ -3,12 +3,16 @@
 // variant, the comp+rts variant that adds runtime coalescing over a hashmap
 // access history, and STINT, which adds the interval-treap access history.
 //
-// All engines share the SP-Order reachability substrate (stint/internal/
-// spord) and receive the same instrumentation events from the fork-join
-// runner: word-granularity hooks, compiler-coalesced range hooks, and
-// strand-end notifications. They differ only in how the access history is
-// represented and when races are checked — exactly the four configurations
-// of the paper's Figure 5.
+// The package is three things: Coalescer (§3.2, the one mutator side — hooks
+// that only set bits, flushed into intervals at strand end), History (§4,
+// an access history fed those intervals), and the per-access engines
+// (Vanilla, Compiler) that have no coalescing half. A synchronous
+// runtime-coalescing detector is a Coalescer flushed into a History on one
+// goroutine (New); the stint runner's pipelines put a ring between the two.
+//
+// All of them share a reachability substrate behind Reach (SP-Order,
+// stint/internal/spord, for fork-join programs) — exactly the four
+// configurations of the paper's Figure 5.
 package detect
 
 import (
@@ -226,8 +230,9 @@ type Config struct {
 	Mode Mode
 	// OnRace, if set, receives every race as it is found.
 	OnRace func(Race)
-	// TimeAccessHistory enables the per-strand timers behind Figures 7
-	// and 8. It costs a few clock reads per strand.
+	// TimeAccessHistory enables the timers behind Figures 7 and 8: New's
+	// engines read the clock around each strand's flush (bitmap extraction
+	// excluded), a bare History around each interval.
 	TimeAccessHistory bool
 	// QuiesceThreshold, when positive, retires a 64 KiB history page once
 	// it has produced that many races: its history drops back onto the free
@@ -236,12 +241,13 @@ type Config struct {
 	QuiesceThreshold int
 	// MaxHistoryBytes, when positive, caps this engine's retained
 	// access-history footprint. The check runs at strand boundaries; on
-	// trip the engine freezes (hooks become no-ops) and records a
-	// HistoryCapError retrievable via CapErrorOf.
+	// trip the history freezes (later accesses and intervals are dropped)
+	// and records a HistoryCapError retrievable via CapErrorOf.
 	MaxHistoryBytes uint64
-	// Quiesced, if non-nil, is a cross-goroutine registry the engine
-	// publishes quiesced page indices into, letting producer-side stages
-	// drop or de-mask accesses to dead pages.
+	// Quiesced, if non-nil, is the registry the history publishes quiesced
+	// page indices into, letting the Coalescer in front of it — on another
+	// goroutine, in a pipeline — drop accesses to dead pages at the hook.
+	// New's runtime-coalescing engines make their own when it is nil.
 	Quiesced *QuiesceSet
 }
 
@@ -276,17 +282,23 @@ type Engine interface {
 	Reset()
 }
 
-// History is the detector side of the pipelined modes: an Engine fed a
-// strand's intervals instead of its accesses. The mutator side owns the
-// bit hashmaps there and streams each strand's Flush output — address-
-// sorted, page-contained, reads before writes — so ReadInterval and
+// History is an access history fed a strand's intervals instead of its
+// accesses — the detector side of every runtime-coalescing mode, inline or
+// behind a pipeline's ring. A Coalescer's Flush supplies the intervals —
+// address-sorted, page-contained, reads before writes — so ReadInterval and
 // WriteInterval apply an interval to its page's history at once, and
-// StrandEnd only samples the footprint and the cap. The hook counters stay
-// zero: they are counted where the hooks run.
+// StrandEnd, called while the finishing strand is still current, only
+// samples the footprint and the cap. The hook counters stay zero: they are
+// counted where the hooks run.
 type History interface {
-	Engine
 	ReadInterval(addr mem.Addr, size uint64)
 	WriteInterval(addr mem.Addr, size uint64)
+	StrandEnd()
+	// Finish samples the final strand boundary and totals the Stats.
+	Finish()
+	Stats() *Stats
+	// Reset has Engine.Reset's contract.
+	Reset()
 }
 
 // New builds the engine for cfg.Mode over the given reachability structure.
@@ -294,23 +306,25 @@ type History interface {
 // hook dispatch entirely for Off).
 func New(cfg Config, reach Reach) Engine {
 	switch cfg.Mode {
+	case Off, ReachOnly:
+		return &nopEngine{}
 	case Vanilla:
-		return newHashEngine(cfg, reach, true, false)
+		return newHashEngine(cfg, reach, true)
 	case Compiler:
-		return newHashEngine(cfg, reach, false, false)
+		return newHashEngine(cfg, reach, false)
 	}
-	return NewHistory(cfg, reach)
+	return newInline(cfg, reach)
 }
 
-// NewHistory builds the engine for a mode whose access history is fed by
-// runtime coalescing — the only ones a pipeline can stream intervals to —
-// or the no-op engine for Off and ReachOnly.
+// NewHistory builds the history for a mode fed by runtime coalescing — the
+// only ones a pipeline can stream intervals to — or the no-op one for Off
+// and ReachOnly.
 func NewHistory(cfg Config, reach Reach) History {
 	switch cfg.Mode {
 	case Off, ReachOnly:
 		return &nopEngine{}
 	case CompRTS:
-		return newHashEngine(cfg, reach, false, true)
+		return newHashEngine(cfg, reach, false)
 	case STINT:
 		return newTreeEngine(cfg, reach, treeBackendTreap)
 	case STINTUnbalanced:
@@ -319,6 +333,96 @@ func NewHistory(cfg Config, reach Reach) History {
 		return newTreeEngine(cfg, reach, treeBackendSkiplist)
 	}
 	panic(fmt.Sprintf("detect: no interval-fed engine for mode %v", cfg.Mode))
+}
+
+// inline is New's engine for the runtime-coalescing modes: a Coalescer
+// flushed into a History on the caller's goroutine — a pipeline with no
+// ring between its halves. With quiescing on it owns the registry its
+// History publishes into, so the hooks drop dead-page accesses by the same
+// rule the serial pipeline producer uses.
+type inline struct {
+	*Coalescer
+	hist        History
+	read, write func(addr mem.Addr, size uint64) // hist's entry points, bound once
+	// With TimeAccessHistory a strand's intervals are collected before they
+	// are applied, so the timed section excludes bitmap extraction; hist is
+	// built with timing off.
+	timeAH       bool
+	spans        []span
+	keepR, keepW func(addr mem.Addr, size uint64)
+	stats        Stats
+}
+
+// span is a flushed interval awaiting its timed application.
+type span struct {
+	addr, size uint64
+	write      bool
+}
+
+func newInline(cfg Config, reach Reach) *inline {
+	if cfg.QuiesceThreshold > 0 && cfg.Quiesced == nil {
+		cfg.Quiesced = NewQuiesceSet()
+	}
+	e := &inline{Coalescer: NewCoalescer(cfg.Quiesced), timeAH: cfg.TimeAccessHistory}
+	cfg.TimeAccessHistory = false
+	e.hist = NewHistory(cfg, reach)
+	e.read, e.write = e.hist.ReadInterval, e.hist.WriteInterval
+	e.keepR = func(addr mem.Addr, size uint64) { e.spans = append(e.spans, span{addr, size, false}) }
+	e.keepW = func(addr mem.Addr, size uint64) { e.spans = append(e.spans, span{addr, size, true}) }
+	return e
+}
+
+func (e *inline) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
+	e.ReadHook(addr, uint64(count)*elemBytes)
+}
+
+func (e *inline) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) {
+	e.WriteHook(addr, uint64(count)*elemBytes)
+}
+
+// flush applies the finishing strand's intervals to the history.
+func (e *inline) flush() {
+	if !e.timeAH {
+		e.Flush(e.read, e.write)
+		return
+	}
+	e.spans = e.spans[:0]
+	e.Flush(e.keepR, e.keepW)
+	if len(e.spans) == 0 {
+		return
+	}
+	t0 := time.Now()
+	for _, s := range e.spans {
+		if s.write {
+			e.write(s.addr, s.size)
+		} else {
+			e.read(s.addr, s.size)
+		}
+	}
+	e.hist.Stats().AccessHistoryTime += time.Since(t0)
+}
+
+func (e *inline) StrandEnd() { e.flush(); e.hist.StrandEnd() }
+func (e *inline) Finish()    { e.flush(); e.hist.Finish() }
+
+// Stats returns the history's counters with the hook counters folded in.
+func (e *inline) Stats() *Stats {
+	e.stats = *e.hist.Stats()
+	e.stats.Accumulate(e.Hooks())
+	return &e.stats
+}
+
+func (e *inline) Reset() {
+	e.Coalescer.Reset()
+	e.hist.Reset()
+}
+
+func (e *inline) CapError() error { return CapErrorOf(e.hist) }
+
+func (e *inline) Footprint() Footprint {
+	f := FootprintOf(e.hist)
+	f.BitPages = e.Pages()
+	return f
 }
 
 // Footprint describes an engine's retained warm capacity — the memory a
@@ -340,19 +444,19 @@ func (f *Footprint) Add(o Footprint) {
 	f.BitPages += o.BitPages
 }
 
-// FootprintOf returns e's warm footprint, or a zero Footprint for engines
-// that do not expose one (the no-op and oracle engines).
-func FootprintOf(e Engine) Footprint {
+// FootprintOf returns the warm footprint of an Engine or History, or a zero
+// Footprint for those that do not expose one (the no-op and oracle engines).
+func FootprintOf(e any) Footprint {
 	if f, ok := e.(interface{ Footprint() Footprint }); ok {
 		return f.Footprint()
 	}
 	return Footprint{}
 }
 
-// CapErrorOf returns the history-cap error e recorded, or nil — nil for
-// engines without cap support (the no-op and oracle engines) and for
-// engines that stayed under Config.MaxHistoryBytes.
-func CapErrorOf(e Engine) error {
+// CapErrorOf returns the history-cap error an Engine or History recorded,
+// or nil — nil for those without cap support (the no-op and oracle engines)
+// and for those that stayed under Config.MaxHistoryBytes.
+func CapErrorOf(e any) error {
 	if c, ok := e.(interface{ CapError() error }); ok {
 		return c.CapError()
 	}

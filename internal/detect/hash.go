@@ -8,13 +8,6 @@ import (
 	"stint/internal/shadow"
 )
 
-// span is a flushed interval, collected outside the timed section so access-
-// history timing excludes bitmap extraction.
-type span struct {
-	addr mem.Addr
-	size uint64
-}
-
 // hashEngine implements the Vanilla, Compiler, and CompRTS detectors. All
 // three use the word-granularity shadow hashmap as the access history; they
 // differ in how instrumentation events reach it:
@@ -23,19 +16,15 @@ type span struct {
 //     element, modeling per-access instrumentation.
 //   - Compiler: range hooks update the hashmap word by word within a single
 //     call, modeling compile-time coalescing (fewer calls, same word work).
-//   - CompRTS (rts): hooks only set bits in the runtime-coalescing bit
-//     hashmap; race checks run once per strand over deduplicated words.
+//   - CompRTS: no hooks at all — it is the History a Coalescer's flush
+//     feeds, so race checks run once per strand over deduplicated words.
 type hashEngine struct {
 	stats        Stats
 	reach        Reach
 	table        *shadow.Table
 	onRace       func(Race)
 	expandRanges bool
-	rts          bool
 	timeAH       bool
-	readBits     *coalesce.BitSet
-	writeBits    *coalesce.BitSet
-	scratch      []span
 
 	// Quiescing and memory-cap state. Races never span a page (words are
 	// page-contained and flushed spans page-split), so attributing each
@@ -50,21 +39,16 @@ type hashEngine struct {
 	lastQ     bool
 }
 
-func newHashEngine(cfg Config, reach Reach, expandRanges, rts bool) *hashEngine {
+func newHashEngine(cfg Config, reach Reach, expandRanges bool) *hashEngine {
 	e := &hashEngine{
 		reach:        reach,
 		table:        shadow.New(),
 		onRace:       cfg.OnRace,
 		expandRanges: expandRanges,
-		rts:          rts,
 		timeAH:       cfg.TimeAccessHistory,
 		qthresh:      cfg.QuiesceThreshold,
 		maxBytes:     cfg.MaxHistoryBytes,
 		registry:     cfg.Quiesced,
-	}
-	if rts {
-		e.readBits = coalesce.New()
-		e.writeBits = coalesce.New()
 	}
 	if e.qthresh > 0 {
 		e.pageRaces = make(map[uint64]int32)
@@ -96,8 +80,9 @@ func (e *hashEngine) quiescedIdx(idx uint64) bool {
 }
 
 // deadSpan reports whether [addr, addr+size) lies entirely within one
-// retired page; see treeEngine.deadSpan for why only whole-page-contained
-// spans short-circuit here.
+// retired page — the per-access hooks' fast path. Spans that straddle a
+// page boundary always proceed (accessWord drops the dead words), the rule
+// Coalescer.dead follows too.
 func (e *hashEngine) deadSpan(addr mem.Addr, size uint64) bool {
 	if e.nQuiesced == 0 {
 		return false
@@ -173,10 +158,6 @@ func (e *hashEngine) ReadHook(addr mem.Addr, size uint64) {
 	if e.deadSpan(addr, size) {
 		return
 	}
-	if e.rts {
-		e.readBits.Add(addr, size)
-		return
-	}
 	e.accessRange(addr, size, false)
 }
 
@@ -187,10 +168,6 @@ func (e *hashEngine) WriteHook(addr mem.Addr, size uint64) {
 	e.stats.WriteHookCalls++
 	e.stats.WriteAccesses += coalesce.Words(addr, size)
 	if e.deadSpan(addr, size) {
-		return
-	}
-	if e.rts {
-		e.writeBits.Add(addr, size)
 		return
 	}
 	e.accessRange(addr, size, true)
@@ -213,10 +190,6 @@ func (e *hashEngine) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
 	if e.deadSpan(addr, size) {
 		return
 	}
-	if e.rts {
-		e.readBits.SetRange(addr, size)
-		return
-	}
 	e.accessRange(addr, size, false)
 }
 
@@ -236,49 +209,13 @@ func (e *hashEngine) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) 
 	if e.deadSpan(addr, size) {
 		return
 	}
-	if e.rts {
-		e.writeBits.SetRange(addr, size)
-		return
-	}
 	e.accessRange(addr, size, true)
 }
 
-// StrandEnd flushes the bit hashmaps (CompRTS only) and replays the
-// deduplicated intervals against the word-granularity access history, then
-// samples the footprint high-water mark and the hard cap.
+// StrandEnd samples the footprint high-water mark and the hard cap.
 func (e *hashEngine) StrandEnd() {
-	if e.capErr != nil {
-		return
-	}
-	if e.rts {
-		e.flush(e.readBits, false)
-		e.flush(e.writeBits, true)
-	}
-	if b := e.histBytes(); b > e.stats.HistoryBytesPeak {
-		e.stats.HistoryBytesPeak = b
-		if e.maxBytes > 0 && b > e.maxBytes {
-			e.capErr = &HistoryCapError{Limit: e.maxBytes, Bytes: b}
-		}
-	}
-}
-
-func (e *hashEngine) flush(bits *coalesce.BitSet, isWrite bool) {
-	e.scratch = e.scratch[:0]
-	bits.Flush(func(start mem.Addr, size uint64) {
-		e.scratch = append(e.scratch, span{addr: start, size: size})
-	})
-	if len(e.scratch) == 0 {
-		return
-	}
-	var t0 time.Time
-	if e.timeAH {
-		t0 = time.Now()
-	}
-	for _, s := range e.scratch {
-		e.apply(s.addr, s.size, isWrite)
-	}
-	if e.timeAH {
-		e.stats.AccessHistoryTime += time.Since(t0)
+	if e.capErr == nil {
+		e.capErr = samplePeak(&e.stats, e.histBytes(), e.maxBytes)
 	}
 }
 
@@ -302,9 +239,8 @@ func (e *hashEngine) apply(addr mem.Addr, size uint64, isWrite bool) {
 	e.accessRange(addr, size, isWrite)
 }
 
-// ReadInterval and WriteInterval are the pipelined modes' entry (see
-// History): the mutator side already coalesced the strand, so the interval
-// goes straight to the history.
+// ReadInterval and WriteInterval are CompRTS's entry (see History) and the
+// one entry into apply.
 func (e *hashEngine) ReadInterval(addr mem.Addr, size uint64)  { e.interval(addr, size, false) }
 func (e *hashEngine) WriteInterval(addr mem.Addr, size uint64) { e.interval(addr, size, true) }
 
@@ -341,15 +277,9 @@ func (e *hashEngine) Finish() {
 func (e *hashEngine) Stats() *Stats { return &e.stats }
 
 // Reset returns the engine to its freshly-constructed state: the shadow
-// table retires its pages to the freelist (capacity retained) and the bit
-// hashmaps drop any mid-strand state from an aborted run.
+// table retires its pages to the freelist (capacity retained).
 func (e *hashEngine) Reset() {
 	e.table.Reset()
-	if e.rts {
-		e.readBits.Reset()
-		e.writeBits.Reset()
-	}
-	e.scratch = e.scratch[:0]
 	e.capErr = nil
 	e.nQuiesced = 0
 	e.lastQIdx, e.lastQ = 0, false
@@ -361,9 +291,5 @@ func (e *hashEngine) Reset() {
 
 // Footprint reports the engine's retained warm capacity.
 func (e *hashEngine) Footprint() Footprint {
-	f := Footprint{HistPages: e.table.Pages() + e.table.FreePages()}
-	if e.rts {
-		f.BitPages = e.readBits.Pages() + e.writeBits.Pages()
-	}
-	return f
+	return Footprint{HistPages: e.table.Pages() + e.table.FreePages()}
 }

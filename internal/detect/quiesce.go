@@ -25,6 +25,18 @@ func (e *HistoryCapError) Error() string {
 
 func (e *HistoryCapError) Unwrap() error { return ErrHistoryCap }
 
+// samplePeak is a history's strand-boundary sample: live footprint b raises
+// the high-water mark and, past a positive limit, trips the cap.
+func samplePeak(st *Stats, b, limit uint64) error {
+	if b > st.HistoryBytesPeak {
+		st.HistoryBytesPeak = b
+		if limit > 0 && b > limit {
+			return &HistoryCapError{Limit: limit, Bytes: b}
+		}
+	}
+	return nil
+}
+
 // quiesceSetCap bounds the registry. It is a power of two. 4096 pages cover
 // 256 MiB of quiesced address space; a workload racing on more than that is
 // beyond what the producer-side fast path needs to optimize, and a full set

@@ -47,9 +47,10 @@ type histPage struct {
 	races       int32 // races this page has produced (quiesce accounting)
 }
 
-// treeEngine is STINT: compile-time and runtime coalescing feeding an
-// interval-granularity access history. Hooks only set bits; at strand end
-// the deduplicated intervals are checked and inserted:
+// treeEngine is STINT's interval-granularity access history (§4). A
+// strand's coalesced intervals arrive one at a time, each contained in one
+// page (coalesce splits at page boundaries), so it touches exactly one
+// page's stores:
 //
 //   - each read interval is checked against the page's write store (a
 //     parallel last writer is a race) and inserted into the page's read
@@ -68,8 +69,6 @@ type treeEngine struct {
 	onRace    func(Race)
 	timeAH    bool
 	backend   treeBackend
-	readBits  *coalesce.BitSet
-	writeBits *coalesce.BitSet
 	pages     pagedir.Dir[histPage]
 	pool      *core.Pool  // node slabs shared by every page's trees
 	freePages []*histPage // parked pages with reset stores, reused by pageFor
@@ -77,7 +76,6 @@ type treeEngine struct {
 	lastIdx   uint64
 	lastPage  *histPage
 	leftOf    core.LeftOfFunc
-	scratch   []span
 
 	// Quiescing and memory-cap state.
 	qthresh   int         // Config.QuiesceThreshold; 0 disables
@@ -88,10 +86,10 @@ type treeEngine struct {
 	nQuiesced int         // pages quiesced (fast guard for the hot checks)
 	lastQIdx  uint64      // 1-entry quiesced-page cache in front of the dir
 	lastQ     bool
-	curPage   *histPage // page whose span is being flushed (race accounting)
+	curPage   *histPage // page whose interval is being applied (race accounting)
 
-	// Per-flush state and preallocated callbacks: the overlap callbacks
-	// capture the engine, not the strand, so flushing allocates nothing.
+	// Per-interval state and preallocated callbacks: the overlap callbacks
+	// capture the engine, not the strand, so applying allocates nothing.
 	curID         int32
 	readQueryCB   core.OverlapFunc // write-store overlap vs a read interval
 	writeQueryCB  core.OverlapFunc // read-store overlap vs a write interval
@@ -100,15 +98,13 @@ type treeEngine struct {
 
 func newTreeEngine(cfg Config, reach Reach, backend treeBackend) *treeEngine {
 	e := &treeEngine{
-		reach:     reach,
-		onRace:    cfg.OnRace,
-		timeAH:    cfg.TimeAccessHistory,
-		backend:   backend,
-		readBits:  coalesce.New(),
-		writeBits: coalesce.New(),
-		qthresh:   cfg.QuiesceThreshold,
-		maxBytes:  cfg.MaxHistoryBytes,
-		registry:  cfg.Quiesced,
+		reach:    reach,
+		onRace:   cfg.OnRace,
+		timeAH:   cfg.TimeAccessHistory,
+		backend:  backend,
+		qthresh:  cfg.QuiesceThreshold,
+		maxBytes: cfg.MaxHistoryBytes,
+		registry: cfg.Quiesced,
 	}
 	if backend != treeBackendSkiplist {
 		e.pool = core.NewPool()
@@ -191,120 +187,16 @@ func (e *treeEngine) quiescedIdx(idx uint64) bool {
 	return false
 }
 
-// deadSpan reports whether [addr, addr+size) lies entirely within one
-// quiesced page — the hook fast path: such an access can never contribute a
-// race check again, so only its counters are kept. Spans that straddle a
-// page boundary always proceed (the flush drops the dead pieces span by
-// span), keeping the decision page-local and identical in every execution
-// mode regardless of how dispatch split the access.
-func (e *treeEngine) deadSpan(addr mem.Addr, size uint64) bool {
-	if e.nQuiesced == 0 {
-		return false
-	}
-	first := addr >> coalesce.PageBytesBits
-	if (addr+size-1)>>coalesce.PageBytesBits != first {
-		return false
-	}
-	return e.quiescedIdx(first)
-}
-
-func (e *treeEngine) ReadHook(addr mem.Addr, size uint64) {
-	if e.capErr != nil {
-		return
-	}
-	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
-	}
-	e.readBits.Add(addr, size)
-}
-
-func (e *treeEngine) WriteHook(addr mem.Addr, size uint64) {
-	if e.capErr != nil {
-		return
-	}
-	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
-	}
-	e.writeBits.Add(addr, size)
-}
-
-func (e *treeEngine) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
-	if e.capErr != nil {
-		return
-	}
-	size := uint64(count) * elemBytes
-	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
-	}
-	e.readBits.SetRange(addr, size)
-}
-
-func (e *treeEngine) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) {
-	if e.capErr != nil {
-		return
-	}
-	size := uint64(count) * elemBytes
-	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
-	}
-	e.writeBits.SetRange(addr, size)
-}
-
-// StrandEnd flushes both bit hashmaps and runs the interval-granularity
-// race checks and access-history updates for the finishing strand. Each
-// flushed interval is contained in one page (coalesce splits at page
-// boundaries), so it touches exactly one page's stores. Spans whose page
-// has quiesced are dropped before they are counted as intervals — the drop
-// is page-local, so every execution mode drops exactly the same spans. A
-// page crossing its race threshold quiesces immediately after its span
-// completes, which makes the set of surviving race checks a pure function
-// of each page's own span sequence.
+// StrandEnd samples the footprint high-water mark and the hard cap at the
+// strand boundary. Intervals whose page has quiesced were dropped before
+// they were counted — the drop is page-local, so every execution mode drops
+// exactly the same ones — and a page crossing its race threshold quiesces
+// immediately after the interval that did it, which makes the set of
+// surviving race checks a pure function of each page's own interval
+// sequence.
 func (e *treeEngine) StrandEnd() {
-	if e.capErr != nil {
-		return
-	}
-	e.curID = e.reach.CurrentID()
-
-	// Reads: race-check against the write history, then record.
-	e.flushSpans(false)
-	// Writes: race-check against the read history, then insert; displaced
-	// parallel writers are races too.
-	e.flushSpans(true)
-
-	if b := e.histBytes(); b > e.stats.HistoryBytesPeak {
-		e.stats.HistoryBytesPeak = b
-		if e.maxBytes > 0 && b > e.maxBytes {
-			e.capErr = &HistoryCapError{Limit: e.maxBytes, Bytes: b}
-		}
-	}
-}
-
-func (e *treeEngine) flushSpans(write bool) {
-	if write {
-		e.collect(e.writeBits)
-	} else {
-		e.collect(e.readBits)
-	}
-	if len(e.scratch) == 0 {
-		return
-	}
-	var t0 time.Time
-	if e.timeAH {
-		t0 = time.Now()
-	}
-	for _, s := range e.scratch {
-		e.apply(s.addr, s.size, write)
-	}
-	if e.timeAH {
-		e.stats.AccessHistoryTime += time.Since(t0)
+	if e.capErr == nil {
+		e.capErr = samplePeak(&e.stats, e.histBytes(), e.maxBytes)
 	}
 }
 
@@ -336,10 +228,9 @@ func (e *treeEngine) apply(addr mem.Addr, size uint64, write bool) {
 	}
 }
 
-// ReadInterval and WriteInterval are the pipelined modes' entry (see
-// History): the mutator side already coalesced the strand, so the interval
-// goes straight to its page's stores. With TimeAccessHistory the clock is
-// read per interval instead of per strand.
+// ReadInterval and WriteInterval are the one entry into apply. With
+// TimeAccessHistory the clock is read per interval (the pipelines' workers;
+// the inline composition times a whole strand's flush itself).
 func (e *treeEngine) ReadInterval(addr mem.Addr, size uint64)  { e.interval(addr, size, false) }
 func (e *treeEngine) WriteInterval(addr mem.Addr, size uint64) { e.interval(addr, size, true) }
 
@@ -414,13 +305,6 @@ func (e *treeEngine) histBytes() uint64 {
 // Config.MaxHistoryBytes during the run.
 func (e *treeEngine) CapError() error { return e.capErr }
 
-func (e *treeEngine) collect(bits *coalesce.BitSet) {
-	e.scratch = e.scratch[:0]
-	bits.Flush(func(start mem.Addr, size uint64) {
-		e.scratch = append(e.scratch, span{addr: start, size: size})
-	})
-}
-
 func (e *treeEngine) Finish() {
 	e.StrandEnd()
 	agg := e.retired // work done on since-quiesced pages still counts
@@ -446,13 +330,10 @@ func (e *treeEngine) Stats() *Stats { return &e.stats }
 // capacity retained: every live history page has its stores Reset (seeds
 // re-derived, contents dropped) and is parked on the page freelist, the
 // shared node pool rewinds wholesale, the directory keeps its backing
-// array, and the coalescing bit hashmaps clear any mid-strand state an
-// aborted run may have left behind. In steady state Reset allocates
+// array. In steady state Reset allocates
 // nothing and the retained footprint (pool chunks, directory capacity,
 // page count) stops growing once the engine has seen its peak run.
 func (e *treeEngine) Reset() {
-	e.readBits.Reset()
-	e.writeBits.Reset()
 	e.pages.Reset(func(p *histPage) {
 		p.read.Reset()
 		p.write.Reset()
@@ -463,7 +344,6 @@ func (e *treeEngine) Reset() {
 		e.pool.Reset()
 	}
 	e.lastIdx, e.lastPage = 0, nil
-	e.scratch = e.scratch[:0]
 	e.curID = 0
 	e.capErr = nil
 	e.retired = core.Stats{}
@@ -484,16 +364,5 @@ func (e *treeEngine) Footprint() Footprint {
 		PoolChunks: chunks,
 		PageDirCap: e.pages.Cap(),
 		HistPages:  e.nPages,
-		BitPages:   e.readBits.Pages() + e.writeBits.Pages(),
 	}
-}
-
-// HistorySizes reports the number of intervals currently stored across all
-// pages' read and write histories (used by the skiplist-vs-treap ablation).
-func (e *treeEngine) HistorySizes() (read, write int) {
-	e.pages.Range(func(_ uint64, p *histPage) {
-		read += p.read.Size()
-		write += p.write.Size()
-	})
-	return read, write
 }

@@ -18,6 +18,16 @@ const WordSize = 4
 // Addr is a virtual byte address in an Arena.
 type Addr = uint64
 
+// SpanWraps reports whether the shadow words covering [addr, addr+size) run
+// off the end of the address space. The bit hashmap rounds a span's end up
+// to a word boundary, so the very last word is out of reach too: an access
+// the detector cannot represent must be rejected, never silently dropped.
+// (One comparison, because raw-address hooks and trace replay pay it per
+// access; an empty span is judged like a one-byte one.)
+func SpanWraps(addr Addr, size uint64) bool {
+	return addr+size+WordSize-1 < addr
+}
+
 // Buffer is a contiguous virtual allocation. Element i of a buffer with
 // elemWords words per element occupies words [i*elemWords, (i+1)*elemWords).
 type Buffer struct {

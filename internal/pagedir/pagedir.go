@@ -39,9 +39,6 @@ type Dir[P any] struct {
 // Len returns the number of pages stored (quiesced slots excluded).
 func (d *Dir[P]) Len() int { return d.n }
 
-// QuiescedCount returns the number of quiesced slots.
-func (d *Dir[P]) QuiescedCount() int { return d.nq }
-
 func (d *Dir[P]) qbit(i uint64) bool {
 	return d.qbits != nil && d.qbits[i>>6]&(1<<(i&63)) != 0
 }

@@ -89,10 +89,6 @@ func (t *Table) Cell(addr mem.Addr) (writer, reader *int32) {
 	return &p.writer[off], &p.reader[off]
 }
 
-// PageIndex returns the page index covering byte address addr, the key
-// Retire and Quiesced operate on.
-func PageIndex(addr mem.Addr) uint64 { return (addr >> wordBits) >> pageWordBits }
-
 // Retire quiesces the page at index idx: its 128 KiB of shadow cells go
 // back on the freelist and the directory slot becomes a quiesced tombstone,
 // so the page will not be re-allocated by later Cell calls as long as the
@@ -108,9 +104,6 @@ func (t *Table) Retire(idx uint64) {
 
 // Quiesced reports whether the page at index idx has been retired.
 func (t *Table) Quiesced(idx uint64) bool { return t.dir.Quiesced(idx) }
-
-// QuiescedPages returns the number of retired (quiesced) pages.
-func (t *Table) QuiescedPages() int { return t.dir.QuiescedCount() }
 
 // Peek returns the writer and reader for the word containing addr without
 // allocating; absent pages read as None.
@@ -142,11 +135,4 @@ func (t *Table) FreePages() int { return len(t.free) }
 // Bytes returns the approximate memory footprint of the table in bytes.
 func (t *Table) Bytes() uint64 {
 	return uint64(t.dir.Len()) * uint64(pageWords) * 8
-}
-
-// FootprintBytes returns the approximate retained footprint including
-// freelisted pages — what the process actually holds, as opposed to Bytes,
-// which counts only live history.
-func (t *Table) FootprintBytes() uint64 {
-	return uint64(t.dir.Len()+len(t.free)) * uint64(pageWords) * 8
 }

@@ -39,27 +39,9 @@ type optionsRule struct {
 // optionsRules is evaluated in order; the first violated rule wins.
 var optionsRules = []optionsRule{
 	{
-		bad: func(o *Options) bool { return o.Parallel && o.Detector != DetectorOff },
+		bad: func(o *Options) bool { return o.ParallelDetect && o.Tracer != nil },
 		err: func(o *Options) error {
-			return fmt.Errorf("stint: Parallel is the detection-off executor; use ParallelDetect for parallel execution with online race detection")
-		},
-	},
-	{
-		bad: func(o *Options) bool { return (o.Parallel || o.ParallelDetect) && o.Tracer != nil },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: tracing requires serial execution; parallel executors emit events out of program order")
-		},
-	},
-	{
-		bad: func(o *Options) bool { return o.Async && o.Parallel },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: Async and Parallel are incompatible; Async pipelines the serial projection, Parallel abandons it")
-		},
-	},
-	{
-		bad: func(o *Options) bool { return o.ParallelDetect && o.Parallel },
-		err: func(o *Options) error {
-			return fmt.Errorf("stint: Parallel and ParallelDetect are both executors; choose one (Parallel is detection-off, ParallelDetect detects online)")
+			return fmt.Errorf("stint: tracing requires serial execution; ParallelDetect's executors emit events out of program order")
 		},
 	},
 	{
@@ -71,14 +53,15 @@ var optionsRules = []optionsRule{
 	{
 		// Every pipeline streams the strand-end flush of the mutator-side
 		// bit hashmaps, so its detector must be fed by runtime coalescing.
-		// Async (and DetectShards under it) is inert under Off and ReachOnly
-		// — there is no access history to pipeline — which stay legal.
+		// Under DetectorOff no pipeline is built (ParallelDetect is then the
+		// bare goroutine executor), and Async (with DetectShards under it)
+		// is inert under ReachOnly too; both stay legal.
 		bad: func(o *Options) bool {
-			inert := o.Async && (o.Detector == DetectorOff || o.Detector == DetectorReachOnly)
+			inert := o.Detector == DetectorOff || (o.Async && o.Detector == DetectorReachOnly)
 			return (o.Async || o.ParallelDetect) && !inert && !coalescingDetector(o.Detector)
 		},
 		err: func(o *Options) error {
-			return fmt.Errorf("stint: Async, DetectShards and ParallelDetect stream coalesced intervals and require a runtime-coalescing detector (comp+rts or a stint variant), got %v; for detection-off parallel execution use Parallel", o.Detector)
+			return fmt.Errorf("stint: Async, DetectShards and ParallelDetect stream coalesced intervals and require a runtime-coalescing detector (comp+rts or a stint variant), got %v; for detection-off parallel execution use ParallelDetect with DetectorOff", o.Detector)
 		},
 	},
 	{

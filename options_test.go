@@ -27,12 +27,11 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		// wantErr, when non-empty, must be a substring of the error.
 		wantErr string
 	}{
-		// Parallel is only compatible with DetectorOff, no tracer, no async.
-		{"parallel off ok", Options{Detector: DetectorOff, Parallel: true}, ""},
-		{"parallel vanilla", Options{Detector: DetectorVanilla, Parallel: true}, "Parallel"},
-		{"parallel stint", Options{Detector: DetectorSTINT, Parallel: true}, "Parallel"},
-		{"parallel tracer", Options{Detector: DetectorOff, Parallel: true, Tracer: nopTracer{}}, "tracing"},
-		{"parallel async", Options{Detector: DetectorOff, Parallel: true, Async: true}, "Async and Parallel"},
+		// The bare goroutine executor (ParallelDetect under DetectorOff) still
+		// excludes the tracer and Async; DetectShards is ignored.
+		{"parallel off ok", Options{Detector: DetectorOff, ParallelDetect: true, DetectShards: 2}, ""},
+		{"parallel tracer", Options{Detector: DetectorOff, ParallelDetect: true, Tracer: nopTracer{}}, "tracing"},
+		{"parallel async", Options{Detector: DetectorOff, ParallelDetect: true, Async: true}, "Async and ParallelDetect"},
 
 		// MaxRacesRecorded: negative rejected, zero defaults, positive kept.
 		{"negative max races", Options{Detector: DetectorSTINT, MaxRacesRecorded: -1}, "MaxRacesRecorded"},
@@ -66,19 +65,15 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"shards off ignored", Options{Detector: DetectorOff, Async: true, DetectShards: 2}, ""},
 		{"shards reach-only ignored", Options{Detector: DetectorReachOnly, Async: true, DetectShards: 2}, ""},
 
-		// ParallelDetect: needs a runtime-coalescing detector, excludes
-		// the other executors and the tracer; DetectShards composes.
+		// ParallelDetect: needs a runtime-coalescing detector or none at all
+		// (DetectorOff), excludes Async and the tracer; DetectShards composes.
 		{"parallel-detect stint ok", Options{Detector: DetectorSTINT, ParallelDetect: true}, ""},
 		{"parallel-detect comp+rts ok", Options{Detector: DetectorCompRTS, ParallelDetect: true}, ""},
 		{"parallel-detect sharded ok", Options{Detector: DetectorSTINT, ParallelDetect: true, DetectShards: 4}, ""},
-		{"parallel-detect off", Options{Detector: DetectorOff, ParallelDetect: true}, "runtime-coalescing"},
+		{"parallel-detect off", Options{Detector: DetectorOff, ParallelDetect: true}, ""},
 		{"parallel-detect vanilla", Options{Detector: DetectorVanilla, ParallelDetect: true}, "runtime-coalescing"},
 		{"parallel-detect reach-only", Options{Detector: DetectorReachOnly, ParallelDetect: true}, "runtime-coalescing"},
 		{"parallel-detect tracer", Options{Detector: DetectorSTINT, ParallelDetect: true, Tracer: nopTracer{}}, "tracing"},
-		// With a detector set, the Parallel rule fires before the
-		// both-executors rule; with DetectorOff the latter wins.
-		{"parallel-detect with parallel", Options{Detector: DetectorSTINT, Parallel: true, ParallelDetect: true}, "Parallel"},
-		{"parallel-detect with parallel off", Options{Detector: DetectorOff, Parallel: true, ParallelDetect: true}, "choose one"},
 		{"parallel-detect with async", Options{Detector: DetectorSTINT, ParallelDetect: true, Async: true}, "Async and ParallelDetect"},
 
 		// Plain configurations stay legal.
@@ -115,10 +110,10 @@ func TestNewRunnerValidationTable(t *testing.T) {
 // violating several rules reports the earliest one, so error messages are
 // stable as rules accumulate.
 func TestValidateFirstViolationWins(t *testing.T) {
-	opts := Options{Detector: DetectorVanilla, Parallel: true, MaxRacesRecorded: -1, DetectShards: -5}
+	opts := Options{Detector: DetectorVanilla, ParallelDetect: true, Tracer: nopTracer{}, MaxRacesRecorded: -1, DetectShards: -5}
 	_, err := NewRunner(opts)
-	if err == nil || !strings.Contains(err.Error(), "Parallel") {
-		t.Fatalf("expected the Parallel rule to win, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "tracing") {
+		t.Fatalf("expected the tracer rule to win, got %v", err)
 	}
 }
 
@@ -139,7 +134,10 @@ func TestMaxRacesDefaultApplied(t *testing.T) {
 // soak, and fuzz suites must cover, so adding one is a decision to make in
 // review — by editing this number — not a side effect of a feature.
 func TestOptionsFieldCount(t *testing.T) {
-	if got := reflect.TypeOf(Options{}).NumField(); got != 11 {
-		t.Fatalf("Options has %d fields, want 11: a new option needs its equivalence legs and this count updated together", got)
+	if got := reflect.TypeOf(Options{}).NumField(); got != 10 {
+		t.Fatalf("Options has %d fields, want 10: a new option needs its equivalence legs and this count updated together", got)
+	}
+	if got := len(optionsRules); got != 10 {
+		t.Fatalf("optionsRules has %d rules, want 10", got)
 	}
 }

@@ -7,8 +7,8 @@
 //	task goroutines+coalescers ──chunk queue──▶ merge stage ──broadcast ring──▶ N workers ──▶ merge finalizer
 //
 // Each task goroutine owns a parTask: its hooks set bits in a strand-local
-// pair of bit hashmaps (borrowed from a pool for the length of the strand,
-// so a task parked in Sync holds none), and when the strand ends the pair
+// detect.Coalescer (borrowed from a pool for the length of the strand, so a
+// task parked in Sync holds none), and when the strand ends the Coalescer
 // flushes its intervals into the task's private working batch (from the
 // shared BatchPool), stamping the shard-occupancy mask as it appends — the
 // per-strand coalescing and per-interval summary work the serial pipeline's
@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"stint/internal/coalesce"
+	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/stage"
 )
@@ -66,10 +67,10 @@ func newParallelState(ringDepth, batchEvents int) *asyncState {
 }
 
 // parTask is one executor goroutine's chunk emitter: the task's identity,
-// its working batch, the running chunk index, the busy-lap start, the bit
-// hashmaps of its current strand, and its hook counters. Each task
-// goroutine owns exactly one parTask; nothing here is shared except the
-// asyncState's queue, pools, and counters.
+// its working batch, the running chunk index, the busy-lap start, and the
+// Coalescer of its current strand. Each task goroutine owns exactly one
+// parTask; nothing here is shared except the asyncState's queue, pools, and
+// counters.
 type parTask struct {
 	as    *asyncState
 	id    uint64
@@ -78,9 +79,9 @@ type parTask struct {
 	t0    time.Time
 	// bits is borrowed from the asyncState at the strand's first hook and
 	// returned when the strand ends, so only strands that are executing and
-	// have touched memory hold a pair.
-	bits  *strandBits
-	hooks Stats
+	// have touched memory hold one. Its hook counters stay with it, summed
+	// at drain.
+	bits *detect.Coalescer
 }
 
 func newParTask(as *asyncState, id uint64) *parTask {
@@ -93,42 +94,37 @@ func newParTask(as *asyncState, id uint64) *parTask {
 func (p *parTask) pause()  { p.as.execBusy.Add(int64(time.Since(p.t0))) }
 func (p *parTask) resume() { p.t0 = time.Now() }
 
-// read and write are the executor's per-access hot path: count the hook and
-// set a bit in the strand's own hashmaps.
-func (p *parTask) read(addr, size uint64) {
-	countRead(&p.hooks, addr, size)
+// coalescer is the executor's per-access hot path up to the hook: the
+// strand's Coalescer, borrowed at the strand's first access. It inlines
+// into the Task hooks, so ParallelDetect's hook is as deep as Async's.
+func (p *parTask) coalescer() *detect.Coalescer {
 	if p.bits == nil {
 		p.bits = p.as.borrowBits()
 	}
-	p.bits.rd.Add(addr, size)
+	return p.bits
 }
 
-func (p *parTask) write(addr, size uint64) {
-	countWrite(&p.hooks, addr, size)
-	if p.bits == nil {
-		p.bits = p.as.borrowBits()
-	}
-	p.bits.wr.Add(addr, size)
-}
-
-// borrowBits lends a clean strandBits pair, growing the pool when every
-// pair is out; returnBits takes a flushed one back.
-func (as *asyncState) borrowBits() *strandBits {
+// borrowBits lends a flushed Coalescer, growing the pool when every one is
+// out; returnBits takes it back. No quiesce registry behind them: parallel
+// executors flush at serial positions that may precede a quiesce point a
+// worker has already reached, so a hook-side drop would be unsound — the
+// histories' own page-local drops carry the optimization.
+func (as *asyncState) borrowBits() *detect.Coalescer {
 	as.bitsMu.Lock()
 	defer as.bitsMu.Unlock()
 	if n := len(as.bitsFree); n > 0 {
-		sb := as.bitsFree[n-1]
+		c := as.bitsFree[n-1]
 		as.bitsFree = as.bitsFree[:n-1]
-		return sb
+		return c
 	}
-	sb := newStrandBits()
-	as.bitsAll = append(as.bitsAll, sb)
-	return sb
+	c := detect.NewCoalescer(nil)
+	as.bitsAll = append(as.bitsAll, c)
+	return c
 }
 
-func (as *asyncState) returnBits(sb *strandBits) {
+func (as *asyncState) returnBits(c *detect.Coalescer) {
 	as.bitsMu.Lock()
-	as.bitsFree = append(as.bitsFree, sb)
+	as.bitsFree = append(as.bitsFree, c)
 	as.bitsMu.Unlock()
 }
 
@@ -147,25 +143,20 @@ func (p *parTask) emitInterval(op evstream.Op, addr, size uint64) {
 
 // cut publishes the working batch as a chunk with the given terminator and
 // starts a fresh one. Every terminator but the mid-strand ChunkCut ends the
-// strand: its intervals flush into the batch first — reads, then writes,
-// the inline engine's order — and its bit hashmaps go back to the pool; the
-// task's last chunk also banks its hook counters. A false Publish means the
+// strand: its intervals flush into the batch first and its Coalescer goes
+// back to the pool. A false Publish means the
 // graph aborted and closed the queue: the batch is reset and reused, events
 // drop on the floor, and the goroutine keeps unwinding to its natural exit
 // (the failure is the run's result, re-raised by drainParallel). The chunk
 // index advances regardless so the doomed stream stays internally
 // consistent.
 func (p *parTask) cut(end evstream.ChunkEnd, child uint64) {
-	if sb := p.bits; sb != nil && end != evstream.ChunkCut {
-		sb.rd.Flush(func(addr, size uint64) { p.emitInterval(evstream.OpRead, addr, size) })
-		sb.wr.Flush(func(addr, size uint64) { p.emitInterval(evstream.OpWrite, addr, size) })
+	if c := p.bits; c != nil && end != evstream.ChunkCut {
+		c.Flush(
+			func(addr, size uint64) { p.emitInterval(evstream.OpRead, addr, size) },
+			func(addr, size uint64) { p.emitInterval(evstream.OpWrite, addr, size) })
 		p.bits = nil
-		p.as.returnBits(sb)
-	}
-	if end == evstream.ChunkTask || end == evstream.ChunkRoot {
-		p.as.bitsMu.Lock()
-		p.as.hooks.Accumulate(&p.hooks)
-		p.as.bitsMu.Unlock()
+		p.as.returnBits(c)
 	}
 	p.pause()
 	if p.as.queue.Publish(evstream.Chunk{Batch: p.batch, Task: p.id, Idx: p.idx, End: end, Child: child}) {
@@ -286,15 +277,18 @@ func (as *asyncState) mergeParallel() {
 
 // drainParallel closes the chunk queue, waits out the stage graph — re-
 // panicking the first stage failure on the producer goroutine, exactly
-// like drain — and folds the stream totals into Stats. Called after the
-// root's final chunk, so the close never truncates a healthy stream:
-// every chunk is already queued (each task publishes its chunks before
-// its parent's join returns, and the root joins everything first).
+// like drain — and folds the hook counters and stream totals into Stats.
+// Called after the root's final chunk, so the close never truncates a
+// healthy stream: every chunk is already queued (each task publishes its
+// chunks before its parent's join returns, and the root joins everything
+// first).
 func (as *asyncState) drainParallel() {
 	as.queue.Close()
 	as.graph.Wait()
 	qs := as.queue.Stats()
-	as.stats.Accumulate(&as.hooks)
+	for _, c := range as.bitsAll {
+		as.stats.Accumulate(c.Hooks())
+	}
 	// Interval events stream through the queue; structure events are
 	// synthesized by the merge (one tag byte each). The totals match what
 	// the serial Async pipeline would have streamed for the same program.

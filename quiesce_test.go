@@ -91,6 +91,42 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 	}
 }
 
+// TestQuiescePastRegistryCapacity races on more pages than the quiesce
+// registry absorbs (it stops at 2 048): sync and the serial pipelines drop
+// dead-page accesses at the hook only for pages the registry lists and fall
+// back to setting bits their histories drop page-locally for the rest, and
+// ParallelDetect has no registry at all — so the reports agreeing across the
+// table is the check that the hook-side drop never decides anything.
+func TestQuiescePastRegistryCapacity(t *testing.T) {
+	const pages = 2100
+	var acts []act
+	for p := 0; p < pages; p++ { // two parallel writes retire page p at once
+		acts = append(acts,
+			act{kind: 'S', body: []act{{kind: 's', idx: p * qPageWords}}},
+			act{kind: 'S', body: []act{{kind: 's', idx: p * qPageWords}}})
+	}
+	acts = append(acts, act{kind: 'Y'})
+	for p := 0; p < pages; p++ { // every page is dead now; the last ~50 unlisted
+		acts = append(acts,
+			act{kind: 'S', body: []act{{kind: 'W', idx: p*qPageWords + 16, n: 8}, {kind: 'l', idx: p * qPageWords}}},
+			act{kind: 'S', body: []act{{kind: 'L', idx: p*qPageWords + 16, n: 8}}})
+	}
+	acts = append(acts, act{kind: 'W', idx: 2040 * qPageWords, n: 20 * qPageWords}, act{kind: 'Y'})
+	for _, d := range []Detector{DetectorCompRTS, DetectorSTINT} {
+		base := Options{Detector: d, PageQuiesceThreshold: 1}
+		sync := quiesceRun(t, base, pages*qPageWords, acts)
+		if sync.Stats.PagesQuiesced != pages || sync.RaceCount != pages {
+			t.Fatalf("%v: %d pages quiesced, %d races; want %d of each", d, sync.Stats.PagesQuiesced, sync.RaceCount, pages)
+		}
+		if iv := sync.Stats.ReadIntervals + sync.Stats.WriteIntervals; iv != 2*pages {
+			t.Fatalf("%v: %d intervals survived; only the %d that retired the pages should", d, iv, 2*pages)
+		}
+		for _, m := range pipeModes {
+			assertSameReport(t, fmt.Sprintf("%v/%s", d, m.Name), quiesceRun(t, m.With(base), pages*qPageWords, acts), sync)
+		}
+	}
+}
+
 // TestQuiesceSubsetOfFullReport pins the two threshold semantics: the
 // quiesce-on race list is a multiset subset of the quiesce-off list (a page
 // only ever stops reporting, never invents), and a threshold the program

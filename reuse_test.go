@@ -78,7 +78,7 @@ func TestReuseByteIdenticalReports(t *testing.T) {
 
 // stableFootprint returns the part of r's footprint that is a function of
 // the workload alone. Under ParallelDetect the mutator-side bit pages are
-// not: how many strandBits pairs the pool grows to depends on how many
+// not: how many Coalescers the pool grows to depends on how many
 // strands the scheduler happened to overlap — TestReuseBitPoolStopsGrowing
 // pins that side with a program that fixes the overlap.
 func stableFootprint(r *Runner) detect.Footprint {
@@ -169,7 +169,7 @@ func TestReuseFootprintStopsGrowing(t *testing.T) {
 	}
 }
 
-// TestReuseBitPoolStopsGrowing pins the ParallelDetect strandBits pool: a
+// TestReuseBitPoolStopsGrowing pins the ParallelDetect Coalescer pool: a
 // program whose k sibling strands are all mid-strand at once (each hooks,
 // then waits for the others at a barrier) needs exactly k pairs — the
 // parent, parked in Sync, holds none — so the pool's high-water mark is k

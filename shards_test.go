@@ -23,8 +23,8 @@ func TestNewRunnerShardValidation(t *testing.T) {
 	}{
 		{"negative", Options{Detector: DetectorSTINT, Async: true, DetectShards: -1}, false},
 		{"without async", Options{Detector: DetectorSTINT, DetectShards: 2}, false},
-		{"with parallel", Options{Detector: DetectorOff, Parallel: true, DetectShards: 2}, false},
-		{"with parallel and async", Options{Detector: DetectorOff, Parallel: true, Async: true, DetectShards: 2}, false},
+		{"with parallel", Options{Detector: DetectorOff, ParallelDetect: true, DetectShards: 2}, true},
+		{"with parallel and async", Options{Detector: DetectorOff, ParallelDetect: true, Async: true, DetectShards: 2}, false},
 		{"vanilla", Options{Detector: DetectorVanilla, Async: true, DetectShards: 2}, false},
 		{"compiler", Options{Detector: DetectorCompiler, Async: true, DetectShards: 2}, false},
 		{"comp+rts", Options{Detector: DetectorCompRTS, Async: true, DetectShards: 2}, true},

@@ -120,18 +120,17 @@ type Options struct {
 	// TimeAccessHistory enables the access-history timers used by the
 	// benchmark harness (a few clock reads per strand).
 	TimeAccessHistory bool
-	// Parallel executes spawns on goroutines instead of serially, with no
-	// detection attached: it is only valid with DetectorOff. For parallel
-	// execution with online detection, use ParallelDetect.
-	Parallel bool
-	// ParallelDetect executes spawns on goroutines — like Parallel — while
+	// ParallelDetect executes spawns on goroutines instead of serially,
 	// detecting races online. Each task goroutine coalesces its current
-	// strand's accesses in strand-local bit hashmaps and, when the strand
-	// ends, flushes the intervals into a chunk, stamping their
-	// shard-occupancy mask; a merge stage reorders the arriving chunks into
-	// the serial projection (a depth-first walk of the spawn structure, so
-	// the order depends only on the program, never on scheduling) and feeds
-	// the same worker graph Async does.
+	// strand's accesses in a strand-local coalescer — the synchronous
+	// detector's own mutator side — and, when the strand ends, flushes the
+	// intervals into a chunk, stamping their shard-occupancy mask; a merge
+	// stage reorders the arriving chunks into the serial projection (a
+	// depth-first walk of the spawn structure, so the order depends only on
+	// the program, never on scheduling) and feeds the same worker graph
+	// Async does. Under DetectorOff it is the bare goroutine executor: no
+	// pipeline is built and nothing is detected (check with a detector,
+	// deploy with it Off).
 	//
 	// The contract is race-set equivalence with the synchronous run — the
 	// same set of (location, access-pair) races — and repeated runs are
@@ -139,8 +138,8 @@ type Options struct {
 	// merged stream *is* the serial event stream, so Report.Races, counts,
 	// and Stats come out identical to sync mode, not just equivalent.
 	//
-	// Requires a runtime-coalescing detector (DetectorCompRTS or a STINT
-	// variant); incompatible with Parallel, Async, and Tracer. DetectShards
+	// Requires DetectorOff or a runtime-coalescing detector (DetectorCompRTS
+	// or a STINT variant); incompatible with Async and Tracer. DetectShards
 	// sets the worker count (0 means one worker). OnRace may be invoked from
 	// any worker while the program is still running, and the program itself
 	// must be safe to execute in parallel (spawned siblings really do run
@@ -149,8 +148,8 @@ type Options struct {
 	// detected on that projection).
 	ParallelDetect bool
 	// Async pipelines detection: the program executes the serial
-	// projection and coalesces each strand's accesses in its own bit
-	// hashmaps — the hook costs what the synchronous one does — while
+	// projection and coalesces each strand's accesses exactly as the
+	// synchronous detector does — the hook is the same code — while
 	// detector workers (one unless DetectShards asks for more) consume the
 	// strands' flushed intervals from a bounded broadcast ring, overlapping
 	// compute and coalescing with the access history. Each worker rebuilds
@@ -163,9 +162,8 @@ type Options struct {
 	//
 	// Requires a runtime-coalescing detector (DetectorCompRTS or a STINT
 	// variant) — intervals are all the stream carries. Async is ignored
-	// under DetectorOff (there is nothing to pipeline), pipelines only the
-	// reachability structure under DetectorReachOnly, and is incompatible
-	// with Parallel.
+	// under DetectorOff (there is nothing to pipeline) and pipelines only the
+	// reachability structure under DetectorReachOnly.
 	Async bool
 	// DetectShards is the worker count of the pipeline's detector side; 0
 	// means 1, and the two are the same code path. Every worker scans every
@@ -207,7 +205,8 @@ type Options struct {
 	// before they eat the budget. Zero (the default) means unlimited.
 	MaxHistoryBytes int64
 	// Tracer, if set, receives every execution event (see Tracer); use
-	// stint/trace to record replayable traces. Incompatible with Parallel.
+	// stint/trace to record replayable traces. Incompatible with
+	// ParallelDetect.
 	Tracer Tracer
 }
 
@@ -242,7 +241,7 @@ type Runner struct {
 //   - sync: sp + engine + col;
 //   - Async or ParallelDetect: as — the mutator side, the broadcast ring
 //     and the workers behind it (async.go);
-//   - DetectorOff / Parallel / pure tracing: nothing.
+//   - DetectorOff (either executor) / pure tracing: nothing.
 //
 // The OnRace closures built here capture the retained structures, so they
 // remain valid for every subsequent run.
@@ -286,23 +285,16 @@ func (r *Runner) ensureWarm() {
 	}
 	switch {
 	case r.opts.ParallelDetect:
-		// No quiesce registry here: parallel executors emit events at
-		// serial positions that may precede a quiesce point already
-		// reached by a worker, so producer-side drops would be unsound.
-		// The engines' own page-local drops carry the optimization.
 		w.as = newParallelState(depth, bcap)
 		w.as.buildWorkers(cfg, workers, depth, maxRec, user)
 	case r.opts.Async:
-		w.as = newAsyncState(depth, bcap)
 		if r.opts.PageQuiesceThreshold > 0 {
-			// In the serial-projection pipelines the producer is always
-			// ahead of the detector in stream order, so once a page shows
-			// up in the registry every not-yet-emitted event is past the
-			// quiesce point — the producer can drop it without changing
-			// any report.
-			w.as.quiesce = detect.NewQuiesceSet()
-			cfg.Quiesced = w.as.quiesce
+			// The serial producer is ahead of the workers in stream order, so
+			// its coalescer may drop accesses to pages they have retired
+			// (detect.NewCoalescer); this is the registry they publish into.
+			cfg.Quiesced = detect.NewQuiesceSet()
 		}
+		w.as = newAsyncState(depth, bcap, cfg.Quiesced)
 		w.as.buildWorkers(cfg, workers, depth, maxRec, user)
 	default:
 		w.sp = spord.New()
@@ -493,9 +485,9 @@ type Task struct {
 }
 
 // footprint sums the retained warm capacity of every engine the Runner
-// holds, plus the mutator side's bit hashmaps — the serial producer's pair,
-// or every pair the ParallelDetect pool grew to; the reuse-soak suite
-// asserts it stops growing after warm-up.
+// holds, plus the pipelines' mutator side — the serial producer's
+// coalescer, or every one the ParallelDetect pool grew to; the reuse-soak
+// suite asserts it stops growing after warm-up.
 func (r *Runner) footprint() detect.Footprint {
 	var f detect.Footprint
 	w := r.warm
@@ -504,10 +496,10 @@ func (r *Runner) footprint() detect.Footprint {
 	}
 	if as := w.as; as != nil {
 		if as.bits != nil {
-			f.BitPages += as.bits.pages()
+			f.BitPages += as.bits.Pages()
 		}
-		for _, sb := range as.bitsAll {
-			f.BitPages += sb.pages()
+		for _, c := range as.bitsAll {
+			f.BitPages += c.Pages()
 		}
 		for _, sw := range as.workers {
 			f.Add(detect.FootprintOf(sw.engine))
@@ -531,7 +523,7 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	r.dirty = true
 	w := r.warm
 	rep := &Report{}
-	rs := &runState{parallel: r.opts.Parallel, tracer: r.opts.Tracer}
+	rs := &runState{parallel: r.opts.ParallelDetect, tracer: r.opts.Tracer}
 	var syncCol *stage.Collector
 	pipe := w.as // non-nil exactly in the pipelined modes
 	if r.opts.Detector != DetectorOff {
@@ -544,8 +536,8 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 			// Parallel execution with online detection: task goroutines flush
 			// their strands into chunks on a multi-producer queue, the merge
 			// stage reconstructs the serial projection, and the worker graph
-			// consumes the result (parallel.go).
-			rs.parallel = true
+			// consumes the result (parallel.go). Under DetectorOff parPipe
+			// stays nil and the same goroutine executor runs bare.
 			rs.parPipe = pipe
 		case r.opts.Async:
 			// Pipelined detection: SP-Order and the engines live behind the
@@ -656,7 +648,7 @@ func (r *Runner) capError() error {
 // Spawn runs f as a subtask that is logically parallel with the caller's
 // continuation. Under serial detection f executes immediately (depth-first,
 // matching the sequential order race detection requires); with
-// Options.Parallel it runs on its own goroutine. Every task ends with an
+// Options.ParallelDetect it runs on its own goroutine. Every task ends with an
 // implicit Sync.
 func (t *Task) Spawn(f TaskFunc) {
 	rs := t.rs
@@ -784,11 +776,11 @@ func (t *Task) Load(b *Buffer, i int) {
 	addr, size := b.Addr(i), uint64(b.ElemBytes())
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.read(addr, size)
+			as.bits.ReadHook(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.ReadHook(addr, size)
 		} else {
-			t.par.read(addr, size)
+			t.par.coalescer().ReadHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -805,11 +797,11 @@ func (t *Task) Store(b *Buffer, i int) {
 	addr, size := b.Addr(i), uint64(b.ElemBytes())
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.write(addr, size)
+			as.bits.WriteHook(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.WriteHook(addr, size)
 		} else {
-			t.par.write(addr, size)
+			t.par.coalescer().WriteHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -828,11 +820,11 @@ func (t *Task) LoadRange(b *Buffer, i, n int) {
 	addr, size := b.Range(i, n)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.read(addr, size)
+			as.bits.ReadHook(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.ReadRangeHook(addr, n, uint64(b.ElemBytes()))
 		} else {
-			t.par.read(addr, size)
+			t.par.coalescer().ReadHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -849,11 +841,11 @@ func (t *Task) StoreRange(b *Buffer, i, n int) {
 	addr, size := b.Range(i, n)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.write(addr, size)
+			as.bits.WriteHook(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.WriteRangeHook(addr, n, uint64(b.ElemBytes()))
 		} else {
-			t.par.write(addr, size)
+			t.par.coalescer().WriteHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -864,25 +856,43 @@ func (t *Task) StoreRange(b *Buffer, i, n int) {
 // checkAccess rejects per-access sizes beyond the event encodings' shared
 // 56-bit field, in every mode, so a program a trace can carry is a program
 // every mode accepts. Like checkRange, it guards only the raw-address hooks
-// — arena-backed accesses are bounded by their Buffer.
+// — arena-backed accesses are bounded by their Buffer. It and checkWrap
+// inline into them: a trace replay pays both per event.
 func checkAccess(size uint64) {
 	if size > evstream.MaxAccessSize {
 		panic(fmt.Sprintf("stint: access size %d outside [0, 2^56)", size))
 	}
 }
 
+// checkWrap rejects a span whose shadow words wrap the address space: the
+// bit hashmap would set bits on bogus low pages, or none at all.
+func checkWrap(addr Addr, size uint64) {
+	if mem.SpanWraps(addr, size) {
+		panicWraps(addr, size)
+	}
+}
+
+// panicWraps stays out of line so that checkWrap fits the inlining budget.
+//
+//go:noinline
+func panicWraps(addr Addr, size uint64) {
+	panic(fmt.Sprintf("stint: range [%#x, %#x+%d) wraps the address space", addr, addr, size))
+}
+
 // LoadAt and StoreAt report raw-address accesses for callers managing their
-// own layout on top of the Arena. Sizes of 2^56+ bytes panic.
+// own layout on top of the Arena. Sizes of 2^56+ bytes, and spans wrapping
+// the address space, panic.
 func (t *Task) LoadAt(addr Addr, size uint64) {
 	rs := t.rs
 	checkAccess(size)
+	checkWrap(addr, size)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.read(addr, size)
+			as.bits.ReadHook(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.ReadHook(addr, size)
 		} else {
-			t.par.read(addr, size)
+			t.par.coalescer().ReadHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -895,13 +905,14 @@ func (t *Task) LoadAt(addr Addr, size uint64) {
 func (t *Task) StoreAt(addr Addr, size uint64) {
 	rs := t.rs
 	checkAccess(size)
+	checkWrap(addr, size)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.write(addr, size)
+			as.bits.WriteHook(addr, size)
 		} else if e := rs.engine; e != nil {
 			e.WriteHook(addr, size)
 		} else {
-			t.par.write(addr, size)
+			t.par.coalescer().WriteHook(addr, size)
 		}
 	}
 	if rs.tracer != nil {
@@ -912,7 +923,7 @@ func (t *Task) StoreAt(addr Addr, size uint64) {
 // checkRange rejects range-hook operands the event encodings cannot
 // represent: a count or element size outside their fields (which would
 // silently truncate into a different, smaller range) or a span wrapping the
-// address space (which would set bits on bogus low pages). The
+// address space (checkWrap). The
 // arena-backed LoadRange/StoreRange can never trip it — Buffer.Range bounds
 // the span — so the guard lives only on the raw-address hooks, where the
 // caller manages its own layout.
@@ -923,9 +934,7 @@ func checkRange(addr Addr, count int, elemBytes uint64) {
 	if elemBytes > evstream.MaxRangeElem {
 		panic(fmt.Sprintf("stint: range element size %d outside [0, 2^24)", elemBytes))
 	}
-	if size := uint64(count) * elemBytes; size > 0 && addr+size-1 < addr {
-		panic(fmt.Sprintf("stint: range [%#x, %#x+%d) wraps the address space", addr, addr, size))
-	}
+	checkWrap(addr, uint64(count)*elemBytes)
 }
 
 // LoadRangeAt reports a compiler-coalesced read of count elements of
@@ -942,11 +951,11 @@ func (t *Task) LoadRangeAt(addr Addr, count int, elemBytes uint64) {
 	checkRange(addr, count, elemBytes)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.read(addr, uint64(count)*elemBytes)
+			as.bits.ReadHook(addr, uint64(count)*elemBytes)
 		} else if e := rs.engine; e != nil {
 			e.ReadRangeHook(addr, count, elemBytes)
 		} else {
-			t.par.read(addr, uint64(count)*elemBytes)
+			t.par.coalescer().ReadHook(addr, uint64(count)*elemBytes)
 		}
 	}
 	if rs.tracer != nil {
@@ -964,11 +973,11 @@ func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
 	checkRange(addr, count, elemBytes)
 	if rs.hooks {
 		if as := rs.async; as != nil {
-			as.write(addr, uint64(count)*elemBytes)
+			as.bits.WriteHook(addr, uint64(count)*elemBytes)
 		} else if e := rs.engine; e != nil {
 			e.WriteRangeHook(addr, count, elemBytes)
 		} else {
-			t.par.write(addr, uint64(count)*elemBytes)
+			t.par.coalescer().WriteHook(addr, uint64(count)*elemBytes)
 		}
 	}
 	if rs.tracer != nil {

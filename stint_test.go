@@ -299,14 +299,18 @@ func TestDetectorOffRunsProgram(t *testing.T) {
 	}
 }
 
+// Without a runtime-coalescing detector to stream intervals to, the
+// goroutine executor is only legal bare (DetectorOff).
 func TestParallelRequiresDetectorOff(t *testing.T) {
-	if _, err := NewRunner(Options{Detector: DetectorSTINT, Parallel: true}); err == nil {
-		t.Fatal("expected error for Parallel + detection")
+	for _, d := range []Detector{DetectorReachOnly, DetectorVanilla, DetectorCompiler} {
+		if _, err := NewRunner(Options{Detector: d, ParallelDetect: true}); err == nil {
+			t.Fatalf("expected error for ParallelDetect under %v", d)
+		}
 	}
 }
 
 func TestParallelExecutionComputes(t *testing.T) {
-	r, err := NewRunner(Options{Parallel: true})
+	r, err := NewRunner(Options{ParallelDetect: true})
 	if err != nil {
 		t.Fatal(err)
 	}

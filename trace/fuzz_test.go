@@ -17,6 +17,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(append([]byte{}, magic[:]...), opRead, 0x10, 0x08, opEnd))
 	// The depth bomb: one spawn past the nesting bound, never closed.
 	f.Add(spawnNest(maxSpawnDepth+1, false))
+	// Parallel stores running off the end of the address space.
+	f.Add(wrapTrace(^stint.Addr(3), 8))
 	// A valid recorded program as a seed.
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
@@ -35,6 +37,10 @@ func FuzzReplay(f *testing.F) {
 			rep, err := Replay(bytes.NewReader(raw), Options{Detector: d})
 			if err == nil && rep == nil {
 				t.Fatal("nil report without error")
+			}
+			// An access event is at least three bytes and at most 2^54+1 words.
+			if err == nil && len(raw) < 512 && rep.Stats.ReadAccesses+rep.Stats.WriteAccesses > uint64(len(raw))<<54 {
+				t.Fatalf("%d trace bytes cannot carry %d+%d words", len(raw), rep.Stats.ReadAccesses, rep.Stats.WriteAccesses)
 			}
 		}
 	})

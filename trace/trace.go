@@ -282,11 +282,15 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				size, err = binary.ReadUvarint(d.br)
 				if err == nil {
 					// Validate before handing to the hook layer: LoadAt
-					// panics on sizes beyond the encodings' 56-bit field,
-					// but a corrupt or adversarial trace must surface as a
-					// decode error, not a panic.
+					// panics on sizes beyond the encodings' 56-bit field and
+					// on wrapping spans, but a corrupt or adversarial trace
+					// must surface as a decode error, not a panic.
 					if size > evstream.MaxAccessSize {
 						d.fail(fmt.Errorf("trace: access event size %d outside the representable field", size))
+						return
+					}
+					if mem.SpanWraps(addr, size) {
+						d.fail(fmt.Errorf("trace: access event at %#x spanning %d bytes wraps the address space", addr, size))
 						return
 					}
 					if code == opRead {
@@ -324,7 +328,7 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				d.fail(fmt.Errorf("trace: range event count %d elem %d outside the representable fields", count, elem))
 				return
 			}
-			if size := count * elem; size > 0 && addr+size-1 < addr {
+			if size := count * elem; mem.SpanWraps(addr, size) {
 				d.fail(fmt.Errorf("trace: range event at %#x spanning %d bytes wraps the address space", addr, size))
 				return
 			}

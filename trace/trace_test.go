@@ -292,7 +292,7 @@ func TestReplayStructuralErrors(t *testing.T) {
 
 func TestParallelTracingRejected(t *testing.T) {
 	rec := NewRecorder(&bytes.Buffer{})
-	if _, err := stint.NewRunner(stint.Options{Parallel: true, Tracer: rec}); err == nil {
+	if _, err := stint.NewRunner(stint.Options{ParallelDetect: true, Tracer: rec}); err == nil {
 		t.Fatal("parallel + tracer accepted")
 	}
 }
@@ -432,6 +432,44 @@ func spawnNest(depth int, closed bool) []byte {
 		raw = append(raw, opEnd)
 	}
 	return raw
+}
+
+// wrapTrace is two logically parallel stores of size bytes at addr, written
+// straight through a Recorder (no live run would get such an access past
+// the hook guards).
+func wrapTrace(addr stint.Addr, size uint64) []byte {
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	rec.Spawn()
+	rec.Write(addr, size)
+	rec.Restore()
+	rec.Write(addr, size)
+	rec.Sync()
+	rec.Flush()
+	return buf.Bytes()
+}
+
+// TestReplayRejectsWrappingAccess: a per-access event running off the end
+// of the address space used to replay silently — zero races, a 2^63 word
+// count in the report — where the same span as a range event was a decode
+// error. Both are decode errors now, and the Runner stays usable.
+func TestReplayRejectsWrappingAccess(t *testing.T) {
+	for _, d := range []stint.Detector{stint.DetectorVanilla, stint.DetectorSTINT} {
+		r, err := stint.NewRunner(stint.Options{Detector: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []uint64{4, 8} {
+			rep, err := Replay(bytes.NewReader(wrapTrace(^stint.Addr(3), size)), Options{Runner: r})
+			if err == nil || !strings.Contains(err.Error(), "wraps the address space") {
+				t.Fatalf("%v size %d: want a wrap decode error, got report %+v, err %v", d, size, rep, err)
+			}
+		}
+		rep, err := Replay(bytes.NewReader(wrapTrace(^stint.Addr(7), 4)), Options{Runner: r})
+		if err != nil || rep.RaceCount != 1 || rep.Stats.WriteAccesses != 2 {
+			t.Fatalf("%v: the last representable word must replay and race: %+v, %v", d, rep, err)
+		}
+	}
 }
 
 // TestReplaySpawnDepthBound is the regression test for the depth bomb: a

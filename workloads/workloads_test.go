@@ -190,7 +190,7 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := NewMMul(40, 8)
-	rp, _ := stint.NewRunner(stint.Options{Parallel: true})
+	rp, _ := stint.NewRunner(stint.Options{ParallelDetect: true})
 	par.Setup(rp)
 	if _, err := rp.Run(par.Run); err != nil {
 		t.Fatal(err)
