@@ -322,10 +322,10 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStores compares the treap against the plain-BST and
-// redundant-interval-skiplist access histories on two contrasting
-// workloads: sort (treap-friendly, large intervals) and fft (treap-hostile,
-// many small intervals).
+// BenchmarkAblationStores compares the treap against the same trees with
+// rotations off (a plain BST) on two contrasting workloads: sort
+// (treap-friendly, large intervals) and fft (treap-hostile, many small
+// intervals).
 func BenchmarkAblationStores(b *testing.B) {
 	wls := []struct {
 		name string
@@ -334,9 +334,7 @@ func BenchmarkAblationStores(b *testing.B) {
 		{"sort", func() workloads.Workload { return workloads.NewSort(30000, 512) }},
 		{"fft", func() workloads.Workload { return workloads.NewFFT(4096, 64) }},
 	}
-	modes := []stint.Detector{
-		stint.DetectorSTINT, stint.DetectorSTINTUnbalanced, stint.DetectorSTINTSkiplist,
-	}
+	modes := []stint.Detector{stint.DetectorSTINT, stint.DetectorSTINTUnbalanced}
 	for _, wl := range wls {
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {

@@ -44,7 +44,6 @@ func main() {
 		races     = flag.Int("races", 64, "max races recorded per trace")
 		maxBytes  = flag.Int64("max-trace-bytes", 64<<20, "reject uploads larger than this (413); negative disables")
 		maxEvents = flag.Uint64("max-events", 0, "abort replays exceeding this many trace events (0 = unbounded)")
-		fresh     = flag.Bool("fresh-runners", false, "build a fresh Runner per trace instead of reusing the warm pool (baseline mode)")
 	)
 	flag.Parse()
 	opts, err := detOpts()
@@ -55,7 +54,6 @@ func main() {
 			QueueDepth:    *queue,
 			MaxTraceBytes: *maxBytes,
 			MaxEvents:     *maxEvents,
-			FreshRunners:  *fresh,
 			Opts:          opts,
 		})
 	}
@@ -71,18 +69,14 @@ func run(addr string, cfg serve.Config) error {
 		return err
 	}
 	defer s.Close()
-	pool := "warm pool"
-	if cfg.FreshRunners {
-		pool = "fresh runner per trace"
-	}
 	// Bind before announcing so ":0" reports the kernel-chosen port — the
 	// smoke harness scrapes this line to find the server.
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stint-serve: listening on %s (%d runners, %s, detector %v)\n",
-		ln.Addr(), cfg.Runners, pool, cfg.Opts.Detector)
+	fmt.Printf("stint-serve: listening on %s (%d runners, warm pool, detector %v)\n",
+		ln.Addr(), cfg.Runners, cfg.Opts.Detector)
 	// A client that stalls before its headers are in, or parks an idle
 	// keep-alive connection, is cut off. There is deliberately no body
 	// ReadTimeout: a 15 MB trace upload takes as long as the link needs,

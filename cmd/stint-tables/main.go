@@ -1,25 +1,16 @@
 // Command stint-tables regenerates the paper's evaluation tables from live
 // runs: Figure 1 (vanilla breakdown), Figure 5 (four detector versions),
 // Figure 6 (access/interval statistics), Figure 7 (hashmap vs treap
-// access-history time), Figure 8 (input-size scaling), and an additional
-// backing-store ablation.
+// access-history time), Figure 8 (input-size scaling), and the treap-vs-BST
+// ablation.
 //
 // Usage:
 //
-//	stint-tables [-scale 1] [-reps 3] fig1 fig5 fig6 fig7 fig8 ablation allocs async util serve
+//	stint-tables [-scale 1] [-reps 3] fig1 fig5 fig6 fig7 fig8 ablation
 //	stint-tables all
 //
-// The extra "allocs" table (not part of the paper, and not included in
-// "all") reports heap objects and bytes allocated during each detection
-// run, backing the allocation-free hot-path work in EXPERIMENTS.md. The
-// extra "async" table (also outside the paper, whose detector is strictly
-// inline) compares synchronous vs pipelined detection wall clock. The
-// extra "util" table reads the sharded worker graph's utilization — the
-// busiest shard worker, the skip-scan share, the stream's wire cost. The
-// extra "serve"
-// table (also outside the paper) records every benchmark once, ingests the
-// traces through an in-process stint-serve warm-pool instance, and prints
-// the service's pool utilization from /v1/statusz.
+// Everything outside the paper's figures — allocations, pipelined modes,
+// worker utilization, the service — is measured by the benchmark in bench/.
 package main
 
 import (
@@ -56,18 +47,10 @@ func main() {
 			err = suite.Fig8()
 		case "ablation":
 			err = suite.Ablation()
-		case "allocs":
-			err = suite.Allocs()
-		case "async":
-			err = suite.Async()
-		case "util":
-			err = suite.Util()
-		case "serve":
-			err = suite.Serve()
 		case "all":
 			err = suite.All()
 		default:
-			err = fmt.Errorf("unknown table %q (want fig1|fig5|fig6|fig7|fig8|ablation|allocs|async|util|serve|all)", a)
+			err = fmt.Errorf("unknown table %q (want fig1|fig5|fig6|fig7|fig8|ablation|all)", a)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stint-tables:", err)

@@ -8,8 +8,8 @@
 //	      [-max-history BYTES]
 //
 // Detectors: off, reach, vanilla, compiler, comp+rts, stint,
-// stint-unbalanced, stint-skiplist — or all, which compares every one on
-// the workload (-async then applies to the coalescing detectors only). With
+// stint-unbalanced — or all, which compares every one on the workload
+// (-async then applies to the coalescing detectors only). With
 // -parallel-detect, -shards sizes its worker side instead of implying
 // -async.
 package main
@@ -189,7 +189,7 @@ func runAll(factory workloads.Factory, timing, async bool) error {
 	modes := []stint.Detector{
 		stint.DetectorOff, stint.DetectorReachOnly, stint.DetectorVanilla,
 		stint.DetectorCompiler, stint.DetectorCompRTS, stint.DetectorSTINT,
-		stint.DetectorSTINTUnbalanced, stint.DetectorSTINTSkiplist,
+		stint.DetectorSTINTUnbalanced,
 	}
 	var base time.Duration
 	fmt.Printf("%-18s %12s %9s %12s %12s %10s %8s\n", "detector", "time", "overhead", "intervals", "ah-time", "allocs", "races")

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"stint"
-	"stint/internal/serve"
 )
 
 // DetectorFlags registers the detector flags every stint CLI takes —
@@ -21,7 +20,7 @@ import (
 // "-detector all" reads -async that way); combinations are validated by
 // stint.NewRunner, which every caller hands the Options to.
 func DetectorFlags(fs *flag.FlagSet) func() (stint.Options, error) {
-	detector := fs.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint, stint-unbalanced, stint-skiplist)")
+	detector := fs.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint, stint-unbalanced)")
 	async := fs.Bool("async", false, "pipeline detection: each strand is coalesced where the program (or the trace decoder) runs and its intervals stream to detector workers, overlapping compute with the access history (comp+rts and stint variants only)")
 	shards := fs.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
 	quiesce := fs.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")
@@ -133,24 +132,4 @@ func pctCount(part, whole uint64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
-}
-
-// ServeStatus renders a trace-ingest service's pool utilization — the
-// /v1/statusz payload — in the same vocabulary stint-serve's API uses:
-// fleet occupancy, admission-queue depth, the admission counters, and the
-// lifetime throughput.
-func ServeStatus(st serve.Stats) []string {
-	lines := []string{
-		fmt.Sprintf("runners     %d busy / %d idle (fleet %d)", st.Busy, st.Idle, st.Runners),
-		fmt.Sprintf("queue       %d/%d pending", st.QueueLen, st.QueueCap),
-		fmt.Sprintf("admissions  %d admitted, %d rejected, %d oversized, %d failed",
-			st.Admitted, st.Rejected, st.Oversized, st.Failed),
-	}
-	tps := "-"
-	if st.TracesPerSec > 0 {
-		tps = fmt.Sprintf("%.1f traces/sec", st.TracesPerSec)
-	}
-	lines = append(lines, fmt.Sprintf("throughput  %d completed, %s over %.2fs",
-		st.Completed, tps, st.UptimeSec))
-	return lines
 }

@@ -155,6 +155,7 @@ func TestDetectorFlags(t *testing.T) {
 			stint.Options{Detector: stint.DetectorVanilla, PageQuiesceThreshold: 3, MaxHistoryBytes: 4096}, ""},
 		{[]string{"-detector", "off"}, stint.Options{}, ""},
 		{[]string{"-detector", "all", "-async"}, stint.Options{Async: true}, `unknown mode "all"`},
+		{[]string{"-detector", "stint-skiplist"}, stint.Options{}, `unknown mode "stint-skiplist"`},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)

@@ -25,8 +25,9 @@ type Stats struct {
 
 // Tree is a non-overlapping interval treap with randomized
 // (deterministically seeded) priorities; use SetBalancing to turn
-// priorities off and degrade to a plain BST for ablation runs. Construct
-// trees with NewTree (private node pool) or NewTreeIn (shared pool).
+// priorities off and degrade to a plain BST for the ablation run. Construct
+// trees with NewTree (private node pool) or NewTreeIn (shared pool), or Init
+// a zero Tree that lives inside another struct.
 type Tree struct {
 	root  *node
 	size  int
@@ -53,7 +54,14 @@ func NewTree() *Tree { return NewTreeIn(NewPool()) }
 // seed and the priority stream is a per-tree field, tree shapes depend only
 // on each tree's own insertion sequence — not on pool sharing — which keeps
 // per-page trees byte-identical across shard counts.
-func NewTreeIn(pool *Pool) *Tree { return &Tree{rng: treapSeed, pool: pool} }
+func NewTreeIn(pool *Pool) *Tree {
+	t := new(Tree)
+	t.Init(pool)
+	return t
+}
+
+// Init makes a zero Tree, in place, what NewTreeIn(pool) returns.
+func (t *Tree) Init(pool *Pool) { t.rng, t.pool = treapSeed, pool }
 
 // Reset empties the tree and re-arms it for reuse: the root is dropped
 // (without walking it — the caller resets the shared Pool wholesale), the

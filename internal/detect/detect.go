@@ -63,10 +63,6 @@ const (
 	// STINTUnbalanced is the ablation that turns off treap priorities,
 	// degrading the access-history trees to plain BSTs.
 	STINTUnbalanced
-	// STINTSkiplist replaces the treap with a Park-et-al-style interval
-	// skiplist that never removes redundant intervals (related-work
-	// comparison).
-	STINTSkiplist
 )
 
 // String returns the mode name used in tables and CLI flags.
@@ -86,15 +82,13 @@ func (m Mode) String() string {
 		return "stint"
 	case STINTUnbalanced:
 		return "stint-unbalanced"
-	case STINTSkiplist:
-		return "stint-skiplist"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
 // ParseMode converts a mode name (as produced by String) back to a Mode.
 func ParseMode(s string) (Mode, error) {
-	for _, m := range []Mode{Off, ReachOnly, Vanilla, Compiler, CompRTS, STINT, STINTUnbalanced, STINTSkiplist} {
+	for _, m := range []Mode{Off, ReachOnly, Vanilla, Compiler, CompRTS, STINT, STINTUnbalanced} {
 		if m.String() == s {
 			return m, nil
 		}
@@ -325,12 +319,8 @@ func NewHistory(cfg Config, reach Reach) History {
 		return &nopEngine{}
 	case CompRTS:
 		return newHashEngine(cfg, reach, false)
-	case STINT:
-		return newTreeEngine(cfg, reach, treeBackendTreap)
-	case STINTUnbalanced:
-		return newTreeEngine(cfg, reach, treeBackendBST)
-	case STINTSkiplist:
-		return newTreeEngine(cfg, reach, treeBackendSkiplist)
+	case STINT, STINTUnbalanced:
+		return newTreeEngine(cfg, reach, cfg.Mode == STINTUnbalanced)
 	}
 	panic(fmt.Sprintf("detect: no interval-fed engine for mode %v", cfg.Mode))
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // allModes are the real engines (not Off/ReachOnly).
-var allModes = []Mode{Vanilla, Compiler, CompRTS, STINT, STINTUnbalanced, STINTSkiplist}
+var allModes = []Mode{Vanilla, Compiler, CompRTS, STINT, STINTUnbalanced}
 
 // script drives an engine through a minimal fork-join execution at the
 // spord level: the parent writes before the spawn (series with everything),
@@ -174,6 +174,26 @@ func TestTreapStatsPopulatedOnFinish(t *testing.T) {
 	}
 }
 
+// TestHistoryPageAllocations pins what a page of history costs the heap on a
+// warm engine: the shell alone on first touch — its two trees live inside
+// it — and nothing for a page taken back from the freelist.
+func TestHistoryPageAllocations(t *testing.T) {
+	const warm = 100 // leaves the directory at 256 slots: no growth below 192 pages
+	e := newTreeEngine(Config{}, spord.New(), false)
+	var idx uint64
+	touch := func() { idx++; e.pageFor(idx) }
+	for i := 0; i < warm; i++ {
+		touch()
+	}
+	e.Reset()
+	if got := testing.AllocsPerRun(warm-1, touch); got != 0 || len(e.freePages) != 0 {
+		t.Fatalf("a parked page cost %v allocations (%d still parked), want 0 (0)", got, len(e.freePages))
+	}
+	if got := testing.AllocsPerRun(50, touch); got != 1 {
+		t.Fatalf("a first-touched page cost %v allocations, want 1 (the shell)", got)
+	}
+}
+
 func TestHashOpsCounted(t *testing.T) {
 	sp := spord.New()
 	e := New(Config{Mode: Vanilla}, sp)
@@ -190,8 +210,10 @@ func TestModeStringRoundTrip(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := ParseMode("junk"); err == nil {
-		t.Error("ParseMode accepted junk")
+	for _, name := range []string{"junk", "stint-skiplist"} {
+		if _, err := ParseMode(name); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("ParseMode(%q) error = %v, want unknown mode", name, err)
+		}
 	}
 	if Mode(99).String() == "" {
 		t.Error("unknown mode has empty String")

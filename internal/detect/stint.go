@@ -7,82 +7,55 @@ import (
 	"stint/internal/core"
 	"stint/internal/mem"
 	"stint/internal/pagedir"
-	"stint/internal/skiplist"
-)
-
-// store abstracts the interval access history so the same detector pipeline
-// can run over the paper's treap, the plain-BST ablation, and the Park et
-// al. skiplist. core.Tree and skiplist.List both satisfy it.
-type store interface {
-	InsertWrite(x core.Interval, onOverlap core.OverlapFunc)
-	InsertRead(x core.Interval, leftOf core.LeftOfFunc, onOverlap core.OverlapFunc)
-	Query(x core.Interval, onOverlap core.OverlapFunc)
-	Stats() core.Stats
-	Size() int
-	// Reset empties the store for reuse, re-deriving any deterministic
-	// seeds so a reused store behaves byte-identically to a fresh one.
-	Reset()
-	// Drop empties the store like Reset but returns its nodes to any
-	// shared slab pool first, so quiescing one page's history makes the
-	// memory immediately reusable by sibling pages.
-	Drop()
-}
-
-type treeBackend int
-
-const (
-	treeBackendTreap treeBackend = iota
-	treeBackendBST
-	treeBackendSkiplist
 )
 
 // histPage is one shadow page's interval access history: the paper's §4
-// observation that the two interval stores are independent per 64 KiB page.
+// observation that the two interval trees are independent per 64 KiB page.
 // Keeping the history per page (rather than one global pair of trees) is
 // what makes page-hash sharding exact: a shard that owns a page owns every
 // interval that can ever overlap intervals of that page, because coalesce
 // never emits an interval crossing a page boundary.
 type histPage struct {
-	read, write store
-	races       int32 // races this page has produced (quiesce accounting)
+	read, write core.Tree // the paper's two interval treaps, over the engine's pool
+	races       int32     // races this page has produced (quiesce accounting)
 }
 
 // treeEngine is STINT's interval-granularity access history (§4). A
 // strand's coalesced intervals arrive one at a time, each contained in one
 // page (coalesce splits at page boundaries), so it touches exactly one
-// page's stores:
+// page's trees:
 //
-//   - each read interval is checked against the page's write store (a
+//   - each read interval is checked against the page's write tree (a
 //     parallel last writer is a race) and inserted into the page's read
-//     store, where the left-of relation decides which reader survives on
+//     tree, where the left-of relation decides which reader survives on
 //     overlap;
-//   - each write interval is checked against the page's read store (a
+//   - each write interval is checked against the page's read tree (a
 //     parallel leftmost reader is a race) and inserted into the write
-//     store, reporting every displaced parallel writer as a race.
+//     tree, reporting every displaced parallel writer as a race.
 //
-// Every page's stores are deterministically seeded, so the shape of each
+// Every page's trees are deterministically seeded, so the shape of each
 // page's treap depends only on that page's own insertion sequence — the
 // property the sharded equivalence suite checks byte-for-byte.
 type treeEngine struct {
-	stats     Stats
-	reach     Reach
-	onRace    func(Race)
-	timeAH    bool
-	backend   treeBackend
-	pages     pagedir.Dir[histPage]
-	pool      *core.Pool  // node slabs shared by every page's trees
-	freePages []*histPage // parked pages with reset stores, reused by pageFor
-	nPages    int         // histPages ever allocated (live + parked)
-	lastIdx   uint64
-	lastPage  *histPage
-	leftOf    core.LeftOfFunc
+	stats      Stats
+	reach      Reach
+	onRace     func(Race)
+	timeAH     bool
+	unbalanced bool // STINTUnbalanced: new pages' trees skip rotations
+	pages      pagedir.Dir[histPage]
+	pool       *core.Pool  // node slabs shared by every page's trees
+	freePages  []*histPage // parked pages with reset trees, reused by pageFor
+	nPages     int         // histPages ever allocated (live + parked)
+	lastIdx    uint64
+	lastPage   *histPage
+	leftOf     core.LeftOfFunc
 
 	// Quiescing and memory-cap state.
 	qthresh   int         // Config.QuiesceThreshold; 0 disables
 	maxBytes  uint64      // Config.MaxHistoryBytes; 0 disables
 	registry  *QuiesceSet // optional cross-goroutine quiesce registry
 	capErr    error       // set once the history footprint trips maxBytes
-	retired   core.Stats  // store counters salvaged from quiesced pages
+	retired   core.Stats  // tree counters salvaged from quiesced pages
 	nQuiesced int         // pages quiesced (fast guard for the hot checks)
 	lastQIdx  uint64      // 1-entry quiesced-page cache in front of the dir
 	lastQ     bool
@@ -91,23 +64,21 @@ type treeEngine struct {
 	// Per-interval state and preallocated callbacks: the overlap callbacks
 	// capture the engine, not the strand, so applying allocates nothing.
 	curID         int32
-	readQueryCB   core.OverlapFunc // write-store overlap vs a read interval
-	writeQueryCB  core.OverlapFunc // read-store overlap vs a write interval
-	writeInsertCB core.OverlapFunc // write-store overlap vs a write interval
+	readQueryCB   core.OverlapFunc // write-tree overlap vs a read interval
+	writeQueryCB  core.OverlapFunc // read-tree overlap vs a write interval
+	writeInsertCB core.OverlapFunc // write-tree overlap vs a write interval
 }
 
-func newTreeEngine(cfg Config, reach Reach, backend treeBackend) *treeEngine {
+func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
 	e := &treeEngine{
-		reach:    reach,
-		onRace:   cfg.OnRace,
-		timeAH:   cfg.TimeAccessHistory,
-		backend:  backend,
-		qthresh:  cfg.QuiesceThreshold,
-		maxBytes: cfg.MaxHistoryBytes,
-		registry: cfg.Quiesced,
-	}
-	if backend != treeBackendSkiplist {
-		e.pool = core.NewPool()
+		reach:      reach,
+		onRace:     cfg.OnRace,
+		timeAH:     cfg.TimeAccessHistory,
+		unbalanced: unbalanced,
+		pool:       core.NewPool(),
+		qthresh:    cfg.QuiesceThreshold,
+		maxBytes:   cfg.MaxHistoryBytes,
+		registry:   cfg.Quiesced,
 	}
 	e.leftOf = reach.LeftOf
 	e.readQueryCB = func(acc int32, lo, hi uint64) {
@@ -129,7 +100,7 @@ func newTreeEngine(cfg Config, reach Reach, backend treeBackend) *treeEngine {
 }
 
 // pageFor returns the history for the page containing byte index idx<<16,
-// creating its stores on first touch.
+// creating its trees on first touch.
 func (e *treeEngine) pageFor(idx uint64) *histPage {
 	if e.lastPage != nil && idx == e.lastIdx {
 		return e.lastPage
@@ -137,24 +108,19 @@ func (e *treeEngine) pageFor(idx uint64) *histPage {
 	p := e.pages.Get(idx)
 	if p == nil {
 		if n := len(e.freePages); n > 0 {
-			// A parked page's stores were Reset when it was retired, so it is
-			// indistinguishable from a fresh page: same seeds, empty stores.
+			// A parked page's trees were Reset when it was retired, so it is
+			// indistinguishable from a fresh page: same seeds, empty trees.
 			p = e.freePages[n-1]
 			e.freePages[n-1] = nil
 			e.freePages = e.freePages[:n-1]
 		} else {
 			p = &histPage{}
 			e.nPages++
-			switch e.backend {
-			case treeBackendTreap:
-				p.read, p.write = core.NewTreeIn(e.pool), core.NewTreeIn(e.pool)
-			case treeBackendBST:
-				rt, wt := core.NewTreeIn(e.pool), core.NewTreeIn(e.pool)
-				rt.SetBalancing(false)
-				wt.SetBalancing(false)
-				p.read, p.write = rt, wt
-			case treeBackendSkiplist:
-				p.read, p.write = skiplist.New(), skiplist.New()
+			p.read.Init(e.pool)
+			p.write.Init(e.pool)
+			if e.unbalanced {
+				p.read.SetBalancing(false)
+				p.write.SetBalancing(false)
 			}
 		}
 		e.pages.Put(idx, p)
@@ -201,7 +167,7 @@ func (e *treeEngine) StrandEnd() {
 }
 
 // apply runs one page-contained interval of strand curID through its page's
-// stores: the race check against the opposite history, then the insert. An
+// trees: the race check against the opposite history, then the insert. An
 // interval whose page has quiesced drops before it is counted.
 func (e *treeEngine) apply(addr mem.Addr, size uint64, write bool) {
 	idx := addr >> coalesce.PageBytesBits
@@ -249,7 +215,7 @@ func (e *treeEngine) interval(addr mem.Addr, size uint64, write bool) {
 	}
 }
 
-// quiescePage retires one page's history: its store counters are salvaged
+// quiescePage retires one page's history: its tree counters are salvaged
 // into the retired aggregate (Finish still reports the work that was done),
 // its nodes go back to the shared pool, the empty shell parks on the page
 // freelist for reuse by live pages, and the directory slot becomes a
@@ -289,16 +255,7 @@ const histPageShellBytes = 256
 // (near) zero. Quiescing a page moves its nodes and shell onto free lists,
 // so retired pages leave this measure immediately.
 func (e *treeEngine) histBytes() uint64 {
-	var b uint64
-	if e.pool != nil {
-		b = e.pool.LiveBytes()
-	} else {
-		const skiplistNodeBytes = 304 // interval + [32]*node tower
-		e.pages.Range(func(_ uint64, p *histPage) {
-			b += uint64(p.read.Size()+p.write.Size()) * skiplistNodeBytes
-		})
-	}
-	return b + uint64(e.pages.Len())*histPageShellBytes
+	return e.pool.LiveBytes() + uint64(e.pages.Len())*histPageShellBytes
 }
 
 // CapError returns the history-cap error, if the footprint tripped
@@ -327,7 +284,7 @@ func (e *treeEngine) Finish() {
 func (e *treeEngine) Stats() *Stats { return &e.stats }
 
 // Reset returns the engine to its freshly-constructed state with its warm
-// capacity retained: every live history page has its stores Reset (seeds
+// capacity retained: every live history page has its trees Reset (seeds
 // re-derived, contents dropped) and is parked on the page freelist, the
 // shared node pool rewinds wholesale, the directory keeps its backing
 // array. In steady state Reset allocates
@@ -340,9 +297,7 @@ func (e *treeEngine) Reset() {
 		p.races = 0
 		e.freePages = append(e.freePages, p)
 	})
-	if e.pool != nil {
-		e.pool.Reset()
-	}
+	e.pool.Reset()
 	e.lastIdx, e.lastPage = 0, nil
 	e.curID = 0
 	e.capErr = nil
@@ -356,12 +311,8 @@ func (e *treeEngine) Reset() {
 // Footprint reports the engine's retained warm capacity; the reuse-soak
 // test asserts it stops growing after warm-up.
 func (e *treeEngine) Footprint() Footprint {
-	var chunks int
-	if e.pool != nil {
-		chunks = e.pool.Stats().Chunks
-	}
 	return Footprint{
-		PoolChunks: chunks,
+		PoolChunks: e.pool.Stats().Chunks,
 		PageDirCap: e.pages.Cap(),
 		HistPages:  e.nPages,
 	}

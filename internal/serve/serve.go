@@ -62,15 +62,12 @@ type Config struct {
 	// its result status "error" and counts as oversized, and the worker's
 	// Runner resets and stays in the pool). Detector defaults to
 	// DetectorSTINT; Tracer and OnRace must be unset — the service owns
-	// both ends of the replay.
+	// both ends of the replay — and so must ParallelDetect, which
+	// trace.Replay cannot drive (trace.ErrParallelRunner).
 	Opts stint.Options
 	// MaxResults bounds the retained result set; the oldest results are
 	// evicted first. Default 256.
 	MaxResults int
-	// FreshRunners, when true, builds a new Runner for every trace instead
-	// of reusing the warm pool. This is the benchmark baseline the warm
-	// pool is measured against; production servers leave it false.
-	FreshRunners bool
 }
 
 func (c Config) withDefaults() Config {
@@ -157,6 +154,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Opts.Tracer != nil || cfg.Opts.OnRace != nil {
 		return nil, errors.New("serve: Opts.Tracer and Opts.OnRace must be unset")
+	}
+	if cfg.Opts.ParallelDetect {
+		return nil, fmt.Errorf("serve: Opts.ParallelDetect must be unset: %w", trace.ErrParallelRunner)
 	}
 	return start(cfg.withDefaults())
 }
@@ -252,16 +252,7 @@ func (s *Server) replay(r *stint.Runner, j job) (next *stint.Runner) {
 		}
 	}()
 
-	opts := trace.Options{Runner: r, MaxEvents: s.cfg.MaxEvents}
-	if s.cfg.FreshRunners {
-		fresh, err := stint.NewRunner(s.cfg.Opts)
-		if err != nil {
-			s.finishErr(j.id, err)
-			return
-		}
-		opts.Runner = fresh
-	}
-	rep, err := trace.Replay(bytes.NewReader(j.data), opts)
+	rep, err := trace.Replay(bytes.NewReader(j.data), trace.Options{Runner: r, MaxEvents: s.cfg.MaxEvents})
 	if err != nil {
 		s.finishErr(j.id, err)
 		return
@@ -316,14 +307,23 @@ func (s *Server) finish(id string, fill func(*Result)) {
 	close(res.done)
 }
 
-// admit registers a new result record and enqueues the trace. It reports
-// false when the queue is full.
+// admit enqueues the trace and, only once the queue has taken it, registers
+// its result record and evicts beyond MaxResults — a rejected upload (false)
+// changes nothing but the counter. The non-blocking send happens under s.mu,
+// so the worker's setStatus cannot run before the record exists.
 func (s *Server) admit(data []byte) (string, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	id := fmt.Sprintf("t-%06d", s.nextID+1)
+	select {
+	case s.queue <- job{id: id, data: data}:
+	default:
+		s.rejected.Add(1)
+		return "", false
+	}
+	s.admitted.Add(1)
 	s.nextID++
-	id := fmt.Sprintf("t-%06d", s.nextID)
-	res := &Result{ID: id, Status: "queued", done: make(chan struct{})}
-	s.results[id] = res
+	s.results[id] = &Result{ID: id, Status: "queued", done: make(chan struct{})}
 	s.order = append(s.order, id)
 	for len(s.order) > s.cfg.MaxResults {
 		evict := s.order[0]
@@ -339,22 +339,7 @@ func (s *Server) admit(data []byte) (string, bool) {
 		}
 		delete(s.results, evict)
 	}
-	s.mu.Unlock()
-
-	select {
-	case s.queue <- job{id: id, data: data}:
-		s.admitted.Add(1)
-		return id, true
-	default:
-		s.rejected.Add(1)
-		s.mu.Lock()
-		delete(s.results, id)
-		if n := len(s.order); n > 0 && s.order[n-1] == id {
-			s.order = s.order[:n-1]
-		}
-		s.mu.Unlock()
-		return "", false
-	}
+	return id, true
 }
 
 // result looks up a result record by id.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -143,42 +144,35 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 // TestServeReusedMatchesFresh is the serve-level byte-identity invariant:
-// the same trace replayed repeatedly through the warm pool — and through a
-// fresh-runner-per-trace server — always yields the identical result.
+// the same trace replayed repeatedly through one warm Runner always yields
+// the result a fresh Runner gives.
 func TestServeReusedMatchesFresh(t *testing.T) {
 	raw := recordTrace(t, 512, 64)
-	results := make(map[string][]Result)
-	for _, mode := range []struct {
-		name  string
-		fresh bool
-	}{{"warm", false}, {"fresh", true}} {
-		s, err := New(Config{Runners: 1, FreshRunners: mode.fresh})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		for i := 0; i < 3; i++ {
-			id, code := postTrace(t, ts, raw)
-			if code != http.StatusAccepted {
-				t.Fatalf("%s upload %d: status %d", mode.name, i, code)
-			}
-			res := pollResult(t, ts, id)
-			if res.Status != "done" {
-				t.Fatalf("%s result %d: %+v", mode.name, i, res)
-			}
-			res.ID, res.WallTime = "", "" // only the report content must match
-			results[mode.name] = append(results[mode.name], res)
-		}
-		ts.Close()
-		s.Close()
+	fresh, err := trace.Replay(bytes.NewReader(raw), trace.Options{Detector: stint.DetectorSTINT})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(results["warm"]); i++ {
-		if !reflect.DeepEqual(results["warm"][i], results["warm"][0]) {
-			t.Fatalf("warm pool drifted between replays:\n%+v\n%+v", results["warm"][i], results["warm"][0])
-		}
+	want := Result{Status: "done", RaceCount: fresh.RaceCount, Strands: fresh.Strands}
+	for _, rc := range fresh.Races {
+		want.Races = append(want.Races, rc.String())
 	}
-	if !reflect.DeepEqual(results["warm"][0], results["fresh"][0]) {
-		t.Fatalf("warm vs fresh reports diverge:\nwarm:  %+v\nfresh: %+v", results["warm"][0], results["fresh"][0])
+	s, err := New(Config{Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i := 0; i < 3; i++ {
+		id, code := postTrace(t, ts, raw)
+		if code != http.StatusAccepted {
+			t.Fatalf("upload %d: status %d", i, code)
+		}
+		res := pollResult(t, ts, id)
+		res.ID, res.WallTime = "", "" // only the report content must match
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("warm replay %d diverges from a fresh Runner:\nwarm:  %+v\nfresh: %+v", i, res, want)
+		}
 	}
 }
 
@@ -209,6 +203,62 @@ func TestServeQueueFullRejects(t *testing.T) {
 	st := s.Stats()
 	if st.Rejected != 1 || st.Admitted != 1 || st.QueueLen != 1 {
 		t.Fatalf("stats after rejection: %+v", st)
+	}
+}
+
+// TestServeRejectedUploadEvictsNothing: an upload answered 429 must leave the
+// retained results alone. With the result set at capacity and the queue full
+// behind a stopped worker, ten rejected uploads evict none of the four
+// completed results.
+func TestServeRejectedUploadEvictsNothing(t *testing.T) {
+	s, err := New(Config{Runners: 1, QueueDepth: 1, MaxResults: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	raw := recordTrace(t, 64, 16)
+	var ids []string
+	for i := 0; i < 4; i++ {
+		id, code := postTrace(t, ts, raw)
+		if code != http.StatusAccepted {
+			t.Fatalf("upload %d: status %d", i, code)
+		}
+		s.wait(id)
+		ids = append(ids, id)
+	}
+	s.Close()        // the worker is gone: nothing drains the queue
+	s.queue <- job{} // and the queue is full
+	for i := 0; i < 10; i++ {
+		if id, code := postTrace(t, ts, raw); code != http.StatusTooManyRequests || id != "" {
+			t.Fatalf("upload %d into a full queue: status %d, id %q, want 429", i, code, id)
+		}
+	}
+	for _, id := range ids {
+		if res := pollResult(t, ts, id); res.Status != "done" {
+			t.Fatalf("result %s after ten rejected uploads: %+v", id, res)
+		}
+	}
+	if st := s.Stats(); st.Rejected != 10 || st.Admitted != 4 {
+		t.Fatalf("stats: %+v, want 10 rejected, 4 admitted", st)
+	}
+}
+
+// TestNewRejectsOptions: the service owns both ends of the replay and
+// drives it through trace.Replay, so Options that hook into the run or make
+// it parallel are refused before any Runner is built.
+func TestNewRejectsOptions(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		opts       stint.Options
+	}{
+		{"tracer", "Tracer", stint.Options{Tracer: trace.NewRecorder(io.Discard)}},
+		{"on-race", "OnRace", stint.Options{OnRace: func(stint.Race) {}}},
+		{"parallel-detect", "ParallelDetect", stint.Options{ParallelDetect: true}},
+	} {
+		if _, err := New(Config{Opts: c.opts}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New error = %v, want one naming %s", c.name, err, c.want)
+		}
 	}
 }
 

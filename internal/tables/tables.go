@@ -11,19 +11,12 @@
 package tables
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"stint"
-	"stint/internal/cliutil"
-	"stint/internal/serve"
-	"stint/trace"
 	"stint/workloads"
 )
 
@@ -36,30 +29,18 @@ type Result struct {
 	Stats    stint.Stats
 	Strands  int
 	Races    uint64
-	// Report is the first repetition's full report; the utilization table
-	// reads its per-stage busy times (Wall and Stats above stay the
-	// cross-repetition aggregates).
-	Report *stint.Report
 }
 
 // Measure runs one fresh instance of f under mode, averaged over reps runs,
 // verifying every run's computed result.
 func Measure(f workloads.Factory, mode stint.Detector, reps int, timeAH bool) (*Result, error) {
-	return MeasureWith(f, stint.Options{Detector: mode, TimeAccessHistory: timeAH}, reps)
-}
-
-// MeasureWith is Measure with full control over the runner options (the
-// async table uses it to toggle Options.Async); opts.MaxRacesRecorded is
-// forced to a small bound.
-func MeasureWith(f workloads.Factory, opts stint.Options, reps int) (*Result, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	mode := opts.Detector
+	opts := stint.Options{Detector: mode, TimeAccessHistory: timeAH, MaxRacesRecorded: 4}
 	var agg Result
 	for rep := 0; rep < reps; rep++ {
 		w := f()
-		opts.MaxRacesRecorded = 4
 		r, err := stint.NewRunner(opts)
 		if err != nil {
 			return nil, err
@@ -83,7 +64,6 @@ func MeasureWith(f workloads.Factory, opts stint.Options, reps int) (*Result, er
 		agg.Races = report.RaceCount
 		if rep == 0 {
 			agg.Stats = report.Stats
-			agg.Report = report
 		}
 	}
 	agg.Wall /= time.Duration(reps)
@@ -400,156 +380,11 @@ func (s *Suite) Fig8() error {
 	return nil
 }
 
-// Allocs prints the heap-allocation profile of a detection run per detector
-// version: objects and bytes allocated while the instrumented program ran
-// (runtime.ReadMemStats deltas around Run). It backs the allocation-free-
-// hot-path claims in EXPERIMENTS.md; it is not one of the paper's figures,
-// so Suite.All leaves it out to keep the reference table output stable.
-func (s *Suite) Allocs() error {
-	modes := []stint.Detector{
-		stint.DetectorOff, stint.DetectorVanilla, stint.DetectorCompiler,
-		stint.DetectorCompRTS, stint.DetectorSTINT,
-	}
-	s.printf("== Allocation profile: heap objects (KiB) allocated during the run ==\n")
-	s.printf("%-6s |", "")
-	for _, m := range modes {
-		s.printf(" %20s |", m)
-	}
-	s.printf("\n")
-	for _, name := range workloads.Names() {
-		f, err := workloads.ByName(name, s.scale())
-		if err != nil {
-			return err
-		}
-		s.printf("%-6s |", name)
-		for _, m := range modes {
-			res, err := Measure(f, m, 1, false)
-			if err != nil {
-				return err
-			}
-			s.printf(" %9d (%7.0f) |", res.Stats.AllocObjects, float64(res.Stats.AllocBytes)/1024)
-		}
-		s.printf("\n")
-	}
-	return nil
-}
-
-// Async compares synchronous and pipelined detection wall clock per
-// detector on every workload: the sync column pays compute + detection on
-// one thread, the async column overlaps them across the event-stream ring,
-// so its ideal is max(compute, detect). Not one of the paper's figures —
-// the paper's detector is strictly inline — so Suite.All leaves it out.
-func (s *Suite) Async() error {
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	s.printf("== Async pipeline: sync vs async wall clock (speedup = sync/async) ==\n")
-	s.printf("%-6s %10s |", "", "base")
-	for _, m := range modes {
-		s.printf(" %-9s %10s %10s %8s |", m, "sync", "async", "speedup")
-	}
-	s.printf("\n")
-	for _, name := range workloads.Names() {
-		f, err := workloads.ByName(name, s.scale())
-		if err != nil {
-			return err
-		}
-		base, err := Measure(f, stint.DetectorOff, s.reps(), false)
-		if err != nil {
-			return err
-		}
-		s.printf("%-6s %10v |", name, base.Wall.Round(time.Millisecond))
-		for _, m := range modes {
-			sync, err := MeasureWith(f, stint.Options{Detector: m}, s.reps())
-			if err != nil {
-				return err
-			}
-			async, err := MeasureWith(f, stint.Options{Detector: m, Async: true}, s.reps())
-			if err != nil {
-				return err
-			}
-			s.printf(" %-9s %10v %10v %7.2fx |", "",
-				sync.Wall.Round(time.Millisecond), async.Wall.Round(time.Millisecond),
-				float64(sync.Wall)/float64(async.Wall))
-		}
-		s.printf("\n")
-	}
-	return nil
-}
-
-// Util reports the sharded worker graph's utilization on every workload:
-// wall clock, the busiest worker's busy time — the detection side's
-// critical path once cores are available — and the fleet-wide share of
-// broadcast batches the workers skipped via batch summaries: a high skip%
-// means the per-worker full-stream scan floor is gone, workers only scan
-// the batches whose pages hash to them. B/ev is the event stream's
-// wire cost (16.00 would be a struct per event), and ev/blk the
-// fleet-wide events per decode block on full scans (near
-// 64 when the stream blocks well; low values flag degenerate blocking —
-// structure-dense streams or tiny batches — as the straggler cause).
-// Not one of the paper's figures, so Suite.All leaves it out.
-func (s *Suite) Util() error {
-	const shards = 4
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	s.printf("== Stage utilization: %d shard workers ==\n", shards)
-	s.printf("%-6s |", "")
-	for _, m := range modes {
-		s.printf(" %-9s %10s %10s %6s %6s %7s |", m, "wall", "max-wrk", "skip%", "B/ev", "ev/blk")
-	}
-	s.printf("\n")
-	for _, name := range workloads.Names() {
-		f, err := workloads.ByName(name, s.scale())
-		if err != nil {
-			return err
-		}
-		s.printf("%-6s |", name)
-		for _, m := range modes {
-			res, err := MeasureWith(f, stint.Options{Detector: m, Async: true, DetectShards: shards}, s.reps())
-			if err != nil {
-				return err
-			}
-			_, maxWorker, ok := cliutil.StageBusy(res.Report)
-			if !ok || maxWorker <= 0 {
-				s.printf(" %-9s %10v %10s %6s %6s %7s |", "", res.Wall.Round(time.Millisecond), "-", "-", "-", "-")
-				continue
-			}
-			var scanned, skipped, events, blocks uint64
-			for _, l := range res.Report.ShardLoad {
-				scanned += l.BatchesScanned
-				skipped += l.BatchesSkipped
-				events += l.EventsScanned
-				blocks += l.BlocksDecoded
-			}
-			skipPct := "-"
-			if total := scanned + skipped; total > 0 {
-				skipPct = fmt.Sprintf("%.0f%%", 100*float64(skipped)/float64(total))
-			}
-			bytesPerEv := "-"
-			if st := res.Report.Stats; st.EventsStreamed > 0 {
-				bytesPerEv = fmt.Sprintf("%.2f", float64(st.StreamBytes)/float64(st.EventsStreamed))
-			}
-			evPerBlk := "-"
-			if blocks > 0 {
-				evPerBlk = fmt.Sprintf("%.1f", float64(events)/float64(blocks))
-			}
-			s.printf(" %-9s %10v %10v %6s %6s %7s |", "",
-				res.Wall.Round(time.Millisecond),
-				maxWorker.Round(time.Microsecond),
-				skipPct,
-				bytesPerEv,
-				evPerBlk)
-		}
-		s.printf("\n")
-	}
-	return nil
-}
-
-// Ablation runs the backing-store comparison the paper motivates in related
-// work: the treap vs an unbalanced BST vs the Park-et-al skiplist that
-// keeps redundant intervals.
+// Ablation runs the one ablation: the treap against the same trees with
+// rotations off (a plain BST), the cost of imbalance.
 func (s *Suite) Ablation() error {
-	modes := []stint.Detector{
-		stint.DetectorSTINT, stint.DetectorSTINTUnbalanced, stint.DetectorSTINTSkiplist,
-	}
-	s.printf("== Ablation: interval access-history backing stores ==\n")
+	modes := []stint.Detector{stint.DetectorSTINT, stint.DetectorSTINTUnbalanced}
+	s.printf("== Ablation: interval treap vs unbalanced BST ==\n")
 	s.printf("%-6s |", "")
 	for _, m := range modes {
 		s.printf(" %-16s %10s %11s |", m, "time", "hist-bytes")
@@ -582,121 +417,4 @@ func (s *Suite) All() error {
 		s.printf("\n")
 	}
 	return nil
-}
-
-// Serve exercises the trace-ingest service end to end and prints its pool
-// utilization: every benchmark is recorded once, uploaded reps times to an
-// in-process stint-serve instance running a warm Runner fleet, and the
-// closing block renders the service's /v1/statusz payload — runners
-// busy/idle, queue depth, admission counters, traces/sec — through the
-// same formatter the CLI tools use. Not one of the paper's figures, so
-// Suite.All leaves it out.
-func (s *Suite) Serve() error {
-	const fleet = 4
-	srv, err := serve.New(serve.Config{
-		Runners: fleet,
-		Opts:    stint.Options{Detector: stint.DetectorSTINT},
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	s.printf("== Trace-ingest service: warm pool of %d reused Runners ==\n", fleet)
-	s.printf("%-6s %10s %8s %6s\n", "", "trace-KiB", "uploads", "races")
-	for _, name := range workloads.Names() {
-		f, err := workloads.ByName(name, s.scale())
-		if err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		rec := trace.NewRecorder(&buf)
-		r, err := stint.NewRunner(stint.Options{Tracer: rec})
-		if err != nil {
-			return err
-		}
-		w := f()
-		w.Setup(r)
-		if _, err := r.Run(w.Run); err != nil {
-			return err
-		}
-		if err := rec.Flush(); err != nil {
-			return err
-		}
-		raw := buf.Bytes()
-
-		var races uint64
-		for rep := 0; rep < s.reps(); rep++ {
-			id, err := uploadTrace(ts.URL, raw)
-			if err != nil {
-				return err
-			}
-			res, err := awaitResult(ts.URL, id)
-			if err != nil {
-				return err
-			}
-			races = res.RaceCount
-		}
-		s.printf("%-6s %10.0f %8d %6d\n", name, float64(len(raw))/1024, s.reps(), races)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/statusz")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var st serve.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return err
-	}
-	for _, line := range cliutil.ServeStatus(st) {
-		s.printf("%s\n", line)
-	}
-	return nil
-}
-
-// uploadTrace POSTs trace bytes to a running service and returns the
-// assigned result id.
-func uploadTrace(baseURL string, raw []byte) (string, error) {
-	resp, err := http.Post(baseURL+"/v1/traces", "application/octet-stream", bytes.NewReader(raw))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("tables: trace upload: status %d: %s", resp.StatusCode, body["error"])
-	}
-	return body["id"], nil
-}
-
-// awaitResult polls a result until it reaches a terminal status.
-func awaitResult(baseURL, id string) (*serve.Result, error) {
-	deadline := time.Now().Add(time.Minute)
-	for {
-		resp, err := http.Get(baseURL + "/v1/results/" + id)
-		if err != nil {
-			return nil, err
-		}
-		var res serve.Result
-		err = json.NewDecoder(resp.Body).Decode(&res)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case res.Status == "done":
-			return &res, nil
-		case res.Status == "error":
-			return nil, fmt.Errorf("tables: replay of %s failed: %s", id, res.Error)
-		case time.Now().After(deadline):
-			return nil, fmt.Errorf("tables: result %s stuck in status %q", id, res.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

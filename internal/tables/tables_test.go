@@ -94,25 +94,3 @@ func TestMillionsFormatting(t *testing.T) {
 		}
 	}
 }
-
-func TestServeTableSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("records and ingests full default-size benchmark traces")
-	}
-	var buf bytes.Buffer
-	s := &Suite{Out: &buf, Scale: 1, Reps: 1}
-	if err := s.Serve(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, name := range workloads.Names() {
-		if !strings.Contains(out, name) {
-			t.Errorf("serve output missing %q", name)
-		}
-	}
-	for _, want := range []string{"runners", "queue", "admissions", "throughput", "7 admitted", "7 completed", "0 rejected"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("serve output missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -115,7 +115,7 @@ var optionsRules = []optionsRule{
 // which is all a pipeline streams.
 func coalescingDetector(d Detector) bool {
 	switch d {
-	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist:
+	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced:
 		return true
 	}
 	return false

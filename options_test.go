@@ -45,7 +45,6 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"async vanilla", Options{Detector: DetectorVanilla, Async: true}, "runtime-coalescing"},
 		{"async compiler", Options{Detector: DetectorCompiler, Async: true}, "runtime-coalescing"},
 		{"async comp+rts ok", Options{Detector: DetectorCompRTS, Async: true}, ""},
-		{"async stint-skiplist ok", Options{Detector: DetectorSTINTSkiplist, Async: true}, ""},
 		{"async off ignored", Options{Detector: DetectorOff, Async: true}, ""},
 		{"async reach-only ok", Options{Detector: DetectorReachOnly, Async: true}, ""},
 
@@ -59,7 +58,6 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"shards comp+rts ok", Options{Detector: DetectorCompRTS, Async: true, DetectShards: 2}, ""},
 		{"shards stint ok", Options{Detector: DetectorSTINT, Async: true, DetectShards: 4}, ""},
 		{"shards stint-unbalanced ok", Options{Detector: DetectorSTINTUnbalanced, Async: true, DetectShards: 2}, ""},
-		{"shards stint-skiplist ok", Options{Detector: DetectorSTINTSkiplist, Async: true, DetectShards: 2}, ""},
 		{"one shard ok", Options{Detector: DetectorSTINT, Async: true, DetectShards: 1}, ""},
 		{"zero shards ok", Options{Detector: DetectorSTINT, Async: true}, ""},
 		{"shards off ignored", Options{Detector: DetectorOff, Async: true, DetectShards: 2}, ""},
@@ -126,6 +124,21 @@ func TestMaxRacesDefaultApplied(t *testing.T) {
 	}
 	if got := r.opts.MaxRacesRecorded; got != 64 {
 		t.Fatalf("defaulted MaxRacesRecorded = %d, want 64", got)
+	}
+}
+
+// TestCoalescingDetectorSet pins which detectors a pipeline may stream
+// intervals to: exactly the three detect.NewHistory builds an engine for.
+func TestCoalescingDetectorSet(t *testing.T) {
+	var got []Detector
+	for d := DetectorOff; d <= DetectorSTINTUnbalanced+8; d++ {
+		if coalescingDetector(d) {
+			got = append(got, d)
+		}
+	}
+	want := []Detector{DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("coalescingDetector accepts %v, want %v", got, want)
 	}
 }
 

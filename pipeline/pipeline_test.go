@@ -10,7 +10,7 @@ import (
 
 var pipelineDetectors = []stint.Detector{
 	stint.DetectorVanilla, stint.DetectorCompiler, stint.DetectorCompRTS,
-	stint.DetectorSTINT, stint.DetectorSTINTUnbalanced, stint.DetectorSTINTSkiplist,
+	stint.DetectorSTINT, stint.DetectorSTINTUnbalanced,
 }
 
 func TestGridReachability(t *testing.T) {

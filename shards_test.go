@@ -12,7 +12,7 @@ import (
 
 // shardTestDetectors are the detectors DetectShards supports.
 var shardTestDetectors = []Detector{
-	DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist,
+	DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced,
 }
 
 func TestNewRunnerShardValidation(t *testing.T) {

@@ -152,7 +152,7 @@ func TestSoakAggregateAgreement(t *testing.T) {
 		// identical across all runtime-coalescing engines.
 		vanilla := soakRun(t, acts, sizes, DetectorVanilla)
 		var coalesced []*Report
-		for _, d := range []Detector{DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist} {
+		for _, d := range []Detector{DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced} {
 			coalesced = append(coalesced, soakRun(t, acts, sizes, d))
 		}
 		for i, rep := range coalesced {

@@ -58,11 +58,9 @@ const (
 	DetectorCompRTS = detect.CompRTS
 	// DetectorSTINT is the paper's full system with the interval treap.
 	DetectorSTINT = detect.STINT
-	// DetectorSTINTUnbalanced is STINT over plain (unbalanced) BSTs.
+	// DetectorSTINTUnbalanced is STINT with treap rotations off: the same
+	// trees as plain (unbalanced) BSTs, the one ablation.
 	DetectorSTINTUnbalanced = detect.STINTUnbalanced
-	// DetectorSTINTSkiplist is STINT over a redundant-interval skiplist
-	// (the Park et al. related-work design).
-	DetectorSTINTSkiplist = detect.STINTSkiplist
 )
 
 // Race is one detected determinacy race.
@@ -183,9 +181,9 @@ type Options struct {
 	// shard).
 	DetectShards int
 	// PageQuiesceThreshold, when n > 0, retires a 64 KiB shadow page's
-	// access history once that page has produced n races: its treaps,
-	// skiplists, or shadow cells drop back onto the engine's free lists and
-	// later accesses wholly within the page become cheap no-ops. The
+	// access history once that page has produced n races: its treaps
+	// or shadow cells drop back onto the engine's free lists and later
+	// accesses wholly within the page become cheap no-ops. The
 	// decision is page-local and taken at deterministic points in the
 	// serial order, so races on pages that never quiesce stay byte-
 	// identical across every execution mode, and Stats.PagesQuiesced is
@@ -356,6 +354,12 @@ func NewRunner(opts Options) (*Runner, error) {
 
 // Arena returns the Runner's address arena.
 func (r *Runner) Arena() *mem.Arena { return r.arena }
+
+// Serial reports whether one goroutine executes the whole program, every
+// Spawn running its child to completion before it returns — true unless
+// Options.ParallelDetect. A body that is not safe to call from concurrent
+// tasks (a trace decoder reading one stream) needs a serial Runner.
+func (r *Runner) Serial() bool { return !r.opts.ParallelDetect }
 
 // Report summarizes one Run.
 type Report struct {

@@ -1,6 +1,7 @@
 package stint
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // allDetectors are the engines that must agree on racing words.
 var allDetectors = []Detector{
 	DetectorVanilla, DetectorCompiler, DetectorCompRTS,
-	DetectorSTINT, DetectorSTINTUnbalanced, DetectorSTINTSkiplist,
+	DetectorSTINT, DetectorSTINTUnbalanced,
 }
 
 // runOne executes body under the given detector with one 1024-word buffer.
@@ -421,8 +422,10 @@ func TestParseDetector(t *testing.T) {
 			t.Errorf("ParseDetector(%q) = %v, %v", d.String(), got, err)
 		}
 	}
-	if _, err := ParseDetector("bogus"); err == nil {
-		t.Error("ParseDetector accepted garbage")
+	for _, name := range []string{"bogus", "stint-skiplist"} {
+		if _, err := ParseDetector(name); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("ParseDetector(%q) error = %v, want unknown mode", name, err)
+		}
 	}
 }
 

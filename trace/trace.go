@@ -152,11 +152,14 @@ type Options struct {
 	// set.
 	Detector stint.Detector
 	// Runner, when non-nil, replays through the caller's Runner, whose own
-	// stint.Options govern the replay — pipeline mode, shard count, OnRace,
-	// race budget, quiescing, history cap. Run auto-resets a dirty Runner,
-	// so a long-lived Runner can serve many Replay calls with its warm state
-	// — reports are byte-identical to fresh-Runner replays. The Runner must
-	// not be used concurrently by other callers.
+	// stint.Options govern the replay — Async, shard count, OnRace, race
+	// budget, quiescing, history cap. Run auto-resets a dirty Runner, so a
+	// long-lived Runner can serve many Replay calls with its warm state —
+	// reports are byte-identical to fresh-Runner replays. The Runner must
+	// not be used concurrently by other callers, and must be serial
+	// (Runner.Serial): under Options.ParallelDetect the spawned tasks would
+	// read the one decoder from several goroutines, so Replay refuses it
+	// with ErrParallelRunner.
 	Runner *stint.Runner
 	// MaxEvents, when > 0, bounds the number of trace events (structure and
 	// access) a replay will consume. A trace exceeding the budget aborts
@@ -168,6 +171,10 @@ type Options struct {
 // ErrTooManyEvents is returned (wrapped) by Replay when the trace exceeds
 // Options.MaxEvents. Use errors.Is to test for it.
 var ErrTooManyEvents = errors.New("trace: event budget exceeded")
+
+// ErrParallelRunner is returned by Replay, before it reads anything, when
+// Options.Runner was built with stint.Options.ParallelDetect.
+var ErrParallelRunner = errors.New("trace: replay needs a serial Runner, got one built with Options.ParallelDetect: its spawned tasks would decode the one trace stream concurrently")
 
 // maxSpawnDepth bounds spawn nesting in a replayed trace. replayBody
 // recurses once per open spawn, so without a bound a few megabytes of
@@ -350,6 +357,9 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 func Replay(src io.Reader, opts Options) (*stint.Report, error) {
 	if opts.Runner == nil && opts.Detector == stint.DetectorOff {
 		return nil, errors.New("trace: replay needs a detector (got DetectorOff)")
+	}
+	if opts.Runner != nil && !opts.Runner.Serial() {
+		return nil, ErrParallelRunner
 	}
 	br := bufio.NewReaderSize(src, 1<<16)
 	var hdr [8]byte

@@ -297,6 +297,31 @@ func TestParallelTracingRejected(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsParallelRunner: a ParallelDetect Runner would run the
+// replayed tasks on goroutines that all read the one decoder — a data race
+// that used to surface as a decode error blaming a valid trace. Replay
+// refuses it up front, the same way every time, without touching the source.
+func TestReplayRejectsParallelRunner(t *testing.T) {
+	raw := record(t, genActions(rand.New(rand.NewSource(7)), 6, bufWords))
+	if _, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorSTINT}); err != nil {
+		t.Fatalf("fixture trace does not replay serially: %v", err)
+	}
+	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		src := bytes.NewReader(raw)
+		_, err := Replay(src, Options{Runner: r})
+		if !errors.Is(err, ErrParallelRunner) || !strings.Contains(err.Error(), "ParallelDetect") {
+			t.Fatalf("replay %d on a ParallelDetect Runner: error %v, want ErrParallelRunner", i, err)
+		}
+		if src.Len() != len(raw) {
+			t.Fatalf("replay %d read %d trace bytes before refusing", i, len(raw)-src.Len())
+		}
+	}
+}
+
 func TestWorkloadTraceRoundTrip(t *testing.T) {
 	// Record a real benchmark and replay it: interval statistics must be
 	// identical to the live run.
