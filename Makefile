@@ -26,7 +26,8 @@ bench:
 
 # Hot-path microbenchmarks bench/ does not cover: the open-addressed page
 # directory vs the seed's Go map, slab-pooled vs heap-allocated treap
-# nodes, the broadcast ring the pipelines publish on and the reference SPSC
+# nodes, a strand's sorted run through one page's two treaps (fft's pattern;
+# reports nodes/op), the broadcast ring the pipelines publish on and the reference SPSC
 # ring, the event codec against its fixed-form reference, the workers'
 # page-filter scan, the producer-side summary stamp and the worker skip-scan
 # it buys, the per-access hook cost inline and under Async side by side
@@ -37,7 +38,7 @@ bench:
 # quiescing pair. (internal/depa is off the production path; its
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
+	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkTreapSortedRun|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
 	$(GO) test -run '^$$' -bench 'BenchmarkRing|BenchmarkBcastRing|BenchmarkEventEncode|BenchmarkEventDecode|BenchmarkWorkerScan|BenchmarkSummaryStamp|BenchmarkWorkerSkipScan' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
@@ -51,7 +52,7 @@ loc:
 tables:
 	$(GO) run ./cmd/stint-tables -reps 3 all
 
-# Short fuzz sessions over the four fuzz targets.
+# Short fuzz sessions over the five fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzTreeAgainstOracle -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzSetRangeFlush -fuzztime=30s ./internal/coalesce

@@ -110,3 +110,43 @@ func TestStableCostAcrossGrowth(t *testing.T) {
 		t.Errorf("nodes/op grew from %.1f to %.1f across 16x growth; want sub-linear", small, large)
 	}
 }
+
+func TestSortedRunCostsHeightPlusRun(t *testing.T) {
+	// The finger's point: a strand's k address-sorted intervals on one tree
+	// cost O(h + k) together, not k·O(h). fft's shape — exact-match re-reads
+	// of every other stored interval of a 4096-node tree — must stay within
+	// a small constant per interval (5.6 measured), query and insert alike,
+	// where walking from the root pays the depth (≈ 13) every time.
+	const n, k = 4096, 2048
+	lo := func(a, b int32) bool { return a > b }
+	tr := NewTree()
+	for i := 0; i < n; i++ {
+		tr.InsertRead(Interval{uint64(i) * 16, uint64(i)*16 + 16, 0}, lo, nil)
+	}
+	perOp := func(fromRoot bool, op func(x Interval)) float64 {
+		tr.ResetStats()
+		for i := 0; i < k; i++ {
+			if fromRoot {
+				tr.finger = nil
+			}
+			op(Interval{uint64(i) * 32, uint64(i)*32 + 16, 1})
+		}
+		st := tr.Stats()
+		if st.Overlaps != k {
+			t.Fatalf("exact-match run: %d overlaps, want %d", st.Overlaps, k)
+		}
+		return float64(st.NodesVisited) / k
+	}
+	read := func(x Interval) { tr.InsertRead(x, lo, nil) }
+	query := func(x Interval) { tr.Query(x, nil) }
+	for _, c := range []struct {
+		name string
+		op   func(x Interval)
+	}{{"InsertRead", read}, {"Query", query}} {
+		run, root := perOp(false, c.op), perOp(true, c.op)
+		t.Logf("%s: %.2f nodes per interval over a sorted run, %.2f from the root", c.name, run, root)
+		if run > 7 || run > root/2 {
+			t.Errorf("%s: sorted run visits %.2f nodes per interval (%.2f from the root), want <= 7 and at most half", c.name, run, root)
+		}
+	}
+}

@@ -6,14 +6,17 @@ import (
 
 // FuzzTreeAgainstOracle decodes the fuzz input as a sequence of interval
 // operations and checks every tree invariant and the byte-projection
-// equivalence after each step. Run with `go test -fuzz=FuzzTree ./internal/core`;
+// equivalence after each step. Each tree is a twin (finger_test.go), so the
+// same input also hunts for a step where finger search and the root walk
+// disagree. Run with `go test -fuzz=FuzzTree ./internal/core`;
 // the seed corpus runs on every ordinary `go test`.
 func FuzzTreeAgainstOracle(f *testing.F) {
 	f.Add([]byte{0x01, 10, 20, 0x82, 15, 25, 0x43, 5, 30})
 	f.Add([]byte{0x00, 0, 255, 0x81, 0, 255, 0x02, 10, 11})
 	f.Add([]byte{0x40, 100, 10, 0x41, 90, 30, 0x42, 80, 50})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wt, rt := NewTree(), NewTree()
+		wtw, rtw := newTwin(), newTwin()
+		wt, rt := wtw.tr, rtw.tr
 		wo, ro := newWordOracle(), newWordOracle()
 		// leftOf by descending accessor ID: deterministic and total.
 		lo := func(a, b int32) bool { return a > b }
@@ -28,20 +31,20 @@ func FuzzTreeAgainstOracle(f *testing.F) {
 			case 0:
 				os := newOverlapSet(t)
 				want := wo.expectedOverlaps(iv)
-				wt.InsertWrite(iv, os.fn)
-				wt.checkInvariants()
+				wtw.apply(t, iv, os.fn, func(tr *Tree, cb OverlapFunc) { tr.InsertWrite(iv, cb) })
 				comparePairSets(t, "fuzz write", os.pairs, want)
 				wo.applyWrite(iv)
 			case 1:
 				os := newOverlapSet(t)
 				want := ro.expectedOverlaps(iv)
-				rt.InsertRead(iv, lo, os.fn)
-				rt.checkInvariants()
+				rtw.apply(t, iv, os.fn, func(tr *Tree, cb OverlapFunc) { tr.InsertRead(iv, lo, cb) })
 				comparePairSets(t, "fuzz read", os.pairs, want)
 				ro.applyRead(iv, lo)
 			default:
 				checkedQuery(t, wt, wo, iv)
 				checkedQuery(t, rt, ro, iv)
+				wtw.apply(t, iv, nil, func(tr *Tree, cb OverlapFunc) { tr.Query(iv, cb) })
+				rtw.apply(t, iv, nil, func(tr *Tree, cb OverlapFunc) { tr.Query(iv, cb) })
 			}
 		}
 		compareProjection(t, "fuzz final write tree", wt, wo)

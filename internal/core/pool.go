@@ -2,6 +2,11 @@ package core
 
 import "unsafe"
 
+// NodeBytes is the size of one treap node — the unit every footprint figure
+// (pool bytes, live history bytes, the engines' AccessHistoryBytes) is
+// counted in, so a change of node layout moves them all from this one place.
+const NodeBytes = uint64(unsafe.Sizeof(node{}))
+
 // chunkNodes is the slab granularity: one heap allocation amortized over
 // this many treap nodes. 512 nodes ≈ 28 KiB per chunk — big enough to make
 // node allocation disappear from profiles, small enough that tiny trees
@@ -116,7 +121,7 @@ type PoolStats struct {
 
 // Bytes returns the pool's total heap footprint.
 func (ps PoolStats) Bytes() uint64 {
-	return uint64(ps.Chunks) * chunkNodes * uint64(unsafe.Sizeof(node{}))
+	return uint64(ps.Chunks) * chunkNodes * NodeBytes
 }
 
 // LiveBytes returns the bytes of pool nodes currently linked into trees:
@@ -125,7 +130,7 @@ func (ps PoolStats) Bytes() uint64 {
 // rewinds to zero on Reset — the measure a per-run memory cap wants.
 func (p *Pool) LiveBytes() uint64 {
 	carved := p.cur*chunkNodes + p.used
-	return uint64(carved-p.nfree) * uint64(unsafe.Sizeof(node{}))
+	return uint64(carved-p.nfree) * NodeBytes
 }
 
 // Stats returns the pool-level slab counters. Live is zero at pool level:

@@ -1,13 +1,12 @@
 package core
 
-// slot identifies an empty-or-occupied subtree position: the child slot of
-// parent on the given side (parent nil meaning the root slot). Read
-// insertion defers sub-interval work through slots so that all structural
-// changes finish before any rebalancing rotation runs.
-type slot struct {
-	parent *node
-	toLeft bool
-	iv     Interval
+// piece is a left remainder of the interval being inserted, set aside by
+// case D: it belongs in the left subtree of under, which may be empty. Read
+// insertion defers these through a worklist so that all structural changes
+// finish before any rebalancing rotation runs.
+type piece struct {
+	under      *node
+	start, end uint64
 }
 
 // InsertRead inserts a read interval x, implementing InsertReadInterval from
@@ -17,45 +16,48 @@ type slot struct {
 // into pieces that recurse into both subtrees (case D).
 //
 // leftOf decides the winner; onOverlap (optional) reports every stored
-// interval the operation overlaps, mirroring InsertWrite's accounting.
+// interval the operation overlaps, mirroring InsertWrite's accounting. The
+// finger ends where x's own walk did, on its rightmost piece.
 func (t *Tree) InsertRead(x Interval, leftOf LeftOfFunc, onOverlap OverlapFunc) {
 	if x.Start >= x.End {
 		panic("core: empty read interval")
 	}
 	t.stats.Ops++
-	defer t.rebalance()
-	t.work = append(t.work[:0], slot{parent: nil, toLeft: false, iv: x})
-	for len(t.work) > 0 {
-		s := t.work[len(t.work)-1]
-		t.work = t.work[:len(t.work)-1]
-		t.insertReadSlot(s, leftOf, onOverlap, &t.work)
+	if cur := t.seek(x); cur == nil {
+		t.finger = t.attach(nil, false, t.newNode(x))
+	} else {
+		t.finger = t.insertRead(cur, x, leftOf, onOverlap)
 	}
+	for len(t.work) > 0 {
+		p := t.work[len(t.work)-1]
+		t.work = t.work[:len(t.work)-1]
+		rest := Interval{Start: p.start, End: p.end, Acc: x.Acc}
+		if p.under.left == nil {
+			t.attach(p.under, true, t.newNode(rest))
+		} else {
+			t.insertRead(p.under.left, rest, leftOf, onOverlap)
+		}
+	}
+	t.rebalance()
 }
 
-// insertReadSlot performs the §4.2 case walk for one pending interval,
-// starting at the given subtree slot. Case D pushes its outer pieces onto
-// the worklist instead of recursing.
-func (t *Tree) insertReadSlot(s slot, leftOf LeftOfFunc, onOverlap OverlapFunc, work *[]slot) {
-	cur := parentChild(s.parent, s.toLeft, t)
-	if cur == nil {
-		t.attach(s.parent, s.toLeft, t.newNode(s.iv))
-		return
-	}
-	x := s.iv
+// insertRead performs the §4.2 case walk for one pending interval from cur
+// down and returns the node the walk ended on. Case D carries on with the
+// remainder right of the covered node and leaves the one left of it on the
+// worklist instead of recursing.
+func (t *Tree) insertRead(cur *node, x Interval, leftOf LeftOfFunc, onOverlap OverlapFunc) *node {
 	for {
 		t.visit(cur)
 		switch {
 		case x.Start >= cur.end: // case A: x entirely right of cur
 			if cur.right == nil {
-				t.attach(cur, false, t.newNode(x))
-				return
+				return t.attach(cur, false, t.newNode(x))
 			}
 			cur = cur.right
 
 		case x.End <= cur.start: // case A: x entirely left of cur
 			if cur.left == nil {
-				t.attach(cur, true, t.newNode(x))
-				return
+				return t.attach(cur, true, t.newNode(x))
 			}
 			cur = cur.left
 
@@ -65,17 +67,21 @@ func (t *Tree) insertReadSlot(s slot, leftOf LeftOfFunc, onOverlap OverlapFunc, 
 				cur.acc = x.Acc
 			}
 			if x.Start < cur.start {
-				*work = append(*work, slot{parent: cur, toLeft: true, iv: Interval{Start: x.Start, End: cur.start, Acc: x.Acc}})
+				t.work = append(t.work, piece{under: cur, start: x.Start, end: cur.start})
 			}
-			if cur.end < x.End {
-				*work = append(*work, slot{parent: cur, toLeft: false, iv: Interval{Start: cur.end, End: x.End, Acc: x.Acc}})
+			if cur.end >= x.End {
+				return cur
 			}
-			return
+			x.Start = cur.end
+			if cur.right == nil {
+				return t.attach(cur, false, t.newNode(x))
+			}
+			cur = cur.right
 
 		case cur.start <= x.Start && x.End <= cur.end: // case C: cur covers x
 			t.emitOverlap(onOverlap, cur.acc, x.Start, x.End)
 			if !leftOf(x.Acc, cur.acc) {
-				return // old reader keeps the whole interval
+				return cur // old reader keeps the whole interval
 			}
 			left := Interval{Start: cur.start, End: x.Start, Acc: cur.acc}
 			right := Interval{Start: x.End, End: cur.end, Acc: cur.acc}
@@ -86,7 +92,7 @@ func (t *Tree) insertReadSlot(s slot, leftOf LeftOfFunc, onOverlap OverlapFunc, 
 			if right.Start < right.End {
 				t.insertFresh(cur, false, right)
 			}
-			return
+			return cur
 
 		case cur.start < x.Start: // case B: x overlaps cur's right part
 			t.emitOverlap(onOverlap, cur.acc, x.Start, cur.end)
@@ -96,8 +102,7 @@ func (t *Tree) insertReadSlot(s slot, leftOf LeftOfFunc, onOverlap OverlapFunc, 
 				x.Start = cur.end // old reader keeps it; trim x
 			}
 			if cur.right == nil {
-				t.attach(cur, false, t.newNode(x))
-				return
+				return t.attach(cur, false, t.newNode(x))
 			}
 			cur = cur.right
 
@@ -109,8 +114,7 @@ func (t *Tree) insertReadSlot(s slot, leftOf LeftOfFunc, onOverlap OverlapFunc, 
 				x.End = cur.start
 			}
 			if cur.left == nil {
-				t.attach(cur, true, t.newNode(x))
-				return
+				return t.attach(cur, true, t.newNode(x))
 			}
 			cur = cur.left
 		}

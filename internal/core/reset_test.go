@@ -107,3 +107,45 @@ func TestPoolResetRetainsChunks(t *testing.T) {
 		t.Fatalf("re-carving the same volume grew the pool: %d -> %d", chunks, got)
 	}
 }
+
+// TestReusedTreeCountsLikeFresh extends reused-equals-fresh to the finger:
+// a tree that was Reset (with its pool) or Dropped mid-run keeps no finger
+// from its previous life, so replaying sorted runs — where the finger decides
+// what is visited — charges exactly the counters a fresh tree does.
+func TestReusedTreeCountsLikeFresh(t *testing.T) {
+	replay := func(tr *Tree) Stats {
+		rng := rand.New(rand.NewSource(11))
+		lo := func(a, b int32) bool { return a < b }
+		for run := 0; run < 60; run++ {
+			at := uint64(rng.Intn(1 << 12))
+			for i := 0; i < 20; i++ {
+				iv := Interval{Start: at, End: at + uint64(rng.Intn(12)) + 1, Acc: int32(run)}
+				switch run % 3 {
+				case 0:
+					tr.InsertWrite(iv, nil)
+				case 1:
+					tr.InsertRead(iv, lo, nil)
+				default:
+					tr.Query(iv, nil)
+				}
+				at += uint64(rng.Intn(24)) + 1
+			}
+		}
+		tr.checkInvariants()
+		return tr.Stats()
+	}
+	want := replay(NewTree())
+
+	pool := NewPool()
+	tr := NewTreeIn(pool)
+	buildRandom(tr, 3, 300)
+	tr.Reset()
+	pool.Reset()
+	if got := replay(tr); got != want {
+		t.Errorf("after Reset: stats %+v, a fresh tree reports %+v", got, want)
+	}
+	tr.Drop()
+	if got := replay(tr); got != want {
+		t.Errorf("after Drop: stats %+v, a fresh tree reports %+v", got, want)
+	}
+}

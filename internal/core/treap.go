@@ -29,14 +29,15 @@ type Stats struct {
 // trees with NewTree (private node pool) or NewTreeIn (shared pool), or Init
 // a zero Tree that lives inside another struct.
 type Tree struct {
-	root  *node
-	size  int
-	rng   uint64
-	unbal bool // when true, skip rotations (plain BST ablation)
-	fresh []*node
-	work  []slot // reusable InsertRead worklist
-	pool  *Pool
-	stats Stats
+	root   *node
+	finger *node // where the previous operation ended; see seek
+	size   int
+	rng    uint64
+	unbal  bool // when true, skip rotations (plain BST ablation)
+	fresh  []*node
+	work   []piece // reusable InsertRead worklist
+	pool   *Pool
+	stats  Stats
 }
 
 // treapSeed is the deterministic xorshift64* seed every tree starts from.
@@ -63,15 +64,15 @@ func NewTreeIn(pool *Pool) *Tree {
 // Init makes a zero Tree, in place, what NewTreeIn(pool) returns.
 func (t *Tree) Init(pool *Pool) { t.rng, t.pool = treapSeed, pool }
 
-// Reset empties the tree and re-arms it for reuse: the root is dropped
-// (without walking it — the caller resets the shared Pool wholesale), the
-// priority stream rewinds to the seed, and the counters zero. A Reset tree
-// is indistinguishable from a fresh NewTreeIn over the same pool; only the
-// retained capacity of its worklists differs. The caller owns the pool
+// Reset empties the tree and re-arms it for reuse: the root and the finger
+// are dropped (without walking the tree — the caller resets the shared Pool
+// wholesale), the priority stream rewinds to the seed, and the counters
+// zero. A Reset tree is indistinguishable from a fresh NewTreeIn over the
+// same pool; only the retained capacity of its worklists differs. The caller owns the pool
 // lifecycle: Tree.Reset must be paired with a Pool.Reset (or the pool's
 // nodes leak until then), which is why it does not free nodes itself.
 func (t *Tree) Reset() {
-	t.root = nil
+	t.root, t.finger = nil, nil
 	t.size = 0
 	t.rng = treapSeed
 	t.fresh = t.fresh[:0]
@@ -140,8 +141,8 @@ func (t *Tree) newNode(iv Interval) *node {
 
 // attach links child into the given child slot of parent (parent nil means
 // the root slot), registers it for post-operation rebalancing, and adjusts
-// the size. The slot must be empty.
-func (t *Tree) attach(parent *node, toLeft bool, child *node) {
+// the size. The slot must be empty. It returns child.
+func (t *Tree) attach(parent *node, toLeft bool, child *node) *node {
 	child.parent = parent
 	if parent == nil {
 		if t.root != nil {
@@ -161,6 +162,7 @@ func (t *Tree) attach(parent *node, toLeft bool, child *node) {
 	}
 	t.size++
 	t.fresh = append(t.fresh, child)
+	return child
 }
 
 // replaceChild makes repl occupy the tree position of old (whose parent is
@@ -265,11 +267,14 @@ func (t *Tree) rebalance() {
 	t.fresh = t.fresh[:0]
 }
 
-// insertFresh walks from the subtree slot (parent, toLeft) down to the
+// insertFresh walks from the given child slot of parent down to the
 // correct empty slot for iv — which is guaranteed not to overlap anything in
 // that subtree — and attaches a new node there.
 func (t *Tree) insertFresh(parent *node, toLeft bool, iv Interval) {
-	cur := parentChild(parent, toLeft, t)
+	cur := parent.right
+	if toLeft {
+		cur = parent.left
+	}
 	if cur == nil {
 		t.attach(parent, toLeft, t.newNode(iv))
 		return
@@ -294,14 +299,35 @@ func (t *Tree) insertFresh(parent *node, toLeft bool, iv Interval) {
 	}
 }
 
-func parentChild(parent *node, toLeft bool, t *Tree) *node {
-	if parent == nil {
+// seek returns the node an operation on x starts its top-down walk at: the
+// root, or — finger search — a node further down that the root walk would
+// reach by side-effect-free case-A steps alone (DESIGN.md §3 has the proof).
+// A strand's intervals arrive address-sorted, so x usually lies just right of
+// where the previous operation ended. Given x.Start >= finger.start, x lies
+// entirely right of every ancestor the finger hangs right of, so seek climbs
+// looking at the ones it hangs left of: one that starts at or after x.End has
+// x entirely to its left and ends the climb; one that starts before x.End may
+// overlap x or hold it in its right subtree, so it becomes the start node and
+// the climb goes on. The climb also ends at the top, or once x ends inside
+// the start node's own interval. Only the nodes visited change (climb steps
+// are charged to NodesVisited; expected O(lg d) for rank distance d from the
+// finger). No finger, or a step to its left, starts at the root.
+func (t *Tree) seek(x Interval) *node {
+	low := t.finger
+	if low == nil || x.Start < low.start {
 		return t.root
 	}
-	if toLeft {
-		return parent.left
+	for n := low; x.End > low.end && n.parent != nil; n = n.parent {
+		p := n.parent
+		t.visit(p)
+		if p.left == n {
+			if p.start >= x.End {
+				break
+			}
+			low = p
+		}
 	}
-	return parent.right
+	return low
 }
 
 // Query enumerates, without modifying the tree, every stored interval that
@@ -309,22 +335,28 @@ func parentChild(parent *node, toLeft bool, t *Tree) *node {
 // intervals are disjoint and keyed by start, the overlapping intervals form
 // a contiguous run in key order: Query descends to the first stored interval
 // whose end exceeds x.Start and then walks in-order successors while their
-// start precedes x.End — O(h + k) with no augmentation.
+// start precedes x.End — O(h + k) with no augmentation. The finger is left
+// on the rightmost interval found to start before x.End.
 func (t *Tree) Query(x Interval, onOverlap OverlapFunc) {
 	if x.Start >= x.End {
 		panic("core: empty query interval")
 	}
 	t.stats.Ops++
 	// Find the leftmost node with end > x.Start. Disjointness makes "end"
-	// monotone in key order, so this is a standard monotone-predicate search.
-	var first *node
-	cur := t.root
+	// monotone in key order, so this is a standard monotone-predicate search;
+	// last is the nearest node it passed that lies entirely left of x.
+	var first, last *node
+	cur := t.seek(x)
 	for cur != nil {
 		t.visit(cur)
 		if cur.end > x.Start {
 			first = cur
+			if cur.start <= x.Start {
+				break // cur holds x.Start: nothing left of it reaches x
+			}
 			cur = cur.left
 		} else {
+			last = cur
 			cur = cur.right
 		}
 	}
@@ -333,6 +365,13 @@ func (t *Tree) Query(x Interval, onOverlap OverlapFunc) {
 		if onOverlap != nil {
 			onOverlap(n.acc, maxU64(n.start, x.Start), minU64(n.end, x.End))
 		}
+		last = n
+		if n.end >= x.End {
+			break // disjointness: the next interval starts at or after x.End
+		}
+	}
+	if last != nil {
+		t.finger = last
 	}
 }
 
@@ -388,8 +427,9 @@ func (t *Tree) Height() int {
 }
 
 // checkInvariants panics if the BST order, the parent links, the heap
-// property (when balancing is on), or the disjointness invariant is
-// violated. Tests call this after every operation.
+// property (when balancing is on), the disjointness invariant or the
+// finger's liveness (nil, or a node of this tree) is violated. Tests call
+// this after every operation.
 func (t *Tree) checkInvariants() {
 	var prevEnd uint64
 	var count int
@@ -431,6 +471,14 @@ func (t *Tree) checkInvariants() {
 	rec(t.root)
 	if count != t.size {
 		panic("core: size mismatch")
+	}
+	if f := t.finger; f != nil {
+		for f.parent != nil {
+			f = f.parent
+		}
+		if f != t.root {
+			panic("core: finger not reachable from the root")
+		}
 	}
 }
 

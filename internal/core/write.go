@@ -7,8 +7,8 @@ package core
 // checks it for races) and then trimmed or removed to keep the tree's
 // intervals disjoint.
 //
-// Walking down from the root, each visited interval y falls into one of the
-// paper's four cases:
+// Walking down from where seek starts it, each visited interval y falls
+// into one of the paper's four cases:
 //
 //   - A (no overlap): descend toward the side of y that can still contain
 //     overlaps; attach x if that side is empty.
@@ -19,31 +19,36 @@ package core
 //     that cannot overlap anything else.
 //   - D (x covers y): y's node is rewritten as x, and RemoveOverlap scans
 //     both subtrees for further victims.
+//
+// The finger ends on the node that holds x; RemoveOverlap only frees nodes
+// below it.
 func (t *Tree) InsertWrite(x Interval, onOverlap OverlapFunc) {
 	if x.Start >= x.End {
 		panic("core: empty write interval")
 	}
 	t.stats.Ops++
-	defer t.rebalance()
-	if t.root == nil {
-		t.attach(nil, false, t.newNode(x))
-		return
+	t.finger = t.insertWrite(t.seek(x), x, onOverlap)
+	t.rebalance()
+}
+
+// insertWrite runs the case walk from cur (nil only in an empty tree) and
+// returns the node that ends up holding x.
+func (t *Tree) insertWrite(cur *node, x Interval, onOverlap OverlapFunc) *node {
+	if cur == nil {
+		return t.attach(nil, false, t.newNode(x))
 	}
-	cur := t.root
 	for {
 		t.visit(cur)
 		switch {
 		case x.Start >= cur.end: // case A: x entirely right of cur
 			if cur.right == nil {
-				t.attach(cur, false, t.newNode(x))
-				return
+				return t.attach(cur, false, t.newNode(x))
 			}
 			cur = cur.right
 
 		case x.End <= cur.start: // case A: x entirely left of cur
 			if cur.left == nil {
-				t.attach(cur, true, t.newNode(x))
-				return
+				return t.attach(cur, true, t.newNode(x))
 			}
 			cur = cur.left
 
@@ -52,7 +57,7 @@ func (t *Tree) InsertWrite(x Interval, onOverlap OverlapFunc) {
 			cur.start, cur.end, cur.acc = x.Start, x.End, x.Acc
 			t.removeOverlapLeft(cur, x, onOverlap)
 			t.removeOverlapRight(cur, x, onOverlap)
-			return
+			return cur
 
 		case cur.start <= x.Start && x.End <= cur.end: // case C: cur covers x
 			t.emitOverlap(onOverlap, cur.acc, x.Start, x.End)
@@ -65,14 +70,13 @@ func (t *Tree) InsertWrite(x Interval, onOverlap OverlapFunc) {
 			if right.Start < right.End {
 				t.insertFresh(cur, false, right)
 			}
-			return
+			return cur
 
 		case cur.start < x.Start: // case B: x overlaps cur's right part
 			t.emitOverlap(onOverlap, cur.acc, x.Start, cur.end)
 			cur.end = x.Start
 			if cur.right == nil {
-				t.attach(cur, false, t.newNode(x))
-				return
+				return t.attach(cur, false, t.newNode(x))
 			}
 			cur = cur.right
 
@@ -80,8 +84,7 @@ func (t *Tree) InsertWrite(x Interval, onOverlap OverlapFunc) {
 			t.emitOverlap(onOverlap, cur.acc, cur.start, x.End)
 			cur.start = x.End
 			if cur.left == nil {
-				t.attach(cur, true, t.newNode(x))
-				return
+				return t.attach(cur, true, t.newNode(x))
 			}
 			cur = cur.left
 		}

@@ -26,7 +26,9 @@ import (
 // SP-Order (stint/internal/spord); the pipeline runner supplies 2D-grid
 // dominance reachability. Strands are identified by dense int32 IDs; the
 // engines only ever compare the currently executing strand against stored
-// IDs, plus stored-vs-new left-of arbitration in the read history.
+// IDs, plus stored-vs-new left-of arbitration in the read history. Once two
+// IDs exist, Parallel and LeftOf must keep answering the same about them
+// until the engine is Reset: the tree engine remembers recent answers.
 type Reach interface {
 	// CurrentID identifies the strand the program is executing now.
 	CurrentID() int32

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"stint/internal/core"
 	"stint/internal/spord"
 )
 
@@ -169,8 +170,9 @@ func TestTreapStatsPopulatedOnFinish(t *testing.T) {
 	if st.TreapOps == 0 {
 		t.Error("TreapOps = 0 after Finish")
 	}
-	if st.AccessHistoryBytes == 0 {
-		t.Error("AccessHistoryBytes = 0 after Finish")
+	// Two stored intervals, one node each, at the node's real size.
+	if want := 2 * core.NodeBytes; st.AccessHistoryBytes != want {
+		t.Errorf("AccessHistoryBytes = %d after Finish, want %d", st.AccessHistoryBytes, want)
 	}
 }
 

@@ -49,6 +49,7 @@ type treeEngine struct {
 	lastIdx    uint64
 	lastPage   *histPage
 	leftOf     core.LeftOfFunc
+	par, left  relMemo // reach.Parallel / reach.LeftOf answers already asked for
 
 	// Quiescing and memory-cap state.
 	qthresh   int         // Config.QuiesceThreshold; 0 disables
@@ -69,6 +70,29 @@ type treeEngine struct {
 	writeInsertCB core.OverlapFunc // write-tree overlap vs a write interval
 }
 
+// relMemo remembers reach's latest answers about (stored accessor, current
+// strand) pairs. A covered stretch of history usually alternates between a
+// few accessors — fft's between the two shuffle strands of the level below —
+// so four direct-mapped entries turn one reachability query per overlap into
+// one per accessor per run (one entry thrashes on exactly that alternation).
+// A Reach never changes its answer about two existing strands, so an entry
+// stays true until Reset zeroes the memo.
+type relMemo [4]struct {
+	pair uint64 // stored accessor<<32 | current strand, plus one: 0 is empty
+	yes  bool
+}
+
+// ask returns rel(acc, cur), asking reach only when the pair is not the
+// last one its entry saw.
+func (m *relMemo) ask(acc, cur int32, rel func(acc, cur int32) bool) bool {
+	pair := (uint64(uint32(acc))<<32 | uint64(uint32(cur))) + 1
+	e := &m[uint32(acc)%uint32(len(m))]
+	if e.pair != pair {
+		e.pair, e.yes = pair, rel(acc, cur)
+	}
+	return e.yes
+}
+
 func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
 	e := &treeEngine{
 		reach:      reach,
@@ -80,19 +104,21 @@ func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
 		maxBytes:   cfg.MaxHistoryBytes,
 		registry:   cfg.Quiesced,
 	}
-	e.leftOf = reach.LeftOf
+	parallel := reach.Parallel
+	storedLeftOf := func(stored, cur int32) bool { return reach.LeftOf(cur, stored) }
+	e.leftOf = func(cur, stored int32) bool { return e.left.ask(stored, cur, storedLeftOf) }
 	e.readQueryCB = func(acc int32, lo, hi uint64) {
-		if e.reach.Parallel(acc, e.curID) {
+		if e.par.ask(acc, e.curID, parallel) {
 			e.race(Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: e.curID, PrevWrite: true, CurWrite: false})
 		}
 	}
 	e.writeQueryCB = func(acc int32, lo, hi uint64) {
-		if e.reach.Parallel(acc, e.curID) {
+		if e.par.ask(acc, e.curID, parallel) {
 			e.race(Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: e.curID, PrevWrite: false, CurWrite: true})
 		}
 	}
 	e.writeInsertCB = func(acc int32, lo, hi uint64) {
-		if e.reach.Parallel(acc, e.curID) {
+		if e.par.ask(acc, e.curID, parallel) {
 			e.race(Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: e.curID, PrevWrite: true, CurWrite: true})
 		}
 	}
@@ -276,9 +302,9 @@ func (e *treeEngine) Finish() {
 	e.stats.TreapOps = agg.Ops
 	e.stats.TreapNodesVisited = agg.NodesVisited
 	e.stats.TreapOverlaps = agg.Overlaps
-	// Approximate footprint: one node per stored interval (quiesced pages
-	// store nothing — that is the point).
-	e.stats.AccessHistoryBytes = uint64(stored) * 48
+	// Footprint: one node per stored interval (quiesced pages store nothing
+	// — that is the point).
+	e.stats.AccessHistoryBytes = uint64(stored) * core.NodeBytes
 }
 
 func (e *treeEngine) Stats() *Stats { return &e.stats }
@@ -299,6 +325,7 @@ func (e *treeEngine) Reset() {
 	})
 	e.pool.Reset()
 	e.lastIdx, e.lastPage = 0, nil
+	e.par, e.left = relMemo{}, relMemo{}
 	e.curID = 0
 	e.capErr = nil
 	e.retired = core.Stats{}

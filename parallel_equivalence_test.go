@@ -79,3 +79,31 @@ func TestFig5ParallelDetectEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestFFTSortedRunsCountAlikeInEveryMode is the finger's leg of the table:
+// fft at a size whose shuffle strands lay thousands of address-sorted
+// sixteen-byte intervals over several shadow pages, so where each page's
+// trees resume a strand's run decides most of TreapNodesVisited. The finger
+// is per tree and a page's trees see the same interval sequence in every
+// mode, so the count — with the rest of the report — is the synchronous
+// run's; arming quiescing on this race-free program changes nothing either.
+func TestFFTSortedRunsCountAlikeInEveryMode(t *testing.T) {
+	fft := func() workloads.Workload { return workloads.NewFFT(8192, 64) }
+	base := stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 16}
+	sync := pdRunWorkload(t, fft, base)
+	if sync.Stats.TreapOps == 0 || sync.Stats.TreapNodesVisited == 0 {
+		t.Fatalf("fft reported no treap work: %+v", sync.Stats)
+	}
+	// Walking every operation from the root costs this run 10.09 nodes per
+	// operation; resuming at the finger, 5.47.
+	if per := float64(sync.Stats.TreapNodesVisited) / float64(sync.Stats.TreapOps); per > 7.5 {
+		t.Errorf("fft visits %.2f nodes per treap operation, want <= 7.5: sorted runs are not resuming at the finger", per)
+	}
+	quiet := base
+	quiet.PageQuiesceThreshold = 4
+	stint.AssertSameReport(t, "sync, quiescing armed", pdRunWorkload(t, fft, quiet), sync)
+	for _, m := range stint.PipeModes {
+		stint.AssertSameReport(t, m.Name, pdRunWorkload(t, fft, m.With(base)), sync)
+		stint.AssertSameReport(t, m.Name+", quiescing armed", pdRunWorkload(t, fft, m.With(quiet)), sync)
+	}
+}

@@ -91,6 +91,44 @@ func TestQuiesceDifferentialModes(t *testing.T) {
 	}
 }
 
+// TestQuiesceMidSortedRun retires pages in the middle of a strand's sorted
+// run. Each page takes a strand of sixteen-byte writes at a 32-byte stride —
+// fft's shape — then a parallel strand re-reading them in order: its third
+// read is the page's third race, so quiescePage drops both trees while the
+// finger of each points into them and the rest of the run on that page is
+// discarded; the parked shells are what the next page's first touch gets.
+// A finger that outlived the Drop would start the next walk at a freed node.
+// Every mode must agree with sync, counters (TreapNodesVisited) included.
+func TestQuiesceMidSortedRun(t *testing.T) {
+	const pages, perPage = 4, 64
+	var acts []act
+	for p := 0; p < pages; p++ {
+		var wr, rd []act
+		for i := 0; i < perPage; i++ {
+			wr = append(wr, act{kind: 'W', idx: p*qPageWords + i*8, n: 4})
+			rd = append(rd, act{kind: 'L', idx: p*qPageWords + i*8, n: 4})
+		}
+		// The reader also covers the next page's first half before that
+		// page's own strands run, so a reused shell starts mid-history.
+		rd = append(rd, act{kind: 'L', idx: ((p + 1) % pages) * qPageWords, n: qPageWords / 2})
+		acts = append(acts, act{kind: 'S', body: wr}, act{kind: 'S', body: rd})
+	}
+	acts = append(acts, act{kind: 'Y'})
+	for _, d := range shardTestDetectors {
+		base := Options{Detector: d, MaxRacesRecorded: 1 << 20, PageQuiesceThreshold: 3}
+		sync := quiesceRun(t, base, pages*qPageWords, acts)
+		if sync.Stats.PagesQuiesced == 0 {
+			t.Fatalf("%v: no page quiesced mid-run; the test is vacuous", d)
+		}
+		if iv := sync.Stats.ReadIntervals; iv >= pages*(perPage+1) {
+			t.Fatalf("%v: all %d read intervals survived; none was dropped behind a retired page", d, iv)
+		}
+		for _, m := range pipeModes {
+			assertSameReport(t, fmt.Sprintf("%v/%s", d, m.Name), quiesceRun(t, m.With(base), pages*qPageWords, acts), sync)
+		}
+	}
+}
+
 // TestQuiescePastRegistryCapacity races on more pages than the quiesce
 // registry absorbs (it stops at 2 048): sync and the serial pipelines drop
 // dead-page accesses at the hook only for pages the registry lists and fall
