@@ -52,8 +52,9 @@ import (
 )
 
 // Default pipeline geometry. A batch is 1 KiB of wire (256 four-byte
-// slots): a few hundred intervals, which is tens of strands. An interval
-// stream is hundreds of times sparser than the accesses behind it, so a
+// slots): some 330 of the common three-byte interval frames (evstream's
+// compact.go), which is tens of strands. An interval stream is hundreds of
+// times sparser than the accesses behind it, so a
 // batch sized to amortize ring synchronization over thousands of events
 // would hold a short run's whole stream until drain and start detection
 // only when execution ends; at this size a handoff still costs well under

@@ -105,11 +105,10 @@ func PipelineReport(rep *stint.Report) []string {
 			pctCount(l.BatchesSkipped, l.BatchesScanned+l.BatchesSkipped),
 			l.RingWaits)
 		if l.BlocksDecoded > 0 {
-			// Events per decode block says how well the stream blocks for
-			// this worker (near 64 is healthy; low means structure-dense
-			// or tiny batches), and the decode share says how much of its
-			// busy time went to block decode itself rather than page
-			// filtering and detection.
+			// Events per DecodeBlock call (at most 64; a call never
+			// crosses a batch, so a low figure means short batches), and
+			// the decode share: how much of the worker's busy time went
+			// to the wire format rather than page filtering and detection.
 			line += fmt.Sprintf(", %.1f ev/blk (decode %s of busy)",
 				float64(l.EventsScanned)/float64(l.BlocksDecoded),
 				pct(l.DecodeBusy, l.Busy))

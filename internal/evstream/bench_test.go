@@ -118,100 +118,32 @@ func BenchmarkEventEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkEventDecode measures the consumer-side iteration cost per event
-// for both encodings — the price every sharded worker pays per batch it
-// cannot skip. Both go through DecodeBlock: the block decode kernel into a
-// stack array for "compact-blocks" (the path the ≤1.5×-of-fixed target
-// applies to), a zero-copy window of the slice for "fixed".
-func BenchmarkEventDecode(b *testing.B) {
-	const n = 4096
-	decodeBlocks := func(b *testing.B, batch *Batch) {
-		var sink uint64
-		var blk [BlockEvents]Event
-		for i := 0; i < b.N; i += n {
-			it := batch.Iter()
-			for {
-				evs := it.DecodeBlock(&blk)
-				if len(evs) == 0 {
-					break
-				}
-				for _, ev := range evs {
-					sink += ev.Addr()
-				}
-			}
-		}
-		if sink == 0 {
-			b.Fatal("decoded no addresses")
-		}
-	}
-	for _, bc := range []struct{ name, enc string }{
-		{"compact-blocks", "compact"},
-		{"fixed", "fixed"},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			batch := benchBatch(bc.enc, n)
-			for j := 0; j < n; j++ {
-				benchAppendEvent(batch, j)
-			}
-			b.ResetTimer()
-			decodeBlocks(b, batch)
-		})
-	}
-}
-
-// benchMixes are the op mixes BenchmarkEventDecodeBlock sweeps: the
-// sequential same-size fast path the format optimizes for, a range-heavy
-// stream (count uvarints in the block), random addresses (wide deltas, no
-// 1-byte fast lane), and a structure-dense stream (blocks broken by ctl
-// tags every few events — the degenerate-blocking case the ev/blk
-// telemetry flags).
+// benchMixes are the streams BenchmarkEventDecode sweeps: the representative
+// mix BenchmarkEventEncode appends, the sequential same-size stream whose
+// operands are all single bytes (the decoder's inline path), and wild jumps
+// (ten-byte deltas, the uvarint path on every frame).
 var benchMixes = []struct {
 	name   string
 	append func(batch *Batch, j int)
 }{
+	{"mixed", benchAppendEvent},
 	{"seq", func(batch *Batch, j int) {
-		op := OpRead
-		if j%2 == 1 {
-			op = OpWrite
-		}
-		batch.AppendAccess(op, uint64(0x1000+8*(j%512)), 8)
+		batch.AppendAccess(OpRead+Op(j&1), uint64(0x1000+8*(j%512)), 8)
 	}},
-	{"range-heavy", func(batch *Batch, j int) {
-		addr := uint64(0x1000 + 64*(j%512))
-		if j%2 == 0 {
-			batch.AppendRange(OpWriteRange, addr, 16, 8)
-		} else {
-			batch.AppendAccess(OpRead, addr, 8)
-		}
-	}},
-	{"rand", func(batch *Batch, j int) {
-		// Deterministic pseudo-random addresses: wide zig-zag deltas, the
-		// group-varint worst case.
-		addr := uint64(j) * 0x9e3779b97f4a7c15
-		batch.AppendAccess(OpWrite, addr, 8)
-	}},
-	{"ctl-dense", func(batch *Batch, j int) {
-		if j%4 == 3 {
-			batch.AppendCtl(OpSync)
-		} else {
-			batch.AppendAccess(OpRead, uint64(0x1000+8*(j%512)), 8)
-		}
+	{"wild", func(batch *Batch, j int) {
+		batch.AppendAccess(OpWrite, uint64(j)*0x9e3779b97f4a7c15, 8)
 	}},
 }
 
-// BenchmarkEventDecodeBlock sweeps the op mixes across the two decode
-// paths — the fixed slice scan and the compact block kernel — so the
-// kernel's premium over fixed is visible per mix, not just on the
-// representative average.
-func BenchmarkEventDecodeBlock(b *testing.B) {
+// BenchmarkEventDecode measures the consumer-side iteration cost per event
+// for both encodings — the price every shard worker pays per batch it cannot
+// skip. Both go through DecodeBlock: frames decoded into a stack array for
+// "compact", a zero-copy window of the slice for "fixed".
+func BenchmarkEventDecode(b *testing.B) {
 	const n = 4096
 	for _, mix := range benchMixes {
-		for _, dec := range []string{"fixed", "block"} {
-			b.Run(mix.name+"/"+dec, func(b *testing.B) {
-				enc := "compact"
-				if dec == "fixed" {
-					enc = "fixed"
-				}
+		for _, enc := range []string{"compact", "fixed"} {
+			b.Run(mix.name+"/"+enc, func(b *testing.B) {
 				batch := benchBatch(enc, n)
 				for j := 0; j < n; j++ {
 					mix.append(batch, j)

@@ -1,9 +1,9 @@
 // Package evstream carries instrumentation events from an executing
 // fork-join program (the producer) to the detector workers (the consumers)
-// in batches. Batches store events in the delta-packed compact wire format
-// of compact.go, which exploits address locality to spend 2 bytes on the
-// common access; the fixed form (16-byte structs, NewRing) is kept as the
-// reference the codec's tests and benchmarks compare against, and no
+// in batches. Batches store events in the compact wire format of compact.go
+// — one frame per event, a tag byte plus varint operands, about 3 bytes for
+// the common interval; the fixed form (16-byte structs, NewRing) is kept as
+// the reference the codec's tests and benchmarks compare against, and no
 // pipeline builds it.
 //
 // The design goals mirror the runner's hot-path discipline:
@@ -144,38 +144,20 @@ type Stats struct {
 //
 // Exactly one storage form is active per batch: fixed batches (from
 // NewRing, and zero-value Batch literals) hold 16-byte Events in Ev;
-// compact batches (from NewCompactRing) hold the delta-packed byte stream
-// in Buf — see compact.go for the wire format. The Append methods fill
+// compact batches (from NewCompactRing and BatchPool) hold one frame per
+// event in Buf — see compact.go for the wire format. The Append methods fill
 // whichever form is active, and Iter scans either; consumers written
 // against Iter and the Len/CtlOp accessors never care which form they got.
+// Beyond the storage a compact batch is a count and a delta base — no
+// staging state, so a Batch stays under 128 bytes (pinned by a test).
 type Batch struct {
 	Ev  []Event
 	Buf []byte
 	Sum Summary
 
-	n       int    // compact form: sealed event count (staged events excluded; Len adds pendN)
-	prev    uint64 // compact form: delta base (last access address)
+	n       int    // compact form: event count
+	prev    uint64 // compact form: delta base (last interval address)
 	compact bool
-
-	// Compact-form staging: up to one block of pending events awaiting
-	// seal (see compact.go). The staged block's exact sealed size is
-	// pendN + pendExtra + blockOverhead(pendN): every event costs one
-	// delta byte as a baseline (counted by pendN itself), pendExtra
-	// accumulates only the exceptional bytes (wide deltas, size-run
-	// starts, escapes, range counts), and the structural overhead —
-	// marker, header, op-bits and control bytes — is a closed form of
-	// pendN. Full stays O(1) and the hot append path touches no byte
-	// accumulator at all for a run-continuing one-byte-delta access.
-	pendN      int
-	pendExtra  int
-	pendRunN   int                   // size runs staged so far
-	pendRangeN int                   // range events staged so far
-	pendLastA  uint64                // last size/elem operand, for run detection
-	pendOW     [BlockEvents]byte     // op code (high nibble) | width code (low nibble)
-	pendRunV   [BlockEvents]uint64   // size-run operand values
-	pendRunS   [BlockEvents + 1]byte // size-run start indices (+1: seal's sentinel)
-	pendC      [BlockEvents]uint64   // range counts, dense in range order
-	pendZZ     [BlockEvents]uint64   // zig-zag address delta
 }
 
 // Ring is a bounded SPSC queue of event batches with an integrated batch
@@ -203,15 +185,15 @@ func NewRing(depth, batchCap int) *Ring {
 	return newRing(depth, batchCap, false)
 }
 
-// NewCompactRing returns a ring whose batches carry the delta-packed
-// compact encoding (see compact.go) in a buffer of 4*batchCap bytes — a
-// quarter of the fixed ring's per-batch footprint, yet at the ~2-byte
-// sequential encoding still roughly twice as many events per ring
-// synchronization. The 4-bytes-per-slot sizing is deliberate: larger
-// buffers amortize handoffs further but make batches coarser, and a batch
-// is summary-skippable only if no access in it touches a worker's shard —
-// measured on the Fig5 workloads, bigger batches lose more to forgone
-// skips (and to falling out of L1) than they save in synchronization.
+// NewCompactRing returns a ring whose batches carry the compact encoding
+// (see compact.go) in a buffer of 4*batchCap bytes (at least MaxEventBytes)
+// — a quarter of the fixed ring's per-batch footprint, yet at the ~3-byte
+// common frame still a third more events per ring synchronization. The
+// 4-bytes-per-slot sizing is deliberate: larger buffers amortize handoffs
+// further but make batches coarser, and a batch is summary-skippable only if
+// no access in it touches a worker's shard — measured on the Fig5 workloads,
+// bigger batches lose more to forgone skips (and to falling out of L1) than
+// they save in synchronization.
 func NewCompactRing(depth, batchCap int) *Ring {
 	return newRing(depth, batchCap, true)
 }
@@ -233,7 +215,8 @@ func newRing(depth, batchCap int, compact bool) *Ring {
 func (r *Ring) BatchCap() int { return r.batchCap }
 
 // Get returns an empty batch for the producer to fill — BatchCap event
-// capacity on a fixed ring, 4*BatchCap bytes on a compact ring — reusing
+// capacity on a fixed ring, 4*BatchCap bytes (at least one worst-case
+// frame, so an append never grows the buffer) on a compact ring — reusing
 // a recycled batch when one is available. The batch's summary starts
 // zeroed (empty mask, no structure offsets); a producer feeding shard
 // workers must stamp every access's mask as it appends, or a worker would
@@ -251,7 +234,7 @@ func (r *Ring) Get() *Batch {
 	}
 	r.mu.Unlock()
 	if r.compact {
-		return &Batch{Buf: make([]byte, 0, 4*r.batchCap), compact: true}
+		return &Batch{Buf: make([]byte, 0, compactBufCap(r.batchCap)), compact: true}
 	}
 	return &Batch{Ev: make([]Event, 0, r.batchCap)}
 }

@@ -156,12 +156,12 @@ func TestStatsCountLogicalEventsAndWireBytes(t *testing.T) {
 	}
 	fixed.Close()
 
-	compact := NewCompactRing(2, 8)
+	compact := NewCompactRing(2, 32) // room for all three frames
 	cb := compact.Get()
 	cb.AppendCtl(OpSpawn)
 	cb.AppendAccess(OpRead, 0x1000, 4)
 	cb.AppendRange(OpWriteRange, 0x2000, 16, 8)
-	wire := uint64(cb.WireBytes()) // seals the staged block
+	wire := uint64(cb.WireBytes())
 	compact.Publish(cb)
 	if s := compact.Stats(); s.EventsPublished != 3 || s.StreamBytes != wire {
 		t.Errorf("compact ring stats = %d events, %d bytes; want 3 events, %d bytes", s.EventsPublished, s.StreamBytes, wire)

@@ -192,7 +192,8 @@ func NewBatchPool(limit, batchCap int) *BatchPool {
 }
 
 // Get returns an empty batch — recycled when possible — with the same
-// geometry a compact Ring.Get hands out (4*batchCap bytes).
+// geometry a compact Ring.Get hands out (4*batchCap bytes, at least one
+// worst-case frame).
 func (p *BatchPool) Get() *Batch {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
@@ -205,7 +206,7 @@ func (p *BatchPool) Get() *Batch {
 		return b
 	}
 	p.mu.Unlock()
-	return &Batch{Buf: make([]byte, 0, 4*p.batchCap), compact: true}
+	return &Batch{Buf: make([]byte, 0, compactBufCap(p.batchCap)), compact: true}
 }
 
 // Put returns a batch to the pool; beyond the limit it is dropped for the

@@ -1,6 +1,7 @@
 package evstream
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -44,8 +45,7 @@ func appendFromBatch(rng *rand.Rand, n int, base uint64) (*Batch, []Event) {
 
 func drainBatch(t *testing.T, b *Batch) []Event {
 	t.Helper()
-	got, _ := decodeBlocks(b)
-	return got
+	return decodeBlocks(b)
 }
 
 // TestAppendFromRoundTrip concatenates many source batches into one
@@ -80,6 +80,42 @@ func TestAppendFromRoundTrip(t *testing.T) {
 	}
 	if out.Len() != len(want) {
 		t.Fatalf("Len=%d, want %d", out.Len(), len(want))
+	}
+}
+
+// TestAppendFromSeam checks the one frame AppendFrom re-encodes: whatever
+// the widths of the source's own first delta and of the seam's — one byte or
+// ten, forward or backward — the accumulator ends up byte for byte what
+// appending the events directly would have produced.
+func TestAppendFromSeam(t *testing.T) {
+	for _, tc := range []struct{ dstAddr, srcAddr uint64 }{
+		{0x1000, 0x1008},    // multi-byte in src, one byte across the seam
+		{1 << 40, 0x10},     // one byte in src, six bytes backward across the seam
+		{0x10, 1 << 40},     // six bytes in src, six forward across the seam
+		{1 << 63, 1},        // ten bytes backward
+		{1, 1 << 63},        // ten bytes in src, ten forward
+		{1<<64 - 1, 0},      // the address-space wrap: +1
+		{0x2000, 0x2000},    // zero delta
+		{0, 1<<64 - 0x1000}, // backward through zero
+	} {
+		src, direct, out := newCompactBatch(4), newCompactBatch(4), newCompactBatch(4)
+		for _, b := range []*Batch{direct, out} {
+			b.AppendAccess(OpWrite, tc.dstAddr, 8)
+		}
+		for _, b := range []*Batch{direct, src} {
+			b.AppendAccess(OpRead, tc.srcAddr, 300)
+			b.AppendRange(OpWriteRange, tc.srcAddr+64, 1000, 8)
+		}
+		if !out.AppendFrom(src) {
+			t.Fatalf("%#x -> %#x: AppendFrom reported no room", tc.dstAddr, tc.srcAddr)
+		}
+		for _, b := range []*Batch{direct, out} {
+			b.AppendAccess(OpRead, tc.srcAddr+72, 8) // continues from the inherited base
+		}
+		if !bytes.Equal(out.Buf, direct.Buf) || out.Len() != direct.Len() {
+			t.Errorf("%#x -> %#x: merged %d events as % x, direct appends give %d as % x",
+				tc.dstAddr, tc.srcAddr, out.Len(), out.Buf, direct.Len(), direct.Buf)
+		}
 	}
 }
 

@@ -206,9 +206,10 @@ func (as *asyncState) mergeParallel() {
 			if !out.AppendFrom(src) {
 				flush()
 				if !aborted && !out.AppendFrom(src) {
-					// The chunk outsizes even an empty accumulator (tiny test
-					// geometries): forward it wholesale instead of copying —
-					// its own mask, no structure offsets.
+					// The chunk is itself full (it was cut mid-strand, or the
+					// tests' tiny geometry holds one event): forward it
+					// wholesale instead of copying — its own mask, no
+					// structure offsets.
 					publish(src)
 					src = nil
 				}

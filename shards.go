@@ -76,10 +76,10 @@ type shardWorker struct {
 	// whose identity is stable) and retained across runs; reset re-arms it.
 	engine detect.History
 
-	// Decode-side telemetry for Report.ShardLoad: logical events and blocks
-	// this worker full-scanned (their ratio is the events-per-block figure —
-	// degenerate blocking shows up as a low one), and the time spent inside
-	// DecodeBlock itself, sampled (every 8th call, scaled by 8) so the
+	// Decode-side telemetry for Report.ShardLoad: logical events and
+	// DecodeBlock calls of this worker's full scans (their ratio is events
+	// per call — short batches show up as a low one), and the time spent
+	// inside DecodeBlock itself, sampled (every 8th call, scaled by 8) so the
 	// measurement does not tax the scan it is measuring.
 	eventsScanned uint64
 	blocksDecoded uint64

@@ -420,17 +420,19 @@ type ShardLoad struct {
 	// RingWaits counts the worker's blocking episodes waiting on the
 	// broadcast ring for the producer (or the merge stage) to publish.
 	RingWaits uint64
-	// EventsScanned and BlocksDecoded count the logical events and decode
-	// blocks of the worker's full scans (skipped batches contribute
-	// neither). EventsScanned/BlocksDecoded is the worker's events-per-block
-	// figure: near evstream.BlockEvents when the stream blocks well, low
-	// when structure-dense or tiny batches degenerate the blocking.
+	// EventsScanned and BlocksDecoded count the logical events and the
+	// Iter.DecodeBlock calls of the worker's full scans (skipped batches
+	// contribute neither). A call returns up to evstream.BlockEvents events
+	// and never crosses a batch, so EventsScanned/BlocksDecoded — events
+	// per call — is BlockEvents on long batches and the batch's own event
+	// count on short ones; it says how full the scanned batches were, not
+	// how well anything packed.
 	EventsScanned uint64
 	BlocksDecoded uint64
-	// DecodeBusy estimates the time the worker spent inside block decode
+	// DecodeBusy estimates the time the worker spent inside DecodeBlock
 	// itself (sampled at one timed call in eight, scaled), as distinct from
-	// page filtering and detection. DecodeBusy/Busy is the decode share the
-	// block-kernel work targets.
+	// page filtering and detection. DecodeBusy/Busy is the wire format's
+	// share of the worker.
 	DecodeBusy time.Duration
 }
 
