@@ -25,8 +25,8 @@ bench:
 	bash bench/run.sh
 
 # Hot-path microbenchmarks bench/ does not cover: the open-addressed page
-# directory vs the seed's Go map, slab-pooled vs heap-allocated treap
-# nodes, a strand's sorted run through one page's two treaps (fft's pattern;
+# directory vs the seed's Go map, treap insertion from a cold node pool, a
+# strand's sorted run through one page's two treaps (fft's pattern;
 # reports nodes/op), the broadcast ring the pipelines publish on and the reference SPSC
 # ring, the event codec against its fixed-form reference (encode on the
 # representative mix; decode on that, on a sequential stream and on wild

@@ -20,7 +20,7 @@
 //     execution order is a linear extension, so an earlier writer parallel
 //     with a future node either already raced with the stored writer or is
 //     ordered before it); the write history is the paper's interval treap,
-//     unchanged;
+//     unchanged — one per 64 KiB page, as in the fork-join engine;
 //   - reads need a set of readers: with no series-parallel structure there
 //     is no "leftmost" single witness. The read history is
 //     stint/internal/multiread: intervals carrying antichains of readers,
@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"stint"
+	"stint/internal/coalesce"
 	"stint/internal/core"
 	"stint/internal/detect"
 	"stint/internal/mem"
@@ -263,7 +264,8 @@ func (n *Node) StoreRange(b *stint.Buffer, i, cnt int) {
 // multiread antichain map, fed by runtime coalescing.
 type engine struct {
 	reach     *reach
-	writeHist *core.Tree
+	writeHist map[uint64]*core.Tree // by page; Flush's intervals never cross one
+	pool      *core.Pool
 	readHist  *multiread.Map
 	bits      *detect.Coalescer
 	stats     stint.Stats
@@ -277,15 +279,30 @@ func (e *engine) race(rc stint.Race) {
 	}
 }
 
+// writeTree returns the write history of the page holding start, and the
+// interval [start, start+size) in the word positions the trees store (a page
+// of words fits a core.Tree's span).
+func (e *engine) writeTree(start mem.Addr, size uint64, cur int32) (*core.Tree, core.Interval) {
+	idx := start >> coalesce.PageBytesBits
+	t := e.writeHist[idx]
+	if t == nil {
+		t = core.NewTreeIn(e.pool)
+		t.SetBase(idx << (coalesce.PageBytesBits - mem.WordShift))
+		e.writeHist[idx] = t
+	}
+	return t, core.Interval{Start: start >> mem.WordShift, End: (start + size) >> mem.WordShift, Acc: cur}
+}
+
 // readInterval and writeInterval apply one flushed interval of the
 // finishing node to the access history.
 func (e *engine) readInterval(start mem.Addr, size uint64) {
 	cur := e.reach.CurrentID()
 	e.stats.ReadIntervals++
 	e.stats.ReadIntervalBytes += size
-	e.writeHist.Query(core.Interval{Start: start, End: start + size, Acc: cur}, func(acc int32, lo, hi uint64) {
+	t, iv := e.writeTree(start, size, cur)
+	t.Query(iv, func(acc int32, lo, hi uint64) {
 		if e.reach.Parallel(acc, cur) {
-			e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, PrevWrite: true})
+			e.race(stint.Race{Addr: lo << mem.WordShift, Size: (hi - lo) << mem.WordShift, Prev: acc, Cur: cur, PrevWrite: true})
 		}
 	})
 	e.readHist.Insert(start, start+size, cur, e.reach.series)
@@ -300,9 +317,10 @@ func (e *engine) writeInterval(start mem.Addr, size uint64) {
 			e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, CurWrite: true})
 		}
 	})
-	e.writeHist.InsertWrite(core.Interval{Start: start, End: start + size, Acc: cur}, func(acc int32, lo, hi uint64) {
+	t, iv := e.writeTree(start, size, cur)
+	t.InsertWrite(iv, func(acc int32, lo, hi uint64) {
 		if e.reach.Parallel(acc, cur) {
-			e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, PrevWrite: true, CurWrite: true})
+			e.race(stint.Race{Addr: lo << mem.WordShift, Size: (hi - lo) << mem.WordShift, Prev: acc, Cur: cur, PrevWrite: true, CurWrite: true})
 		}
 	})
 }
@@ -320,7 +338,8 @@ func (r *Runner) Run(g *Graph, body func(n *Node, id NodeID)) (*stint.Report, er
 	rep := &stint.Report{}
 	e := &engine{
 		reach:     newReach(g, order),
-		writeHist: core.NewTree(),
+		writeHist: map[uint64]*core.Tree{},
+		pool:      core.NewPool(),
 		readHist:  &multiread.Map{},
 		bits:      detect.NewCoalescer(nil),
 	}
@@ -343,10 +362,13 @@ func (r *Runner) Run(g *Graph, body func(n *Node, id NodeID)) (*stint.Report, er
 	}
 	rep.WallTime = time.Since(start)
 	rep.Strands = g.Len()
-	ws := e.writeHist.Stats()
-	e.stats.TreapOps = ws.Ops + e.readHist.Ops()
-	e.stats.TreapNodesVisited = ws.NodesVisited
-	e.stats.TreapOverlaps = ws.Overlaps
+	e.stats.TreapOps = e.readHist.Ops()
+	for _, t := range e.writeHist {
+		ws := t.Stats()
+		e.stats.TreapOps += ws.Ops
+		e.stats.TreapNodesVisited += ws.NodesVisited
+		e.stats.TreapOverlaps += ws.Overlaps
+	}
 	e.stats.Accumulate(e.bits.Hooks())
 	rep.Stats = e.stats
 	rep.RaceCount = e.stats.Races

@@ -220,11 +220,42 @@ func TestAntichainPruningKeepsHistorySmall(t *testing.T) {
 	}
 }
 
-// randomDAGProgram builds a random DAG with random accesses and the
-// matching oracle run.
+// TestRandomDAGsMatchOracle runs random DAGs with random accesses against
+// the brute-force oracle.
 func TestRandomDAGsMatchOracle(t *testing.T) {
 	const bufWords = 32
-	for seed := int64(0); seed < 50; seed++ {
+	matchOracle(t, 50, bufWords, func(rng *rand.Rand) acc {
+		idx := rng.Intn(bufWords)
+		return acc{write: rng.Intn(2) == 0, idx: idx, n: rng.Intn(bufWords-idx) + 1}
+	})
+}
+
+// TestCrossPageDAGsMatchOracle is the same over a buffer of three 64 KiB
+// pages — the write history is one treap per page — with accesses that sit
+// on the page boundaries, straddle them, or cover every page at once.
+func TestCrossPageDAGsMatchOracle(t *testing.T) {
+	const pageWords = 1 << 14
+	const bufWords = 3 * pageWords
+	matchOracle(t, 30, bufWords, func(rng *rand.Rand) acc {
+		a := acc{write: rng.Intn(2) == 0}
+		switch rng.Intn(8) {
+		case 0: // everything
+			a.idx, a.n = 0, bufWords
+		case 1: // the tail of one page and the whole next one
+			a.idx, a.n = pageWords-rng.Intn(16)-1, pageWords+16
+		default: // a few words around a boundary
+			a.idx = (rng.Intn(2)+1)*pageWords - 8 + rng.Intn(12)
+			a.n = rng.Intn(12) + 1
+		}
+		return a
+	})
+}
+
+// matchOracle builds seeds random DAGs whose nodes make up to three accesses
+// drawn from gen to a bufWords buffer, and checks the racing words reported
+// against the brute-force oracle's.
+func matchOracle(t *testing.T, seeds int64, bufWords int, gen func(rng *rand.Rand) acc) {
+	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := NewGraph()
 		n := rng.Intn(12) + 4
@@ -242,12 +273,7 @@ func TestRandomDAGsMatchOracle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k := rng.Intn(4)
 			for a := 0; a < k; a++ {
-				idx := rng.Intn(bufWords)
-				accesses[NodeID(i)] = append(accesses[NodeID(i)], acc{
-					write: rng.Intn(2) == 0,
-					idx:   idx,
-					n:     rng.Intn(bufWords-idx) + 1,
-				})
+				accesses[NodeID(i)] = append(accesses[NodeID(i)], gen(rng))
 			}
 		}
 

@@ -14,8 +14,8 @@ import (
 func TestTreapHeightLogarithmic(t *testing.T) {
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 15} {
 		tr := NewTree()
-		for i := 0; i < n; i++ {
-			tr.InsertWrite(Interval{uint64(i) * 8, uint64(i)*8 + 4, int32(i)}, nil)
+		for i := 0; i < n; i++ { // the last of 1<<15 ends at offset 65535, a tree's span exactly
+			tr.InsertWrite(Interval{uint64(i) * 2, uint64(i)*2 + 1, int32(i)}, nil)
 		}
 		h := float64(tr.Height())
 		bound := 4.3 * math.Log2(float64(n)) // E[h] ≈ 2.99·lg n for treaps
@@ -30,12 +30,12 @@ func TestNodesVisitedPerOpTracksHeightPlusOverlaps(t *testing.T) {
 	tr := NewTree()
 	const n = 1 << 14
 	for i := 0; i < n; i++ {
-		tr.InsertWrite(Interval{uint64(i) * 8, uint64(i)*8 + 4, int32(i)}, nil)
+		tr.InsertWrite(Interval{uint64(i) * 4, uint64(i)*4 + 2, int32(i)}, nil)
 	}
 	tr.ResetStats()
 	for i := 0; i < 4096; i++ {
-		s := uint64((i * 37) % n * 8)
-		tr.Query(Interval{s, s + 4, 0}, nil)
+		s := uint64((i * 37) % n * 4)
+		tr.Query(Interval{s, s + 2, 0}, nil)
 	}
 	st := tr.Stats()
 	perOp := float64(st.NodesVisited) / float64(st.Ops)
@@ -52,17 +52,17 @@ func TestOverlapsChargeToIntervalSize(t *testing.T) {
 	// intervals has size >= k (stored intervals are disjoint and each
 	// contributes >= 1 unit to the overlap range). Verify the accounting
 	// on random workloads: overlaps per op never exceed the interval's
-	// length in words plus one.
+	// length plus one.
 	rng := rand.New(rand.NewSource(9))
 	tr := NewTree()
 	for i := 0; i < 3000; i++ {
-		s := rng.Uint64() % 100000
-		length := uint64(rng.Intn(64)+1) * 4
+		s := rng.Uint64() % 25000
+		length := uint64(rng.Intn(64) + 1)
 		before := tr.Stats().Overlaps
 		tr.InsertWrite(Interval{s, s + length, int32(i)}, nil)
 		k := tr.Stats().Overlaps - before
-		if k > length/4+2 {
-			t.Fatalf("insert of %d words overlapped %d stored intervals", length/4, k)
+		if k > length+2 {
+			t.Fatalf("insert of %d words overlapped %d stored intervals", length, k)
 		}
 	}
 }
@@ -95,12 +95,12 @@ func TestStableCostAcrossGrowth(t *testing.T) {
 	perOpAt := func(n int) float64 {
 		tr := NewTree()
 		for i := 0; i < n; i++ {
-			tr.InsertWrite(Interval{uint64(i) * 8, uint64(i)*8 + 4, int32(i)}, nil)
+			tr.InsertWrite(Interval{uint64(i) * 4, uint64(i)*4 + 2, int32(i)}, nil)
 		}
 		tr.ResetStats()
 		for i := 0; i < 2000; i++ {
-			s := uint64((i * 613) % n * 8)
-			tr.Query(Interval{s, s + 4, 0}, nil)
+			s := uint64((i * 613) % n * 4)
+			tr.Query(Interval{s, s + 2, 0}, nil)
 		}
 		st := tr.Stats()
 		return float64(st.NodesVisited) / float64(st.Ops)
@@ -121,15 +121,15 @@ func TestSortedRunCostsHeightPlusRun(t *testing.T) {
 	lo := func(a, b int32) bool { return a > b }
 	tr := NewTree()
 	for i := 0; i < n; i++ {
-		tr.InsertRead(Interval{uint64(i) * 16, uint64(i)*16 + 16, 0}, lo, nil)
+		tr.InsertRead(Interval{uint64(i) * 4, uint64(i)*4 + 4, 0}, lo, nil)
 	}
 	perOp := func(fromRoot bool, op func(x Interval)) float64 {
 		tr.ResetStats()
 		for i := 0; i < k; i++ {
 			if fromRoot {
-				tr.finger = nil
+				tr.finger = 0
 			}
-			op(Interval{uint64(i) * 32, uint64(i)*32 + 16, 1})
+			op(Interval{uint64(i) * 8, uint64(i)*8 + 4, 1})
 		}
 		st := tr.Stats()
 		if st.Overlaps != k {

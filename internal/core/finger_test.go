@@ -13,16 +13,16 @@ type twin struct {
 	tr, ref *Tree
 }
 
-func newTwin() twin { return twin{tr: NewTree(), ref: NewTree()} }
+func newTwin() twin { return twin{tr: newTestTree(), ref: newTestTree()} }
 
 type overlapRec struct {
 	acc    int32
 	lo, hi uint64
 }
 
-func depth(n *node) uint64 {
+func depth(t *Tree, r ref) uint64 {
 	var d uint64
-	for ; n.parent != nil; n = n.parent {
+	for ; at(t.pool.base, r).parent != 0; r = at(t.pool.base, r).parent {
 		d++
 	}
 	return d
@@ -38,12 +38,12 @@ func (w twin) apply(t *testing.T, x Interval, cb OverlapFunc, op func(tr *Tree, 
 	t.Helper()
 	// Dry-run seek: it has no side effect but the visit charge.
 	before := w.tr.stats
-	start := w.tr.seek(x)
+	start := w.tr.climb(w.tr.pool.base, w.tr.fingerOrRoot(w.tr.pool.base, w.tr.local(x)), w.tr.local(x))
 	climb := w.tr.stats.NodesVisited - before.NodesVisited
 	w.tr.stats = before
 	var skipped uint64
-	if start != nil {
-		skipped = depth(start)
+	if start != 0 {
+		skipped = depth(w.tr, start)
 	}
 
 	var got, want []overlapRec
@@ -54,7 +54,7 @@ func (w twin) apply(t *testing.T, x Interval, cb OverlapFunc, op func(tr *Tree, 
 		}
 	})
 	w.tr.checkInvariants()
-	w.ref.finger = nil
+	w.ref.finger = 0
 	refBefore := w.ref.stats
 	op(w.ref, func(acc int32, lo, hi uint64) { want = append(want, overlapRec{acc, lo, hi}) })
 	w.ref.checkInvariants()
@@ -178,11 +178,11 @@ func TestFingerClearedByResetAndDrop(t *testing.T) {
 		for i := uint64(0); i < 64; i++ {
 			w.tr.InsertWrite(Interval{Start: i * 8, End: i*8 + 4, Acc: int32(i)}, nil)
 		}
-		if w.tr.finger == nil {
+		if w.tr.finger == 0 {
 			t.Fatal("an insert left no finger")
 		}
 		w.reset(drop)
-		if w.tr.finger != nil {
+		if w.tr.finger != 0 {
 			t.Fatalf("drop=%v left a finger", drop)
 		}
 	}

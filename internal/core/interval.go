@@ -21,26 +21,14 @@ package core
 
 import "fmt"
 
-// Interval is a half-open range of byte addresses [Start, End) accessed by
-// the strand identified by Acc. Addresses and sizes are always multiples of
-// the shadow word size; the tree itself only requires Start < End.
+// Interval is a half-open range of positions [Start, End) accessed by the
+// strand identified by Acc. The unit is the caller's — the detector engines
+// pass shadow-word positions — and a Tree requires only Start < End inside
+// its 65 535-position span (Tree.SetBase).
 type Interval struct {
 	Start uint64
 	End   uint64
 	Acc   int32
-}
-
-// Len returns the interval's length in bytes.
-func (iv Interval) Len() uint64 { return iv.End - iv.Start }
-
-// Overlaps reports whether iv and other share at least one byte.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Start < other.End && other.Start < iv.End
-}
-
-// Contains reports whether iv fully covers other.
-func (iv Interval) Contains(other Interval) bool {
-	return iv.Start <= other.Start && other.End <= iv.End
 }
 
 func (iv Interval) String() string {
@@ -54,6 +42,6 @@ func (iv Interval) String() string {
 type LeftOfFunc func(a, b int32) bool
 
 // OverlapFunc receives one stored interval that overlaps an operation's
-// argument, together with the overlapping byte range [lo, hi). Each stored
+// argument, together with the overlapping range [lo, hi). Each stored
 // interval is reported at most once per operation.
 type OverlapFunc func(acc int32, lo, hi uint64)

@@ -11,57 +11,52 @@ func benchIntervals(n int) []Interval {
 	rng := rand.New(rand.NewSource(42))
 	ivs := make([]Interval, n)
 	for i := range ivs {
-		start := rng.Uint64() % (1 << 16)
-		length := uint64(rng.Intn(256)) + 4
+		start := rng.Uint64() % (1 << 14)
+		length := uint64(rng.Intn(64)) + 1
 		ivs[i] = Interval{Start: start, End: start + length, Acc: int32(i)}
 	}
 	return ivs
 }
 
-// BenchmarkTreapInsert isolates the node-allocation cost of treap
-// insertion: the slab pool (production path) vs one heap object per node
-// (the seed's new(node) path), on an identical interval stream.
+// BenchmarkTreapInsert is treap insertion from a cold pool: first slab,
+// doublings and all, on a fixed interval stream.
 func BenchmarkTreapInsert(b *testing.B) {
 	ivs := benchIntervals(4096)
-	for _, mode := range []struct {
-		name     string
-		heapOnly bool
-	}{{"pooled", false}, {"unpooled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr := NewTree()
-				tr.pool.heapOnly = mode.heapOnly
-				for _, iv := range ivs {
-					tr.InsertWrite(iv, nil)
-				}
+	b.Run("pooled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr := NewTree()
+			for _, iv := range ivs {
+				tr.InsertWrite(iv, nil)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkTreapSortedRun is fft's pattern on one page, as the engine
 // applies a read strand: every interval queries the write tree and inserts
-// into the read tree, sixteen-byte reads at a 32-byte stride over a fully
-// populated page, then one read covering all 64 KiB. One iteration is 2049
-// intervals; nodes/op is per tree operation, the figure Fig 8 reports.
+// into the read tree, four-word reads at an eight-word stride over a fully
+// populated 16 Ki-word page, then one read covering all of it. One iteration
+// is 2049 intervals; nodes/op is per tree operation, the figure Fig 8
+// reports — and, being a function of the trees' shape alone, the canary for
+// a change of shape (4.30).
 func BenchmarkTreapSortedRun(b *testing.B) {
-	const page = 64 << 10
+	const page = 16 << 10
 	lo := func(a, b int32) bool { return a > b }
 	wt, rt := NewTree(), NewTree()
-	for s := uint64(0); s < page; s += 4096 {
-		wt.InsertWrite(Interval{s, s + 4096, 0}, nil)
+	for s := uint64(0); s < page; s += 1024 {
+		wt.InsertWrite(Interval{s, s + 1024, 0}, nil)
 	}
-	for s := uint64(0); s < page; s += 16 {
-		rt.InsertRead(Interval{s, s + 16, 0}, lo, nil)
+	for s := uint64(0); s < page; s += 4 {
+		rt.InsertRead(Interval{s, s + 4, 0}, lo, nil)
 	}
 	wt.ResetStats()
 	rt.ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc := int32(i + 1)
-		for s := uint64(0); s < page; s += 32 {
-			x := Interval{s, s + 16, acc}
+		for s := uint64(0); s < page; s += 8 {
+			x := Interval{s, s + 4, acc}
 			wt.Query(x, nil)
 			rt.InsertRead(x, lo, nil)
 		}

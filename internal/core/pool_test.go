@@ -5,34 +5,33 @@ import (
 	"testing"
 )
 
-// reachableNodes collects the pointer identity of every node linked under
-// the root.
-func (t *Tree) reachableNodes() map[*node]bool {
-	seen := make(map[*node]bool)
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
+// reachableNodes collects the identity of every node linked under the root.
+func (t *Tree) reachableNodes() map[ref]bool {
+	seen := make(map[ref]bool)
+	var rec func(r ref)
+	rec = func(r ref) {
+		if r == 0 {
 			return
 		}
-		if seen[n] {
+		if seen[r] {
 			panic("core: node reachable twice")
 		}
-		seen[n] = true
-		rec(n.left)
-		rec(n.right)
+		seen[r] = true
+		rec(at(t.pool.base, r).left)
+		rec(at(t.pool.base, r).right)
 	}
 	rec(t.root)
 	return seen
 }
 
-// freeNodes collects the pointer identity of every node on the free list.
-func (t *Tree) freeNodes() map[*node]bool {
-	seen := make(map[*node]bool)
-	for n := t.pool.free; n != nil; n = n.right {
-		if seen[n] {
+// freeNodes collects the identity of every node on the free list.
+func (t *Tree) freeNodes() map[ref]bool {
+	seen := make(map[ref]bool)
+	for r := t.pool.free; r != 0; r = at(t.pool.base, r).right {
+		if seen[r] {
 			panic("core: free list cycle")
 		}
-		seen[n] = true
+		seen[r] = true
 	}
 	return seen
 }
@@ -40,7 +39,7 @@ func (t *Tree) freeNodes() map[*node]bool {
 // TestPoolNeverAliasesLiveNodes drives randomized write/read insertions —
 // writes are what feed the free list via RemoveOverlap — and checks after
 // every operation that the free list and the live tree are disjoint, that
-// free-list accounting matches, and that every node came from a slab chunk.
+// free-list accounting matches, and that every node lies in the slab.
 func TestPoolNeverAliasesLiveNodes(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,38 +57,43 @@ func TestPoolNeverAliasesLiveNodes(t *testing.T) {
 			free := tr.freeNodes()
 			for n := range free {
 				if live[n] {
-					t.Fatalf("seed %d op %d: node %p is both live and on the free list", seed, op, n)
+					t.Fatalf("seed %d op %d: node %#x is both live and on the free list", seed, op, n)
 				}
 			}
-			ps := tr.PoolStats()
+			ps := tr.pool.Stats()
 			if len(free) != ps.Free {
 				t.Fatalf("seed %d op %d: free list has %d nodes, PoolStats.Free = %d", seed, op, len(free), ps.Free)
 			}
-			if len(live) != ps.Live {
-				t.Fatalf("seed %d op %d: %d reachable nodes, PoolStats.Live = %d", seed, op, len(live), ps.Live)
+			if len(live) != tr.Size() {
+				t.Fatalf("seed %d op %d: %d reachable nodes, Size = %d", seed, op, len(live), tr.Size())
 			}
-			if got, want := ps.Live+ps.Free, int(ps.Served-ps.Recycled); got != want {
+			if got, want := len(live)+ps.Free, int(ps.Served-ps.Recycled); got != want {
 				t.Fatalf("seed %d op %d: live+free = %d, slab draws = %d", seed, op, got, want)
 			}
-			if slabCap := ps.Chunks * chunkNodes; ps.Live+ps.Free > slabCap {
-				t.Fatalf("seed %d op %d: %d nodes exceed slab capacity %d", seed, op, ps.Live+ps.Free, slabCap)
+			if got, want := tr.pool.LiveBytes(), uint64(len(live))*NodeBytes; got != want {
+				t.Fatalf("seed %d op %d: LiveBytes = %d, %d reachable nodes are %d", seed, op, got, len(live), want)
+			}
+			for n := range live {
+				if n == 0 || uint64(n)%NodeBytes != 0 || int(uint64(n)/NodeBytes) >= ps.Cap {
+					t.Fatalf("seed %d op %d: ref %#x is not a node of a %d-node slab", seed, op, n, ps.Cap)
+				}
 			}
 		}
 	}
 }
 
 // TestPoolRecyclesUnderChurn checks that steady-state insert/remove churn is
-// served by the free list rather than new slab chunks: overwriting the same
-// address range forever must not grow the pool.
+// served by the free list rather than by growing the slab: overwriting the
+// same address range forever must not grow the pool.
 func TestPoolRecyclesUnderChurn(t *testing.T) {
 	tr := NewTree()
 	for i := 0; i < 10000; i++ {
 		base := uint64(i%64) * 8
 		tr.InsertWrite(Interval{Start: base, End: base + 16, Acc: int32(i)}, nil)
 	}
-	ps := tr.PoolStats()
-	if ps.Chunks > 1 {
-		t.Fatalf("steady-state churn grew the pool to %d chunks (stats %+v)", ps.Chunks, ps)
+	ps := tr.pool.Stats()
+	if ps.Cap != slabMinNodes {
+		t.Fatalf("steady-state churn grew the slab to %d nodes (stats %+v)", ps.Cap, ps)
 	}
 	if ps.Recycled == 0 {
 		t.Fatal("churn never recycled a node")
@@ -100,12 +104,11 @@ func TestPoolRecyclesUnderChurn(t *testing.T) {
 // TestPoolStatsBytes sanity-checks the footprint accounting.
 func TestPoolStatsBytes(t *testing.T) {
 	tr := NewTree()
-	if tr.PoolStats().Bytes() != 0 {
-		t.Fatal("empty tree reports nonzero pool bytes")
+	if got := tr.pool.Stats(); got != (PoolStats{Cap: slabMinNodes}) || tr.pool.LiveBytes() != 0 {
+		t.Fatalf("empty tree reports %+v, %d live bytes", got, tr.pool.LiveBytes())
 	}
 	tr.InsertWrite(Interval{Start: 0, End: 4, Acc: 1}, nil)
-	ps := tr.PoolStats()
-	if ps.Chunks != 1 || ps.Bytes() == 0 {
-		t.Fatalf("after one insert: %+v (bytes %d)", ps, ps.Bytes())
+	if ps := tr.pool.Stats(); ps.Cap != slabMinNodes || tr.pool.LiveBytes() != NodeBytes {
+		t.Fatalf("after one insert: %+v, %d live bytes", ps, tr.pool.LiveBytes())
 	}
 }

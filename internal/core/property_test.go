@@ -23,7 +23,7 @@ func randomInterval(rng *rand.Rand, space uint64, acc int32) Interval {
 
 func runRandomWriteSession(t *testing.T, seed int64, ops int, space uint64) {
 	rng := rand.New(rand.NewSource(seed))
-	tr := NewTree()
+	tr := newTestTree()
 	o := newWordOracle()
 	for i := 0; i < ops; i++ {
 		iv := randomInterval(rng, space, int32(i))
@@ -39,7 +39,7 @@ func runRandomWriteSession(t *testing.T, seed int64, ops int, space uint64) {
 
 func runRandomReadSession(t *testing.T, seed int64, ops int, space uint64) {
 	rng := rand.New(rand.NewSource(seed))
-	tr := NewTree()
+	tr := newTestTree()
 	o := newWordOracle()
 	// Random strict total order over accessors via random distinct ranks.
 	rank := make(map[int32]int)
@@ -77,7 +77,7 @@ func TestRandomMixedSessions(t *testing.T) {
 	// models a single tree being used for both polarity-specific updates.
 	for seed := int64(100); seed < 115; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		wt, rt := NewTree(), NewTree()
+		wt, rt := newTestTree(), newTestTree()
 		wo, ro := newWordOracle(), newWordOracle()
 		rank := make(map[int32]int)
 		perm := rng.Perm(400)
@@ -104,7 +104,7 @@ func TestQuickWriteProjection(t *testing.T) {
 		ops := int(opsRaw%60) + 5
 		space := uint64(spaceRaw%200) + 32
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTree()
+		tr := newTestTree()
 		o := newWordOracle()
 		for i := 0; i < ops; i++ {
 			iv := randomInterval(rng, space, int32(i))
@@ -133,7 +133,7 @@ func TestQuickReadProjection(t *testing.T) {
 		ops := int(opsRaw%60) + 5
 		space := uint64(spaceRaw%200) + 32
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTree()
+		tr := newTestTree()
 		o := newWordOracle()
 		rank := rng.Perm(ops)
 		lo := func(a, b int32) bool { return rank[a] > rank[b] }
@@ -163,7 +163,7 @@ func TestUnbalancedModeStaysCorrect(t *testing.T) {
 	// The plain-BST ablation must be functionally identical.
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTree()
+		tr := newTestTree()
 		tr.SetBalancing(false)
 		o := newWordOracle()
 		for i := 0; i < 100; i++ {
@@ -177,7 +177,7 @@ func TestDeterministicPriorities(t *testing.T) {
 	// Two trees fed the same operations must have identical shapes: the
 	// priority stream is deterministic, keeping benchmark runs reproducible.
 	build := func() *Tree {
-		tr := NewTree()
+		tr := newTestTree()
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 200; i++ {
 			tr.InsertWrite(randomInterval(rng, 1000, int32(i)), nil)
@@ -197,10 +197,16 @@ func TestDeterministicPriorities(t *testing.T) {
 }
 
 func BenchmarkInsertWriteDisjoint(b *testing.B) {
+	const n = 1 << 15 // disjoint unit intervals one tree's span holds
 	tr := NewTree()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.InsertWrite(Interval{uint64(i) * 16, uint64(i)*16 + 8, int32(i)}, nil)
+		if i%n == 0 {
+			tr.Reset()
+			tr.pool.Reset()
+		}
+		s := uint64(i%n) * 2
+		tr.InsertWrite(Interval{s, s + 1, int32(i)}, nil)
 	}
 }
 
@@ -209,19 +215,20 @@ func BenchmarkInsertWriteOverlapping(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := rng.Uint64() % (1 << 20)
-		tr.InsertWrite(Interval{s, s + 64, int32(i)}, nil)
+		s := rng.Uint64() % (1 << 15)
+		tr.InsertWrite(Interval{s, s + 16, int32(i)}, nil)
 	}
 }
 
 func BenchmarkQueryHit(b *testing.B) {
+	const n = 1 << 15
 	tr := NewTree()
-	for i := 0; i < 100000; i++ {
-		tr.InsertWrite(Interval{uint64(i) * 16, uint64(i)*16 + 8, int32(i)}, nil)
+	for i := 0; i < n; i++ {
+		tr.InsertWrite(Interval{uint64(i) * 2, uint64(i)*2 + 1, int32(i)}, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := uint64(i%100000) * 16
-		tr.Query(Interval{s, s + 4, 0}, nil)
+		s := uint64(i%n) * 2
+		tr.Query(Interval{s, s + 1, 0}, nil)
 	}
 }

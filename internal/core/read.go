@@ -5,8 +5,8 @@ package core
 // insertion defers these through a worklist so that all structural changes
 // finish before any rebalancing rotation runs.
 type piece struct {
-	under      *node
-	start, end uint64
+	under      ref
+	start, end uint16
 }
 
 // InsertRead inserts a read interval x, implementing InsertReadInterval from
@@ -18,105 +18,111 @@ type piece struct {
 // leftOf decides the winner; onOverlap (optional) reports every stored
 // interval the operation overlaps, mirroring InsertWrite's accounting. The
 // finger ends where x's own walk did, on its rightmost piece.
-func (t *Tree) InsertRead(x Interval, leftOf LeftOfFunc, onOverlap OverlapFunc) {
-	if x.Start >= x.End {
+func (t *Tree) InsertRead(iv Interval, leftOf LeftOfFunc, onOverlap OverlapFunc) {
+	if iv.Start >= iv.End {
 		panic("core: empty read interval")
 	}
+	x, b := t.local(iv), t.pool.base
 	t.stats.Ops++
-	if cur := t.seek(x); cur == nil {
-		t.finger = t.attach(nil, false, t.newNode(x))
+	if c := t.climb(b, t.fingerOrRoot(b, x), x); c == 0 {
+		t.finger = t.attach(0, false, t.newNode(x))
 	} else {
-		t.finger = t.insertRead(cur, x, leftOf, onOverlap)
+		t.finger = t.insertRead(c, x, leftOf, onOverlap)
 	}
 	for len(t.work) > 0 {
 		p := t.work[len(t.work)-1]
 		t.work = t.work[:len(t.work)-1]
-		rest := Interval{Start: p.start, End: p.end, Acc: x.Acc}
-		if p.under.left == nil {
+		rest := span{start: p.start, end: p.end, acc: x.acc}
+		if c := at(t.pool.base, p.under).left; c == 0 {
 			t.attach(p.under, true, t.newNode(rest))
 		} else {
-			t.insertRead(p.under.left, rest, leftOf, onOverlap)
+			t.insertRead(c, rest, leftOf, onOverlap)
 		}
 	}
-	t.rebalance()
+	if len(t.fresh) > 0 {
+		t.rebalance()
+	}
 }
 
-// insertRead performs the §4.2 case walk for one pending interval from cur
+// insertRead performs the §4.2 case walk for one pending interval from c
 // down and returns the node the walk ended on. Case D carries on with the
 // remainder right of the covered node and leaves the one left of it on the
-// worklist instead of recursing.
-func (t *Tree) insertRead(cur *node, x Interval, leftOf LeftOfFunc, onOverlap OverlapFunc) *node {
+// worklist instead of recursing. Every path that draws a node returns right
+// after, so the slab base read on entry serves the whole walk.
+func (t *Tree) insertRead(c ref, x span, leftOf LeftOfFunc, onOverlap OverlapFunc) ref {
+	b := t.pool.base
 	for {
-		t.visit(cur)
+		cur := at(b, c)
+		t.visit()
 		switch {
-		case x.Start >= cur.end: // case A: x entirely right of cur
-			if cur.right == nil {
-				return t.attach(cur, false, t.newNode(x))
+		case x.start >= cur.end: // case A: x entirely right of cur
+			if cur.right == 0 {
+				return t.attach(c, false, t.newNode(x))
 			}
-			cur = cur.right
+			c = cur.right
 
-		case x.End <= cur.start: // case A: x entirely left of cur
-			if cur.left == nil {
-				return t.attach(cur, true, t.newNode(x))
+		case x.end <= cur.start: // case A: x entirely left of cur
+			if cur.left == 0 {
+				return t.attach(c, true, t.newNode(x))
 			}
-			cur = cur.left
+			c = cur.left
 
-		case x.Start <= cur.start && cur.end <= x.End: // case D: x covers cur
+		case x.start <= cur.start && cur.end <= x.end: // case D: x covers cur
 			t.emitOverlap(onOverlap, cur.acc, cur.start, cur.end)
-			if leftOf(x.Acc, cur.acc) {
-				cur.acc = x.Acc
+			if leftOf(x.acc, cur.acc) {
+				cur.acc = x.acc
 			}
-			if x.Start < cur.start {
-				t.work = append(t.work, piece{under: cur, start: x.Start, end: cur.start})
+			if x.start < cur.start {
+				t.work = append(t.work, piece{under: c, start: x.start, end: cur.start})
 			}
-			if cur.end >= x.End {
-				return cur
+			if cur.end >= x.end {
+				return c
 			}
-			x.Start = cur.end
-			if cur.right == nil {
-				return t.attach(cur, false, t.newNode(x))
+			x.start = cur.end
+			if cur.right == 0 {
+				return t.attach(c, false, t.newNode(x))
 			}
-			cur = cur.right
+			c = cur.right
 
-		case cur.start <= x.Start && x.End <= cur.end: // case C: cur covers x
-			t.emitOverlap(onOverlap, cur.acc, x.Start, x.End)
-			if !leftOf(x.Acc, cur.acc) {
-				return cur // old reader keeps the whole interval
+		case cur.start <= x.start && x.end <= cur.end: // case C: cur covers x
+			t.emitOverlap(onOverlap, cur.acc, x.start, x.end)
+			if !leftOf(x.acc, cur.acc) {
+				return c // old reader keeps the whole interval
 			}
-			left := Interval{Start: cur.start, End: x.Start, Acc: cur.acc}
-			right := Interval{Start: x.End, End: cur.end, Acc: cur.acc}
-			cur.start, cur.end, cur.acc = x.Start, x.End, x.Acc
-			if left.Start < left.End {
-				t.insertFresh(cur, true, left)
+			left := span{start: cur.start, end: x.start, acc: cur.acc}
+			right := span{start: x.end, end: cur.end, acc: cur.acc}
+			cur.start, cur.end, cur.acc = x.start, x.end, x.acc
+			if left.start < left.end {
+				t.insertFresh(c, true, left)
 			}
-			if right.Start < right.End {
-				t.insertFresh(cur, false, right)
+			if right.start < right.end {
+				t.insertFresh(c, false, right)
 			}
-			return cur
+			return c
 
-		case cur.start < x.Start: // case B: x overlaps cur's right part
-			t.emitOverlap(onOverlap, cur.acc, x.Start, cur.end)
-			if leftOf(x.Acc, cur.acc) {
-				cur.end = x.Start // new reader takes the overlap
+		case cur.start < x.start: // case B: x overlaps cur's right part
+			t.emitOverlap(onOverlap, cur.acc, x.start, cur.end)
+			if leftOf(x.acc, cur.acc) {
+				cur.end = x.start // new reader takes the overlap
 			} else {
-				x.Start = cur.end // old reader keeps it; trim x
+				x.start = cur.end // old reader keeps it; trim x
 			}
-			if cur.right == nil {
-				return t.attach(cur, false, t.newNode(x))
+			if cur.right == 0 {
+				return t.attach(c, false, t.newNode(x))
 			}
-			cur = cur.right
+			c = cur.right
 
 		default: // case B: x overlaps cur's left part
-			t.emitOverlap(onOverlap, cur.acc, cur.start, x.End)
-			if leftOf(x.Acc, cur.acc) {
-				cur.start = x.End
+			t.emitOverlap(onOverlap, cur.acc, cur.start, x.end)
+			if leftOf(x.acc, cur.acc) {
+				cur.start = x.end
 			} else {
-				x.End = cur.start
+				x.end = cur.start
 			}
-			if cur.left == nil {
-				return t.attach(cur, true, t.newNode(x))
+			if cur.left == 0 {
+				return t.attach(c, true, t.newNode(x))
 			}
-			cur = cur.left
+			c = cur.left
 		}
 	}
 }

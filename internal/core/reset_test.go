@@ -9,13 +9,14 @@ import (
 // and topology — as a preorder fingerprint.
 func shapeOf(t *Tree) []uint64 {
 	var out []uint64
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			out = append(out, 0xDEAD) // nil marker keeps topology in the fingerprint
+	var walk func(r ref)
+	walk = func(r ref) {
+		if r == 0 {
+			out = append(out, 1<<40) // nil marker, above every field value, keeps topology in the fingerprint
 			return
 		}
-		out = append(out, n.start, n.end, uint64(n.acc), n.prio)
+		n := at(t.pool.base, r)
+		out = append(out, uint64(n.start), uint64(n.end), uint64(n.acc), uint64(n.prio))
 		walk(n.left)
 		walk(n.right)
 	}
@@ -26,7 +27,7 @@ func shapeOf(t *Tree) []uint64 {
 func buildRandom(t *Tree, seed int64, n int) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		start := uint64(rng.Intn(1 << 17))
+		start := uint64(rng.Intn(1 << 15))
 		iv := Interval{Start: start, End: start + uint64(rng.Intn(32)) + 1, Acc: int32(i)}
 		if rng.Intn(2) == 0 {
 			t.InsertWrite(iv, nil)
@@ -55,7 +56,7 @@ func TestTreeResetRederivesSeed(t *testing.T) {
 	if tr.rng != treapSeed {
 		t.Fatalf("Reset left rng at %#x, want the seed %#x", tr.rng, uint64(treapSeed))
 	}
-	if tr.root != nil || tr.size != 0 {
+	if tr.root != 0 || tr.size != 0 {
 		t.Fatal("Reset left the tree non-empty")
 	}
 	if (tr.Stats() != Stats{}) {
@@ -75,36 +76,35 @@ func TestTreeResetRederivesSeed(t *testing.T) {
 	}
 }
 
-// TestPoolResetRetainsChunks checks the allocate-once side of the
-// contract: a Reset pool re-carves the chunks it already owns — same chunk
-// count after an identical second pass, nodes handed out zeroed.
-func TestPoolResetRetainsChunks(t *testing.T) {
+// TestPoolResetRetainsCapacity checks the allocate-once side of the
+// contract: a Reset pool re-carves the slab it already owns — same capacity
+// after re-carving all of it — and, since Reset clears nothing, get hands
+// every node out zeroed whatever the previous run left in its slot.
+func TestPoolResetRetainsCapacity(t *testing.T) {
 	pool := NewPool()
 	tr := NewTreeIn(pool)
-	buildRandom(tr, 7, 3000) // enough inserts to span several chunks
-	chunks := pool.Stats().Chunks
-	if chunks < 2 {
-		t.Fatalf("want the workload to span chunks, got %d", chunks)
+	buildRandom(tr, 7, 3000) // enough inserts to outgrow the first slab
+	slab := pool.Stats().Cap
+	if slab <= slabMinNodes {
+		t.Fatalf("want the workload to grow the slab, got capacity %d", slab)
 	}
 
 	tr.Reset()
 	pool.Reset()
-	if got := pool.Stats(); got.Chunks != chunks {
-		t.Fatalf("Pool.Reset changed chunk count: %d -> %d", chunks, got.Chunks)
+	if got := pool.Stats(); got != (PoolStats{Cap: slab}) {
+		t.Fatalf("Pool.Reset left %+v, want only capacity %d", got, slab)
 	}
-	if got := pool.Stats(); got.Free != 0 || got.Served != 0 || got.Recycled != 0 {
-		t.Fatalf("Pool.Reset left counters %+v", got)
+	if got := pool.LiveBytes(); got != 0 {
+		t.Fatalf("Pool.Reset left %d live bytes", got)
 	}
 	// Every node handed out after Reset must honor the fresh-node contract.
-	for i := 0; i < chunks*chunkNodes; i++ {
-		n := pool.get()
-		if n.start != 0 || n.end != 0 || n.acc != 0 || n.prio != 0 ||
-			n.left != nil || n.right != nil || n.parent != nil {
-			t.Fatalf("node %d carved dirty after Reset: %+v", i, n)
+	for i := 1; i < slab; i++ {
+		if n := at(pool.base, pool.get()); *n != (node{}) {
+			t.Fatalf("node %d carved dirty after Reset: %+v", i, *n)
 		}
 	}
-	if got := pool.Stats().Chunks; got != chunks {
-		t.Fatalf("re-carving the same volume grew the pool: %d -> %d", chunks, got)
+	if got := pool.Stats().Cap; got != slab {
+		t.Fatalf("re-carving the same volume grew the pool: %d -> %d", slab, got)
 	}
 }
 

@@ -1,18 +1,30 @@
 package core
 
-// node is one stored interval. Nodes are keyed by start; the tree-wide
-// invariant that stored intervals are pairwise disjoint makes the key order
-// identical to the address order of the intervals themselves.
+import (
+	"fmt"
+	"unsafe"
+)
+
+// node is one stored interval: 24 bytes, no pointers. Its bounds are offsets
+// from the owning tree's base, its links refs into the pool's slab, its
+// priority the high half of the tree's 64-bit stream. Nodes are keyed by
+// start; the tree-wide invariant that stored intervals are pairwise disjoint
+// makes the key order the address order of the intervals themselves.
 type node struct {
-	start, end uint64
-	acc        int32
-	prio       uint64
-	left       *node
-	right      *node
-	parent     *node
+	start, end          uint16
+	acc                 int32
+	left, right, parent ref
+	prio                uint32
 }
 
-func (n *node) interval() Interval { return Interval{Start: n.start, End: n.end, Acc: n.acc} }
+// maxSpan is the largest offset from a tree's base a node can store.
+const maxSpan = 1<<16 - 1
+
+// span is an operation's argument in the tree's own coordinates.
+type span struct {
+	start, end uint16
+	acc        int32
+}
 
 // Stats aggregates the per-operation counters reported in Figure 8 of the
 // paper: how many tree nodes an operation visits and how many stored
@@ -27,14 +39,16 @@ type Stats struct {
 // (deterministically seeded) priorities; use SetBalancing to turn
 // priorities off and degrade to a plain BST for the ablation run. Construct
 // trees with NewTree (private node pool) or NewTreeIn (shared pool), or Init
-// a zero Tree that lives inside another struct.
+// a zero Tree that lives inside another struct. A tree takes and reports
+// absolute positions in [base, base+maxSpan]: one shadow page, in the engine.
 type Tree struct {
-	root   *node
-	finger *node // where the previous operation ended; see seek
+	root   ref
+	finger ref // where the previous operation ended; see seek
 	size   int
 	rng    uint64
-	unbal  bool // when true, skip rotations (plain BST ablation)
-	fresh  []*node
+	base   uint64 // absolute position of offset 0; see SetBase
+	unbal  bool   // when true, skip rotations (plain BST ablation)
+	fresh  []ref
 	work   []piece // reusable InsertRead worklist
 	pool   *Pool
 	stats  Stats
@@ -64,15 +78,44 @@ func NewTreeIn(pool *Pool) *Tree {
 // Init makes a zero Tree, in place, what NewTreeIn(pool) returns.
 func (t *Tree) Init(pool *Pool) { t.rng, t.pool = treapSeed, pool }
 
+// SetBase moves the empty tree's span to [base, base+65535].
+func (t *Tree) SetBase(base uint64) {
+	if t.size != 0 {
+		panic("core: SetBase on a non-empty tree")
+	}
+	t.base = base
+}
+
+// local converts x to the tree's coordinates.
+func (t *Tree) local(x Interval) span {
+	lo, hi := x.Start-t.base, x.End-t.base // a start below base wraps to a huge lo
+	if lo|hi > maxSpan {
+		panic(spanError{x, t.base})
+	}
+	return span{start: uint16(lo), end: uint16(hi), acc: x.Acc}
+}
+
+// spanError is what local panics with: an error, so the message is built
+// only if somebody prints it and local stays small enough to inline.
+type spanError struct {
+	x    Interval
+	base uint64
+}
+
+func (e spanError) Error() string {
+	return fmt.Sprintf("core: interval %v outside the tree's span [%#x,%#x]", e.x, e.base, e.base+maxSpan)
+}
+
 // Reset empties the tree and re-arms it for reuse: the root and the finger
 // are dropped (without walking the tree — the caller resets the shared Pool
 // wholesale), the priority stream rewinds to the seed, and the counters
 // zero. A Reset tree is indistinguishable from a fresh NewTreeIn over the
-// same pool; only the retained capacity of its worklists differs. The caller owns the pool
-// lifecycle: Tree.Reset must be paired with a Pool.Reset (or the pool's
-// nodes leak until then), which is why it does not free nodes itself.
+// same pool; only its base and the retained capacity of its worklists
+// differ. The caller owns the pool lifecycle: Tree.Reset must be paired with
+// a Pool.Reset (or the pool's nodes leak until then), which is why it does
+// not free nodes itself.
 func (t *Tree) Reset() {
-	t.root, t.finger = nil, nil
+	t.root, t.finger = 0, 0
 	t.size = 0
 	t.rng = treapSeed
 	t.fresh = t.fresh[:0]
@@ -87,20 +130,21 @@ func (t *Tree) Reset() {
 // out of the same pool. A dropped tree, like a Reset one, is
 // indistinguishable from a fresh NewTreeIn over the same pool.
 func (t *Tree) Drop() {
-	t.putSubtree(t.root)
+	t.putSubtree(t.pool.base, t.root)
 	t.Reset()
 }
 
-// putSubtree returns every node under n (inclusive) to the pool, without
+// putSubtree returns every node under r (inclusive) to the pool, without
 // stats or overlap reporting — this is bulk disposal, not a query.
-func (t *Tree) putSubtree(n *node) {
-	if n == nil {
+func (t *Tree) putSubtree(b unsafe.Pointer, r ref) {
+	if r == 0 {
 		return
 	}
-	l, r := n.left, n.right
-	t.pool.put(n)
-	t.putSubtree(l)
-	t.putSubtree(r)
+	n := at(b, r)
+	left, right := n.left, n.right
+	t.pool.put(r)
+	t.putSubtree(b, left)
+	t.putSubtree(b, right)
 }
 
 // SetBalancing enables (default) or disables treap rotations. Disabling
@@ -117,133 +161,125 @@ func (t *Tree) Stats() Stats { return t.stats }
 // ResetStats zeroes the operation counters.
 func (t *Tree) ResetStats() { t.stats = Stats{} }
 
-// nextPrio draws the next deterministic xorshift64* priority.
-func (t *Tree) nextPrio() uint64 {
+// nextPrio draws the next deterministic xorshift64* priority and keeps its
+// high half. rebalance compares strictly, so equal priorities simply do not
+// rotate: shape stays a pure function of the tree's insertion sequence.
+func (t *Tree) nextPrio() uint32 {
 	x := t.rng
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
 	t.rng = x
-	return x * 0x2545F4914F6CDD1D
+	return uint32((x * 0x2545F4914F6CDD1D) >> 32)
 }
 
-func (t *Tree) visit(*node) { t.stats.NodesVisited++ }
+func (t *Tree) visit() { t.stats.NodesVisited++ }
 
-// newNode draws a node from the slab pool for iv with a fresh priority.
-func (t *Tree) newNode(iv Interval) *node {
-	if iv.Start >= iv.End {
+// newNode draws a node from the pool for x with a fresh priority. It is the
+// one step that can grow the slab: a slab base or *node read before it is
+// stale after it.
+func (t *Tree) newNode(x span) ref {
+	if x.start >= x.end {
 		panic("core: empty interval")
 	}
-	n := t.pool.get()
-	n.start, n.end, n.acc, n.prio = iv.Start, iv.End, iv.Acc, t.nextPrio()
-	return n
+	r := t.pool.get()
+	n := at(t.pool.base, r)
+	n.start, n.end, n.acc, n.prio = x.start, x.end, x.acc, t.nextPrio()
+	return r
 }
 
-// attach links child into the given child slot of parent (parent nil means
+// attach links child into the given child slot of parent (parent 0 means
 // the root slot), registers it for post-operation rebalancing, and adjusts
 // the size. The slot must be empty. It returns child.
-func (t *Tree) attach(parent *node, toLeft bool, child *node) *node {
-	child.parent = parent
-	if parent == nil {
-		if t.root != nil {
-			panic("core: attach to occupied root")
+func (t *Tree) attach(parent ref, toLeft bool, child ref) ref {
+	b := t.pool.base
+	at(b, child).parent = parent
+	slot := &t.root
+	if parent != 0 {
+		if slot = &at(b, parent).right; toLeft {
+			slot = &at(b, parent).left
 		}
-		t.root = child
-	} else if toLeft {
-		if parent.left != nil {
-			panic("core: attach to occupied left slot")
-		}
-		parent.left = child
-	} else {
-		if parent.right != nil {
-			panic("core: attach to occupied right slot")
-		}
-		parent.right = child
 	}
+	if *slot != 0 {
+		panic("core: attach to an occupied slot")
+	}
+	*slot = child
 	t.size++
 	t.fresh = append(t.fresh, child)
 	return child
 }
 
-// replaceChild makes repl occupy the tree position of old (whose parent is
-// known by the caller). repl may be nil.
-func (t *Tree) replaceChild(old, repl *node) {
-	p := old.parent
-	if repl != nil {
-		repl.parent = p
-	}
-	switch {
-	case p == nil:
+// setChild makes repl occupy the slot of parent p (0: the root slot) that
+// old occupies. It does not touch repl's own parent link.
+func (t *Tree) setChild(b unsafe.Pointer, p, old, repl ref) {
+	if p == 0 {
 		t.root = repl
-	case p.left == old:
-		p.left = repl
-	default:
-		p.right = repl
+	} else if pn := at(b, p); pn.left == old {
+		pn.left = repl
+	} else {
+		pn.right = repl
 	}
 }
 
-// dropSubtree removes the whole subtree rooted at n (already detached by the
+// replaceChild makes repl occupy the tree position of old. repl may be 0.
+func (t *Tree) replaceChild(b unsafe.Pointer, old, repl ref) {
+	p := at(b, old).parent
+	if repl != 0 {
+		at(b, repl).parent = p
+	}
+	t.setChild(b, p, old, repl)
+}
+
+// dropSubtree removes the whole subtree rooted at r (already detached by the
 // caller), reporting every stored interval as overlapping x via onOverlap.
 // The paper's REMOVEOVERLAP cases B and C remove entire subtrees this way;
 // walking them is what makes race checks on removed intervals possible.
-func (t *Tree) dropSubtree(n *node, x Interval, onOverlap OverlapFunc) {
-	if n == nil {
+func (t *Tree) dropSubtree(b unsafe.Pointer, r ref, x span, onOverlap OverlapFunc) {
+	if r == 0 {
 		return
 	}
-	t.visit(n)
-	t.stats.Overlaps++
-	if onOverlap != nil {
-		lo, hi := maxU64(n.start, x.Start), minU64(n.end, x.End)
-		if lo >= hi {
-			panic("core: dropped interval does not overlap")
-		}
-		onOverlap(n.acc, lo, hi)
+	n := at(b, r)
+	t.visit()
+	lo, hi := max(n.start, x.start), min(n.end, x.end)
+	if lo >= hi {
+		panic("core: dropped interval does not overlap")
 	}
+	t.emitOverlap(onOverlap, n.acc, lo, hi)
 	t.size--
-	l, r := n.left, n.right
-	t.pool.put(n)
-	t.dropSubtree(l, x, onOverlap)
-	t.dropSubtree(r, x, onOverlap)
+	left, right := n.left, n.right
+	t.pool.put(r)
+	t.dropSubtree(b, left, x, onOverlap)
+	t.dropSubtree(b, right, x, onOverlap)
 }
 
 // rotateLeft rotates the edge between n and its right child, raising the
 // child. rotateRight is the mirror image.
-func (t *Tree) rotateLeft(n *node) {
-	r := n.right
+func (t *Tree) rotateLeft(b unsafe.Pointer, nr ref) {
+	n := at(b, nr)
+	rr := n.right
+	r := at(b, rr)
 	n.right = r.left
-	if r.left != nil {
-		r.left.parent = n
+	if r.left != 0 {
+		at(b, r.left).parent = nr
 	}
 	r.parent = n.parent
-	switch {
-	case n.parent == nil:
-		t.root = r
-	case n.parent.left == n:
-		n.parent.left = r
-	default:
-		n.parent.right = r
-	}
-	r.left = n
-	n.parent = r
+	t.setChild(b, n.parent, nr, rr)
+	r.left = nr
+	n.parent = rr
 }
 
-func (t *Tree) rotateRight(n *node) {
-	l := n.left
+func (t *Tree) rotateRight(b unsafe.Pointer, nr ref) {
+	n := at(b, nr)
+	lr := n.left
+	l := at(b, lr)
 	n.left = l.right
-	if l.right != nil {
-		l.right.parent = n
+	if l.right != 0 {
+		at(b, l.right).parent = nr
 	}
 	l.parent = n.parent
-	switch {
-	case n.parent == nil:
-		t.root = l
-	case n.parent.left == n:
-		n.parent.left = l
-	default:
-		n.parent.right = l
-	}
-	l.right = n
-	n.parent = l
+	t.setChild(b, n.parent, nr, lr)
+	l.right = nr
+	n.parent = lr
 }
 
 // rebalance bubbles every node attached during the current operation up to
@@ -251,16 +287,16 @@ func (t *Tree) rotateRight(n *node) {
 // the standard treap insertion fix-up; doing it after the structural phase
 // keeps the paper's recursive case analysis free of concurrent restructuring.
 func (t *Tree) rebalance() {
-	if t.unbal {
-		t.fresh = t.fresh[:0]
-		return
-	}
-	for _, n := range t.fresh {
-		for n.parent != nil && n.parent.prio < n.prio {
-			if n.parent.left == n {
-				t.rotateRight(n.parent)
-			} else {
-				t.rotateLeft(n.parent)
+	if !t.unbal {
+		b := t.pool.base
+		for _, r := range t.fresh {
+			n := at(b, r)
+			for n.parent != 0 && at(b, n.parent).prio < n.prio {
+				if at(b, n.parent).left == r {
+					t.rotateRight(b, n.parent)
+				} else {
+					t.rotateLeft(b, n.parent)
+				}
 			}
 		}
 	}
@@ -268,64 +304,69 @@ func (t *Tree) rebalance() {
 }
 
 // insertFresh walks from the given child slot of parent down to the
-// correct empty slot for iv — which is guaranteed not to overlap anything in
+// correct empty slot for x — which is guaranteed not to overlap anything in
 // that subtree — and attaches a new node there.
-func (t *Tree) insertFresh(parent *node, toLeft bool, iv Interval) {
-	cur := parent.right
+func (t *Tree) insertFresh(parent ref, toLeft bool, x span) {
+	b := t.pool.base
+	c := at(b, parent).right
 	if toLeft {
-		cur = parent.left
+		c = at(b, parent).left
 	}
-	if cur == nil {
-		t.attach(parent, toLeft, t.newNode(iv))
-		return
-	}
-	for {
-		t.visit(cur)
-		if iv.Start >= cur.end {
-			if cur.right == nil {
-				t.attach(cur, false, t.newNode(iv))
-				return
-			}
-			cur = cur.right
-		} else if iv.End <= cur.start {
-			if cur.left == nil {
-				t.attach(cur, true, t.newNode(iv))
-				return
-			}
-			cur = cur.left
-		} else {
+	for c != 0 {
+		cur := at(b, c)
+		t.visit()
+		switch {
+		case x.start >= cur.end:
+			parent, toLeft, c = c, false, cur.right
+		case x.end <= cur.start:
+			parent, toLeft, c = c, true, cur.left
+		default:
 			panic("core: insertFresh found an overlap")
 		}
 	}
+	t.attach(parent, toLeft, t.newNode(x))
 }
 
 // seek returns the node an operation on x starts its top-down walk at: the
 // root, or — finger search — a node further down that the root walk would
 // reach by side-effect-free case-A steps alone (DESIGN.md §3 has the proof).
 // A strand's intervals arrive address-sorted, so x usually lies just right of
-// where the previous operation ended. Given x.Start >= finger.start, x lies
+// where the previous operation ended. Given x.start >= finger.start, x lies
 // entirely right of every ancestor the finger hangs right of, so seek climbs
-// looking at the ones it hangs left of: one that starts at or after x.End has
-// x entirely to its left and ends the climb; one that starts before x.End may
-// overlap x or hold it in its right subtree, so it becomes the start node and
-// the climb goes on. The climb also ends at the top, or once x ends inside
-// the start node's own interval. Only the nodes visited change (climb steps
-// are charged to NodesVisited; expected O(lg d) for rank distance d from the
-// finger). No finger, or a step to its left, starts at the root.
-func (t *Tree) seek(x Interval) *node {
-	low := t.finger
-	if low == nil || x.Start < low.start {
-		return t.root
+// looking for the ones it hangs left of: one that starts at or after x.end has
+// x entirely to its left and ends the climb (only such an ancestor can: one
+// the finger hangs right of starts before the finger, so before x); one that
+// starts before x.end may overlap x or hold it in its right subtree, so it
+// becomes the start node and the climb goes on. The climb also ends at the
+// top, or once x ends inside the start node's own interval. Only the nodes
+// visited change (climb steps are charged to NodesVisited; expected O(lg d)
+// for rank distance d from the finger). No finger, or a step to its left,
+// starts at the root.
+//
+// It comes in two halves, t.climb(b, t.fingerOrRoot(b, x), x): each fits the
+// compiler's inlining budget, the whole does not, and the call it would cost
+// every operation is ≈ 5 % of a sorted run (BenchmarkTreapSortedRun).
+func (t *Tree) fingerOrRoot(b unsafe.Pointer, x span) ref {
+	if f := t.finger; f != 0 && x.start >= at(b, f).start {
+		return f
 	}
-	for n := low; x.End > low.end && n.parent != nil; n = n.parent {
-		p := n.parent
-		t.visit(p)
-		if p.left == n {
-			if p.start >= x.End {
-				break
-			}
-			low = p
+	return t.root
+}
+
+// climb is seek's second half. From the root, or from 0 in an empty tree —
+// slot 0, the sentinel, has no parent either — it returns low as it is.
+func (t *Tree) climb(b unsafe.Pointer, low ref, x span) ref {
+	n := at(b, low)
+	for end := n.end; x.end > end && n.parent != 0; {
+		p := at(b, n.parent)
+		t.visit()
+		if p.start >= x.end {
+			break
 		}
+		if n.start < p.start { // n hangs left of p
+			low, end = n.parent, p.end
+		}
+		n = p
 	}
 	return low
 }
@@ -337,73 +378,78 @@ func (t *Tree) seek(x Interval) *node {
 // whose end exceeds x.Start and then walks in-order successors while their
 // start precedes x.End — O(h + k) with no augmentation. The finger is left
 // on the rightmost interval found to start before x.End.
-func (t *Tree) Query(x Interval, onOverlap OverlapFunc) {
-	if x.Start >= x.End {
+func (t *Tree) Query(iv Interval, onOverlap OverlapFunc) {
+	if iv.Start >= iv.End {
 		panic("core: empty query interval")
 	}
+	x, b := t.local(iv), t.pool.base
 	t.stats.Ops++
-	// Find the leftmost node with end > x.Start. Disjointness makes "end"
+	// Find the leftmost node with end > x.start. Disjointness makes "end"
 	// monotone in key order, so this is a standard monotone-predicate search;
 	// last is the nearest node it passed that lies entirely left of x.
-	var first, last *node
-	cur := t.seek(x)
-	for cur != nil {
-		t.visit(cur)
-		if cur.end > x.Start {
-			first = cur
-			if cur.start <= x.Start {
-				break // cur holds x.Start: nothing left of it reaches x
+	var first, last ref
+	for c := t.climb(b, t.fingerOrRoot(b, x), x); c != 0; {
+		cur := at(b, c)
+		t.visit()
+		if cur.end > x.start {
+			first = c
+			if cur.start <= x.start {
+				break // cur holds x.start: nothing left of it reaches x
 			}
-			cur = cur.left
+			c = cur.left
 		} else {
-			last = cur
-			cur = cur.right
+			last = c
+			c = cur.right
 		}
 	}
-	for n := first; n != nil && n.start < x.End; n = successor(t, n) {
-		t.stats.Overlaps++
-		if onOverlap != nil {
-			onOverlap(n.acc, maxU64(n.start, x.Start), minU64(n.end, x.End))
+	for r := first; r != 0; r = t.successor(b, r) {
+		n := at(b, r)
+		if n.start >= x.end {
+			break
 		}
-		last = n
-		if n.end >= x.End {
-			break // disjointness: the next interval starts at or after x.End
+		t.emitOverlap(onOverlap, n.acc, max(n.start, x.start), min(n.end, x.end))
+		last = r
+		if n.end >= x.end {
+			break // disjointness: the next interval starts at or after x.end
 		}
 	}
-	if last != nil {
+	if last != 0 {
 		t.finger = last
 	}
 }
 
-// successor returns the in-order successor of n, charging visited nodes to
+// successor returns the in-order successor of r, charging visited nodes to
 // the tree's stats.
-func successor(t *Tree, n *node) *node {
-	if n.right != nil {
-		n = n.right
-		t.visit(n)
-		for n.left != nil {
-			n = n.left
-			t.visit(n)
+func (t *Tree) successor(b unsafe.Pointer, r ref) ref {
+	if c := at(b, r).right; c != 0 {
+		for ; c != 0; c = at(b, c).left { // leftmost of the right subtree
+			r = c
+			t.visit()
 		}
-		return n
+		return r
 	}
-	for n.parent != nil && n.parent.right == n {
-		n = n.parent
-		t.visit(n)
+	for {
+		p := at(b, r).parent
+		if p == 0 || at(b, p).right != r {
+			return p
+		}
+		r = p
+		t.visit()
 	}
-	return n.parent
 }
 
 // Walk calls fn on every stored interval in address order. It is used by
 // tests and by tools that dump the access history.
 func (t *Tree) Walk(fn func(Interval)) {
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
+	b := t.pool.base
+	var rec func(r ref)
+	rec = func(r ref) {
+		if r == 0 {
 			return
 		}
+		n := at(b, r)
 		rec(n.left)
-		fn(n.interval())
+		fn(Interval{Start: t.base + uint64(n.start), End: t.base + uint64(n.end), Acc: n.acc})
 		rec(n.right)
 	}
 	rec(t.root)
@@ -412,86 +458,66 @@ func (t *Tree) Walk(fn func(Interval)) {
 // Height returns the height of the tree (0 for an empty tree), used by
 // balance diagnostics and the plain-BST ablation.
 func (t *Tree) Height() int {
-	var rec func(n *node) int
-	rec = func(n *node) int {
-		if n == nil {
+	b := t.pool.base
+	var rec func(r ref) int
+	rec = func(r ref) int {
+		if r == 0 {
 			return 0
 		}
-		l, r := rec(n.left), rec(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
+		return 1 + max(rec(at(b, r).left), rec(at(b, r).right))
 	}
 	return rec(t.root)
 }
 
 // checkInvariants panics if the BST order, the parent links, the heap
 // property (when balancing is on), the disjointness invariant or the
-// finger's liveness (nil, or a node of this tree) is violated. Tests call
+// finger's liveness (0, or a node of this tree) is violated. Tests call
 // this after every operation.
 func (t *Tree) checkInvariants() {
-	var prevEnd uint64
+	b := t.pool.base
+	var prevEnd uint16
 	var count int
-	first := true
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
+	var rec func(r ref)
+	rec = func(r ref) {
+		if r == 0 {
 			return
 		}
-		if n.left != nil && n.left.parent != n {
-			panic("core: bad left parent link")
-		}
-		if n.right != nil && n.right.parent != n {
-			panic("core: bad right parent link")
-		}
-		if !t.unbal {
-			if n.left != nil && n.left.prio > n.prio {
-				panic("core: heap violation (left)")
+		n := at(b, r)
+		for _, c := range []ref{n.left, n.right} {
+			if c == 0 {
+				continue
 			}
-			if n.right != nil && n.right.prio > n.prio {
-				panic("core: heap violation (right)")
+			if at(b, c).parent != r {
+				panic("core: bad parent link")
+			}
+			if !t.unbal && at(b, c).prio > n.prio {
+				panic("core: heap violation")
 			}
 		}
 		rec(n.left)
 		if n.start >= n.end {
 			panic("core: empty stored interval")
 		}
-		if !first && n.start < prevEnd {
+		if n.start < prevEnd {
 			panic("core: overlapping stored intervals")
 		}
-		first = false
 		prevEnd = n.end
 		count++
 		rec(n.right)
 	}
-	if t.root != nil && t.root.parent != nil {
+	if t.root != 0 && at(b, t.root).parent != 0 {
 		panic("core: root has a parent")
 	}
 	rec(t.root)
 	if count != t.size {
 		panic("core: size mismatch")
 	}
-	if f := t.finger; f != nil {
-		for f.parent != nil {
-			f = f.parent
+	if f := t.finger; f != 0 {
+		for at(b, f).parent != 0 {
+			f = at(b, f).parent
 		}
 		if f != t.root {
 			panic("core: finger not reachable from the root")
 		}
 	}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

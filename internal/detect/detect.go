@@ -422,7 +422,7 @@ func (e *inline) Footprint() Footprint {
 // suite asserts every field stops growing once a reused engine has seen
 // its peak workload (the zero-steady-state-heap-growth contract).
 type Footprint struct {
-	PoolChunks int // treap node-slab chunks (live + free)
+	PoolNodes  int // treap node-slab capacity, in nodes (live + free + uncarved)
 	PageDirCap int // page-directory backing capacity
 	HistPages  int // history pages ever allocated (live + parked)
 	BitPages   int // coalescing bit-hashmap pages ever allocated
@@ -430,7 +430,7 @@ type Footprint struct {
 
 // Add accumulates o into f (summing across shard workers).
 func (f *Footprint) Add(o Footprint) {
-	f.PoolChunks += o.PoolChunks
+	f.PoolNodes += o.PoolNodes
 	f.PageDirCap += o.PageDirCap
 	f.HistPages += o.HistPages
 	f.BitPages += o.BitPages

@@ -295,3 +295,60 @@ func TestLeftmostReaderSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestParkedPageReportsItsNewPage: a history page parked by Reset or by
+// quiescing keeps no trace of the page index it served — taken back for a
+// different index, its trees are re-based, so the races it reports carry the
+// new page's absolute addresses (and all three kinds of overlap callback
+// shift word positions back to bytes).
+func TestParkedPageReportsItsNewPage(t *testing.T) {
+	const pageBytes = 1 << 16
+	for _, park := range []string{"reset", "quiesce"} {
+		sp := spord.New()
+		var races []Race
+		cfg := Config{Mode: STINT, OnRace: func(r Race) { races = append(races, r) }}
+		if park == "quiesce" {
+			cfg.QuiesceThreshold = 1
+		}
+		e := New(cfg, sp)
+		hist := e.(*inline).hist.(*treeEngine)
+		// The child writes [addr, addr+16) and reads the 8 bytes after; the
+		// continuation reads across both and writes the child's last word.
+		racyPair := func(addr uint64) {
+			f := &spord.Frame{}
+			_, cont := sp.Spawn(f)
+			e.WriteHook(addr, 16)
+			e.ReadHook(addr+16, 8)
+			e.StrandEnd()
+			sp.Restore(cont)
+			e.ReadHook(addr+8, 16)
+			e.WriteHook(addr+12, 8)
+			e.StrandEnd()
+			sp.Sync(f)
+		}
+		racyPair(3*pageBytes + 64)
+		if park == "reset" {
+			e.Reset()
+			sp.Reset()
+		} else if hist.stats.PagesQuiesced != 1 {
+			t.Fatalf("%s: page 3 did not quiesce", park)
+		}
+		if len(hist.freePages) != 1 {
+			t.Fatalf("%s: %d pages parked, want 1", park, len(hist.freePages))
+		}
+		races = races[:0]
+		const at = 9*pageBytes + pageBytes - 32 // up against the far end of page 9
+		racyPair(at)
+		if hist.nPages != 1 {
+			t.Fatalf("%s: %d page shells allocated, want the parked one taken back", park, hist.nPages)
+		}
+		if len(races) == 0 {
+			t.Fatalf("%s: no race on the re-bound page", park)
+		}
+		for _, r := range races {
+			if r.Addr < at || r.Addr+r.Size > at+24 || r.Size == 0 || r.Addr%4 != 0 {
+				t.Errorf("%s: race %+v lies outside [%#x, %#x), the bytes the pair touched on page 9", park, r, at, at+24)
+			}
+		}
+	}
+}

@@ -13,14 +13,16 @@ var ErrHistoryCap = errors.New("detect: access history exceeded MaxHistoryBytes"
 
 // HistoryCapError reports that an engine's retained access history crossed
 // the configured cap. It wraps ErrHistoryCap. The overshoot is bounded by
-// one strand's worth of history: the check runs at strand boundaries.
+// one strand's worth of history: the check runs at strand boundaries. An
+// engine whose node pool might run out of 32-bit refs (4 GiB of nodes)
+// reports it too, before the interval, with that space as Limit.
 type HistoryCapError struct {
-	Limit uint64 // the configured per-engine budget
+	Limit uint64 // the per-engine budget: Config.MaxHistoryBytes, or the pool's ref space
 	Bytes uint64 // the footprint estimate that tripped it
 }
 
 func (e *HistoryCapError) Error() string {
-	return fmt.Sprintf("detect: access history %d bytes exceeds MaxHistoryBytes budget %d", e.Bytes, e.Limit)
+	return fmt.Sprintf("detect: access history %d bytes exceeds its %d-byte budget (MaxHistoryBytes, or the node pool's ref space)", e.Bytes, e.Limit)
 }
 
 func (e *HistoryCapError) Unwrap() error { return ErrHistoryCap }

@@ -20,6 +20,13 @@ type histPage struct {
 	races       int32     // races this page has produced (quiesce accounting)
 }
 
+// The trees store word positions: a page is 1<<pageWordBits of them, well
+// inside a core.Tree's span, and one operation creates at most maxOpNodes.
+const (
+	pageWordBits = coalesce.PageBytesBits - mem.WordShift
+	maxOpNodes   = 1<<pageWordBits + 2
+)
+
 // treeEngine is STINT's interval-granularity access history (§4). A
 // strand's coalesced intervals arrive one at a time, each contained in one
 // page (coalesce splits at page boundaries), so it touches exactly one
@@ -107,26 +114,23 @@ func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
 	parallel := reach.Parallel
 	storedLeftOf := func(stored, cur int32) bool { return reach.LeftOf(cur, stored) }
 	e.leftOf = func(cur, stored int32) bool { return e.left.ask(stored, cur, storedLeftOf) }
-	e.readQueryCB = func(acc int32, lo, hi uint64) {
-		if e.par.ask(acc, e.curID, parallel) {
-			e.race(Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: e.curID, PrevWrite: true, CurWrite: false})
+	overlapCB := func(prevWrite, curWrite bool) core.OverlapFunc {
+		return func(acc int32, lo, hi uint64) { // word positions
+			if e.par.ask(acc, e.curID, parallel) {
+				e.race(Race{Addr: lo << mem.WordShift, Size: (hi - lo) << mem.WordShift,
+					Prev: acc, Cur: e.curID, PrevWrite: prevWrite, CurWrite: curWrite})
+			}
 		}
 	}
-	e.writeQueryCB = func(acc int32, lo, hi uint64) {
-		if e.par.ask(acc, e.curID, parallel) {
-			e.race(Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: e.curID, PrevWrite: false, CurWrite: true})
-		}
-	}
-	e.writeInsertCB = func(acc int32, lo, hi uint64) {
-		if e.par.ask(acc, e.curID, parallel) {
-			e.race(Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: e.curID, PrevWrite: true, CurWrite: true})
-		}
-	}
+	e.readQueryCB = overlapCB(true, false)
+	e.writeQueryCB = overlapCB(false, true)
+	e.writeInsertCB = overlapCB(true, true)
 	return e
 }
 
 // pageFor returns the history for the page containing byte index idx<<16,
-// creating its trees on first touch.
+// creating its trees on first touch. A page bound to idx — new or parked —
+// gets its trees based at the page's first word.
 func (e *treeEngine) pageFor(idx uint64) *histPage {
 	if e.lastPage != nil && idx == e.lastIdx {
 		return e.lastPage
@@ -134,8 +138,8 @@ func (e *treeEngine) pageFor(idx uint64) *histPage {
 	p := e.pages.Get(idx)
 	if p == nil {
 		if n := len(e.freePages); n > 0 {
-			// A parked page's trees were Reset when it was retired, so it is
-			// indistinguishable from a fresh page: same seeds, empty trees.
+			// A parked page's trees were Reset when it was retired, so but for
+			// their base it is a fresh page: same seeds, empty trees.
 			p = e.freePages[n-1]
 			e.freePages[n-1] = nil
 			e.freePages = e.freePages[:n-1]
@@ -149,6 +153,8 @@ func (e *treeEngine) pageFor(idx uint64) *histPage {
 				p.write.SetBalancing(false)
 			}
 		}
+		p.read.SetBase(idx << pageWordBits)
+		p.write.SetBase(idx << pageWordBits)
 		e.pages.Put(idx, p)
 	}
 	e.lastIdx, e.lastPage = idx, p
@@ -194,15 +200,20 @@ func (e *treeEngine) StrandEnd() {
 
 // apply runs one page-contained interval of strand curID through its page's
 // trees: the race check against the opposite history, then the insert. An
-// interval whose page has quiesced drops before it is counted.
+// interval whose page has quiesced drops before it is counted; one the
+// pool's 32-bit refs might not have room for trips the history cap.
 func (e *treeEngine) apply(addr mem.Addr, size uint64, write bool) {
 	idx := addr >> coalesce.PageBytesBits
 	if e.nQuiesced > 0 && e.quiescedIdx(idx) {
 		return
 	}
+	if !e.pool.HasRoom(maxOpNodes) {
+		e.capErr = &HistoryCapError{Limit: e.pool.MaxBytes(), Bytes: e.histBytes() + maxOpNodes*core.NodeBytes}
+		return
+	}
 	pg := e.pageFor(idx)
 	e.curPage = pg
-	iv := core.Interval{Start: addr, End: addr + size, Acc: e.curID}
+	iv := core.Interval{Start: addr >> mem.WordShift, End: (addr + size) >> mem.WordShift, Acc: e.curID}
 	if write {
 		e.stats.WriteIntervals++
 		e.stats.WriteIntervalBytes += size
@@ -274,7 +285,7 @@ const histPageShellBytes = 256
 
 // histBytes estimates the engine's live access-history footprint for this
 // run: interval nodes currently linked into page trees and live page
-// shells. Warm capacity retained across Reset (slab chunks, parked shells)
+// shells. Warm capacity retained across Reset (the node slab, parked shells)
 // is deliberately excluded — the
 // MaxHistoryBytes cap bounds what the current run accumulates, and a Runner
 // that auto-resets after tripping the cap must start the next run back at
@@ -314,7 +325,7 @@ func (e *treeEngine) Stats() *Stats { return &e.stats }
 // re-derived, contents dropped) and is parked on the page freelist, the
 // shared node pool rewinds wholesale, the directory keeps its backing
 // array. In steady state Reset allocates
-// nothing and the retained footprint (pool chunks, directory capacity,
+// nothing and the retained footprint (node slab, directory capacity,
 // page count) stops growing once the engine has seen its peak run.
 func (e *treeEngine) Reset() {
 	e.pages.Reset(func(p *histPage) {
@@ -339,7 +350,7 @@ func (e *treeEngine) Reset() {
 // test asserts it stops growing after warm-up.
 func (e *treeEngine) Footprint() Footprint {
 	return Footprint{
-		PoolChunks: e.pool.Stats().Chunks,
+		PoolNodes:  e.pool.Stats().Cap,
 		PageDirCap: e.pages.Cap(),
 		HistPages:  e.nPages,
 	}

@@ -15,6 +15,9 @@ import "fmt"
 // word-aligned and every size is a whole number of words.
 const WordSize = 4
 
+// WordShift is log2(WordSize): addr >> WordShift is a word position.
+const WordShift = 2
+
 // Addr is a virtual byte address in an Arena.
 type Addr = uint64
 

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"stint/internal/core"
 )
 
 // The quiesce suite pins the per-page quiescing contract: quiesce decisions
@@ -314,6 +317,84 @@ func TestHistoryCapStructuredError(t *testing.T) {
 		if _, err := r.Run(func(task *Task) { runActs(task, []*Buffer{buf}, acts) }); !errors.Is(err, ErrHistoryCap) {
 			t.Fatalf("%s: second over-cap run: %v", name, err)
 		}
+	}
+}
+
+// setPoolLimit sets the ref space, in nodes, of the node pool of every warm
+// engine r holds. Exhausting the real one takes 4 GiB of history, so the
+// test reaches the unexported core.Pool.limit by reflection: the inline
+// engine wraps its history, a pipeline worker holds one directly.
+func setPoolLimit(r *Runner, nodes int) {
+	var engines []any
+	if e := r.warm.engine; e != nil {
+		engines = append(engines, e)
+	}
+	if as := r.warm.as; as != nil {
+		for _, w := range as.workers {
+			engines = append(engines, w.engine)
+		}
+	}
+	for _, e := range engines {
+		v := reflect.ValueOf(e).Elem()
+		if h := v.FieldByName("hist"); h.IsValid() {
+			v = h.Elem().Elem()
+		}
+		limit := v.FieldByName("pool").Elem().FieldByName("limit")
+		reflect.NewAt(limit.Type(), unsafe.Pointer(limit.UnsafeAddr())).Elem().SetInt(int64(nodes))
+	}
+}
+
+// TestRefSpaceExhaustionIsAHistoryCap: an engine whose node pool is about to
+// run out of 32-bit refs stops with the MaxHistoryBytes error — before the
+// interval that might not fit, no wrapped ref, no panic — and the same
+// Runner, auto-reset, then reports an in-budget program exactly as a fresh
+// one does.
+func TestRefSpaceExhaustionIsAHistoryCap(t *testing.T) {
+	const (
+		pages    = 2
+		headroom = 1<<14 + 2 // nodes the engine wants free before any interval
+		limit    = 1 + headroom + 50
+	)
+	small := quiesceRacyActs(pages)
+	var big []act // alternating words never coalesce: one node per store
+	for i := 0; i < 400; i += 2 {
+		big = append(big, act{kind: 's', idx: i})
+	}
+	for _, opts := range []Options{{}, modeNamed("shards=2").Opts} {
+		opts.Detector, opts.MaxRacesRecorded = DetectorSTINT, 1<<20
+		name := fmt.Sprintf("async=%v-shards=%d", opts.Async, opts.DetectShards)
+		want := quiesceRun(t, opts, pages*qPageWords, small)
+		if want.RaceCount == 0 {
+			t.Fatalf("%s: the in-budget program should race", name)
+		}
+		r, err := NewRunner(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Async {
+			r.asyncBatchEvents, r.asyncRingDepth = 8, 2
+		}
+		buf := r.Arena().AllocWords("q", pages*qPageWords)
+		run := func(acts []act) (*Report, error) {
+			return r.Run(func(task *Task) { runActs(task, []*Buffer{buf}, acts) })
+		}
+		if _, err := run(small); err != nil { // builds the warm engines
+			t.Fatal(err)
+		}
+		setPoolLimit(r, limit)
+		rep, err := run(big)
+		var capErr *HistoryCapError
+		if rep != nil || !errors.Is(err, ErrHistoryCap) || !errors.As(err, &capErr) {
+			t.Fatalf("%s: over the ref space: report %v, error %v; want a HistoryCapError", name, rep, err)
+		}
+		if capErr.Limit != limit*core.NodeBytes || capErr.Bytes <= capErr.Limit {
+			t.Fatalf("%s: cap error %+v, want the %d-node ref space as its limit", name, capErr, limit)
+		}
+		got, err := run(small)
+		if err != nil {
+			t.Fatalf("%s: Runner did not recover after the ref-space error: %v", name, err)
+		}
+		assertSameReport(t, name+"/after ref-space error", got, want)
 	}
 }
 

@@ -200,7 +200,10 @@ type Options struct {
 	// structured error, not a panic — and the Runner stays valid: its next
 	// Run auto-resets, exactly like the ErrTooManyEvents recovery in
 	// stint/trace. Combine with PageQuiesceThreshold to shed racy pages
-	// before they eat the budget. Zero (the default) means unlimited.
+	// before they eat the budget. Zero (the default) means unlimited, up to
+	// the 4 GiB of nodes an engine's 32-bit refs address (the same error).
+	// A stored interval is 24 bytes (it was 56: a budget tuned to that now
+	// admits 56/24 as many intervals).
 	MaxHistoryBytes int64
 	// Tracer, if set, receives every execution event (see Tracer); use
 	// stint/trace to record replayable traces. Incompatible with

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"stint"
+	"stint/internal/core"
 )
 
 // program is a replayable random fork-join program (same scheme as the
@@ -558,7 +559,9 @@ func TestReplayHistoryCap(t *testing.T) {
 		return acts
 	}())
 	tiny := record(t, []action{{kind: 's', idx: 0}})
-	const cap = 1 << 10
+	// The one page's shell (256 bytes in the engine's estimate) plus half the
+	// nodes big retains, whatever a node weighs: big is over, tiny under.
+	const cap = int64(256 + bufWords/4*core.NodeBytes)
 	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, MaxHistoryBytes: cap})
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +571,7 @@ func TestReplayHistoryCap(t *testing.T) {
 		t.Fatalf("capped replay: got %v, want stint.ErrHistoryCap", err)
 	}
 	var capErr *stint.HistoryCapError
-	if !errors.As(err, &capErr) || capErr.Limit != cap || capErr.Bytes <= capErr.Limit {
+	if !errors.As(err, &capErr) || capErr.Limit != uint64(cap) || capErr.Bytes <= capErr.Limit {
 		t.Fatalf("capped replay: want *stint.HistoryCapError with Bytes > Limit %d, got %#v", cap, err)
 	}
 	// The Runner recovers: an in-budget trace replays byte-identically to a
