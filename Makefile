@@ -30,9 +30,8 @@ bench:
 # reports nodes/op), the broadcast ring the pipelines publish on and the reference SPSC
 # ring, the event codec against its fixed-form reference (encode on the
 # representative mix; decode on that, on a sequential stream and on wild
-# jumps), the workers' page-filter scan, the producer-side summary stamp and
-# the worker skip-scan it buys, the per-access hook cost inline and under
-# Async side by side
+# jumps), the workers' page-filter scan, the per-access hook cost inline and
+# under Async side by side
 # (BenchmarkHookOverhead matches both; the two hooks are the same code,
 # detect.Coalescer's, reached through different dispatch arms, so they should
 # be within a few ns of each other), the sharded and
@@ -41,7 +40,7 @@ bench:
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkTreapSortedRun|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
-	$(GO) test -run '^$$' -bench '^Benchmark(Ring|BcastRing|Event(Encode|Decode)|WorkerScan|SummaryStamp|WorkerSkipScan)' -benchmem ./internal/evstream
+	$(GO) test -run '^$$' -bench '^Benchmark(Ring|BcastRing|Event(Encode|Decode)|WorkerScan)' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
 

@@ -23,12 +23,6 @@
 // structure. The only concurrency is the ring handoff; every stage remains
 // a sequential algorithm.
 //
-// The producer stamps each batch's Summary as it appends — the
-// structure-event offsets and the shard bit of every interval's page (one
-// OR per interval), exactly as ParallelDetect's executors do (parallel.go)
-// — so a worker that owns no page of a batch replays only its structure
-// events (shards.go).
-//
 // All detector-side goroutines hang off one stage.Graph: launch wires the
 // stages, drain closes the stream and waits for the graph's merge, and the
 // results fields below are written before the graph reports done. A failure
@@ -45,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"stint/internal/coalesce"
 	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/stage"
@@ -166,15 +159,13 @@ func (as *asyncState) reset() {
 }
 
 // emitCtl ends the current strand: its intervals go into the stream, then
-// the structure event that ended it, recorded in the batch summary so a
-// skip-scanning worker can replay the structure stream without touching
-// the intervals.
+// the structure event that ended it.
 func (as *asyncState) emitCtl(op evstream.Op) {
 	as.endStrand()
 	if as.batch.Full() {
 		as.publish()
 	}
-	as.batch.Sum.AddCtl(as.batch.AppendCtl(op))
+	as.batch.AppendCtl(op)
 }
 
 // endStrand flushes the finishing strand's intervals into the stream.
@@ -185,13 +176,11 @@ func (as *asyncState) endStrand() {
 }
 
 // emitInterval appends one flushed interval, publishing the batch first
-// when it is full, and ORs the shard bit of the interval's page into the
-// batch summary.
+// when it is full.
 func (as *asyncState) emitInterval(op evstream.Op, addr, size uint64) {
 	if as.batch.Full() {
 		as.publish()
 	}
-	as.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, len(as.workers))
 	as.batch.AppendAccess(op, addr, size)
 }
 

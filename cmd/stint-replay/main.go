@@ -69,30 +69,8 @@ func run(path string, opts stint.Options) error {
 		}
 	}
 	fmt.Printf("replayed %s under %v%s in %v\n", path, opts.Detector, pipe, time.Since(start).Round(time.Microsecond))
-	fmt.Printf("strands    %d\n", rep.Strands)
-	fmt.Printf("accesses   read %d  write %d\n", rep.Stats.ReadAccesses, rep.Stats.WriteAccesses)
-	if rep.Stats.ReadIntervals+rep.Stats.WriteIntervals > 0 {
-		fmt.Printf("intervals  read %d  write %d\n", rep.Stats.ReadIntervals, rep.Stats.WriteIntervals)
-	}
-	if opts.TimeAccessHistory {
-		fmt.Printf("access-history time %v\n", rep.Stats.AccessHistoryTime.Round(time.Microsecond))
-	}
-	for _, line := range cliutil.PipelineReport(rep) {
-		fmt.Println(line)
-	}
-	if rep.Stats.HistoryBytesPeak > 0 {
-		fmt.Printf("history    %.1f KiB peak retained\n", float64(rep.Stats.HistoryBytesPeak)/1024)
-	}
-	if q := opts.PageQuiesceThreshold; q > 0 {
-		fmt.Printf("quiesced   %d pages (threshold %d races/page)\n", rep.Stats.PagesQuiesced, q)
-	}
-	if rep.Racy() {
-		fmt.Printf("RACES: %d found\n", rep.RaceCount)
-		for _, rc := range rep.Races {
-			fmt.Printf("  %v\n", rc)
-		}
-	} else {
-		fmt.Println("no races found")
-	}
+	// A trace's addresses belong to the recording process, so there is no
+	// arena to name them against: races print in their canonical form.
+	cliutil.PrintReport(os.Stdout, rep, opts, false, stint.Race.String)
 	return nil
 }

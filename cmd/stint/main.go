@@ -136,52 +136,8 @@ func run(w workloads.Workload, opts stint.Options, traceOut string) error {
 	if mode == stint.DetectorOff {
 		return nil
 	}
-	st := rep.Stats
-	fmt.Printf("strands    %d\n", rep.Strands)
-	fmt.Printf("accesses   read %d  write %d (4-byte words)\n", st.ReadAccesses, st.WriteAccesses)
-	fmt.Printf("hook calls read %d  write %d\n", st.ReadHookCalls, st.WriteHookCalls)
-	if st.ReadIntervals+st.WriteIntervals > 0 {
-		fmt.Printf("intervals  read %d (%.1f B avg)  write %d (%.1f B avg)\n",
-			st.ReadIntervals, avg(st.ReadIntervalBytes, st.ReadIntervals),
-			st.WriteIntervals, avg(st.WriteIntervalBytes, st.WriteIntervals))
-	}
-	if st.HashOps > 0 {
-		fmt.Printf("hash ops   %d\n", st.HashOps)
-	}
-	if st.TreapOps > 0 {
-		fmt.Printf("treap ops  %d  (%.2f nodes, %.2f overlaps per op)\n", st.TreapOps,
-			avg(st.TreapNodesVisited, st.TreapOps), avg(st.TreapOverlaps, st.TreapOps))
-	}
-	if opts.TimeAccessHistory {
-		fmt.Printf("access-history time %v\n", st.AccessHistoryTime.Round(time.Microsecond))
-	}
-	for _, line := range cliutil.PipelineReport(rep) {
-		fmt.Println(line)
-	}
-	if st.HistoryBytesPeak > 0 {
-		fmt.Printf("history    %.1f KiB peak retained\n", float64(st.HistoryBytesPeak)/1024)
-	}
-	if q := opts.PageQuiesceThreshold; q > 0 {
-		fmt.Printf("quiesced   %d pages (threshold %d races/page)\n", st.PagesQuiesced, q)
-	}
-	fmt.Printf("heap allocs %d objects, %.1f KiB during the run\n",
-		st.AllocObjects, float64(st.AllocBytes)/1024)
-	if rep.Racy() {
-		fmt.Printf("RACES: %d found\n", rep.RaceCount)
-		for _, rc := range rep.Races {
-			fmt.Printf("  %s\n", r.DescribeRace(rc))
-		}
-	} else {
-		fmt.Println("no races found")
-	}
+	cliutil.PrintReport(os.Stdout, rep, opts, true, r.DescribeRace)
 	return nil
-}
-
-func avg(total, n uint64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
 }
 
 // runAll compares every detector configuration on one workload.

@@ -7,6 +7,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"io"
 	"time"
 
 	"stint"
@@ -99,11 +100,9 @@ func PipelineReport(rep *stint.Report) []string {
 		pct(workers, rep.WallTime)))
 	minW, maxW := rep.ShardLoad[0].RingWaits, rep.ShardLoad[0].RingWaits
 	for i, l := range rep.ShardLoad {
-		line := fmt.Sprintf("  shard %d busy %v (%s of detect work), scanned %d/%d batches (skipped %s), %d ring waits",
+		line := fmt.Sprintf("  shard %d busy %v (%s of detect work), scanned %d batches, %d ring waits",
 			i, l.Busy.Round(time.Microsecond), pct(l.Busy, workers),
-			l.BatchesScanned, l.BatchesScanned+l.BatchesSkipped,
-			pctCount(l.BatchesSkipped, l.BatchesScanned+l.BatchesSkipped),
-			l.RingWaits)
+			l.BatchesScanned, l.RingWaits)
 		if l.BlocksDecoded > 0 {
 			// Events per DecodeBlock call (at most 64; a call never
 			// crosses a batch, so a low figure means short batches), and
@@ -125,10 +124,66 @@ func PipelineReport(rep *stint.Report) []string {
 		maxW, minW))
 }
 
-// pctCount formats part as a percentage of whole for plain counters.
-func pctCount(part, whole uint64) string {
-	if whole == 0 {
-		return "-"
+// PrintReport writes the readout cmd/stint and cmd/stint-replay share for
+// one detection run: counters, the pipeline's utilization, retained history
+// and the recorded races, each through race. detail adds the engine-study
+// lines cmd/stint prints (hook calls, interval sizes, hash and treap ops,
+// heap allocations); stint-replay keeps the short form, whose race lines
+// scripts/serve_smoke.sh diffs against the service.
+func PrintReport(w io.Writer, rep *stint.Report, opts stint.Options, detail bool, race func(stint.Race) string) {
+	st := &rep.Stats
+	fmt.Fprintf(w, "strands    %d\n", rep.Strands)
+	if detail {
+		fmt.Fprintf(w, "accesses   read %d  write %d (4-byte words)\n", st.ReadAccesses, st.WriteAccesses)
+		fmt.Fprintf(w, "hook calls read %d  write %d\n", st.ReadHookCalls, st.WriteHookCalls)
+	} else {
+		fmt.Fprintf(w, "accesses   read %d  write %d\n", st.ReadAccesses, st.WriteAccesses)
 	}
-	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
+	if st.ReadIntervals+st.WriteIntervals > 0 {
+		if detail {
+			fmt.Fprintf(w, "intervals  read %d (%.1f B avg)  write %d (%.1f B avg)\n",
+				st.ReadIntervals, avg(st.ReadIntervalBytes, st.ReadIntervals),
+				st.WriteIntervals, avg(st.WriteIntervalBytes, st.WriteIntervals))
+		} else {
+			fmt.Fprintf(w, "intervals  read %d  write %d\n", st.ReadIntervals, st.WriteIntervals)
+		}
+	}
+	if detail && st.HashOps > 0 {
+		fmt.Fprintf(w, "hash ops   %d\n", st.HashOps)
+	}
+	if detail && st.TreapOps > 0 {
+		fmt.Fprintf(w, "treap ops  %d  (%.2f nodes, %.2f overlaps per op)\n", st.TreapOps,
+			avg(st.TreapNodesVisited, st.TreapOps), avg(st.TreapOverlaps, st.TreapOps))
+	}
+	if opts.TimeAccessHistory {
+		fmt.Fprintf(w, "access-history time %v\n", st.AccessHistoryTime.Round(time.Microsecond))
+	}
+	for _, line := range PipelineReport(rep) {
+		fmt.Fprintln(w, line)
+	}
+	if st.HistoryBytesPeak > 0 {
+		fmt.Fprintf(w, "history    %.1f KiB peak retained\n", float64(st.HistoryBytesPeak)/1024)
+	}
+	if q := opts.PageQuiesceThreshold; q > 0 {
+		fmt.Fprintf(w, "quiesced   %d pages (threshold %d races/page)\n", st.PagesQuiesced, q)
+	}
+	if detail {
+		fmt.Fprintf(w, "heap allocs %d objects, %.1f KiB during the run\n",
+			st.AllocObjects, float64(st.AllocBytes)/1024)
+	}
+	if !rep.Racy() {
+		fmt.Fprintln(w, "no races found")
+		return
+	}
+	fmt.Fprintf(w, "RACES: %d found\n", rep.RaceCount)
+	for _, rc := range rep.Races {
+		fmt.Fprintf(w, "  %s\n", race(rc))
+	}
+}
+
+func avg(total, n uint64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(total) / float64(n)
 }

@@ -111,13 +111,13 @@ func TestPipelineReportFromRealParallelDetectRun(t *testing.T) {
 }
 
 // TestPipelineReportShardLoad pins the sharded readout — the header, each
-// worker's share of the detect work, and the scan-vs-skip split — from a
+// worker's share of the detect work, and its batch count — from a
 // hand-built report.
 func TestPipelineReportShardLoad(t *testing.T) {
 	rep := &stint.Report{WallTime: 10 * time.Millisecond}
 	rep.ShardLoad = []stint.ShardLoad{
-		{Busy: 3 * time.Millisecond, BatchesScanned: 10, BatchesSkipped: 0, RingWaits: 1},
-		{Busy: time.Millisecond, BatchesScanned: 2, BatchesSkipped: 8, RingWaits: 7},
+		{Busy: 3 * time.Millisecond, BatchesScanned: 10, RingWaits: 1},
+		{Busy: time.Millisecond, BatchesScanned: 10, RingWaits: 7},
 	}
 	lines := PipelineReport(rep)
 	if len(lines) != 4 {
@@ -127,15 +127,60 @@ func TestPipelineReportShardLoad(t *testing.T) {
 		t.Errorf("unexpected header: %q", lines[0])
 	}
 	if !strings.Contains(lines[1], "shard 0") || !strings.Contains(lines[1], "75%") ||
-		!strings.Contains(lines[1], "scanned 10/10 batches (skipped 0%)") || !strings.Contains(lines[1], "1 ring waits") {
+		!strings.Contains(lines[1], "scanned 10 batches") || !strings.Contains(lines[1], "1 ring waits") {
 		t.Errorf("shard 0 line: %q", lines[1])
 	}
 	if !strings.Contains(lines[2], "shard 1") || !strings.Contains(lines[2], "25%") ||
-		!strings.Contains(lines[2], "scanned 2/10 batches (skipped 80%)") || !strings.Contains(lines[2], "7 ring waits") {
+		!strings.Contains(lines[2], "scanned 10 batches") || !strings.Contains(lines[2], "7 ring waits") {
 		t.Errorf("shard 1 line: %q", lines[2])
 	}
 	if !strings.Contains(lines[3], "max 7") || !strings.Contains(lines[3], "min 1") {
 		t.Errorf("waits line: %q", lines[3])
+	}
+}
+
+// TestPrintReport pins the readout the two binaries share, byte for byte,
+// in both forms: stint-replay's short one (whose "  race:" lines
+// scripts/serve_smoke.sh greps) and cmd/stint's detailed one.
+func TestPrintReport(t *testing.T) {
+	rep := &stint.Report{Strands: 3, RaceCount: 5}
+	rep.Stats.ReadAccesses, rep.Stats.WriteAccesses = 40, 20
+	rep.Stats.ReadHookCalls, rep.Stats.WriteHookCalls = 4, 2
+	rep.Stats.ReadIntervals, rep.Stats.WriteIntervals = 8, 4
+	rep.Stats.ReadIntervalBytes, rep.Stats.WriteIntervalBytes = 160, 80
+	rep.Stats.TreapOps, rep.Stats.TreapNodesVisited, rep.Stats.TreapOverlaps = 10, 45, 5
+	rep.Stats.HistoryBytesPeak, rep.Stats.PagesQuiesced = 2048, 1
+	rep.Stats.AllocObjects, rep.Stats.AllocBytes = 7, 512
+	rep.Races = []stint.Race{{Addr: 0x10, Size: 4, Prev: 1, Cur: 2, CurWrite: true}}
+	opts := stint.Options{PageQuiesceThreshold: 4}
+
+	var short, detail strings.Builder
+	PrintReport(&short, rep, opts, false, stint.Race.String)
+	PrintReport(&detail, rep, opts, true, func(stint.Race) string { return "race: described" })
+	wantShort := `strands    3
+accesses   read 40  write 20
+intervals  read 8  write 4
+history    2.0 KiB peak retained
+quiesced   1 pages (threshold 4 races/page)
+RACES: 5 found
+  race: read by strand 1 and write by strand 2 on [0x10,0x14)
+`
+	wantDetail := `strands    3
+accesses   read 40  write 20 (4-byte words)
+hook calls read 4  write 2
+intervals  read 8 (20.0 B avg)  write 4 (20.0 B avg)
+treap ops  10  (4.50 nodes, 0.50 overlaps per op)
+history    2.0 KiB peak retained
+quiesced   1 pages (threshold 4 races/page)
+heap allocs 7 objects, 0.5 KiB during the run
+RACES: 5 found
+  race: described
+`
+	if got := short.String(); got != wantShort {
+		t.Errorf("short form:\n%s\nwant:\n%s", got, wantShort)
+	}
+	if got := detail.String(); got != wantDetail {
+		t.Errorf("detailed form:\n%s\nwant:\n%s", got, wantDetail)
 	}
 }
 

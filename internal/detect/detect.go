@@ -167,13 +167,6 @@ type Stats struct {
 	// max(compute, PipelineDetectTime) instead of their sum. Populated by
 	// the stint runner's consumer, not by the engines.
 	PipelineDetectTime time.Duration
-	// BatchesSkipped counts broadcast batches shard workers took on the
-	// summary fast path: the batch's page mask proved no access could map
-	// to the worker, so it replayed only the structure events. Zero in
-	// synchronous and plain-async modes. Populated by the sharded runner's
-	// merge (summed across workers), not by the engines, and — like the
-	// other runner-populated fields — deliberately not Accumulated.
-	BatchesSkipped uint64
 	// EventsStreamed and StreamBytes describe the pipelined modes' event
 	// stream: the logical events published through the pipeline — one per
 	// flushed interval plus one per structure event — and the wire bytes

@@ -136,8 +136,8 @@ var benchMixes = []struct {
 }
 
 // BenchmarkEventDecode measures the consumer-side iteration cost per event
-// for both encodings — the price every shard worker pays per batch it cannot
-// skip. Both go through DecodeBlock: frames decoded into a stack array for
+// for both encodings — the price every shard worker pays per batch. Both go
+// through DecodeBlock: frames decoded into a stack array for
 // "compact", a zero-copy window of the slice for "fixed".
 func BenchmarkEventDecode(b *testing.B) {
 	const n = 4096
@@ -168,19 +168,5 @@ func BenchmarkEventDecode(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSummaryStamp measures the producer-side cost of stamping one
-// interval into a batch summary — the incremental hot-path price of letting
-// workers skip-scan.
-func BenchmarkSummaryStamp(b *testing.B) {
-	var sum Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum.Mask |= SpanMask(uint64(i)*8, 16, 4)
-	}
-	if sum.Mask == 0 {
-		b.Fatal("mask never set")
 	}
 }

@@ -6,8 +6,6 @@ import "encoding/binary"
 // events as a byte stream in Buf instead of as 16-byte Event structs in Ev:
 //
 //	structure event:  one bare tag byte, OpSpawn/OpRestore/OpSync (1..3).
-//	                  Summary.Ctl byte offsets point at exactly that byte,
-//	                  and skip-scan replay (Batch.CtlOp) reads nothing else.
 //	interval:         op byte (OpRead/OpWrite) | zig-zag uvarint of the
 //	                  address's movement since the previous interval or
 //	                  range frame in this batch | uvarint size
@@ -21,9 +19,11 @@ import "encoding/binary"
 // wrap (prev 2^64-1 → addr 0) is a +1 delta, and a wild jump anywhere in
 // the address space costs at most 10 bytes, never an error. The delta base
 // resets to zero with every batch (Batch.Reset clears prev): each batch
-// decodes independently of every other. That is load-bearing — shard
-// workers skip batches wholesale on the Summary fast path, so no decoder
-// can rely on state carried over from a batch it may never have scanned.
+// decodes independently of every other. That is load-bearing — every shard
+// worker holds its own Iter over the one broadcast batch, and the
+// parallel-detect merge forwards a full chunk whole, wherever it lands in
+// the stream, so no decoder can rely on state carried over from the batch
+// before.
 //
 // A strand's coalesced intervals arrive address-sorted and mostly under 128
 // bytes long, so the common frame is 3 bytes against the fixed form's 16.
@@ -110,27 +110,23 @@ func (b *Batch) Full() bool {
 }
 
 // Reset clears the batch for reuse under either encoding, keeping the
-// storage capacity and — via Summary.Reset — the Ctl capacity, and zeroes
-// the delta base so batches decode independently (see the format comment).
+// storage capacity, and zeroes the delta base so batches decode
+// independently (see the format comment).
 func (b *Batch) Reset() {
 	b.Ev = b.Ev[:0]
 	b.Buf = b.Buf[:0]
 	b.n = 0
 	b.prev = 0
-	b.Sum.Reset()
 }
 
-// AppendCtl appends one structure event and returns its offset in the form
-// Summary.AddCtl records: a byte offset into Buf for compact batches, an
-// event index into Ev otherwise.
-func (b *Batch) AppendCtl(op Op) int {
+// AppendCtl appends one structure event.
+func (b *Batch) AppendCtl(op Op) {
 	if b.compact {
 		b.n++
 		b.Buf = append(b.Buf, byte(op))
-		return len(b.Buf) - 1
+		return
 	}
 	b.Ev = append(b.Ev, Ctl(op))
-	return len(b.Ev) - 1
 }
 
 // AppendAccess appends one interval event (OpRead/OpWrite), encoding the
@@ -174,10 +170,10 @@ func (b *Batch) AppendRange(op Op, addr uint64, count int, elem uint64) {
 // it whole instead of copying it. Only src's first frame depends on the
 // delta base: its delta, taken from zero, is the address itself, so that
 // one varint is re-encoded against b's base, the rest copies verbatim, and
-// b inherits src's base. The source must hold interval/range events only (a
-// leading structure event panics, an embedded one would lose its
-// Summary.Ctl offset): the merge synthesizes structure events from chunk
-// terminators, and ORs the masks itself — summaries are not merged.
+// b inherits src's base. The source must start with an interval or range
+// event (a leading structure event has no delta to re-base, and panics): the
+// merge's chunks hold nothing else, their structure events are synthesized
+// from chunk terminators.
 func (b *Batch) AppendFrom(src *Batch) bool {
 	if src.Len() == 0 {
 		return true
@@ -202,17 +198,6 @@ func (b *Batch) AppendFrom(src *Batch) bool {
 	return true
 }
 
-// CtlOp returns the op of the i-th structure event recorded in the batch's
-// Summary.Ctl, resolving the offset against whichever storage form the
-// batch uses: one tag byte read for a compact batch, no operand decoding.
-func (b *Batch) CtlOp(i int) Op {
-	off := b.Sum.Ctl[i]
-	if b.compact {
-		return Op(b.Buf[off])
-	}
-	return b.Ev[off].EvOp()
-}
-
 // Iter returns an iterator over the batch's events; consumers scan both
 // storage forms with one DecodeBlock loop. Every shard worker iterates the
 // same broadcast batch concurrently: Iter does not touch the batch, and
@@ -229,11 +214,6 @@ type Iter struct {
 	prev    uint64
 	compact bool
 }
-
-// Pos returns the position of the next undecoded event in the form
-// Summary.Ctl records (byte offset of its frame, or event index). It
-// advances at DecodeBlock granularity.
-func (it *Iter) Pos() int { return it.pos }
 
 // DecodeBlock decodes up to BlockEvents events, structure and interval
 // frames in stream order, and returns them as a slice valid until the next

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -23,8 +22,7 @@ type codecEvent struct {
 func (c codecEvent) appendTo(b *Batch) {
 	switch c.op {
 	case OpSpawn, OpRestore, OpSync:
-		off := b.AppendCtl(c.op)
-		b.Sum.AddCtl(off)
+		b.AppendCtl(c.op)
 	case OpRead, OpWrite:
 		b.AppendAccess(c.op, c.addr, c.size)
 	default:
@@ -50,7 +48,7 @@ func decodeBlocks(b *Batch) (evs []Event) {
 			if b.compact {
 				end = len(b.Buf)
 			}
-			if it.Pos() != end {
+			if it.pos != end {
 				panic("decodeBlocks: iterator stopped short of the batch's end")
 			}
 			return evs
@@ -62,17 +60,14 @@ func decodeBlocks(b *Batch) (evs []Event) {
 // refEncode is the wire format's reference encoder, written for clarity:
 // one frame per event, a tag byte, the address's movement since the
 // previous interval as a signed varint (encoding/binary's zig-zag), the
-// size, and for ranges the count. It returns the stream and the byte offset
-// of every structure event — what Summary.Ctl must record.
-func refEncode(events []codecEvent) (buf []byte, ctl []int32) {
+// size, and for ranges the count.
+func refEncode(events []codecEvent) (buf []byte) {
 	var prev uint64
 	for _, c := range events {
+		buf = append(buf, byte(c.op))
 		if c.op <= OpSync {
-			ctl = append(ctl, int32(len(buf)))
-			buf = append(buf, byte(c.op))
 			continue
 		}
-		buf = append(buf, byte(c.op))
 		buf = binary.AppendVarint(buf, int64(c.addr-prev))
 		prev = c.addr
 		buf = binary.AppendUvarint(buf, c.size)
@@ -80,14 +75,12 @@ func refEncode(events []codecEvent) (buf []byte, ctl []int32) {
 			buf = binary.AppendUvarint(buf, uint64(c.count))
 		}
 	}
-	return buf, ctl
+	return buf
 }
 
 // checkCodecRoundTrip appends the program to a fixed and a compact batch and
-// asserts that the compact bytes are exactly the reference encoder's, that
-// both forms decode to identical Event sequences, that Summary.Ctl holds
-// event indices (fixed) and tag-byte offsets (compact), and that CtlOp
-// resolves every structure event.
+// asserts that the compact bytes are exactly the reference encoder's and
+// that both forms decode to identical Event sequences.
 func checkCodecRoundTrip(t *testing.T, events []codecEvent) {
 	t.Helper()
 	fixed := &Batch{Ev: make([]Event, 0, len(events)+1)}
@@ -99,7 +92,7 @@ func checkCodecRoundTrip(t *testing.T, events []codecEvent) {
 	if fixed.Len() != len(events) || compact.Len() != len(events) {
 		t.Fatalf("Len = %d (fixed) / %d (compact), want %d", fixed.Len(), compact.Len(), len(events))
 	}
-	wantBuf, wantCtl := refEncode(events)
+	wantBuf := refEncode(events)
 	if !bytes.Equal(compact.Buf, wantBuf) {
 		t.Fatalf("compact stream % x, reference encoder gives % x", compact.Buf, wantBuf)
 	}
@@ -107,30 +100,10 @@ func checkCodecRoundTrip(t *testing.T, events []codecEvent) {
 	if len(fevs) != len(events) || len(cevs) != len(events) {
 		t.Fatalf("decoded %d (fixed) / %d (compact) events, want %d", len(fevs), len(cevs), len(events))
 	}
-	nctl := 0
 	for i := range fevs {
 		if fevs[i] != cevs[i] {
 			t.Fatalf("event %d: fixed %+v != compact %+v", i, fevs[i], cevs[i])
 		}
-		if fevs[i].EvOp() > OpSync {
-			continue
-		}
-		if nctl >= len(fixed.Sum.Ctl) || nctl >= len(compact.Sum.Ctl) || nctl >= len(wantCtl) {
-			t.Fatalf("structure event %d (event %d) missing from Summary.Ctl", nctl, i)
-		}
-		if fixed.Sum.Ctl[nctl] != int32(i) || compact.Sum.Ctl[nctl] != wantCtl[nctl] {
-			t.Fatalf("ctl %d: Summary offsets (%d, %d), want event index %d and byte offset %d",
-				nctl, fixed.Sum.Ctl[nctl], compact.Sum.Ctl[nctl], i, wantCtl[nctl])
-		}
-		if fixed.CtlOp(nctl) != fevs[i].EvOp() || compact.CtlOp(nctl) != fevs[i].EvOp() {
-			t.Fatalf("ctl %d: CtlOp = %v (fixed) / %v (compact), want %v",
-				nctl, fixed.CtlOp(nctl), compact.CtlOp(nctl), fevs[i].EvOp())
-		}
-		nctl++
-	}
-	if nctl != len(fixed.Sum.Ctl) || nctl != len(compact.Sum.Ctl) {
-		t.Fatalf("decoded %d structure events, Summary recorded %d (fixed) / %d (compact)",
-			nctl, len(fixed.Sum.Ctl), len(compact.Sum.Ctl))
 	}
 	if fixed.WireBytes() != 16*len(events) {
 		t.Fatalf("fixed WireBytes = %d, want %d", fixed.WireBytes(), 16*len(events))
@@ -200,17 +173,14 @@ func TestCompactGoldenBytes(t *testing.T) {
 	if !bytes.Equal(b.Buf, want) {
 		t.Fatalf("encoded % x\nwant    % x", b.Buf, want)
 	}
-	if got := []int32{0, 9, 10}; !slices.Equal(b.Sum.Ctl, got) {
-		t.Fatalf("Summary.Ctl = %v, want tag-byte offsets %v", b.Sum.Ctl, got)
-	}
 }
 
 // TestBatchCarriesNoStagingState keeps a Batch the size of its two slice
-// headers, its Summary, a count, a delta base and a flag: ParallelDetect
-// holds one per live task and allocates one on every pool miss.
+// headers, a count, a delta base and a flag: ParallelDetect holds one per
+// live task and allocates one on every pool miss.
 func TestBatchCarriesNoStagingState(t *testing.T) {
-	if sz := unsafe.Sizeof(Batch{}); sz > 128 {
-		t.Fatalf("unsafe.Sizeof(Batch{}) = %d, want <= 128", sz)
+	if sz := unsafe.Sizeof(Batch{}); sz > 80 {
+		t.Fatalf("unsafe.Sizeof(Batch{}) = %d, want <= 80", sz)
 	}
 }
 
@@ -340,9 +310,9 @@ func TestCompactAppendRejectsOversizeOperands(t *testing.T) {
 	}
 }
 
-// TestCompactDeltaBaseResetsPerBatch pins the independence property the
-// skip-scan path relies on: after Reset, addresses delta from zero again, so
-// a batch decodes identically whether or not anyone scanned its predecessor.
+// TestCompactDeltaBaseResetsPerBatch pins the independence property every
+// worker's private Iter relies on: after Reset, addresses delta from zero
+// again, so a batch decodes identically whatever batch came before it.
 func TestCompactDeltaBaseResetsPerBatch(t *testing.T) {
 	b := newCompactBatch(4)
 	b.AppendAccess(OpRead, 0x12345678, 4)

@@ -138,8 +138,7 @@ type Stats struct {
 }
 
 // Batch is the unit the ring moves: the events in one of two storage
-// forms, plus the stamped Summary that lets shard workers skip batches
-// whose accesses cannot map to them. The producer owns a batch from Get to
+// forms, and nothing beside them. The producer owns a batch from Get to
 // Publish; consumers own it from Next to Recycle.
 //
 // Exactly one storage form is active per batch: fixed batches (from
@@ -147,13 +146,12 @@ type Stats struct {
 // compact batches (from NewCompactRing and BatchPool) hold one frame per
 // event in Buf — see compact.go for the wire format. The Append methods fill
 // whichever form is active, and Iter scans either; consumers written
-// against Iter and the Len/CtlOp accessors never care which form they got.
-// Beyond the storage a compact batch is a count and a delta base — no
-// staging state, so a Batch stays under 128 bytes (pinned by a test).
+// against Iter and Len never care which form they got. Beyond the storage a
+// compact batch is a count and a delta base — no staging state, so a Batch
+// is 72 bytes (a test pins it under 80).
 type Batch struct {
 	Ev  []Event
 	Buf []byte
-	Sum Summary
 
 	n       int    // compact form: event count
 	prev    uint64 // compact form: delta base (last interval address)
@@ -188,12 +186,7 @@ func NewRing(depth, batchCap int) *Ring {
 // NewCompactRing returns a ring whose batches carry the compact encoding
 // (see compact.go) in a buffer of 4*batchCap bytes (at least MaxEventBytes)
 // — a quarter of the fixed ring's per-batch footprint, yet at the ~3-byte
-// common frame still a third more events per ring synchronization. The
-// 4-bytes-per-slot sizing is deliberate: larger buffers amortize handoffs
-// further but make batches coarser, and a batch is summary-skippable only if
-// no access in it touches a worker's shard — measured on the Fig5 workloads,
-// bigger batches lose more to forgone skips (and to falling out of L1) than
-// they save in synchronization.
+// common frame still a third more events per ring synchronization.
 func NewCompactRing(depth, batchCap int) *Ring {
 	return newRing(depth, batchCap, true)
 }
@@ -217,10 +210,7 @@ func (r *Ring) BatchCap() int { return r.batchCap }
 // Get returns an empty batch for the producer to fill — BatchCap event
 // capacity on a fixed ring, 4*BatchCap bytes (at least one worst-case
 // frame, so an append never grows the buffer) on a compact ring — reusing
-// a recycled batch when one is available. The batch's summary starts
-// zeroed (empty mask, no structure offsets); a producer feeding shard
-// workers must stamp every access's mask as it appends, or a worker would
-// read the zero mask as "skippable by everyone".
+// a recycled batch when one is available.
 func (r *Ring) Get() *Batch {
 	r.mu.Lock()
 	if n := len(r.free); n > 0 {

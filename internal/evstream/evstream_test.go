@@ -115,8 +115,6 @@ func TestRingReusesBatches(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b := r.Get()
 		b.Ev = append(b.Ev, Access(OpRead, uint64(i), 4))
-		b.Sum.Mask = ^uint64(0)
-		b.Sum.AddCtl(0)
 		r.Publish(b)
 		got, ok := r.Next()
 		if !ok || len(got.Ev) != 1 {
@@ -131,10 +129,9 @@ func TestRingReusesBatches(t *testing.T) {
 	if s.EventsPublished != 50 || s.BatchesPublished != 50 {
 		t.Errorf("stats = %+v, want 50 events in 50 batches", s)
 	}
-	// Get must hand back reused batches with a cleared summary.
-	b := r.Get()
-	if b.Sum.Mask != 0 || len(b.Sum.Ctl) != 0 {
-		t.Errorf("reused batch summary not reset: %+v", b.Sum)
+	// Get must hand back reused batches empty.
+	if b := r.Get(); b.Len() != 0 {
+		t.Errorf("reused batch holds %d events", b.Len())
 	}
 	r.Close()
 }

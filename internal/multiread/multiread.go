@@ -97,7 +97,7 @@ func (m *Map) Insert(start, end uint64, acc int32, series SeriesFunc) {
 		if r.start < start {
 			out = append(out, region{start: r.start, end: start, acc: r.acc})
 		}
-		lo, hi := maxU64(r.start, start), minU64(r.end, end)
+		lo, hi := max(r.start, start), min(r.end, end)
 		out = append(out, region{start: lo, end: hi, acc: addReader(r.acc, acc, series)})
 		if r.end > end {
 			out = append(out, region{start: end, end: r.end, acc: r.acc})
@@ -140,7 +140,7 @@ func (m *Map) Query(start, end uint64, emit EmitFunc) {
 	for i := m.firstOverlapping(start); i < len(m.regions) && m.regions[i].start < end; i++ {
 		r := m.regions[i]
 		m.touched++
-		lo, hi := maxU64(r.start, start), minU64(r.end, end)
+		lo, hi := max(r.start, start), min(r.end, end)
 		for _, acc := range r.acc {
 			emit(acc, lo, hi)
 		}
@@ -177,18 +177,4 @@ func (m *Map) checkInvariants() {
 		}
 		prevEnd = r.end
 	}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -34,13 +34,6 @@ type Strand struct {
 // creation order.
 func (s *Strand) ID() int32 { return s.id }
 
-// Seq returns the strand's sequential (English-order) rank: strands are
-// ranked from 0 in the order they become current, which for one serial
-// execution is the order their instructions run. Creation order differs —
-// a sync strand is created at the first spawn of its block but runs only
-// after the block's last child joins.
-func (s *Strand) Seq() int32 { return s.seq }
-
 // Frame holds the per-function-instance state SP-Order needs: the pending
 // sync strand of the current sync block, if any.
 type Frame struct {
@@ -68,7 +61,7 @@ type SP struct {
 	curCk  int
 	usedCk int
 	cur    *Strand
-	seq    int32 // next sequential rank to hand out (see Strand.Seq)
+	seq    int32 // next sequential rank to hand out (see SeqRank)
 }
 
 // New returns an SP with a single root strand, which is also the current
@@ -235,6 +228,9 @@ func (sp *SP) LeftOf(a, b int32) bool {
 	return LeftOf(sp.strands[a], sp.strands[b])
 }
 
-// SeqRank returns the sequential rank of the strand with the given ID
-// (see Strand.Seq).
+// SeqRank returns the sequential (English-order) rank of the strand with
+// the given ID: strands are ranked from 0 in the order they become current,
+// which for one serial execution is the order their instructions run.
+// Creation order differs — a sync strand is created at the first spawn of
+// its block but runs only after the block's last child joins.
 func (sp *SP) SeqRank(id int32) int32 { return sp.strands[id].seq }

@@ -74,7 +74,7 @@ func (c *Collector) addKeyed(kr keyedRace) {
 		return
 	}
 	c.h[0] = kr
-	c.siftDown(0)
+	c.siftDown(0, len(c.h))
 }
 
 // Merge folds another collector's retained races into this one.
@@ -95,8 +95,8 @@ func (c *Collector) siftUp(i int) {
 	}
 }
 
-func (c *Collector) siftDown(i int) {
-	n := len(c.h)
+// siftDown restores the max-heap property over h[:n] below index i.
+func (c *Collector) siftDown(i, n int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
@@ -124,7 +124,7 @@ func (c *Collector) Sorted() []detect.Race {
 	// Heap-sort in place: repeatedly move the max to the tail.
 	for end := n - 1; end > 0; end-- {
 		c.h[0], c.h[end] = c.h[end], c.h[0]
-		c.heapifyPrefix(end)
+		c.siftDown(0, end)
 	}
 	out := make([]detect.Race, n)
 	for i, kr := range c.h {
@@ -140,25 +140,4 @@ func (c *Collector) Sorted() []detect.Race {
 // array (bounded by max) so steady-state reuse allocates nothing.
 func (c *Collector) Reset() {
 	c.h = c.h[:0]
-}
-
-// heapifyPrefix restores the max-heap property over h[:end] after the root
-// swap in Sorted.
-func (c *Collector) heapifyPrefix(end int) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < end && raceKeyLess(c.h[big], c.h[l]) {
-			big = l
-		}
-		if r < end && raceKeyLess(c.h[big], c.h[r]) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		c.h[i], c.h[big] = c.h[big], c.h[i]
-		i = big
-	}
 }

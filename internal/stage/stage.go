@@ -138,12 +138,9 @@ func (g *Graph) Wait() {
 // Meter accumulates one stage's busy time at batch granularity: the wall
 // clock spent processing, excluding blocking waits on the stage's rings.
 // Start a lap with time.Now() before processing and Add the start once the
-// batch is done, before any blocking publish or next. AddBatch additionally
-// tallies the scanned-vs-skipped split for stages with a summary fast path.
+// batch is done, before any blocking publish or next.
 type Meter struct {
-	busy    time.Duration
-	scanned uint64
-	skipped uint64
+	busy time.Duration
 }
 
 // Add accumulates the time elapsed since t0.
@@ -155,25 +152,8 @@ func (m *Meter) Add(t0 time.Time) { m.busy += time.Since(t0) }
 // itself before crediting the remainder as busy time.
 func (m *Meter) AddDur(d time.Duration) { m.busy += d }
 
-// AddBatch accumulates the time elapsed since t0 and counts the batch as
-// skipped (summary fast path: structure events only) or scanned in full.
-func (m *Meter) AddBatch(t0 time.Time, skipped bool) {
-	m.busy += time.Since(t0)
-	if skipped {
-		m.skipped++
-	} else {
-		m.scanned++
-	}
-}
-
 // Reset zeroes the meter for another run.
 func (m *Meter) Reset() { *m = Meter{} }
 
 // Busy returns the accumulated busy time.
 func (m *Meter) Busy() time.Duration { return m.busy }
-
-// Scanned returns the number of batches processed in full.
-func (m *Meter) Scanned() uint64 { return m.scanned }
-
-// Skipped returns the number of batches taken on the summary fast path.
-func (m *Meter) Skipped() uint64 { return m.skipped }

@@ -114,17 +114,6 @@ func TestMeterAccumulates(t *testing.T) {
 	}
 }
 
-func TestMeterBatchSplit(t *testing.T) {
-	var m Meter
-	t0 := time.Now()
-	m.AddBatch(t0, false)
-	m.AddBatch(t0, true)
-	m.AddBatch(t0, true)
-	if m.Scanned() != 1 || m.Skipped() != 2 {
-		t.Fatalf("scanned/skipped = %d/%d, want 1/2", m.Scanned(), m.Skipped())
-	}
-}
-
 // race builds a distinguishable race for collector tests.
 func race(addr uint64, cur int32) detect.Race {
 	return detect.Race{Addr: addr, Size: 4, Prev: cur - 1, Cur: cur, CurWrite: true}

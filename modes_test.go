@@ -43,10 +43,8 @@ func modeNamed(name string) pipeMode {
 
 // normStats zeroes the timing-, allocation-, and scheduling-dependent
 // fields so the deterministic counters can be compared across execution
-// modes. BatchesSkipped is scheduling-dependent by construction: it counts
-// elided scan work, which varies with shard count and batch geometry while
-// every detection counter stays identical. EventsStreamed and StreamBytes
-// describe the transport, not the detection: sync runs have no stream.
+// modes. EventsStreamed and StreamBytes describe the transport, not the
+// detection: sync runs have no stream.
 // HistoryBytesPeak sums each engine's retained footprint, so a sharded
 // run's N directories and pools legitimately peak higher than one inline
 // engine's. PagesQuiesced stays compared: quiesce decisions are page-local
@@ -57,7 +55,6 @@ func normStats(s Stats) Stats {
 	s.AllocObjects = 0
 	s.AllocBytes = 0
 	s.PipelineDetectTime = 0
-	s.BatchesSkipped = 0
 	s.EventsStreamed = 0
 	s.StreamBytes = 0
 	s.HistoryBytesPeak = 0

@@ -10,8 +10,7 @@
 // detect.Coalescer (borrowed from a pool for the length of the strand, so a
 // task parked in Sync holds none), and when the strand ends the Coalescer
 // flushes its intervals into the task's private working batch (from the
-// shared BatchPool), stamping the shard-occupancy mask as it appends — the
-// per-strand coalescing and per-interval summary work the serial pipeline's
+// shared BatchPool) — the per-strand coalescing the serial pipeline's
 // producer does, here on the executor's parallelism. A chunk is cut —
 // published to the bounded multi-producer TaskQueue — when the strand ends
 // or, mid-flush, when the batch fills, and the strand-ending cuts carry the
@@ -47,7 +46,6 @@ package stint
 import (
 	"time"
 
-	"stint/internal/coalesce"
 	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/stage"
@@ -129,15 +127,11 @@ func (as *asyncState) returnBits(c *detect.Coalescer) {
 }
 
 // emitInterval appends one flushed interval to the task's working batch,
-// cutting a mid-strand chunk first when the batch is full. The shard-
-// occupancy mask is stamped here, on the executor's parallelism: the merge
-// never decodes interval events, so the executor is the only stage that can
-// stamp masks without adding a scan.
+// cutting a mid-strand chunk first when the batch is full.
 func (p *parTask) emitInterval(op evstream.Op, addr, size uint64) {
 	if p.batch.Full() {
 		p.cut(evstream.ChunkCut, 0)
 	}
-	p.batch.Sum.Mask |= evstream.SpanMask(addr, coalesce.PageBytesBits, len(p.as.workers))
 	p.batch.AppendAccess(op, addr, size)
 }
 
@@ -202,30 +196,24 @@ func (as *asyncState) mergeParallel() {
 			return
 		}
 		src := c.Batch
-		if src.Len() > 0 {
-			if !out.AppendFrom(src) {
-				flush()
-				if !aborted && !out.AppendFrom(src) {
-					// The chunk is itself full (it was cut mid-strand, or the
-					// tests' tiny geometry holds one event): forward it
-					// wholesale instead of copying — its own mask, no
-					// structure offsets.
-					publish(src)
-					src = nil
-				}
+		if !out.AppendFrom(src) { // an empty chunk always fits
+			flush()
+			if !aborted && !out.AppendFrom(src) {
+				// The chunk is itself full (it was cut mid-strand, or the
+				// tests' tiny geometry holds one event): forward it
+				// wholesale instead of copying.
+				publish(src)
+				src = nil
 			}
-			if src != nil {
-				out.Sum.Mask |= src.Sum.Mask
-				as.pool.Put(src)
-			}
-		} else {
+		}
+		if src != nil {
 			as.pool.Put(src)
 		}
 		if aborted {
 			return
 		}
 		// The terminator becomes the structure event the serial stream
-		// would carry here, stamped into the summary's Ctl offsets.
+		// would carry here.
 		var op evstream.Op
 		switch c.End {
 		case evstream.ChunkSpawn:
@@ -243,7 +231,7 @@ func (as *asyncState) mergeParallel() {
 				return
 			}
 		}
-		out.Sum.AddCtl(out.AppendCtl(op))
+		out.AppendCtl(op)
 		as.mergeCtl++
 	}
 

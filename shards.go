@@ -24,13 +24,8 @@
 // reachability memory is per worker.
 //
 // A worker keeps an interval iff its 64 KiB shadow page hashes to its shard
-// index — the interval then goes straight to that page's stores. The batch
-// Summary, stamped by whoever appended the batch, gives a fast path: a
-// worker whose mask bit is clear skips the interval events entirely — the
-// clear bit proves no interval in the batch lies on one of its pages (see
-// evstream.Summary) — and replays only the structure events through
-// Summary.Ctl, so its SP-Order state and strand-boundary samples stay
-// byte-identical to a full scan.
+// index — the interval then goes straight to that page's stores. There is
+// one way through a batch, and the stream is all a worker is told.
 //
 // Workers never share mutable detector state: each owns its reachability
 // structure and the page directory and treap pools for its page subset. The
@@ -76,11 +71,12 @@ type shardWorker struct {
 	// whose identity is stable) and retained across runs; reset re-arms it.
 	engine detect.History
 
-	// Decode-side telemetry for Report.ShardLoad: logical events and
-	// DecodeBlock calls of this worker's full scans (their ratio is events
-	// per call — short batches show up as a low one), and the time spent
-	// inside DecodeBlock itself, sampled (every 8th call, scaled by 8) so the
-	// measurement does not tax the scan it is measuring.
+	// Decode-side telemetry for Report.ShardLoad: batches consumed, logical
+	// events and DecodeBlock calls (their ratio is events per call — short
+	// batches show up as a low one), and the time spent inside DecodeBlock
+	// itself, sampled (every 8th call, scaled by 8) so the measurement does
+	// not tax the scan it is measuring.
+	batches       uint64
 	eventsScanned uint64
 	blocksDecoded uint64
 	decodeBusy    time.Duration
@@ -107,7 +103,7 @@ func (w *shardWorker) reset() {
 	w.sp.Reset()
 	w.stack = append(w.stack[:0], replayFrame{})
 	w.engine.Reset()
-	w.eventsScanned, w.blocksDecoded = 0, 0
+	w.batches, w.eventsScanned, w.blocksDecoded = 0, 0, 0
 	w.decodeBusy = 0
 	w.stats = Stats{}
 	w.busy.Reset()
@@ -140,19 +136,7 @@ func (w *shardWorker) run() {
 			break
 		}
 		t0 := time.Now()
-		if batch.Sum.SkippableBy(w.id) {
-			// Fast path: the batch's mask proves no interval in it lies on
-			// this shard's pages. Jump through the structure-event offsets
-			// so SP-Order and the strand-boundary samples advance exactly as
-			// a full scan would, and never touch the intervals — CtlOp reads
-			// one tag byte per offset, no varint decoding at all.
-			for i := range batch.Sum.Ctl {
-				w.ctl(batch.CtlOp(i))
-			}
-			w.busy.AddBatch(t0, true)
-			w.bcast.Release(w.id)
-			continue
-		}
+		w.batches++
 		it := batch.Iter()
 		for {
 			var evs []evstream.Event
@@ -183,7 +167,7 @@ func (w *shardWorker) run() {
 				}
 			}
 		}
-		w.busy.AddBatch(t0, false)
+		w.busy.Add(t0)
 		w.bcast.Release(w.id)
 	}
 	t0 := time.Now()
@@ -266,20 +250,18 @@ func (as *asyncState) launch() {
 // contained); the hook counters are not theirs to report (the mutator side
 // counts them, drain folds them in); the strand count is any worker's —
 // they all replayed the same structure stream. It also assembles the
-// per-worker load breakdown (busy, scanned/skipped batches, broadcast-ring
-// waits) behind Report.ShardLoad.
+// per-worker load breakdown (busy, batches, broadcast-ring waits) behind
+// Report.ShardLoad.
 func (as *asyncState) mergeSharded() {
 	col := stage.NewCollector(as.maxRec)
 	as.shardLoad = make([]ShardLoad, len(as.workers))
 	var detectBusy time.Duration
 	for i, w := range as.workers {
 		as.stats.Accumulate(&w.stats)
-		as.stats.BatchesSkipped += w.busy.Skipped()
 		col.Merge(w.col)
 		as.shardLoad[i] = ShardLoad{
 			Busy:           w.busy.Busy(),
-			BatchesScanned: w.busy.Scanned(),
-			BatchesSkipped: w.busy.Skipped(),
+			BatchesScanned: w.batches,
 			RingWaits:      as.bcast.ConsumerWaits(i),
 			EventsScanned:  w.eventsScanned,
 			BlocksDecoded:  w.blocksDecoded,

@@ -122,13 +122,12 @@ type Options struct {
 	// detecting races online. Each task goroutine coalesces its current
 	// strand's accesses in a strand-local coalescer — the synchronous
 	// detector's own mutator side — and, when the strand ends, flushes the
-	// intervals into a chunk, stamping their shard-occupancy mask; a merge
-	// stage reorders the arriving chunks into the serial projection (a
-	// depth-first walk of the spawn structure, so the order depends only on
-	// the program, never on scheduling) and feeds the same worker graph
-	// Async does. Under DetectorOff it is the bare goroutine executor: no
-	// pipeline is built and nothing is detected (check with a detector,
-	// deploy with it Off).
+	// intervals into a chunk; a merge stage reorders the arriving chunks
+	// into the serial projection (a depth-first walk of the spawn structure,
+	// so the order depends only on the program, never on scheduling) and
+	// feeds the same worker graph Async does. Under DetectorOff it is the
+	// bare goroutine executor: no pipeline is built and nothing is detected
+	// (check with a detector, deploy with it Off).
 	//
 	// The contract is race-set equivalence with the synchronous run — the
 	// same set of (location, access-pair) races — and repeated runs are
@@ -403,11 +402,10 @@ type Report struct {
 	// ShardLoad is each worker's load breakdown (pipelined modes only, nil
 	// otherwise; one entry under plain Async): busy time (scanning, page
 	// filtering, SP-Order replay, and detection;
-	// Stats.PipelineDetectTime is their sum), the scanned-vs-skipped batch
-	// split from the summary fast path, and the worker's broadcast-ring
-	// wait count. A worker with many waits was starved (ahead of the
-	// stream); the low-wait outlier is the straggler the ring's
-	// backpressure paces everyone else behind.
+	// Stats.PipelineDetectTime is their sum), the batches it consumed, and
+	// the worker's broadcast-ring wait count. A worker with many waits was
+	// starved (ahead of the stream); the low-wait outlier is the straggler
+	// the ring's backpressure paces everyone else behind.
 	ShardLoad []ShardLoad
 }
 
@@ -415,21 +413,21 @@ type Report struct {
 type ShardLoad struct {
 	// Busy is the worker's processing time, excluding ring waits.
 	Busy time.Duration
-	// BatchesScanned counts broadcast batches the worker scanned in full;
-	// BatchesSkipped counts those its summary mask let it skip (structure
-	// events only). Their sum is the number of batches broadcast.
+	// BatchesScanned counts the broadcast batches the worker consumed —
+	// every batch of the run, so it is equal on every worker.
 	BatchesScanned uint64
+	// BatchesSkipped is always zero: a worker scans every batch. The field
+	// stays for the benchmark's ledger, which still reads it.
 	BatchesSkipped uint64
 	// RingWaits counts the worker's blocking episodes waiting on the
 	// broadcast ring for the producer (or the merge stage) to publish.
 	RingWaits uint64
 	// EventsScanned and BlocksDecoded count the logical events and the
-	// Iter.DecodeBlock calls of the worker's full scans (skipped batches
-	// contribute neither). A call returns up to evstream.BlockEvents events
-	// and never crosses a batch, so EventsScanned/BlocksDecoded — events
-	// per call — is BlockEvents on long batches and the batch's own event
-	// count on short ones; it says how full the scanned batches were, not
-	// how well anything packed.
+	// Iter.DecodeBlock calls of the worker's scans. A call returns up to
+	// evstream.BlockEvents events and never crosses a batch, so
+	// EventsScanned/BlocksDecoded — events per call — is BlockEvents on long
+	// batches and the batch's own event count on short ones; it says how
+	// full the batches were, not how well anything packed.
 	EventsScanned uint64
 	BlocksDecoded uint64
 	// DecodeBusy estimates the time the worker spent inside DecodeBlock
