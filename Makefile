@@ -30,11 +30,10 @@ bench:
 # reports nodes/op), the broadcast ring the pipelines publish on and the reference SPSC
 # ring, the event codec against its fixed-form reference (encode on the
 # representative mix; decode on that, on a sequential stream and on wild
-# jumps), the workers' page-filter scan, the per-access hook cost inline and
-# under Async side by side
-# (BenchmarkHookOverhead matches both; the two hooks are the same code,
-# detect.Coalescer's, reached through different dispatch arms, so they should
-# be within a few ns of each other), the sharded and
+# jumps), the workers' page-filter scan, the per-access hook cost over every
+# route (BenchmarkHookOverhead matches all four: sync, Async and ParallelDetect
+# reach the same detect.Coalescer through the same arm and should be within a
+# few ns of each other; Vanilla is the per-access Engine arm), the sharded and
 # parallel-execution main-table measurements, and the racy-workload
 # quiescing pair. (internal/depa is off the production path; its
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)

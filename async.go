@@ -79,7 +79,7 @@ type asyncState struct {
 	// batch is the serial producer's working batch and bits its coalescer;
 	// with PageQuiesceThreshold set, bits drops accesses to pages the workers'
 	// histories have retired (the registry they share is built in
-	// ensureWarm). Under ParallelDetect both are nil: every parTask owns a
+	// ensureWarm). Under ParallelDetect both are nil: every task owns a
 	// working batch and borrows a Coalescer from the pool below for the
 	// length of a strand. The mutator side's share of the run's Stats — the
 	// hook counters — is read off the Coalescers at drain.
@@ -213,22 +213,23 @@ func (as *asyncState) drain() {
 	as.stats.Accumulate(as.bits.Hooks())
 }
 
-// exec runs the program body on the producer goroutine. A panic out of it
-// must not strand the stage graph behind a ring nobody will close: it fails
-// the graph — the abort hook closes the ring and queue — waits for every
-// stage (and, under ParallelDetect, every spawned task, whose publishes now
-// fail) to unwind, and re-raises the original value. The Runner stays
-// dirty, so its next Run resets what the aborted one left behind.
-func (as *asyncState) exec(root TaskFunc, t *Task) {
-	defer func() {
-		if p := recover(); p != nil {
-			as.graph.Abort(p)
-			if t.wg != nil {
-				t.wg.Wait()
+// exec runs the program body on Run's goroutine. Under a stage graph a
+// panic out of it fails the graph — the abort hook closes the ring and
+// queue, so publishes fail — waits for every stage and spawned task to
+// unwind, and re-raises the original value; the dirty Runner's next Run
+// resets what the aborted one left behind.
+func (rs *runState) exec(root TaskFunc, t *Task) {
+	if g := rs.graph; g != nil {
+		defer func() {
+			if p := recover(); p != nil {
+				g.Abort(p)
+				if t.wg != nil {
+					t.wg.Wait()
+				}
+				panic(p)
 			}
-			panic(p)
-		}
-	}()
+		}()
+	}
 	root(t)
 	t.Sync()
 }

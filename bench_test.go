@@ -346,9 +346,11 @@ func BenchmarkAblationStores(b *testing.B) {
 }
 
 // BenchmarkHookOverhead isolates the per-access instrumentation cost that
-// every detector configuration pays: a word hook into the bit hashmap.
+// every detector configuration pays: a word hook into the bit hashmap. The
+// Async, Parallel and Vanilla legs below time the same loop through every
+// other route a hook takes; only Vanilla's is a different arm.
 func BenchmarkHookOverhead(b *testing.B) {
-	benchHookOverhead(b, false)
+	benchHookOverhead(b, stint.Options{Detector: stint.DetectorSTINT})
 }
 
 // BenchmarkHookOverheadAsync is the same hook loop with Options.Async: the
@@ -357,7 +359,21 @@ func BenchmarkHookOverhead(b *testing.B) {
 // a few ns of each other; a gap is per-access work leaking back onto the
 // pipeline's mutator side.
 func BenchmarkHookOverheadAsync(b *testing.B) {
-	benchHookOverhead(b, true)
+	benchHookOverhead(b, stint.Options{Detector: stint.DetectorSTINT, Async: true})
+}
+
+// BenchmarkHookOverheadParallel is the loop under ParallelDetect: the root
+// strand borrows a Coalescer from the executor's pool at its first access and
+// every later hook reaches the same Coalescer code as sync and Async.
+func BenchmarkHookOverheadParallel(b *testing.B) {
+	benchHookOverhead(b, stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true})
+}
+
+// BenchmarkHookOverheadVanilla is the per-access arm: each hook goes through
+// the detect.Engine interface to Vanilla's word-granularity shadow hashmap,
+// which checks and records the word on the spot.
+func BenchmarkHookOverheadVanilla(b *testing.B) {
+	benchHookOverhead(b, stint.Options{Detector: stint.DetectorVanilla})
 }
 
 // BenchmarkRunnerReset times Runner.Reset on a dirty, warm Runner — the
@@ -394,8 +410,8 @@ func BenchmarkRunnerReset(b *testing.B) {
 	}
 }
 
-func benchHookOverhead(b *testing.B, async bool) {
-	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, Async: async})
+func benchHookOverhead(b *testing.B, opts stint.Options) {
+	r, err := stint.NewRunner(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -406,7 +422,7 @@ func benchHookOverhead(b *testing.B, async bool) {
 			t.Load(buf, i&(1<<16-1))
 		}
 		// Timer left running: Run's return flushes the strand and drains the
-		// pipeline, so the async variant pays for detecting what it
+		// pipeline, so the pipelined variants pay for detecting what they
 		// streamed.
 	}); err != nil {
 		b.Fatal(err)

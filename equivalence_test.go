@@ -8,7 +8,6 @@ import (
 
 	"stint/internal/detect"
 	"stint/internal/oracle"
-	"stint/internal/spord"
 )
 
 // The equivalence suite generates random fork-join programs with random
@@ -127,8 +126,8 @@ func oracleWordsFor(t *testing.T, acts []act) map[Addr]bool {
 		t.Fatal(err)
 	}
 	var det *oracle.Detector
-	r.newEngine = func(cfg detect.Config, sp *spord.SP) detect.Engine {
-		det = oracle.New(sp)
+	r.newEngine = func(cfg detect.Config, reach detect.Reach) detect.Engine {
+		det = oracle.New(reach)
 		return det
 	}
 	bufs, _ := allocBufs(r)

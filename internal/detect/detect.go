@@ -448,6 +448,16 @@ func CapErrorOf(e any) error {
 	return nil
 }
 
+// CoalescerOf returns the Coalescer in front of New's runtime-coalescing
+// engines, for callers that drive its hooks directly (StrandEnd still
+// flushes it), or nil for engines whose hooks reach the history itself.
+func CoalescerOf(e any) *Coalescer {
+	if in, ok := e.(*inline); ok {
+		return in.Coalescer
+	}
+	return nil
+}
+
 // nopEngine supports Off and ReachOnly.
 type nopEngine struct{ stats Stats }
 

@@ -55,17 +55,22 @@ func (b *Buffer) ElemBytes() int { return b.elemWords * WordSize }
 // Bytes returns the total size of the buffer in bytes.
 func (b *Buffer) Bytes() uint64 { return uint64(b.elems) * uint64(b.elemWords) * WordSize }
 
-// Addr returns the byte address of element i.
+// Addr returns the byte address of element i. Its out-of-range panic value
+// formats lazily (indexError), which keeps Addr inlinable into every hook.
 func (b *Buffer) Addr(i int) Addr {
 	if uint(i) >= uint(b.elems) {
-		b.boundsPanic(i)
+		panic(indexError{b, i})
 	}
 	return b.base + uint64(i)*uint64(b.elemWords)*WordSize
 }
 
-// boundsPanic is kept out of line so Addr stays inlinable.
-func (b *Buffer) boundsPanic(i int) {
-	panic(fmt.Sprintf("mem: element %d out of range [0,%d) in buffer %q", i, b.elems, b.name))
+type indexError struct {
+	b *Buffer
+	i int
+}
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("mem: element %d out of range [0,%d) in buffer %q", e.i, e.b.elems, e.b.name)
 }
 
 // Range returns the byte address of element i and the byte length of n

@@ -6,7 +6,7 @@
 //
 //	task goroutines+coalescers ──chunk queue──▶ merge stage ──broadcast ring──▶ N workers ──▶ merge finalizer
 //
-// Each task goroutine owns a parTask: its hooks set bits in a strand-local
+// Each task goroutine is a chunk emitter: its hooks set bits in a strand-local
 // detect.Coalescer (borrowed from a pool for the length of the strand, so a
 // task parked in Sync holds none), and when the strand ends the Coalescer
 // flushes its intervals into the task's private working batch (from the
@@ -44,6 +44,7 @@
 package stint
 
 import (
+	"sync"
 	"time"
 
 	"stint/internal/detect"
@@ -64,42 +65,90 @@ func newParallelState(ringDepth, batchEvents int) *asyncState {
 	}
 }
 
-// parTask is one executor goroutine's chunk emitter: the task's identity,
-// its working batch, the running chunk index, the busy-lap start, and the
-// Coalescer of its current strand. Each task goroutine owns exactly one
-// parTask; nothing here is shared except the asyncState's queue, pools, and
-// counters.
-type parTask struct {
-	as    *asyncState
-	id    uint64
-	idx   uint32
-	batch *evstream.Batch
-	t0    time.Time
-	// bits is borrowed from the asyncState at the strand's first hook and
-	// returned when the strand ends, so only strands that are executing and
-	// have touched memory hold one. Its hook counters stay with it, summed
-	// at drain.
-	bits *detect.Coalescer
-}
-
-func newParTask(as *asyncState, id uint64) *parTask {
-	return &parTask{as: as, id: id, batch: as.pool.Get(), t0: time.Now()}
+// startChunks makes t a chunk emitter under task identity id, with its own
+// working batch and busy lap.
+func (t *Task) startChunks(id uint64) {
+	t.id, t.batch, t.t0 = id, t.rs.as.pool.Get(), time.Now()
 }
 
 // pause banks the busy lap before a blocking handoff (queue publish, child
 // join); resume starts the next lap after it. Their net effect is
 // Report.ExecutorBusy: execution and coalescing time, not waiting time.
-func (p *parTask) pause()  { p.as.execBusy.Add(int64(time.Since(p.t0))) }
-func (p *parTask) resume() { p.t0 = time.Now() }
+func (t *Task) pause()  { t.rs.as.execBusy.Add(int64(time.Since(t.t0))) }
+func (t *Task) resume() { t.t0 = time.Now() }
 
-// coalescer is the executor's per-access hot path up to the hook: the
-// strand's Coalescer, borrowed at the strand's first access. It inlines
-// into the Task hooks, so ParallelDetect's hook is as deep as Async's.
-func (p *parTask) coalescer() *detect.Coalescer {
-	if p.bits == nil {
-		p.bits = p.as.borrowBits()
+// fork runs f on its own goroutine. With a pipeline the caller's strand
+// ends here — its chunk's terminator is the spawn, naming the child task so
+// the merge walks the child's subtree before the caller's continuation — and
+// the child emits its own chunks under a fresh task identity, sealed with a
+// task-end terminator after its implicit final sync. A panic out of f fails
+// the run's graph (Run re-raises the first) once the child's subtasks join.
+func (t *Task) fork(f TaskFunc) {
+	rs := t.rs
+	var id uint64
+	if rs.as != nil {
+		id = rs.as.nextTask.Add(1)
+		t.cut(evstream.ChunkSpawn, id)
 	}
-	return p.bits
+	t.wg.Add(1)
+	go func() {
+		child := &Task{rs: rs, wg: &sync.WaitGroup{}}
+		defer func() {
+			if p := recover(); p != nil {
+				rs.graph.Abort(p)
+				child.wg.Wait()
+			}
+			t.wg.Done()
+		}()
+		if rs.as != nil {
+			child.startChunks(id)
+		}
+		f(child)
+		child.Sync()
+		if rs.as != nil {
+			child.cut(evstream.ChunkTask, 0)
+		}
+	}()
+}
+
+// join is Sync on the goroutine executor: a strand-creating sync (no-op
+// syncs are elided, exactly as on the serial paths) ends the current chunk,
+// then the task waits for its children — idle time, not execution.
+func (t *Task) join() {
+	if t.batch != nil {
+		if t.pending {
+			t.cut(evstream.ChunkSync, 0)
+		}
+		t.pause()
+		defer t.resume()
+	}
+	t.pending = false
+	t.wg.Wait()
+}
+
+// coalescer returns the strand's Coalescer — under ParallelDetect borrowed
+// at its first access, so only strands that are executing and have touched
+// memory hold one — or nil when the hooks go to a per-access Engine or
+// nowhere.
+func (t *Task) coalescer() *detect.Coalescer {
+	if t.bits == nil && t.batch != nil {
+		t.bits = t.rs.as.borrowBits()
+	}
+	return t.bits
+}
+
+// cut ends the task's strand at a chunk terminator: its intervals flush
+// into the working batch, its Coalescer (hook counters and all, summed at
+// drain) goes back to the pool, and the chunk is published.
+func (t *Task) cut(end evstream.ChunkEnd, child uint64) {
+	if c := t.bits; c != nil {
+		c.Flush(
+			func(addr, size uint64) { t.emitInterval(evstream.OpRead, addr, size) },
+			func(addr, size uint64) { t.emitInterval(evstream.OpWrite, addr, size) })
+		t.bits = nil
+		t.rs.as.returnBits(c)
+	}
+	t.publish(end, child)
 }
 
 // borrowBits lends a flushed Coalescer, growing the pool when every one is
@@ -128,38 +177,31 @@ func (as *asyncState) returnBits(c *detect.Coalescer) {
 
 // emitInterval appends one flushed interval to the task's working batch,
 // cutting a mid-strand chunk first when the batch is full.
-func (p *parTask) emitInterval(op evstream.Op, addr, size uint64) {
-	if p.batch.Full() {
-		p.cut(evstream.ChunkCut, 0)
+func (t *Task) emitInterval(op evstream.Op, addr, size uint64) {
+	if t.batch.Full() {
+		t.publish(evstream.ChunkCut, 0)
 	}
-	p.batch.AppendAccess(op, addr, size)
+	t.batch.AppendAccess(op, addr, size)
 }
 
-// cut publishes the working batch as a chunk with the given terminator and
-// starts a fresh one. Every terminator but the mid-strand ChunkCut ends the
-// strand: its intervals flush into the batch first and its Coalescer goes
-// back to the pool. A false Publish means the
+// publish sends the working batch as a chunk with the given terminator and
+// starts a fresh one — mid-strand (ChunkCut) when a flush fills it, or for
+// cut at the strand's end. A false Publish means the
 // graph aborted and closed the queue: the batch is reset and reused, events
 // drop on the floor, and the goroutine keeps unwinding to its natural exit
 // (the failure is the run's result, re-raised by drainParallel). The chunk
 // index advances regardless so the doomed stream stays internally
 // consistent.
-func (p *parTask) cut(end evstream.ChunkEnd, child uint64) {
-	if c := p.bits; c != nil && end != evstream.ChunkCut {
-		c.Flush(
-			func(addr, size uint64) { p.emitInterval(evstream.OpRead, addr, size) },
-			func(addr, size uint64) { p.emitInterval(evstream.OpWrite, addr, size) })
-		p.bits = nil
-		p.as.returnBits(c)
-	}
-	p.pause()
-	if p.as.queue.Publish(evstream.Chunk{Batch: p.batch, Task: p.id, Idx: p.idx, End: end, Child: child}) {
-		p.batch = p.as.pool.Get()
+func (t *Task) publish(end evstream.ChunkEnd, child uint64) {
+	as := t.rs.as
+	t.pause()
+	if as.queue.Publish(evstream.Chunk{Batch: t.batch, Task: t.id, Idx: t.idx, End: end, Child: child}) {
+		t.batch = as.pool.Get()
 	} else {
-		p.batch.Reset()
+		t.batch.Reset()
 	}
-	p.idx++
-	p.resume()
+	t.idx++
+	t.resume()
 }
 
 // mergeParallel is the merge stage: it reorders the chunk stream into the

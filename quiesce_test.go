@@ -326,8 +326,8 @@ func TestHistoryCapStructuredError(t *testing.T) {
 // engine wraps its history, a pipeline worker holds one directly.
 func setPoolLimit(r *Runner, nodes int) {
 	var engines []any
-	if e := r.warm.engine; e != nil {
-		engines = append(engines, e)
+	if rp := r.warm.rp; rp != nil {
+		engines = append(engines, rp.engine)
 	}
 	if as := r.warm.as; as != nil {
 		for _, w := range as.workers {

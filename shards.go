@@ -13,8 +13,8 @@
 //
 // Every worker scans every batch and replays every structure event
 // (spawn/restore/sync) on a private SP-Order structure (internal/spord, the
-// paper's reachability substrate, O(1) per query), exactly as the inline
-// detector maintains its own. Strand IDs and both total orders are a
+// paper's reachability substrate, O(1) per query) through a replayer — the
+// one the inline detector runs. Strand IDs and both total orders are a
 // deterministic function of the structure stream, so all the workers'
 // structures — and the synchronous run's — agree on every ID, every
 // Parallel/LeftOf answer and every sequential rank; nothing about
@@ -56,20 +56,83 @@ import (
 	"stint/internal/stage"
 )
 
-// shardWorker consumes the broadcast stream for one shard: it rebuilds
-// SP-Order from the structure events and feeds its pages' intervals to the
-// engine, in stream order, exactly as the inline path's strand-end flush
-// would.
+// replayer is the one structure replay: a private SP-Order structure, its
+// replay stack (one frame per in-flight function instance, stack[0] the
+// root), the engine whose strands the structure events end, and the
+// canonical collector of its races. Every shard worker owns one, fed from
+// the ring; the sync Runner owns one fed straight from Task.Spawn/Sync
+// (runState.ctl) — the inline detector is a worker without a ring.
+type replayer struct {
+	sp     *spord.SP
+	stack  []replayFrame
+	engine strandEngine
+	col    *stage.Collector
+}
+
+// replayFrame is a function instance's SP-Order frame and, if it was
+// spawned, the parent's continuation to restore when it returns.
+type replayFrame struct {
+	frame spord.Frame
+	cont  *spord.Strand
+}
+
+// strandEngine is what a replayer drives: a worker's detect.History or the
+// sync Runner's detect.Engine.
+type strandEngine interface {
+	StrandEnd()
+	Finish()
+	Stats() *Stats
+	Reset()
+}
+
+// newReplayer builds a replayer and, over its SP-Order structure, the engine
+// build makes, whose races go to the collector — ranked by their later
+// strand's serial position — and then to user. The engine (and its OnRace
+// closure over the replayer) is retained across runs.
+func newReplayer[E strandEngine](cfg detect.Config, maxRec int, user func(Race), build func(detect.Config, detect.Reach) E) *replayer {
+	rp := &replayer{sp: spord.New(), stack: make([]replayFrame, 1, 16), col: stage.NewCollector(maxRec)}
+	cfg.OnRace = func(race Race) {
+		rp.col.Add(rp.sp.SeqRank(race.Cur), race)
+		if user != nil {
+			user(race)
+		}
+	}
+	rp.engine = build(cfg, rp.sp)
+	return rp
+}
+
+// reset re-arms the replayer for another run, keeping every warm pool.
+func (rp *replayer) reset() {
+	rp.sp.Reset()
+	rp.stack = append(rp.stack[:0], replayFrame{})
+	rp.engine.Reset()
+	rp.col.Reset()
+}
+
+// ctl replays one structure event: the finishing strand's boundary is
+// sampled while it is still current, then SP-Order advances.
+func (rp *replayer) ctl(op evstream.Op) {
+	rp.engine.StrandEnd()
+	top := len(rp.stack) - 1
+	switch op {
+	case evstream.OpSpawn:
+		_, cont := rp.sp.Spawn(&rp.stack[top].frame)
+		rp.stack = append(rp.stack, replayFrame{cont: cont})
+	case evstream.OpRestore: // the child's final strand ended here
+		rp.sp.Restore(rp.stack[top].cont)
+		rp.stack = rp.stack[:top]
+	case evstream.OpSync:
+		rp.sp.Sync(&rp.stack[top].frame)
+	}
+}
+
+// shardWorker consumes the broadcast stream for one shard: its replayer
+// takes the structure events, its engine (a detect.History) its pages'
+// intervals, in stream order — what the inline detector's flush applies.
 type shardWorker struct {
 	id, n int
 	bcast *evstream.BcastRing[*evstream.Batch]
-	// sp is the worker's private SP-Order structure and stack its replay
-	// stack — one frame per in-flight function instance, stack[0] the root.
-	sp    *spord.SP
-	stack []replayFrame
-	// engine is built once over sp (its OnRace closure captures the worker,
-	// whose identity is stable) and retained across runs; reset re-arms it.
-	engine detect.History
+	*replayer
 
 	// Decode-side telemetry for Report.ShardLoad: batches consumed, logical
 	// events and DecodeBlock calls (their ratio is events per call — short
@@ -84,51 +147,20 @@ type shardWorker struct {
 	// Results, read by the merge after the stage graph joins.
 	stats Stats
 	busy  stage.Meter
-	col   *stage.Collector
 }
 
-// replayFrame tracks one in-flight function instance on a worker's replay
-// stack, mirroring trace.replayFrame: its SP-Order frame and, for a spawned
-// instance, the parent's continuation to restore when it returns.
-type replayFrame struct {
-	frame spord.Frame
-	cont  *spord.Strand
-}
-
-// reset re-arms the worker for another run: SP-Order re-derives its root,
-// the replay stack rewinds to the root frame, the engine drops its access
-// history (retaining its warm pages and pools), and every per-run counter
-// zeroes.
+// reset re-arms the worker for another run: the replayer rewinds and every
+// per-run counter zeroes.
 func (w *shardWorker) reset() {
-	w.sp.Reset()
-	w.stack = append(w.stack[:0], replayFrame{})
-	w.engine.Reset()
+	w.replayer.reset()
 	w.batches, w.eventsScanned, w.blocksDecoded = 0, 0, 0
 	w.decodeBusy = 0
 	w.stats = Stats{}
 	w.busy.Reset()
-	w.col.Reset()
-}
-
-// ctl replays one structure event: the finishing strand's boundary is
-// sampled while it is still current, then SP-Order advances.
-func (w *shardWorker) ctl(op evstream.Op) {
-	w.engine.StrandEnd()
-	top := len(w.stack) - 1
-	switch op {
-	case evstream.OpSpawn:
-		_, cont := w.sp.Spawn(&w.stack[top].frame)
-		w.stack = append(w.stack, replayFrame{cont: cont})
-	case evstream.OpRestore: // the child's final strand ended here
-		w.sp.Restore(w.stack[top].cont)
-		w.stack = w.stack[:top]
-	case evstream.OpSync:
-		w.sp.Sync(&w.stack[top].frame)
-	}
 }
 
 func (w *shardWorker) run() {
-	engine := w.engine
+	engine := w.engine.(detect.History)
 	var blk [evstream.BlockEvents]evstream.Event
 	for {
 		batch, ok := w.bcast.Next(w.id)
@@ -193,31 +225,21 @@ func (w *shardWorker) owns(ev evstream.Event) bool {
 func (as *asyncState) buildWorkers(cfg detect.Config, n, ringDepth, maxRec int, user func(Race)) {
 	as.maxRec = maxRec
 	as.bcast = evstream.NewBcastRing(ringDepth, n, as.pool.Put)
-	var raceMu sync.Mutex
+	if inner := user; inner != nil {
+		var raceMu sync.Mutex
+		user = func(race Race) {
+			raceMu.Lock()
+			// Unlock via defer: a panicking user callback must release the
+			// mutex on its way out or the other workers deadlock on it
+			// instead of unwinding through the abort.
+			defer raceMu.Unlock()
+			inner(race)
+		}
+	}
 	as.workers = make([]*shardWorker, n)
 	for i := range as.workers {
-		w := &shardWorker{
-			id:    i,
-			n:     n,
-			bcast: as.bcast,
-			sp:    spord.New(),
-			stack: make([]replayFrame, 1, 16),
-			col:   stage.NewCollector(maxRec),
-		}
-		wcfg := cfg
-		wcfg.OnRace = func(race Race) {
-			w.col.Add(w.sp.SeqRank(race.Cur), race)
-			if user != nil {
-				raceMu.Lock()
-				// Unlock via defer: a panicking user callback must release
-				// the mutex on its way out or the other workers deadlock on
-				// it instead of unwinding through the abort.
-				defer raceMu.Unlock()
-				user(race)
-			}
-		}
-		w.engine = detect.NewHistory(wcfg, w.sp)
-		as.workers[i] = w
+		as.workers[i] = &shardWorker{id: i, n: n, bcast: as.bcast,
+			replayer: newReplayer(cfg, maxRec, user, detect.NewHistory)}
 	}
 }
 

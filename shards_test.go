@@ -432,7 +432,7 @@ func TestWorkersReplayTheSameSPOrder(t *testing.T) {
 					t.Fatalf("seed %d %s: worker %d replayed %d strands, sync has %d", seed, name, i, w.sp.StrandCount(), sync.Strands)
 				}
 				for id := int32(0); int(id) < sync.Strands; id++ {
-					if got, want := w.sp.SeqRank(id), syncR.warm.sp.SeqRank(id); got != want {
+					if got, want := w.sp.SeqRank(id), syncR.warm.rp.sp.SeqRank(id); got != want {
 						t.Fatalf("seed %d %s: worker %d ranks strand %d at %d, sync at %d", seed, name, i, id, got, want)
 					}
 				}

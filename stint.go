@@ -36,7 +36,6 @@ import (
 	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/mem"
-	"stint/internal/spord"
 	"stint/internal/stage"
 )
 
@@ -220,9 +219,9 @@ type Options struct {
 type Runner struct {
 	opts  Options
 	arena *mem.Arena
-	// newEngine, when non-nil, replaces detect.New; tests use it to run
-	// reference engines (e.g. the brute-force oracle) through the runner.
-	newEngine func(cfg detect.Config, sp *spord.SP) detect.Engine
+	// newEngine builds the synchronous engine: detect.New, or in tests a
+	// reference engine (e.g. the brute-force oracle) run through the runner.
+	newEngine func(cfg detect.Config, reach detect.Reach) detect.Engine
 	// asyncBatchEvents and asyncRingDepth override the async pipeline
 	// geometry when nonzero; tests use tiny values to force batch-boundary
 	// and backpressure edge cases.
@@ -231,25 +230,42 @@ type Runner struct {
 	// warm is the retained detector state, built lazily on first Run (so
 	// test seams set after NewRunner still apply); dirty marks it as used
 	// since the last Reset, making Run's auto-reset exact.
-	warm  *warmState
+	warm  *runState
 	dirty bool
 }
 
-// warmState is everything a Runner retains across runs. Exactly one shape
-// is populated, fixed by the Options mode:
+// runState is everything a Runner retains across runs, and what every Task
+// of a run points at. Exactly one detector shape is populated, fixed by the
+// Options mode:
 //
-//   - sync: sp + engine + col;
+//   - sync (ReachOnly included): rp — the structure replay a pipeline
+//     worker runs, with detect.New's engine and no ring in front of it;
 //   - Async or ParallelDetect: as — the mutator side, the broadcast ring
 //     and the workers behind it (async.go);
 //   - DetectorOff (either executor) / pure tracing: nothing.
 //
-// The OnRace closures built here capture the retained structures, so they
-// remain valid for every subsequent run.
-type warmState struct {
-	sp     *spord.SP
-	engine detect.Engine
-	col    *stage.Collector
+// A serial run's ctl ends strands into whichever of the two is set. bits and
+// engine are its hook arms, set only when hooks is: the one Coalescer every
+// Task hooks into (the Async producer's, or the inline engine's own), or the
+// per-access Engine (Vanilla, Compiler, the newEngine seam). hooks is false
+// under DetectorOff and ReachOnly (the paper's near-zero "reach." column
+// isolates reachability), so a nil arm is the hook path's whole check.
+type runState struct {
+	rp     *replayer
 	as     *asyncState
+	bits   *detect.Coalescer
+	engine detect.Engine
+	hooks  bool
+	tracer Tracer
+	// parallel selects ParallelDetect's goroutine executor. graph is the
+	// current run's stage graph — the pipeline's, or under the bare executor
+	// one with no stages — which a panicking task fails and Run re-raises.
+	parallel bool
+	graph    *stage.Graph
+	// taskFree recycles Task frames for the serial spawn path. Tasks are
+	// documented as invalid once their TaskFunc returns, so a completed
+	// child's frame can serve the next spawn without heap traffic.
+	taskFree []*Task
 }
 
 // ensureWarm builds the retained detector state on first use.
@@ -257,7 +273,11 @@ func (r *Runner) ensureWarm() {
 	if r.warm != nil {
 		return
 	}
-	w := &warmState{}
+	w := &runState{
+		hooks:    r.opts.Detector != DetectorOff && r.opts.Detector != DetectorReachOnly,
+		tracer:   r.opts.Tracer,
+		parallel: r.opts.ParallelDetect,
+	}
 	r.warm = w
 	if r.opts.Detector == DetectorOff {
 		return
@@ -286,7 +306,6 @@ func (r *Runner) ensureWarm() {
 	switch {
 	case r.opts.ParallelDetect:
 		w.as = newParallelState(depth, bcap)
-		w.as.buildWorkers(cfg, workers, depth, maxRec, user)
 	case r.opts.Async:
 		if r.opts.PageQuiesceThreshold > 0 {
 			// The serial producer is ahead of the workers in stream order, so
@@ -295,22 +314,17 @@ func (r *Runner) ensureWarm() {
 			cfg.Quiesced = detect.NewQuiesceSet()
 		}
 		w.as = newAsyncState(depth, bcap, cfg.Quiesced)
-		w.as.buildWorkers(cfg, workers, depth, maxRec, user)
+		if w.hooks {
+			w.bits = w.as.bits
+		}
 	default:
-		w.sp = spord.New()
-		w.col = stage.NewCollector(maxRec)
-		cfg.OnRace = func(race Race) {
-			w.col.Add(w.sp.SeqRank(race.Cur), race)
-			if user != nil {
-				user(race)
-			}
+		w.rp = newReplayer(cfg, maxRec, user, r.newEngine)
+		if w.bits = detect.CoalescerOf(w.rp.engine); w.bits == nil && w.hooks {
+			w.engine = w.rp.engine.(detect.Engine)
 		}
-		if r.newEngine != nil {
-			w.engine = r.newEngine(cfg, w.sp)
-		} else {
-			w.engine = detect.New(cfg, w.sp)
-		}
+		return
 	}
+	w.as.buildWorkers(cfg, workers, depth, maxRec, user)
 }
 
 // Reset returns the Runner to fresh-but-warm state: every retained layer —
@@ -330,14 +344,8 @@ func (r *Runner) Reset() {
 	if w == nil {
 		return
 	}
-	if w.sp != nil {
-		w.sp.Reset()
-	}
-	if w.engine != nil {
-		w.engine.Reset()
-	}
-	if w.col != nil {
-		w.col.Reset()
+	if w.rp != nil {
+		w.rp.reset()
 	}
 	if w.as != nil {
 		w.as.reset()
@@ -351,7 +359,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		return nil, err
 	}
 	opts.MaxRacesRecorded = defaultMaxRaces(opts.MaxRacesRecorded)
-	return &Runner{opts: opts, arena: mem.NewArena()}, nil
+	return &Runner{opts: opts, arena: mem.NewArena(), newEngine: detect.New}, nil
 }
 
 // Arena returns the Runner's address arena.
@@ -444,25 +452,6 @@ func (rep *Report) Racy() bool { return rep.RaceCount > 0 }
 // function returns and must not be retained or shared.
 type TaskFunc func(t *Task)
 
-// runState is the per-Run shared state.
-type runState struct {
-	sp     *spord.SP
-	engine detect.Engine
-	hooks  bool // false when memory hooks should not reach the engine
-	async  *asyncState
-	// parPipe is the ParallelDetect pipeline (parallel.go). It is kept
-	// distinct from async on purpose: the hook dispatch routes through the
-	// task-local parTask (t.par), never through a shared working batch, so
-	// a non-nil async must continue to mean "serial producer".
-	parPipe  *asyncState
-	tracer   Tracer
-	parallel bool
-	// taskFree recycles Task frames for the serial spawn path. Tasks are
-	// documented as invalid once their TaskFunc returns, so a completed
-	// child's frame can serve the next spawn without heap traffic.
-	taskFree []*Task
-}
-
 // getTask returns a reset Task, reusing a retired frame when possible.
 // Serial execution only; parallel mode allocates per goroutine.
 func (rs *runState) getTask() *Task {
@@ -470,10 +459,10 @@ func (rs *runState) getTask() *Task {
 		t := rs.taskFree[n-1]
 		rs.taskFree[n-1] = nil
 		rs.taskFree = rs.taskFree[:n-1]
-		*t = Task{rs: rs}
+		*t = Task{rs: rs, bits: rs.bits}
 		return t
 	}
-	return &Task{rs: rs}
+	return &Task{rs: rs, bits: rs.bits}
 }
 
 func (rs *runState) putTask(t *Task) { rs.taskFree = append(rs.taskFree, t) }
@@ -481,14 +470,20 @@ func (rs *runState) putTask(t *Task) { rs.taskFree = append(rs.taskFree, t) }
 // Task is a function instance in the fork-join program: the receiver for
 // spawning, syncing, and instrumentation hooks.
 type Task struct {
-	rs    *runState
-	frame spord.Frame
-	// tracePending mirrors frame.Pending for the tracer (and stands in for
-	// it when no detector is attached): true iff a spawn happened since
-	// the last strand-creating sync.
-	tracePending bool
-	wg           *sync.WaitGroup // parallel executors only
-	par          *parTask        // ParallelDetect only: this task's chunk emitter
+	rs *runState
+	// pending is true iff a spawn happened since the last strand-creating
+	// sync; a Sync without it is a no-op that ends no strand.
+	pending bool
+	// bits is the current strand's Coalescer: the serial run's one, or under
+	// ParallelDetect one borrowed for the strand (coalescer, cut).
+	bits *detect.Coalescer
+	wg   *sync.WaitGroup // parallel executors only
+	// ParallelDetect's chunk emitter (parallel.go): task identity, working
+	// batch (nil without a pipeline), chunk index, busy-lap start.
+	id    uint64
+	idx   uint32
+	batch *evstream.Batch
+	t0    time.Time
 }
 
 // footprint sums the retained warm capacity of every engine the Runner
@@ -512,8 +507,8 @@ func (r *Runner) footprint() detect.Footprint {
 			f.Add(detect.FootprintOf(sw.engine))
 		}
 	}
-	if w.engine != nil {
-		f.Add(detect.FootprintOf(w.engine))
+	if w.rp != nil {
+		f.Add(detect.FootprintOf(w.rp.engine))
 	}
 	return f
 }
@@ -528,44 +523,24 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	}
 	r.ensureWarm()
 	r.dirty = true
-	w := r.warm
+	rs := r.warm
 	rep := &Report{}
-	rs := &runState{parallel: r.opts.ParallelDetect, tracer: r.opts.Tracer}
-	var syncCol *stage.Collector
-	pipe := w.as // non-nil exactly in the pipelined modes
-	if r.opts.Detector != DetectorOff {
-		// ReachOnly isolates the reachability component: SP-Order is
-		// maintained but memory hooks are skipped at the dispatch layer,
-		// matching the paper's near-zero "reach." column.
-		rs.hooks = r.opts.Detector != DetectorReachOnly
-		switch {
-		case r.opts.ParallelDetect:
-			// Parallel execution with online detection: task goroutines flush
-			// their strands into chunks on a multi-producer queue, the merge
-			// stage reconstructs the serial projection, and the worker graph
-			// consumes the result (parallel.go). Under DetectorOff parPipe
-			// stays nil and the same goroutine executor runs bare.
-			rs.parPipe = pipe
-		case r.opts.Async:
-			// Pipelined detection: SP-Order and the engines live behind the
-			// event stream as a stage graph whose workers own the race
-			// collectors and user OnRace calls (shards.go). rep is safe to
-			// read once drain() has waited out the graph.
-			rs.async = pipe
-		default:
-			rs.sp = w.sp
-			rs.engine = w.engine
-			syncCol = w.col
-		}
-	}
+	pipe := rs.as // non-nil exactly in the pipelined modes
 	if pipe != nil {
+		// The workers own the race collectors and user OnRace calls
+		// (shards.go); rep is safe to read once the drain has waited out
+		// the graph.
 		pipe.launch()
+		rs.graph = pipe.graph
+	} else if rs.parallel {
+		rs.graph = stage.NewGraph()
+		rs.graph.Seal(nil)
 	}
-	t := &Task{rs: rs}
+	t := &Task{rs: rs, bits: rs.bits}
 	if rs.parallel {
 		t.wg = &sync.WaitGroup{}
-		if rs.parPipe != nil {
-			t.par = newParTask(rs.parPipe, 0) // the root owns task identity 0
+		if pipe != nil {
+			t.startChunks(0) // the root owns task identity 0
 		}
 	}
 	// runtime/metrics instead of runtime.ReadMemStats: reading these two
@@ -576,48 +551,39 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	after := before
 	metrics.Read(before[:])
 	start := time.Now()
-	if pipe != nil {
-		pipe.exec(root, t)
-	} else {
-		root(t)
-		t.Sync()
-	}
-	if rs.parPipe != nil {
+	rs.exec(root, t)
+	switch {
+	case rs.parallel && pipe != nil:
 		// The root's final chunk completes the serial projection; the
 		// drain waits out the merge and worker graph.
-		t.par.cut(evstream.ChunkRoot, 0)
-		rs.parPipe.drainParallel()
-	} else if rs.async != nil {
+		t.cut(evstream.ChunkRoot, 0)
+		pipe.drainParallel()
+	case rs.parallel:
+		rs.graph.Wait() // re-raises a spawned task's panic
+	case pipe != nil:
 		// Flush the stream and join the worker graph: WallTime then
 		// covers max(compute, detect) plus the residual drain, and Stats
 		// are exact.
-		rs.async.drain()
-	} else if rs.engine != nil {
-		rs.engine.Finish()
+		pipe.drain()
+	case rs.rp != nil:
+		rs.rp.engine.Finish()
 	}
 	rep.WallTime = time.Since(start)
 	metrics.Read(after[:])
 	if pipe != nil {
 		rep.Strands = pipe.strands
 		rep.Stats = pipe.stats
-		rep.RaceCount = rep.Stats.Races
 		rep.Races = pipe.races
 		rep.ShardLoad = pipe.shardLoad
 		rep.ExecutorBusy = time.Duration(pipe.execBusy.Load())
 		rep.SequencerBusy = pipe.seqBusy.Busy()
 		rep.ReorderPeak = pipe.reorderPeak
-	} else {
-		if rs.sp != nil {
-			rep.Strands = rs.sp.StrandCount()
-		}
-		if rs.engine != nil {
-			rep.Stats = *rs.engine.Stats()
-			rep.RaceCount = rep.Stats.Races
-		}
-		if syncCol != nil {
-			rep.Races = syncCol.Sorted()
-		}
+	} else if rp := rs.rp; rp != nil {
+		rep.Strands = rp.sp.StrandCount()
+		rep.Stats = *rp.engine.Stats()
+		rep.Races = rp.col.Sorted()
 	}
+	rep.RaceCount = rep.Stats.Races
 	rep.Stats.AllocObjects = after[0].Value.Uint64() - before[0].Value.Uint64()
 	rep.Stats.AllocBytes = after[1].Value.Uint64() - before[1].Value.Uint64()
 	if err := r.capError(); err != nil {
@@ -635,15 +601,11 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 // Runner's engines (worker order, so the answer is deterministic for a
 // deterministic workload split).
 func (r *Runner) capError() error {
-	w := r.warm
-	if w == nil {
-		return nil
+	if rp := r.warm.rp; rp != nil {
+		return detect.CapErrorOf(rp.engine)
 	}
-	if w.engine != nil {
-		return detect.CapErrorOf(w.engine)
-	}
-	if w.as != nil {
-		for _, sw := range w.as.workers {
+	if as := r.warm.as; as != nil {
+		for _, sw := range as.workers {
 			if err := detect.CapErrorOf(sw.engine); err != nil {
 				return err
 			}
@@ -659,160 +621,65 @@ func (r *Runner) capError() error {
 // implicit Sync.
 func (t *Task) Spawn(f TaskFunc) {
 	rs := t.rs
+	t.pending = true
 	if rs.parallel {
-		if p := t.par; p != nil {
-			// ParallelDetect: end the caller's strand here — its chunk's
-			// terminator is the spawn, naming the child task so the merge
-			// walks the child's subtree before the caller's continuation.
-			// The child goroutine emits its own chunks under a fresh task
-			// identity and seals them with a task-end terminator after its
-			// implicit final sync.
-			t.tracePending = true
-			childID := p.as.nextTask.Add(1)
-			p.cut(evstream.ChunkSpawn, childID)
-			t.wg.Add(1)
-			go func() {
-				defer t.wg.Done()
-				child := &Task{rs: rs, wg: &sync.WaitGroup{}, par: newParTask(p.as, childID)}
-				f(child)
-				child.Sync()
-				child.par.cut(evstream.ChunkTask, 0)
-			}()
-			return
-		}
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			child := &Task{rs: rs, wg: &sync.WaitGroup{}}
-			f(child)
-			child.Sync()
-		}()
+		t.fork(f)
 		return
 	}
-	if rs.tracer != nil {
-		rs.tracer.Spawn()
-	}
-	t.tracePending = true
-	if as := rs.async; as != nil {
-		// Pipelined: the structure events travel the stream; SP-Order is
-		// maintained by the consumer. Execution stays depth-first serial.
-		as.emitCtl(evstream.OpSpawn)
-		child := rs.getTask()
-		f(child)
-		child.Sync()
-		rs.putTask(child)
-		as.emitCtl(evstream.OpRestore)
-		if rs.tracer != nil {
-			rs.tracer.Restore()
-		}
-		return
-	}
-	if rs.sp == nil { // DetectorOff, serial
-		child := rs.getTask()
-		f(child)
-		child.Sync()
-		rs.putTask(child)
-		if rs.tracer != nil {
-			rs.tracer.Restore()
-		}
-		return
-	}
-	rs.engine.StrandEnd()
-	_, cont := rs.sp.Spawn(&t.frame)
+	rs.ctl(evstream.OpSpawn)
 	child := rs.getTask()
 	f(child)
 	child.Sync()
 	rs.putTask(child)
-	rs.engine.StrandEnd() // the child's final strand ends here
-	rs.sp.Restore(cont)
-	if rs.tracer != nil {
-		rs.tracer.Restore()
-	}
+	rs.ctl(evstream.OpRestore) // the child's final strand ends here
 }
 
 // Sync joins every subtask spawned by this task since its last Sync. A
 // Sync with no outstanding spawns is a no-op and does not end the strand.
 func (t *Task) Sync() {
-	rs := t.rs
-	if rs.parallel {
-		if p := t.par; p != nil && t.tracePending {
-			// Strand-creating sync (no-op syncs are elided, exactly as on
-			// the serial paths): the current chunk ends at the sync.
-			p.cut(evstream.ChunkSync, 0)
-			t.tracePending = false
-		}
-		if p := t.par; p != nil {
-			// The join is idle time, not execution.
-			p.pause()
-			t.wg.Wait()
-			p.resume()
-			return
-		}
-		t.wg.Wait()
+	if t.rs.parallel {
+		t.join()
 		return
 	}
-	if rs.tracer != nil && t.tracePending {
-		rs.tracer.Sync()
+	if t.pending {
+		t.pending = false
+		t.rs.ctl(evstream.OpSync)
 	}
-	if as := rs.async; as != nil {
-		// Only strand-creating syncs travel the stream; tracePending
-		// mirrors frame.Pending for exactly this purpose.
-		if t.tracePending {
-			as.emitCtl(evstream.OpSync)
+}
+
+// ctl is every serial mode's one structure transition: the Tracer records
+// it, then the strand it ends goes into the Async producer's stream or
+// through the inline replayer — a pipeline worker's replay, with no ring.
+func (rs *runState) ctl(op evstream.Op) {
+	if tr := rs.tracer; tr != nil {
+		switch op {
+		case evstream.OpSpawn:
+			tr.Spawn()
+		case evstream.OpRestore:
+			tr.Restore()
+		case evstream.OpSync:
+			tr.Sync()
 		}
-		t.tracePending = false
-		return
 	}
-	t.tracePending = false
-	if rs.sp == nil {
-		return
-	}
-	if t.frame.Pending() {
-		rs.engine.StrandEnd()
-		rs.sp.Sync(&t.frame)
+	if rs.as != nil {
+		rs.as.emitCtl(op)
+	} else if rs.rp != nil {
+		rs.rp.ctl(op)
 	}
 }
 
 // Load reports a read of element i of b (per-access instrumentation, like
 // the paper's __load_hook).
 func (t *Task) Load(b *Buffer, i int) {
-	rs := t.rs
-	if !rs.hooks && rs.tracer == nil {
-		return
-	}
-	addr, size := b.Addr(i), uint64(b.ElemBytes())
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.ReadHook(addr, size)
-		} else if e := rs.engine; e != nil {
-			e.ReadHook(addr, size)
-		} else {
-			t.par.coalescer().ReadHook(addr, size)
-		}
-	}
-	if rs.tracer != nil {
-		rs.tracer.Read(addr, size)
+	if t.Detecting() {
+		t.access(b.Addr(i), uint64(b.ElemBytes()), false)
 	}
 }
 
 // Store reports a write of element i of b.
 func (t *Task) Store(b *Buffer, i int) {
-	rs := t.rs
-	if !rs.hooks && rs.tracer == nil {
-		return
-	}
-	addr, size := b.Addr(i), uint64(b.ElemBytes())
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.WriteHook(addr, size)
-		} else if e := rs.engine; e != nil {
-			e.WriteHook(addr, size)
-		} else {
-			t.par.coalescer().WriteHook(addr, size)
-		}
-	}
-	if rs.tracer != nil {
-		rs.tracer.Write(addr, size)
+	if t.Detecting() {
+		t.access(b.Addr(i), uint64(b.ElemBytes()), true)
 	}
 }
 
@@ -820,51 +687,99 @@ func (t *Task) Store(b *Buffer, i int) {
 // (the paper's __coalesced_load_hook): use it exactly where a compiler
 // could prove the enclosing loop reads a contiguous range.
 func (t *Task) LoadRange(b *Buffer, i, n int) {
-	rs := t.rs
-	if (!rs.hooks && rs.tracer == nil) || n == 0 {
-		return
-	}
-	addr, size := b.Range(i, n)
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.ReadHook(addr, size)
-		} else if e := rs.engine; e != nil {
-			e.ReadRangeHook(addr, n, uint64(b.ElemBytes()))
-		} else {
-			t.par.coalescer().ReadHook(addr, size)
-		}
-	}
-	if rs.tracer != nil {
-		rs.tracer.ReadRange(addr, n, uint64(b.ElemBytes()))
+	if n != 0 && t.Detecting() {
+		addr, _ := b.Range(i, n)
+		t.accessRange(addr, n, uint64(b.ElemBytes()), false)
 	}
 }
 
 // StoreRange reports a compiler-coalesced write of elements [i, i+n) of b.
 func (t *Task) StoreRange(b *Buffer, i, n int) {
+	if n != 0 && t.Detecting() {
+		addr, _ := b.Range(i, n)
+		t.accessRange(addr, n, uint64(b.ElemBytes()), true)
+	}
+}
+
+// LoadAt and StoreAt report raw-address accesses for callers managing their
+// own layout on top of the Arena. Sizes of 2^56+ bytes, and spans wrapping
+// the address space, panic.
+func (t *Task) LoadAt(addr Addr, size uint64) { t.access(addr, size, false) }
+
+// StoreAt reports a raw-address write; see LoadAt (including its size
+// guard).
+func (t *Task) StoreAt(addr Addr, size uint64) { t.access(addr, size, true) }
+
+// LoadRangeAt reports a compiler-coalesced read of count elements of
+// elemBytes each starting at a raw address, for callers managing their own
+// layout on top of the Arena (the raw-address sibling of LoadRange).
+// Operands the detector cannot represent — a negative or 2^32+ count, an
+// element size of 2^24+ bytes, or a span wrapping the address space —
+// panic.
+func (t *Task) LoadRangeAt(addr Addr, count int, elemBytes uint64) {
+	t.accessRange(addr, count, elemBytes, false)
+}
+
+// StoreRangeAt reports a compiler-coalesced write at a raw address; see
+// LoadRangeAt (including its operand guards).
+func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
+	t.accessRange(addr, count, elemBytes, true)
+}
+
+// access is the one dispatch behind Load, Store, LoadAt and StoreAt, and
+// accessRange the one behind the four range hooks: check the operands, then
+// hand the access to the strand's Coalescer (which takes a range as one
+// span) or else the per-access Engine, then to the Tracer. The raw-address
+// hooks are a bare call into it, so they inline.
+func (t *Task) access(addr Addr, size uint64, write bool) {
+	checkAccess(size)
+	checkWrap(addr, size)
 	rs := t.rs
-	if (!rs.hooks && rs.tracer == nil) || n == 0 {
+	switch c, e := t.coalescer(), rs.engine; {
+	case c != nil && write:
+		c.WriteHook(addr, size)
+	case c != nil:
+		c.ReadHook(addr, size)
+	case e != nil && write:
+		e.WriteHook(addr, size)
+	case e != nil:
+		e.ReadHook(addr, size)
+	}
+	if tr := rs.tracer; tr != nil && write {
+		tr.Write(addr, size)
+	} else if tr != nil {
+		tr.Read(addr, size)
+	}
+}
+
+func (t *Task) accessRange(addr Addr, count int, elemBytes uint64, write bool) {
+	if count == 0 {
 		return
 	}
-	addr, size := b.Range(i, n)
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.WriteHook(addr, size)
-		} else if e := rs.engine; e != nil {
-			e.WriteRangeHook(addr, n, uint64(b.ElemBytes()))
-		} else {
-			t.par.coalescer().WriteHook(addr, size)
-		}
+	checkRange(addr, count, elemBytes)
+	rs, size := t.rs, uint64(count)*elemBytes
+	switch c, e := t.coalescer(), rs.engine; {
+	case c != nil && write:
+		c.WriteHook(addr, size)
+	case c != nil:
+		c.ReadHook(addr, size)
+	case e != nil && write:
+		e.WriteRangeHook(addr, count, elemBytes)
+	case e != nil:
+		e.ReadRangeHook(addr, count, elemBytes)
 	}
-	if rs.tracer != nil {
-		rs.tracer.WriteRange(addr, n, uint64(b.ElemBytes()))
+	if tr := rs.tracer; tr != nil && write {
+		tr.WriteRange(addr, count, elemBytes)
+	} else if tr != nil {
+		tr.ReadRange(addr, count, elemBytes)
 	}
 }
 
 // checkAccess rejects per-access sizes beyond the event encodings' shared
 // 56-bit field, in every mode, so a program a trace can carry is a program
-// every mode accepts. Like checkRange, it guards only the raw-address hooks
-// — arena-backed accesses are bounded by their Buffer. It and checkWrap
-// inline into them: a trace replay pays both per event.
+// every mode accepts. Like checkRange, it is there for the raw-address hooks
+// — an arena-backed access, bounded by its Buffer, passes it in two
+// compares. It and checkWrap inline into the dispatch.
 func checkAccess(size uint64) {
 	if size > evstream.MaxAccessSize {
 		panic(fmt.Sprintf("stint: access size %d outside [0, 2^56)", size))
@@ -886,54 +801,12 @@ func panicWraps(addr Addr, size uint64) {
 	panic(fmt.Sprintf("stint: range [%#x, %#x+%d) wraps the address space", addr, addr, size))
 }
 
-// LoadAt and StoreAt report raw-address accesses for callers managing their
-// own layout on top of the Arena. Sizes of 2^56+ bytes, and spans wrapping
-// the address space, panic.
-func (t *Task) LoadAt(addr Addr, size uint64) {
-	rs := t.rs
-	checkAccess(size)
-	checkWrap(addr, size)
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.ReadHook(addr, size)
-		} else if e := rs.engine; e != nil {
-			e.ReadHook(addr, size)
-		} else {
-			t.par.coalescer().ReadHook(addr, size)
-		}
-	}
-	if rs.tracer != nil {
-		rs.tracer.Read(addr, size)
-	}
-}
-
-// StoreAt reports a raw-address write; see LoadAt (including its size
-// guard).
-func (t *Task) StoreAt(addr Addr, size uint64) {
-	rs := t.rs
-	checkAccess(size)
-	checkWrap(addr, size)
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.WriteHook(addr, size)
-		} else if e := rs.engine; e != nil {
-			e.WriteHook(addr, size)
-		} else {
-			t.par.coalescer().WriteHook(addr, size)
-		}
-	}
-	if rs.tracer != nil {
-		rs.tracer.Write(addr, size)
-	}
-}
-
 // checkRange rejects range-hook operands the event encodings cannot
 // represent: a count or element size outside their fields (which would
 // silently truncate into a different, smaller range) or a span wrapping the
-// address space (checkWrap). The
-// arena-backed LoadRange/StoreRange can never trip it — Buffer.Range bounds
-// the span — so the guard lives only on the raw-address hooks, where the
-// caller manages its own layout.
+// address space (checkWrap). The arena-backed LoadRange/StoreRange can
+// never trip it — Buffer.Range bounds the span; it is for the raw-address
+// hooks, where the caller manages its own layout.
 func checkRange(addr Addr, count int, elemBytes uint64) {
 	if count < 0 || uint64(count) > evstream.MaxRangeCount {
 		panic(fmt.Sprintf("stint: range count %d outside [0, 2^32)", count))
@@ -942,54 +815,6 @@ func checkRange(addr Addr, count int, elemBytes uint64) {
 		panic(fmt.Sprintf("stint: range element size %d outside [0, 2^24)", elemBytes))
 	}
 	checkWrap(addr, uint64(count)*elemBytes)
-}
-
-// LoadRangeAt reports a compiler-coalesced read of count elements of
-// elemBytes each starting at a raw address, for callers managing their own
-// layout on top of the Arena (the raw-address sibling of LoadRange).
-// Operands the detector cannot represent — a negative or 2^32+ count, an
-// element size of 2^24+ bytes, or a span wrapping the address space —
-// panic.
-func (t *Task) LoadRangeAt(addr Addr, count int, elemBytes uint64) {
-	rs := t.rs
-	if count == 0 {
-		return
-	}
-	checkRange(addr, count, elemBytes)
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.ReadHook(addr, uint64(count)*elemBytes)
-		} else if e := rs.engine; e != nil {
-			e.ReadRangeHook(addr, count, elemBytes)
-		} else {
-			t.par.coalescer().ReadHook(addr, uint64(count)*elemBytes)
-		}
-	}
-	if rs.tracer != nil {
-		rs.tracer.ReadRange(addr, count, elemBytes)
-	}
-}
-
-// StoreRangeAt reports a compiler-coalesced write at a raw address; see
-// LoadRangeAt (including its operand guards).
-func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
-	rs := t.rs
-	if count == 0 {
-		return
-	}
-	checkRange(addr, count, elemBytes)
-	if rs.hooks {
-		if as := rs.async; as != nil {
-			as.bits.WriteHook(addr, uint64(count)*elemBytes)
-		} else if e := rs.engine; e != nil {
-			e.WriteRangeHook(addr, count, elemBytes)
-		} else {
-			t.par.coalescer().WriteHook(addr, uint64(count)*elemBytes)
-		}
-	}
-	if rs.tracer != nil {
-		rs.tracer.WriteRange(addr, count, elemBytes)
-	}
 }
 
 // Detecting reports whether instrumentation is live — a detector is

@@ -300,6 +300,82 @@ func TestDetectorOffRunsProgram(t *testing.T) {
 	}
 }
 
+// accessCounter is a Tracer counting the accesses it is shown.
+type accessCounter struct{ n int }
+
+func (*accessCounter) Spawn()                         {}
+func (*accessCounter) Restore()                       {}
+func (*accessCounter) Sync()                          {}
+func (c *accessCounter) Read(Addr, uint64)            { c.n++ }
+func (c *accessCounter) Write(Addr, uint64)           { c.n++ }
+func (c *accessCounter) ReadRange(Addr, int, uint64)  { c.n++ }
+func (c *accessCounter) WriteRange(Addr, int, uint64) { c.n++ }
+
+// TestDetectingMatchesHooks pins what every workload's `det :=
+// t.Detecting()` fast path trusts: in every mode, in the root task and in a
+// spawned one, Detecting is true exactly when a Load, LoadRange or LoadAt
+// reaches a hook counter or the Tracer — so skipping the hooks while it is
+// false loses nothing, and nothing is skipped that would have counted.
+func TestDetectingMatchesHooks(t *testing.T) {
+	type mode struct {
+		name   string
+		opts   Options
+		traced bool
+	}
+	modes := []mode{
+		{"off", Options{}, false},
+		{"reach", Options{Detector: DetectorReachOnly}, false},
+		{"async", Options{Detector: DetectorSTINT, Async: true}, false},
+		{"shards=2", Options{Detector: DetectorSTINT, Async: true, DetectShards: 2}, false},
+		{"parallel-detect/off", Options{ParallelDetect: true}, false},
+		{"parallel-detect/stint", Options{Detector: DetectorSTINT, ParallelDetect: true}, false},
+		{"tracer", Options{}, true},
+		{"tracer+stint", Options{Detector: DetectorSTINT}, true},
+	}
+	for _, d := range allDetectors {
+		modes = append(modes, mode{d.String(), Options{Detector: d}, false})
+	}
+	hooks := map[string]func(task *Task, buf *Buffer){
+		"Load":      func(task *Task, buf *Buffer) { task.Load(buf, 1) },
+		"LoadRange": func(task *Task, buf *Buffer) { task.LoadRange(buf, 2, 4) },
+		"LoadAt":    func(task *Task, buf *Buffer) { task.LoadAt(buf.Addr(8), 4) },
+	}
+	for _, m := range modes {
+		for name, hook := range hooks {
+			for _, inChild := range []bool{false, true} {
+				opts, tr := m.opts, &accessCounter{}
+				if m.traced {
+					opts.Tracer = tr
+				}
+				r, err := NewRunner(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := r.Arena().AllocWords("buf", 64)
+				var detecting bool
+				body := func(task *Task) {
+					detecting = task.Detecting()
+					hook(task, buf)
+				}
+				rep, err := r.Run(func(task *Task) {
+					if inChild {
+						task.Spawn(body)
+					} else {
+						body(task)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reached := rep.Stats.ReadHookCalls > 0 || tr.n > 0; detecting != reached {
+					t.Errorf("%s/%s (in child: %v): Detecting() = %v, but the hook reached a counter or the Tracer: %v",
+						m.name, name, inChild, detecting, reached)
+				}
+			}
+		}
+	}
+}
+
 // Without a runtime-coalescing detector to stream intervals to, the
 // goroutine executor is only legal bare (DetectorOff).
 func TestParallelRequiresDetectorOff(t *testing.T) {

@@ -7,17 +7,30 @@ import (
 )
 
 // TestBodyPanicUnwindsPipeline pins Run's unwind path: a panic out of the
-// program body — here in the root, after a spawn, mid-strand — must fail the
-// stage graph, wait out every stage and spawned task, and re-raise the
-// original value, leaving the Runner dirty. So N recovered panics leak no
-// goroutine, and the next Run on the same warm Runner reports exactly what a
-// fresh Runner does (no stale stage shares the reset ring with it).
+// program body — in the root, after a spawn, mid-strand, or under
+// ParallelDetect in a spawned task that has spawned one of its own — must
+// fail the stage graph (if there is one), wait out every stage and spawned
+// task, and re-raise the original value on Run's caller, leaving the Runner
+// dirty. So N recovered panics leak no goroutine, and the next Run on the
+// same warm Runner reports exactly what a fresh Runner does (no stale stage
+// shares the reset ring with it).
 func TestBodyPanicUnwindsPipeline(t *testing.T) {
+	type leg struct {
+		name    string
+		opts    Options
+		inChild bool
+	}
+	var legs []leg
 	for _, m := range pipeModes {
-		t.Run(m.Name, func(t *testing.T) {
-			opts := m.With(Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10})
+		legs = append(legs, leg{m.Name, m.With(Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 10}), false})
+	}
+	legs = append(legs,
+		leg{"child-panic/off", Options{ParallelDetect: true}, true},
+		leg{"child-panic/stint", Options{Detector: DetectorSTINT, ParallelDetect: true, DetectShards: 2, MaxRacesRecorded: 1 << 10}, true})
+	for _, l := range legs {
+		t.Run(l.name, func(t *testing.T) {
 			newRunner := func() (*Runner, TaskFunc, TaskFunc) {
-				r, err := NewRunner(opts)
+				r, err := NewRunner(l.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -29,7 +42,19 @@ func TestBodyPanicUnwindsPipeline(t *testing.T) {
 						task.Store(buf, 64*i+7)
 					}
 				}
-				return r, racy, func(task *Task) { racy(task); panic("body exploded") }
+				boom := func(task *Task) { racy(task); panic("body exploded") }
+				if l.inChild {
+					boom = func(task *Task) {
+						racy(task)
+						task.Spawn(func(c *Task) {
+							c.Spawn(func(g *Task) { g.StoreRange(buf, 0, 64) })
+							c.Store(buf, 3)
+							panic("body exploded")
+						})
+						task.Store(buf, 9)
+					}
+				}
+				return r, racy, boom
 			}
 			r, racy, boom := newRunner()
 			baseline := runtime.NumGoroutine()
@@ -60,7 +85,7 @@ func TestBodyPanicUnwindsPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want.RaceCount == 0 {
+			if want.RaceCount == 0 && l.opts.Detector != DetectorOff {
 				t.Fatal("program produced no races; test is vacuous")
 			}
 			assertSameReport(t, "run after the panics vs a fresh Runner", got, want)
