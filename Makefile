@@ -27,7 +27,7 @@ bench:
 # Hot-path microbenchmarks bench/ does not cover: the open-addressed page
 # directory vs the seed's Go map, treap insertion from a cold node pool, a
 # strand's sorted run through one page's two treaps (fft's pattern;
-# reports nodes/op), the broadcast ring the pipelines publish on and the reference SPSC
+# reports nodes/op and overlaps/op), the broadcast ring the pipelines publish on and the reference SPSC
 # ring, the event codec against its fixed-form reference (encode on the
 # representative mix; decode on that, on a sequential stream and on wild
 # jumps), the workers' page-filter scan, the per-access hook cost over every

@@ -114,14 +114,16 @@ func TestStableCostAcrossGrowth(t *testing.T) {
 func TestSortedRunCostsHeightPlusRun(t *testing.T) {
 	// The finger's point: a strand's k address-sorted intervals on one tree
 	// cost O(h + k) together, not k·O(h). fft's shape — exact-match re-reads
-	// of every other stored interval of a 4096-node tree — must stay within
-	// a small constant per interval (5.6 measured), query and insert alike,
-	// where walking from the root pays the depth (≈ 13) every time.
+	// of every other stored interval of a 4096-node tree, whose neighbours
+	// belong to another reader — must stay within a small constant per
+	// interval, query and insert alike, where walking from the root pays the
+	// depth (≈ 13) every time. The insert also looks at both neighbours of
+	// the node it takes over, which could have its reader (6.5 measured).
 	const n, k = 4096, 2048
 	lo := func(a, b int32) bool { return a > b }
 	tr := NewTree()
-	for i := 0; i < n; i++ {
-		tr.InsertRead(Interval{uint64(i) * 4, uint64(i)*4 + 4, 0}, lo, nil)
+	for i := 0; i < n; i++ { // two alternating readers, so no two nodes merge
+		tr.InsertRead(Interval{uint64(i) * 4, uint64(i)*4 + 4, int32(i % 2)}, lo, nil)
 	}
 	perOp := func(fromRoot bool, op func(x Interval)) float64 {
 		tr.ResetStats()
@@ -129,7 +131,7 @@ func TestSortedRunCostsHeightPlusRun(t *testing.T) {
 			if fromRoot {
 				tr.finger = 0
 			}
-			op(Interval{uint64(i) * 8, uint64(i)*8 + 4, 1})
+			op(Interval{uint64(i) * 8, uint64(i)*8 + 4, 2})
 		}
 		st := tr.Stats()
 		if st.Overlaps != k {

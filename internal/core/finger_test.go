@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // twin pairs a tree used as the detector uses it with a reference whose
@@ -36,9 +38,35 @@ func depth(t *Tree, r ref) uint64 {
 // non-nil, sees the fingered tree's overlaps.
 func (w twin) apply(t *testing.T, x Interval, cb OverlapFunc, op func(tr *Tree, cb OverlapFunc)) {
 	t.Helper()
+	w.run(t, x, func(tr *Tree, b unsafe.Pointer, x span) (ref, ref) { return tr.climb(b, tr.fingerOrRoot(b, x), x) }, cb, op)
+}
+
+// read is apply for InsertRead, which seeks with readStart.
+func (w twin) read(t *testing.T, x Interval, leftOf LeftOfFunc, cb OverlapFunc) {
+	t.Helper()
+	w.run(t, x, (*Tree).readStart, cb, func(tr *Tree, cb OverlapFunc) { tr.InsertRead(x, leftOf, cb) })
+}
+
+// checkedRead is read checked against the word oracle as checkedRead checks
+// a lone tree: overlaps, projection, and one node per maximal run.
+func (w twin) checkedRead(t *testing.T, o *wordOracle, x Interval, leftOf LeftOfFunc) {
+	t.Helper()
+	os := newOverlapSet(t)
+	want := o.expectedOverlaps(x)
+	w.read(t, x, leftOf, os.fn)
+	w.tr.checkReadTree()
+	comparePairSets(t, fmt.Sprintf("InsertRead(%v)", x), os.pairs, want)
+	o.applyRead(x, leftOf)
+	compareProjection(t, fmt.Sprintf("after InsertRead(%v)", x), w.tr, o)
+	compareRuns(t, fmt.Sprintf("after InsertRead(%v)", x), w.tr, o)
+}
+
+// run is apply with the operation's seek.
+func (w twin) run(t *testing.T, x Interval, seek func(tr *Tree, b unsafe.Pointer, x span) (ref, ref), cb OverlapFunc, op func(tr *Tree, cb OverlapFunc)) {
+	t.Helper()
 	// Dry-run seek: it has no side effect but the visit charge.
 	before := w.tr.stats
-	start := w.tr.climb(w.tr.pool.base, w.tr.fingerOrRoot(w.tr.pool.base, w.tr.local(x)), w.tr.local(x))
+	start, _ := seek(w.tr, w.tr.pool.base, w.tr.local(x))
 	climb := w.tr.stats.NodesVisited - before.NodesVisited
 	w.tr.stats = before
 	var skipped uint64
@@ -123,7 +151,7 @@ func TestFingerMatchesRootWalk(t *testing.T) {
 			case 0:
 				w.apply(t, x, nil, func(tr *Tree, cb OverlapFunc) { tr.InsertWrite(x, cb) })
 			case 1:
-				w.apply(t, x, nil, func(tr *Tree, cb OverlapFunc) { tr.InsertRead(x, mixLeftOf, cb) })
+				w.read(t, x, mixLeftOf, nil)
 			default:
 				w.apply(t, x, nil, func(tr *Tree, cb OverlapFunc) { tr.Query(x, cb) })
 			}
@@ -159,12 +187,43 @@ func TestFingerMatchesRootWalk(t *testing.T) {
 					x := stored[i]
 					x.Acc = acc
 					acc++
-					w.apply(t, x, nil, func(tr *Tree, cb OverlapFunc) { tr.InsertRead(x, mixLeftOf, cb) })
+					w.read(t, x, mixLeftOf, nil)
 				}
 			default:
 				if rng.Intn(4) == 0 {
 					w.reset(rng.Intn(2) == 0)
 				}
+			}
+		}
+	}
+}
+
+// TestFingerMatchesRootWalkFewReaders is the read-only leg with four readers
+// that keep coming back, in runs of touching intervals and scattered: reads
+// meet nodes of their own reader on both sides and inside, so every join the
+// walk makes — from the node before x, over taken-over nodes, into the node
+// after it, wherever the finger left the climb — is compared against the root
+// walk and the word oracle.
+func TestFingerMatchesRootWalkFewReaders(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w, o := newTwin(), newWordOracle()
+		for phase := 0; phase < 40; phase++ {
+			k := rng.Intn(16) + 1
+			length := uint64(rng.Intn(12) + 1)
+			stride := length + uint64(rng.Intn(3)) // touching, or a gap of one or two
+			at := uint64(rng.Intn(1 << 10))
+			scattered := rng.Intn(3) == 0
+			for i := 0; i < k; i++ {
+				if scattered {
+					at = uint64(rng.Intn(1 << 10))
+				}
+				w.checkedRead(t, o, Interval{Start: at, End: at + length, Acc: int32(rng.Intn(4))}, mixLeftOf)
+				at += stride
+			}
+			if rng.Intn(8) == 0 { // a covering read by one of the four
+				s := uint64(rng.Intn(1 << 9))
+				w.checkedRead(t, o, Interval{Start: s, End: s + 1<<9, Acc: int32(rng.Intn(4))}, mixLeftOf)
 			}
 		}
 	}

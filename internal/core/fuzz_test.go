@@ -6,9 +6,10 @@ import (
 
 // FuzzTreeAgainstOracle decodes the fuzz input as a sequence of interval
 // operations and checks every tree invariant and the byte-projection
-// equivalence after each step. Each tree is a twin (finger_test.go), so the
-// same input also hunts for a step where finger search and the root walk
-// disagree. Run with `go test -fuzz=FuzzTree ./internal/core`;
+// equivalence after each step — for the read tree, also that it holds one
+// node per maximal run of the projection. Each tree is a twin
+// (finger_test.go), so the same input also hunts for a step where finger
+// search and the root walk disagree. Run with `go test -fuzz=FuzzTree ./internal/core`;
 // the seed corpus runs on every ordinary `go test`.
 func FuzzTreeAgainstOracle(f *testing.F) {
 	for _, seed := range fuzzSeeds {
@@ -44,11 +45,10 @@ func fuzzTreeAgainstOracle(t *testing.T, data []byte) {
 			comparePairSets(t, "fuzz write", os.pairs, want)
 			wo.applyWrite(iv)
 		case 1:
-			os := newOverlapSet(t)
-			want := ro.expectedOverlaps(iv)
-			rtw.apply(t, iv, os.fn, func(tr *Tree, cb OverlapFunc) { tr.InsertRead(iv, lo, cb) })
-			comparePairSets(t, "fuzz read", os.pairs, want)
-			ro.applyRead(iv, lo)
+			// Eight readers, named by the op byte's top bits, come back again
+			// and again, so reads meet nodes of their own reader to join.
+			iv.Acc = int32(op >> 5)
+			rtw.checkedRead(t, ro, iv, lo)
 		default:
 			checkedQuery(t, wt, wo, iv)
 			checkedQuery(t, rt, ro, iv)

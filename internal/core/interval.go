@@ -12,8 +12,9 @@
 // Tree is the shared structure; InsertWrite implements §4.1 of the paper
 // (new interval always wins, overlapping old intervals are trimmed or
 // removed), InsertRead implements §4.2 (the left-of relation decides which
-// accessor survives on overlap, so the new interval may itself be split),
-// and Query implements the read-only overlap enumeration of §4.3. Each
+// accessor survives on overlap, so the new interval may itself be split; the
+// read tree keeps one node per reader's contiguous run), and Query
+// implements the read-only overlap enumeration of §4.3. Each
 // operation costs O(h + k), where h is the tree height and k the number of
 // stored intervals overlapping the argument; treap priorities keep
 // h = O(lg n) with high probability.

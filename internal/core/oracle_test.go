@@ -129,6 +129,27 @@ func checkedWrite(t *testing.T, tr *Tree, o *wordOracle, x Interval) {
 	compareProjection(t, fmt.Sprintf("after InsertWrite(%v)", x), tr, o)
 }
 
+// runs counts the oracle's maximal runs — contiguous positions with one
+// accessor — which is exactly how many nodes a maximal read tree holds.
+func (o *wordOracle) runs() int {
+	n := 0
+	for b, acc := range o.bytes {
+		if prev, ok := o.bytes[b-1]; b == 0 || !ok || prev != acc {
+			n++
+		}
+	}
+	return n
+}
+
+// compareRuns asserts that a read tree holds one node per maximal run of the
+// oracle: with the projection equal, that is the maximality invariant.
+func compareRuns(t *testing.T, ctx string, tr *Tree, o *wordOracle) {
+	t.Helper()
+	if got, want := tr.Size(), o.runs(); got != want {
+		t.Fatalf("%s: %d read nodes, the oracle has %d maximal runs\n tree: %s", ctx, got, want, dump(tr))
+	}
+}
+
 // checkedRead runs InsertRead, validating overlaps against the oracle and
 // updating the oracle.
 func checkedRead(t *testing.T, tr *Tree, o *wordOracle, x Interval, leftOf LeftOfFunc) {
@@ -136,10 +157,11 @@ func checkedRead(t *testing.T, tr *Tree, o *wordOracle, x Interval, leftOf LeftO
 	os := newOverlapSet(t)
 	want := o.expectedOverlaps(x)
 	tr.InsertRead(x, leftOf, os.fn)
-	tr.checkInvariants()
+	tr.checkReadTree()
 	comparePairSets(t, fmt.Sprintf("InsertRead(%v)", x), os.pairs, want)
 	o.applyRead(x, leftOf)
 	compareProjection(t, fmt.Sprintf("after InsertRead(%v)", x), tr, o)
+	compareRuns(t, fmt.Sprintf("after InsertRead(%v)", x), tr, o)
 }
 
 // checkedQuery runs Query and validates the overlap set without mutating

@@ -33,9 +33,9 @@ const (
 // of pointer-free nodes (so the Go heap allocates it noscan and a warm
 // history costs the collector no mark time), carved in order, with retired
 // nodes recycled through an intrusive free list threaded over their `right`
-// links. InsertWrite's RemoveOverlap cases feed the free list; in steady
-// state — where the paper's Lemma 4.1 bounds the live interval count —
-// insertion allocates nothing. A Pool is single-owner: in the sharded
+// links. InsertWrite's RemoveOverlap cases and the nodes InsertRead's new
+// reader takes over feed the free list; in steady state — where the paper's
+// Lemma 4.1 bounds the live interval count — insertion allocates nothing. A Pool is single-owner: in the sharded
 // pipeline each shard worker owns one, with no cross-shard synchronization.
 type Pool struct {
 	nodes    []node         // nodes[0] is the nil sentinel; len is the carve cursor

@@ -34,12 +34,14 @@ func BenchmarkTreapInsert(b *testing.B) {
 }
 
 // BenchmarkTreapSortedRun is fft's pattern on one page, as the engine
-// applies a read strand: every interval queries the write tree and inserts
+// applies a strand: every read interval queries the write tree and inserts
 // into the read tree, four-word reads at an eight-word stride over a fully
-// populated 16 Ki-word page, then one read covering all of it. One iteration
-// is 2049 intervals; nodes/op is per tree operation, the figure Fig 8
-// reports — and, being a function of the trees' shape alone, the canary for
-// a change of shape (4.30).
+// read 16 Ki-word page, then one read covering all of it, then a write
+// covering it (fft's combine StoreRange), which queries the read tree. The
+// covering read takes over every node it meets, so each iteration starts
+// from the one node it left. One iteration is 2050 intervals; nodes/op and
+// overlaps/op are per tree operation, the figures Fig 8 reports — and, being
+// functions of the trees' shape alone, the canary for a change of shape.
 func BenchmarkTreapSortedRun(b *testing.B) {
 	const page = 16 << 10
 	lo := func(a, b int32) bool { return a > b }
@@ -63,7 +65,10 @@ func BenchmarkTreapSortedRun(b *testing.B) {
 		x := Interval{0, page, acc}
 		wt.Query(x, nil)
 		rt.InsertRead(x, lo, nil)
+		rt.Query(x, nil)
 	}
 	ws, rs := wt.Stats(), rt.Stats()
-	b.ReportMetric(float64(ws.NodesVisited+rs.NodesVisited)/float64(ws.Ops+rs.Ops), "nodes/op")
+	ops := float64(ws.Ops + rs.Ops)
+	b.ReportMetric(float64(ws.NodesVisited+rs.NodesVisited)/ops, "nodes/op")
+	b.ReportMetric(float64(ws.Overlaps+rs.Overlaps)/ops, "overlaps/op")
 }

@@ -37,9 +37,10 @@ func (t *Tree) freeNodes() map[ref]bool {
 }
 
 // TestPoolNeverAliasesLiveNodes drives randomized write/read insertions —
-// writes are what feed the free list via RemoveOverlap — and checks after
-// every operation that the free list and the live tree are disjoint, that
-// free-list accounting matches, and that every node lies in the slab.
+// both feed the free list: RemoveOverlap, and reads taking nodes over — and
+// checks after every operation that the free list and the live tree are
+// disjoint, that free-list accounting matches, and that every node lies in
+// the slab.
 func TestPoolNeverAliasesLiveNodes(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Accessor ranks for read-tree tests: higher rank is left-of lower rank.
 func leftOfByID() LeftOfFunc {
@@ -107,11 +110,9 @@ func TestInsertReadCaseD_NewWins(t *testing.T) {
 	lo := leftOfByID()
 	checkedRead(t, tr, o, Interval{20, 30, 1}, lo)
 	checkedRead(t, tr, o, Interval{10, 40, 2}, lo)
-	// 2 wins everywhere; projection is uniform even if stored as pieces.
-	for b := uint64(10); b < 40; b++ {
-		if o.bytes[b] != 2 {
-			t.Fatalf("byte %d = %d, want 2", b, o.bytes[b])
-		}
+	// 2 wins everywhere, and takes the covered node over: one node.
+	if ivs := intervals(tr); len(ivs) != 1 || ivs[0] != (Interval{10, 40, 2}) {
+		t.Fatalf("contents = %v, want [10,40)@2", ivs)
 	}
 }
 
@@ -189,7 +190,8 @@ func TestInsertReadLemmaGapFilling(t *testing.T) {
 func TestInsertReadSizeBound(t *testing.T) {
 	// Lemma 4.1: intervals + gaps grow by at most 2 per insert, so after m
 	// inserts the tree holds at most 2m+1 intervals — even with the
-	// gap-filling worst case.
+	// gap-filling worst case. checkedRead holds it to the exact figure: one
+	// node per maximal run of the projection.
 	tr := NewTree()
 	o := newWordOracle()
 	lo := leftOfByID()
@@ -209,6 +211,60 @@ func TestInsertReadSizeBound(t *testing.T) {
 		m++
 		if tr.Size() > 2*m+1 {
 			t.Fatalf("size %d exceeds 2m+1 after %d inserts", tr.Size(), m)
+		}
+	}
+}
+
+// TestCoveringReadAbsorbsFragments: a read that beats every fragment it
+// covers leaves one node — not the fragments relabelled plus a node per gap —
+// and the nodes it took over go back to the pool's free list.
+func TestCoveringReadAbsorbsFragments(t *testing.T) {
+	const n = 64
+	tr := NewTree()
+	o := newWordOracle()
+	lo := leftOfByID()
+	for i := uint64(0); i < n; i++ {
+		checkedRead(t, tr, o, Interval{10*i + 3, 10*i + 7, int32(1 + i%5)}, lo)
+	}
+	free := tr.pool.Stats().Free
+	checkedRead(t, tr, o, Interval{0, 10 * n, 100}, lo)
+	if ivs := intervals(tr); len(ivs) != 1 || ivs[0] != (Interval{0, 10 * n, 100}) {
+		t.Fatalf("contents = %v, want the one run [0,%d)@100", ivs, 10*n)
+	}
+	if got := tr.pool.Stats().Free - free; got != n-1 {
+		t.Fatalf("%d nodes went back to the pool, want %d", got, n-1)
+	}
+}
+
+// TestInsertReadJoinsTouchingNodes: what x holds joins the nodes of its own
+// reader that touch it — before it, after it, or both — and the nodes it
+// takes over, while a node x loses to still splits it.
+func TestInsertReadJoinsTouchingNodes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		stored []Interval
+		x      Interval
+		want   []Interval
+	}{
+		{"before", []Interval{{0, 10, 7}}, Interval{10, 20, 7}, []Interval{{0, 20, 7}}},
+		{"after", []Interval{{20, 30, 7}}, Interval{10, 20, 7}, []Interval{{10, 30, 7}}},
+		{"bridge", []Interval{{0, 10, 7}, {20, 30, 7}}, Interval{10, 20, 7},
+			[]Interval{{0, 30, 7}}},
+		{"takes over, joins both", []Interval{{0, 10, 9}, {10, 20, 1}, {20, 30, 9}}, Interval{10, 20, 9},
+			[]Interval{{0, 30, 9}}},
+		{"trims, joins before", []Interval{{0, 10, 9}, {10, 30, 1}}, Interval{10, 20, 9},
+			[]Interval{{0, 20, 9}, {20, 30, 1}}},
+		{"loses, joins around", []Interval{{0, 10, 5}, {12, 14, 8}, {20, 30, 5}}, Interval{10, 20, 5},
+			[]Interval{{0, 12, 5}, {12, 14, 8}, {14, 30, 5}}},
+	} {
+		tr := NewTree()
+		o := newWordOracle()
+		for _, iv := range c.stored {
+			checkedRead(t, tr, o, iv, leftOfByID())
+		}
+		checkedRead(t, tr, o, c.x, leftOfByID())
+		if got := intervals(tr); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: contents = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

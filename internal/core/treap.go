@@ -49,7 +49,6 @@ type Tree struct {
 	base   uint64 // absolute position of offset 0; see SetBase
 	unbal  bool   // when true, skip rotations (plain BST ablation)
 	fresh  []ref
-	work   []piece // reusable InsertRead worklist
 	pool   *Pool
 	stats  Stats
 }
@@ -110,7 +109,7 @@ func (e spanError) Error() string {
 // are dropped (without walking the tree — the caller resets the shared Pool
 // wholesale), the priority stream rewinds to the seed, and the counters
 // zero. A Reset tree is indistinguishable from a fresh NewTreeIn over the
-// same pool; only its base and the retained capacity of its worklists
+// same pool; only its base and the retained capacity of its rebalancing list
 // differ. The caller owns the pool lifecycle: Tree.Reset must be paired with
 // a Pool.Reset (or the pool's nodes leak until then), which is why it does
 // not free nodes itself.
@@ -119,7 +118,6 @@ func (t *Tree) Reset() {
 	t.size = 0
 	t.rng = treapSeed
 	t.fresh = t.fresh[:0]
-	t.work = t.work[:0]
 	t.stats = Stats{}
 }
 
@@ -305,8 +303,8 @@ func (t *Tree) rebalance() {
 
 // insertFresh walks from the given child slot of parent down to the
 // correct empty slot for x — which is guaranteed not to overlap anything in
-// that subtree — and attaches a new node there.
-func (t *Tree) insertFresh(parent ref, toLeft bool, x span) {
+// that subtree — and attaches a new node there, which it returns.
+func (t *Tree) insertFresh(parent ref, toLeft bool, x span) ref {
 	b := t.pool.base
 	c := at(b, parent).right
 	if toLeft {
@@ -324,7 +322,7 @@ func (t *Tree) insertFresh(parent ref, toLeft bool, x span) {
 			panic("core: insertFresh found an overlap")
 		}
 	}
-	t.attach(parent, toLeft, t.newNode(x))
+	return t.attach(parent, toLeft, t.newNode(x))
 }
 
 // seek returns the node an operation on x starts its top-down walk at: the
@@ -354,21 +352,23 @@ func (t *Tree) fingerOrRoot(b unsafe.Pointer, x span) ref {
 }
 
 // climb is seek's second half. From the root, or from 0 in an empty tree —
-// slot 0, the sentinel, has no parent either — it returns low as it is.
-func (t *Tree) climb(b unsafe.Pointer, low ref, x span) ref {
+// slot 0, the sentinel, has no parent either — it returns low as it is. It
+// also returns up, the ancestor that ended the climb if one did: the nearest
+// node the start node hangs left of, so the leftmost node past its subtree.
+func (t *Tree) climb(b unsafe.Pointer, low ref, x span) (start, up ref) {
 	n := at(b, low)
 	for end := n.end; x.end > end && n.parent != 0; {
 		p := at(b, n.parent)
 		t.visit()
 		if p.start >= x.end {
-			break
+			return low, n.parent
 		}
 		if n.start < p.start { // n hangs left of p
 			low, end = n.parent, p.end
 		}
 		n = p
 	}
-	return low
+	return low, 0
 }
 
 // Query enumerates, without modifying the tree, every stored interval that
@@ -384,24 +384,8 @@ func (t *Tree) Query(iv Interval, onOverlap OverlapFunc) {
 	}
 	x, b := t.local(iv), t.pool.base
 	t.stats.Ops++
-	// Find the leftmost node with end > x.start. Disjointness makes "end"
-	// monotone in key order, so this is a standard monotone-predicate search;
-	// last is the nearest node it passed that lies entirely left of x.
-	var first, last ref
-	for c := t.climb(b, t.fingerOrRoot(b, x), x); c != 0; {
-		cur := at(b, c)
-		t.visit()
-		if cur.end > x.start {
-			first = c
-			if cur.start <= x.start {
-				break // cur holds x.start: nothing left of it reaches x
-			}
-			c = cur.left
-		} else {
-			last = c
-			c = cur.right
-		}
-	}
+	low, up := t.climb(b, t.fingerOrRoot(b, x), x)
+	first, last := t.lowerBound(b, low, up, x)
 	for r := first; r != 0; r = t.successor(b, r) {
 		n := at(b, r)
 		if n.start >= x.end {
@@ -416,6 +400,30 @@ func (t *Tree) Query(iv Interval, onOverlap OverlapFunc) {
 	if last != 0 {
 		t.finger = last
 	}
+}
+
+// lowerBound descends from low, where seek says to start, to first, the
+// leftmost node whose end exceeds x.start — up, climb's ancestor, if nothing
+// under low qualifies — and last, the nearest node passed on the way that
+// lies entirely left of x. Disjointness makes "end" monotone in key order,
+// so this is a standard monotone-predicate search. Unless first holds
+// x.start, last is its in-order predecessor.
+func (t *Tree) lowerBound(b unsafe.Pointer, low, up ref, x span) (first, last ref) {
+	first = up
+	for c := low; c != 0; {
+		cur := at(b, c)
+		t.visit()
+		if cur.end > x.start {
+			first = c
+			if cur.start <= x.start {
+				break // cur holds x.start: nothing left of it reaches x
+			}
+			c = cur.left
+		} else {
+			last, c = c, cur.right
+		}
+	}
+	return first, last
 }
 
 // successor returns the in-order successor of r, charging visited nodes to
@@ -467,57 +475,4 @@ func (t *Tree) Height() int {
 		return 1 + max(rec(at(b, r).left), rec(at(b, r).right))
 	}
 	return rec(t.root)
-}
-
-// checkInvariants panics if the BST order, the parent links, the heap
-// property (when balancing is on), the disjointness invariant or the
-// finger's liveness (0, or a node of this tree) is violated. Tests call
-// this after every operation.
-func (t *Tree) checkInvariants() {
-	b := t.pool.base
-	var prevEnd uint16
-	var count int
-	var rec func(r ref)
-	rec = func(r ref) {
-		if r == 0 {
-			return
-		}
-		n := at(b, r)
-		for _, c := range []ref{n.left, n.right} {
-			if c == 0 {
-				continue
-			}
-			if at(b, c).parent != r {
-				panic("core: bad parent link")
-			}
-			if !t.unbal && at(b, c).prio > n.prio {
-				panic("core: heap violation")
-			}
-		}
-		rec(n.left)
-		if n.start >= n.end {
-			panic("core: empty stored interval")
-		}
-		if n.start < prevEnd {
-			panic("core: overlapping stored intervals")
-		}
-		prevEnd = n.end
-		count++
-		rec(n.right)
-	}
-	if t.root != 0 && at(b, t.root).parent != 0 {
-		panic("core: root has a parent")
-	}
-	rec(t.root)
-	if count != t.size {
-		panic("core: size mismatch")
-	}
-	if f := t.finger; f != 0 {
-		for at(b, f).parent != 0 {
-			f = at(b, f).parent
-		}
-		if f != t.root {
-			panic("core: finger not reachable from the root")
-		}
-	}
 }

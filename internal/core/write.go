@@ -30,7 +30,8 @@ func (t *Tree) InsertWrite(iv Interval, onOverlap OverlapFunc) {
 	}
 	x, b := t.local(iv), t.pool.base
 	t.stats.Ops++
-	t.finger = t.insertWrite(b, t.climb(b, t.fingerOrRoot(b, x), x), x, onOverlap)
+	low, _ := t.climb(b, t.fingerOrRoot(b, x), x)
+	t.finger = t.insertWrite(b, low, x, onOverlap)
 	if len(t.fresh) > 0 {
 		t.rebalance()
 	}

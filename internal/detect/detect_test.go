@@ -296,6 +296,46 @@ func TestLeftmostReaderSemantics(t *testing.T) {
 	}
 }
 
+// TestWriteOverOneReadersRunIsOneRace: sibling strands read touching
+// fragments of a range, then a strand after their sync reads all of it — in
+// series and later, so left-of each of them — and takes every fragment over.
+// The read tree holds that reader's run as one node, so a write parallel to
+// it produces one race spanning the run, not one per fragment.
+func TestWriteOverOneReadersRunIsOneRace(t *testing.T) {
+	const n, frag, at = 16, 64, 0x1000
+	sp := spord.New()
+	var races []Race
+	e := New(Config{Mode: STINT, OnRace: func(r Race) { races = append(races, r) }}, sp)
+	f := &spord.Frame{}
+	for i := 0; i < n; i++ {
+		e.StrandEnd()
+		_, cont := sp.Spawn(f)
+		e.ReadHook(at+uint64(i*frag), frag)
+		e.StrandEnd()
+		sp.Restore(cont)
+	}
+	e.StrandEnd()
+	sp.Sync(f)
+	g := &spord.Frame{}
+	e.StrandEnd()
+	_, cont := sp.Spawn(g)
+	reader := sp.CurrentID()
+	e.ReadHook(at, n*frag)
+	e.StrandEnd()
+	sp.Restore(cont)
+	e.WriteHook(at, n*frag)
+	e.StrandEnd()
+	want := Race{Addr: at, Size: n * frag, Prev: reader, Cur: sp.CurrentID(), CurWrite: true}
+	sp.Sync(g)
+	e.Finish()
+	if len(races) != 1 || races[0] != want {
+		t.Fatalf("races = %v, want the one %v", races, want)
+	}
+	if got, want := e.Stats().AccessHistoryBytes, 2*core.NodeBytes; got != want {
+		t.Errorf("history holds %d bytes, want %d: one read node and one write node", got, want)
+	}
+}
+
 // TestParkedPageReportsItsNewPage: a history page parked by Reset or by
 // quiescing keeps no trace of the page index it served — taken back for a
 // different index, its trees are re-based, so the races it reports carry the
