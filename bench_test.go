@@ -376,6 +376,25 @@ func BenchmarkHookOverheadVanilla(b *testing.B) {
 	benchHookOverhead(b, stint.Options{Detector: stint.DetectorVanilla})
 }
 
+// BenchmarkHookOverheadStrided is BenchmarkHookOverhead's loop with each
+// load 64 words past the last, so every hook lands in another 64-bit slot of
+// the bit hashmap, a cache line from the last — the shape of mmul's column-
+// strided B, whose first pass through each slot opens it. It is the canary
+// for a word path that pays an extra call whenever the slot changes.
+func BenchmarkHookOverheadStrided(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		opts stint.Options
+	}{
+		{"sync", stint.Options{Detector: stint.DetectorSTINT}},
+		{"async", stint.Options{Detector: stint.DetectorSTINT, Async: true}},
+		{"parallel", stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true}},
+		{"vanilla", stint.Options{Detector: stint.DetectorVanilla}},
+	} {
+		b.Run(leg.name, func(b *testing.B) { benchHookLoop(b, leg.opts, 64) })
+	}
+}
+
 // BenchmarkRunnerReset times Runner.Reset on a dirty, warm Runner — the
 // per-trace lifecycle cost a reused Runner pays between runs. The run that
 // dirties the Runner happens with the timer stopped; only the reset walk
@@ -410,7 +429,11 @@ func BenchmarkRunnerReset(b *testing.B) {
 	}
 }
 
-func benchHookOverhead(b *testing.B, opts stint.Options) {
+func benchHookOverhead(b *testing.B, opts stint.Options) { benchHookLoop(b, opts, 1) }
+
+// benchHookLoop times b.N word loads, stride words apart, wrapping around a
+// 64 K-word buffer.
+func benchHookLoop(b *testing.B, opts stint.Options, stride int) {
 	r, err := stint.NewRunner(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -419,7 +442,7 @@ func benchHookOverhead(b *testing.B, opts stint.Options) {
 	if _, err := r.Run(func(t *stint.Task) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t.Load(buf, i&(1<<16-1))
+			t.Load(buf, (i*stride)&(1<<16-1))
 		}
 		// Timer left running: Run's return flushes the strand and drains the
 		// pipeline, so the pipelined variants pay for detecting what they

@@ -241,10 +241,22 @@ type Node struct {
 }
 
 // Load reports a read of element i of b.
-func (n *Node) Load(b *stint.Buffer, i int) { n.eng.bits.ReadHook(b.Range(i, 1)) }
+func (n *Node) Load(b *stint.Buffer, i int) {
+	if b.ElemBytes() == mem.WordSize {
+		n.eng.bits.ReadWord(b.Addr(i))
+	} else {
+		n.eng.bits.ReadHook(b.Range(i, 1))
+	}
+}
 
 // Store reports a write of element i of b.
-func (n *Node) Store(b *stint.Buffer, i int) { n.eng.bits.WriteHook(b.Range(i, 1)) }
+func (n *Node) Store(b *stint.Buffer, i int) {
+	if b.ElemBytes() == mem.WordSize {
+		n.eng.bits.WriteWord(b.Addr(i))
+	} else {
+		n.eng.bits.WriteHook(b.Range(i, 1))
+	}
+}
 
 // LoadRange reports a read of elements [i, i+n) of b.
 func (n *Node) LoadRange(b *stint.Buffer, i, cnt int) {

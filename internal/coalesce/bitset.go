@@ -70,7 +70,8 @@ func New() *BitSet {
 }
 
 // pageFor returns the page for the given page index, reusing a retired page
-// or allocating lazily.
+// or allocating lazily, and lists it as touched — so the cached lastPage is
+// always listed, and Set and SetRange's fast path need not check.
 func (b *BitSet) pageFor(idx uint64) *page {
 	if b.lastPage != nil && idx == b.lastIdx {
 		return b.lastPage
@@ -86,6 +87,10 @@ func (b *BitSet) pageFor(idx uint64) *page {
 			b.allocs++
 		}
 		b.dir.Put(idx, p)
+	}
+	if !p.inList {
+		p.inList = true
+		b.touched = append(b.touched, idx)
 	}
 	b.lastIdx, b.lastPage = idx, p
 	return p
@@ -106,10 +111,6 @@ func (b *BitSet) SetRange(addr mem.Addr, size uint64) {
 		hi := (w1-1)&(pageWords-1) + 1
 		slot := lo >> slotBits
 		if (hi-1)>>slotBits == slot {
-			if !p.inList {
-				p.inList = true
-				b.touched = append(b.touched, b.lastIdx)
-			}
 			mask := maskRange(lo&slotWordMask, (hi-1)&slotWordMask+1)
 			if p.bits[slot] == 0 {
 				p.touched = append(p.touched, int32(slot))
@@ -121,10 +122,6 @@ func (b *BitSet) SetRange(addr mem.Addr, size uint64) {
 	for w0 < w1 {
 		pageIdx := w0 >> pageWordBits
 		p := b.pageFor(pageIdx)
-		if !p.inList {
-			p.inList = true
-			b.touched = append(b.touched, pageIdx)
-		}
 		// Word range covered within this page.
 		pageEnd := (pageIdx + 1) << pageWordBits
 		end := w1
@@ -164,19 +161,14 @@ func maskRange(lo, hi uint64) uint64 {
 	return m
 }
 
-// Set marks the single word containing addr — the hot path for word-
-// granularity hooks, kept minimal so the per-access cost of runtime
-// coalescing stays far below a shadow-hashmap operation.
+// Set marks the single word containing addr: a word hook's whole path, in
+// one body (a split-off fresh-slot case would cost strided loops a call per
+// hook); only a page change calls out.
 func (b *BitSet) Set(addr mem.Addr) {
 	w := addr >> wordBits
 	p := b.lastPage
-	if p == nil || w>>pageWordBits != b.lastIdx {
-		b.SetRange(addr, mem.WordSize)
-		return
-	}
-	if !p.inList {
-		p.inList = true
-		b.touched = append(b.touched, b.lastIdx)
+	if idx := w >> pageWordBits; p == nil || idx != b.lastIdx {
+		p = b.pageFor(idx)
 	}
 	lo := w & (pageWords - 1)
 	slot := lo >> slotBits
@@ -184,17 +176,6 @@ func (b *BitSet) Set(addr mem.Addr) {
 		p.touched = append(p.touched, int32(slot))
 	}
 	p.bits[slot] |= 1 << (lo & slotWordMask)
-}
-
-// Add marks the words of one access of size bytes at addr, routing aligned
-// single-word accesses through Set's fast path. It is SetRange with that
-// shortcut: an empty access marks nothing.
-func (b *BitSet) Add(addr mem.Addr, size uint64) {
-	if size-1 < mem.WordSize && addr&(mem.WordSize-1) == 0 {
-		b.Set(addr)
-		return
-	}
-	b.SetRange(addr, size)
 }
 
 // Words returns the number of shadow words covered by size bytes at addr.

@@ -2,7 +2,6 @@ package coalesce
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -313,21 +312,43 @@ func TestWords(t *testing.T) {
 	}
 }
 
-// TestAddMatchesSetRange pins Add as SetRange with a fast path: whatever the
-// alignment and size — empty accesses included — both leave the same words
-// set.
-func TestAddMatchesSetRange(t *testing.T) {
-	for _, c := range []struct{ addr, size uint64 }{
-		{0x1000, 0}, {0x1002, 0}, {0x1000, 1}, {0x1000, 4}, {0x1001, 4}, {0x1000, 8}, {0xfffe, 6},
-	} {
-		a, b := New(), New()
-		a.Add(c.addr, c.size)
-		b.SetRange(c.addr, c.size)
-		var ga, gb [][2]uint64
-		a.Flush(func(s, n uint64) { ga = append(ga, [2]uint64{s, n}) })
-		b.Flush(func(s, n uint64) { gb = append(gb, [2]uint64{s, n}) })
-		if !reflect.DeepEqual(ga, gb) {
-			t.Errorf("Add(%#x, %d) flushed %v, SetRange %v", c.addr, c.size, ga, gb)
+// TestLastPageIsInList pins the invariant Set and SetRange's fast path rely
+// on instead of testing inList: a cached page is always on the touched list,
+// so its bits reach the next Flush. A seeded mix of single-word Sets and
+// ranges over a few pages, page-straddling ones included, with a Flush now
+// and then, checks it after every call and the flushed words against the
+// naive model.
+func TestLastPageIsInList(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	b, n := New(), naiveSet{}
+	check := func(op string, addr, size uint64) {
+		t.Helper()
+		if p := b.lastPage; p != nil && !p.inList {
+			t.Fatalf("after %s(%#x, %d): cached page %#x is not on the touched list", op, addr, size, b.lastIdx)
 		}
 	}
+	for i := 0; i < 20000; i++ {
+		addr := uint64(1+rng.Intn(4))<<16 + uint64(rng.Intn(1<<16))
+		switch r := rng.Intn(100); {
+		case r < 60:
+			b.Set(addr)
+			n.setRange(addr, 1)
+			check("Set", addr, 1)
+		case r < 95:
+			size := uint64(rng.Intn(300))
+			if r == 94 {
+				size += 1 << 16
+			}
+			b.SetRange(addr, size)
+			n.setRange(addr, size)
+			check("SetRange", addr, size)
+		default:
+			got, _ := flushAll(b)
+			compare(t, got, n.intervals())
+			n = naiveSet{}
+			check("Flush", 0, 0)
+		}
+	}
+	got, _ := flushAll(b)
+	compare(t, got, n.intervals())
 }

@@ -42,15 +42,33 @@ func NewCoalescer(quiesced *QuiesceSet) *Coalescer {
 	return &Coalescer{rd: coalesce.New(), wr: coalesce.New(), quiesce: quiesced}
 }
 
-// ReadHook and WriteHook are the whole per-access hot path of a runtime-
-// coalescing detector: count the hook, set the strand's bits.
+// ReadWord and WriteWord are the hot path: one aligned word (1 to
+// mem.WordSize bytes at a word-aligned address) counts its hook, sets its bit.
+func (c *Coalescer) ReadWord(addr mem.Addr) {
+	c.hooks.ReadHookCalls++
+	c.hooks.ReadAccesses++
+	if !c.live || !c.dead(addr, mem.WordSize) {
+		c.rd.Set(addr)
+	}
+}
+
+func (c *Coalescer) WriteWord(addr mem.Addr) {
+	c.hooks.WriteHookCalls++
+	c.hooks.WriteAccesses++
+	if !c.live || !c.dead(addr, mem.WordSize) {
+		c.wr.Set(addr)
+	}
+}
+
+// ReadHook and WriteHook take any span: count the hook and its words, set
+// the strand's bits.
 func (c *Coalescer) ReadHook(addr mem.Addr, size uint64) {
 	c.hooks.ReadHookCalls++
 	c.hooks.ReadAccesses += coalesce.Words(addr, size)
 	if c.live && c.dead(addr, size) {
 		return
 	}
-	c.rd.Add(addr, size)
+	c.rd.SetRange(addr, size)
 }
 
 func (c *Coalescer) WriteHook(addr mem.Addr, size uint64) {
@@ -59,7 +77,7 @@ func (c *Coalescer) WriteHook(addr mem.Addr, size uint64) {
 	if c.live && c.dead(addr, size) {
 		return
 	}
-	c.wr.Add(addr, size)
+	c.wr.SetRange(addr, size)
 }
 
 // dead reports whether [addr, addr+size) lies wholly within one registry-

@@ -39,12 +39,12 @@ func TestCoalescerFlushMatchesBitSets(t *testing.T) {
 			}
 			if rng.Intn(2) == 0 {
 				c.ReadHook(addr, size)
-				rd.Add(addr, size)
+				rd.SetRange(addr, size)
 				want.ReadHookCalls++
 				want.ReadAccesses += coalesce.Words(addr, size)
 			} else {
 				c.WriteHook(addr, size)
-				wr.Add(addr, size)
+				wr.SetRange(addr, size)
 				want.WriteHookCalls++
 				want.WriteAccesses += coalesce.Words(addr, size)
 			}
@@ -74,9 +74,10 @@ func TestCoalescerFlushMatchesBitSets(t *testing.T) {
 }
 
 // TestCoalescerRegistryDrop: an access wholly inside a registry-listed page
-// is counted but sets no bit; one straddling into a live page sets all its
-// bits (the history drops the dead piece); the registry is consulted from
-// the first Flush after the page appears.
+// is counted but sets no bit, on the word path as on the general one; one
+// straddling into a live page sets all its bits (the history drops the dead
+// piece); the registry is consulted from the first Flush after the page
+// appears.
 func TestCoalescerRegistryDrop(t *testing.T) {
 	q := NewQuiesceSet()
 	c := NewCoalescer(q)
@@ -88,13 +89,15 @@ func TestCoalescerRegistryDrop(t *testing.T) {
 	}
 	c.WriteHook(dead+64, 8)
 	c.ReadHook(dead+128, 4)
+	c.ReadWord(dead + 192) // the word path asks the registry too
+	c.WriteWord(dead + 196)
 	c.ReadHook(live-8, 16) // straddles dead → live
 	c.WriteHook(live+32, 4)
 	want := []ival{{live - 8, 8, false}, {live, 8, false}, {live + 32, 4, true}}
 	if got := flushOf(c); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flush %v, want %v", got, want)
 	}
-	if h := c.Hooks(); h.WriteHookCalls != 3 || h.ReadHookCalls != 2 || h.ReadAccesses != 1+4 || h.WriteAccesses != 2+2+1 {
+	if h := c.Hooks(); h.WriteHookCalls != 4 || h.ReadHookCalls != 3 || h.ReadAccesses != 1+1+4 || h.WriteAccesses != 2+2+1+1 {
 		t.Fatalf("dropped accesses must still be counted: %+v", *h)
 	}
 	c.Reset()

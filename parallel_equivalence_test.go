@@ -107,3 +107,49 @@ func TestFFTSortedRunsCountAlikeInEveryMode(t *testing.T) {
 		stint.AssertSameReport(t, m.Name+", quiescing armed", pdRunWorkload(t, fft, m.With(quiet)), sync)
 	}
 }
+
+// TestWordArmMatchesGenericArm pins the hook dispatch's word arm (an aligned
+// word straight into the strand's Coalescer) to the general dispatch it
+// bypasses: a Tracer, even one that records nothing the detector sees, sends
+// every hook down the general arm, and the report — races, strands and every
+// counter — must not notice. Every mode of the table is held to the traced
+// synchronous report, and the serial ones are traced too; ParallelDetect
+// cannot trace, but each of its strands takes the general arm until its
+// first hook borrows a Coalescer. The racy leg arms quiescing, so the serial
+// word arm flips to the dead-page check mid-run (a drop no report can see;
+// TestCoalescerRegistryDrop pins it); it skips ParallelDetect, which has no
+// registry and would run the program's own races for real.
+func TestWordArmMatchesGenericArm(t *testing.T) {
+	base := stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 16}
+	quiet := base
+	quiet.PageQuiesceThreshold = 4
+	racy := func() workloads.Workload { return workloads.NewRacyMMul(32, 8) }
+	run := func(t *testing.T, f workloads.Factory, opts stint.Options, parallel bool) *stint.Report {
+		traced := opts
+		traced.Tracer = &ctlCounter{}
+		generic := runWorkload(t, f, traced)
+		if generic.Stats.ReadHookCalls == 0 {
+			t.Fatal("workload made no read hooks")
+		}
+		stint.AssertSameReport(t, "sync", runWorkload(t, f, opts), generic)
+		for _, m := range stint.PipeModes {
+			if m.Opts.ParallelDetect && !parallel {
+				continue
+			}
+			stint.AssertSameReport(t, m.Name, runWorkload(t, f, m.With(opts)), generic)
+			if !m.Opts.ParallelDetect {
+				traced.Tracer = &ctlCounter{}
+				stint.AssertSameReport(t, m.Name+", traced", runWorkload(t, f, m.With(traced)), generic)
+			}
+		}
+		return generic
+	}
+	t.Run("racy-mmul+quiesce", func(t *testing.T) {
+		if s := run(t, racy, quiet, false).Stats; s.Races == 0 || s.PagesQuiesced == 0 {
+			t.Fatalf("racy leg quiesced %d pages with %d races: the dead-page check never ran", s.PagesQuiesced, s.Races)
+		}
+	})
+	for _, tc := range fig5Small {
+		t.Run(tc.name, func(t *testing.T) { run(t, tc.f, base, true) })
+	}
+}

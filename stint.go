@@ -731,10 +731,22 @@ func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
 // hand the access to the strand's Coalescer (which takes a range as one
 // span) or else the per-access Engine, then to the Tracer. The raw-address
 // hooks are a bare call into it, so they inline.
+//
+// Its word arm is the hot path: one aligned word, on a strand holding its
+// Coalescer with no Tracer, is one Coalescer call. It sits here, not in
+// Load/Store, so trace replay (via LoadAt/StoreAt) gets the same saving.
 func (t *Task) access(addr Addr, size uint64, write bool) {
 	checkAccess(size)
 	checkWrap(addr, size)
 	rs := t.rs
+	if c := t.bits; c != nil && rs.tracer == nil && size-1 < mem.WordSize && addr&(mem.WordSize-1) == 0 {
+		if write {
+			c.WriteWord(addr)
+		} else {
+			c.ReadWord(addr)
+		}
+		return
+	}
 	switch c, e := t.coalescer(), rs.engine; {
 	case c != nil && write:
 		c.WriteHook(addr, size)
