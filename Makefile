@@ -32,11 +32,12 @@ bench:
 # representative mix; decode on that, on a sequential stream and on wild
 # jumps), the workers' page-filter scan, the per-access hook cost over every
 # route (BenchmarkHookOverhead matches all four: sync, Async and ParallelDetect
-# reach the same detect.Coalescer through the same word arm and should be
-# within a few ns of each other; Vanilla is the per-access Engine arm) and its
-# strided twin BenchmarkHookOverheadStrided (every load 64 words past the
-# last, mmul's column pattern: the canary for an extra call on a slot
-# change), the sharded and
+# reach the same BitSet through the same slot arm and should be within a few
+# ns of each other; Vanilla is the per-access Engine arm), its strided twin
+# BenchmarkHookOverheadStrided (every load 64 words past the last, mmul's
+# column pattern: the canary for an extra call on a slot change) and
+# BenchmarkHookOverheadElem (4-, 8- and 16-byte elements on every route:
+# float32, float64, complex128), the sharded and
 # parallel-execution main-table measurements, and the racy-workload
 # quiescing pair. (internal/depa is off the production path; its
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)

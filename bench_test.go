@@ -11,6 +11,7 @@ import (
 
 	"stint"
 	"stint/internal/cliutil"
+	"stint/internal/mem"
 	"stint/workloads"
 )
 
@@ -376,22 +377,38 @@ func BenchmarkHookOverheadVanilla(b *testing.B) {
 	benchHookOverhead(b, stint.Options{Detector: stint.DetectorVanilla})
 }
 
+// hookRoutes are the four routes a hook takes, for the sub-benchmarks below.
+var hookRoutes = []struct {
+	name string
+	opts stint.Options
+}{
+	{"sync", stint.Options{Detector: stint.DetectorSTINT}},
+	{"async", stint.Options{Detector: stint.DetectorSTINT, Async: true}},
+	{"parallel", stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true}},
+	{"vanilla", stint.Options{Detector: stint.DetectorVanilla}},
+}
+
 // BenchmarkHookOverheadStrided is BenchmarkHookOverhead's loop with each
 // load 64 words past the last, so every hook lands in another 64-bit slot of
-// the bit hashmap, a cache line from the last — the shape of mmul's column-
-// strided B, whose first pass through each slot opens it. It is the canary
-// for a word path that pays an extra call whenever the slot changes.
+// the bit hashmap — the data is 256 B on, but the slot is the adjacent 8-byte
+// word of the page's bitmap — the shape of mmul's column-strided B, whose
+// first pass through each slot opens it. It is the canary for a hook path
+// that pays an extra call whenever the slot changes.
 func BenchmarkHookOverheadStrided(b *testing.B) {
-	for _, leg := range []struct {
-		name string
-		opts stint.Options
-	}{
-		{"sync", stint.Options{Detector: stint.DetectorSTINT}},
-		{"async", stint.Options{Detector: stint.DetectorSTINT, Async: true}},
-		{"parallel", stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true}},
-		{"vanilla", stint.Options{Detector: stint.DetectorVanilla}},
-	} {
-		b.Run(leg.name, func(b *testing.B) { benchHookLoop(b, leg.opts, 64) })
+	for _, leg := range hookRoutes {
+		b.Run(leg.name, func(b *testing.B) { benchHookLoop(b, leg.opts, 64, mem.WordSize) })
+	}
+}
+
+// BenchmarkHookOverheadElem is BenchmarkHookOverhead's loop over 4-, 8- and
+// 16-byte elements (a float32, a float64, a complex128) on every route. Each
+// element lies inside one bitmap slot, so every coalescing route takes the
+// slot arm at each size; Vanilla, the Engine arm, checks every word.
+func BenchmarkHookOverheadElem(b *testing.B) {
+	for _, elem := range []int{4, 8, 16} {
+		for _, leg := range hookRoutes {
+			b.Run(fmt.Sprintf("%dB/%s", elem, leg.name), func(b *testing.B) { benchHookLoop(b, leg.opts, 1, elem) })
+		}
 	}
 }
 
@@ -429,16 +446,16 @@ func BenchmarkRunnerReset(b *testing.B) {
 	}
 }
 
-func benchHookOverhead(b *testing.B, opts stint.Options) { benchHookLoop(b, opts, 1) }
+func benchHookOverhead(b *testing.B, opts stint.Options) { benchHookLoop(b, opts, 1, mem.WordSize) }
 
-// benchHookLoop times b.N word loads, stride words apart, wrapping around a
-// 64 K-word buffer.
-func benchHookLoop(b *testing.B, opts stint.Options, stride int) {
+// benchHookLoop times b.N element loads, stride elements apart, wrapping
+// around a 64 K-element buffer of elemBytes-byte elements.
+func benchHookLoop(b *testing.B, opts stint.Options, stride, elemBytes int) {
 	r, err := stint.NewRunner(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := r.Arena().AllocWords("data", 1<<16)
+	buf := r.Arena().Alloc("data", 1<<16, elemBytes)
 	if _, err := r.Run(func(t *stint.Task) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -241,20 +241,22 @@ type Node struct {
 }
 
 // Load reports a read of element i of b.
-func (n *Node) Load(b *stint.Buffer, i int) {
-	if b.ElemBytes() == mem.WordSize {
-		n.eng.bits.ReadWord(b.Addr(i))
-	} else {
-		n.eng.bits.ReadHook(b.Range(i, 1))
-	}
-}
+func (n *Node) Load(b *stint.Buffer, i int) { n.access(b, i, false) }
 
 // Store reports a write of element i of b.
-func (n *Node) Store(b *stint.Buffer, i int) {
-	if b.ElemBytes() == mem.WordSize {
-		n.eng.bits.WriteWord(b.Addr(i))
-	} else {
-		n.eng.bits.WriteHook(b.Range(i, 1))
+func (n *Node) Store(b *stint.Buffer, i int) { n.access(b, i, true) }
+
+// access is the stint runner's slot arm (the engine's Coalescer has no
+// quiesce registry, so Bits is never nil) with the general hook behind it.
+func (n *Node) access(b *stint.Buffer, i int, write bool) {
+	addr, size, c := b.Addr(i), uint64(b.ElemBytes()), n.eng.bits
+	switch {
+	case coalesce.InSlot(addr, size):
+		c.Bits(write).SetSlot(addr, size)
+	case write:
+		c.WriteHook(addr, size)
+	default:
+		c.ReadHook(addr, size)
 	}
 }
 

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"stint"
@@ -324,6 +325,53 @@ func matchOracle(t *testing.T, seeds int64, bufWords int, gen func(rng *rand.Ran
 			if !words[w] {
 				t.Fatalf("seed %d: missed racing word %#x", seed, w)
 			}
+		}
+	}
+}
+
+// TestSlotArmMatchesRangeHooks: Node.Load/Store send an element inside one
+// bitmap slot straight to its BitSet, while a one-element LoadRange/
+// StoreRange always takes the Coalescer's general hook. Races and every
+// counter must agree for 4-, 8- and 16-byte elements, and for 12-byte ones,
+// some of which straddle a slot and fall back to the general hook.
+func TestSlotArmMatchesRangeHooks(t *testing.T) {
+	for _, elem := range []int{4, 8, 12, 16} {
+		run := func(perElement bool) *stint.Report {
+			r, _ := NewRunner(Options{MaxRacesRecorded: 1 << 16})
+			buf := r.Arena().Alloc("data", 512, elem)
+			g := NewGraph()
+			src, a, b, join := g.Node("src"), g.Node("a"), g.Node("b"), g.Node("join")
+			g.Edge(src, a)
+			g.Edge(src, b)
+			g.Edge(a, join)
+			g.Edge(b, join)
+			rep, err := r.Run(g, func(n *Node, id NodeID) {
+				for i := 0; i < buf.Len(); i++ {
+					write := (i+int(id))%3 == 0
+					switch {
+					case perElement && write:
+						n.Store(buf, i)
+					case perElement:
+						n.Load(buf, i)
+					case write:
+						n.StoreRange(buf, i, 1)
+					default:
+						n.LoadRange(buf, i, 1)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		slot, generic := run(true), run(false)
+		if slot.RaceCount == 0 || slot.Stats.ReadHookCalls == 0 {
+			t.Fatalf("%d-byte elements: %d races, %d read hooks: the program exercises nothing", elem, slot.RaceCount, slot.Stats.ReadHookCalls)
+		}
+		if slot.Stats != generic.Stats || !reflect.DeepEqual(slot.Races, generic.Races) {
+			t.Fatalf("%d-byte elements: slot arm %+v, %d races; general hook %+v, %d races",
+				elem, slot.Stats, len(slot.Races), generic.Stats, len(generic.Races))
 		}
 	}
 }

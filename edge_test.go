@@ -3,6 +3,8 @@ package stint
 import (
 	"strings"
 	"testing"
+
+	"stint/internal/coalesce"
 )
 
 func TestDeepSpawnRecursion(t *testing.T) {
@@ -141,12 +143,15 @@ const lastWord = ^Addr(3)
 // that run off the end of the address space used to vanish — no bit set, no
 // race, a 2^63 word count — while the same span through StoreRangeAt
 // panicked. Every raw hook now rejects it the way checkRange always did, in
-// every mode, and the last word the detector can represent still races.
+// every mode, and the last word the detector can represent still races. The
+// address space's last bitmap slot is never the slot arm's, so a span inside
+// it that wraps still meets the check, and a legal one there still races.
 func TestRawAccessWrappingAddressSpacePanics(t *testing.T) {
-	for _, d := range []Detector{DetectorOff, DetectorVanilla, DetectorSTINT} {
+	for _, d := range []Detector{DetectorOff, DetectorVanilla, DetectorCompRTS, DetectorSTINT} {
 		for _, hook := range []func(*Task){
 			func(task *Task) { task.StoreAt(lastWord, 8) },
-			func(task *Task) { task.LoadAt(lastWord, 4) }, // the end computation, not just addr+size, overflows
+			func(task *Task) { task.LoadAt(lastWord, 4) },   // the end computation, not just addr+size, overflows
+			func(task *Task) { task.LoadAt(lastWord-4, 8) }, // inside one slot, and wraps
 			func(task *Task) { task.StoreRangeAt(lastWord, 1, 4) },
 		} {
 			r, err := NewRunner(Options{Detector: d})
@@ -167,16 +172,27 @@ func TestRawAccessWrappingAddressSpacePanics(t *testing.T) {
 			}()
 		}
 	}
-	for _, d := range []Detector{DetectorVanilla, DetectorSTINT} {
-		r, _ := NewRunner(Options{Detector: d})
-		rep, err := r.Run(func(task *Task) {
-			task.Spawn(func(c *Task) { c.StoreAt(lastWord-4, 4) })
-			task.StoreAt(lastWord-4, 4)
-			task.Sync()
-		})
-		if err != nil || rep.RaceCount != 1 || rep.Stats.WriteAccesses != 2 {
-			t.Fatalf("%v: last representable word: %d races, %d write words, err %v; want 1, 2, nil",
-				d, rep.RaceCount, rep.Stats.WriteAccesses, err)
+	lastSlot := ^Addr(coalesce.SlotBytes - 1)
+	for _, d := range []Detector{DetectorVanilla, DetectorCompRTS, DetectorSTINT} {
+		for _, span := range []struct{ addr, size uint64 }{
+			{lastWord - 4, 4},   // the last representable word
+			{lastSlot, 16},      // legal, in the last slot: the general arm
+			{lastSlot - 16, 16}, // the slot before it: the slot arm
+		} {
+			r, _ := NewRunner(Options{Detector: d})
+			rep, err := r.Run(func(task *Task) {
+				task.Spawn(func(c *Task) { c.StoreAt(span.addr, span.size) })
+				task.StoreAt(span.addr, span.size)
+				task.Sync()
+			})
+			races := span.size / 4 // the shadow hashmap: one per word
+			if d == DetectorSTINT {
+				races = 1 // the treap: one per interval
+			}
+			if err != nil || rep.RaceCount != races || rep.Stats.WriteAccesses != 2*span.size/4 {
+				t.Fatalf("%v: [%#x, +%d): %d races, %d write words, err %v; want %d, %d, nil",
+					d, span.addr, span.size, rep.RaceCount, rep.Stats.WriteAccesses, err, races, 2*span.size/4)
+			}
 		}
 	}
 }

@@ -44,6 +44,7 @@ const (
 	slotBits      = 6 // 64 words per slot
 	slotsPerPage  = pageWords >> slotBits
 	slotWordMask  = (1 << slotBits) - 1
+	SlotBytes     = 1 << (slotBits + wordBits) // one slot's address span (InSlot)
 )
 
 // page is the second-level table: one bit per word over 64 KiB of address
@@ -62,6 +63,9 @@ type BitSet struct {
 	touched  []uint64
 	lastIdx  uint64
 	lastPage *page
+	// Calls and Words count hooks and their shadow words until Reset: SetSlot
+	// counts its own; a caller of SetRange, which counts nothing, counts here.
+	Calls, Words uint64
 }
 
 // New returns an empty BitSet.
@@ -71,7 +75,7 @@ func New() *BitSet {
 
 // pageFor returns the page for the given page index, reusing a retired page
 // or allocating lazily, and lists it as touched — so the cached lastPage is
-// always listed, and Set and SetRange's fast path need not check.
+// always listed, and SetSlot and SetRange's fast path need not check.
 func (b *BitSet) pageFor(idx uint64) *page {
 	if b.lastPage != nil && idx == b.lastIdx {
 		return b.lastPage
@@ -105,7 +109,7 @@ func (b *BitSet) SetRange(addr mem.Addr, size uint64) {
 	w0 := addr >> wordBits
 	w1 := (addr + size + mem.WordSize - 1) >> wordBits
 	// Fast path: the whole range lies in one 64-word slot of the cached
-	// page — the common case for per-access hooks in hot loops.
+	// page — a short range hook, or a per-access one SetSlot did not take.
 	if p := b.lastPage; p != nil && w0>>pageWordBits == b.lastIdx && (w1-1)>>pageWordBits == b.lastIdx {
 		lo := w0 & (pageWords - 1)
 		hi := (w1-1)&(pageWords-1) + 1
@@ -161,11 +165,22 @@ func maskRange(lo, hi uint64) uint64 {
 	return m
 }
 
-// Set marks the single word containing addr: a word hook's whole path, in
-// one body (a split-off fresh-slot case would cost strided loops a call per
-// hook); only a page change calls out.
-func (b *BitSet) Set(addr mem.Addr) {
-	w := addr >> wordBits
+// InSlot reports whether [addr, addr+size) is a non-empty span inside one
+// slot other than the address space's last, so under 2^56 bytes and not
+// wrapping (mem.SpanWraps). It tests offset plus size, not the last byte's
+// slot, which a size near 2^64 wraps back into; size 0 wraps and fails it.
+func InSlot(addr mem.Addr, size uint64) bool {
+	return size-1 < SlotBytes-addr&(SlotBytes-1) && addr < ^mem.Addr(SlotBytes-1)
+}
+
+// SetSlot counts an InSlot span as one hook and marks its words, in one body
+// whose only call is pageFor on a page change (a split-off fresh-slot case
+// costs strided loops a call per hook). The mask 2<<hi - 1<<lo needs no
+// branch: 2<<63 wraps to 0, and 0 - 1<<lo is every bit from lo up.
+func (b *BitSet) SetSlot(addr mem.Addr, size uint64) {
+	w, last := addr>>wordBits, (addr+size-1)>>wordBits
+	b.Calls++
+	b.Words += last - w + 1
 	p := b.lastPage
 	if idx := w >> pageWordBits; p == nil || idx != b.lastIdx {
 		p = b.pageFor(idx)
@@ -175,8 +190,11 @@ func (b *BitSet) Set(addr mem.Addr) {
 	if p.bits[slot] == 0 {
 		p.touched = append(p.touched, int32(slot))
 	}
-	p.bits[slot] |= 1 << (lo & slotWordMask)
+	p.bits[slot] |= 2<<(last&slotWordMask) - 1<<(lo&slotWordMask)
 }
+
+// Set marks the single word containing addr, counted as a one-word hook.
+func (b *BitSet) Set(addr mem.Addr) { b.SetSlot(addr, 1) }
 
 // Words returns the number of shadow words covered by size bytes at addr.
 func Words(addr mem.Addr, size uint64) uint64 {
@@ -274,12 +292,13 @@ func (b *BitSet) Flush(emit func(start mem.Addr, size uint64)) (words uint64) {
 	return words
 }
 
-// Reset discards any recorded accesses without reporting them and retires
-// every page to the freelist, retaining all allocated capacity. After a
-// completed strand Flush leaves the structure clean and Reset is a cheap
-// no-op walk; its real job is recovering from an aborted run that died
-// mid-strand with bits still set.
+// Reset discards any recorded accesses without reporting them, zeroes the
+// hook counters and retires every page to the freelist, retaining all
+// allocated capacity. After a completed strand Flush leaves the bits clean and
+// Reset is a cheap no-op walk; its real job is recovering from an aborted run
+// that died mid-strand with bits still set.
 func (b *BitSet) Reset() {
+	b.Calls, b.Words = 0, 0
 	b.dir.Reset(func(p *page) {
 		if p.inList || len(p.touched) > 0 {
 			p.bits = [slotsPerPage]uint64{}

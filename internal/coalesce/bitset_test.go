@@ -312,12 +312,46 @@ func TestWords(t *testing.T) {
 	}
 }
 
-// TestLastPageIsInList pins the invariant Set and SetRange's fast path rely
-// on instead of testing inList: a cached page is always on the touched list,
-// so its bits reach the next Flush. A seeded mix of single-word Sets and
-// ranges over a few pages, page-straddling ones included, with a Flush now
-// and then, checks it after every call and the flushed words against the
-// naive model.
+// TestInSlot pins the slot arm's predicate at its edges, and SetSlot's mask
+// at both ends of a slot.
+func TestInSlot(t *testing.T) {
+	const top = ^uint64(0)
+	for _, c := range []struct {
+		addr, size uint64
+		want       bool
+	}{
+		{0x1000, 1, true},
+		{0x1000, SlotBytes, true},       // a whole slot
+		{0x1001, SlotBytes, false},      // one byte into the next slot
+		{0x10ff, 1, true},               // the slot's last byte
+		{0x10fe, 4, false},              // straddles two slots
+		{0x1000, 0, false},              // empty
+		{0x1002, top, false},            // its end wraps back into the slot
+		{top - SlotBytes, 1, true},      // the last byte before the last slot
+		{top - SlotBytes + 1, 1, false}, // the last slot
+		{top - 7, 8, false},             // the last slot, and wraps
+	} {
+		if got := InSlot(c.addr, c.size); got != c.want {
+			t.Errorf("InSlot(%#x, %d) = %v, want %v", c.addr, c.size, got, c.want)
+		}
+	}
+	b := New()
+	b.SetSlot(0x1000, SlotBytes) // bits 0..63: 2<<63 wraps to 0
+	b.SetSlot(0x11fd, 3)         // bit 63 alone
+	b.SetSlot(0x1302, 1)         // bit 0 alone
+	ivs, words := flushAll(b)
+	compare(t, ivs, [][2]uint64{{0x1000, SlotBytes}, {0x11fc, 4}, {0x1300, 4}})
+	if words != 66 || b.Calls != 3 || b.Words != 66 {
+		t.Fatalf("set %d words; counted %d hooks of %d words; want 66, 3, 66", words, b.Calls, b.Words)
+	}
+}
+
+// TestLastPageIsInList pins the invariant SetSlot and SetRange's fast path
+// rely on instead of testing inList: a cached page is always on the touched
+// list, so its bits reach the next Flush. A seeded mix of single-word Sets,
+// SetSlot spans of 1 to 256 bytes at any offset in their slot, and ranges
+// over a few pages, page-straddling ones included, with a Flush now and then,
+// checks it after every call and the flushed words against the naive model.
 func TestLastPageIsInList(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	b, n := New(), naiveSet{}
@@ -330,10 +364,15 @@ func TestLastPageIsInList(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		addr := uint64(1+rng.Intn(4))<<16 + uint64(rng.Intn(1<<16))
 		switch r := rng.Intn(100); {
-		case r < 60:
+		case r < 35:
 			b.Set(addr)
 			n.setRange(addr, 1)
 			check("Set", addr, 1)
+		case r < 60:
+			size := 1 + uint64(rng.Intn(int(SlotBytes-addr%SlotBytes)))
+			b.SetSlot(addr, size)
+			n.setRange(addr, size)
+			check("SetSlot", addr, size)
 		case r < 95:
 			size := uint64(rng.Intn(300))
 			if r == 94 {

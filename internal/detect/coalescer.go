@@ -18,15 +18,14 @@ import (
 // A Coalescer is single-goroutine; a parallel executor gives each running
 // strand its own.
 type Coalescer struct {
+	// rd and wr own the hook counters too (BitSet.Calls/Words): a hook is
+	// counted where it sets its bits; a History never sees one.
 	rd, wr *coalesce.BitSet
 	// quiesce, if non-nil, is the registry the histories behind this
 	// Coalescer publish retired pages into; live caches whether it has any
 	// entry, refreshed at every Flush.
 	quiesce *QuiesceSet
 	live    bool
-	// hooks holds the four hook counters — they are counted where the hooks
-	// run; a History never sees a hook.
-	hooks Stats
 }
 
 // NewCoalescer returns an empty Coalescer. With a non-nil registry, accesses
@@ -42,42 +41,34 @@ func NewCoalescer(quiesced *QuiesceSet) *Coalescer {
 	return &Coalescer{rd: coalesce.New(), wr: coalesce.New(), quiesce: quiesced}
 }
 
-// ReadWord and WriteWord are the hot path: one aligned word (1 to
-// mem.WordSize bytes at a word-aligned address) counts its hook, sets its bit.
-func (c *Coalescer) ReadWord(addr mem.Addr) {
-	c.hooks.ReadHookCalls++
-	c.hooks.ReadAccesses++
-	if !c.live || !c.dead(addr, mem.WordSize) {
-		c.rd.Set(addr)
+// Bits returns the write or read BitSet for the slot arm's SetSlot, or nil
+// while the quiesce registry is live: ReadHook/WriteHook drop dead pages.
+func (c *Coalescer) Bits(write bool) *coalesce.BitSet {
+	switch {
+	case c.live:
+		return nil
+	case write:
+		return c.wr
 	}
-}
-
-func (c *Coalescer) WriteWord(addr mem.Addr) {
-	c.hooks.WriteHookCalls++
-	c.hooks.WriteAccesses++
-	if !c.live || !c.dead(addr, mem.WordSize) {
-		c.wr.Set(addr)
-	}
+	return c.rd
 }
 
 // ReadHook and WriteHook take any span: count the hook and its words, set
 // the strand's bits.
 func (c *Coalescer) ReadHook(addr mem.Addr, size uint64) {
-	c.hooks.ReadHookCalls++
-	c.hooks.ReadAccesses += coalesce.Words(addr, size)
-	if c.live && c.dead(addr, size) {
-		return
+	c.rd.Calls++
+	c.rd.Words += coalesce.Words(addr, size)
+	if !c.live || !c.dead(addr, size) {
+		c.rd.SetRange(addr, size)
 	}
-	c.rd.SetRange(addr, size)
 }
 
 func (c *Coalescer) WriteHook(addr mem.Addr, size uint64) {
-	c.hooks.WriteHookCalls++
-	c.hooks.WriteAccesses += coalesce.Words(addr, size)
-	if c.live && c.dead(addr, size) {
-		return
+	c.wr.Calls++
+	c.wr.Words += coalesce.Words(addr, size)
+	if !c.live || !c.dead(addr, size) {
+		c.wr.SetRange(addr, size)
 	}
-	c.wr.SetRange(addr, size)
 }
 
 // dead reports whether [addr, addr+size) lies wholly within one registry-
@@ -104,7 +95,9 @@ func (c *Coalescer) Flush(read, write func(addr mem.Addr, size uint64)) {
 
 // Hooks returns the hook counters accumulated since the last Reset; every
 // other field of the Stats is zero, so Stats.Accumulate folds them in.
-func (c *Coalescer) Hooks() *Stats { return &c.hooks }
+func (c *Coalescer) Hooks() *Stats {
+	return &Stats{ReadHookCalls: c.rd.Calls, ReadAccesses: c.rd.Words, WriteHookCalls: c.wr.Calls, WriteAccesses: c.wr.Words}
+}
 
 // Reset discards whatever an aborted run left set, zeroes the counters and
 // empties the registry — the histories that published into it are being
@@ -112,7 +105,6 @@ func (c *Coalescer) Hooks() *Stats { return &c.hooks }
 func (c *Coalescer) Reset() {
 	c.rd.Reset()
 	c.wr.Reset()
-	c.hooks = Stats{}
 	if c.quiesce != nil {
 		c.quiesce.Reset()
 	}

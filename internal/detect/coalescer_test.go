@@ -24,7 +24,9 @@ func flushOf(c *Coalescer) []ival {
 
 // TestCoalescerFlushMatchesBitSets pins Flush's contract against the two
 // BitSets driven directly: reads then writes, each address-sorted and
-// page-contained, and the hook counters equal to the coalesce.Words sums.
+// page-contained, and the hook counters equal to the coalesce.Words sums —
+// whether a hook took the general path or, for a span inside one slot, the
+// slot arm's Bits(write).SetSlot.
 func TestCoalescerFlushMatchesBitSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewCoalescer(nil)
@@ -37,16 +39,23 @@ func TestCoalescerFlushMatchesBitSets(t *testing.T) {
 			if i%13 == 0 {
 				size = 1<<16 + uint64(rng.Intn(1<<16)) // straddles a page or two
 			}
-			if rng.Intn(2) == 0 {
-				c.ReadHook(addr, size)
-				rd.SetRange(addr, size)
-				want.ReadHookCalls++
-				want.ReadAccesses += coalesce.Words(addr, size)
-			} else {
+			write := rng.Intn(2) == 1
+			switch {
+			case rng.Intn(2) == 0 && coalesce.InSlot(addr, size):
+				c.Bits(write).SetSlot(addr, size)
+			case write:
 				c.WriteHook(addr, size)
+			default:
+				c.ReadHook(addr, size)
+			}
+			if write {
 				wr.SetRange(addr, size)
 				want.WriteHookCalls++
 				want.WriteAccesses += coalesce.Words(addr, size)
+			} else {
+				rd.SetRange(addr, size)
+				want.ReadHookCalls++
+				want.ReadAccesses += coalesce.Words(addr, size)
 			}
 		}
 		var ref []ival
@@ -83,14 +92,17 @@ func TestCoalescerRegistryDrop(t *testing.T) {
 	c := NewCoalescer(q)
 	const dead, live = 5 << 16, 6 << 16
 	q.Add(dead >> 16)
-	c.WriteHook(dead+64, 8) // registry not looked at yet: still sets bits
+	c.Bits(true).SetSlot(dead+64, 8) // registry not looked at yet: the slot arm is open
 	if got := flushOf(c); !reflect.DeepEqual(got, []ival{{dead + 64, 8, true}}) {
 		t.Fatalf("before the refresh: %v", got)
 	}
+	if c.Bits(false) != nil || c.Bits(true) != nil {
+		t.Fatal("the slot arm stays open while the registry is live: dead-page accesses would set bits")
+	}
 	c.WriteHook(dead+64, 8)
 	c.ReadHook(dead+128, 4)
-	c.ReadWord(dead + 192) // the word path asks the registry too
-	c.WriteWord(dead + 196)
+	c.ReadHook(dead+192, 2)
+	c.WriteHook(dead+196, 4)
 	c.ReadHook(live-8, 16) // straddles dead → live
 	c.WriteHook(live+32, 4)
 	want := []ival{{live - 8, 8, false}, {live, 8, false}, {live + 32, 4, true}}
@@ -101,8 +113,8 @@ func TestCoalescerRegistryDrop(t *testing.T) {
 		t.Fatalf("dropped accesses must still be counted: %+v", *h)
 	}
 	c.Reset()
-	if q.Len() != 0 {
-		t.Fatal("Reset left the registry populated")
+	if q.Len() != 0 || c.Bits(true) == nil {
+		t.Fatal("Reset left the registry populated or the slot arm closed")
 	}
 	c.WriteHook(dead+64, 8)
 	if got := flushOf(c); len(got) != 1 {

@@ -108,18 +108,44 @@ func TestFFTSortedRunsCountAlikeInEveryMode(t *testing.T) {
 	}
 }
 
-// TestWordArmMatchesGenericArm pins the hook dispatch's word arm (an aligned
-// word straight into the strand's Coalescer) to the general dispatch it
-// bypasses: a Tracer, even one that records nothing the detector sees, sends
-// every hook down the general arm, and the report — races, strands and every
-// counter — must not notice. Every mode of the table is held to the traced
-// synchronous report, and the serial ones are traced too; ParallelDetect
-// cannot trace, but each of its strands takes the general arm until its
-// first hook borrows a Coalescer. The racy leg arms quiescing, so the serial
-// word arm flips to the dead-page check mid-run (a drop no report can see;
-// TestCoalescerRegistryDrop pins it); it skips ParallelDetect, which has no
-// registry and would run the program's own races for real.
-func TestWordArmMatchesGenericArm(t *testing.T) {
+// triples is a racy program of hooks alone over 12-byte elements. The
+// buffer is slot-aligned, so element i straddles two bitmap slots when 12i
+// mod 256 is 248 or 252 (i mod 64 is 21 or 42): every strand sends most
+// of its hooks down the slot arm and some down the general one. Nothing is
+// computed, so ParallelDetect runs it safely.
+type triples struct{ buf *stint.Buffer }
+
+func (*triples) Name() string            { return "triples" }
+func (*triples) Params() string          { return "n=2048 elem=12" }
+func (w *triples) Setup(r *stint.Runner) { w.buf = r.Arena().Alloc("triples", 2048, 12) }
+func (*triples) Verify() error           { return nil }
+func (w *triples) Run(t *stint.Task) {
+	for k := 0; k < 4; k++ {
+		t.Spawn(func(c *stint.Task) {
+			for i := k; i < w.buf.Len(); i += 5 {
+				c.Store(w.buf, i)
+			}
+		})
+		for i := k; i < w.buf.Len(); i += 7 {
+			t.Load(w.buf, i)
+		}
+	}
+	t.Sync()
+}
+
+// TestSlotArmMatchesGenericArm pins the hook dispatch's slot arm (a span
+// inside one bitmap slot straight into the strand's BitSet) to the general
+// dispatch it bypasses: a Tracer, even one that records nothing the detector
+// sees, sends every hook down the general arm, and the report — races,
+// strands and every counter — must not notice. Every mode of the table is
+// held to the traced synchronous report, and the serial ones are traced too;
+// ParallelDetect cannot trace, but each of its strands takes the general arm
+// until its first hook borrows a Coalescer. The racy leg arms quiescing, so
+// the serial slot arm closes mid-run and hooks go to the dead-page check (a
+// drop no report can see; TestCoalescerRegistryDrop pins it); it skips
+// ParallelDetect, which has no registry and would run the program's own
+// races for real. The triples leg mixes both arms within each strand.
+func TestSlotArmMatchesGenericArm(t *testing.T) {
 	base := stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 16}
 	quiet := base
 	quiet.PageQuiesceThreshold = 4
@@ -147,6 +173,11 @@ func TestWordArmMatchesGenericArm(t *testing.T) {
 	t.Run("racy-mmul+quiesce", func(t *testing.T) {
 		if s := run(t, racy, quiet, false).Stats; s.Races == 0 || s.PagesQuiesced == 0 {
 			t.Fatalf("racy leg quiesced %d pages with %d races: the dead-page check never ran", s.PagesQuiesced, s.Races)
+		}
+	})
+	t.Run("triples", func(t *testing.T) {
+		if s := run(t, func() workloads.Workload { return &triples{} }, base, true).Stats; s.Races == 0 {
+			t.Fatal("the triples leg found no race")
 		}
 	})
 	for _, tc := range fig5Small {

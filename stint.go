@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"stint/internal/coalesce"
 	"stint/internal/detect"
 	"stint/internal/evstream"
 	"stint/internal/mem"
@@ -732,21 +733,20 @@ func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
 // span) or else the per-access Engine, then to the Tracer. The raw-address
 // hooks are a bare call into it, so they inline.
 //
-// Its word arm is the hot path: one aligned word, on a strand holding its
-// Coalescer with no Tracer, is one Coalescer call. It sits here, not in
-// Load/Store, so trace replay (via LoadAt/StoreAt) gets the same saving.
+// Its slot arm is the hot path: a span inside one bitmap slot, on a strand
+// holding its Coalescer with no Tracer or live quiesce registry, is one
+// BitSet.SetSlot call, ahead of the operand checks it cannot fail. It sits
+// here, not in Load/Store, so trace replay (LoadAt/StoreAt) saves as much.
 func (t *Task) access(addr Addr, size uint64, write bool) {
+	rs := t.rs
+	if c := t.bits; c != nil && rs.tracer == nil && coalesce.InSlot(addr, size) {
+		if b := c.Bits(write); b != nil {
+			b.SetSlot(addr, size)
+			return
+		}
+	}
 	checkAccess(size)
 	checkWrap(addr, size)
-	rs := t.rs
-	if c := t.bits; c != nil && rs.tracer == nil && size-1 < mem.WordSize && addr&(mem.WordSize-1) == 0 {
-		if write {
-			c.WriteWord(addr)
-		} else {
-			c.ReadWord(addr)
-		}
-		return
-	}
 	switch c, e := t.coalescer(), rs.engine; {
 	case c != nil && write:
 		c.WriteHook(addr, size)
