@@ -38,14 +38,17 @@ bench:
 # column pattern: the canary for an extra call on a slot change) and
 # BenchmarkHookOverheadElem (4-, 8- and 16-byte elements on every route:
 # float32, float64, complex128), the sharded and
-# parallel-execution main-table measurements, and the racy-workload
-# quiescing pair. (internal/depa is off the production path; its
+# parallel-execution main-table measurements, the racy-workload
+# quiescing pair, and the trace layer's own pair: BenchmarkReplayWorkload
+# (sort and mmul at the benchmark's sizes, replayed with detection off and
+# with STINT; MB/s is decode throughput) and BenchmarkRecordOverhead. (internal/depa is off the production path; its
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkTreapSortedRun|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
 	$(GO) test -run '^$$' -bench '^Benchmark(Ring|BcastRing|Event(Encode|Decode)|WorkerScan)' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayWorkload|BenchmarkRecordOverhead' -benchmem ./trace
 
 # The size ROADMAP tracks: non-test Go lines outside bench/ (the benchmark
 # measures the program from outside and is not part of it).

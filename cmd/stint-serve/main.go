@@ -80,7 +80,8 @@ func run(addr string, cfg serve.Config) error {
 	// A client that stalls before its headers are in, or parks an idle
 	// keep-alive connection, is cut off. There is deliberately no body
 	// ReadTimeout: a 15 MB trace upload takes as long as the link needs,
-	// and MaxTraceBytes already bounds what it can cost.
+	// and a stalled one holds what it has sent, or one of a fixed number
+	// of MaxTraceBytes buffers (serve's readUpload).
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()

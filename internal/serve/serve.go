@@ -70,6 +70,8 @@ type Config struct {
 	MaxResults int
 }
 
+const defaultMaxTraceBytes = 64 << 20
+
 func (c Config) withDefaults() Config {
 	if c.Runners <= 0 {
 		c.Runners = 2
@@ -78,7 +80,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 2 * c.Runners
 	}
 	if c.MaxTraceBytes == 0 {
-		c.MaxTraceBytes = 64 << 20
+		c.MaxTraceBytes = defaultMaxTraceBytes
 	}
 	if c.MaxResults <= 0 {
 		c.MaxResults = 256
@@ -133,9 +135,12 @@ type job struct {
 type Server struct {
 	cfg   Config
 	queue chan job
-	quit  chan struct{}
-	wg    sync.WaitGroup
-	start time.Time
+	// presize holds one token per upload read into a buffer sized from its
+	// declared length before the bytes arrive (readUpload).
+	presize chan struct{}
+	quit    chan struct{}
+	wg      sync.WaitGroup
+	start   time.Time
 
 	busy      atomic.Int64
 	admitted  atomic.Uint64
@@ -175,6 +180,7 @@ func start(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		queue:   make(chan job, cfg.QueueDepth),
+		presize: make(chan struct{}, cfg.QueueDepth+cfg.Runners),
 		quit:    make(chan struct{}),
 		start:   time.Now(),
 		results: make(map[string]*Result),
@@ -400,17 +406,20 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, req *http.Request) {
-	body := req.Body
-	if s.cfg.MaxTraceBytes > 0 {
-		body = http.MaxBytesReader(w, body, s.cfg.MaxTraceBytes)
+	limit := s.cfg.MaxTraceBytes
+	if limit > 0 && req.ContentLength > limit {
+		s.tooBig(w, limit)
+		return
 	}
-	data, err := io.ReadAll(body)
+	body := req.Body
+	if limit > 0 {
+		body = http.MaxBytesReader(w, body, limit)
+	}
+	data, err := s.readUpload(body, req.ContentLength)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.oversized.Add(1)
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				map[string]string{"error": fmt.Sprintf("trace exceeds %d bytes", tooBig.Limit)})
+			s.tooBig(w, tooBig.Limit)
 			return
 		}
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -423,6 +432,37 @@ func (s *Server) handleUpload(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
+}
+
+// tooBig answers 413 and counts the upload as oversized.
+func (s *Server) tooBig(w http.ResponseWriter, limit int64) {
+	s.oversized.Add(1)
+	writeJSON(w, http.StatusRequestEntityTooLarge,
+		map[string]string{"error": fmt.Sprintf("trace exceeds %d bytes", limit)})
+}
+
+// readUpload reads a whole upload into one buffer. If a presize token is
+// free, a declared length, trusted up to MaxTraceBytes (or the default cap
+// when it is disabled), sizes the buffer up front, plus bytes.MinRead for
+// the read that meets EOF; otherwise the buffer doubles as bytes arrive.
+// The tokens, one per queue slot and Runner, bound the declared-size
+// buffers that clients who stall can pin before sending their bytes.
+func (s *Server) readUpload(body io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared > 0 {
+		select {
+		case s.presize <- struct{}{}:
+			defer func() { <-s.presize }()
+			limit := s.cfg.MaxTraceBytes
+			if limit <= 0 {
+				limit = defaultMaxTraceBytes
+			}
+			buf.Grow(int(min(declared, limit)) + bytes.MinRead)
+		default:
+		}
+	}
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, req *http.Request) {

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -531,5 +534,220 @@ func TestServePanickingReplayIsQuarantined(t *testing.T) {
 					res, want.RaceCount, want.Strands)
 			}
 		})
+	}
+}
+
+// postChunked uploads raw with no declared length: the client sends it
+// chunked, and the server sees ContentLength -1.
+func postChunked(tb testing.TB, ts *httptest.Server, raw []byte) (string, int) {
+	tb.Helper()
+	// A MultiReader hides the body's length from the client.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/traces", io.MultiReader(bytes.NewReader(raw)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		tb.Fatal(err)
+	}
+	return body["id"], resp.StatusCode
+}
+
+// postDeclared writes an upload by hand over a raw connection, declaring
+// length bytes and sending raw, then half-closes: an HTTP client will not
+// send a Content-Length its body does not match.
+func postDeclared(tb testing.TB, ts *httptest.Server, raw []byte, length int) int {
+	tb.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/traces HTTP/1.1\r\nHost: stint\r\nContent-Length: %d\r\n\r\n", length)
+	if _, err := conn.Write(raw); err != nil {
+		tb.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestServeUploadLengths covers the sized read: an upload is admitted
+// whether or not it declares its length, a body exactly at MaxTraceBytes is
+// admitted, one byte over is refused with 413 (before a byte is read when
+// the length is declared, by the capped reader when it is not), and a
+// Content-Length larger than the body that follows is a 400. Every refusal
+// moves exactly one counter and admits nothing.
+func TestServeUploadLengths(t *testing.T) {
+	raw := recordTrace(t, 512, 64)
+	fresh, err := trace.Replay(bytes.NewReader(raw), trace.Options{Detector: stint.DetectorSTINT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{Status: "done", RaceCount: fresh.RaceCount, Strands: fresh.Strands}
+	for _, rc := range fresh.Races {
+		want.Races = append(want.Races, rc.String())
+	}
+	post := map[string]func(*httptest.Server, []byte) (string, int){
+		"declared": func(ts *httptest.Server, b []byte) (string, int) { return postTrace(t, ts, b) },
+		"chunked":  func(ts *httptest.Server, b []byte) (string, int) { return postChunked(t, ts, b) },
+	}
+	for _, c := range []struct {
+		name, post string
+		limit      int64
+		code       int
+		oversized  uint64
+	}{
+		{"honest", "declared", 0, http.StatusAccepted, 0},
+		{"chunked", "chunked", 0, http.StatusAccepted, 0},
+		{"at-limit", "declared", int64(len(raw)), http.StatusAccepted, 0},
+		{"chunked-at-limit", "chunked", int64(len(raw)), http.StatusAccepted, 0},
+		{"over-limit", "declared", int64(len(raw)) - 1, http.StatusRequestEntityTooLarge, 1},
+		{"chunked-over-limit", "chunked", int64(len(raw)) - 1, http.StatusRequestEntityTooLarge, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{Runners: 1, MaxTraceBytes: c.limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			id, code := post[c.post](ts, raw)
+			if code != c.code {
+				t.Fatalf("status %d, want %d", code, c.code)
+			}
+			admitted := uint64(0)
+			if code == http.StatusAccepted {
+				admitted = 1
+				res := pollResult(t, ts, id)
+				res.ID, res.WallTime = "", ""
+				if !reflect.DeepEqual(res, want) {
+					t.Fatalf("served result diverges from a fresh replay:\n got: %+v\nwant: %+v", res, want)
+				}
+			}
+			if st := s.Stats(); st.Admitted != admitted || st.Oversized != c.oversized ||
+				st.Rejected != 0 || st.Failed != 0 {
+				t.Fatalf("stats: %+v, want %d admitted, %d oversized", st, admitted, c.oversized)
+			}
+		})
+	}
+
+	t.Run("lying-length", func(t *testing.T) {
+		s, err := New(Config{Runners: 1, MaxTraceBytes: int64(len(raw)) + 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if code := postDeclared(t, ts, raw, len(raw)+100); code != http.StatusBadRequest {
+			t.Fatalf("Content-Length past the body: status %d, want 400", code)
+		}
+		// Declared past the cap: refused at the door, body unread.
+		if code := postDeclared(t, ts, raw, len(raw)+101); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("Content-Length past the cap: status %d, want 413", code)
+		}
+		if st := s.Stats(); st.Admitted != 0 || st.Oversized != 1 || st.Rejected != 0 || st.Failed != 0 || st.Completed != 0 {
+			t.Fatalf("stats: %+v, want only the one oversized", st)
+		}
+	})
+}
+
+// TestReadUploadAllocatesOnce: a declared length sizes the one buffer the
+// body is read into while a presize token is free (the race detector adds
+// up to two allocations of its own); with no length, or no token, the
+// buffer doubles as the body arrives, a dozen times for 1 MiB.
+func TestReadUploadAllocatesOnce(t *testing.T) {
+	raw := bytes.Repeat([]byte("STNTTRC1"), 1<<17) // 1 MiB
+	src := bytes.NewReader(raw)
+	server := func(limit int64) *Server {
+		return &Server{cfg: Config{MaxTraceBytes: limit}, presize: make(chan struct{}, 1)}
+	}
+	read := func(s *Server, declared int64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			src.Reset(raw)
+			data, err := s.readUpload(src, declared)
+			if err != nil || !bytes.Equal(data, raw) {
+				t.Fatalf("declared %d: read %d bytes, err %v", declared, len(data), err)
+			}
+		})
+	}
+	busy := server(64 << 20)
+	busy.presize <- struct{}{}
+	sized, uncapped := read(server(64<<20), int64(len(raw))), read(server(-1), int64(len(raw)))
+	chunked, tokenless := read(server(64<<20), -1), read(busy, int64(len(raw)))
+	if sized > 3 || uncapped > 3 || chunked < 8 || tokenless < 8 {
+		t.Errorf("allocations: %v declared, %v declared without a cap, %v chunked, %v with no token free; want at most 3, 3 and two regrowing reads",
+			sized, uncapped, chunked, tokenless)
+	}
+	// A declared length is trusted only up to the cap, or the default cap
+	// when there is none; the token is returned once the body is read.
+	for _, c := range []struct{ limit, trusted int64 }{{4096, 4096}, {-1, defaultMaxTraceBytes}} {
+		s := server(c.limit)
+		data, err := s.readUpload(bytes.NewReader(raw[:10]), 1<<40)
+		if err != nil || len(data) != 10 || int64(cap(data)) > 2*c.trusted || len(s.presize) != 0 {
+			t.Fatalf("huge declared length, cap %d: %d bytes, cap %d, err %v, %d tokens held",
+				c.limit, len(data), cap(data), err, len(s.presize))
+		}
+	}
+}
+
+// TestServeStalledUploadsDoNotPresize: clients that declare the maximum
+// length and then send nothing hold at most QueueDepth+Runners buffers of
+// that size; past that a stalled upload holds only what it has sent, and an
+// honest upload arriving meanwhile is still read and served.
+func TestServeStalledUploadsDoNotPresize(t *testing.T) {
+	const limit = 1 << 20
+	s, err := New(Config{Runners: 1, QueueDepth: 1, MaxTraceBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var stalled []net.Conn
+	for range 2 * cap(s.presize) {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST /v1/traces HTTP/1.1\r\nHost: stint\r\nContent-Length: %d\r\n\r\n", limit)
+		stalled = append(stalled, conn)
+	}
+	waitTokens := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); len(s.presize) != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d presize tokens held, want %d", len(s.presize), want)
+			}
+		}
+	}
+	waitTokens(cap(s.presize))
+
+	raw := recordTrace(t, 512, 64)
+	id, code := postTrace(t, ts, raw)
+	if code != http.StatusAccepted {
+		t.Fatalf("upload beside stalled ones: status %d", code)
+	}
+	if res := pollResult(t, ts, id); res.Status != "done" {
+		t.Fatalf("upload beside stalled ones: %+v", res)
+	}
+	for _, conn := range stalled {
+		conn.Close()
+	}
+	waitTokens(0)
+	if st := s.Stats(); st.Admitted != 1 || st.Oversized != 0 || st.Rejected != 0 {
+		t.Fatalf("stats: %+v, want the one honest upload admitted", st)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stint"
+	"stint/workloads"
 )
 
 // buildTrace records a medium fork-join program once.
@@ -79,3 +80,59 @@ func benchReplay(b *testing.B, detector stint.Detector) {
 func BenchmarkReplaySTINT(b *testing.B) { benchReplay(b, stint.DetectorSTINT) }
 
 func BenchmarkReplayVanilla(b *testing.B) { benchReplay(b, stint.DetectorVanilla) }
+
+// recordWorkload records one workload instance with detection off.
+func recordWorkload(tb testing.TB, w workloads.Workload) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	r, err := stint.NewRunner(stint.Options{Tracer: rec})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Setup(r)
+	if _, err := r.Run(w.Run); err != nil {
+		tb.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkReplayWorkload is the trace layer's own benchmark at the sizes
+// the repository benchmark serves (sort's trace is 10.7 MB, mmul's 5.8
+// MB): the off leg replays onto a DetectorOff Runner, so it is the decoder
+// plus the hooks' bare dispatch; the stint leg adds detection.
+func BenchmarkReplayWorkload(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		new  func() workloads.Workload
+	}{
+		{"sort", func() workloads.Workload { return workloads.NewSort(40000, 512) }},
+		{"mmul", func() workloads.Workload { return workloads.NewMMul(112, 16) }},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			raw := recordWorkload(b, w.new())
+			for _, leg := range []struct {
+				name     string
+				detector stint.Detector
+			}{{"off", stint.DetectorOff}, {"stint", stint.DetectorSTINT}} {
+				b.Run(leg.name, func(b *testing.B) {
+					r, err := stint.NewRunner(stint.Options{Detector: leg.detector, MaxRacesRecorded: 64})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.SetBytes(int64(len(raw)))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := Replay(bytes.NewReader(raw), Options{Runner: r}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}

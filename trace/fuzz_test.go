@@ -2,13 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+	"testing/iotest"
 
 	"stint"
 )
 
 // FuzzReplay feeds arbitrary bytes to the replay parser: it must reject or
-// process them without panicking, for any detector.
+// process them without panicking, for any detector, and identically whether
+// src hands the decoder's window its bytes all at once or one per Read.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(magic[:])
@@ -31,13 +34,47 @@ func FuzzReplay(f *testing.F) {
 	})
 	rec.Flush()
 	f.Add(buf.Bytes())
+	// A valid prefix followed by garbage.
+	f.Add(append(append([]byte{}, buf.Bytes()[:len(buf.Bytes())-1]...), 0xff, 0x55, 0x80))
+	// An address operand overflowing 64 bits.
+	f.Add(readEvents(append(bytes.Repeat([]byte{0xff}, 10), 0x01, 0x04)))
+	// A trace cut mid-varint just past 64 KiB: eight-byte reads alternating
+	// between two addresses 2^40 bytes apart, shifted so the address operand
+	// at [65532, 65538) straddles the window's edge.
+	long := append(append([]byte{}, magic[:]...), opRead, 0x08, 0x04)
+	for i := 0; len(long) < windowBytes+8; i++ {
+		zz := uint64(1) << 41 // +2^40, zig-zagged
+		if i&1 == 1 {
+			zz-- // -2^40
+		}
+		long = append(binary.AppendUvarint(append(long, opRead), zz), 0x04)
+	}
+	f.Add(long[:windowBytes+1])
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, d := range []stint.Detector{stint.DetectorVanilla, stint.DetectorSTINT} {
-			rep, err := Replay(bytes.NewReader(raw), Options{Detector: d})
-			if err == nil && rep == nil {
-				t.Fatal("nil report without error")
+		// Every input first replays with detection off, through a Tracer
+		// counting the bytes its accesses span.
+		var spans [2]spanTracer
+		off := func(i int) Options {
+			spans[i].left = maxFuzzSpan
+			r, err := stint.NewRunner(stint.Options{Tracer: &spans[i]})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return Options{Runner: r}
+		}
+		replayBoth(t, raw, off(0), off(1))
+		if spans[0] != spans[1] {
+			t.Fatalf("one byte per Read leaves %d span bytes of %d, all at once %d", spans[1].left, maxFuzzSpan, spans[0].left)
+		}
+		// One access event may name 2^56 bytes, and every engine materializes
+		// the span it is handed (bitmap pages, shadow cells): the detectors
+		// replay only inputs they can hold in memory.
+		if spans[0].left == 0 {
+			return
+		}
+		for _, d := range []stint.Detector{stint.DetectorVanilla, stint.DetectorSTINT} {
+			rep, err := replayBoth(t, raw, Options{Detector: d}, Options{Detector: d})
 			// An access event is at least three bytes and at most 2^54+1 words.
 			if err == nil && len(raw) < 512 && rep.Stats.ReadAccesses+rep.Stats.WriteAccesses > uint64(len(raw))<<54 {
 				t.Fatalf("%d trace bytes cannot carry %d+%d words", len(raw), rep.Stats.ReadAccesses, rep.Stats.WriteAccesses)
@@ -45,3 +82,37 @@ func FuzzReplay(f *testing.F) {
 		}
 	})
 }
+
+// maxFuzzSpan bounds the bytes an input's accesses may span before
+// FuzzReplay keeps it from the detectors. Vanilla's shadow costs about two
+// bytes per byte spanned, so one input under the bound needs up to 2 GiB;
+// one far over it runs the process out of memory, a fatal error.
+const maxFuzzSpan = 1 << 30
+
+// replayBoth replays raw all at once under all and one byte per Read under
+// one, and requires the same report or the same error text from both.
+func replayBoth(t *testing.T, raw []byte, all, one Options) (*stint.Report, error) {
+	t.Helper()
+	rep, err := Replay(bytes.NewReader(raw), all)
+	if err == nil && rep == nil {
+		t.Fatal("nil report without error")
+	}
+	oneRep, oneErr := Replay(iotest.OneByteReader(bytes.NewReader(raw)), one)
+	if (err == nil) != (oneErr == nil) || err != nil && err.Error() != oneErr.Error() ||
+		err == nil && !sameReport(rep, oneRep) {
+		t.Fatalf("%v: one byte per Read diverges: %v, %v; all at once: %v, %v", all.Detector, oneRep, oneErr, rep, err)
+	}
+	return rep, err
+}
+
+// spanTracer counts down the bytes a replay's access events span.
+type spanTracer struct{ left uint64 }
+
+func (s *spanTracer) Spawn()                                      {}
+func (s *spanTracer) Restore()                                    {}
+func (s *spanTracer) Sync()                                       {}
+func (s *spanTracer) Read(_ stint.Addr, size uint64)              { s.take(size) }
+func (s *spanTracer) Write(_ stint.Addr, size uint64)             { s.take(size) }
+func (s *spanTracer) ReadRange(_ stint.Addr, n int, elem uint64)  { s.take(uint64(n) * elem) }
+func (s *spanTracer) WriteRange(_ stint.Addr, n int, elem uint64) { s.take(uint64(n) * elem) }
+func (s *spanTracer) take(n uint64)                               { s.left -= min(n, s.left) }

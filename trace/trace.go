@@ -52,6 +52,10 @@ const (
 
 var magic = [8]byte{'S', 'T', 'N', 'T', 'T', 'R', 'C', '1'}
 
+// maxEventBytes bounds one encoded event: an opcode and at most three
+// uvarint operands.
+const maxEventBytes = 1 + 3*binary.MaxVarintLen64
+
 // Recorder implements stint.Tracer, serializing events to an io.Writer.
 // Recorders are not safe for concurrent use; record serial executions only.
 type Recorder struct {
@@ -59,7 +63,7 @@ type Recorder struct {
 	lastAddr mem.Addr
 	err      error
 	wroteHdr bool
-	buf      [3 * binary.MaxVarintLen64]byte
+	buf      [maxEventBytes]byte
 }
 
 // NewRecorder returns a Recorder writing to w. Call Flush when the run
@@ -68,23 +72,10 @@ func NewRecorder(w io.Writer) *Recorder {
 	return &Recorder{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-func (r *Recorder) header() {
-	if !r.wroteHdr {
-		r.wroteHdr = true
-		_, err := r.w.Write(magic[:])
-		r.setErr(err)
-	}
-}
-
 func (r *Recorder) setErr(err error) {
 	if r.err == nil && err != nil {
 		r.err = err
 	}
-}
-
-func (r *Recorder) op(code byte) {
-	r.header()
-	r.setErr(r.w.WriteByte(code))
 }
 
 // delta zig-zag-encodes the address movement since the last event.
@@ -94,8 +85,16 @@ func (r *Recorder) addrOperand(addr mem.Addr) uint64 {
 	return uint64((d << 1) ^ (d >> 63))
 }
 
-func (r *Recorder) varints(vals ...uint64) {
-	n := 0
+// event encodes one opcode and its operands into the scratch buffer and
+// hands the whole event to the writer in one call.
+func (r *Recorder) event(code byte, vals ...uint64) {
+	if !r.wroteHdr {
+		r.wroteHdr = true
+		_, err := r.w.Write(magic[:])
+		r.setErr(err)
+	}
+	r.buf[0] = code
+	n := 1
 	for _, v := range vals {
 		n += binary.PutUvarint(r.buf[n:], v)
 	}
@@ -104,42 +103,38 @@ func (r *Recorder) varints(vals ...uint64) {
 }
 
 // Spawn records the start of a spawned child.
-func (r *Recorder) Spawn() { r.op(opSpawn) }
+func (r *Recorder) Spawn() { r.event(opSpawn) }
 
 // Restore records a child's return to its parent's continuation.
-func (r *Recorder) Restore() { r.op(opRestore) }
+func (r *Recorder) Restore() { r.event(opRestore) }
 
 // Sync records a strand-creating sync.
-func (r *Recorder) Sync() { r.op(opSync) }
+func (r *Recorder) Sync() { r.event(opSync) }
 
 // Read records a per-access load.
 func (r *Recorder) Read(addr mem.Addr, size uint64) {
-	r.op(opRead)
-	r.varints(r.addrOperand(addr), size)
+	r.event(opRead, r.addrOperand(addr), size)
 }
 
 // Write records a per-access store.
 func (r *Recorder) Write(addr mem.Addr, size uint64) {
-	r.op(opWrite)
-	r.varints(r.addrOperand(addr), size)
+	r.event(opWrite, r.addrOperand(addr), size)
 }
 
 // ReadRange records a compiler-coalesced load.
 func (r *Recorder) ReadRange(addr mem.Addr, count int, elemBytes uint64) {
-	r.op(opReadRange)
-	r.varints(r.addrOperand(addr), uint64(count), elemBytes)
+	r.event(opReadRange, r.addrOperand(addr), uint64(count), elemBytes)
 }
 
 // WriteRange records a compiler-coalesced store.
 func (r *Recorder) WriteRange(addr mem.Addr, count int, elemBytes uint64) {
-	r.op(opWriteRange)
-	r.varints(r.addrOperand(addr), uint64(count), elemBytes)
+	r.event(opWriteRange, r.addrOperand(addr), uint64(count), elemBytes)
 }
 
 // Flush terminates and flushes the trace. The Recorder must not be used
 // afterwards.
 func (r *Recorder) Flush() error {
-	r.op(opEnd)
+	r.event(opEnd)
 	r.setErr(r.w.Flush())
 	return r.err
 }
@@ -189,12 +184,73 @@ const maxSpawnDepth = 1 << 16
 // events become the *At hooks, so a replay exercises exactly the machinery
 // a live run does — including the async pipeline and sharded detection,
 // when the caller's Runner is configured for them.
+//
+// Events decode straight out of a byte window over src: the undecoded
+// bytes are win[pos:], and the window is refilled at the top of an event
+// only, so every operand of the event is already in the slice.
 type decoder struct {
 	br        *bufio.Reader
+	win       []byte // br's buffered bytes; win[:pos] is decoded
+	pos       int
+	srcErr    error // src's first error (io.EOF at its end); src is not read after it
 	lastAddr  mem.Addr
 	err       error
 	maxEvents uint64 // 0 = unbounded
 	events    uint64
+}
+
+// windowBytes is the decoder's window, the Recorder's buffer size: one Read
+// and one slide of at most maxEventBytes per 64 KiB of trace.
+const windowBytes = 1 << 16
+
+// errOverflow is binary.ReadUvarint's error text for a varint longer than
+// 64 bits, which the encoding package does not export.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// refill is the window's one rule: drop the decoded bytes, then let br
+// slide the tail to the front and read until a whole event fits or src has
+// ended; the window is then everything br holds.
+func (d *decoder) refill() {
+	d.br.Discard(d.pos)
+	d.pos = 0
+	if d.srcErr == nil {
+		_, d.srcErr = d.br.Peek(maxEventBytes)
+	}
+	d.win, _ = d.br.Peek(d.br.Buffered())
+}
+
+// short is the error for a header, opcode or operand cut off by the end of
+// src, in io.ReadFull's and binary.ReadUvarint's words: io.ErrUnexpectedEOF
+// once part of it is in the window, src's own error otherwise.
+func (d *decoder) short() error {
+	if d.pos < len(d.win) && d.srcErr == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return d.srcErr
+}
+
+// operands decodes the event's uvarint operands into vals, stopping at the
+// first that does not decode, with binary.ReadUvarint's error for it (ten
+// continuation bytes overflow even with nothing after them). A one-byte
+// operand, as most are, skips binary.Uvarint's loop.
+func (d *decoder) operands(vals []uint64) error {
+	for i := range vals {
+		if d.pos < len(d.win) && d.win[d.pos] < 0x80 {
+			vals[i] = uint64(d.win[d.pos])
+			d.pos++
+			continue
+		}
+		v, n := binary.Uvarint(d.win[d.pos:])
+		if n <= 0 {
+			if n < 0 || len(d.win)-d.pos >= binary.MaxVarintLen64 {
+				return errOverflow
+			}
+			return d.short()
+		}
+		d.pos += n
+		vals[i] = v
+	}
+	return nil
 }
 
 // charge debits one event from the budget, failing the decode when the
@@ -215,14 +271,11 @@ func (d *decoder) fail(err error) {
 	}
 }
 
-func (d *decoder) readAddr() (stint.Addr, error) {
-	raw, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return 0, err
-	}
+// addr undoes the recorder's zig-zag address delta.
+func (d *decoder) addr(raw uint64) stint.Addr {
 	delta := int64(raw>>1) ^ -int64(raw&1)
 	d.lastAddr = mem.Addr(int64(d.lastAddr) + delta)
-	return d.lastAddr, nil
+	return d.lastAddr
 }
 
 // replayBody consumes one task instance's events: up to its opRestore for
@@ -232,11 +285,15 @@ func (d *decoder) readAddr() (stint.Addr, error) {
 func (d *decoder) replayBody(t *stint.Task, depth int) {
 	pending := 0 // spawns since the last sync
 	for d.err == nil {
-		code, err := d.br.ReadByte()
-		if err != nil {
-			d.fail(fmt.Errorf("trace: truncated stream: %w", err))
-			return
+		if len(d.win)-d.pos < maxEventBytes {
+			d.refill()
+			if len(d.win) == 0 {
+				d.fail(fmt.Errorf("trace: truncated stream: %w", d.short()))
+				return
+			}
 		}
+		code := d.win[d.pos]
+		d.pos++
 		switch code {
 		case opEnd:
 			if depth > 0 {
@@ -283,51 +340,40 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 			if !d.charge() {
 				return
 			}
-			addr, err := d.readAddr()
-			if err == nil {
-				var size uint64
-				size, err = binary.ReadUvarint(d.br)
-				if err == nil {
-					// Validate before handing to the hook layer: LoadAt
-					// panics on sizes beyond the encodings' 56-bit field and
-					// on wrapping spans, but a corrupt or adversarial trace
-					// must surface as a decode error, not a panic.
-					if size > evstream.MaxAccessSize {
-						d.fail(fmt.Errorf("trace: access event size %d outside the representable field", size))
-						return
-					}
-					if mem.SpanWraps(addr, size) {
-						d.fail(fmt.Errorf("trace: access event at %#x spanning %d bytes wraps the address space", addr, size))
-						return
-					}
-					if code == opRead {
-						t.LoadAt(addr, size)
-					} else {
-						t.StoreAt(addr, size)
-					}
-				}
-			}
-			if err != nil {
+			var ops [2]uint64
+			if err := d.operands(ops[:]); err != nil {
 				d.fail(fmt.Errorf("trace: access event: %w", err))
 				return
+			}
+			addr, size := d.addr(ops[0]), ops[1]
+			// Validate before handing to the hook layer: LoadAt panics on
+			// sizes beyond the encodings' 56-bit field and on wrapping spans,
+			// but a corrupt or adversarial trace must surface as a decode
+			// error, not a panic.
+			if size > evstream.MaxAccessSize {
+				d.fail(fmt.Errorf("trace: access event size %d outside the representable field", size))
+				return
+			}
+			if mem.SpanWraps(addr, size) {
+				d.fail(fmt.Errorf("trace: access event at %#x spanning %d bytes wraps the address space", addr, size))
+				return
+			}
+			if code == opRead {
+				t.LoadAt(addr, size)
+			} else {
+				t.StoreAt(addr, size)
 			}
 
 		case opReadRange, opWriteRange:
 			if !d.charge() {
 				return
 			}
-			addr, err := d.readAddr()
-			var count, elem uint64
-			if err == nil {
-				count, err = binary.ReadUvarint(d.br)
-			}
-			if err == nil {
-				elem, err = binary.ReadUvarint(d.br)
-			}
-			if err != nil {
+			var ops [3]uint64
+			if err := d.operands(ops[:]); err != nil {
 				d.fail(fmt.Errorf("trace: range event: %w", err))
 				return
 			}
+			addr, count, elem := d.addr(ops[0]), ops[1], ops[2]
 			// Validate before handing to the hook layer: LoadRangeAt panics
 			// on unrepresentable ranges, but a corrupt or adversarial trace
 			// must surface as a decode error, not a panic.
@@ -361,14 +407,15 @@ func Replay(src io.Reader, opts Options) (*stint.Report, error) {
 	if opts.Runner != nil && !opts.Runner.Serial() {
 		return nil, ErrParallelRunner
 	}
-	br := bufio.NewReaderSize(src, 1<<16)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+	d := &decoder{br: bufio.NewReaderSize(src, windowBytes), maxEvents: opts.MaxEvents}
+	d.refill()
+	if len(d.win) < len(magic) {
+		return nil, fmt.Errorf("trace: reading header: %w", d.short())
 	}
-	if hdr != magic {
+	if hdr := [len(magic)]byte(d.win); hdr != magic {
 		return nil, fmt.Errorf("trace: bad magic %q", hdr[:])
 	}
+	d.pos = len(magic)
 
 	r := opts.Runner
 	if r == nil {
@@ -378,7 +425,6 @@ func Replay(src io.Reader, opts Options) (*stint.Report, error) {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
 	}
-	d := &decoder{br: br, maxEvents: opts.MaxEvents}
 	rep, runErr := r.Run(func(task *stint.Task) { d.replayBody(task, 0) })
 	if d.err != nil {
 		return nil, d.err

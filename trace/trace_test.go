@@ -2,14 +2,21 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"stint"
 	"stint/internal/core"
+	"stint/workloads"
 )
 
 // program is a replayable random fork-join program (same scheme as the
@@ -633,4 +640,230 @@ func TestReplayDefaultMaxRaces(t *testing.T) {
 		t.Fatalf("zero MaxRacesRecorded recorded %d races; want the default %d",
 			len(rep.Races), stint.DefaultMaxRacesRecorded)
 	}
+}
+
+// sameReport compares two Reports' content: everything but wall time and the
+// heap-allocation deltas, which are measurements, not results.
+func sameReport(a, b *stint.Report) bool {
+	norm := func(r stint.Report) stint.Report {
+		r.WallTime, r.Stats.AllocObjects, r.Stats.AllocBytes = 0, 0, 0
+		return r
+	}
+	return reflect.DeepEqual(norm(*a), norm(*b))
+}
+
+// replayResult is a replay's outcome as text: the error, or "ok".
+func replayResult(src io.Reader, opts Options) string {
+	if _, err := Replay(src, opts); err != nil {
+		return err.Error()
+	}
+	return "ok"
+}
+
+// raceEnabled is set when the race detector, which slows replay tenfold, is
+// on (race_test.go).
+var raceEnabled bool
+
+// forEachWorkloadTrace records every workloads.Names() program at its
+// default size and hands each trace to check. Under the race detector it
+// leaves out sort, whose trace is 62 MB.
+func forEachWorkloadTrace(t *testing.T, check func(name string, raw []byte)) {
+	for _, name := range workloads.Names() {
+		if raceEnabled && name == "sort" {
+			t.Logf("%s skipped under the race detector", name)
+			continue
+		}
+		f, err := workloads.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, recordWorkload(t, f()))
+	}
+}
+
+// TestReplayShortReads: the decoder's window must not depend on how src
+// hands out its bytes. Every workload's trace replays to the same Report
+// through a reader giving one byte per Read, one giving half of what is
+// asked, and one returning its last bytes together with io.EOF.
+func TestReplayShortReads(t *testing.T) {
+	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forEachWorkloadTrace(t, func(name string, raw []byte) {
+		want, err := Replay(bytes.NewReader(raw), Options{Runner: r})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, rd := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"OneByteReader", iotest.OneByteReader},
+			{"HalfReader", iotest.HalfReader},
+			{"DataErrReader", iotest.DataErrReader},
+		} {
+			got, err := Replay(rd.wrap(bytes.NewReader(raw)), Options{Runner: r})
+			if err != nil {
+				t.Fatalf("%s through %s: %v", name, rd.name, err)
+			}
+			if !sameReport(got, want) {
+				t.Fatalf("%s through %s: report diverges\n got: %+v\nwant: %+v", name, rd.name, got, want)
+			}
+		}
+	})
+}
+
+// prefixTrace is a small recording holding every opcode, a multi-byte
+// address operand and a multi-byte range count.
+func prefixTrace(t *testing.T) []byte {
+	return record(t, []action{
+		{kind: 'S', body: []action{{kind: 'l', idx: 3}, {kind: 'W', idx: 0, n: 16}}},
+		{kind: 's', idx: 40},
+		{kind: 'L', idx: 0, n: bufWords},
+		{kind: 'Y'},
+		{kind: 'l', idx: 63},
+	})
+}
+
+// TestReplayPrefixErrors replays every prefix of a small trace. None may
+// panic, and each must end exactly as the bufio.Reader decoder that preceded
+// the byte window ended it: testdata/prefix_errors.golden holds that
+// decoder's outcome per prefix length.
+func TestReplayPrefixErrors(t *testing.T) {
+	raw := prefixTrace(t)
+	golden, err := os.ReadFile("testdata/prefix_errors.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	if len(want) != len(raw)+1 {
+		t.Fatalf("golden table has %d prefixes, the trace %d", len(want), len(raw)+1)
+	}
+	for n := range want {
+		got := fmt.Sprintf("%d %s", n, replayResult(bytes.NewReader(raw[:n]), Options{Detector: stint.DetectorSTINT}))
+		if got != want[n] {
+			t.Errorf("prefix %d:\n got: %s\nwant: %s", n, got, want[n])
+		}
+	}
+}
+
+// TestReplayWrapsSourceErrors: an error from src itself, wherever it
+// strikes, comes back wrapped in the decode error.
+func TestReplayWrapsSourceErrors(t *testing.T) {
+	raw := prefixTrace(t)
+	boom := errors.New("disk on fire")
+	for _, n := range []int{0, 5, len(magic), len(magic) + 1, len(raw) - 1} {
+		src := io.MultiReader(bytes.NewReader(raw[:n]), iotest.ErrReader(boom))
+		_, err := Replay(src, Options{Detector: stint.DetectorSTINT})
+		if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Errorf("src failing after %d bytes: got %v, want a trace error wrapping %v", n, err, boom)
+		}
+	}
+}
+
+// readEvents is magic, then one opRead per operand pair in ops, then opEnd.
+func readEvents(ops ...[]byte) []byte {
+	raw := append([]byte{}, magic[:]...)
+	for _, op := range ops {
+		raw = append(append(raw, opRead), op...)
+	}
+	return append(raw, opEnd)
+}
+
+// TestReplayVarintEdges pins the operand errors binary.ReadUvarint gave:
+// a varint running past ten bytes, a tenth byte carrying more than the
+// 64th bit, and ten continuation bytes with nothing after them all
+// overflow; a varint cut by the end of src is an unexpected EOF, also when
+// it is cut exactly at the 64 KiB window's edge.
+func TestReplayVarintEdges(t *testing.T) {
+	const overflow = "trace: access event: binary: varint overflows a 64-bit integer"
+	cont := bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"eleven bytes", readEvents(append(append([]byte{}, cont...), 0x01, 0x04)), overflow},
+		{"tenth byte too big", readEvents(append(append([]byte{}, cont[:9]...), 0x02, 0x04)), overflow},
+		{"ten continuation bytes at the end", readEvents(cont)[:len(magic)+1+len(cont)], overflow},
+		{"size overflows", readEvents(append([]byte{0x08}, append(cont, 0x01)...)), overflow},
+		{"cut mid-varint", readEvents(cont[:3])[:len(magic)+4], "trace: access event: unexpected EOF"},
+	} {
+		if got := replayResult(bytes.NewReader(c.raw), Options{Detector: stint.DetectorSTINT}); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
+	}
+
+	// Reads alternating between two addresses 2^40 bytes apart: six-byte
+	// address deltas, laid out so one straddles stream offset 64 KiB. cutErr
+	// is the error for a cut at each event and operand boundary; a cut
+	// anywhere else is inside an operand.
+	const far = stint.Addr(1) << 40
+	raw := append([]byte{}, magic[:]...)
+	raw = append(raw, opRead, 0x08, 0x04) // shifts the layout by three bytes
+	cutErr := map[int]string{}
+	last, straddle := stint.Addr(4), -1
+	for i := 0; len(raw) < windowBytes+64; i++ {
+		addr := stint.Addr(4) + far*stint.Addr(i&1)
+		delta := int64(addr) - int64(last)
+		last = addr
+		cutErr[len(raw)] = "trace: truncated stream: EOF"
+		raw = append(raw, opRead)
+		start := len(raw)
+		cutErr[start] = "trace: access event: EOF"
+		raw = binary.AppendUvarint(raw, uint64((delta<<1)^(delta>>63)))
+		if start < windowBytes && len(raw) > windowBytes {
+			straddle = start
+		}
+		cutErr[len(raw)] = "trace: access event: EOF"
+		raw = append(raw, 0x04)
+	}
+	raw = append(raw, opEnd)
+	if straddle < 0 {
+		t.Fatal("fixture: no address operand straddles the window edge")
+	}
+	want, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorSTINT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Replay(iotest.OneByteReader(bytes.NewReader(raw)), Options{Detector: stint.DetectorSTINT})
+	if err != nil || !sameReport(got, want) {
+		t.Fatalf("one byte at a time: %+v, %v; want %+v", got, err, want)
+	}
+	// Cut at every byte from the event before the straddling operand to the
+	// one after it.
+	for n := straddle - 4; n <= straddle+10; n++ {
+		want, ok := cutErr[n]
+		if !ok {
+			want = "trace: access event: unexpected EOF"
+		}
+		if got := replayResult(bytes.NewReader(raw[:n]), Options{Detector: stint.DetectorSTINT}); got != want {
+			t.Errorf("cut at %d (operand straddling %d starts at %d): got %q, want %q", n, windowBytes, straddle, got, want)
+		}
+	}
+}
+
+// recordingDigests are SHA-256 digests of each workload's recording at its
+// default size, taken from the Recorder that wrote the opcode and the
+// operands in two calls: recordings are byte-identical to that format.
+var recordingDigests = map[string]string{
+	"chol":  "150722:1442217cd6086b646a827fc6aa615852d704099fede00ecd3c42fa1588935e66",
+	"fft":   "1220256:ddcba2b33c4778f63fd24d5f54ace1ec191f796c301ded455ab916bb3c54c56a",
+	"heat":  "1029280:e69845c701e5b19783d23f9620e5b12869d5bc7dd015393ee71a684e3ec2d95f",
+	"mmul":  "3711924:05f760ce9e3d9685cd4ed2914f562dbe3c0c587e5b5a791f682c7f793c601b6c",
+	"sort":  "61993538:589215166d3ff872272137c782cdf7ae66c1c0f225b730d6b95f8de70b622476",
+	"stra":  "6537570:11eabe036ef1ffb687f660d17ca58d6d45317e88c149ef8428a8b5f46586f89e",
+	"straz": "6445918:af2420208fddc648b80903ca9c9e2e022f00295e4d61cf58b61d0c7ca6be94d4",
+}
+
+// TestRecordingIsByteStable pins the wire format: every workload records to
+// the bytes it always has.
+func TestRecordingIsByteStable(t *testing.T) {
+	forEachWorkloadTrace(t, func(name string, raw []byte) {
+		got := fmt.Sprintf("%d:%x", len(raw), sha256.Sum256(raw))
+		if got != recordingDigests[name] {
+			t.Errorf("%s: recording is %s, want %s", name, got, recordingDigests[name])
+		}
+	})
 }
