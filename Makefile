@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-hot tables fuzz vet fmt examples loc loc-pkg
+.PHONY: all build test test-short bench bench-hot tables fuzz harness mutants vet fmt examples loc loc-pkg
 
 all: vet test build
 
@@ -65,13 +65,34 @@ loc-pkg:
 tables:
 	$(GO) run ./cmd/stint-tables -reps 3 all
 
-# Short fuzz sessions over the five fuzz targets.
+# Short fuzz sessions over the five fuzz targets (the root one is the
+# contract harness's checker).
 fuzz:
 	$(GO) test -fuzz=FuzzTreeAgainstOracle -fuzztime=30s ./internal/core
 	$(GO) test -fuzz=FuzzSetRangeFlush -fuzztime=30s ./internal/coalesce
 	$(GO) test -fuzz=FuzzEventCodec -fuzztime=30s ./internal/evstream
 	$(GO) test -fuzz=FuzzReplay -fuzztime=30s ./trace
 	$(GO) test -fuzz=FuzzAsyncAgainstSync -fuzztime=30s .
+
+# The contract harness alone: the generator- and corpus-driven tests and the
+# trace leg, without the named regression programs and pinned tests
+# (DESIGN.md, "The contract and its checker").
+HARNESS := ^(TestDetectorEquivalence(Random|Deep)Programs|TestParallelDetectRunToRunDeterminism|TestSoak.*|TestReuse(ByteIdenticalReports|FootprintStopsGrowing)|TestBodyPanicUnwindsPipeline|FuzzAsyncAgainstSync|TestContractTraceReplay)$$
+
+harness:
+	$(GO) test -count=1 -run '$(HARNESS)' .
+
+# Each patch in testdata/mutants/ puts back a past correctness bug; the
+# harness alone must fail on every one. The patch is reverted either way.
+mutants:
+	@for m in testdata/mutants/*.patch; do \
+		git apply $$m || exit 1; \
+		if ! $(GO) vet . >/dev/null; then git apply -R $$m; echo "$$m: does not build" >&2; exit 1; fi; \
+		if $(GO) test -count=1 -failfast -run '$(HARNESS)' . >/dev/null 2>&1; then \
+			git apply -R $$m; echo "$$m: the harness passed the mutant" >&2; exit 1; \
+		fi; \
+		git apply -R $$m; echo "$$m: caught"; \
+	done
 
 vet:
 	$(GO) vet ./...

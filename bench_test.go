@@ -16,21 +16,26 @@ import (
 )
 
 // benchFactories are mid-size instances of every paper benchmark.
-func benchFactories() []struct {
+var benchFactories = []struct {
 	name string
 	f    workloads.Factory
-} {
-	return []struct {
-		name string
-		f    workloads.Factory
-	}{
-		{"chol", func() workloads.Workload { return workloads.NewChol(96, 16) }},
-		{"fft", func() workloads.Workload { return workloads.NewFFT(4096, 64) }},
-		{"heat", func() workloads.Workload { return workloads.NewHeat(64, 64, 8, 4) }},
-		{"mmul", func() workloads.Workload { return workloads.NewMMul(64, 16) }},
-		{"sort", func() workloads.Workload { return workloads.NewSort(30000, 512) }},
-		{"stra", func() workloads.Workload { return workloads.NewStrassen(64, 16, false) }},
-		{"straz", func() workloads.Workload { return workloads.NewStrassen(64, 16, true) }},
+}{
+	{"chol", func() workloads.Workload { return workloads.NewChol(96, 16) }},
+	{"fft", func() workloads.Workload { return workloads.NewFFT(4096, 64) }},
+	{"heat", func() workloads.Workload { return workloads.NewHeat(64, 64, 8, 4) }},
+	{"mmul", func() workloads.Workload { return workloads.NewMMul(64, 16) }},
+	{"sort", func() workloads.Workload { return workloads.NewSort(30000, 512) }},
+	{"stra", func() workloads.Workload { return workloads.NewStrassen(64, 16, false) }},
+	{"straz", func() workloads.Workload { return workloads.NewStrassen(64, 16, true) }},
+}
+
+// benchEach runs fn as one sub-benchmark per benchFactories workload and
+// detector.
+func benchEach(b *testing.B, modes []stint.Detector, fn func(b *testing.B, f workloads.Factory, mode stint.Detector)) {
+	for _, wl := range benchFactories {
+		for _, mode := range modes {
+			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) { fn(b, wl.f, mode) })
+		}
 	}
 }
 
@@ -38,16 +43,16 @@ func benchFactories() []struct {
 // instrumented run (setup and verification are excluded).
 func runDetection(b *testing.B, f workloads.Factory, mode stint.Detector, timeAH bool) *stint.Report {
 	b.Helper()
-	return runDetectionOpts(b, f, stint.Options{Detector: mode, TimeAccessHistory: timeAH})
+	return runBench(b, f, stint.Options{Detector: mode, TimeAccessHistory: timeAH}, false)
 }
 
-// runDetectionOpts is runDetection with full Options control (async mode).
-// One Runner serves every iteration: the arena rewinds and the Runner
-// resets between runs, so each fresh workload instance re-derives identical
-// buffer addresses over the warm pools instead of paying
-// allocate-per-iteration. Reset happens with the timer stopped — the timed
-// region is exactly the instrumented run, as before.
-func runDetectionOpts(b *testing.B, f workloads.Factory, opts stint.Options) *stint.Report {
+// runBench is runDetection with full Options control, for a workload that
+// races (racy) or not. One Runner serves every iteration: the arena rewinds
+// and the Runner resets between runs, so each fresh workload instance
+// re-derives identical buffer addresses over the warm pools instead of
+// paying allocate-per-iteration. Reset happens with the timer stopped — the
+// timed region is exactly the instrumented run.
+func runBench(b *testing.B, f workloads.Factory, opts stint.Options, racy bool) *stint.Report {
 	b.Helper()
 	mode := opts.Detector
 	r, err := stint.NewRunner(opts)
@@ -68,7 +73,7 @@ func runDetectionOpts(b *testing.B, f workloads.Factory, opts stint.Options) *st
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Racy() {
+		if rep.Racy() != racy {
 			b.Fatalf("%s under %v reported %d races", w.Name(), mode, rep.RaceCount)
 		}
 		if err := w.Verify(); err != nil {
@@ -84,34 +89,24 @@ func runDetectionOpts(b *testing.B, f workloads.Factory, opts stint.Options) *st
 // BenchmarkFig1 measures the vanilla detector's component breakdown:
 // baseline execution, reachability maintenance only, and full detection.
 func BenchmarkFig1(b *testing.B) {
-	modes := []stint.Detector{stint.DetectorOff, stint.DetectorReachOnly, stint.DetectorVanilla}
-	for _, wl := range benchFactories() {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetection(b, wl.f, mode, false)
-				if mode == stint.DetectorVanilla {
-					b.ReportMetric(float64(rep.Stats.ReadAccesses), "reads")
-					b.ReportMetric(float64(rep.Stats.WriteAccesses), "writes")
-				}
-			})
+	benchEach(b, []stint.Detector{stint.DetectorOff, stint.DetectorReachOnly, stint.DetectorVanilla}, func(b *testing.B, f workloads.Factory, mode stint.Detector) {
+		rep := runDetection(b, f, mode, false)
+		if mode == stint.DetectorVanilla {
+			b.ReportMetric(float64(rep.Stats.ReadAccesses), "reads")
+			b.ReportMetric(float64(rep.Stats.WriteAccesses), "writes")
 		}
-	}
+	})
 }
 
 // BenchmarkFig5 measures the four detector versions of the paper's main
 // result table.
 func BenchmarkFig5(b *testing.B) {
-	modes := []stint.Detector{
+	benchEach(b, []stint.Detector{
 		stint.DetectorVanilla, stint.DetectorCompiler,
 		stint.DetectorCompRTS, stint.DetectorSTINT,
-	}
-	for _, wl := range benchFactories() {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				runDetection(b, wl.f, mode, false)
-			})
-		}
-	}
+	}, func(b *testing.B, f workloads.Factory, mode stint.Detector) {
+		runDetection(b, f, mode, false)
+	})
 }
 
 // BenchmarkFig5Async repeats the Figure 5 measurement for the two runtime
@@ -124,18 +119,13 @@ func BenchmarkFig5(b *testing.B) {
 // stream transport, not their max. Compare against the matching
 // BenchmarkFig5 cases for the sync baseline.
 func BenchmarkFig5Async(b *testing.B) {
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	for _, wl := range benchFactories() {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetectionOpts(b, wl.f, stint.Options{Detector: mode, Async: true})
-				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
-				if n := rep.Stats.EventsStreamed; n > 0 {
-					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
-				}
-			})
+	benchEach(b, []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}, func(b *testing.B, f workloads.Factory, mode stint.Detector) {
+		rep := runBench(b, f, stint.Options{Detector: mode, Async: true}, false)
+		b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
+		if n := rep.Stats.EventsStreamed; n > 0 {
+			b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
 		}
-	}
+	})
 }
 
 // BenchmarkFig5Sharded repeats the Figure 5 measurement with detection
@@ -146,20 +136,15 @@ func BenchmarkFig5Async(b *testing.B) {
 // compare max-shard-ms against BenchmarkFig5Async's detect-busy-ms for the
 // parallelism headroom rather than expecting a wall-clock win.
 func BenchmarkFig5Sharded(b *testing.B) {
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	for _, wl := range benchFactories() {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetectionOpts(b, wl.f, stint.Options{Detector: mode, Async: true, DetectShards: 4})
-				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
-				if n := rep.Stats.EventsStreamed; n > 0 {
-					b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
-				}
-				_, max, _ := cliutil.StageBusy(rep)
-				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
-			})
+	benchEach(b, []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}, func(b *testing.B, f workloads.Factory, mode stint.Detector) {
+		rep := runBench(b, f, stint.Options{Detector: mode, Async: true, DetectShards: 4}, false)
+		b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
+		if n := rep.Stats.EventsStreamed; n > 0 {
+			b.ReportMetric(float64(rep.Stats.StreamBytes)/float64(n), "bytes-per-event")
 		}
-	}
+		_, max, _ := cliutil.StageBusy(rep)
+		b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
+	})
 }
 
 // BenchmarkFig5ParallelDetect repeats the Figure 5 measurement with the
@@ -172,19 +157,14 @@ func BenchmarkFig5Sharded(b *testing.B) {
 // On a single core everything timeshares, so read the busy split for
 // headroom rather than expecting a wall-clock win over BenchmarkFig5.
 func BenchmarkFig5ParallelDetect(b *testing.B) {
-	modes := []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}
-	for _, wl := range benchFactories() {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetectionOpts(b, wl.f, stint.Options{Detector: mode, ParallelDetect: true, DetectShards: 4})
-				b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
-				b.ReportMetric(float64(rep.ExecutorBusy.Nanoseconds())/1e6, "exec-busy-ms")
-				b.ReportMetric(float64(rep.SequencerBusy.Nanoseconds())/1e6, "merge-busy-ms")
-				_, max, _ := cliutil.StageBusy(rep)
-				b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
-			})
-		}
-	}
+	benchEach(b, []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}, func(b *testing.B, f workloads.Factory, mode stint.Detector) {
+		rep := runBench(b, f, stint.Options{Detector: mode, ParallelDetect: true, DetectShards: 4}, false)
+		b.ReportMetric(float64(rep.Stats.PipelineDetectTime.Nanoseconds())/1e6, "detect-busy-ms")
+		b.ReportMetric(float64(rep.ExecutorBusy.Nanoseconds())/1e6, "exec-busy-ms")
+		b.ReportMetric(float64(rep.SequencerBusy.Nanoseconds())/1e6, "merge-busy-ms")
+		_, max, _ := cliutil.StageBusy(rep)
+		b.ReportMetric(float64(max.Nanoseconds())/1e6, "max-shard-ms")
+	})
 }
 
 // BenchmarkFig5RacyQuiesce measures per-page quiescing on the racy
@@ -211,37 +191,7 @@ func BenchmarkFig5RacyQuiesce(b *testing.B) {
 			threshold int
 		}{{"quiesce-off", 0}, {"quiesce-on", 4}} {
 			b.Run(fmt.Sprintf("%s/%s", wl.name, q.name), func(b *testing.B) {
-				r, err := stint.NewRunner(stint.Options{
-					Detector:             stint.DetectorSTINT,
-					PageQuiesceThreshold: q.threshold,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var last *stint.Report
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					w := wl.f()
-					r.Reset()
-					r.Arena().Reset()
-					w.Setup(r)
-					b.StartTimer()
-					rep, err := r.Run(w.Run)
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !rep.Racy() {
-						b.Fatalf("%s found no races; the quiesce measurement is vacuous", w.Name())
-					}
-					if err := w.Verify(); err != nil {
-						b.Fatal(err)
-					}
-					last = rep
-					b.StartTimer()
-				}
-				b.StopTimer()
+				last := runBench(b, wl.f, stint.Options{Detector: stint.DetectorSTINT, PageQuiesceThreshold: q.threshold}, true)
 				b.ReportMetric(float64(last.Stats.HistoryBytesPeak), "hist-bytes-peak")
 				b.ReportMetric(float64(last.Stats.PagesQuiesced), "pages-quiesced")
 				b.ReportMetric(float64(last.RaceCount), "races")
@@ -253,7 +203,7 @@ func BenchmarkFig5RacyQuiesce(b *testing.B) {
 // BenchmarkFig6 reports the access and interval statistics behind Figure 6
 // as benchmark metrics (counts, not timings).
 func BenchmarkFig6(b *testing.B) {
-	for _, wl := range benchFactories() {
+	for _, wl := range benchFactories {
 		b.Run(wl.name, func(b *testing.B) {
 			rep := runDetection(b, wl.f, stint.DetectorSTINT, false)
 			st := rep.Stats
@@ -269,14 +219,10 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig7 measures access-history update time: the comp+rts hashmap
 // vs the STINT treap, reported as ah-ns/op alongside total time.
 func BenchmarkFig7(b *testing.B) {
-	for _, wl := range benchFactories() {
-		for _, mode := range []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT} {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetection(b, wl.f, mode, true)
-				b.ReportMetric(float64(rep.Stats.AccessHistoryTime.Nanoseconds()), "ah-ns")
-			})
-		}
-	}
+	benchEach(b, []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}, func(b *testing.B, f workloads.Factory, mode stint.Detector) {
+		rep := runDetection(b, f, mode, true)
+		b.ReportMetric(float64(rep.Stats.AccessHistoryTime.Nanoseconds()), "ah-ns")
+	})
 }
 
 // BenchmarkFig8 sweeps input sizes for fft, mmul, and sort under comp+rts

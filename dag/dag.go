@@ -221,15 +221,19 @@ type Options struct {
 // Runner executes declared DAGs under multi-reader race detection.
 type Runner struct {
 	opts  Options
-	arena *mem.Arena
+	arena *stint.Arena
 }
 
-// NewRunner returns a Runner with an empty Arena.
+// NewRunner validates opts with stint.NewRunner and keeps that Runner's empty Arena.
 func NewRunner(opts Options) (*Runner, error) {
+	sr, err := stint.NewRunner(stint.Options{MaxRacesRecorded: opts.MaxRacesRecorded})
+	if err != nil {
+		return nil, err
+	}
 	if opts.MaxRacesRecorded == 0 {
 		opts.MaxRacesRecorded = stint.DefaultMaxRacesRecorded
 	}
-	return &Runner{opts: opts, arena: mem.NewArena()}, nil
+	return &Runner{opts: opts, arena: sr.Arena()}, nil
 }
 
 // Arena returns the Runner's address arena.

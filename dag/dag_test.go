@@ -49,6 +49,11 @@ func TestEmptyGraphRejected(t *testing.T) {
 	if _, err := r.Run(NewGraph(), func(*Node, NodeID) {}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
+	// stint.NewRunner's table refuses a negative race budget, which would
+	// record nothing while RaceCount counts.
+	if _, err := NewRunner(Options{MaxRacesRecorded: -1}); err == nil {
+		t.Fatal("negative MaxRacesRecorded accepted")
+	}
 }
 
 func TestBadEdgePanics(t *testing.T) {

@@ -43,40 +43,29 @@ func TestResolveOutsideBuffers(t *testing.T) {
 	}
 }
 
+// describe runs a racy program under d on a fresh Runner and describes its
+// first race: the harness names a program's buffers b0, b1, ...
+func describe(t *testing.T, d Detector, acts ...act) string {
+	p := newProgram([]bufSpec{{64, 1}}, acts)
+	h := newHarness(t, nil, 1)
+	r, bufs := h.newRunner(Options{Detector: d}, p)
+	out := h.run(r, bufs, p, -1)
+	if out.err != nil || !out.rep.Racy() {
+		t.Fatalf("no race to describe: %v", out.err)
+	}
+	return r.DescribeRace(out.rep.Races[0])
+}
+
 func TestDescribeRace(t *testing.T) {
-	r, _ := NewRunner(Options{Detector: DetectorSTINT})
-	buf := r.Arena().AllocWords("shared", 64)
-	rep, err := r.Run(func(task *Task) {
-		task.Spawn(func(c *Task) { c.StoreRange(buf, 8, 16) })
-		task.StoreRange(buf, 8, 16)
-		task.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Racy() {
-		t.Fatal("no race to describe")
-	}
-	desc := r.DescribeRace(rep.Races[0])
-	if !strings.Contains(desc, "shared[8:24]") {
-		t.Errorf("DescribeRace = %q, want element range shared[8:24]", desc)
-	}
-	if !strings.Contains(desc, "write by strand") {
-		t.Errorf("DescribeRace = %q, missing access kinds", desc)
+	desc := describe(t, DetectorSTINT, spawn(storeN(8, 16)), storeN(8, 16), syncAct)
+	if !strings.Contains(desc, "b0[8:24]") || !strings.Contains(desc, "write by strand") {
+		t.Errorf("DescribeRace = %q, want the element range b0[8:24] and the access kinds", desc)
 	}
 }
 
 func TestDescribeRaceSingleElement(t *testing.T) {
-	r, _ := NewRunner(Options{Detector: DetectorVanilla})
-	buf := r.Arena().AllocWords("x", 8)
-	rep, _ := r.Run(func(task *Task) {
-		task.Spawn(func(c *Task) { c.Store(buf, 3) })
-		task.Store(buf, 3)
-		task.Sync()
-	})
-	desc := r.DescribeRace(rep.Races[0])
-	if !strings.Contains(desc, "x[3]") {
-		t.Errorf("DescribeRace = %q, want x[3]", desc)
+	if desc := describe(t, DetectorVanilla, spawn(store(3)), store(3), syncAct); !strings.Contains(desc, "b0[3]") {
+		t.Errorf("DescribeRace = %q, want b0[3]", desc)
 	}
 }
 

@@ -24,116 +24,46 @@ func TestDeepSpawnRecursion(t *testing.T) {
 		task.Spawn(func(c *Task) { dive(c, depth-1) })
 		task.Sync()
 	}
-	rep, err := r.Run(func(task *Task) { dive(task, 10000) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Racy() {
-		t.Fatal("serial chain raced")
-	}
-	if rep.Strands < 30000 {
-		t.Fatalf("expected ~3 strands per level, got %d", rep.Strands)
+	if rep, err := r.Run(func(task *Task) { dive(task, 10000) }); err != nil || rep.Racy() || rep.Strands < 30000 {
+		t.Fatalf("serial chain: error %v, racy, or %d strands, want ~3 per level", err, rep.Strands)
 	}
 }
 
 func TestManySiblingStrands(t *testing.T) {
-	r, err := NewRunner(Options{Detector: DetectorSTINT})
-	if err != nil {
-		t.Fatal(err)
+	acts := make([]act, 50000)
+	for i := range acts {
+		acts[i] = spawn(store(i * 2))
 	}
-	buf := r.Arena().AllocWords("b", 100000)
-	rep, err := r.Run(func(task *Task) {
-		for i := 0; i < 50000; i++ {
-			i := i
-			task.Spawn(func(c *Task) { c.Store(buf, i*2) })
-		}
-		task.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Racy() {
-		t.Fatal("disjoint sibling writes raced")
-	}
-	if rep.Stats.WriteIntervals != 50000 {
-		t.Fatalf("WriteIntervals = %d, want 50000", rep.Stats.WriteIntervals)
+	p := newProgram([]bufSpec{{100000, 1}}, append(acts, syncAct))
+	if rep := newHarness(t, nil, 1).mustRun(Options{Detector: DetectorSTINT}, p); rep.Racy() || rep.Stats.WriteIntervals != 50000 {
+		t.Fatalf("disjoint sibling writes: %d races, %d write intervals, want 0 and 50000", rep.RaceCount, rep.Stats.WriteIntervals)
 	}
 }
 
 func TestRepeatedSyncsAreIdempotent(t *testing.T) {
-	r, _ := NewRunner(Options{Detector: DetectorSTINT})
-	buf := r.Arena().AllocWords("b", 8)
-	rep, err := r.Run(func(task *Task) {
-		task.Spawn(func(c *Task) { c.Store(buf, 0) })
-		task.Sync()
-		task.Sync() // no-ops
-		task.Sync()
-		task.Store(buf, 0) // ordered: no race
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Racy() {
-		t.Fatal("no-op syncs broke ordering")
-	}
+	verdict(t, false, spawn(store(0)), syncAct, syncAct, syncAct, store(0)) // the extra syncs are no-ops
 }
 
+// Many sequential sync blocks in one task: each block's child is ordered
+// with the next block's accesses.
 func TestAlternatingSpawnSyncBlocks(t *testing.T) {
-	// Many sequential sync blocks in one task: each block's child is
-	// ordered with the next block's accesses.
-	r, _ := NewRunner(Options{Detector: DetectorVanilla})
-	buf := r.Arena().AllocWords("b", 4)
-	rep, err := r.Run(func(task *Task) {
-		for i := 0; i < 200; i++ {
-			task.Spawn(func(c *Task) { c.Store(buf, 0) })
-			task.Sync()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	var acts []act
+	for i := 0; i < 200; i++ {
+		acts = append(acts, spawn(store(0)), syncAct)
 	}
-	if rep.Racy() {
-		t.Fatal("sequential sync blocks raced")
-	}
+	verdict(t, false, acts...)
 }
 
 func TestZeroLengthRangeHooksIgnored(t *testing.T) {
-	r, _ := NewRunner(Options{Detector: DetectorSTINT})
-	buf := r.Arena().AllocWords("b", 8)
-	rep, err := r.Run(func(task *Task) {
-		task.LoadRange(buf, 4, 0)
-		task.StoreRange(buf, 0, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.ReadAccesses != 0 || rep.Stats.WriteAccesses != 0 {
-		t.Fatalf("zero-length ranges recorded accesses: %+v", rep.Stats)
+	if s := runOne(t, DetectorSTINT, loadN(4, 0), storeN(0, 0)).Stats; s.ReadAccesses != 0 || s.WriteAccesses != 0 {
+		t.Fatalf("zero-length ranges recorded accesses: %+v", s)
 	}
 }
 
+// A child spawning before its parent syncs exercises nested frames with
+// interleaved pending sync blocks; the final read follows every join.
 func TestSpawnInsideSpawnSameBlock(t *testing.T) {
-	// A child spawning before its parent syncs exercises nested frames
-	// with interleaved pending sync blocks.
-	r, _ := NewRunner(Options{Detector: DetectorSTINT})
-	buf := r.Arena().AllocWords("b", 16)
-	rep, err := r.Run(func(task *Task) {
-		task.Spawn(func(c *Task) {
-			c.Spawn(func(g *Task) { g.Store(buf, 0) })
-			c.Store(buf, 1)
-			// implicit sync joins g
-		})
-		task.Spawn(func(c *Task) { c.Store(buf, 2) })
-		task.Store(buf, 3)
-		task.Sync()
-		task.LoadRange(buf, 0, 4) // all joined: safe
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Racy() {
-		t.Fatalf("disjoint nested writes raced: %v", rep.Races[0])
-	}
+	verdict(t, false, spawn(spawn(store(0)), store(1)), spawn(store(2)), store(3), syncAct, loadN(0, 4))
 }
 
 // lastWord is the final shadow word of the address space, [2^64-4, 2^64).

@@ -39,6 +39,10 @@ type optionsRule struct {
 // optionsRules is evaluated in order; the first violated rule wins.
 var optionsRules = []optionsRule{
 	{
+		bad: func(o *Options) bool { return o.Detector < DetectorOff || o.Detector > DetectorSTINTUnbalanced },
+		err: func(o *Options) error { return fmt.Errorf("stint: unknown Detector %v", o.Detector) },
+	},
+	{
 		bad: func(o *Options) bool { return o.ParallelDetect && o.Tracer != nil },
 		err: func(o *Options) error {
 			return fmt.Errorf("stint: tracing requires serial execution; ParallelDetect's executors emit events out of program order")

@@ -6,17 +6,6 @@ import (
 	"testing"
 )
 
-// nopTracer satisfies Tracer for validation tests.
-type nopTracer struct{}
-
-func (nopTracer) Spawn()                       {}
-func (nopTracer) Restore()                     {}
-func (nopTracer) Sync()                        {}
-func (nopTracer) Read(Addr, uint64)            {}
-func (nopTracer) Write(Addr, uint64)           {}
-func (nopTracer) ReadRange(Addr, int, uint64)  {}
-func (nopTracer) WriteRange(Addr, int, uint64) {}
-
 // TestNewRunnerValidationTable exercises every rule in the options table:
 // each rejected combination names the offending option in its error, and
 // each boundary-legal combination constructs a Runner.
@@ -30,7 +19,7 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		// The bare goroutine executor (ParallelDetect under DetectorOff) still
 		// excludes the tracer and Async; DetectShards is ignored.
 		{"parallel off ok", Options{Detector: DetectorOff, ParallelDetect: true, DetectShards: 2}, ""},
-		{"parallel tracer", Options{Detector: DetectorOff, ParallelDetect: true, Tracer: nopTracer{}}, "tracing"},
+		{"parallel tracer", Options{Detector: DetectorOff, ParallelDetect: true, Tracer: &accessCounter{}}, "tracing"},
 		{"parallel async", Options{Detector: DetectorOff, ParallelDetect: true, Async: true}, "Async and ParallelDetect"},
 
 		// MaxRacesRecorded: negative rejected, zero defaults, positive kept.
@@ -71,13 +60,17 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"parallel-detect off", Options{Detector: DetectorOff, ParallelDetect: true}, ""},
 		{"parallel-detect vanilla", Options{Detector: DetectorVanilla, ParallelDetect: true}, "runtime-coalescing"},
 		{"parallel-detect reach-only", Options{Detector: DetectorReachOnly, ParallelDetect: true}, "runtime-coalescing"},
-		{"parallel-detect tracer", Options{Detector: DetectorSTINT, ParallelDetect: true, Tracer: nopTracer{}}, "tracing"},
+		{"parallel-detect tracer", Options{Detector: DetectorSTINT, ParallelDetect: true, Tracer: &accessCounter{}}, "tracing"},
 		{"parallel-detect with async", Options{Detector: DetectorSTINT, ParallelDetect: true, Async: true}, "Async and ParallelDetect"},
+
+		// The detector is one of the seven named values.
+		{"unknown detector", Options{Detector: Detector(99)}, "unknown Detector"},
+		{"negative detector", Options{Detector: Detector(-1), Async: true}, "unknown Detector"},
 
 		// Plain configurations stay legal.
 		{"default", Options{}, ""},
 		{"async stint", Options{Detector: DetectorSTINT, Async: true}, ""},
-		{"tracer serial", Options{Detector: DetectorSTINT, Tracer: nopTracer{}}, ""},
+		{"tracer serial", Options{Detector: DetectorSTINT, Tracer: &accessCounter{}}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -108,8 +101,7 @@ func TestNewRunnerValidationTable(t *testing.T) {
 // violating several rules reports the earliest one, so error messages are
 // stable as rules accumulate.
 func TestValidateFirstViolationWins(t *testing.T) {
-	opts := Options{Detector: DetectorVanilla, ParallelDetect: true, Tracer: nopTracer{}, MaxRacesRecorded: -1, DetectShards: -5}
-	_, err := NewRunner(opts)
+	_, err := NewRunner(Options{Detector: DetectorVanilla, ParallelDetect: true, Tracer: &accessCounter{}, MaxRacesRecorded: -1, DetectShards: -5})
 	if err == nil || !strings.Contains(err.Error(), "tracing") {
 		t.Fatalf("expected the tracer rule to win, got %v", err)
 	}
@@ -118,12 +110,8 @@ func TestValidateFirstViolationWins(t *testing.T) {
 // TestMaxRacesDefaultApplied checks the zero-value default survives the
 // validation path: Report.Races is bounded by 64 when unset.
 func TestMaxRacesDefaultApplied(t *testing.T) {
-	r, err := NewRunner(Options{Detector: DetectorSTINT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.opts.MaxRacesRecorded; got != 64 {
-		t.Fatalf("defaulted MaxRacesRecorded = %d, want 64", got)
+	if r, err := NewRunner(Options{Detector: DetectorSTINT}); err != nil || r.opts.MaxRacesRecorded != 64 {
+		t.Fatalf("defaulted MaxRacesRecorded: %v, want 64", err)
 	}
 }
 
@@ -143,14 +131,13 @@ func TestCoalescingDetectorSet(t *testing.T) {
 }
 
 // TestOptionsFieldCount pins the size of the configuration surface. Every
-// independently settable field multiplies the mode grid the equivalence,
-// soak, and fuzz suites must cover, so adding one is a decision to make in
-// review — by editing this number — not a side effect of a feature.
+// independently settable field multiplies the contract harness's grid, so
+// adding one is a decision made in review, by editing this number.
 func TestOptionsFieldCount(t *testing.T) {
 	if got := reflect.TypeOf(Options{}).NumField(); got != 10 {
-		t.Fatalf("Options has %d fields, want 10: a new option needs its equivalence legs and this count updated together", got)
+		t.Fatalf("Options has %d fields, want 10: a new option needs its harness axis and this count updated together", got)
 	}
-	if got := len(optionsRules); got != 10 {
-		t.Fatalf("optionsRules has %d rules, want 10", got)
+	if got := len(optionsRules); got != 11 {
+		t.Fatalf("optionsRules has %d rules, want 11", got)
 	}
 }

@@ -30,7 +30,6 @@ import (
 
 	"stint"
 	"stint/internal/detect"
-	"stint/internal/mem"
 )
 
 // Options configures a pipeline Runner. The zero value uses DetectorOff.
@@ -49,15 +48,19 @@ type Options struct {
 // Runner executes pipeline computations under one detector configuration.
 type Runner struct {
 	opts  Options
-	arena *mem.Arena
+	arena *stint.Arena
 }
 
-// NewRunner validates opts and returns a Runner with an empty Arena.
+// NewRunner validates opts with stint.NewRunner and keeps that Runner's empty Arena.
 func NewRunner(opts Options) (*Runner, error) {
+	sr, err := stint.NewRunner(stint.Options{Detector: opts.Detector, MaxRacesRecorded: opts.MaxRacesRecorded})
+	if err != nil {
+		return nil, err
+	}
 	if opts.MaxRacesRecorded == 0 {
 		opts.MaxRacesRecorded = stint.DefaultMaxRacesRecorded
 	}
-	return &Runner{opts: opts, arena: mem.NewArena()}, nil
+	return &Runner{opts: opts, arena: sr.Arena()}, nil
 }
 
 // Arena returns the Runner's address arena.

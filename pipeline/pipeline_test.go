@@ -263,6 +263,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := r.Run(1<<16, 1<<16, func(*Cell, int, int) {}); err == nil {
 		t.Error("accepted overflowing grid")
 	}
+	// The options go through stint.NewRunner's table: an unknown detector
+	// and a negative race budget (which would record nothing) are refused.
+	for _, opts := range []Options{{Detector: stint.Detector(99)}, {Detector: stint.DetectorSTINT, MaxRacesRecorded: -1}} {
+		if _, err := NewRunner(opts); err == nil {
+			t.Errorf("NewRunner(%+v) accepted", opts)
+		}
+	}
 }
 
 func TestDetectorOffRunsBody(t *testing.T) {

@@ -9,26 +9,23 @@ import (
 // strand's flush may be cut by a batch boundary, and that a short stream
 // still crosses the ring in pieces.
 
-// midFlushActs builds a racy program in which every strand flushes several
-// disjoint intervals of both kinds, so with one event per batch every
-// strand's flush is cut between two of its own intervals.
-func midFlushActs() []act {
+// midFlushProgram is racy, and every strand flushes several disjoint
+// intervals of both kinds, so with one event per batch every strand's flush
+// is cut between two of its own intervals.
+func midFlushProgram() *program {
 	strand := func(base int) []act {
 		var acts []act
 		for i := 0; i < 6; i++ {
-			acts = append(acts,
-				act{kind: 's', buf: 1, idx: base + 8*i},
-				act{kind: 'L', buf: 1, idx: base + 8*i + 2, n: 3},
-			)
+			acts = append(acts, store(base+8*i).on(1), loadN(base+8*i+2, 3).on(1))
 		}
 		return acts
 	}
 	var acts []act
 	for c := 0; c < 3; c++ {
-		acts = append(acts, act{kind: 'S', body: append(strand(4*c), act{kind: 'S', body: strand(1)})})
+		acts = append(acts, spawn(append(strand(4*c), spawn(strand(1)...))...))
 		acts = append(acts, strand(2*c)...)
 	}
-	return append(acts, act{kind: 'Y'})
+	return newProgram(harnessBufs, append(acts, syncAct))
 }
 
 // TestMidFlushBatchBoundaries runs a program whose strands each flush more
@@ -36,29 +33,23 @@ func midFlushActs() []act {
 // mid-flush and the parallel executor must cut a ChunkCut chunk between two
 // intervals of one strand, and neither boundary may show in the Report.
 func TestMidFlushBatchBoundaries(t *testing.T) {
-	acts := midFlushActs()
-	sync := reportFor(t, Options{Detector: DetectorSTINT}, acts)
+	p := midFlushProgram()
+	h := newHarness(t, nil, 1)
+	base := Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 20}
+	sync := h.mustRun(base, p)
 	if sync.RaceCount == 0 {
 		t.Fatal("program produced no races; test is vacuous")
 	}
 	for _, batchEvents := range []int{1, 2} {
 		for _, m := range pipeModes {
-			opts := m.With(Options{Detector: DetectorSTINT, MaxRacesRecorded: 1 << 20})
-			r, err := NewRunner(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.asyncBatchEvents, r.asyncRingDepth = batchEvents, 2
-			bufs, _ := allocBufs(r)
-			got, err := r.Run(func(task *Task) { runActs(task, bufs, acts) })
-			if err != nil {
-				t.Fatal(err)
-			}
+			p.batchEvents, p.ringDepth = batchEvents, 2
+			r, bufs := h.newRunner(m.With(base), p)
+			got := h.run(r, bufs, p, -1).rep
 			assertSameReport(t, fmt.Sprintf("batch=%d %s", batchEvents, m.Name), got, sync)
 			// A batch this small holds one event, so every event travelled
 			// alone: each multi-interval flush was cut.
 			as := r.warm.as
-			if opts.ParallelDetect {
+			if m.Opts.ParallelDetect {
 				// Every strand-ending cut is one chunk (one per structure
 				// event plus the root's last); the rest are mid-flush cuts.
 				if chunks := as.queue.Stats().BatchesPublished; chunks <= as.mergeCtl+1 {
@@ -87,7 +78,6 @@ func TestShortRunStreamsBeforeDrain(t *testing.T) {
 	buf := r.Arena().AllocWords("b", 1<<14)
 	prog := func(task *Task) {
 		for c := 0; c < 16; c++ {
-			c := c
 			task.Spawn(func(ct *Task) {
 				for i := 0; i < 128; i++ {
 					ct.Store(buf, c*1024+8*i) // a gap after every word: one interval each
@@ -96,8 +86,7 @@ func TestShortRunStreamsBeforeDrain(t *testing.T) {
 		}
 		task.Sync()
 	}
-	var batches [2]uint64
-	var bytes [2]uint64
+	var batches, bytes [2]uint64
 	for i := range batches {
 		rep, err := r.Run(prog)
 		if err != nil {

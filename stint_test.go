@@ -6,274 +6,91 @@ import (
 	"testing"
 )
 
-// allDetectors are the engines that must agree on racing words.
-var allDetectors = []Detector{
-	DetectorVanilla, DetectorCompiler, DetectorCompRTS,
-	DetectorSTINT, DetectorSTINTUnbalanced,
-}
-
-// runOne executes body under the given detector with one 1024-word buffer.
-func runOne(t *testing.T, d Detector, body func(task *Task, buf *Buffer)) *Report {
+// runOne runs acts under detector d over one 1024-word buffer.
+func runOne(t *testing.T, d Detector, acts ...act) *Report {
 	t.Helper()
-	r, err := NewRunner(Options{Detector: d, MaxRacesRecorded: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := r.Arena().AllocWords("buf", 1024)
-	rep, err := r.Run(func(task *Task) { body(task, buf) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	return newHarness(t, nil, 1).mustRun(Options{Detector: d, MaxRacesRecorded: 1 << 20}, newProgram([]bufSpec{{1024, 1}}, acts))
 }
 
-func TestParallelWritesRace(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.Store(buf, 5) })
-			task.Store(buf, 5)
-			task.Sync()
-		})
-		if !rep.Racy() {
-			t.Errorf("%v: parallel writes to the same word not reported", d)
-		}
-	}
-}
+// The verdict tests: each small program goes through the contract checker
+// on every detector and mode, and the oracle's verdict is pinned.
 
-func TestReadReadIsNotARace(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.Load(buf, 5) })
-			task.Load(buf, 5)
-			task.Sync()
-		})
-		if rep.Racy() {
-			t.Errorf("%v: parallel reads reported as a race", d)
-		}
-	}
-}
+func TestParallelWritesRace(t *testing.T) { verdict(t, true, spawn(store(5)), store(5), syncAct) }
 
-func TestReadWriteRace(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.Load(buf, 7) })
-			task.Store(buf, 7)
-			task.Sync()
-		})
-		if !rep.Racy() {
-			t.Errorf("%v: parallel read/write not reported", d)
-		}
-	}
-}
+func TestReadReadIsNotARace(t *testing.T) { verdict(t, false, spawn(load(5)), load(5), syncAct) }
 
+func TestReadWriteRace(t *testing.T) { verdict(t, true, spawn(load(7)), store(7), syncAct) }
+
+// The parent writes before the spawn; the child's read is in series.
 func TestWriteThenReadInSpawnedChildIsSeries(t *testing.T) {
-	// Parent writes before the spawn; the child's read is in series.
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Store(buf, 3)
-			task.Spawn(func(c *Task) { c.Load(buf, 3) })
-			task.Sync()
-		})
-		if rep.Racy() {
-			t.Errorf("%v: series write→read reported as a race", d)
-		}
-	}
+	verdict(t, false, store(3), spawn(load(3)), syncAct)
 }
 
-func TestSyncOrdersAccesses(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.Store(buf, 9) })
-			task.Sync()
-			task.Store(buf, 9) // after the sync: in series
-		})
-		if rep.Racy() {
-			t.Errorf("%v: write after sync reported as racing with synced child", d)
-		}
-	}
-}
+func TestSyncOrdersAccesses(t *testing.T) { verdict(t, false, spawn(store(9)), syncAct, store(9)) }
 
 func TestSiblingSpawnsRace(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.Store(buf, 11) })
-			task.Spawn(func(c *Task) { c.Store(buf, 11) })
-			task.Sync()
-		})
-		if !rep.Racy() {
-			t.Errorf("%v: sibling writes not reported", d)
-		}
-	}
+	verdict(t, true, spawn(store(11)), spawn(store(11)), syncAct)
 }
 
 func TestDisjointWordsNoRace(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.StoreRange(buf, 0, 100) })
-			task.StoreRange(buf, 100, 100)
-			task.Sync()
-		})
-		if rep.Racy() {
-			t.Errorf("%v: disjoint parallel writes reported as a race", d)
-		}
-	}
+	verdict(t, false, spawn(storeN(0, 100)), storeN(100, 100), syncAct)
 }
 
 func TestOverlappingRangesRace(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.StoreRange(buf, 0, 100) })
-			task.StoreRange(buf, 99, 100) // overlaps word 99
-			task.Sync()
-		})
-		if !rep.Racy() {
-			t.Errorf("%v: overlapping parallel ranges not reported", d)
-		}
-	}
+	verdict(t, true, spawn(storeN(0, 100)), storeN(99, 100), syncAct) // word 99
 }
 
+// The same logical program instrumented with range hooks and with per-word
+// hooks: both race.
 func TestRangeAndWordHooksAgree(t *testing.T) {
-	// The same logical program instrumented with range hooks vs per-word
-	// hooks must produce the same verdict.
-	for _, d := range allDetectors {
-		rangeRep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) { c.StoreRange(buf, 10, 20) })
-			task.LoadRange(buf, 25, 20)
-			task.Sync()
-		})
-		wordRep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) {
-				for i := 10; i < 30; i++ {
-					c.Store(buf, i)
-				}
-			})
-			for i := 25; i < 45; i++ {
-				task.Load(buf, i)
-			}
-			task.Sync()
-		})
-		if rangeRep.Racy() != wordRep.Racy() {
-			t.Errorf("%v: range (%v) and word (%v) verdicts differ", d, rangeRep.Racy(), wordRep.Racy())
-		}
-		if !rangeRep.Racy() {
-			t.Errorf("%v: overlapping store/load ranges not reported", d)
-		}
+	verdict(t, true, spawn(storeN(10, 20)), loadN(25, 20), syncAct)
+	var stores, loads []act
+	for i := 10; i < 30; i++ {
+		stores = append(stores, store(i))
 	}
+	for i := 25; i < 45; i++ {
+		loads = append(loads, load(i))
+	}
+	verdict(t, true, append(append([]act{spawn(stores...)}, loads...), syncAct)...)
 }
 
 func TestNestedTasksGrandchildRace(t *testing.T) {
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) {
-				c.Spawn(func(g *Task) { g.Store(buf, 42) })
-				c.Sync()
-			})
-			task.Store(buf, 42)
-			task.Sync()
-		})
-		if !rep.Racy() {
-			t.Errorf("%v: grandchild/parent conflict not reported", d)
-		}
-	}
+	verdict(t, true, spawn(spawn(store(42)), syncAct), store(42), syncAct)
 }
 
+// The child's internal sync joins the grandchild to the child, but the
+// child's whole subcomputation stays parallel with the parent's
+// continuation.
 func TestChildSyncDoesNotJoinToParent(t *testing.T) {
-	// The child's internal sync joins the grandchild to the *child*, but
-	// the child's whole subcomputation remains parallel with the parent's
-	// continuation.
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) {
-				c.Spawn(func(g *Task) { g.Store(buf, 13) })
-				c.Sync()
-				c.Store(buf, 14) // after child's sync, still parallel with parent
-			})
-			task.Store(buf, 14)
-			task.Sync()
-		})
-		if !rep.Racy() {
-			t.Errorf("%v: post-child-sync write not seen as parallel with parent", d)
-		}
-	}
+	verdict(t, true, spawn(spawn(store(13)), syncAct, store(14)), store(14), syncAct)
 }
 
+// A task that spawns and returns without Sync still joins its children
+// before the parent continues past its own sync of that task.
 func TestImplicitSyncAtTaskEnd(t *testing.T) {
-	// A task that spawns and returns without Sync still joins its children
-	// before the parent continues past its own sync of that task.
-	for _, d := range allDetectors {
-		rep := runOne(t, d, func(task *Task, buf *Buffer) {
-			task.Spawn(func(c *Task) {
-				c.Spawn(func(g *Task) { g.Store(buf, 21) })
-				// no explicit sync: implicit at return
-			})
-			task.Sync()
-			task.Store(buf, 21)
-		})
-		if rep.Racy() {
-			t.Errorf("%v: implicit sync missing — synced grandchild reported racy", d)
-		}
-	}
+	verdict(t, false, spawn(spawn(store(21))), syncAct, store(21))
 }
 
 func TestRaceDetailsVanilla(t *testing.T) {
-	rep := runOne(t, DetectorVanilla, func(task *Task, buf *Buffer) {
-		task.Spawn(func(c *Task) { c.Store(buf, 5) })
-		task.Load(buf, 5)
-		task.Sync()
-	})
+	rep := runOne(t, DetectorVanilla, spawn(store(5)), load(5), syncAct)
 	if len(rep.Races) == 0 {
 		t.Fatal("no race recorded")
 	}
-	r := rep.Races[0]
-	if !r.PrevWrite || r.CurWrite {
-		t.Errorf("race kinds = prevWrite=%v curWrite=%v, want write/read", r.PrevWrite, r.CurWrite)
-	}
-	if r.Size == 0 {
-		t.Error("race has zero size")
-	}
-	if r.String() == "" {
-		t.Error("empty race description")
+	if r := rep.Races[0]; !r.PrevWrite || r.CurWrite || r.Size == 0 || r.String() == "" {
+		t.Errorf("race %+v (%q), want a write/read pair of nonzero size", r, r)
 	}
 }
 
 func TestMaxRacesRecordedCap(t *testing.T) {
-	r, err := NewRunner(Options{Detector: DetectorVanilla, MaxRacesRecorded: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := r.Arena().AllocWords("buf", 64)
-	rep, err := r.Run(func(task *Task) {
-		task.Spawn(func(c *Task) { c.StoreRange(buf, 0, 64) })
-		task.StoreRange(buf, 0, 64)
-		task.Sync()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Races) != 3 {
-		t.Errorf("recorded %d races, want cap of 3", len(rep.Races))
-	}
-	if rep.RaceCount < 3 {
-		t.Errorf("RaceCount = %d, want the uncapped total", rep.RaceCount)
+	p := newProgram([]bufSpec{{64, 1}}, []act{spawn(storeN(0, 64)), storeN(0, 64), syncAct})
+	rep := newHarness(t, nil, 1).mustRun(Options{Detector: DetectorVanilla, MaxRacesRecorded: 3}, p)
+	if len(rep.Races) != 3 || rep.RaceCount < 3 {
+		t.Errorf("recorded %d of %d races, want the cap of 3 of the uncapped total", len(rep.Races), rep.RaceCount)
 	}
 }
 
-func TestOnRaceCallback(t *testing.T) {
-	var calls atomic.Int64
-	r, err := NewRunner(Options{Detector: DetectorSTINT, OnRace: func(Race) { calls.Add(1) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := r.Arena().AllocWords("buf", 16)
-	rep, _ := r.Run(func(task *Task) {
-		task.Spawn(func(c *Task) { c.Store(buf, 0) })
-		task.Store(buf, 0)
-		task.Sync()
-	})
-	if calls.Load() == 0 || uint64(calls.Load()) != rep.RaceCount {
-		t.Errorf("OnRace called %d times, RaceCount = %d", calls.Load(), rep.RaceCount)
-	}
-}
+// TestOnRaceCallback: the checker counts OnRace calls against RaceCount.
+func TestOnRaceCallback(t *testing.T) { verdict(t, true, spawn(store(0)), store(0), syncAct) }
 
 func TestDetectorOffRunsProgram(t *testing.T) {
 	r, err := NewRunner(Options{})
@@ -289,14 +106,8 @@ func TestDetectorOffRunsProgram(t *testing.T) {
 		task.Spawn(func(c *Task) { sum += 2 })
 		task.Sync()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 3 {
-		t.Errorf("program did not run: sum = %d", sum)
-	}
-	if rep.Racy() || rep.Strands != 0 {
-		t.Errorf("DetectorOff produced detection output: %+v", rep)
+	if err != nil || sum != 3 || rep.Racy() || rep.Strands != 0 {
+		t.Errorf("DetectorOff: error %v, sum %d (want 3), report %+v (want no detection output)", err, sum, rep)
 	}
 }
 
@@ -317,34 +128,24 @@ func (c *accessCounter) WriteRange(Addr, int, uint64) { c.n++ }
 // reaches a hook counter or the Tracer — so skipping the hooks while it is
 // false loses nothing, and nothing is skipped that would have counted.
 func TestDetectingMatchesHooks(t *testing.T) {
-	type mode struct {
-		name   string
-		opts   Options
-		traced bool
-	}
-	modes := []mode{
-		{"off", Options{}, false},
-		{"reach", Options{Detector: DetectorReachOnly}, false},
-		{"async", Options{Detector: DetectorSTINT, Async: true}, false},
-		{"shards=2", Options{Detector: DetectorSTINT, Async: true, DetectShards: 2}, false},
-		{"parallel-detect/off", Options{ParallelDetect: true}, false},
-		{"parallel-detect/stint", Options{Detector: DetectorSTINT, ParallelDetect: true}, false},
-		{"tracer", Options{}, true},
-		{"tracer+stint", Options{Detector: DetectorSTINT}, true},
-	}
-	for _, d := range allDetectors {
-		modes = append(modes, mode{d.String(), Options{Detector: d}, false})
+	// Every cell of the contract grid with no limits, and the detection-off,
+	// reachability-only and traced configurations.
+	modes := map[string]Options{"off": {}, "reach": {Detector: DetectorReachOnly},
+		"parallel-detect/off": {ParallelDetect: true}, "tracer": {Tracer: &accessCounter{}},
+		"tracer+stint": {Detector: DetectorSTINT, Tracer: &accessCounter{}}}
+	for _, c := range cellsWhere(func(c cell) bool { return c.lim == noLimit }) {
+		modes[c.String()] = c.opts()
 	}
 	hooks := map[string]func(task *Task, buf *Buffer){
 		"Load":      func(task *Task, buf *Buffer) { task.Load(buf, 1) },
 		"LoadRange": func(task *Task, buf *Buffer) { task.LoadRange(buf, 2, 4) },
 		"LoadAt":    func(task *Task, buf *Buffer) { task.LoadAt(buf.Addr(8), 4) },
 	}
-	for _, m := range modes {
+	for mode, opts := range modes {
 		for name, hook := range hooks {
 			for _, inChild := range []bool{false, true} {
-				opts, tr := m.opts, &accessCounter{}
-				if m.traced {
+				tr := &accessCounter{}
+				if opts.Tracer != nil {
 					opts.Tracer = tr
 				}
 				r, err := NewRunner(opts)
@@ -369,7 +170,7 @@ func TestDetectingMatchesHooks(t *testing.T) {
 				}
 				if reached := rep.Stats.ReadHookCalls > 0 || tr.n > 0; detecting != reached {
 					t.Errorf("%s/%s (in child: %v): Detecting() = %v, but the hook reached a counter or the Tracer: %v",
-						m.name, name, inChild, detecting, reached)
+						mode, name, inChild, detecting, reached)
 				}
 			}
 		}
@@ -411,10 +212,7 @@ func TestParallelExecutionComputes(t *testing.T) {
 }
 
 func TestStrandCountReported(t *testing.T) {
-	rep := runOne(t, DetectorSTINT, func(task *Task, buf *Buffer) {
-		task.Spawn(func(c *Task) { c.Store(buf, 1) })
-		task.Sync()
-	})
+	rep := runOne(t, DetectorSTINT, spawn(store(1)), syncAct)
 	// Root + child + continuation + sync = 4 strands.
 	if rep.Strands != 4 {
 		t.Errorf("Strands = %d, want 4", rep.Strands)
@@ -422,10 +220,7 @@ func TestStrandCountReported(t *testing.T) {
 }
 
 func TestStatsAccessCounts(t *testing.T) {
-	rep := runOne(t, DetectorSTINT, func(task *Task, buf *Buffer) {
-		task.LoadRange(buf, 0, 100)
-		task.Store(buf, 200)
-	})
+	rep := runOne(t, DetectorSTINT, loadN(0, 100), store(200))
 	if rep.Stats.ReadAccesses != 100 {
 		t.Errorf("ReadAccesses = %d, want 100", rep.Stats.ReadAccesses)
 	}
@@ -441,13 +236,13 @@ func TestStatsAccessCounts(t *testing.T) {
 }
 
 func TestRuntimeCoalescingDeduplicates(t *testing.T) {
-	rep := runOne(t, DetectorSTINT, func(task *Task, buf *Buffer) {
-		for rep := 0; rep < 10; rep++ {
-			for i := 0; i < 50; i++ {
-				task.Load(buf, i)
-			}
+	var loads []act
+	for rep := 0; rep < 10; rep++ {
+		for i := 0; i < 50; i++ {
+			loads = append(loads, load(i))
 		}
-	})
+	}
+	rep := runOne(t, DetectorSTINT, loads...)
 	if rep.Stats.ReadAccesses != 500 {
 		t.Errorf("ReadAccesses = %d, want 500", rep.Stats.ReadAccesses)
 	}
@@ -460,11 +255,7 @@ func TestRuntimeCoalescingDeduplicates(t *testing.T) {
 }
 
 func TestReachOnlyCountsStrandsButNoAccesses(t *testing.T) {
-	rep := runOne(t, DetectorReachOnly, func(task *Task, buf *Buffer) {
-		task.Spawn(func(c *Task) { c.Store(buf, 0) })
-		task.Store(buf, 0)
-		task.Sync()
-	})
+	rep := runOne(t, DetectorReachOnly, spawn(store(0)), store(0), syncAct)
 	if rep.Racy() {
 		t.Error("ReachOnly reported a race")
 	}
@@ -473,23 +264,9 @@ func TestReachOnlyCountsStrandsButNoAccesses(t *testing.T) {
 	}
 }
 
-func TestMultipleRunsIndependent(t *testing.T) {
-	r, err := NewRunner(Options{Detector: DetectorSTINT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := r.Arena().AllocWords("buf", 16)
-	racy := func(task *Task) {
-		task.Spawn(func(c *Task) { c.Store(buf, 0) })
-		task.Store(buf, 0)
-		task.Sync()
-	}
-	rep1, _ := r.Run(racy)
-	rep2, _ := r.Run(racy)
-	if rep1.RaceCount != rep2.RaceCount {
-		t.Errorf("runs differ: %d vs %d races (state leaked between runs)", rep1.RaceCount, rep2.RaceCount)
-	}
-}
+// TestMultipleRunsIndependent: the checker's pooled Runner runs the racy
+// program after its own earlier runs and must match a fresh one.
+func TestMultipleRunsIndependent(t *testing.T) { verdict(t, true, spawn(store(0)), store(0), syncAct) }
 
 func TestParseDetector(t *testing.T) {
 	for _, d := range append([]Detector{DetectorOff, DetectorReachOnly}, allDetectors...) {
@@ -505,32 +282,9 @@ func TestParseDetector(t *testing.T) {
 	}
 }
 
+// TestFloat64BufferWordGranularity: a float64 element spans two shadow
+// words; a race on element 4 is found, and its neighbours stay clean.
 func TestFloat64BufferWordGranularity(t *testing.T) {
-	// A float64 element spans two shadow words; racing on element i must be
-	// detected, and neighbors must stay clean.
-	for _, d := range allDetectors {
-		r, err := NewRunner(Options{Detector: d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := r.Arena().AllocFloat64("f", 32)
-		rep, _ := r.Run(func(task *Task) {
-			task.Spawn(func(c *Task) { c.Store(buf, 4) })
-			task.Store(buf, 4)
-			task.Sync()
-		})
-		if !rep.Racy() {
-			t.Errorf("%v: float64 element race missed", d)
-		}
-		r2, _ := NewRunner(Options{Detector: d})
-		buf2 := r2.Arena().AllocFloat64("f", 32)
-		rep2, _ := r2.Run(func(task *Task) {
-			task.Spawn(func(c *Task) { c.Store(buf2, 4) })
-			task.Store(buf2, 5)
-			task.Sync()
-		})
-		if rep2.Racy() {
-			t.Errorf("%v: adjacent float64 elements alias", d)
-		}
-	}
+	checkVerdict(t, true, newProgram([]bufSpec{{32, 2}}, []act{spawn(store(4)), store(4), syncAct}))
+	checkVerdict(t, false, newProgram([]bufSpec{{32, 2}}, []act{spawn(store(4)), store(5), syncAct}))
 }

@@ -19,22 +19,6 @@ func (*ctlCounter) Write(stint.Addr, uint64)           {}
 func (*ctlCounter) ReadRange(stint.Addr, int, uint64)  {}
 func (*ctlCounter) WriteRange(stint.Addr, int, uint64) {}
 
-// runWorkload runs a fresh instance of the workload under opts.
-func runWorkload(t *testing.T, f workloads.Factory, opts stint.Options) *stint.Report {
-	t.Helper()
-	r, err := stint.NewRunner(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := f()
-	w.Setup(r)
-	rep, err := r.Run(w.Run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
 // TestStreamCarriesIntervals pins what the pipelines put on the wire: on a
 // race-free run without quiescing every pipelined mode streams exactly one
 // event per flushed interval plus one per structure event — nothing per
@@ -51,10 +35,10 @@ func TestStreamCarriesIntervals(t *testing.T) {
 	}
 	for _, p := range progs {
 		var ctl ctlCounter
-		runWorkload(t, p.f, stint.Options{Tracer: &ctl})
+		runVerified(t, newRunner(t, stint.Options{Tracer: &ctl}), p.f)
 		for _, m := range stint.PipeModes {
 			t.Run(fmt.Sprintf("%s/%s", p.name, m.Name), func(t *testing.T) {
-				rep := runWorkload(t, p.f, m.With(stint.Options{Detector: stint.DetectorSTINT}))
+				rep := runVerified(t, newRunner(t, m.With(stint.Options{Detector: stint.DetectorSTINT})), p.f)
 				if rep.Racy() {
 					t.Fatalf("workload is not race-free: %d races", rep.RaceCount)
 				}
