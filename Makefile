@@ -40,8 +40,9 @@ bench:
 # float32, float64, complex128), the sharded and
 # parallel-execution main-table measurements, the racy-workload
 # quiescing pair, and the trace layer's own pair: BenchmarkReplayWorkload
-# (sort and mmul at the benchmark's sizes, replayed with detection off and
-# with STINT; MB/s is decode throughput) and BenchmarkRecordOverhead. (internal/depa is off the production path; its
+# (the benchmark's five programs at its sizes, replayed with detection off
+# and with STINT; MB/s is decode throughput, ns/event the time per event the
+# replay charges) and BenchmarkRecordOverhead. (internal/depa is off the production path; its
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkTreapSortedRun|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow

@@ -42,7 +42,7 @@ const (
 //
 // Every page's trees are deterministically seeded, so the shape of each
 // page's treap depends only on that page's own insertion sequence — the
-// property the sharded equivalence suite checks byte-for-byte.
+// property the contract harness checks byte-for-byte across shard counts.
 type treeEngine struct {
 	stats      Stats
 	reach      Reach

@@ -100,10 +100,14 @@ func recordWorkload(tb testing.TB, w workloads.Workload) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkReplayWorkload is the trace layer's own benchmark at the sizes
-// the repository benchmark serves (sort's trace is 10.7 MB, mmul's 5.8
-// MB): the off leg replays onto a DetectorOff Runner, so it is the decoder
-// plus the hooks' bare dispatch; the stint leg adds detection.
+// BenchmarkReplayWorkload is the trace layer's own benchmark over the
+// repository benchmark's five programs at its sizes (serve-small and
+// serve-racy are the traces its service replays; sort's is 10.7 MB): the off
+// leg replays onto a DetectorOff Runner, so it is the decoder plus the hooks'
+// bare dispatch; the stint leg adds detection. ns/event divides the time by
+// the events a replay charges against Options.MaxEvents: every event but
+// restores and the end (recordings hold no empty range, the one such event
+// that reaches no Tracer).
 func BenchmarkReplayWorkload(b *testing.B) {
 	for _, w := range []struct {
 		name string
@@ -111,9 +115,21 @@ func BenchmarkReplayWorkload(b *testing.B) {
 	}{
 		{"sort", func() workloads.Workload { return workloads.NewSort(40000, 512) }},
 		{"mmul", func() workloads.Workload { return workloads.NewMMul(112, 16) }},
+		{"fft", func() workloads.Workload { return workloads.NewFFT(32768, 64) }},
+		{"serve-small", func() workloads.Workload { return workloads.NewChol(192, 16) }},
+		{"serve-racy", func() workloads.Workload { return workloads.NewRacyMMul(96, 16) }},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			raw := recordWorkload(b, w.new())
+			var seen kinds
+			counting, err := stint.NewRunner(stint.Options{Tracer: &seen})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Replay(bytes.NewReader(raw), Options{Runner: counting}); err != nil {
+				b.Fatal(err)
+			}
+			events := uint64(len(seen))
 			for _, leg := range []struct {
 				name     string
 				detector stint.Detector
@@ -131,6 +147,7 @@ func BenchmarkReplayWorkload(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*events), "ns/event")
 				})
 			}
 		})

@@ -20,8 +20,10 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(append([]byte{}, magic[:]...), opRead, 0x10, 0x08, opEnd))
 	// The depth bomb: one spawn past the nesting bound, never closed.
 	f.Add(spawnNest(maxSpawnDepth+1, false))
-	// Parallel stores running off the end of the address space.
-	f.Add(wrapTrace(^stint.Addr(3), 8))
+	// Parallel stores running off the end of the address space, met by the
+	// switch and by the decode step.
+	f.Add(wrapTrace(^stint.Addr(3), 8, 0, false))
+	f.Add(wrapTrace(^stint.Addr(3), 8, 0, true))
 	// A valid recorded program as a seed.
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
@@ -50,6 +52,17 @@ func FuzzReplay(f *testing.F) {
 		long = append(binary.AppendUvarint(append(long, opRead), zz), 0x04)
 	}
 	f.Add(long[:windowBytes+1])
+	// Reads and ranges whose operands are all two bytes but one elem, cut by
+	// the window's edge inside the range address operand at [65535, 65537):
+	// the decode step must not read past a truncated window.
+	two := append(append([]byte{}, magic[:]...), opRead, 0x08, 0x04)
+	for len(two) < windowBytes {
+		two = append(two,
+			opRead, 0x82, 0x01, 0x80, 0x01, // +65, 128 bytes
+			opReadRange, 0x81, 0x01, 0x80, 0x01, 0x01, // -65, 128 × 1 byte
+			opWriteRange, 0x82, 0x01, 0x01, 0x80, 0x01) // +65, 1 × 128 bytes
+	}
+	f.Add(two[:windowBytes])
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Every input first replays with detection off, through a Tracer

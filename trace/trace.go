@@ -207,16 +207,17 @@ const windowBytes = 1 << 16
 // 64 bits, which the encoding package does not export.
 var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-// refill is the window's one rule: drop the decoded bytes, then let br
-// slide the tail to the front and read until a whole event fits or src has
-// ended; the window is then everything br holds.
-func (d *decoder) refill() {
-	d.br.Discard(d.pos)
+// refill is the window's one rule: drop the bytes before rest, let br slide
+// the tail to the front and read until a whole event fits or src has ended,
+// and return the new window, everything br holds.
+func (d *decoder) refill(rest []byte) []byte {
+	d.br.Discard(len(d.win) - len(rest))
 	d.pos = 0
 	if d.srcErr == nil {
 		_, d.srcErr = d.br.Peek(maxEventBytes)
 	}
 	d.win, _ = d.br.Peek(d.br.Buffered())
+	return d.win
 }
 
 // short is the error for a header, opcode or operand cut off by the end of
@@ -253,6 +254,18 @@ func (d *decoder) operands(vals []uint64) error {
 	return nil
 }
 
+// uvarint2 is binary.Uvarint for a uvarint that starts with b0, b1 and is
+// one or two bytes long; n is 0 for a longer one.
+func uvarint2(b0, b1 byte) (v uint64, n int) {
+	if b0 < 0x80 {
+		return uint64(b0), 1
+	}
+	if b1 < 0x80 {
+		return uint64(b0&0x7f) | uint64(b1)<<7, 2
+	}
+	return 0, 0
+}
+
 // charge debits one event from the budget, failing the decode when the
 // budget is exhausted. Called before the corresponding API call, so an
 // oversized trace stops injecting work the moment it crosses the cap.
@@ -271,27 +284,57 @@ func (d *decoder) fail(err error) {
 	}
 }
 
-// addr undoes the recorder's zig-zag address delta.
-func (d *decoder) addr(raw uint64) stint.Addr {
-	delta := int64(raw>>1) ^ -int64(raw&1)
-	d.lastAddr = mem.Addr(int64(d.lastAddr) + delta)
-	return d.lastAddr
+// nextAddr undoes the recorder's zig-zag address delta.
+func nextAddr(last mem.Addr, raw uint64) mem.Addr {
+	return mem.Addr(int64(last) + (int64(raw>>1) ^ -int64(raw&1)))
 }
 
 // replayBody consumes one task instance's events: up to its opRestore for
 // a spawned child (depth > 0), or up to opEnd for the root. Structural
 // validation happens before the corresponding API call, so an invalid
-// trace aborts without corrupting the run.
+// trace aborts without corrupting the run. The decode step takes a valid
+// access or range event with one- or two-byte operands on locals (window
+// rest, last address, event count); they go back to d for refill and for the
+// switch, which takes every other event and error (its Spawn runs a child).
 func (d *decoder) replayBody(t *stint.Task, depth int) {
 	pending := 0 // spawns since the last sync
-	for d.err == nil {
-		if len(d.win)-d.pos < maxEventBytes {
-			d.refill()
-			if len(d.win) == 0 {
+	rest, last, events := d.win[d.pos:], d.lastAddr, d.events
+	for {
+		if len(rest) < maxEventBytes {
+			if rest = d.refill(rest); len(rest) == 0 {
 				d.fail(fmt.Errorf("trace: truncated stream: %w", d.short()))
 				return
 			}
 		}
+		// Below maxEventBytes src has ended: operands tells a cut operand from
+		// a whole one. At events == d.maxEvents the next charge fails (with no
+		// budget, this is the first event). A longer address leaves n 0 and
+		// rest[1:3] at or above 0x80, so n2 is 0 too.
+		if len(rest) >= maxEventBytes && rest[0]&^3 == opRead && events != d.maxEvents {
+			code := rest[0]
+			raw, n := uvarint2(rest[1], rest[2])
+			x, n2 := uvarint2(rest[1+n], rest[2+n])
+			i, a := 1+n+n2, nextAddr(last, raw)
+			if n2 != 0 && code < opReadRange && !mem.SpanWraps(a, x) {
+				events, last, rest = events+1, a, rest[i:]
+				if code == opRead {
+					t.LoadAt(a, x)
+				} else {
+					t.StoreAt(a, x)
+				}
+				continue
+			}
+			if y, n3 := uvarint2(rest[i], rest[i+1]); n2 != 0 && n3 != 0 && code >= opReadRange && !mem.SpanWraps(a, x*y) {
+				events, last, rest = events+1, a, rest[i+n3:]
+				if code == opReadRange {
+					t.LoadRangeAt(a, int(x), y)
+				} else {
+					t.StoreRangeAt(a, int(x), y)
+				}
+				continue
+			}
+		}
+		d.pos, d.lastAddr, d.events = len(d.win)-len(rest), last, events
 		code := d.win[d.pos]
 		d.pos++
 		switch code {
@@ -345,7 +388,8 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				d.fail(fmt.Errorf("trace: access event: %w", err))
 				return
 			}
-			addr, size := d.addr(ops[0]), ops[1]
+			d.lastAddr = nextAddr(d.lastAddr, ops[0])
+			addr, size := d.lastAddr, ops[1]
 			// Validate before handing to the hook layer: LoadAt panics on
 			// sizes beyond the encodings' 56-bit field and on wrapping spans,
 			// but a corrupt or adversarial trace must surface as a decode
@@ -373,7 +417,8 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				d.fail(fmt.Errorf("trace: range event: %w", err))
 				return
 			}
-			addr, count, elem := d.addr(ops[0]), ops[1], ops[2]
+			d.lastAddr = nextAddr(d.lastAddr, ops[0])
+			addr, count, elem := d.lastAddr, ops[1], ops[2]
 			// Validate before handing to the hook layer: LoadRangeAt panics
 			// on unrepresentable ranges, but a corrupt or adversarial trace
 			// must surface as a decode error, not a panic.
@@ -395,6 +440,10 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 			d.fail(fmt.Errorf("trace: unknown opcode %#x", code))
 			return
 		}
+		if d.err != nil {
+			return // the child the switch spawned failed
+		}
+		rest, last, events = d.win[d.pos:], d.lastAddr, d.events
 	}
 }
 
@@ -408,7 +457,7 @@ func Replay(src io.Reader, opts Options) (*stint.Report, error) {
 		return nil, ErrParallelRunner
 	}
 	d := &decoder{br: bufio.NewReaderSize(src, windowBytes), maxEvents: opts.MaxEvents}
-	d.refill()
+	d.refill(nil)
 	if len(d.win) < len(magic) {
 		return nil, fmt.Errorf("trace: reading header: %w", d.short())
 	}

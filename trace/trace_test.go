@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -419,39 +420,100 @@ func TestReplayReusedRunner(t *testing.T) {
 	}
 }
 
-// TestReplayMaxEvents checks the per-run budget: an undersized cap aborts
-// the replay with ErrTooManyEvents, and the same Runner replays the full
-// trace correctly afterwards — an aborted trace must not poison the pool.
+// budgetTrace is a small recording whose events take the decode step and
+// the switch alike: spawns and a sync, and accesses and ranges with one-,
+// two-, three- and four-byte operands, racing across both spawns. events is
+// what a replay charges against Options.MaxEvents: every event but the
+// restores and the end.
+func budgetTrace() (raw []byte, events uint64) {
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	const base = stint.Addr(1) << 20
+	rec.Spawn()
+	rec.Read(base, 4)                     // four-byte address delta
+	rec.Write(base+8, 4)                  // one-byte operands
+	rec.Read(base+0x108, 0x80)            // two-byte address delta and size
+	rec.WriteRange(base, 0x80, 4)         // two-byte address delta and count
+	rec.ReadRange(base+0x4000, 3, 0x4000) // three-byte address delta and elem
+	rec.Restore()
+	rec.Write(base+4, 0x3fff) // three-byte address delta, two-byte size
+	rec.Spawn()
+	rec.WriteRange(base+0x40, 0x10, 8)
+	rec.Restore()
+	rec.Read(base+0x60, 4)
+	rec.Sync()
+	rec.WriteRange(base+0x100, 0x80, 0x80)
+	rec.Flush()
+	return buf.Bytes(), 12
+}
+
+// TestReplayMaxEvents sweeps the event budget over budgetTrace. Below its
+// event count, a replay fails with ErrTooManyEvents in the words it always
+// had, after exactly the budget's accesses reached the Runner, and the same
+// warm Runner's next full replay equals a fresh Runner's: an aborted trace
+// must not poison the pool. No budget (0), or one of at least the count,
+// replays it in full.
 func TestReplayMaxEvents(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var acts []action
-	for len(acts) < 3 {
-		acts = genActions(rng, 4, bufWords)
-	}
-	raw := record(t, acts)
-	r, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20})
+	raw, events := budgetTrace()
+	opts := stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20}
+	want, err := replayOn(raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(bytes.NewReader(raw), Options{Runner: r, MaxEvents: 2}); !errors.Is(err, ErrTooManyEvents) {
-		t.Fatalf("capped replay: got %v, want ErrTooManyEvents", err)
+	if !want.Racy() {
+		t.Fatal("fixture trace does not race")
 	}
-	want, err := replayOn(raw, stint.Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: 1 << 20})
+	r, err := stint.NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Replay(bytes.NewReader(raw), Options{Runner: r})
+	var seen kinds
+	counted, err := stint.NewRunner(stint.Options{Tracer: &seen})
 	if err != nil {
-		t.Fatalf("post-abort replay: %v", err)
+		t.Fatal(err)
 	}
-	if got.RaceCount != want.RaceCount || !reflect.DeepEqual(got.Races, want.Races) {
-		t.Fatalf("post-abort replay diverges: %d races vs %d", got.RaceCount, want.RaceCount)
+	if _, err := Replay(bytes.NewReader(raw), Options{Runner: counted}); err != nil || uint64(len(seen)) != events {
+		t.Fatalf("fixture trace: %q reached the Runner (%v), want %d events", seen, err, events)
 	}
-	// A budget exactly covering the trace succeeds.
-	if _, err := Replay(bytes.NewReader(raw), Options{Detector: stint.DetectorSTINT, MaxEvents: 1 << 20}); err != nil {
-		t.Fatalf("generous budget: %v", err)
+	all := string(seen)
+	for budget := uint64(0); budget <= events+1; budget++ {
+		n := events
+		if budget > 0 && budget < events {
+			n = budget
+		}
+		seen = seen[:0]
+		Replay(bytes.NewReader(raw), Options{Runner: counted, MaxEvents: budget}) // its error is checked on r below
+		if got, want := bytes.Count(seen, []byte{'A'}), strings.Count(all[:n], "A"); got != want {
+			t.Fatalf("budget %d of %d events: %d accesses reached the Runner, want %d", budget, events, got, want)
+		}
+		got, err := Replay(bytes.NewReader(raw), Options{Runner: r, MaxEvents: budget})
+		if n == events {
+			if err != nil || !sameReport(got, want) {
+				t.Fatalf("budget %d of %d events: %+v, %v; want %+v", budget, events, got, err, want)
+			}
+			continue
+		}
+		wantErr := fmt.Sprintf("trace: event budget exceeded: trace exceeds %d events", budget)
+		if !errors.Is(err, ErrTooManyEvents) || err.Error() != wantErr {
+			t.Fatalf("budget %d of %d events: got %v, want %q", budget, events, err, wantErr)
+		}
+		if got, err = Replay(bytes.NewReader(raw), Options{Runner: r}); err != nil || !sameReport(got, want) {
+			t.Fatalf("full replay after budget %d: %+v, %v; want %+v", budget, got, err, want)
+		}
 	}
 }
+
+// kinds is a Tracer spelling the events that reach a Runner: S a spawn, Y a
+// sync, A an access or range; restores are not spelled.
+type kinds []byte
+
+func (k *kinds) Spawn()                             { *k = append(*k, 'S') }
+func (k *kinds) Restore()                           {}
+func (k *kinds) Sync()                              { *k = append(*k, 'Y') }
+func (k *kinds) Read(stint.Addr, uint64)            { *k = append(*k, 'A') }
+func (k *kinds) Write(stint.Addr, uint64)           { *k = append(*k, 'A') }
+func (k *kinds) ReadRange(stint.Addr, int, uint64)  { *k = append(*k, 'A') }
+func (k *kinds) WriteRange(stint.Addr, int, uint64) { *k = append(*k, 'A') }
 
 // spawnNest returns a trace of depth nested spawns, each child's body being
 // just the next spawn; closed, every spawn gets its restore and the sync
@@ -467,17 +529,30 @@ func spawnNest(depth int, closed bool) []byte {
 	return raw
 }
 
-// wrapTrace is two logically parallel stores of size bytes at addr, written
-// straight through a Recorder (no live run would get such an access past
-// the hook guards).
-func wrapTrace(addr stint.Addr, size uint64) []byte {
+// wrapTrace is two logically parallel stores at addr, written straight
+// through a Recorder (no live run would get such an access past the hook
+// guards): accesses of size bytes when elem is 0, ranges of size elements
+// of elem bytes otherwise. With tail, a window's event's worth of reads at 0
+// follows, so the stores meet the decode step; without it, the trace ends
+// within one event's worth of them and they go through the switch.
+func wrapTrace(addr stint.Addr, size, elem uint64, tail bool) []byte {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
+	store := func() {
+		if elem == 0 {
+			rec.Write(addr, size)
+		} else {
+			rec.WriteRange(addr, int(size), elem)
+		}
+	}
 	rec.Spawn()
-	rec.Write(addr, size)
+	store()
 	rec.Restore()
-	rec.Write(addr, size)
+	store()
 	rec.Sync()
+	for i := 0; tail && i < maxEventBytes; i += 3 {
+		rec.Read(0, 4)
+	}
 	rec.Flush()
 	return buf.Bytes()
 }
@@ -485,22 +560,53 @@ func wrapTrace(addr stint.Addr, size uint64) []byte {
 // TestReplayRejectsWrappingAccess: a per-access event running off the end
 // of the address space used to replay silently — zero races, a 2^63 word
 // count in the report — where the same span as a range event was a decode
-// error. Both are decode errors now, and the Runner stays usable.
+// error. Both are decode errors now, and the Runner stays usable. Each
+// store replays once through the decode step and once through the switch,
+// with operands of one or two bytes, which the step may take, and of three.
 func TestReplayRejectsWrappingAccess(t *testing.T) {
+	const wraps = "trace: %s event at %#x spanning %d bytes wraps the address space"
 	for _, d := range []stint.Detector{stint.DetectorVanilla, stint.DetectorSTINT} {
 		r, err := stint.NewRunner(stint.Options{Detector: d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, size := range []uint64{4, 8} {
-			rep, err := Replay(bytes.NewReader(wrapTrace(^stint.Addr(3), size)), Options{Runner: r})
-			if err == nil || !strings.Contains(err.Error(), "wraps the address space") {
-				t.Fatalf("%v size %d: want a wrap decode error, got report %+v, err %v", d, size, rep, err)
+		for _, tail := range []bool{false, true} {
+			for _, c := range []struct {
+				addr       stint.Addr
+				size, elem uint64
+				err        string // "" for the stores that must replay and race
+			}{
+				{^stint.Addr(3), 4, 0, fmt.Sprintf(wraps, "access", ^stint.Addr(3), 4)},
+				{^stint.Addr(3), 8, 0, fmt.Sprintf(wraps, "access", ^stint.Addr(3), 8)},
+				{^stint.Addr(0x3fff), 0x4000, 0, fmt.Sprintf(wraps, "access", ^stint.Addr(0x3fff), 0x4000)},
+				{^stint.Addr(3), 2, 4, fmt.Sprintf(wraps, "range", ^stint.Addr(3), 8)},
+				{^stint.Addr(0x3fff), 0x4000, 1, fmt.Sprintf(wraps, "range", ^stint.Addr(0x3fff), 0x4000)},
+				{^stint.Addr(7), 4, 0, ""}, // the last representable word
+				{^stint.Addr(0x4003), 0x4000, 0, ""},
+				{^stint.Addr(0xb), 2, 4, ""},
+				{^stint.Addr(0x10003), 0x4000, 4, ""},
+			} {
+				name := fmt.Sprintf("%v tail %v: %d×%d bytes at %#x", d, tail, c.size, max(c.elem, 1), c.addr)
+				rep, err := Replay(bytes.NewReader(wrapTrace(c.addr, c.size, c.elem, tail)), Options{Runner: r})
+				if c.err != "" {
+					if err == nil || err.Error() != c.err {
+						t.Fatalf("%s: want %q, got report %+v, err %v", name, c.err, rep, err)
+					}
+					continue
+				}
+				if words := 2 * c.size * max(c.elem, 1) / 4; err != nil || !rep.Racy() || rep.Stats.WriteAccesses != words {
+					t.Fatalf("%s: must replay and race over %d words: %+v, %v", name, words, rep, err)
+				}
 			}
 		}
-		rep, err := Replay(bytes.NewReader(wrapTrace(^stint.Addr(7), 4)), Options{Runner: r})
-		if err != nil || rep.RaceCount != 1 || rep.Stats.WriteAccesses != 2 {
-			t.Fatalf("%v: the last representable word must replay and race: %+v, %v", d, rep, err)
+		// A read at 0, then a wrapping access whose next byte is 0, which the
+		// decode step must not take for a range's elem (a 4×0-byte range does
+		// not wrap).
+		raw := append(append([]byte{}, magic[:]...), opRead, 0x00, 0x04, opWrite, 0x07, 0x04)
+		raw = append(raw, make([]byte, maxEventBytes)...)
+		want := fmt.Sprintf(wraps, "access", ^stint.Addr(3), 4)
+		if rep, err := Replay(bytes.NewReader(raw), Options{Runner: r}); err == nil || err.Error() != want {
+			t.Fatalf("%v: want %q, got report %+v, err %v", d, want, rep, err)
 		}
 	}
 }
@@ -842,6 +948,99 @@ func TestReplayVarintEdges(t *testing.T) {
 			t.Errorf("cut at %d (operand straddling %d starts at %d): got %q, want %q", n, windowBytes, straddle, got, want)
 		}
 	}
+
+	// Address, size, count and elem operands at the one-, two- and three-byte
+	// varint boundaries, each once well inside the window and once from its
+	// last byte on, so that all but the one-byte ones straddle the 64 KiB
+	// edge. Whole, each trace replays the operands it was recorded with; cut
+	// anywhere from its event's opcode to its end, it fails as the bufio
+	// decoder did.
+	for _, v := range []uint64{0x7f, 0x80, 0x3fff, 0x4000} {
+		for _, c := range []struct {
+			operand, kind string
+			code          byte
+			ops           []uint64
+			k             int
+		}{
+			{"address", "access", opRead, []uint64{v, 4}, 0},
+			{"size", "access", opWrite, []uint64{8, v}, 1},
+			{"count", "range", opReadRange, []uint64{8, v, 4}, 1},
+			{"elem", "range", opWriteRange, []uint64{8, 1, v}, 2},
+		} {
+			for _, at := range []int{100, windowBytes - 1} {
+				raw, bounds := eventAt(c.code, c.ops, c.k, at)
+				name := fmt.Sprintf("%s %#x at %d", c.operand, v, at)
+				if got := rerecord(t, raw); !bytes.Equal(got, raw) {
+					t.Errorf("%s: the replay's hooks record other operands", name)
+				}
+				start, end := bounds[0], bounds[len(bounds)-1]
+				for n := start; n <= end; n++ {
+					want := "trace: " + c.kind + " event: unexpected EOF"
+					if n == start || n == end {
+						want = "trace: truncated stream: EOF"
+					} else if slices.Contains(bounds, n) {
+						want = "trace: " + c.kind + " event: EOF"
+					}
+					if got := replayResult(bytes.NewReader(raw[:n]), Options{Detector: stint.DetectorSTINT}); got != want {
+						t.Errorf("%s cut at %d (event at [%d, %d)): got %q, want %q", name, n, start, end, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// eventAt is magic, then filler reads, then one event of code with
+// operands ops laid out so that operand k starts at stream offset at, then
+// a window's event's worth of filler and opEnd. bounds are the offsets of
+// the event's opcode, of each of its operands, and of its end.
+func eventAt(code byte, ops []uint64, k, at int) (raw []byte, bounds []int) {
+	ev, skip := []byte{code}, 0
+	for i, v := range ops {
+		if i == k {
+			skip = len(ev)
+		}
+		ev = binary.AppendUvarint(ev, v)
+	}
+	// Reads at address 0 of 128 bytes (four-byte events) and of 4 bytes
+	// (three-byte events) fill the gap exactly.
+	raw = append([]byte{}, magic[:]...)
+	start := at - skip
+	for gap := start - len(raw); gap%3 != 0; gap -= 4 {
+		raw = append(raw, opRead, 0x00, 0x80, 0x01)
+	}
+	for len(raw) < start {
+		raw = append(raw, opRead, 0x00, 0x04)
+	}
+	bounds = []int{start, start + 1}
+	for _, v := range ops {
+		bounds = append(bounds, bounds[len(bounds)-1]+len(binary.AppendUvarint(nil, v)))
+	}
+	raw = append(raw, ev...)
+	for i := 0; i < maxEventBytes; i += 3 {
+		raw = append(raw, opRead, 0x00, 0x04) // the decode step takes a whole event
+	}
+	return append(raw, opEnd), bounds
+}
+
+// rerecord replays raw with detection off through a Runner whose Tracer is a
+// Recorder: a trace whose operands decode to what they encode, each in its
+// shortest form, records back to itself.
+func rerecord(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	r, err := stint.NewRunner(stint.Options{Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(bytes.NewReader(raw), Options{Runner: r}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // recordingDigests are SHA-256 digests of each workload's recording at its
