@@ -26,22 +26,16 @@
 //     stint/internal/multiread: intervals carrying antichains of readers,
 //     pruned by the happens-before relation.
 //
-// Runtime coalescing carries over unchanged — it is the fork-join
-// detectors' own detect.Coalescer, flushed per node: by the paper's §7 a
-// DAG needs a different *history* and nothing else.
+// The rest is the fork-join detector's own: Run hands the ancestor bitsets to
+// stint.Runner.RunStrands as a Reach whose Series selects that read history.
+// By the paper's §7 a DAG needs a different *history* and nothing else.
 package dag
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"stint"
-	"stint/internal/coalesce"
-	"stint/internal/core"
-	"stint/internal/detect"
-	"stint/internal/mem"
-	"stint/internal/multiread"
 )
 
 // NodeID identifies a node of a Graph.
@@ -192,22 +186,23 @@ func newReach(g *Graph, order []NodeID) *reach {
 	return r
 }
 
-// series reports a happens-before b.
-func (r *reach) series(a, b int32) bool {
+// Series reports a happens-before b. It makes reach a general-DAG
+// stint.Reach: the engine keeps antichains of readers and prunes them by it.
+func (r *reach) Series(a, b int32) bool {
 	return r.anc[int(b)*r.words+int(a)/64]&(1<<(uint(a)%64)) != 0
 }
 
 // Parallel reports whether a and b are logically parallel.
 func (r *reach) Parallel(a, b int32) bool {
-	return a != b && !r.series(a, b) && !r.series(b, a)
+	return a != b && !r.Series(a, b) && !r.Series(b, a)
 }
 
 // CurrentID returns the executing node.
 func (r *reach) CurrentID() int32 { return int32(r.cur) }
 
-// LeftOf is unused by the multi-reader engine but satisfies
-// detect.Reach-style callers (the brute-force oracle): execution order
-// stands in for the sequential order.
+// LeftOf is unused by the multi-reader engine but completes stint.Reach
+// (and serves the brute-force oracle): execution order stands in for the
+// sequential order.
 func (r *reach) LeftOf(a, b int32) bool { return a > b }
 
 // Options configures a DAG runner.
@@ -220,131 +215,29 @@ type Options struct {
 
 // Runner executes declared DAGs under multi-reader race detection.
 type Runner struct {
-	opts  Options
-	arena *stint.Arena
+	sr *stint.Runner
 }
 
-// NewRunner validates opts with stint.NewRunner and keeps that Runner's empty Arena.
+// NewRunner validates opts with stint.NewRunner and keeps that Runner.
 func NewRunner(opts Options) (*Runner, error) {
-	sr, err := stint.NewRunner(stint.Options{MaxRacesRecorded: opts.MaxRacesRecorded})
+	sr, err := stint.NewRunner(stint.Options{Detector: stint.DetectorSTINT, OnRace: opts.OnRace, MaxRacesRecorded: opts.MaxRacesRecorded})
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxRacesRecorded == 0 {
-		opts.MaxRacesRecorded = stint.DefaultMaxRacesRecorded
-	}
-	return &Runner{opts: opts, arena: sr.Arena()}, nil
+	return &Runner{sr: sr}, nil
 }
 
 // Arena returns the Runner's address arena.
-func (r *Runner) Arena() *stint.Arena { return r.arena }
+func (r *Runner) Arena() *stint.Arena { return r.sr.Arena() }
 
-// Node is the hook receiver for one DAG node's execution.
-type Node struct {
-	eng *engine
-}
-
-// Load reports a read of element i of b.
-func (n *Node) Load(b *stint.Buffer, i int) { n.access(b, i, false) }
-
-// Store reports a write of element i of b.
-func (n *Node) Store(b *stint.Buffer, i int) { n.access(b, i, true) }
-
-// access is the stint runner's slot arm (the engine's Coalescer has no
-// quiesce registry, so Bits is never nil) with the general hook behind it.
-func (n *Node) access(b *stint.Buffer, i int, write bool) {
-	addr, size, c := b.Addr(i), uint64(b.ElemBytes()), n.eng.bits
-	switch {
-	case coalesce.InSlot(addr, size):
-		c.Bits(write).SetSlot(addr, size)
-	case write:
-		c.WriteHook(addr, size)
-	default:
-		c.ReadHook(addr, size)
-	}
-}
-
-// LoadRange reports a read of elements [i, i+n) of b.
-func (n *Node) LoadRange(b *stint.Buffer, i, cnt int) {
-	if cnt != 0 {
-		n.eng.bits.ReadHook(b.Range(i, cnt))
-	}
-}
-
-// StoreRange reports a write of elements [i, i+n) of b.
-func (n *Node) StoreRange(b *stint.Buffer, i, cnt int) {
-	if cnt != 0 {
-		n.eng.bits.WriteHook(b.Range(i, cnt))
-	}
-}
-
-// engine is the multi-reader detector: the paper's write treap plus the
-// multiread antichain map, fed by runtime coalescing.
-type engine struct {
-	reach     *reach
-	writeHist map[uint64]*core.Tree // by page; Flush's intervals never cross one
-	pool      *core.Pool
-	readHist  *multiread.Map
-	bits      *detect.Coalescer
-	stats     stint.Stats
-	onRace    func(stint.Race)
-}
-
-func (e *engine) race(rc stint.Race) {
-	e.stats.Races++
-	if e.onRace != nil {
-		e.onRace(rc)
-	}
-}
-
-// writeTree returns the write history of the page holding start, and the
-// interval [start, start+size) in the word positions the trees store (a page
-// of words fits a core.Tree's span).
-func (e *engine) writeTree(start mem.Addr, size uint64, cur int32) (*core.Tree, core.Interval) {
-	idx := start >> coalesce.PageBytesBits
-	t := e.writeHist[idx]
-	if t == nil {
-		t = core.NewTreeIn(e.pool)
-		t.SetBase(idx << (coalesce.PageBytesBits - mem.WordShift))
-		e.writeHist[idx] = t
-	}
-	return t, core.Interval{Start: start >> mem.WordShift, End: (start + size) >> mem.WordShift, Acc: cur}
-}
-
-// readInterval and writeInterval apply one flushed interval of the
-// finishing node to the access history.
-func (e *engine) readInterval(start mem.Addr, size uint64) {
-	cur := e.reach.CurrentID()
-	e.stats.ReadIntervals++
-	e.stats.ReadIntervalBytes += size
-	t, iv := e.writeTree(start, size, cur)
-	t.Query(iv, func(acc int32, lo, hi uint64) {
-		if e.reach.Parallel(acc, cur) {
-			e.race(stint.Race{Addr: lo << mem.WordShift, Size: (hi - lo) << mem.WordShift, Prev: acc, Cur: cur, PrevWrite: true})
-		}
-	})
-	e.readHist.Insert(start, start+size, cur, e.reach.series)
-}
-
-func (e *engine) writeInterval(start mem.Addr, size uint64) {
-	cur := e.reach.CurrentID()
-	e.stats.WriteIntervals++
-	e.stats.WriteIntervalBytes += size
-	e.readHist.Query(start, start+size, func(acc int32, lo, hi uint64) {
-		if e.reach.Parallel(acc, cur) {
-			e.race(stint.Race{Addr: lo, Size: hi - lo, Prev: acc, Cur: cur, CurWrite: true})
-		}
-	})
-	t, iv := e.writeTree(start, size, cur)
-	t.InsertWrite(iv, func(acc int32, lo, hi uint64) {
-		if e.reach.Parallel(acc, cur) {
-			e.race(stint.Race{Addr: lo << mem.WordShift, Size: (hi - lo) << mem.WordShift, Prev: acc, Cur: cur, PrevWrite: true, CurWrite: true})
-		}
-	})
-}
+// Node is the hook receiver for one DAG node's execution: a stint.Task,
+// whose Load/Store/LoadRange/StoreRange it offers. The DAG is declared, so
+// Spawn panics.
+type Node = stint.Task
 
 // Run executes the graph's nodes in topological order under multi-reader
-// detection and returns the report.
+// detection and returns the report. Report.Races are in canonical order,
+// ranked by each race's later node's position in that order.
 func (r *Runner) Run(g *Graph, body func(n *Node, id NodeID)) (*stint.Report, error) {
 	if g.Len() == 0 {
 		return nil, errors.New("dag: empty graph")
@@ -353,42 +246,9 @@ func (r *Runner) Run(g *Graph, body func(n *Node, id NodeID)) (*stint.Report, er
 	if err != nil {
 		return nil, err
 	}
-	rep := &stint.Report{}
-	e := &engine{
-		reach:     newReach(g, order),
-		writeHist: map[uint64]*core.Tree{},
-		pool:      core.NewPool(),
-		readHist:  &multiread.Map{},
-		bits:      detect.NewCoalescer(nil),
-	}
-	maxRec := r.opts.MaxRacesRecorded
-	user := r.opts.OnRace
-	e.onRace = func(rc stint.Race) {
-		if len(rep.Races) < maxRec {
-			rep.Races = append(rep.Races, rc)
-		}
-		if user != nil {
-			user(rc)
-		}
-	}
-	node := &Node{eng: e}
-	start := time.Now()
-	for _, id := range order {
-		e.reach.cur = id
-		body(node, id)
-		e.bits.Flush(e.readInterval, e.writeInterval)
-	}
-	rep.WallTime = time.Since(start)
-	rep.Strands = g.Len()
-	e.stats.TreapOps = e.readHist.Ops()
-	for _, t := range e.writeHist {
-		ws := t.Stats()
-		e.stats.TreapOps += ws.Ops
-		e.stats.TreapNodesVisited += ws.NodesVisited
-		e.stats.TreapOverlaps += ws.Overlaps
-	}
-	e.stats.Accumulate(e.bits.Hooks())
-	rep.Stats = e.stats
-	rep.RaceCount = e.stats.Races
-	return rep, nil
+	rc := newReach(g, order)
+	return r.sr.RunStrands(rc, len(order), func(n *Node, i int) {
+		rc.cur = order[i]
+		body(n, rc.cur)
+	})
 }

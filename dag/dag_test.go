@@ -1,8 +1,10 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"stint"
@@ -87,10 +89,10 @@ func TestReachabilityBitsets(t *testing.T) {
 	r := newReach(g, order)
 	series := [][2]NodeID{{a, b}, {a, c}, {a, d}, {b, d}, {c, d}}
 	for _, p := range series {
-		if !r.series(p[0], p[1]) {
+		if !r.Series(p[0], p[1]) {
 			t.Errorf("series(%d,%d) = false", p[0], p[1])
 		}
-		if r.series(p[1], p[0]) {
+		if r.Series(p[1], p[0]) {
 			t.Errorf("series(%d,%d) = true (reversed)", p[1], p[0])
 		}
 		if r.Parallel(p[0], p[1]) {
@@ -200,29 +202,62 @@ func TestSingleReaderWouldMissThisRace(t *testing.T) {
 
 func TestAntichainPruningKeepsHistorySmall(t *testing.T) {
 	// A long serial chain re-reading one buffer: the reader set must stay
-	// at size one throughout.
-	g := NewGraph()
-	var prev NodeID = g.Node("n0")
-	for i := 1; i < 50; i++ {
-		n := g.Node("n")
-		g.Edge(prev, n)
-		prev = n
+	// at size one throughout. The Report's footprint counts the readers
+	// kept; a one-node graph's is the unit.
+	chain := func(nodes int) *stint.Report {
+		g := NewGraph()
+		var prev NodeID = g.Node("n0")
+		for i := 1; i < nodes; i++ {
+			n := g.Node("n")
+			g.Edge(prev, n)
+			prev = n
+		}
+		r, _ := NewRunner(Options{})
+		buf := r.Arena().AllocWords("data", 16)
+		rep, err := r.Run(g, func(n *Node, id NodeID) { n.LoadRange(buf, 0, 16) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	r, _ := NewRunner(Options{})
-	buf := r.Arena().AllocWords("data", 16)
-	var lastEngineReaders int
-	rep, err := r.Run(g, func(n *Node, id NodeID) {
-		n.LoadRange(buf, 0, 16)
-		lastEngineReaders = n.eng.readHist.Readers()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one, rep := chain(1).Stats, chain(50)
 	if rep.Racy() {
 		t.Fatal("serial chain raced")
 	}
-	if lastEngineReaders > 1 {
-		t.Fatalf("reader footprint %d; pruning should keep a serial chain at 1", lastEngineReaders)
+	if one.AccessHistoryBytes == 0 || rep.Stats.AccessHistoryBytes != one.AccessHistoryBytes ||
+		rep.Stats.HistoryBytesPeak != one.HistoryBytesPeak {
+		t.Fatalf("reader footprint %d (peak %d); pruning should keep a serial chain at one reader, %d",
+			rep.Stats.AccessHistoryBytes, rep.Stats.HistoryBytesPeak, one.AccessHistoryBytes)
+	}
+}
+
+// TestFootprintCountsReaders: the Report's footprint counts the readers the
+// antichains keep. A fan of 50 parallel readers of one buffer keeps all 50,
+// at the end and at the last strand boundary.
+func TestFootprintCountsReaders(t *testing.T) {
+	run := func(readers int) stint.Stats {
+		g := NewGraph()
+		src := g.Node("src")
+		for i := 0; i < readers; i++ {
+			g.Edge(src, g.Node("reader"))
+		}
+		r, _ := NewRunner(Options{})
+		buf := r.Arena().AllocWords("data", 16)
+		rep, err := r.Run(g, func(n *Node, id NodeID) {
+			if id != src {
+				n.LoadRange(buf, 0, 16)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Stats
+	}
+	one, fan := run(1), run(50)
+	unit := one.AccessHistoryBytes
+	if unit == 0 || fan.AccessHistoryBytes != 50*unit || fan.HistoryBytesPeak != one.HistoryBytesPeak+49*unit {
+		t.Fatalf("50 parallel readers: footprint %d, peak %d; one reader: %d, peak %d",
+			fan.AccessHistoryBytes, fan.HistoryBytesPeak, unit, one.HistoryBytesPeak)
 	}
 }
 
@@ -371,6 +406,8 @@ func TestSlotArmMatchesRangeHooks(t *testing.T) {
 			return rep
 		}
 		slot, generic := run(true), run(false)
+		slot.Stats.AllocObjects, slot.Stats.AllocBytes = 0, 0
+		generic.Stats.AllocObjects, generic.Stats.AllocBytes = 0, 0
 		if slot.RaceCount == 0 || slot.Stats.ReadHookCalls == 0 {
 			t.Fatalf("%d-byte elements: %d races, %d read hooks: the program exercises nothing", elem, slot.RaceCount, slot.Stats.ReadHookCalls)
 		}
@@ -386,5 +423,84 @@ func TestGraphNames(t *testing.T) {
 	id := g.Node("compile")
 	if g.Name(id) != "compile" || g.Len() != 1 {
 		t.Fatal("node bookkeeping broken")
+	}
+}
+
+// canonical sorts races as Report.Races orders them: by the position of the
+// later node in the run, then read-phase before write-phase, address, size,
+// earlier access's kind and node.
+func canonical(races []stint.Race, pos func(NodeID) int) {
+	key := func(r stint.Race) []uint64 {
+		return []uint64{uint64(pos(r.Cur)), b2u(r.CurWrite), r.Addr, r.Size, b2u(r.PrevWrite), uint64(r.Prev)}
+	}
+	sort.SliceStable(races, func(i, j int) bool {
+		ki, kj := key(races[i]), key(races[j])
+		for n := range ki {
+			if ki[n] != kj[n] {
+				return ki[n] < kj[n]
+			}
+		}
+		return false
+	})
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestRacesRecordedInCanonicalOrder: with a race budget, Report.Races keeps
+// the first races in canonical order, not the first the history happened to
+// find. The futures example's build graph: four compiles, a link that reads
+// their objects, and a cleanup, with no edge from the link, that scrubs them.
+func TestRacesRecordedInCanonicalOrder(t *testing.T) {
+	g := NewGraph()
+	var srcs []NodeID
+	for i := 0; i < 4; i++ {
+		srcs = append(srcs, g.Node(fmt.Sprintf("compile-%d", i)))
+	}
+	link := g.Node("link")
+	for _, s := range srcs {
+		g.Edge(s, link)
+	}
+	cleanup := g.Node("cleanup")
+	run := func(budget int) []stint.Race {
+		r, _ := NewRunner(Options{MaxRacesRecorded: budget})
+		objects := r.Arena().AllocWords("objects", 4*64)
+		binary := r.Arena().AllocWords("binary", 256)
+		rep, err := r.Run(g, func(n *Node, id NodeID) {
+			switch id {
+			case link:
+				n.LoadRange(objects, 0, 4*64)
+				n.StoreRange(binary, 0, 256)
+			case cleanup:
+				n.StoreRange(objects, 0, 4*64)
+			default:
+				n.StoreRange(objects, int(id)*64, 64)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Races
+	}
+	order, _ := g.topoOrder()
+	pos := make(map[NodeID]int)
+	for i, id := range order {
+		pos[id] = i
+	}
+	got, all := run(2), run(1<<16)
+	canonical(all, func(id NodeID) int { return pos[id] })
+	if !reflect.DeepEqual(got, all[:2]) {
+		t.Fatalf("recorded %v, want the canonical first two %v", got, all[:2])
+	}
+	var names []string
+	for _, rc := range got {
+		names = append(names, g.Name(rc.Prev)+" vs "+g.Name(rc.Cur))
+	}
+	if want := []string{"compile-0 vs cleanup", "link vs cleanup"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("recorded %q, want %q", names, want)
 	}
 }

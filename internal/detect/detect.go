@@ -23,12 +23,15 @@ import (
 )
 
 // Reach abstracts the reachability component. The fork-join runner supplies
-// SP-Order (stint/internal/spord); the pipeline runner supplies 2D-grid
-// dominance reachability. Strands are identified by dense int32 IDs; the
-// engines only ever compare the currently executing strand against stored
-// IDs, plus stored-vs-new left-of arbitration in the read history. Once two
-// IDs exist, Parallel and LeftOf must keep answering the same about them
-// until the engine is Reset: the tree engine remembers recent answers.
+// SP-Order (stint/internal/spord); stint.Runner.RunStrands takes a caller's
+// (stint/pipeline's 2D grid, stint/dag's ancestor bitsets). Strands are
+// identified by dense int32 IDs; the engines only ever compare the currently
+// executing strand against stored IDs, plus stored-vs-new left-of
+// arbitration in the read history. Once two IDs exist, Parallel and LeftOf
+// must keep answering the same about them until the engine is Reset: the
+// tree engine remembers recent answers. A Reach that also has a method
+// Series(a, b int32) bool (a happens-before b) is a general DAG, whose reads
+// the tree engine keeps as antichains (see treeEngine).
 type Reach interface {
 	// CurrentID identifies the strand the program is executing now.
 	CurrentID() int32

@@ -6,6 +6,7 @@ import (
 	"stint/internal/coalesce"
 	"stint/internal/core"
 	"stint/internal/mem"
+	"stint/internal/multiread"
 	"stint/internal/pagedir"
 )
 
@@ -43,6 +44,10 @@ const (
 // Every page's trees are deterministically seeded, so the shape of each
 // page's treap depends only on that page's own insertion sequence — the
 // property the contract harness checks byte-for-byte across shard counts.
+//
+// A Reach that also answers Series is a general DAG, where no single reader
+// per word is a sufficient witness (§7): reads go into one multiread
+// antichain map, pruned by Series, instead of the read trees.
 type treeEngine struct {
 	stats      Stats
 	reach      Reach
@@ -75,6 +80,9 @@ type treeEngine struct {
 	readQueryCB   core.OverlapFunc // write-tree overlap vs a read interval
 	writeQueryCB  core.OverlapFunc // read-tree overlap vs a write interval
 	writeInsertCB core.OverlapFunc // write-tree overlap vs a write interval
+
+	series multiread.SeriesFunc // the Reach's Series, or nil: reads go to the read trees
+	reads  multiread.Map        // the general-DAG read history, when series is set
 }
 
 // relMemo remembers reach's latest answers about (stored accessor, current
@@ -110,6 +118,9 @@ func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
 		qthresh:    cfg.QuiesceThreshold,
 		maxBytes:   cfg.MaxHistoryBytes,
 		registry:   cfg.Quiesced,
+	}
+	if dag, ok := reach.(interface{ Series(a, b int32) bool }); ok {
+		e.series = dag.Series
 	}
 	parallel := reach.Parallel
 	storedLeftOf := func(stored, cur int32) bool { return reach.LeftOf(cur, stored) }
@@ -217,13 +228,21 @@ func (e *treeEngine) apply(addr mem.Addr, size uint64, write bool) {
 	if write {
 		e.stats.WriteIntervals++
 		e.stats.WriteIntervalBytes += size
-		pg.read.Query(iv, e.writeQueryCB)
+		if e.series != nil {
+			e.reads.Query(iv.Start, iv.End, multiread.EmitFunc(e.writeQueryCB))
+		} else {
+			pg.read.Query(iv, e.writeQueryCB)
+		}
 		pg.write.InsertWrite(iv, e.writeInsertCB)
 	} else {
 		e.stats.ReadIntervals++
 		e.stats.ReadIntervalBytes += size
 		pg.write.Query(iv, e.readQueryCB)
-		pg.read.InsertRead(iv, e.leftOf, nil)
+		if e.series != nil {
+			e.reads.Insert(iv.Start, iv.End, e.curID, e.series)
+		} else {
+			pg.read.InsertRead(iv, e.leftOf, nil)
+		}
 	}
 	e.curPage = nil
 	if e.qthresh > 0 && int(pg.races) >= e.qthresh {
@@ -284,15 +303,16 @@ func (e *treeEngine) quiescePage(idx uint64, pg *histPage) {
 const histPageShellBytes = 256
 
 // histBytes estimates the engine's live access-history footprint for this
-// run: interval nodes currently linked into page trees and live page
-// shells. Warm capacity retained across Reset (the node slab, parked shells)
-// is deliberately excluded — the
+// run: interval nodes currently linked into page trees, live page shells,
+// and a node's worth per reader the antichain map keeps (a region with one
+// reader stores what a node does). Warm capacity retained across Reset (the
+// node slab, parked shells) is deliberately excluded — the
 // MaxHistoryBytes cap bounds what the current run accumulates, and a Runner
 // that auto-resets after tripping the cap must start the next run back at
 // (near) zero. Quiescing a page moves its nodes and shell onto free lists,
 // so retired pages leave this measure immediately.
 func (e *treeEngine) histBytes() uint64 {
-	return e.pool.LiveBytes() + uint64(e.pages.Len())*histPageShellBytes
+	return e.pool.LiveBytes() + uint64(e.pages.Len())*histPageShellBytes + uint64(e.reads.Readers())*core.NodeBytes
 }
 
 // CapError returns the history-cap error, if the footprint tripped
@@ -310,12 +330,12 @@ func (e *treeEngine) Finish() {
 		agg.Overlaps += rs.Overlaps + ws.Overlaps
 		stored += p.read.Size() + p.write.Size()
 	})
-	e.stats.TreapOps = agg.Ops
+	e.stats.TreapOps = agg.Ops + e.reads.Ops()
 	e.stats.TreapNodesVisited = agg.NodesVisited
 	e.stats.TreapOverlaps = agg.Overlaps
-	// Footprint: one node per stored interval (quiesced pages store nothing
-	// — that is the point).
-	e.stats.AccessHistoryBytes = uint64(stored) * core.NodeBytes
+	// Footprint: one node per stored interval or antichain reader (quiesced
+	// pages store nothing — that is the point).
+	e.stats.AccessHistoryBytes = uint64(stored+e.reads.Readers()) * core.NodeBytes
 }
 
 func (e *treeEngine) Stats() *Stats { return &e.stats }
@@ -337,6 +357,7 @@ func (e *treeEngine) Reset() {
 	e.pool.Reset()
 	e.lastIdx, e.lastPage = 0, nil
 	e.par, e.left = relMemo{}, relMemo{}
+	e.reads = multiread.Map{}
 	e.curID = 0
 	e.capErr = nil
 	e.retired = core.Stats{}

@@ -26,10 +26,13 @@
 // region); the slice representation trades the treap's asymptotics for
 // simplicity, which is adequate for the DAG runner's intended scale (the
 // reachability bitsets, not the access history, bound it first).
+// The STINT engine keeps its reads here, in word positions, when its Reach
+// answers Series (stint/internal/detect).
 package multiread
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -50,6 +53,8 @@ type region struct {
 // Map is a multi-reader interval map. The zero value is ready for use.
 type Map struct {
 	regions []region // sorted by start, pairwise disjoint
+	spliced []region // Insert's scratch: the regions it splices in
+	readers int      // (region, reader) entries, kept by Insert
 	ops     uint64
 	touched uint64
 }
@@ -59,13 +64,7 @@ func (m *Map) Size() int { return len(m.regions) }
 
 // Readers returns the total number of stored (region, reader) entries — the
 // footprint the antichain pruning keeps bounded.
-func (m *Map) Readers() int {
-	n := 0
-	for i := range m.regions {
-		n += len(m.regions[i].acc)
-	}
-	return n
-}
+func (m *Map) Readers() int { return m.readers }
 
 // Ops returns the number of Insert/Query operations performed.
 func (m *Map) Ops() uint64 { return m.ops }
@@ -84,31 +83,37 @@ func (m *Map) Insert(start, end uint64, acc int32, series SeriesFunc) {
 		panic("multiread: empty interval")
 	}
 	m.ops++
-	i := m.firstOverlapping(start)
-	out := m.regions[:i:i] // reuse the untouched prefix in place
+	first := m.firstOverlapping(start)
+	i, out := first, m.spliced[:0] // the regions replacing [first, i)
 	cursor := start
 	for ; i < len(m.regions) && m.regions[i].start < end; i++ {
 		r := m.regions[i]
 		m.touched++
 		if cursor < r.start {
 			out = append(out, region{start: cursor, end: r.start, acc: []int32{acc}})
+			m.readers++
 		}
 		// Left part of r outside [start,end) keeps its readers unchanged.
 		if r.start < start {
 			out = append(out, region{start: r.start, end: start, acc: r.acc})
+			m.readers += len(r.acc)
 		}
 		lo, hi := max(r.start, start), min(r.end, end)
-		out = append(out, region{start: lo, end: hi, acc: addReader(r.acc, acc, series)})
+		mid := addReader(r.acc, acc, series)
+		out = append(out, region{start: lo, end: hi, acc: mid})
+		m.readers += len(mid) - len(r.acc)
 		if r.end > end {
 			out = append(out, region{start: end, end: r.end, acc: r.acc})
+			m.readers += len(r.acc)
 		}
 		cursor = hi
 	}
 	if cursor < end {
 		out = append(out, region{start: cursor, end: end, acc: []int32{acc}})
+		m.readers++
 	}
-	out = append(out, m.regions[i:]...)
-	m.regions = out
+	m.regions = slices.Replace(m.regions, first, i, out...)
+	m.spliced = out
 }
 
 // addReader returns the antichain with acc added: readers that precede acc
@@ -154,10 +159,11 @@ func (m *Map) Walk(fn func(start, end uint64, readers []int32)) {
 	}
 }
 
-// checkInvariants panics on disorder, overlap, empty regions, or duplicate
-// readers within a region.
+// checkInvariants panics on disorder, overlap, empty regions, duplicate
+// readers within a region, or a reader count Insert got wrong.
 func (m *Map) checkInvariants() {
 	var prevEnd uint64
+	readers := 0
 	for i, r := range m.regions {
 		if r.start >= r.end {
 			panic(fmt.Sprintf("multiread: empty region %d", i))
@@ -176,5 +182,9 @@ func (m *Map) checkInvariants() {
 			seen[a] = true
 		}
 		prevEnd = r.end
+		readers += len(r.acc)
+	}
+	if readers != m.readers {
+		panic(fmt.Sprintf("multiread: %d readers stored, %d counted", readers, m.readers))
 	}
 }

@@ -59,8 +59,13 @@ func NewCollector(max int) *Collector {
 	return &Collector{max: max}
 }
 
-// Add offers one race with the sequential rank of its later access.
+// Add offers one race with the sequential rank of its later access. A full
+// Collector rejects a later rank than any it keeps at once: an engine's
+// ranks only rise, so after the budget fills that is nearly every race.
 func (c *Collector) Add(seq int32, r detect.Race) {
+	if len(c.h) == c.max && (c.max == 0 || seq > c.h[0].seq) {
+		return
+	}
 	c.addKeyed(keyedRace{seq: seq, r: r})
 }
 

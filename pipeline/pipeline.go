@@ -17,19 +17,17 @@
 // a witness (see the package tests, which verify this against a brute-force
 // oracle on random grid programs).
 //
-// Everything downstream of reachability — the vanilla hashmap, the bit
-// hashmap, and the interval treaps — is shared unchanged with the fork-join
-// detector: detecting pipelines required implementing only this file's
-// ~60-line reachability adapter, which is precisely the paper's point.
+// Everything downstream of reachability — hashmaps, treaps, hooks, the race
+// collector — is the fork-join detector's own: Run hands the grid to
+// stint.Runner.RunStrands as a Reach. Detecting pipelines needs only this
+// file's reachability adapter, which is precisely the paper's point.
 package pipeline
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"stint"
-	"stint/internal/detect"
 )
 
 // Options configures a pipeline Runner. The zero value uses DetectorOff.
@@ -47,31 +45,27 @@ type Options struct {
 
 // Runner executes pipeline computations under one detector configuration.
 type Runner struct {
-	opts  Options
-	arena *stint.Arena
+	sr *stint.Runner
 }
 
-// NewRunner validates opts with stint.NewRunner and keeps that Runner's empty Arena.
+// NewRunner validates opts with stint.NewRunner and keeps that Runner.
 func NewRunner(opts Options) (*Runner, error) {
-	sr, err := stint.NewRunner(stint.Options{Detector: opts.Detector, MaxRacesRecorded: opts.MaxRacesRecorded})
+	sr, err := stint.NewRunner(stint.Options{Detector: opts.Detector, OnRace: opts.OnRace, MaxRacesRecorded: opts.MaxRacesRecorded, TimeAccessHistory: opts.TimeAccessHistory})
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxRacesRecorded == 0 {
-		opts.MaxRacesRecorded = stint.DefaultMaxRacesRecorded
-	}
-	return &Runner{opts: opts, arena: sr.Arena()}, nil
+	return &Runner{sr: sr}, nil
 }
 
 // Arena returns the Runner's address arena.
-func (r *Runner) Arena() *stint.Arena { return r.arena }
+func (r *Runner) Arena() *stint.Arena { return r.sr.Arena() }
 
 // grid is the 2D-dominance reachability structure: strand IDs encode
-// (stage, item) pairs densely.
+// (stage, item) pairs densely; cur, stage and item name the running node.
 type grid struct {
-	stages int
-	items  int
-	cur    int32
+	stages, items int
+	cur           int32
+	stage, item   int
 }
 
 func (g *grid) encode(stage, item int) int32 { return int32(item*g.stages + stage) }
@@ -100,50 +94,10 @@ func (g *grid) LeftOf(a, b int32) bool {
 // NodeFunc is the body of one grid node.
 type NodeFunc func(c *Cell, stage, item int)
 
-// Cell is the hook receiver for one pipeline node, mirroring stint.Task's
-// instrumentation surface (pipeline nodes do not spawn: the DAG shape is
-// fixed by the grid).
-type Cell struct {
-	engine detect.Engine
-	hooks  bool
-}
-
-// Detecting reports whether memory hooks are live.
-func (c *Cell) Detecting() bool { return c.hooks }
-
-// Load reports a read of element i of b.
-func (c *Cell) Load(b *stint.Buffer, i int) {
-	if !c.hooks {
-		return
-	}
-	c.engine.ReadHook(b.Addr(i), uint64(b.ElemBytes()))
-}
-
-// Store reports a write of element i of b.
-func (c *Cell) Store(b *stint.Buffer, i int) {
-	if !c.hooks {
-		return
-	}
-	c.engine.WriteHook(b.Addr(i), uint64(b.ElemBytes()))
-}
-
-// LoadRange reports a compiler-coalesced read of elements [i, i+n) of b.
-func (c *Cell) LoadRange(b *stint.Buffer, i, n int) {
-	if !c.hooks || n == 0 {
-		return
-	}
-	addr, _ := b.Range(i, n)
-	c.engine.ReadRangeHook(addr, n, uint64(b.ElemBytes()))
-}
-
-// StoreRange reports a compiler-coalesced write of elements [i, i+n) of b.
-func (c *Cell) StoreRange(b *stint.Buffer, i, n int) {
-	if !c.hooks || n == 0 {
-		return
-	}
-	addr, _ := b.Range(i, n)
-	c.engine.WriteRangeHook(addr, n, uint64(b.ElemBytes()))
-}
+// Cell is the hook receiver for one pipeline node: a stint.Task, whose
+// Load/Store/LoadRange/StoreRange and Detecting it offers. Pipeline nodes do
+// not spawn (the grid fixes the DAG's shape), so Spawn panics.
+type Cell = stint.Task
 
 // Run executes the stages×items grid serially in a valid topological order
 // (item-major: each item flows through all stages before the next item
@@ -156,45 +110,13 @@ func (r *Runner) Run(stages, items int, body NodeFunc) (*stint.Report, error) {
 	if int64(stages)*int64(items) >= 1<<31 {
 		return nil, errors.New("pipeline: grid has too many nodes for 32-bit strand IDs")
 	}
-	rep := &stint.Report{}
+	// Item-major order makes the strand index the node's ID.
 	g := &grid{stages: stages, items: items}
-	cell := &Cell{}
-	if r.opts.Detector != stint.DetectorOff {
-		cfg := detect.Config{
-			Mode:              r.opts.Detector,
-			TimeAccessHistory: r.opts.TimeAccessHistory,
+	return r.sr.RunStrands(g, stages*items, func(c *Cell, i int) {
+		g.cur = int32(i)
+		body(c, g.stage, g.item)
+		if g.stage++; g.stage == stages {
+			g.stage, g.item = 0, g.item+1
 		}
-		user := r.opts.OnRace
-		maxRec := r.opts.MaxRacesRecorded
-		cfg.OnRace = func(race stint.Race) {
-			if len(rep.Races) < maxRec {
-				rep.Races = append(rep.Races, race)
-			}
-			if user != nil {
-				user(race)
-			}
-		}
-		cell.engine = detect.New(cfg, g)
-		cell.hooks = r.opts.Detector != stint.DetectorReachOnly
-	}
-	start := time.Now()
-	for item := 0; item < items; item++ {
-		for stage := 0; stage < stages; stage++ {
-			g.cur = g.encode(stage, item)
-			body(cell, stage, item)
-			if cell.engine != nil {
-				cell.engine.StrandEnd()
-			}
-		}
-	}
-	if cell.engine != nil {
-		cell.engine.Finish()
-	}
-	rep.WallTime = time.Since(start)
-	if cell.engine != nil {
-		rep.Strands = stages * items
-		rep.Stats = *cell.engine.Stats()
-		rep.RaceCount = rep.Stats.Races
-	}
-	return rep, nil
+	})
 }

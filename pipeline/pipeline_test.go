@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"stint"
@@ -218,11 +220,20 @@ func TestPipelineDetectorsMatchOracle(t *testing.T) {
 		det := oracle.New(g)
 		orArena, _ := NewRunner(Options{})
 		orBuf := orArena.Arena().AllocWords("data", bufWords)
-		oc := &Cell{engine: det, hooks: true}
 		for item := 0; item < items; item++ {
 			for stage := 0; stage < stages; stage++ {
 				g.cur = g.encode(stage, item)
-				p.run(oc, orBuf, stage, item)
+				for _, a := range p.accesses[stage*10000+item] {
+					addr, size := orBuf.Addr(a.idx), uint64(orBuf.ElemBytes())
+					if a.rng {
+						addr, size = orBuf.Range(a.idx, a.n)
+					}
+					if a.write {
+						det.WriteHook(addr, size)
+					} else {
+						det.ReadHook(addr, size)
+					}
+				}
 			}
 		}
 		want := det.RacingWords()
@@ -303,5 +314,53 @@ func TestReachOnlySkipsHooks(t *testing.T) {
 	}
 	if rep.Stats.WriteAccesses != 0 || rep.Racy() {
 		t.Errorf("ReachOnly recorded accesses: %+v", rep.Stats)
+	}
+}
+
+// TestRacesRecordedInCanonicalOrder: with a race budget, Report.Races keeps
+// the first races in canonical order — by the later node's position in the
+// item-major run, then read-phase before write-phase, address, size, earlier
+// access's kind and node — not the first the history happened to find. In
+// the 2×3 grid, node (1,0) writes words [8,12) and reads [12,16); node (0,1),
+// parallel with it, then writes all eight: its check against the readers
+// finds the race at word 12 before its write insert finds the one at word 8.
+// A later pair, (1,1) and (0,2), races at word 0: a lower address, but a
+// later node.
+func TestRacesRecordedInCanonicalOrder(t *testing.T) {
+	run := func(budget int) []stint.Race {
+		r, _ := NewRunner(Options{Detector: stint.DetectorSTINT, MaxRacesRecorded: budget})
+		buf := r.Arena().AllocWords("buf", 16)
+		rep, err := r.Run(2, 3, func(c *Cell, stage, item int) {
+			switch {
+			case stage == 1 && item == 0:
+				c.StoreRange(buf, 8, 4)
+				c.LoadRange(buf, 12, 4)
+			case stage == 0 && item == 1:
+				c.StoreRange(buf, 8, 8)
+			case stage == 1 && item == 1, stage == 0 && item == 2:
+				c.StoreRange(buf, 0, 4)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Races
+	}
+	got, all := run(1), run(1<<16)
+	key := func(r stint.Race) []uint64 {
+		b2u := map[bool]uint64{true: 1}
+		return []uint64{uint64(r.Cur), b2u[r.CurWrite], r.Addr, r.Size, b2u[r.PrevWrite], uint64(r.Prev)}
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		ki, kj := key(all[i]), key(all[j])
+		for n := range ki {
+			if ki[n] != kj[n] {
+				return ki[n] < kj[n]
+			}
+		}
+		return false
+	})
+	if len(all) != 3 || !reflect.DeepEqual(got, all[:1]) || !all[0].PrevWrite || all[0].Cur != 2 {
+		t.Fatalf("recorded %v, want the canonical first %v of %v, the write-write race", got, all[:1], all)
 	}
 }

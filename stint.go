@@ -29,7 +29,6 @@ package stint
 
 import (
 	"fmt"
-	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -263,6 +262,7 @@ type runState struct {
 	// one with no stages — which a panicking task fails and Run re-raises.
 	parallel bool
 	graph    *stage.Graph
+	strands  bool // a RunStrands run: no spawn structure
 	// taskFree recycles Task frames for the serial spawn path. Tasks are
 	// documented as invalid once their TaskFunc returns, so a completed
 	// child's frame can serve the next spawn without heap traffic.
@@ -283,18 +283,10 @@ func (r *Runner) ensureWarm() {
 	if r.opts.Detector == DetectorOff {
 		return
 	}
-	cfg := detect.Config{
-		Mode:              r.opts.Detector,
-		TimeAccessHistory: r.opts.TimeAccessHistory,
-		QuiesceThreshold:  r.opts.PageQuiesceThreshold,
-	}
-	// A pipeline runs max(DetectShards, 1) workers, one engine each; the
-	// history budget divides evenly across them (validate ties DetectShards
-	// to a pipelined mode, so the inline engine gets the whole cap).
+	// A pipeline runs max(DetectShards, 1) workers, one engine each (validate
+	// ties DetectShards to a pipelined mode, so the inline engine is alone).
 	workers := max(r.opts.DetectShards, 1)
-	if r.opts.MaxHistoryBytes > 0 {
-		cfg.MaxHistoryBytes = max(uint64(r.opts.MaxHistoryBytes)/uint64(workers), 1)
-	}
+	cfg := r.detectConfig(workers)
 	user := r.opts.OnRace
 	maxRec := r.opts.MaxRacesRecorded
 	depth, bcap := r.asyncRingDepth, r.asyncBatchEvents
@@ -326,6 +318,16 @@ func (r *Runner) ensureWarm() {
 		return
 	}
 	w.as.buildWorkers(cfg, workers, depth, maxRec, user)
+}
+
+// detectConfig is the engine configuration the Options describe, for one of
+// workers engines: the history budget divides evenly across them.
+func (r *Runner) detectConfig(workers int) detect.Config {
+	cfg := detect.Config{Mode: r.opts.Detector, TimeAccessHistory: r.opts.TimeAccessHistory, QuiesceThreshold: r.opts.PageQuiesceThreshold}
+	if r.opts.MaxHistoryBytes > 0 {
+		cfg.MaxHistoryBytes = max(uint64(r.opts.MaxHistoryBytes)/uint64(workers), 1)
+	}
+	return cfg
 }
 
 // Reset returns the Runner to fresh-but-warm state: every retained layer —
@@ -544,13 +546,8 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 			t.startChunks(0) // the root owns task identity 0
 		}
 	}
-	// runtime/metrics instead of runtime.ReadMemStats: reading these two
-	// counters does not stop the world, so the probe stays invisible even on
-	// sub-millisecond runs. Both sample slices are allocated up front so the
-	// delta only covers the user's program.
-	before := [2]metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/allocs:bytes"}}
-	after := before
-	metrics.Read(before[:])
+	var allocs allocProbe
+	allocs.start()
 	start := time.Now()
 	rs.exec(root, t)
 	switch {
@@ -570,7 +567,7 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		rs.rp.engine.Finish()
 	}
 	rep.WallTime = time.Since(start)
-	metrics.Read(after[:])
+	allocs.stop()
 	if pipe != nil {
 		rep.Strands = pipe.strands
 		rep.Stats = pipe.stats
@@ -584,9 +581,7 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		rep.Stats = *rp.engine.Stats()
 		rep.Races = rp.col.Sorted()
 	}
-	rep.RaceCount = rep.Stats.Races
-	rep.Stats.AllocObjects = after[0].Value.Uint64() - before[0].Value.Uint64()
-	rep.Stats.AllocBytes = after[1].Value.Uint64() - before[1].Value.Uint64()
+	allocs.finish(rep)
 	if err := r.capError(); err != nil {
 		// A tripped MaxHistoryBytes is a structured abort, not a panic:
 		// the engine froze at the cap and whatever it found before the
@@ -650,7 +645,8 @@ func (t *Task) Sync() {
 
 // ctl is every serial mode's one structure transition: the Tracer records
 // it, then the strand it ends goes into the Async producer's stream or
-// through the inline replayer — a pipeline worker's replay, with no ring.
+// through the inline replayer — a pipeline worker's replay, with no ring. A
+// strand run has neither, and no structure to transition.
 func (rs *runState) ctl(op evstream.Op) {
 	if tr := rs.tracer; tr != nil {
 		switch op {
@@ -666,6 +662,8 @@ func (rs *runState) ctl(op evstream.Op) {
 		rs.as.emitCtl(op)
 	} else if rs.rp != nil {
 		rs.rp.ctl(op)
+	} else if rs.strands {
+		panic("stint: Spawn inside RunStrands; a strand's order and reachability come from its Reach")
 	}
 }
 
@@ -689,17 +687,21 @@ func (t *Task) Store(b *Buffer, i int) {
 // could prove the enclosing loop reads a contiguous range.
 func (t *Task) LoadRange(b *Buffer, i, n int) {
 	if n != 0 && t.Detecting() {
-		addr, _ := b.Range(i, n)
-		t.accessRange(addr, n, uint64(b.ElemBytes()), false)
+		t.bufferRange(b, i, n, false)
 	}
 }
 
 // StoreRange reports a compiler-coalesced write of elements [i, i+n) of b.
 func (t *Task) StoreRange(b *Buffer, i, n int) {
 	if n != 0 && t.Detecting() {
-		addr, _ := b.Range(i, n)
-		t.accessRange(addr, n, uint64(b.ElemBytes()), true)
+		t.bufferRange(b, i, n, true)
 	}
+}
+
+// bufferRange is the live half of LoadRange/StoreRange, out of line so they inline.
+func (t *Task) bufferRange(b *Buffer, i, n int, write bool) {
+	addr, _ := b.Range(i, n)
+	t.accessRange(addr, n, uint64(b.ElemBytes()), write)
 }
 
 // LoadAt and StoreAt report raw-address accesses for callers managing their
