@@ -76,10 +76,9 @@ type asyncState struct {
 	workers []*shardWorker
 	maxRec  int
 	graph   *stage.Graph
-	// batch is the serial producer's working batch and bits its coalescer;
-	// with PageQuiesceThreshold set, bits drops accesses to pages the workers'
-	// histories have retired (the registry they share is built in
-	// ensureWarm). Under ParallelDetect both are nil: every task owns a
+	// batch is the serial producer's working batch and bits its coalescer,
+	// which drops nothing: dead-page intervals are the workers' histories'
+	// to drop. Under ParallelDetect both are nil: every task owns a
 	// working batch and borrows a Coalescer from the pool below for the
 	// length of a strand. The mutator side's share of the run's Stats — the
 	// hook counters — is read off the Coalescers at drain.
@@ -113,12 +112,11 @@ type asyncState struct {
 }
 
 // newAsyncState builds the serial producer's side: a pool covering the
-// ring's in-flight batches plus the working one, and the strand coalescer
-// over the quiesce registry (nil without quiescing).
-func newAsyncState(ringDepth, batchEvents int, quiesced *detect.QuiesceSet) *asyncState {
+// ring's in-flight batches plus the working one, and the strand coalescer.
+func newAsyncState(ringDepth, batchEvents int) *asyncState {
 	as := &asyncState{
 		pool: evstream.NewBatchPool(ringDepth+1, batchEvents),
-		bits: detect.NewCoalescer(quiesced),
+		bits: detect.NewCoalescer(),
 	}
 	as.batch = as.pool.Get()
 	return as
@@ -138,7 +136,7 @@ func (as *asyncState) reset() {
 		as.queue.Reset()
 	} else {
 		as.batch.Reset() // an aborted run leaves it part-filled
-		as.bits.Reset()  // workers are idle: the registry empties with it
+		as.bits.Reset()
 	}
 	// An aborted run can strand lent-out Coalescers mid-strand; take them
 	// all back, clean.

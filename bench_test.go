@@ -173,7 +173,9 @@ func BenchmarkFig5ParallelDetect(b *testing.B) {
 // recorded the page's history is retired — subsequent accesses to it cost a
 // page lookup and nothing else. The quiesce-off/quiesce-on pair reports
 // hist-bytes-peak (the live access-history footprint quiescing shrinks),
-// pages-quiesced, and the race count that survives the threshold. The
+// pages-quiesced, and the race count that survives the threshold; the
+// quiesce-on-async leg is the same run through the Async pipeline, whose
+// producer streams dead-page intervals for the worker to drop. The
 // race-free Figure 5 workloads are deliberately absent: quiescing never
 // triggers there, and TestQuiesceRaceFreeZeroDelta pins the zero-delta.
 func BenchmarkFig5RacyQuiesce(b *testing.B) {
@@ -189,9 +191,11 @@ func BenchmarkFig5RacyQuiesce(b *testing.B) {
 		for _, q := range []struct {
 			name      string
 			threshold int
-		}{{"quiesce-off", 0}, {"quiesce-on", 4}} {
+			async     bool
+		}{{"quiesce-off", 0, false}, {"quiesce-on", 4, false}, {"quiesce-on-async", 4, true}} {
 			b.Run(fmt.Sprintf("%s/%s", wl.name, q.name), func(b *testing.B) {
-				last := runBench(b, wl.f, stint.Options{Detector: stint.DetectorSTINT, PageQuiesceThreshold: q.threshold}, true)
+				opts := stint.Options{Detector: stint.DetectorSTINT, PageQuiesceThreshold: q.threshold, Async: q.async}
+				last := runBench(b, wl.f, opts, true)
 				b.ReportMetric(float64(last.Stats.HistoryBytesPeak), "hist-bytes-peak")
 				b.ReportMetric(float64(last.Stats.PagesQuiesced), "pages-quiesced")
 				b.ReportMetric(float64(last.RaceCount), "races")

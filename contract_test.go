@@ -747,7 +747,8 @@ func TestReuseByteIdenticalReports(t *testing.T) {
 }
 
 // TestReuseFootprintStopsGrowing: the quiesce legs park pages mid-run and
-// revive them, reusing the tombstoned directory capacity.
+// take them back for other pages, reusing the directory capacity their
+// retired keys held.
 func TestReuseFootprintStopsGrowing(t *testing.T) {
 	for _, m := range reuseModes {
 		for _, lim := range []limit{noLimit, quiesceLimit} {

@@ -21,28 +21,35 @@ type Coalescer struct {
 	// rd and wr own the hook counters too (BitSet.Calls/Words): a hook is
 	// counted where it sets its bits; a History never sees one.
 	rd, wr *coalesce.BitSet
-	// quiesce, if non-nil, is the registry the histories behind this
-	// Coalescer publish retired pages into; live caches whether it has any
-	// entry, refreshed at every Flush.
-	quiesce *QuiesceSet
-	live    bool
+	// hist, if set, is the History this Coalescer flushes into on its own
+	// goroutine (New's inline composition with quiescing on); live caches
+	// whether it has retired any page, refreshed at every Flush.
+	live bool
+	hist retirer
 }
 
-// NewCoalescer returns an empty Coalescer. With a non-nil registry, accesses
-// wholly inside a page the registry lists are counted but set no bit. That
-// is sound only when every interval this Coalescer has yet to flush comes
-// after, in the histories' application order, anything they have applied so
-// far — the serial producers: a page seen in the registry reached its
-// threshold before the current strand's flush, so the owning history would
-// drop the strand's intervals on it anyway. (ParallelDetect's executors have
-// no such ordering and pass nil; a registry past its capacity stops
-// absorbing pages and the histories' own page-local drop carries on alone.)
-func NewCoalescer(quiesced *QuiesceSet) *Coalescer {
-	return &Coalescer{rd: coalesce.New(), wr: coalesce.New(), quiesce: quiesced}
+// retirer is what a Coalescer's hooks ask the History behind it: has this
+// page quiesced, and (Stats().PagesQuiesced) has any?
+type retirer interface {
+	Retired(page uint64) bool
+	Stats() *Stats
+}
+
+// NewCoalescer returns an empty Coalescer; its hooks set every access's
+// bits. New's inline composition, the one place a Coalescer and its History
+// share a goroutine, points it at the History: accesses wholly inside a
+// page the History has retired are then counted but set no bit. That is
+// sound because every interval the Coalescer has yet to flush comes after
+// everything the History has applied, so the History would drop the
+// strand's intervals on that page anyway. A pipeline's Coalescers drop
+// nothing; the workers' histories drop dead-page intervals page-locally.
+func NewCoalescer() *Coalescer {
+	return &Coalescer{rd: coalesce.New(), wr: coalesce.New()}
 }
 
 // Bits returns the write or read BitSet for the slot arm's SetSlot, or nil
-// while the quiesce registry is live: ReadHook/WriteHook drop dead pages.
+// once the History behind it has retired a page: ReadHook/WriteHook drop
+// dead pages.
 func (c *Coalescer) Bits(write bool) *coalesce.BitSet {
 	switch {
 	case c.live:
@@ -71,25 +78,25 @@ func (c *Coalescer) WriteHook(addr mem.Addr, size uint64) {
 	}
 }
 
-// dead reports whether [addr, addr+size) lies wholly within one registry-
-// listed page. Spans that straddle a page boundary always set their bits
-// (the history drops the dead pieces interval by interval), keeping the
+// dead reports whether [addr, addr+size) lies wholly within one page the
+// History has retired. Spans that straddle a page boundary always set their
+// bits (the history drops the dead pieces interval by interval), keeping the
 // decision page-local and identical however dispatch split the access. (An
 // empty access may read as dead; it sets no bit either way.)
 func (c *Coalescer) dead(addr mem.Addr, size uint64) bool {
 	first := addr >> coalesce.PageBytesBits
-	return (addr+size-1)>>coalesce.PageBytesBits == first && c.quiesce.Contains(first)
+	return (addr+size-1)>>coalesce.PageBytesBits == first && c.hist.Retired(first)
 }
 
 // Flush ends the strand: its read intervals go to read, then its write
 // intervals to write, each address-sorted and page-contained — the order
-// every History applies a strand in. A strand boundary is also where the
-// view of the quiesce registry refreshes.
+// every History applies a strand in. A strand boundary is also where live
+// refreshes.
 func (c *Coalescer) Flush(read, write func(addr mem.Addr, size uint64)) {
 	c.rd.Flush(read)
 	c.wr.Flush(write)
-	if c.quiesce != nil {
-		c.live = c.quiesce.Len() > 0
+	if c.hist != nil {
+		c.live = c.hist.Stats().PagesQuiesced > 0
 	}
 }
 
@@ -99,15 +106,11 @@ func (c *Coalescer) Hooks() *Stats {
 	return &Stats{ReadHookCalls: c.rd.Calls, ReadAccesses: c.rd.Words, WriteHookCalls: c.wr.Calls, WriteAccesses: c.wr.Words}
 }
 
-// Reset discards whatever an aborted run left set, zeroes the counters and
-// empties the registry — the histories that published into it are being
-// reset too — keeping every page. No goroutine may be using the registry.
+// Reset discards whatever an aborted run left set and zeroes the counters,
+// keeping every page. The History behind it is reset by its owner.
 func (c *Coalescer) Reset() {
 	c.rd.Reset()
 	c.wr.Reset()
-	if c.quiesce != nil {
-		c.quiesce.Reset()
-	}
 	c.live = false
 }
 

@@ -29,7 +29,7 @@ func flushOf(c *Coalescer) []ival {
 // slot arm's Bits(write).SetSlot.
 func TestCoalescerFlushMatchesBitSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := NewCoalescer(nil)
+	c := NewCoalescer()
 	rd, wr := coalesce.New(), coalesce.New()
 	var want Stats
 	for strand := 0; strand < 50; strand++ {
@@ -82,22 +82,33 @@ func TestCoalescerFlushMatchesBitSets(t *testing.T) {
 	}
 }
 
-// TestCoalescerRegistryDrop: an access wholly inside a registry-listed page
-// is counted but sets no bit, on the word path as on the general one; one
-// straddling into a live page sets all its bits (the history drops the dead
-// piece); the registry is consulted from the first Flush after the page
-// appears.
+// retiredPages stands in for the History behind a Coalescer: the pages it
+// lists have quiesced.
+type retiredPages struct {
+	pages map[uint64]bool
+	stats Stats
+}
+
+func (h *retiredPages) Retired(page uint64) bool { return h.pages[page] }
+func (h *retiredPages) Stats() *Stats            { return &h.stats }
+
+// TestCoalescerRegistryDrop: an access wholly inside a page the History has
+// retired is counted but sets no bit, on the word path as on the general
+// one; one straddling into a live page sets all its bits (the history drops
+// the dead piece); the slot arm closes from the first Flush after the
+// History retires a page.
 func TestCoalescerRegistryDrop(t *testing.T) {
-	q := NewQuiesceSet()
-	c := NewCoalescer(q)
+	h := &retiredPages{pages: map[uint64]bool{}}
+	c := NewCoalescer()
+	c.hist = h
 	const dead, live = 5 << 16, 6 << 16
-	q.Add(dead >> 16)
-	c.Bits(true).SetSlot(dead+64, 8) // registry not looked at yet: the slot arm is open
+	h.pages[dead>>16], h.stats.PagesQuiesced = true, 1
+	c.Bits(true).SetSlot(dead+64, 8) // the History not asked yet: the slot arm is open
 	if got := flushOf(c); !reflect.DeepEqual(got, []ival{{dead + 64, 8, true}}) {
 		t.Fatalf("before the refresh: %v", got)
 	}
 	if c.Bits(false) != nil || c.Bits(true) != nil {
-		t.Fatal("the slot arm stays open while the registry is live: dead-page accesses would set bits")
+		t.Fatal("the slot arm stays open once the History retired a page: dead-page accesses would set bits")
 	}
 	c.WriteHook(dead+64, 8)
 	c.ReadHook(dead+128, 4)
@@ -113,9 +124,10 @@ func TestCoalescerRegistryDrop(t *testing.T) {
 		t.Fatalf("dropped accesses must still be counted: %+v", *h)
 	}
 	c.Reset()
-	if q.Len() != 0 || c.Bits(true) == nil {
-		t.Fatal("Reset left the registry populated or the slot arm closed")
+	if c.Bits(true) == nil {
+		t.Fatal("Reset left the slot arm closed")
 	}
+	*h = retiredPages{} // the History's own Reset, by its owner
 	c.WriteHook(dead+64, 8)
 	if got := flushOf(c); len(got) != 1 {
 		t.Fatalf("after Reset the page is live again, flush gave %v", got)
@@ -125,7 +137,7 @@ func TestCoalescerRegistryDrop(t *testing.T) {
 // TestCoalescerResetMidStrand: an aborted run's half-set strand must not
 // leak into the next one.
 func TestCoalescerResetMidStrand(t *testing.T) {
-	c := NewCoalescer(nil)
+	c := NewCoalescer()
 	c.ReadHook(0x20000, 4096)
 	c.WriteHook(0x3fff0, 64)
 	pages := c.Pages()
@@ -236,8 +248,8 @@ func runProgram(prog []progOp, sp *spord.SP, e hooked) {
 // flushed by hand into NewHistory's history reports exactly what New's
 // composition reports when driven through hooks — same Stats, same races in
 // the same order — on random programs, with quiescing off and on. The
-// by-hand side never gets a registry, so with quiescing on this is also the
-// check that the composition's hook-side drop changes nothing.
+// by-hand Coalescer never asks its History, so with quiescing on this is
+// also the check that the composition's hook-side drop changes nothing.
 func TestHistoryConformsToInline(t *testing.T) {
 	for _, mode := range []Mode{CompRTS, STINT, STINTUnbalanced} {
 		for _, qthresh := range []int{0, 2} {
@@ -254,7 +266,7 @@ func TestHistoryConformsToInline(t *testing.T) {
 
 				cfg.OnRace = func(r Race) { handRaces = append(handRaces, r) }
 				sp = spord.New()
-				hand := byHand{NewCoalescer(nil), NewHistory(cfg, sp)}
+				hand := byHand{NewCoalescer(), NewHistory(cfg, sp)}
 				runProgram(prog, sp, hand)
 
 				if !reflect.DeepEqual(inRaces, handRaces) {

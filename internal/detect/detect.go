@@ -16,6 +16,7 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -236,11 +237,6 @@ type Config struct {
 	// trip the history freezes (later accesses and intervals are dropped)
 	// and records a HistoryCapError retrievable via CapErrorOf.
 	MaxHistoryBytes uint64
-	// Quiesced, if non-nil, is the registry the history publishes quiesced
-	// page indices into, letting the Coalescer in front of it — on another
-	// goroutine, in a pipeline — drop accesses to dead pages at the hook.
-	// New's runtime-coalescing engines make their own when it is nil.
-	Quiesced *QuiesceSet
 }
 
 // Engine is the event interface between the fork-join runner and a
@@ -325,9 +321,8 @@ func NewHistory(cfg Config, reach Reach) History {
 
 // inline is New's engine for the runtime-coalescing modes: a Coalescer
 // flushed into a History on the caller's goroutine — a pipeline with no
-// ring between its halves. With quiescing on it owns the registry its
-// History publishes into, so the hooks drop dead-page accesses by the same
-// rule the serial pipeline producer uses.
+// ring between its halves. With quiescing on the Coalescer asks the History
+// which pages have retired, so the hooks drop dead-page accesses.
 type inline struct {
 	*Coalescer
 	hist        History
@@ -348,12 +343,12 @@ type span struct {
 }
 
 func newInline(cfg Config, reach Reach) *inline {
-	if cfg.QuiesceThreshold > 0 && cfg.Quiesced == nil {
-		cfg.Quiesced = NewQuiesceSet()
-	}
-	e := &inline{Coalescer: NewCoalescer(cfg.Quiesced), timeAH: cfg.TimeAccessHistory}
+	e := &inline{Coalescer: NewCoalescer(), timeAH: cfg.TimeAccessHistory}
 	cfg.TimeAccessHistory = false
 	e.hist = NewHistory(cfg, reach)
+	if cfg.QuiesceThreshold > 0 {
+		e.Coalescer.hist = e.hist.(retirer)
+	}
 	e.read, e.write = e.hist.ReadInterval, e.hist.WriteInterval
 	e.keepR = func(addr mem.Addr, size uint64) { e.spans = append(e.spans, span{addr, size, false}) }
 	e.keepW = func(addr mem.Addr, size uint64) { e.spans = append(e.spans, span{addr, size, true}) }
@@ -414,9 +409,10 @@ func (e *inline) Footprint() Footprint {
 }
 
 // Footprint describes an engine's retained warm capacity — the memory a
-// reset-and-reuse lifecycle keeps parked between runs. The reuse-soak
-// suite asserts every field stops growing once a reused engine has seen
-// its peak workload (the zero-steady-state-heap-growth contract).
+// reset-and-reuse lifecycle keeps parked between runs. The root package's
+// TestReuseFootprintStopsGrowing asserts every field stops growing once a
+// reused engine has seen its peak workload (the zero-steady-state-heap-growth
+// contract).
 type Footprint struct {
 	PoolNodes  int // treap node-slab capacity, in nodes (live + free + uncarved)
 	PageDirCap int // page-directory backing capacity
@@ -439,6 +435,39 @@ func FootprintOf(e any) Footprint {
 		return f.Footprint()
 	}
 	return Footprint{}
+}
+
+// ErrHistoryCap is the sentinel every history-cap error unwraps to; callers
+// match it with errors.Is to distinguish a resource-bound abort from a
+// detector failure.
+var ErrHistoryCap = errors.New("detect: access history exceeded MaxHistoryBytes")
+
+// HistoryCapError reports that an engine's retained access history crossed
+// the configured cap. It wraps ErrHistoryCap. The overshoot is bounded by
+// one strand's worth of history: the check runs at strand boundaries. An
+// engine whose node pool might run out of 32-bit refs (4 GiB of nodes)
+// reports it too, before the interval, with that space as Limit.
+type HistoryCapError struct {
+	Limit uint64 // the per-engine budget: Config.MaxHistoryBytes, or the pool's ref space
+	Bytes uint64 // the footprint estimate that tripped it
+}
+
+func (e *HistoryCapError) Error() string {
+	return fmt.Sprintf("detect: access history %d bytes exceeds its %d-byte budget (MaxHistoryBytes, or the node pool's ref space)", e.Bytes, e.Limit)
+}
+
+func (e *HistoryCapError) Unwrap() error { return ErrHistoryCap }
+
+// samplePeak is a history's strand-boundary sample: live footprint b raises
+// the high-water mark and, past a positive limit, trips the cap.
+func samplePeak(st *Stats, b, limit uint64) error {
+	if b > st.HistoryBytesPeak {
+		st.HistoryBytesPeak = b
+		if limit > 0 && b > limit {
+			return &HistoryCapError{Limit: limit, Bytes: b}
+		}
+	}
+	return nil
 }
 
 // CapErrorOf returns the history-cap error an Engine or History recorded,

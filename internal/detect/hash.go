@@ -31,12 +31,8 @@ type hashEngine struct {
 	// race to the page of its start address is exact.
 	qthresh   int
 	maxBytes  uint64
-	registry  *QuiesceSet
 	capErr    error
 	pageRaces map[uint64]int32 // page index -> races produced
-	nQuiesced int
-	lastQIdx  uint64 // 1-entry quiesced-page cache
-	lastQ     bool
 }
 
 func newHashEngine(cfg Config, reach Reach, expandRanges bool) *hashEngine {
@@ -48,7 +44,6 @@ func newHashEngine(cfg Config, reach Reach, expandRanges bool) *hashEngine {
 		timeAH:       cfg.TimeAccessHistory,
 		qthresh:      cfg.QuiesceThreshold,
 		maxBytes:     cfg.MaxHistoryBytes,
-		registry:     cfg.Quiesced,
 	}
 	if e.qthresh > 0 {
 		e.pageRaces = make(map[uint64]int32)
@@ -66,46 +61,26 @@ func (e *hashEngine) race(r Race) {
 	}
 }
 
-// quiescedIdx reports whether shadow page idx has been retired, with a
-// one-entry cache in front of the directory probe.
-func (e *hashEngine) quiescedIdx(idx uint64) bool {
-	if e.lastQ && idx == e.lastQIdx {
-		return true
-	}
-	if e.table.Quiesced(idx) {
-		e.lastQIdx, e.lastQ = idx, true
-		return true
-	}
-	return false
-}
-
 // deadSpan reports whether [addr, addr+size) lies entirely within one
 // retired page — the per-access hooks' fast path. Spans that straddle a
 // page boundary always proceed (accessWord drops the dead words), the rule
 // Coalescer.dead follows too.
 func (e *hashEngine) deadSpan(addr mem.Addr, size uint64) bool {
-	if e.nQuiesced == 0 {
-		return false
-	}
 	first := addr >> coalesce.PageBytesBits
-	if (addr+size-1)>>coalesce.PageBytesBits != first {
-		return false
-	}
-	return e.quiescedIdx(first)
+	return e.stats.PagesQuiesced > 0 && (addr+size-1)>>coalesce.PageBytesBits == first && e.table.Retired(first)
 }
 
+// Retired reports whether shadow page idx has been quiesced (see
+// Coalescer).
+func (e *hashEngine) Retired(idx uint64) bool { return e.table.Retired(idx) }
+
 // quiescePage retires one shadow page: its 128 KiB of cells park on the
-// freelist and the directory slot becomes a tombstone. Word accesses and
+// freelist and the directory maps it to the dead page. Word accesses and
 // flushed spans on the page become no-ops from here on.
 func (e *hashEngine) quiescePage(idx uint64) {
 	e.table.Retire(idx)
 	delete(e.pageRaces, idx)
-	e.lastQIdx, e.lastQ = idx, true
-	e.nQuiesced++
 	e.stats.PagesQuiesced++
-	if e.registry != nil {
-		e.registry.Add(idx)
-	}
 }
 
 // accessWord performs the Feng–Leiserson check-and-update on one word: a
@@ -113,15 +88,11 @@ func (e *hashEngine) quiescePage(idx uint64) {
 // last writer or leftmost reader. Reads replace the stored reader only when
 // left-of it; writes always become the last writer.
 func (e *hashEngine) accessWord(addr mem.Addr, isWrite bool) {
-	var idx uint64
-	if e.qthresh > 0 || e.nQuiesced > 0 {
-		idx = uint64(addr) >> coalesce.PageBytesBits
-		if e.nQuiesced > 0 && e.quiescedIdx(idx) {
-			return // page retired: no history op, no check
-		}
+	w, r := e.table.Cell(addr)
+	if w == nil {
+		return // page retired: no history op, no check
 	}
 	e.stats.HashOps++
-	w, r := e.table.Cell(addr)
 	cur := e.reach.CurrentID()
 	racesBefore := e.stats.Races
 	if *w != shadow.None && e.reach.Parallel(*w, cur) {
@@ -135,8 +106,10 @@ func (e *hashEngine) accessWord(addr mem.Addr, isWrite bool) {
 	} else if *r == shadow.None || e.reach.LeftOf(cur, *r) {
 		*r = cur
 	}
-	if e.qthresh > 0 && e.stats.Races != racesBefore && e.pageRaces[idx] >= int32(e.qthresh) {
-		e.quiescePage(idx)
+	if e.qthresh > 0 && e.stats.Races != racesBefore {
+		if idx := uint64(addr) >> coalesce.PageBytesBits; e.pageRaces[idx] >= int32(e.qthresh) {
+			e.quiescePage(idx)
+		}
 	}
 }
 
@@ -226,7 +199,7 @@ func (e *hashEngine) StrandEnd() {
 // accessRange); the per-word guard there drops the rest of its words and
 // the check here drops its later intervals.
 func (e *hashEngine) apply(addr mem.Addr, size uint64, isWrite bool) {
-	if e.nQuiesced > 0 && e.quiescedIdx(uint64(addr)>>coalesce.PageBytesBits) {
+	if e.stats.PagesQuiesced > 0 && e.table.Retired(uint64(addr)>>coalesce.PageBytesBits) {
 		return
 	}
 	if isWrite {
@@ -281,8 +254,6 @@ func (e *hashEngine) Stats() *Stats { return &e.stats }
 func (e *hashEngine) Reset() {
 	e.table.Reset()
 	e.capErr = nil
-	e.nQuiesced = 0
-	e.lastQIdx, e.lastQ = 0, false
 	for k := range e.pageRaces {
 		delete(e.pageRaces, k)
 	}

@@ -64,15 +64,11 @@ type treeEngine struct {
 	par, left  relMemo // reach.Parallel / reach.LeftOf answers already asked for
 
 	// Quiescing and memory-cap state.
-	qthresh   int         // Config.QuiesceThreshold; 0 disables
-	maxBytes  uint64      // Config.MaxHistoryBytes; 0 disables
-	registry  *QuiesceSet // optional cross-goroutine quiesce registry
-	capErr    error       // set once the history footprint trips maxBytes
-	retired   core.Stats  // tree counters salvaged from quiesced pages
-	nQuiesced int         // pages quiesced (fast guard for the hot checks)
-	lastQIdx  uint64      // 1-entry quiesced-page cache in front of the dir
-	lastQ     bool
-	curPage   *histPage // page whose interval is being applied (race accounting)
+	qthresh  int        // Config.QuiesceThreshold; 0 disables
+	maxBytes uint64     // Config.MaxHistoryBytes; 0 disables
+	capErr   error      // set once the history footprint trips maxBytes
+	retired  core.Stats // tree counters salvaged from quiesced pages
+	curPage  *histPage  // page whose interval is being applied (race accounting)
 
 	// Per-interval state and preallocated callbacks: the overlap callbacks
 	// capture the engine, not the strand, so applying allocates nothing.
@@ -83,6 +79,11 @@ type treeEngine struct {
 
 	series multiread.SeriesFunc // the Reach's Series, or nil: reads go to the read trees
 	reads  multiread.Map        // the general-DAG read history, when series is set
+
+	// dead is a quiesced page's directory entry — and lastPage's, while it
+	// is the last page asked for: a shell never initialized and never
+	// applied to. It sits last, so the hot fields keep their offsets.
+	dead histPage
 }
 
 // relMemo remembers reach's latest answers about (stored accessor, current
@@ -117,7 +118,6 @@ func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
 		pool:       core.NewPool(),
 		qthresh:    cfg.QuiesceThreshold,
 		maxBytes:   cfg.MaxHistoryBytes,
-		registry:   cfg.Quiesced,
 	}
 	if dag, ok := reach.(interface{ Series(a, b int32) bool }); ok {
 		e.series = dag.Series
@@ -140,8 +140,9 @@ func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
 }
 
 // pageFor returns the history for the page containing byte index idx<<16,
-// creating its trees on first touch. A page bound to idx — new or parked —
-// gets its trees based at the page's first word.
+// creating its trees on first touch, or &e.dead once the page has quiesced.
+// A page bound to idx — new or parked — gets its trees based at the page's
+// first word.
 func (e *treeEngine) pageFor(idx uint64) *histPage {
 	if e.lastPage != nil && idx == e.lastIdx {
 		return e.lastPage
@@ -182,18 +183,14 @@ func (e *treeEngine) race(r Race) {
 	}
 }
 
-// quiescedIdx reports whether page idx has been quiesced, with a one-entry
-// cache in front of the directory probe — racy workloads hammer the same
-// dead page, so the common case is a single compare.
-func (e *treeEngine) quiescedIdx(idx uint64) bool {
-	if e.lastQ && idx == e.lastQIdx {
-		return true
+// Retired reports whether page idx has quiesced. It reads the one-entry
+// cache but never fills it: a Coalescer asks from its hooks (see
+// Coalescer), between the strand flushes that own the cache.
+func (e *treeEngine) Retired(idx uint64) bool {
+	if e.lastPage != nil && idx == e.lastIdx {
+		return e.lastPage == &e.dead
 	}
-	if e.pages.Quiesced(idx) {
-		e.lastQIdx, e.lastQ = idx, true
-		return true
-	}
-	return false
+	return e.pages.Get(idx) == &e.dead
 }
 
 // StrandEnd samples the footprint high-water mark and the hard cap at the
@@ -215,14 +212,14 @@ func (e *treeEngine) StrandEnd() {
 // pool's 32-bit refs might not have room for trips the history cap.
 func (e *treeEngine) apply(addr mem.Addr, size uint64, write bool) {
 	idx := addr >> coalesce.PageBytesBits
-	if e.nQuiesced > 0 && e.quiescedIdx(idx) {
+	pg := e.pageFor(idx)
+	if pg == &e.dead {
 		return
 	}
 	if !e.pool.HasRoom(maxOpNodes) {
 		e.capErr = &HistoryCapError{Limit: e.pool.MaxBytes(), Bytes: e.histBytes() + maxOpNodes*core.NodeBytes}
 		return
 	}
-	pg := e.pageFor(idx)
 	e.curPage = pg
 	iv := core.Interval{Start: addr >> mem.WordShift, End: (addr + size) >> mem.WordShift, Acc: e.curID}
 	if write {
@@ -274,8 +271,8 @@ func (e *treeEngine) interval(addr mem.Addr, size uint64, write bool) {
 // quiescePage retires one page's history: its tree counters are salvaged
 // into the retired aggregate (Finish still reports the work that was done),
 // its nodes go back to the shared pool, the empty shell parks on the page
-// freelist for reuse by live pages, and the directory slot becomes a
-// quiesced tombstone so the page cannot silently come back. The retained
+// freelist for reuse by live pages, and the directory and the one-entry
+// cache map idx to &e.dead so the page cannot silently come back. The retained
 // footprint is unchanged — no shell is allocated or freed — which is what
 // keeps Runner.footprint() stable across quiesce/reset cycles.
 func (e *treeEngine) quiescePage(idx uint64, pg *histPage) {
@@ -286,20 +283,14 @@ func (e *treeEngine) quiescePage(idx uint64, pg *histPage) {
 	pg.read.Drop()
 	pg.write.Drop()
 	pg.races = 0
-	e.pages.Quiesce(idx)
+	e.pages.Put(idx, &e.dead)
 	e.freePages = append(e.freePages, pg)
-	if e.lastPage == pg {
-		e.lastIdx, e.lastPage = 0, nil
-	}
-	e.lastQIdx, e.lastQ = idx, true
-	e.nQuiesced++
+	e.lastIdx, e.lastPage = idx, &e.dead
 	e.stats.PagesQuiesced++
-	if e.registry != nil {
-		e.registry.Add(idx)
-	}
 }
 
 // histPageShellBytes approximates a histPage shell plus its directory slot.
+// A quiesced page's slot holds no shell and is not counted.
 const histPageShellBytes = 256
 
 // histBytes estimates the engine's live access-history footprint for this
@@ -312,7 +303,8 @@ const histPageShellBytes = 256
 // (near) zero. Quiescing a page moves its nodes and shell onto free lists,
 // so retired pages leave this measure immediately.
 func (e *treeEngine) histBytes() uint64 {
-	return e.pool.LiveBytes() + uint64(e.pages.Len())*histPageShellBytes + uint64(e.reads.Readers())*core.NodeBytes
+	live := uint64(e.pages.Len()) - e.stats.PagesQuiesced
+	return e.pool.LiveBytes() + live*histPageShellBytes + uint64(e.reads.Readers())*core.NodeBytes
 }
 
 // CapError returns the history-cap error, if the footprint tripped
@@ -324,6 +316,9 @@ func (e *treeEngine) Finish() {
 	agg := e.retired // work done on since-quiesced pages still counts
 	var stored int
 	e.pages.Range(func(_ uint64, p *histPage) {
+		if p == &e.dead {
+			return
+		}
 		rs, ws := p.read.Stats(), p.write.Stats()
 		agg.Ops += rs.Ops + ws.Ops
 		agg.NodesVisited += rs.NodesVisited + ws.NodesVisited
@@ -349,6 +344,9 @@ func (e *treeEngine) Stats() *Stats { return &e.stats }
 // page count) stops growing once the engine has seen its peak run.
 func (e *treeEngine) Reset() {
 	e.pages.Reset(func(p *histPage) {
+		if p == &e.dead {
+			return
+		}
 		p.read.Reset()
 		p.write.Reset()
 		p.races = 0
@@ -361,14 +359,12 @@ func (e *treeEngine) Reset() {
 	e.curID = 0
 	e.capErr = nil
 	e.retired = core.Stats{}
-	e.nQuiesced = 0
-	e.lastQIdx, e.lastQ = 0, false
 	e.curPage = nil
 	e.stats = Stats{}
 }
 
-// Footprint reports the engine's retained warm capacity; the reuse-soak
-// test asserts it stops growing after warm-up.
+// Footprint reports the engine's retained warm capacity; the root package's
+// TestReuseFootprintStopsGrowing asserts it stops growing after warm-up.
 func (e *treeEngine) Footprint() Footprint {
 	return Footprint{
 		PoolNodes:  e.pool.Stats().Cap,

@@ -33,6 +33,41 @@ func TestPutGetReplace(t *testing.T) {
 	}
 }
 
+// TestPutOverKeyInProbeChain: replacing keys one by one, some of them
+// displaced from their home slot along a probe chain (how a history retires
+// a page: its sentinel over the page), keeps Len, and Get and Range see each
+// new value and every other key's.
+func TestPutOverKeyInProbeChain(t *testing.T) {
+	var d Dir[payload]
+	pages := make([]*payload, 12) // 12 keys in 16 slots
+	for i := range pages {
+		pages[i] = &payload{i}
+		d.Put(uint64(i)<<16, pages[i])
+	}
+	displaced := 0
+	for i, v := range d.vals {
+		if v != nil && d.home(d.keys[i]) != uint64(i) {
+			displaced++
+		}
+	}
+	if displaced == 0 || d.Cap() != 16 {
+		t.Fatalf("%d keys displaced in %d slots: no probe chain to test", displaced, d.Cap())
+	}
+	sentinel := &payload{-1}
+	for k := range pages {
+		d.Put(uint64(k)<<16, sentinel)
+		pages[k] = sentinel
+		if d.Len() != len(pages) {
+			t.Fatalf("Put over key %d: Len %d, want %d", k, d.Len(), len(pages))
+		}
+		d.Range(func(k uint64, v *payload) {
+			if pages[k>>16] != v || d.Get(k) != v {
+				t.Fatalf("key %d: Range %v, Get %v, want %v", k>>16, v, d.Get(k), pages[k>>16])
+			}
+		})
+	}
+}
+
 func TestKeyZeroIsValid(t *testing.T) {
 	var d Dir[payload]
 	p := &payload{9}

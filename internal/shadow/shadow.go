@@ -36,6 +36,11 @@ type page struct {
 	reader [pageWords]int32
 }
 
+// dead is the directory's value for every retired page: its key stays in
+// the directory, so Cell neither finds nor re-allocates a live page there.
+// Nothing is ever written to it.
+var dead page
+
 func (p *page) init() {
 	for i := range p.writer {
 		p.writer[i] = None
@@ -48,6 +53,7 @@ func (p *page) init() {
 type Table struct {
 	dir      pagedir.Dir[page]
 	free     []*page
+	retired  int // directory entries holding &dead
 	lastIdx  uint64
 	lastPage *page
 }
@@ -72,7 +78,8 @@ func (t *Table) newPage() *page {
 }
 
 // Cell returns pointers to the writer and reader slots for the word
-// containing byte address addr, allocating the page on first touch.
+// containing byte address addr, allocating the page on first touch, or two
+// nils on a retired page.
 func (t *Table) Cell(addr mem.Addr) (writer, reader *int32) {
 	word := addr >> wordBits
 	idx := word >> pageWordBits
@@ -85,32 +92,44 @@ func (t *Table) Cell(addr mem.Addr) (writer, reader *int32) {
 		}
 		t.lastIdx, t.lastPage = idx, p
 	}
+	if p == &dead {
+		return nil, nil
+	}
 	off := word & pageWordMask
 	return &p.writer[off], &p.reader[off]
 }
 
 // Retire quiesces the page at index idx: its 128 KiB of shadow cells go
-// back on the freelist and the directory slot becomes a quiesced tombstone,
-// so the page will not be re-allocated by later Cell calls as long as the
-// caller honors Quiesced. No-op if idx holds no live page.
+// back on the freelist and the directory maps idx to the dead page, so
+// later Cell calls on it yield no cell. No-op if idx holds no live page.
 func (t *Table) Retire(idx uint64) {
-	if p := t.dir.Quiesce(idx); p != nil {
-		t.free = append(t.free, p)
+	p := t.dir.Get(idx)
+	if p == nil || p == &dead {
+		return
 	}
+	t.dir.Put(idx, &dead)
+	t.free = append(t.free, p)
+	t.retired++
 	if t.lastIdx == idx {
-		t.lastIdx, t.lastPage = 0, nil
+		t.lastPage = &dead
 	}
 }
 
-// Quiesced reports whether the page at index idx has been retired.
-func (t *Table) Quiesced(idx uint64) bool { return t.dir.Quiesced(idx) }
+// Retired reports whether the page at index idx has been retired. It reads
+// the one-entry cache but never fills it.
+func (t *Table) Retired(idx uint64) bool {
+	if t.lastPage != nil && idx == t.lastIdx {
+		return t.lastPage == &dead
+	}
+	return t.dir.Get(idx) == &dead
+}
 
 // Peek returns the writer and reader for the word containing addr without
 // allocating; absent pages read as None.
 func (t *Table) Peek(addr mem.Addr) (writer, reader int32) {
 	word := addr >> wordBits
 	p := t.dir.Get(word >> pageWordBits)
-	if p == nil {
+	if p == nil || p == &dead {
 		return None, None
 	}
 	off := word & pageWordMask
@@ -121,18 +140,23 @@ func (t *Table) Peek(addr mem.Addr) (writer, reader int32) {
 // the freelist so the next run's Cell calls reuse them instead of
 // allocating.
 func (t *Table) Reset() {
-	t.dir.Reset(func(p *page) { t.free = append(t.free, p) })
+	t.dir.Reset(func(p *page) {
+		if p != &dead {
+			t.free = append(t.free, p)
+		}
+	})
+	t.retired = 0
 	t.lastIdx, t.lastPage = 0, nil
 }
 
-// Pages returns the number of second-level pages allocated, a proxy for the
+// Pages returns the number of live second-level pages, a proxy for the
 // shadow-memory footprint.
-func (t *Table) Pages() int { return t.dir.Len() }
+func (t *Table) Pages() int { return t.dir.Len() - t.retired }
 
 // FreePages returns the number of retired pages parked on the freelist.
 func (t *Table) FreePages() int { return len(t.free) }
 
 // Bytes returns the approximate memory footprint of the table in bytes.
 func (t *Table) Bytes() uint64 {
-	return uint64(t.dir.Len()) * uint64(pageWords) * 8
+	return uint64(t.Pages()) * uint64(pageWords) * 8
 }

@@ -111,6 +111,47 @@ func TestBytesFootprint(t *testing.T) {
 	}
 }
 
+// TestRetireParksThePage: a retired page's cells go back on the freelist,
+// the table hands out no cell on it and reads it as empty, a second Retire
+// or one of an absent page changes nothing, and Reset brings the page back
+// live without allocating.
+func TestRetireParksThePage(t *testing.T) {
+	tb := New()
+	const idx, absent = 3, 9
+	addr := mem.Addr(idx << pageBytesBits)
+	w, _ := tb.Cell(addr + 8)
+	*w = 7
+	tb.Cell(0)
+	pages, free, bytes := tb.Pages(), tb.FreePages(), tb.Bytes()
+	for i := 0; i < 2; i++ {
+		tb.Retire(idx)
+		tb.Retire(absent)
+		if tb.Pages() != pages-1 || tb.FreePages() != free+1 || tb.Bytes() != bytes-pageWords*8 {
+			t.Fatalf("Retire #%d: %d pages, %d free, %d bytes; want %d, %d, %d",
+				i+1, tb.Pages(), tb.FreePages(), tb.Bytes(), pages-1, free+1, bytes-pageWords*8)
+		}
+	}
+	if w, r := tb.Cell(addr + 8); w != nil || r != nil {
+		t.Fatal("Cell handed out a cell on a retired page")
+	}
+	if w, r := tb.Peek(addr + 8); w != None || r != None {
+		t.Fatalf("Peek on a retired page = (%d,%d), want (None,None)", w, r)
+	}
+	if !tb.Retired(idx) || tb.Retired(0) || tb.Retired(absent) {
+		t.Fatal("Retired names the wrong pages")
+	}
+	if n := testing.AllocsPerRun(100, func() { tb.Retired(idx); tb.Retired(absent) }); n != 0 {
+		t.Fatalf("Retired cost %v allocations", n)
+	}
+	var cell *int32
+	if n := testing.AllocsPerRun(10, func() { tb.Reset(); cell, _ = tb.Cell(addr + 8) }); n != 0 {
+		t.Fatalf("Reset and a Cell on the retired page cost %v allocations", n)
+	}
+	if cell == nil || *cell != None || tb.Retired(idx) || tb.Pages() != 1 {
+		t.Fatalf("after Reset the page is not live and empty: %d pages", tb.Pages())
+	}
+}
+
 func BenchmarkCellSequential(b *testing.B) {
 	tb := New()
 	b.ResetTimer()

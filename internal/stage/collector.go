@@ -13,8 +13,8 @@ import "stint/internal/detect"
 
 // keyedRace pairs a race with the sequential rank of its Cur strand. Ranks
 // come from the engine's own SP-Order structure — the inline one, or a
-// pipeline worker's private replay, which the differential tests pin to
-// agree.
+// pipeline worker's private replay, which the root package's contract
+// harness and TestWorkersReplayTheSameSPOrder pin to agree.
 type keyedRace struct {
 	seq int32
 	r   detect.Race

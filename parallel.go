@@ -152,10 +152,9 @@ func (t *Task) cut(end evstream.ChunkEnd, child uint64) {
 }
 
 // borrowBits lends a flushed Coalescer, growing the pool when every one is
-// out; returnBits takes it back. No quiesce registry behind them: parallel
-// executors flush at serial positions that may precede a quiesce point a
-// worker has already reached, so a hook-side drop would be unsound — the
-// histories' own page-local drops carry the optimization.
+// out; returnBits takes it back. Like the serial producer's, they drop no
+// dead-page access: the workers' histories drop those intervals
+// page-locally.
 func (as *asyncState) borrowBits() *detect.Coalescer {
 	as.bitsMu.Lock()
 	defer as.bitsMu.Unlock()
@@ -164,7 +163,7 @@ func (as *asyncState) borrowBits() *detect.Coalescer {
 		as.bitsFree = as.bitsFree[:n-1]
 		return c
 	}
-	c := detect.NewCoalescer(nil)
+	c := detect.NewCoalescer()
 	as.bitsAll = append(as.bitsAll, c)
 	return c
 }

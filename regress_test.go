@@ -130,12 +130,12 @@ func TestQuiesceMidSortedRun(t *testing.T) {
 	h.check(p)
 }
 
-// TestQuiescePastRegistryCapacity retires more pages than the quiesce
-// registry lists (2 048): the serial pipelines drop dead-page hooks only for
-// listed pages, sharded workers Add to it concurrently past that cutoff, and
-// ParallelDetect has none, so agreement across every mode shows the hook-side
-// drop never decides anything. The registry is engine-independent, so the
-// modes run under STINT only (CompRTS takes 2 s a run under -race).
+// TestQuiescePastRegistryCapacity retires 2 100 pages: the synchronous run
+// drops dead-page hooks at its Coalescer, the pipelines drop dead-page
+// intervals only at their workers' histories, so agreement across every
+// mode shows the hook-side drop never decides anything. The pipelines' drop
+// is engine-independent, so the modes run under STINT only (CompRTS takes
+// 2 s a run under -race).
 func TestQuiescePastRegistryCapacity(t *testing.T) {
 	const pages = 2100
 	var acts []act

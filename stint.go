@@ -300,13 +300,7 @@ func (r *Runner) ensureWarm() {
 	case r.opts.ParallelDetect:
 		w.as = newParallelState(depth, bcap)
 	case r.opts.Async:
-		if r.opts.PageQuiesceThreshold > 0 {
-			// The serial producer is ahead of the workers in stream order, so
-			// its coalescer may drop accesses to pages they have retired
-			// (detect.NewCoalescer); this is the registry they publish into.
-			cfg.Quiesced = detect.NewQuiesceSet()
-		}
-		w.as = newAsyncState(depth, bcap, cfg.Quiesced)
+		w.as = newAsyncState(depth, bcap)
 		if w.hooks {
 			w.bits = w.as.bits
 		}
@@ -491,8 +485,8 @@ type Task struct {
 
 // footprint sums the retained warm capacity of every engine the Runner
 // holds, plus the pipelines' mutator side — the serial producer's
-// coalescer, or every one the ParallelDetect pool grew to; the reuse-soak
-// suite asserts it stops growing after warm-up.
+// coalescer, or every one the ParallelDetect pool grew to;
+// TestReuseFootprintStopsGrowing asserts it stops growing after warm-up.
 func (r *Runner) footprint() detect.Footprint {
 	var f detect.Footprint
 	w := r.warm
@@ -736,7 +730,7 @@ func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
 // hooks are a bare call into it, so they inline.
 //
 // Its slot arm is the hot path: a span inside one bitmap slot, on a strand
-// holding its Coalescer with no Tracer or live quiesce registry, is one
+// holding its Coalescer with no Tracer and a non-nil Coalescer.Bits, is one
 // BitSet.SetSlot call, ahead of the operand checks it cannot fail. It sits
 // here, not in Load/Store, so trace replay (LoadAt/StoreAt) saves as much.
 func (t *Task) access(addr Addr, size uint64, write bool) {

@@ -21,7 +21,7 @@ import (
 )
 
 // program is a replayable random fork-join program (same scheme as the
-// root package's equivalence tests).
+// root package's contract harness generator, genProgram).
 type action struct {
 	kind byte // 'S' spawn, 'Y' sync, 'l' load, 's' store, 'L' load-range, 'W' store-range
 	idx  int
