@@ -27,8 +27,8 @@ bench:
 # Hot-path microbenchmarks bench/ does not cover: the open-addressed page
 # directory vs the seed's Go map, treap insertion from a cold node pool, a
 # strand's sorted run through one page's two treaps (fft's pattern;
-# reports nodes/op and overlaps/op), the broadcast ring the pipelines publish on and the reference SPSC
-# ring, the event codec against its fixed-form reference (encode on the
+# reports nodes/op and overlaps/op), the reference SPSC ring, the event
+# codec against its fixed-form reference (encode on the
 # representative mix; decode on that, on a sequential stream and on wild
 # jumps), the workers' page-filter scan, the per-access hook cost over every
 # route (BenchmarkHookOverhead matches all four: sync, Async and ParallelDetect
@@ -46,7 +46,7 @@ bench:
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkTreapSortedRun|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow
-	$(GO) test -run '^$$' -bench '^Benchmark(Ring|BcastRing|Event(Encode|Decode)|WorkerScan)' -benchmem ./internal/evstream
+	$(GO) test -run '^$$' -bench '^Benchmark(Ring|Event(Encode|Decode)|WorkerScan)' -benchmem ./internal/evstream
 	$(GO) test -run '^$$' -bench 'BenchmarkHookOverhead|BenchmarkRunnerReset' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5Sharded|BenchmarkFig5ParallelDetect|BenchmarkFig5RacyQuiesce' -benchtime 10x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayWorkload|BenchmarkRecordOverhead' -benchmem ./trace

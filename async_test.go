@@ -1,6 +1,10 @@
 package stint
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestAsyncMatchesSyncVerdicts: a store range against a load range it
 // overlaps by one word races in every mode (the verdict tests in
@@ -40,31 +44,62 @@ func TestAsyncOnRaceDeliveredBeforeRunReturns(t *testing.T) {
 
 // onRacePanics hardens a pipeline's teardown: a panicking user OnRace
 // callback on a worker goroutine must abort the stage graph, unblock the
-// producer (kept publishing into a full ring long after the first race by
-// the tiny geometry) and re-panic out of Run — not deadlock and not get
-// swallowed.
-func onRacePanics(t *testing.T, shards int) {
-	r, err := NewRunner(Options{Detector: DetectorSTINT, Async: true, DetectShards: shards,
-		OnRace: func(Race) { panic("user callback exploded") }})
-	if err != nil {
-		t.Fatal(err)
+// producer (kept sending into a full channel long after the first race by
+// the tiny geometry; under ParallelDetect the merge on a worker's channel
+// and the executors on the chunk channel) and re-panic out of Run — not
+// deadlock and not get swallowed. Every goroutine must then exit, and the
+// Runner's next Run must equal a fresh Runner's.
+func onRacePanics(t *testing.T, o Options) {
+	base := runtime.NumGoroutine()
+	explode := true
+	o.Detector, o.OnRace = DetectorSTINT, func(Race) {
+		if explode {
+			panic("user callback exploded")
+		}
 	}
-	r.asyncBatchEvents, r.asyncRingDepth = 1, 1
-	buf := r.Arena().AllocWords("buf", 4096)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("user OnRace panic did not propagate out of Run")
+	newRunner := func() (*Runner, TaskFunc) {
+		r, err := NewRunner(o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		r.asyncBatchEvents, r.asyncRingDepth = 1, 1
+		buf := r.Arena().AllocWords("buf", 4096)
+		return r, func(task *Task) {
+			for i := 0; i < 32; i++ {
+				task.Spawn(func(c *Task) { c.StoreRange(buf, 64*i, 2048) })
+			}
+			task.Sync()
+		}
+	}
+	r, prog := newRunner()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("user OnRace panic did not propagate out of Run")
+			}
+		}()
+		r.Run(prog)
 	}()
-	r.Run(func(task *Task) {
-		for i := 0; i < 8; i++ {
-			task.Spawn(func(c *Task) { c.StoreRange(buf, 0, 2048) })
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the aborted run, %d before", runtime.NumGoroutine(), base)
 		}
-		task.Sync()
-	})
+	}
+	explode = false
+	got, err := r.Run(prog)
+	fresh, freshProg := newRunner()
+	want, err2 := fresh.Run(freshProg)
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	assertSameReport(t, "the run after the abort", got, want)
 }
 
-func TestAsyncOnRacePanicPropagates(t *testing.T) { onRacePanics(t, 0) }
+func TestAsyncOnRacePanicPropagates(t *testing.T) { onRacePanics(t, Options{Async: true}) }
+
+func TestParallelDetectOnRacePanicPropagates(t *testing.T) {
+	onRacePanics(t, Options{ParallelDetect: true, DetectShards: 2})
+}
 
 func TestAsyncReachOnly(t *testing.T) {
 	p := newProgram([]bufSpec{{16, 1}}, []act{spawn(store(0)), store(0), syncAct})

@@ -306,7 +306,7 @@ func BenchmarkHookOverhead(b *testing.B) {
 
 // BenchmarkHookOverheadAsync is the same hook loop with Options.Async: the
 // hook sets the same bit, in the producer's own bit hashmap, and only the
-// strand-end flush crosses the ring. The sync/async pair should sit within
+// strand-end flush crosses to the worker. The sync/async pair should sit within
 // a few ns of each other; a gap is per-access work leaking back onto the
 // pipeline's mutator side.
 func BenchmarkHookOverheadAsync(b *testing.B) {

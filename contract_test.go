@@ -122,7 +122,7 @@ func (p *program) alloc(r *Runner) []*Buffer {
 }
 
 // decodeProgram turns bytes into a program over harnessBufs. Byte 0 picks
-// the batch capacity (1-16 events), byte 1 the ring depth (1-4), bytes 2
+// the batch capacity (1-16 events), byte 1 the channel depth (1-4), bytes 2
 // and 3 the phase; the rest is act byte code, op = b%8:
 //
 //	0 spawn (the nested body follows)   1 end of this body   2 sync

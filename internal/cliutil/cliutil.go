@@ -116,9 +116,9 @@ func PipelineReport(rep *stint.Report) []string {
 		minW, maxW = min(minW, l.RingWaits), max(maxW, l.RingWaits)
 	}
 	// Wait attribution: per-consumer waits distinguish a uniformly starved
-	// fleet (the stage feeding the ring is the bottleneck) from one straggler
-	// pacing everyone (the low-wait outlier never waits — the ring's
-	// backpressure makes the others wait on it).
+	// fleet (the stage feeding the workers is the bottleneck) from one
+	// straggler pacing everyone (the low-wait outlier never waits — its full
+	// channel makes the others wait on it).
 	return append(lines, fmt.Sprintf(
 		"  ring waits per worker: max %d, min %d (uniform waits = the producer is the bottleneck; a low-wait outlier is the straggler)",
 		maxW, minW))

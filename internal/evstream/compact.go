@@ -88,7 +88,7 @@ func (b *Batch) Len() int {
 	return len(b.Ev)
 }
 
-// WireBytes returns the bytes the batch occupies on the ring: the frame
+// WireBytes returns the bytes the batch occupies in the stream: the frame
 // buffer's length, or 16 per event for the fixed encoding.
 func (b *Batch) WireBytes() int {
 	if b.compact {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
@@ -528,4 +529,137 @@ func FuzzEventCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// appendFromBatch builds a compact batch of n pseudo-random access/range
+// events, with occasional wild address jumps and escaped operand sizes so
+// AppendFrom's rebase path sees multi-byte deltas.
+func appendFromBatch(rng *rand.Rand, n int, base uint64) (*Batch, []Event) {
+	b := newCompactBatch(127)
+	var want []Event
+	addr := base
+	for i := 0; i < n; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			addr = rng.Uint64() // wild jump
+		default:
+			addr += uint64(rng.Intn(128)) * 8
+		}
+		switch rng.Intn(4) {
+		case 0:
+			ev := Range(OpWriteRange, addr, 1+rng.Intn(1000), uint64(1+rng.Intn(64)))
+			b.AppendRange(ev.EvOp(), ev.Addr(), ev.Count(), ev.Elem())
+			want = append(want, ev)
+		default:
+			size := uint64(1 + rng.Intn(8))
+			if rng.Intn(8) == 0 {
+				size = uint64(31 + rng.Intn(1000)) // escaped operand
+			}
+			op := OpRead
+			if rng.Intn(2) == 0 {
+				op = OpWrite
+			}
+			b.AppendAccess(op, addr, size)
+			want = append(want, Access(op, addr, size))
+		}
+	}
+	return b, want
+}
+
+func drainBatch(t *testing.T, b *Batch) []Event {
+	t.Helper()
+	return decodeBlocks(b)
+}
+
+// TestAppendFromRoundTrip concatenates many source batches into one
+// accumulator and checks the accumulator decodes to exactly the sources'
+// events in order — including across the delta-rebased boundary — and
+// that direct appends after an AppendFrom continue from the inherited
+// delta base.
+func TestAppendFromRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	out := newCompactBatch(2047)
+	var want []Event
+	for i := 0; i < 40; i++ {
+		src, evs := appendFromBatch(rng, 1+rng.Intn(50), rng.Uint64())
+		if !out.AppendFrom(src) {
+			t.Fatal("AppendFrom reported no room in a large accumulator")
+		}
+		want = append(want, evs...)
+		// Interleave direct appends: they must delta from the source's
+		// final base, not a stale one.
+		b := uint64(0xdead0000 + i)
+		out.AppendAccess(OpWrite, b, 8)
+		want = append(want, Access(OpWrite, b, 8))
+	}
+	got := drainBatch(t, out)
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if out.Len() != len(want) {
+		t.Fatalf("Len=%d, want %d", out.Len(), len(want))
+	}
+}
+
+// TestAppendFromSeam checks the one frame AppendFrom re-encodes: whatever
+// the widths of the source's own first delta and of the seam's — one byte or
+// ten, forward or backward — the accumulator ends up byte for byte what
+// appending the events directly would have produced.
+func TestAppendFromSeam(t *testing.T) {
+	for _, tc := range []struct{ dstAddr, srcAddr uint64 }{
+		{0x1000, 0x1008},    // multi-byte in src, one byte across the seam
+		{1 << 40, 0x10},     // one byte in src, six bytes backward across the seam
+		{0x10, 1 << 40},     // six bytes in src, six forward across the seam
+		{1 << 63, 1},        // ten bytes backward
+		{1, 1 << 63},        // ten bytes in src, ten forward
+		{1<<64 - 1, 0},      // the address-space wrap: +1
+		{0x2000, 0x2000},    // zero delta
+		{0, 1<<64 - 0x1000}, // backward through zero
+	} {
+		src, direct, out := newCompactBatch(4), newCompactBatch(4), newCompactBatch(4)
+		for _, b := range []*Batch{direct, out} {
+			b.AppendAccess(OpWrite, tc.dstAddr, 8)
+		}
+		for _, b := range []*Batch{direct, src} {
+			b.AppendAccess(OpRead, tc.srcAddr, 300)
+			b.AppendRange(OpWriteRange, tc.srcAddr+64, 1000, 8)
+		}
+		if !out.AppendFrom(src) {
+			t.Fatalf("%#x -> %#x: AppendFrom reported no room", tc.dstAddr, tc.srcAddr)
+		}
+		for _, b := range []*Batch{direct, out} {
+			b.AppendAccess(OpRead, tc.srcAddr+72, 8) // continues from the inherited base
+		}
+		if !bytes.Equal(out.Buf, direct.Buf) || out.Len() != direct.Len() {
+			t.Errorf("%#x -> %#x: merged %d events as % x, direct appends give %d as % x",
+				tc.dstAddr, tc.srcAddr, out.Len(), out.Buf, direct.Len(), direct.Buf)
+		}
+	}
+}
+
+// TestAppendFromNoRoom checks the no-room path leaves the destination
+// bit-for-bit untouched, and that an empty source always fits.
+func TestAppendFromNoRoom(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	dst := newCompactBatch(1)
+	dst.AppendAccess(OpRead, 0x1000, 8)
+	wantLen, wantWire := dst.Len(), dst.WireBytes()
+	src, _ := appendFromBatch(rng, 200, 0x2000)
+	if dst.AppendFrom(src) {
+		t.Fatal("200 events reported as fitting a tiny batch")
+	}
+	if dst.Len() != wantLen || dst.WireBytes() != wantWire {
+		t.Fatal("failed AppendFrom mutated the destination")
+	}
+	if !dst.AppendFrom(newCompactBatch(1)) {
+		t.Fatal("empty source must always fit")
+	}
+	if dst.Len() != wantLen {
+		t.Fatal("empty AppendFrom changed Len")
+	}
 }

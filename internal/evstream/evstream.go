@@ -10,25 +10,28 @@
 //
 //   - Events are appended to a batch with a plain slice append — no lock,
 //     no channel, no allocation on the access hook path.
-//   - Synchronization happens once per batch, not once per event: Publish
-//     and Next take one mutex acquisition each, amortized over the batch
-//     size (a few hundred interval events by default at the stint layer).
+//   - Synchronization happens once per batch, not once per event: one
+//     handoff per batch, amortized over the batch size (a few hundred
+//     interval events by default at the stint layer).
 //   - Consumed batches return to a free list and are reused, so a
 //     steady-state pipeline allocates a fixed set of batches regardless of
 //     how many events flow through it.
-//   - The rings are bounded: when the consumers fall behind, Publish blocks
-//     (backpressure) instead of queueing unbounded memory.
+//   - The handoffs are bounded: when the consumers fall behind, the
+//     producer blocks (backpressure) instead of queueing unbounded memory.
 //
-// The pipelines' transport is BcastRing, the single-producer/multi-consumer
-// broadcast ring: a batch from a BatchPool is published once, scanned by
-// every shard worker, and recycled by refcount once the last worker releases
-// it; TaskQueue is ParallelDetect's multi-producer ingest ahead of it. Ring,
-// the single-consumer ring with an integrated free list, is the transport's
-// reference form: no pipeline builds one any more, the benchmark's codec
-// isolation still does.
+// The pipelines hand batches over buffered Go channels (the root package's
+// shards.go): a batch from a BatchPool is sent to every shard worker,
+// scanned by each, and returned to the pool by its last Release; under
+// ParallelDetect the executor tasks send Chunks to the merge the same way.
+// Ring, the single-consumer ring with an integrated free list, is the
+// transport's reference form: no pipeline builds one any more, the
+// benchmark's codec isolation still does.
 package evstream
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Op identifies an event kind. The vocabulary is the runner's Tracer
 // interface: the spawn/restore/sync structure plus the four access hooks.
@@ -137,9 +140,10 @@ type Stats struct {
 	ConsumerWaits uint64
 }
 
-// Batch is the unit the ring moves: the events in one of two storage
-// forms, and nothing beside them. The producer owns a batch from Get to
-// Publish; consumers own it from Next to Recycle.
+// Batch is the unit a pipeline moves: the events in one of two storage
+// forms, and nothing beside them. The producer owns a batch from Get until
+// it hands the batch on; a broadcast batch is shared by its consumers until
+// the last Release.
 //
 // Exactly one storage form is active per batch: fixed batches (from
 // NewRing, and zero-value Batch literals) hold 16-byte Events in Ev;
@@ -147,8 +151,8 @@ type Stats struct {
 // event in Buf — see compact.go for the wire format. The Append methods fill
 // whichever form is active, and Iter scans either; consumers written
 // against Iter and Len never care which form they got. Beyond the storage a
-// compact batch is a count and a delta base — no staging state, so a Batch
-// is 72 bytes (a test pins it under 80).
+// compact batch is a count, a delta base and its holders' reference count —
+// no staging state, so a Batch is 72 bytes (a test pins it under 80).
 type Batch struct {
 	Ev  []Event
 	Buf []byte
@@ -156,6 +160,117 @@ type Batch struct {
 	n       int    // compact form: event count
 	prev    uint64 // compact form: delta base (last interval address)
 	compact bool
+	refs    atomic.Int32 // holders left to Release (Share)
+}
+
+// Share arms the batch for n holders, before it is handed to any of them.
+func (b *Batch) Share(n int) { b.refs.Store(int32(n)) }
+
+// Release drops one holder's reference; the last one returns the batch to
+// p. Safe from any goroutine.
+func (b *Batch) Release(p *BatchPool) {
+	if b.refs.Add(-1) == 0 {
+		p.Put(b)
+	}
+}
+
+// ChunkEnd says why a chunk was cut, which doubles as the merge stage's
+// traversal instruction (see stage.Reorder).
+type ChunkEnd uint8
+
+const (
+	// ChunkCut means the batch filled mid-strand; the same strand
+	// continues in the task's next chunk. No structure event.
+	ChunkCut ChunkEnd = iota
+	// ChunkSpawn means the strand ended at a Spawn: Child names the new
+	// task, whose chunk 0 is next in serial order; the task resumes at
+	// its next chunk index after the child's subtree completes.
+	ChunkSpawn
+	// ChunkSync means the strand ended at a strand-creating Sync; the
+	// task's next chunk continues after the join (no-op syncs are elided
+	// by the executor, exactly as on the serial paths).
+	ChunkSync
+	// ChunkTask means the task's final strand ended (the implicit final
+	// sync already ran): serial order restores the parent's continuation.
+	ChunkTask
+	// ChunkRoot means the root task's final strand ended: the stream is
+	// complete. Like ChunkTask but with no parent to restore.
+	ChunkRoot
+)
+
+// Chunk is one strand segment from one parallel-detect executor task:
+// access events only, plus the terminator and the task linkage the merge
+// reorders by (internal/stage.Reorder). Structure transitions are never
+// in-band — they are the terminator (End) — so the merge can both reorder
+// by task linkage and synthesize the serial spawn/restore/sync stream
+// without decoding a single event. Task identities are matching keys,
+// never an ordering — they come from a racing atomic counter, and
+// determinism is owed entirely to the structure-driven reorder walk.
+type Chunk struct {
+	Batch *Batch
+	Task  uint64 // identity of the emitting task
+	Idx   uint32 // chunk index within the task (0, 1, ...)
+	End   ChunkEnd
+	Child uint64 // task identity of the spawned child (ChunkSpawn only)
+}
+
+// BatchPool is the pipelines' concurrency-safe batch allocator: the serial
+// producer's, or the one all executor goroutines and the merge stage share.
+// Get never blocks (it allocates on a dry pool); Put bounds the free list so
+// teardown bursts cannot pin memory.
+type BatchPool struct {
+	mu       sync.Mutex
+	free     []*Batch
+	batchCap int
+	limit    int
+	allocs   uint64
+}
+
+// NewBatchPool returns a pool of compact batches with the given event
+// capacity, keeping at most limit free batches (clamped to at least 1;
+// batchCap likewise).
+func NewBatchPool(limit, batchCap int) *BatchPool {
+	return &BatchPool{batchCap: max(batchCap, 1), limit: max(limit, 1)}
+}
+
+// Get returns an empty batch — recycled when possible — with the same
+// geometry a compact Ring.Get hands out (4*batchCap bytes, at least one
+// worst-case frame).
+func (p *BatchPool) Get() *Batch {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		b.Reset()
+		return b
+	}
+	p.allocs++
+	p.mu.Unlock()
+	return &Batch{Buf: make([]byte, 0, compactBufCap(p.batchCap)), compact: true}
+}
+
+// Put returns a batch to the pool; beyond the limit it is dropped for the
+// garbage collector. Safe from any goroutine (a broadcast batch's last
+// Release recycles from whichever worker finishes last).
+func (p *BatchPool) Put(b *Batch) {
+	if b == nil || cap(b.Buf) == 0 {
+		return
+	}
+	p.mu.Lock()
+	if len(p.free) < p.limit {
+		p.free = append(p.free, b)
+	}
+	p.mu.Unlock()
+}
+
+// Allocs returns how many Gets found the pool dry and allocated, over the
+// pool's life.
+func (p *BatchPool) Allocs() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.allocs
 }
 
 // Ring is a bounded SPSC queue of event batches with an integrated batch
@@ -291,9 +406,7 @@ func (r *Ring) Next() (b *Batch, ok bool) {
 // Recycle returns a consumed batch to the free list. The free list is
 // bounded by the ring depth plus the producer's working batch, so a
 // misbehaving caller cannot grow it without bound. Unlike the other
-// methods, Recycle is safe to call from any goroutine — the sharded
-// pipeline recycles batches from whichever worker releases a broadcast
-// slot last.
+// methods, Recycle is safe to call from any goroutine.
 func (r *Ring) Recycle(b *Batch) {
 	if b == nil || (cap(b.Ev) == 0 && cap(b.Buf) == 0) {
 		return

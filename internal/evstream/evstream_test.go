@@ -136,6 +136,44 @@ func TestRingReusesBatches(t *testing.T) {
 	r.Close()
 }
 
+// TestBatchPoolReuse checks Get/Put recycling, the allocation count, the
+// free-list bound, that recycled batches come back empty with their
+// geometry intact, and that a shared batch returns to the pool on its last
+// Release only.
+func TestBatchPoolReuse(t *testing.T) {
+	p := NewBatchPool(2, 16)
+	b := p.Get()
+	if !b.Compact() || cap(b.Buf) != 4*16 {
+		t.Fatalf("pool batch: compact=%v cap=%d", b.Compact(), cap(b.Buf))
+	}
+	b.AppendAccess(OpWrite, 42, 8)
+	b.Share(3)
+	b.Release(p)
+	b.Release(p)
+	if len(p.free) != 0 {
+		t.Fatal("a batch with a holder left went back to the pool")
+	}
+	b.Release(p)
+	b2 := p.Get()
+	if b2 != b {
+		t.Fatal("pool did not recycle the released batch")
+	}
+	if b2.Len() != 0 || len(b2.Buf) != 0 {
+		t.Fatal("recycled batch not reset")
+	}
+	if p.Allocs() != 1 {
+		t.Fatalf("Allocs=%d, want 1", p.Allocs())
+	}
+	// The free list is bounded at the limit; extra Puts drop.
+	a, c, d := p.Get(), p.Get(), p.Get()
+	p.Put(a)
+	p.Put(c)
+	p.Put(d)
+	if got := len(p.free); got != 2 || p.Allocs() != 4 {
+		t.Fatalf("free list holds %d batches after %d allocations, want limit 2 after 4", got, p.Allocs())
+	}
+}
+
 // TestStatsCountLogicalEventsAndWireBytes pins the meaning of the stream
 // counters across encodings: EventsPublished counts logical events no matter
 // how a batch stores them, and StreamBytes counts what the batches occupy on

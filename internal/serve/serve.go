@@ -193,7 +193,7 @@ func start(cfg Config) (*Server, error) {
 }
 
 // warmRunner builds one pooled Runner and runs the full pipeline (stage
-// graph, rings, engines) once, empty, so ingest latency never pays
+// graph, channels, engines) once, empty, so ingest latency never pays
 // first-run construction.
 func warmRunner(opts stint.Options) (*stint.Runner, error) {
 	r, err := stint.NewRunner(opts)

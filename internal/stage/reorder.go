@@ -51,7 +51,7 @@ func NewReorder() *Reorder {
 // reachable in serial order — possibly none (the chunk arrived early),
 // possibly a long cascade (it was the missing link). Protocol violations
 // (duplicate (task, index), chunks after the root ended, a task end with
-// no suspended parent) panic: they mean the executor or queue corrupted
+// no suspended parent) panic: they mean the executor or its channel corrupted
 // the stream, and the stage graph converts the panic into an abort.
 func (r *Reorder) Offer(c evstream.Chunk, emit func(evstream.Chunk)) {
 	if r.done {

@@ -1,10 +1,10 @@
 // Package stage holds the orchestration primitives shared by every
 // execution mode of the stint runner. A pipeline — synchronous, async, or
-// sharded — is a small graph of stages: goroutines connected by bounded
-// rings (stint/internal/evstream), each metering its own busy time, all
-// funneling race reports into one canonical Collector. The runner files
-// (stint.go, async.go, shards.go) and trace.Replay build their pipelines
-// from these primitives instead of hand-rolling goroutine topologies.
+// sharded — is a small graph of stages: goroutines connected by buffered
+// channels, each metering its own busy time, all funneling race reports
+// into one canonical Collector. The runner files (stint.go, async.go,
+// shards.go) and trace.Replay build their pipelines from these primitives
+// instead of hand-rolling goroutine topologies.
 package stage
 
 import (
@@ -20,56 +20,43 @@ import (
 // degenerate graph of the synchronous path.
 //
 // Teardown is first-failure-wins: when a stage panics (a user OnRace
-// callback aborting the run, a guard tripping), the recover fires the
-// OnAbort hook exactly once — the runner uses it to close the pipeline's
-// rings so peer stages blocked in Publish/Next unwind instead of
-// deadlocking — the merge is skipped, and Wait re-panics the failure on the
-// producer goroutine so it propagates out of Run exactly as it would have
-// in synchronous mode. A producer that fails on its own (the program body
-// panicking mid-run) tears the graph down the same way through Abort.
+// callback aborting the run, a guard tripping), the recover closes the
+// graph's failure channel — so every peer waiting in Send or Recv unwinds
+// instead of deadlocking — the merge is skipped, and Wait re-panics the
+// failure on the producer goroutine so it propagates out of Run exactly as
+// it would have in synchronous mode. A producer that fails on its own (the
+// program body panicking mid-run) tears the graph down the same way through
+// Abort.
 type Graph struct {
-	wg   sync.WaitGroup
-	done chan struct{}
+	wg      sync.WaitGroup
+	done    chan struct{}
+	failing chan struct{} // closed at the first failure
 
 	mu      sync.Mutex
 	failure any  // first stage or merge panic value
 	failed  bool // distinguishes panic(nil) from no failure
-	abort   func()
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{done: make(chan struct{})}
+	return &Graph{done: make(chan struct{}), failing: make(chan struct{})}
 }
 
-// OnAbort installs the hook fired once, on the first stage failure. Set it
-// before launching stages that can fail; typically it closes the graph's
-// rings so blocked peers drain out.
-func (g *Graph) OnAbort(fn func()) {
-	g.mu.Lock()
-	g.abort = fn
-	g.mu.Unlock()
-}
-
-// fail records the first failure and fires the abort hook once.
+// fail records the first failure and closes the failure channel.
 func (g *Graph) fail(r any) {
 	g.mu.Lock()
-	first := !g.failed
-	if first {
+	if !g.failed {
 		g.failed = true
 		g.failure = r
+		close(g.failing)
 	}
-	abort := g.abort
 	g.mu.Unlock()
-	if first && abort != nil {
-		abort()
-	}
 }
 
 // Abort is the producer's own failure path: it fails the graph with r —
-// firing the abort hook unless a stage failed first — and blocks until every
-// stage has unwound. Unlike Wait it re-raises nothing; the caller is already
-// unwinding with r in hand. Call it only on a sealed graph.
+// unless a stage failed first — and blocks until every stage has unwound.
+// Unlike Wait it re-raises nothing; the caller is already unwinding with r
+// in hand. Call it only on a sealed graph.
 func (g *Graph) Abort(r any) {
 	g.fail(r)
 	<-g.done
@@ -80,6 +67,41 @@ func (g *Graph) Failed() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.failed
+}
+
+// Send sends v on ch, blocking while ch is full. It reports false, with v
+// unsent, once the graph has failed while it waited. It tries the channel
+// alone first: a select on the shared failure channel at every send costs
+// the pipelines a measurable share of their handoff time.
+func Send[T any](g *Graph, ch chan<- T, v T) bool {
+	select {
+	case ch <- v:
+		return true
+	default:
+	}
+	select {
+	case ch <- v:
+		return true
+	case <-g.failing:
+		return false
+	}
+}
+
+// Recv receives from ch, blocking while ch is empty; waited reports whether
+// it had to. It reports ok false, with the zero value, once the graph has
+// failed while it waited; values already in ch are still delivered.
+func Recv[T any](g *Graph, ch <-chan T) (v T, ok, waited bool) {
+	select {
+	case v = <-ch:
+		return v, true, false
+	default:
+	}
+	select {
+	case v = <-ch:
+		return v, true, true
+	case <-g.failing:
+		return v, false, true
+	}
 }
 
 // Go launches fn as one stage goroutine of the graph. A panic in fn is
@@ -136,9 +158,9 @@ func (g *Graph) Wait() {
 }
 
 // Meter accumulates one stage's busy time at batch granularity: the wall
-// clock spent processing, excluding blocking waits on the stage's rings.
+// clock spent processing, excluding blocking waits on the stage's channels.
 // Start a lap with time.Now() before processing and Add the start once the
-// batch is done, before any blocking publish or next.
+// batch is done, before any blocking Send or Recv.
 type Meter struct {
 	busy time.Duration
 }
@@ -147,7 +169,7 @@ type Meter struct {
 func (m *Meter) Add(t0 time.Time) { m.busy += time.Since(t0) }
 
 // AddDur accumulates an already-measured duration — for stages whose
-// blocking calls happen mid-lap (the parallel-detect merge publishes from
+// blocking calls happen mid-lap (the parallel-detect merge broadcasts from
 // inside its reorder callback), where the caller must subtract the wait
 // itself before crediting the remainder as busy time.
 func (m *Meter) AddDur(d time.Duration) { m.busy += d }

@@ -42,13 +42,12 @@ func TestGraphEmpty(t *testing.T) {
 	g.Wait()
 }
 
-// TestGraphStagePanicPropagatesThroughWait pins the teardown contract: a
-// panicking stage fires OnAbort exactly once, the merge is skipped, and
-// Wait re-panics the first failure on the caller's goroutine.
+// TestGraphStagePanicPropagatesThroughWait pins the teardown contract: with
+// two stages panicking, the failure channel closes (once: closing it twice
+// would crash the process), the merge is skipped and Wait re-panics the
+// first failure on the caller's goroutine.
 func TestGraphStagePanicPropagatesThroughWait(t *testing.T) {
 	g := NewGraph()
-	var aborts atomic.Int32
-	g.OnAbort(func() { aborts.Add(1) })
 	g.Go(func() { panic("stage failure") })
 	g.Go(func() { panic("second failure") })
 	merged := false
@@ -61,14 +60,16 @@ func TestGraphStagePanicPropagatesThroughWait(t *testing.T) {
 	if got != "stage failure" && got != "second failure" {
 		t.Fatalf("Wait re-panicked %v, want one of the stage failures", got)
 	}
-	if n := aborts.Load(); n != 1 {
-		t.Fatalf("OnAbort fired %d times, want exactly 1", n)
-	}
 	if merged {
 		t.Fatal("merge ran despite a failed stage")
 	}
 	if !g.Failed() {
 		t.Fatal("Failed() = false after a stage panic")
+	}
+	select {
+	case <-g.failing:
+	default:
+		t.Fatal("failure channel still open after a stage panic")
 	}
 }
 
@@ -88,20 +89,60 @@ func TestGraphMergePanicPropagates(t *testing.T) {
 	}
 }
 
-// TestGraphCleanRunDoesNotAbort checks the hook stays quiet on success.
+// TestGraphCleanRunDoesNotAbort checks a clean run leaves the failure
+// channel open.
 func TestGraphCleanRunDoesNotAbort(t *testing.T) {
 	g := NewGraph()
-	var aborts atomic.Int32
-	g.OnAbort(func() { aborts.Add(1) })
 	g.Go(func() {})
 	g.Seal(nil)
 	g.Wait()
-	if aborts.Load() != 0 {
-		t.Fatal("OnAbort fired on a clean run")
-	}
 	if g.Failed() {
 		t.Fatal("Failed() = true on a clean run")
 	}
+	select {
+	case <-g.failing:
+		t.Fatal("failure channel closed on a clean run")
+	default:
+	}
+}
+
+// TestSendRecvUnblockOnFailure: a Send blocked on a full channel and a Recv
+// blocked on an empty one both return false once a stage panics, and Recv
+// reports whether it waited.
+func TestSendRecvUnblockOnFailure(t *testing.T) {
+	g := NewGraph()
+	full, empty := make(chan int, 1), make(chan int, 1)
+	full <- 1
+	if _, ok, waited := Recv(g, full); !ok || waited {
+		t.Fatalf("Recv on a ready channel: ok=%v waited=%v, want true, false", ok, waited)
+	}
+	full <- 1
+	sent, got := make(chan bool), make(chan [2]bool)
+	go func() { sent <- Send(g, full, 2) }()
+	go func() {
+		_, ok, waited := Recv(g, empty)
+		got <- [2]bool{ok, waited}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-sent:
+		t.Fatal("Send returned on a full channel of a healthy graph")
+	case <-got:
+		t.Fatal("Recv returned on an empty channel of a healthy graph")
+	default:
+	}
+	g.Go(func() { panic("stage failure") })
+	g.Seal(nil)
+	if <-sent {
+		t.Fatal("Send on a full channel reported true after a stage failure")
+	}
+	if r := <-got; r[0] || !r[1] {
+		t.Fatalf("Recv on an empty channel after a stage failure: ok=%v waited=%v, want false, true", r[0], r[1])
+	}
+	func() {
+		defer func() { recover() }()
+		g.Wait()
+	}()
 }
 
 func TestMeterAccumulates(t *testing.T) {

@@ -4,21 +4,21 @@
 //
 // Topology:
 //
-//	task goroutines+coalescers ──chunk queue──▶ merge stage ──broadcast ring──▶ N workers ──▶ merge finalizer
+//	task goroutines+coalescers ──chunk channel──▶ merge stage ──batch to every worker──▶ N workers ──▶ merge finalizer
 //
 // Each task goroutine is a chunk emitter: its hooks set bits in a strand-local
 // detect.Coalescer (borrowed from a pool for the length of the strand, so a
 // task parked in Sync holds none), and when the strand ends the Coalescer
 // flushes its intervals into the task's private working batch (from the
 // shared BatchPool) — the per-strand coalescing the serial pipeline's
-// producer does, here on the executor's parallelism. A chunk is cut —
-// published to the bounded multi-producer TaskQueue — when the strand ends
-// or, mid-flush, when the batch fills, and the strand-ending cuts carry the
-// structure transition as the chunk terminator (spawn naming the child
-// task, strand-creating sync, task end). Structure events never ride
+// producer does, here on the executor's parallelism. A chunk is cut — sent
+// down the one buffered chunk channel every task shares — when the strand
+// ends or, mid-flush, when the batch fills, and the strand-ending cuts
+// carry the structure transition as the chunk terminator (spawn naming the
+// child task, strand-creating sync, task end). Structure events never ride
 // in-band.
 //
-// The merge stage drains the queue and feeds chunks to stage.Reorder,
+// The merge stage receives the chunks and feeds them to stage.Reorder,
 // which re-emits them in serial order: the depth-first walk of the spawn
 // tree that the serial executor takes by construction. The walk is driven
 // entirely by the chunks' own linkage (task identities and terminators),
@@ -26,20 +26,21 @@
 // Report — depends only on the program, never on the scheduler. In serial
 // order the merge coalesces small chunks into full-size batches
 // (Batch.AppendFrom rebases the compact delta across the seam), appends
-// each terminator's structure event, and publishes the batches onto the
-// same broadcast ring the serial producer feeds. That is all it does: the
-// merged stream *is* the serial stream, and the workers derive strand
-// identities and reachability from its structure events themselves
-// (shards.go). Downstream of the ring, nothing knows the execution was
-// parallel.
+// each terminator's structure event, and broadcasts the batches to the
+// same workers, over the same channels, the serial producer feeds. That is
+// all it does: the merged stream *is* the serial stream, and the workers
+// derive strand identities and reachability from its structure events
+// themselves (shards.go). Downstream of the merge, nothing knows the
+// execution was parallel.
 //
 // Deadlock-freedom: the dependency chain is acyclic — executors block only
-// on the queue, the merge blocks only on the queue (drain) and the
-// broadcast ring (publish), workers block only on the ring. BatchPool.Get
-// never blocks (it allocates on a dry pool), and the reorder buffer is
-// unbounded but finite (bounded by the stream's scheduling skew; its peak
-// is reported as Report.ReorderPeak). On abort the queue and ring close,
-// and every blocked stage unwinds exactly as in the serial pipeline.
+// on sending to the chunk channel, the merge only on receiving from it and
+// on sending to the workers' channels, workers only on receiving from
+// theirs. BatchPool.Get never blocks (it allocates on a dry pool), and the
+// reorder buffer is unbounded but finite (bounded by the stream's
+// scheduling skew; its peak is reported as Report.ReorderPeak). On abort
+// the graph's failure channel closes, and every blocked stage unwinds
+// exactly as in the serial pipeline.
 
 package stint
 
@@ -52,16 +53,16 @@ import (
 	"stint/internal/stage"
 )
 
-// newParallelState builds the ParallelDetect pipeline state: a chunk queue
-// deep enough to keep the merge busy ahead of a burst of tiny strand-end
-// chunks, and a batch pool sized to cover every stage's working set
-// (in-queue chunks, in-flight broadcast batches, per-goroutine working
+// newParallelState builds the ParallelDetect pipeline state: a chunk
+// channel deep enough to keep the merge busy ahead of a burst of tiny
+// strand-end chunks, and a batch pool sized to cover every stage's working
+// set (queued chunks, in-flight broadcast batches, per-goroutine working
 // batches) before Get falls back to allocating.
 func newParallelState(ringDepth, batchEvents int) *asyncState {
 	queueDepth := ringDepth * 8
 	return &asyncState{
-		queue: evstream.NewTaskQueue(queueDepth),
-		pool:  evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents),
+		chunks: make(chan evstream.Chunk, queueDepth),
+		pool:   evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents),
 	}
 }
 
@@ -71,7 +72,7 @@ func (t *Task) startChunks(id uint64) {
 	t.id, t.batch, t.t0 = id, t.rs.as.pool.Get(), time.Now()
 }
 
-// pause banks the busy lap before a blocking handoff (queue publish, child
+// pause banks the busy lap before a blocking handoff (chunk send, child
 // join); resume starts the next lap after it. Their net effect is
 // Report.ExecutorBusy: execution and coalescing time, not waiting time.
 func (t *Task) pause()  { t.rs.as.execBusy.Add(int64(time.Since(t.t0))) }
@@ -183,20 +184,27 @@ func (t *Task) emitInterval(op evstream.Op, addr, size uint64) {
 	t.batch.AppendAccess(op, addr, size)
 }
 
-// publish sends the working batch as a chunk with the given terminator and
-// starts a fresh one — mid-strand (ChunkCut) when a flush fills it, or for
-// cut at the strand's end. A false Publish means the
-// graph aborted and closed the queue: the batch is reset and reused, events
-// drop on the floor, and the goroutine keeps unwinding to its natural exit
-// (the failure is the run's result, re-raised by drainParallel). The chunk
-// index advances regardless so the doomed stream stays internally
-// consistent.
+// publish sends the working batch as a chunk with the given terminator —
+// mid-strand (ChunkCut) when a flush fills it, or for cut at the strand's
+// end — and starts a fresh one unless the chunk was the task's last. A
+// false send means the graph failed: the batch is kept (reset, or back to
+// the pool after the last chunk), events drop on the floor, and the
+// goroutine keeps unwinding to its natural exit (the failure is the run's
+// result, re-raised by drainParallel). The chunk index advances regardless
+// so the doomed stream stays internally consistent.
 func (t *Task) publish(end evstream.ChunkEnd, child uint64) {
 	as := t.rs.as
 	t.pause()
-	if as.queue.Publish(evstream.Chunk{Batch: t.batch, Task: t.id, Idx: t.idx, End: end, Child: child}) {
+	sent := stage.Send(t.rs.graph, as.chunks, evstream.Chunk{Batch: t.batch, Task: t.id, Idx: t.idx, End: end, Child: child})
+	switch {
+	case end == evstream.ChunkTask || end == evstream.ChunkRoot:
+		if !sent {
+			as.pool.Put(t.batch)
+		}
+		t.batch = nil
+	case sent:
 		t.batch = as.pool.Get()
-	} else {
+	default:
 		t.batch.Reset()
 	}
 	t.idx++
@@ -205,18 +213,19 @@ func (t *Task) publish(end evstream.ChunkEnd, child uint64) {
 
 // mergeParallel is the merge stage: it reorders the chunk stream into the
 // serial projection, coalesces it into full-size batches, and broadcasts
-// them. Its busy meter lands in asyncState.seqBusy — reported as
-// Report.SequencerBusy — and excludes both queue waits and
-// broadcast-publish blocking.
+// them, counting the stream totals as chunks arrive. It ends the workers'
+// streams at drainParallel's end marker, or when the graph fails. Its busy
+// meter lands in asyncState.seqBusy — reported as Report.SequencerBusy —
+// and excludes both chunk waits and broadcast blocking.
 func (as *asyncState) mergeParallel() {
 	out := as.pool.Get()
 	reorder := stage.NewReorder()
 	aborted := false
-	var blocked time.Duration // publish-blocking time inside the current lap
+	var blocked time.Duration // broadcast-blocking time inside the current lap
 
 	publish := func(b *evstream.Batch) {
 		t0 := time.Now()
-		if !as.bcast.Publish(b) {
+		if !as.broadcast(b) {
 			as.pool.Put(b)
 			aborted = true
 		}
@@ -276,52 +285,61 @@ func (as *asyncState) mergeParallel() {
 		as.mergeCtl++
 	}
 
-	var chunks []evstream.Chunk
-	for !reorder.Done() && !aborted {
-		var ok bool
-		chunks, ok = as.queue.Drain(chunks[:0])
+	// Each lap takes one chunk, waiting if need be, then whatever is
+	// already queued behind it.
+	for ended := false; !ended && !aborted; {
+		c, ok, _ := stage.Recv(as.graph, as.chunks)
 		if !ok {
-			// Queue closed before the root chunk: only legal on abort (the
-			// hook closes the queue under the producers). A close with the
-			// graph healthy means the stream is structurally broken.
-			if !as.graph.Failed() {
-				panic("stint: parallel-detect chunk stream ended before the root task's final chunk")
-			}
-			break
+			break // the graph failed
 		}
 		t0 := time.Now()
 		blocked = 0
-		for _, c := range chunks {
+		for {
+			if ended = c.Batch == nil; ended {
+				break // drainParallel's end marker
+			}
+			as.merged++
+			as.stats.EventsStreamed += uint64(c.Batch.Len())
+			as.stats.StreamBytes += uint64(c.Batch.WireBytes())
 			reorder.Offer(c, emit)
+			if len(as.chunks) == 0 {
+				break
+			}
+			c = <-as.chunks
 		}
 		as.seqBusy.AddDur(time.Since(t0) - blocked)
+	}
+	// The stream ended before the root chunk: only legal once the graph has
+	// failed (the root's chunk was then dropped). With the graph healthy
+	// the stream is structurally broken.
+	if !reorder.Done() && !as.graph.Failed() {
+		panic("stint: parallel-detect chunk stream ended before the root task's final chunk")
 	}
 	if out.Len() > 0 && !aborted {
 		publish(out)
 	} else {
 		as.pool.Put(out)
 	}
-	as.bcast.Close()
+	as.endStream()
+	// Structure events are synthesized by the merge (one tag byte each): the
+	// totals match what the serial Async pipeline would have streamed for
+	// the same program.
+	as.stats.EventsStreamed += as.mergeCtl
+	as.stats.StreamBytes += as.mergeCtl
 	as.reorderPeak = reorder.Peak()
 }
 
-// drainParallel closes the chunk queue, waits out the stage graph — re-
-// panicking the first stage failure on the producer goroutine, exactly
-// like drain — and folds the hook counters and stream totals into Stats.
-// Called after the root's final chunk, so the close never truncates a
-// healthy stream: every chunk is already queued (each task publishes its
+// drainParallel ends the chunk stream with its end marker, a zero Chunk,
+// waits out the stage graph — re-panicking the first stage failure on the
+// producer goroutine, exactly like drain — and folds the hook counters into
+// Stats. Called after the root's final chunk, so the marker never truncates
+// a healthy stream: every chunk is already sent (each task sends its
 // chunks before its parent's join returns, and the root joins everything
 // first).
 func (as *asyncState) drainParallel() {
-	as.queue.Close()
+	stage.Send(as.graph, as.chunks, evstream.Chunk{})
 	as.graph.Wait()
-	qs := as.queue.Stats()
 	for _, c := range as.bitsAll {
 		as.stats.Accumulate(c.Hooks())
 	}
-	// Interval events stream through the queue; structure events are
-	// synthesized by the merge (one tag byte each). The totals match what
-	// the serial Async pipeline would have streamed for the same program.
-	as.stats.EventsStreamed = qs.EventsPublished + as.mergeCtl
-	as.stats.StreamBytes = qs.StreamBytes + as.mergeCtl
 }

@@ -3,11 +3,14 @@ package stint
 import (
 	"fmt"
 	"testing"
+	"time"
+
+	"stint/internal/evstream"
 )
 
 // The producer suite pins the mutator side of the pipelines: where a
 // strand's flush may be cut by a batch boundary, and that a short stream
-// still crosses the ring in pieces.
+// still crosses to the workers in pieces.
 
 // midFlushProgram is racy, and every strand flushes several disjoint
 // intervals of both kinds, so with one event per batch every strand's flush
@@ -48,15 +51,14 @@ func TestMidFlushBatchBoundaries(t *testing.T) {
 			assertSameReport(t, fmt.Sprintf("batch=%d %s", batchEvents, m.Name), got, sync)
 			// A batch this small holds one event, so every event travelled
 			// alone: each multi-interval flush was cut.
-			as := r.warm.as
-			if m.Opts.ParallelDetect {
+			if as := r.warm.as; m.Opts.ParallelDetect {
 				// Every strand-ending cut is one chunk (one per structure
 				// event plus the root's last); the rest are mid-flush cuts.
-				if chunks := as.queue.Stats().BatchesPublished; chunks <= as.mergeCtl+1 {
+				if as.merged <= as.mergeCtl+1 {
 					t.Errorf("batch=%d %s: %d chunks for %d strand ends: no mid-flush ChunkCut",
-						batchEvents, m.Name, chunks, as.mergeCtl+1)
+						batchEvents, m.Name, as.merged, as.mergeCtl+1)
 				}
-			} else if batches := as.bcast.Stats().BatchesPublished; batches < got.Stats.EventsStreamed {
+			} else if batches := got.ShardLoad[0].BatchesScanned; batches < got.Stats.EventsStreamed {
 				t.Errorf("batch=%d %s: %d batches for %d events: no mid-flush publish",
 					batchEvents, m.Name, batches, got.Stats.EventsStreamed)
 			}
@@ -69,7 +71,9 @@ func TestMidFlushBatchBoundaries(t *testing.T) {
 // per-access pipelines batched — must reach the detector in pieces while
 // the program is still executing, not as one batch at drain; and since batch
 // boundaries are a function of the stream alone, the batch count and the
-// wire bytes repeat exactly on the reused Runner.
+// wire bytes repeat exactly on the reused Runner. The worker, started while
+// the program sleeps, waits on its channel at least once, and at most once
+// per Recv (each batch and the end of the stream).
 func TestShortRunStreamsBeforeDrain(t *testing.T) {
 	r, err := NewRunner(Options{Detector: DetectorSTINT, Async: true})
 	if err != nil {
@@ -77,6 +81,7 @@ func TestShortRunStreamsBeforeDrain(t *testing.T) {
 	}
 	buf := r.Arena().AllocWords("b", 1<<14)
 	prog := func(task *Task) {
+		time.Sleep(20 * time.Millisecond)
 		for c := 0; c < 16; c++ {
 			task.Spawn(func(ct *Task) {
 				for i := 0; i < 128; i++ {
@@ -92,16 +97,49 @@ func TestShortRunStreamsBeforeDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches[i], bytes[i] = r.warm.as.bcast.Stats().BatchesPublished, rep.Stats.StreamBytes
+		batches[i], bytes[i] = rep.ShardLoad[0].BatchesScanned, rep.Stats.StreamBytes
+		if w := rep.ShardLoad[0].RingWaits; w == 0 || w > batches[i]+1 {
+			t.Errorf("run %d: %d channel waits over %d batches", i, w, batches[i])
+		}
 		// drain publishes the last batch; everything before it crossed the
-		// ring while the program ran.
+		// channel while the program ran.
 		if rep.Stats.EventsStreamed > 4096 || batches[i] < 3 {
-			t.Fatalf("run %d: %d events crossed the ring in %d batches, want a sub-4096-event stream in at least 2 before drain",
+			t.Fatalf("run %d: %d events crossed to the worker in %d batches, want a sub-4096-event stream in at least 2 before drain",
 				i, rep.Stats.EventsStreamed, batches[i])
 		}
 	}
 	if batches[0] != batches[1] || bytes[0] != bytes[1] {
 		t.Errorf("batch boundaries moved between identical runs: %d batches / %d bytes, then %d / %d",
 			batches[0], bytes[0], batches[1], bytes[1])
+	}
+}
+
+// TestParallelWarmRunsReuseBatches: a task takes no working batch after its
+// final chunk, so once a ParallelDetect run ends every batch its pool ever
+// allocated is back in the pool, run after run (the program's peak stays
+// under the pool's bound, so none is dropped). Counted by emptying the pool
+// until a Get allocates.
+func TestParallelWarmRunsReuseBatches(t *testing.T) {
+	const spawns = 200
+	r, _ := NewRunner(Options{Detector: DetectorSTINT, ParallelDetect: true})
+	buf := r.Arena().AllocWords("b", 8*spawns)
+	prog := func(task *Task) {
+		for c := 0; c < spawns; c++ {
+			task.Spawn(func(ct *Task) { ct.Store(buf, 8*c) })
+		}
+	}
+	for run := 0; run < 6; run++ {
+		r.Run(prog)
+		pool := r.warm.as.pool
+		var held []*evstream.Batch
+		for allocs := pool.Allocs(); pool.Allocs() == allocs; {
+			held = append(held, pool.Get())
+		}
+		if n := uint64(len(held)); n != pool.Allocs() {
+			t.Errorf("run %d: %d of the pool's %d batches came back", run, n-1, pool.Allocs()-1)
+		}
+		for _, b := range held {
+			pool.Put(b)
+		}
 	}
 }

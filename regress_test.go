@@ -440,8 +440,7 @@ func TestShardedSkewOneOwner(t *testing.T) {
 	for _, name := range []string{"fresh", "reused"} {
 		rep := h.run(r, bufs, p, -1).rep
 		assertSameReport(t, name, rep, sync)
-		as := r.warm.as
-		batches := as.bcast.Stats().BatchesPublished
+		batches := rep.ShardLoad[0].BatchesScanned
 		if batches < 50 {
 			t.Errorf("%s: the run spans only %d batches", name, batches)
 		}
@@ -450,7 +449,7 @@ func TestShardedSkewOneOwner(t *testing.T) {
 				t.Errorf("%s: shard %d scanned %d of %d batches (%d skipped) and %d of %d events",
 					name, i, l.BatchesScanned, batches, l.BatchesSkipped, l.EventsScanned, rep.Stats.EventsStreamed)
 			}
-			ws, want := as.workers[i].stats, Stats{}
+			ws, want := r.warm.as.workers[i].stats, Stats{}
 			if i == owner {
 				want = sync.Stats
 			}
@@ -464,7 +463,9 @@ func TestShardedSkewOneOwner(t *testing.T) {
 	}
 }
 
-func TestShardedOnRacePanicPropagates(t *testing.T) { onRacePanics(t, 2) }
+func TestShardedOnRacePanicPropagates(t *testing.T) {
+	onRacePanics(t, Options{Async: true, DetectShards: 2})
+}
 
 // TestAsyncZeroAndOneShardIdentical: DetectShards 0 and 1 are one code
 // path, stream totals and the one-entry ShardLoad included.

@@ -1,11 +1,12 @@
 // The detector side of every pipeline (Options.Async, DetectShards,
-// ParallelDetect): N workers over one broadcast ring, each owning the access
-// history of the shadow pages that hash to it, and a merge.
+// ParallelDetect): N workers, each fed every batch over its own buffered
+// channel and owning the access history of the shadow pages that hash to
+// it, and a merge.
 //
 // Topology:
 //
-//	Async / DetectShards:  mutator+coalescer ─────────────────────────▶ broadcast ring ─▶ N workers ─▶ merge
-//	ParallelDetect:        task goroutines ─chunk queue─▶ reorder+coalesce ─▶ (same ring, same workers, same merge)
+//	Async / DetectShards:  mutator+coalescer ───────────────────────────▶ batch to every worker ─▶ N workers ─▶ merge
+//	ParallelDetect:        task goroutines ─chunk channel─▶ reorder+coalesce ─▶ (same channels, same workers, same merge)
 //
 // N = max(DetectShards, 1): plain Async is the one-worker case. The stream
 // is the serial projection (async.go, parallel.go): per strand, its flushed
@@ -29,9 +30,9 @@
 //
 // Workers never share mutable detector state: each owns its reachability
 // structure and the page directory and treap pools for its page subset. The
-// only cross-goroutine data are the ring and the batches themselves, which
-// are read-only between Publish and the ring's last Release (the refcounted
-// recycle hands them back to the batch pool).
+// only cross-goroutine data are the channels and the batches themselves,
+// which are read-only between the broadcast and their last Release (the
+// refcounted recycle hands them back to the batch pool).
 //
 // Correctness argument (see DESIGN.md "Why sharding is exact"): the access
 // history is independent per page, every streamed interval is page-
@@ -60,8 +61,8 @@ import (
 // replay stack (one frame per in-flight function instance, stack[0] the
 // root), the engine whose strands the structure events end, and the
 // canonical collector of its races. Every shard worker owns one, fed from
-// the ring; the sync Runner owns one fed straight from Task.Spawn/Sync
-// (runState.ctl) — the inline detector is a worker without a ring.
+// its channel; the sync Runner owns one fed straight from Task.Spawn/Sync
+// (runState.ctl) — the inline detector is a worker without a channel.
 type replayer struct {
 	sp     *spord.SP
 	stack  []replayFrame
@@ -129,17 +130,21 @@ func (rp *replayer) ctl(op evstream.Op) {
 // shardWorker consumes the broadcast stream for one shard: its replayer
 // takes the structure events, its engine (a detect.History) its pages'
 // intervals, in stream order — what the inline detector's flush applies.
+// in is its channel, built once and ringDepth deep (the in-flight slack
+// async.go's default geometry explains): a nil batch ends the stream.
 type shardWorker struct {
 	id, n int
-	bcast *evstream.BcastRing[*evstream.Batch]
+	in    chan *evstream.Batch
 	*replayer
 
-	// Decode-side telemetry for Report.ShardLoad: batches consumed, logical
-	// events and DecodeBlock calls (their ratio is events per call — short
-	// batches show up as a low one), and the time spent inside DecodeBlock
-	// itself, sampled (every 8th call, scaled by 8) so the measurement does
-	// not tax the scan it is measuring.
+	// Decode-side telemetry for Report.ShardLoad: batches consumed, the
+	// receives that had to wait, logical events and DecodeBlock calls
+	// (their ratio is events per call — short batches show up as a low
+	// one), and the time spent inside DecodeBlock itself, sampled (every
+	// 8th call, scaled by 8) so the measurement does not tax the scan it is
+	// measuring.
 	batches       uint64
+	waits         uint64
 	eventsScanned uint64
 	blocksDecoded uint64
 	decodeBusy    time.Duration
@@ -153,18 +158,23 @@ type shardWorker struct {
 // per-run counter zeroes.
 func (w *shardWorker) reset() {
 	w.replayer.reset()
-	w.batches, w.eventsScanned, w.blocksDecoded = 0, 0, 0
+	w.batches, w.waits, w.eventsScanned, w.blocksDecoded = 0, 0, 0, 0
 	w.decodeBusy = 0
 	w.stats = Stats{}
 	w.busy.Reset()
 }
 
-func (w *shardWorker) run() {
+// run scans the worker's batches until the stream's nil batch, or until
+// the graph fails with its channel empty, releasing each into pool.
+func (w *shardWorker) run(g *stage.Graph, pool *evstream.BatchPool) {
 	engine := w.engine.(detect.History)
 	var blk [evstream.BlockEvents]evstream.Event
 	for {
-		batch, ok := w.bcast.Next(w.id)
-		if !ok {
+		batch, _, waited := stage.Recv(g, w.in)
+		if waited {
+			w.waits++
+		}
+		if batch == nil {
 			break
 		}
 		t0 := time.Now()
@@ -200,7 +210,7 @@ func (w *shardWorker) run() {
 			}
 		}
 		w.busy.Add(t0)
-		w.bcast.Release(w.id)
+		batch.Release(pool)
 	}
 	t0 := time.Now()
 	// Finish samples the root's final strand boundary and aggregates the
@@ -216,15 +226,12 @@ func (w *shardWorker) owns(ev evstream.Event) bool {
 }
 
 // buildWorkers constructs the retained detector side every pipeline shares
-// — the broadcast ring and n workers with their engines — without launching
-// anything; launch wires them onto each run's fresh stage graph. Batches no
-// worker references any more go back to the pool from whichever worker
-// releases last. User OnRace calls are serialized with a mutex — across
-// workers their order is nondeterministic (documented), but the recorded
-// Report is canonical regardless.
+// — n workers with their channels and engines — without launching anything;
+// launch wires them onto each run's fresh stage graph. User OnRace calls are
+// serialized with a mutex — across workers their order is nondeterministic
+// (documented), but the recorded Report is canonical regardless.
 func (as *asyncState) buildWorkers(cfg detect.Config, n, ringDepth, maxRec int, user func(Race)) {
 	as.maxRec = maxRec
-	as.bcast = evstream.NewBcastRing(ringDepth, n, as.pool.Put)
 	if inner := user; inner != nil {
 		var raceMu sync.Mutex
 		user = func(race Race) {
@@ -238,33 +245,55 @@ func (as *asyncState) buildWorkers(cfg detect.Config, n, ringDepth, maxRec int, 
 	}
 	as.workers = make([]*shardWorker, n)
 	for i := range as.workers {
-		as.workers[i] = &shardWorker{id: i, n: n, bcast: as.bcast,
+		as.workers[i] = &shardWorker{id: i, n: n, in: make(chan *evstream.Batch, ringDepth),
 			replayer: newReplayer(cfg, maxRec, user, detect.NewHistory)}
 	}
 }
 
-// launch wires one run's stage graph: the workers over the broadcast ring,
-// under ParallelDetect the merge stage feeding it, and the merge finalizer.
-// First failure anywhere (a user OnRace panic in a worker, a guard in the
-// merge stage, a panic in the program body): close the ring and the queue so
-// every peer blocked in a Publish/Next/Drain unwinds, the mutator side's
-// flushes turn into no-ops, and drain's graph.Wait re-raises the failure on
-// the producer.
+// launch wires one run's stage graph: the workers over their channels,
+// under ParallelDetect the merge stage feeding them, and the merge
+// finalizer. First failure anywhere (a user OnRace panic in a worker, a
+// guard in the merge stage, a panic in the program body) closes the graph's
+// failure channel: every peer waiting in a stage.Send or stage.Recv
+// unwinds, the mutator side's broadcasts start failing, and drain's
+// graph.Wait re-raises the failure on the producer.
 func (as *asyncState) launch() {
-	as.graph = stage.NewGraph()
-	as.graph.OnAbort(func() {
-		if as.queue != nil {
-			as.queue.Close()
-		}
-		as.bcast.Close()
-	})
+	g := stage.NewGraph()
+	as.graph = g
 	for _, w := range as.workers {
-		as.graph.Go(w.run)
+		g.Go(func() { w.run(g, as.pool) })
 	}
-	if as.queue != nil {
-		as.graph.Go(as.mergeParallel)
+	if as.chunks != nil {
+		g.Go(as.mergeParallel)
 	}
-	as.graph.Seal(as.mergeSharded)
+	g.Seal(as.mergeSharded)
+}
+
+// broadcast sends b to every worker in order, one reference each. It reports
+// false only when no worker got b (the graph failed), and the caller keeps
+// it; once any worker holds b, its last Release returns it to the pool, so
+// the caller takes a fresh batch.
+func (as *asyncState) broadcast(b *evstream.Batch) bool {
+	b.Share(len(as.workers))
+	for i, w := range as.workers {
+		if !stage.Send(as.graph, w.in, b) {
+			if i == 0 {
+				return false
+			}
+			for range as.workers[i:] { // the graph failed: drop the rest's references
+				b.Release(as.pool)
+			}
+			return true
+		}
+	}
+	return true
+}
+
+// endStream sends every worker the nil batch that ends its stream.
+func (as *asyncState) endStream() {
+	for _, w := range as.workers {
+		stage.Send(as.graph, w.in, nil)
+	}
 }
 
 // mergeSharded folds the workers' results into canonical totals: counters
@@ -272,7 +301,7 @@ func (as *asyncState) launch() {
 // contained); the hook counters are not theirs to report (the mutator side
 // counts them, drain folds them in); the strand count is any worker's —
 // they all replayed the same structure stream. It also assembles the
-// per-worker load breakdown (busy, batches, broadcast-ring waits) behind
+// per-worker load breakdown (busy, batches, channel waits) behind
 // Report.ShardLoad.
 func (as *asyncState) mergeSharded() {
 	col := stage.NewCollector(as.maxRec)
@@ -284,7 +313,7 @@ func (as *asyncState) mergeSharded() {
 		as.shardLoad[i] = ShardLoad{
 			Busy:           w.busy.Busy(),
 			BatchesScanned: w.batches,
-			RingWaits:      as.bcast.ConsumerWaits(i),
+			RingWaits:      w.waits,
 			EventsScanned:  w.eventsScanned,
 			BlocksDecoded:  w.blocksDecoded,
 			DecodeBusy:     w.decodeBusy,

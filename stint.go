@@ -147,7 +147,7 @@ type Options struct {
 	// projection and coalesces each strand's accesses exactly as the
 	// synchronous detector does — the hook is the same code — while
 	// detector workers (one unless DetectShards asks for more) consume the
-	// strands' flushed intervals from a bounded broadcast ring, overlapping
+	// strands' flushed intervals, each over its own bounded channel, overlapping
 	// compute and coalescing with the access history. Each worker rebuilds
 	// SP-Order from the stream's structure events and owns its share of the
 	// access history. Race reports and Stats are identical to the
@@ -239,9 +239,9 @@ type Runner struct {
 // Options mode:
 //
 //   - sync (ReachOnly included): rp — the structure replay a pipeline
-//     worker runs, with detect.New's engine and no ring in front of it;
-//   - Async or ParallelDetect: as — the mutator side, the broadcast ring
-//     and the workers behind it (async.go);
+//     worker runs, with detect.New's engine and no channel in front of it;
+//   - Async or ParallelDetect: as — the mutator side and the workers behind
+//     it, each fed over its own channel (async.go, shards.go);
 //   - DetectorOff (either executor) / pure tracing: nothing.
 //
 // A serial run's ctl ends strands into whichever of the two is set. bits and
@@ -326,7 +326,7 @@ func (r *Runner) detectConfig(workers int) detect.Config {
 
 // Reset returns the Runner to fresh-but-warm state: every retained layer —
 // reachability structures, detector engines with their page directories and
-// node pools, race collectors, the event ring and batch pools — is emptied in
+// node pools, race collectors, the pipeline channels and batch pools — is emptied in
 // place with its capacity kept, so in steady state Reset allocates nothing
 // and the Runner's heap footprint stops growing once it has seen its peak
 // run. Deterministic seeds re-derive, so the next Run's Report is
@@ -396,7 +396,7 @@ type Report struct {
 	LabelViewSnapshots uint64
 	// ExecutorBusy is the summed busy time of the parallel executor's task
 	// goroutines under ParallelDetect (zero otherwise): program execution
-	// plus strand coalescing and flushing, excluding queue handoffs and
+	// plus strand coalescing and flushing, excluding chunk handoffs and
 	// joins. Divided by the core count it approximates the executor's
 	// critical path.
 	ExecutorBusy time.Duration
@@ -408,15 +408,15 @@ type Report struct {
 	// otherwise; one entry under plain Async): busy time (scanning, page
 	// filtering, SP-Order replay, and detection;
 	// Stats.PipelineDetectTime is their sum), the batches it consumed, and
-	// the worker's broadcast-ring wait count. A worker with many waits was
-	// starved (ahead of the stream); the low-wait outlier is the straggler
-	// the ring's backpressure paces everyone else behind.
+	// the times the worker waited on its channel. A worker with many waits
+	// was starved (ahead of the stream); the low-wait outlier is the
+	// straggler whose full channel paces everyone else behind it.
 	ShardLoad []ShardLoad
 }
 
 // ShardLoad is one shard worker's load breakdown; see Report.ShardLoad.
 type ShardLoad struct {
-	// Busy is the worker's processing time, excluding ring waits.
+	// Busy is the worker's processing time, excluding channel waits.
 	Busy time.Duration
 	// BatchesScanned counts the broadcast batches the worker consumed —
 	// every batch of the run, so it is equal on every worker.
@@ -424,8 +424,10 @@ type ShardLoad struct {
 	// BatchesSkipped is always zero: a worker scans every batch. The field
 	// stays for the benchmark's ledger, which still reads it.
 	BatchesSkipped uint64
-	// RingWaits counts the worker's blocking episodes waiting on the
-	// broadcast ring for the producer (or the merge stage) to publish.
+	// RingWaits counts the worker's receives that found its channel empty
+	// and waited for the producer (or the merge stage) to send: at most one
+	// per batch, plus one for the end of the stream. The name predates the
+	// channels; the benchmark's ledger reads it as stage.ring_waits.
 	RingWaits uint64
 	// EventsScanned and BlocksDecoded count the logical events and the
 	// Iter.DecodeBlock calls of the worker's scans. A call returns up to
@@ -639,7 +641,7 @@ func (t *Task) Sync() {
 
 // ctl is every serial mode's one structure transition: the Tracer records
 // it, then the strand it ends goes into the Async producer's stream or
-// through the inline replayer — a pipeline worker's replay, with no ring. A
+// through the inline replayer — a pipeline worker's replay, with no channel. A
 // strand run has neither, and no structure to transition.
 func (rs *runState) ctl(op evstream.Op) {
 	if tr := rs.tracer; tr != nil {
