@@ -273,29 +273,6 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStores compares the treap against the same trees with
-// rotations off (a plain BST) on two contrasting workloads: sort
-// (treap-friendly, large intervals) and fft (treap-hostile, many small
-// intervals).
-func BenchmarkAblationStores(b *testing.B) {
-	wls := []struct {
-		name string
-		f    workloads.Factory
-	}{
-		{"sort", func() workloads.Workload { return workloads.NewSort(30000, 512) }},
-		{"fft", func() workloads.Workload { return workloads.NewFFT(4096, 64) }},
-	}
-	modes := []stint.Detector{stint.DetectorSTINT, stint.DetectorSTINTUnbalanced}
-	for _, wl := range wls {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/%v", wl.name, mode), func(b *testing.B) {
-				rep := runDetection(b, wl.f, mode, false)
-				b.ReportMetric(float64(rep.Stats.AccessHistoryBytes), "hist-bytes")
-			})
-		}
-	}
-}
-
 // BenchmarkHookOverhead isolates the per-access instrumentation cost that
 // every detector configuration pays: a word hook into the bit hashmap. The
 // Async, Parallel and Vanilla legs below time the same loop through every

@@ -1,12 +1,11 @@
 // Command stint-tables regenerates the paper's evaluation tables from live
 // runs: Figure 1 (vanilla breakdown), Figure 5 (four detector versions),
 // Figure 6 (access/interval statistics), Figure 7 (hashmap vs treap
-// access-history time), Figure 8 (input-size scaling), and the treap-vs-BST
-// ablation.
+// access-history time) and Figure 8 (input-size scaling).
 //
 // Usage:
 //
-//	stint-tables [-scale 1] [-reps 3] fig1 fig5 fig6 fig7 fig8 ablation
+//	stint-tables [-scale 1] [-reps 3] fig1 fig5 fig6 fig7 fig8
 //	stint-tables all
 //
 // Everything outside the paper's figures — allocations, pipelined modes,
@@ -45,12 +44,10 @@ func main() {
 			err = suite.Fig7()
 		case "fig8":
 			err = suite.Fig8()
-		case "ablation":
-			err = suite.Ablation()
 		case "all":
 			err = suite.All()
 		default:
-			err = fmt.Errorf("unknown table %q (want fig1|fig5|fig6|fig7|fig8|ablation|all)", a)
+			err = fmt.Errorf("unknown table %q (want fig1|fig5|fig6|fig7|fig8|all)", a)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stint-tables:", err)

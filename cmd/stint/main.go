@@ -7,8 +7,8 @@
 //	      [-async] [-parallel-detect] [-shards N] [-quiesce N]
 //	      [-max-history BYTES]
 //
-// Detectors: off, reach, vanilla, compiler, comp+rts, stint,
-// stint-unbalanced — or all, which compares every one on the workload
+// Detectors: off, reach, vanilla, compiler, comp+rts, stint — or all,
+// which compares every one on the workload
 // (-async then applies to the coalescing detectors only). With
 // -parallel-detect, -shards sizes its worker side instead of implying
 // -async.
@@ -36,7 +36,7 @@ func main() {
 		scale      = flag.Int("scale", 1, "problem-size multiplier")
 		races      = flag.Int("races", 10, "max races to print")
 		timing     = flag.Bool("timing", false, "measure access-history time separately")
-		parDetect  = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts and stint variants only; -shards then sizes its worker side)")
+		parDetect  = flag.Bool("parallel-detect", false, "execute the program's spawns on real goroutines with online detection behind a deterministic merge (comp+rts or stint only; -shards then sizes its worker side)")
 		traceOut   = flag.String("trace-out", "", "record the execution to this trace file (replay with stint-replay)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the detection run to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
@@ -145,7 +145,6 @@ func runAll(factory workloads.Factory, timing, async bool) error {
 	modes := []stint.Detector{
 		stint.DetectorOff, stint.DetectorReachOnly, stint.DetectorVanilla,
 		stint.DetectorCompiler, stint.DetectorCompRTS, stint.DetectorSTINT,
-		stint.DetectorSTINTUnbalanced,
 	}
 	var base time.Duration
 	fmt.Printf("%-18s %12s %9s %12s %12s %10s %8s\n", "detector", "time", "overhead", "intervals", "ah-time", "allocs", "races")

@@ -260,8 +260,8 @@ func modeNamed(name string) pipeMode {
 // allDetectors are the engines with an access history, and
 // shardTestDetectors the coalescing ones every pipeline can stream to.
 var (
-	allDetectors       = []Detector{DetectorVanilla, DetectorCompiler, DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced}
-	shardTestDetectors = []Detector{DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced}
+	allDetectors       = []Detector{DetectorVanilla, DetectorCompiler, DetectorCompRTS, DetectorSTINT}
+	shardTestDetectors = []Detector{DetectorCompRTS, DetectorSTINT}
 )
 
 // limit is the third axis: none, per-page quiescing at threshold 2, or a

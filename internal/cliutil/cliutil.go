@@ -21,9 +21,9 @@ import (
 // "-detector all" reads -async that way); combinations are validated by
 // stint.NewRunner, which every caller hands the Options to.
 func DetectorFlags(fs *flag.FlagSet) func() (stint.Options, error) {
-	detector := fs.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint, stint-unbalanced)")
-	async := fs.Bool("async", false, "pipeline detection: each strand is coalesced where the program (or the trace decoder) runs and its intervals stream to detector workers, overlapping compute with the access history (comp+rts and stint variants only)")
-	shards := fs.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts and stint variants only)")
+	detector := fs.String("detector", "stint", "detector mode (off, reach, vanilla, compiler, comp+rts, stint)")
+	async := fs.Bool("async", false, "pipeline detection: each strand is coalesced where the program (or the trace decoder) runs and its intervals stream to detector workers, overlapping compute with the access history (comp+rts or stint only)")
+	shards := fs.Int("shards", 0, "partition pipelined detection across N workers by shadow page (implies -async; comp+rts or stint only)")
 	quiesce := fs.Int("quiesce", 0, "retire a 64 KiB shadow page's access history once it has produced N races (0 disables)")
 	maxHistory := fs.Int64("max-history", 0, "abort the run with an error when the retained access history exceeds N bytes (0 = unlimited)")
 	return func() (stint.Options, error) {

@@ -1,9 +1,8 @@
 package core
 
 // checkInvariants panics if the BST order, the parent links, the heap
-// property (when balancing is on), the disjointness invariant or the
-// finger's liveness (0, or a node of this tree) is violated. Tests call
-// this after every operation.
+// property, the disjointness invariant or the finger's liveness (0, or a
+// node of this tree) is violated. Tests call this after every operation.
 func (t *Tree) checkInvariants() {
 	b := t.pool.base
 	var prevEnd uint16
@@ -21,7 +20,7 @@ func (t *Tree) checkInvariants() {
 			if at(b, c).parent != r {
 				panic("core: bad parent link")
 			}
-			if !t.unbal && at(b, c).prio > n.prio {
+			if at(b, c).prio > n.prio {
 				panic("core: heap violation")
 			}
 		}

@@ -46,7 +46,6 @@ func TestNoStalePointerAcrossGrowth(t *testing.T) {
 	t.Run("RandomMixedSessions", TestRandomMixedSessions)
 	t.Run("QuickWriteProjection", TestQuickWriteProjection)
 	t.Run("QuickReadProjection", TestQuickReadProjection)
-	t.Run("UnbalancedModeStaysCorrect", TestUnbalancedModeStaysCorrect)
 	t.Run("FingerMatchesRootWalk", TestFingerMatchesRootWalk)
 	for i, seed := range fuzzSeeds {
 		t.Run(fmt.Sprintf("FuzzSeed%d", i), func(t *testing.T) { fuzzTreeAgainstOracle(t, seed) })

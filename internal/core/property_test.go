@@ -159,20 +159,6 @@ func TestQuickReadProjection(t *testing.T) {
 	}
 }
 
-func TestUnbalancedModeStaysCorrect(t *testing.T) {
-	// The plain-BST ablation must be functionally identical.
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tr := newTestTree()
-		tr.SetBalancing(false)
-		o := newWordOracle()
-		for i := 0; i < 100; i++ {
-			iv := randomInterval(rng, 300, int32(i))
-			checkedWrite(t, tr, o, iv)
-		}
-	}
-}
-
 func TestDeterministicPriorities(t *testing.T) {
 	// Two trees fed the same operations must have identical shapes: the
 	// priority stream is deterministic, keeping benchmark runs reproducible.

@@ -36,18 +36,16 @@ type Stats struct {
 }
 
 // Tree is a non-overlapping interval treap with randomized
-// (deterministically seeded) priorities; use SetBalancing to turn
-// priorities off and degrade to a plain BST for the ablation run. Construct
-// trees with NewTree (private node pool) or NewTreeIn (shared pool), or Init
-// a zero Tree that lives inside another struct. A tree takes and reports
-// absolute positions in [base, base+maxSpan]: one shadow page, in the engine.
+// (deterministically seeded) priorities. Construct trees with NewTree
+// (private node pool) or NewTreeIn (shared pool), or Init a zero Tree that
+// lives inside another struct. A tree takes and reports absolute positions
+// in [base, base+maxSpan]: one shadow page, in the engine.
 type Tree struct {
 	root   ref
 	finger ref // where the previous operation ended; see seek
 	size   int
 	rng    uint64
 	base   uint64 // absolute position of offset 0; see SetBase
-	unbal  bool   // when true, skip rotations (plain BST ablation)
 	fresh  []ref
 	pool   *Pool
 	stats  Stats
@@ -144,11 +142,6 @@ func (t *Tree) putSubtree(b unsafe.Pointer, r ref) {
 	t.putSubtree(b, left)
 	t.putSubtree(b, right)
 }
-
-// SetBalancing enables (default) or disables treap rotations. Disabling
-// turns the structure into an unbalanced BST, used by the "any balanced BST
-// would work" ablation to show the cost of imbalance.
-func (t *Tree) SetBalancing(on bool) { t.unbal = !on }
 
 // Size returns the number of intervals currently stored.
 func (t *Tree) Size() int { return t.size }
@@ -285,16 +278,14 @@ func (t *Tree) rotateRight(b unsafe.Pointer, nr ref) {
 // the standard treap insertion fix-up; doing it after the structural phase
 // keeps the paper's recursive case analysis free of concurrent restructuring.
 func (t *Tree) rebalance() {
-	if !t.unbal {
-		b := t.pool.base
-		for _, r := range t.fresh {
-			n := at(b, r)
-			for n.parent != 0 && at(b, n.parent).prio < n.prio {
-				if at(b, n.parent).left == r {
-					t.rotateRight(b, n.parent)
-				} else {
-					t.rotateLeft(b, n.parent)
-				}
+	b := t.pool.base
+	for _, r := range t.fresh {
+		n := at(b, r)
+		for n.parent != 0 && at(b, n.parent).prio < n.prio {
+			if at(b, n.parent).left == r {
+				t.rotateRight(b, n.parent)
+			} else {
+				t.rotateLeft(b, n.parent)
 			}
 		}
 	}
@@ -464,7 +455,7 @@ func (t *Tree) Walk(fn func(Interval)) {
 }
 
 // Height returns the height of the tree (0 for an empty tree), used by
-// balance diagnostics and the plain-BST ablation.
+// balance diagnostics.
 func (t *Tree) Height() int {
 	b := t.pool.base
 	var rec func(r ref) int

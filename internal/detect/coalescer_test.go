@@ -251,7 +251,7 @@ func runProgram(prog []progOp, sp *spord.SP, e hooked) {
 // by-hand Coalescer never asks its History, so with quiescing on this is
 // also the check that the composition's hook-side drop changes nothing.
 func TestHistoryConformsToInline(t *testing.T) {
-	for _, mode := range []Mode{CompRTS, STINT, STINTUnbalanced} {
+	for _, mode := range []Mode{CompRTS, STINT} {
 		for _, qthresh := range []int{0, 2} {
 			var total uint64
 			for seed := int64(0); seed < 30; seed++ {

@@ -8,7 +8,8 @@
 // an access history fed those intervals), and the per-access engines
 // (Vanilla, Compiler) that have no coalescing half. A synchronous
 // runtime-coalescing detector is a Coalescer flushed into a History on one
-// goroutine (New); the stint runner's pipelines put a ring between the two.
+// goroutine (New); the stint runner's pipelines put a channel between the
+// two.
 //
 // All of them share a reachability substrate behind Reach (SP-Order,
 // stint/internal/spord, for fork-join programs) — exactly the four
@@ -66,9 +67,6 @@ const (
 	// STINT is the paper's full system: compile-time and runtime coalescing
 	// with the interval-treap access history of §4.
 	STINT
-	// STINTUnbalanced is the ablation that turns off treap priorities,
-	// degrading the access-history trees to plain BSTs.
-	STINTUnbalanced
 )
 
 // String returns the mode name used in tables and CLI flags.
@@ -86,15 +84,13 @@ func (m Mode) String() string {
 		return "comp+rts"
 	case STINT:
 		return "stint"
-	case STINTUnbalanced:
-		return "stint-unbalanced"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
 // ParseMode converts a mode name (as produced by String) back to a Mode.
 func ParseMode(s string) (Mode, error) {
-	for _, m := range []Mode{Off, ReachOnly, Vanilla, Compiler, CompRTS, STINT, STINTUnbalanced} {
+	for _, m := range []Mode{Off, ReachOnly, Vanilla, Compiler, CompRTS, STINT} {
 		if m.String() == s {
 			return m, nil
 		}
@@ -272,7 +268,7 @@ type Engine interface {
 
 // History is an access history fed a strand's intervals instead of its
 // accesses — the detector side of every runtime-coalescing mode, inline or
-// behind a pipeline's ring. A Coalescer's Flush supplies the intervals —
+// behind a pipeline's channel. A Coalescer's Flush supplies the intervals —
 // address-sorted, page-contained, reads before writes — so ReadInterval and
 // WriteInterval apply an interval to its page's history at once, and
 // StrandEnd, called while the finishing strand is still current, only
@@ -313,16 +309,16 @@ func NewHistory(cfg Config, reach Reach) History {
 		return &nopEngine{}
 	case CompRTS:
 		return newHashEngine(cfg, reach, false)
-	case STINT, STINTUnbalanced:
-		return newTreeEngine(cfg, reach, cfg.Mode == STINTUnbalanced)
+	case STINT:
+		return newTreeEngine(cfg, reach)
 	}
 	panic(fmt.Sprintf("detect: no interval-fed engine for mode %v", cfg.Mode))
 }
 
 // inline is New's engine for the runtime-coalescing modes: a Coalescer
 // flushed into a History on the caller's goroutine — a pipeline with no
-// ring between its halves. With quiescing on the Coalescer asks the History
-// which pages have retired, so the hooks drop dead-page accesses.
+// channel between its halves. With quiescing on the Coalescer asks the
+// History which pages have retired, so the hooks drop dead-page accesses.
 type inline struct {
 	*Coalescer
 	hist        History

@@ -9,7 +9,7 @@ import (
 )
 
 // allModes are the real engines (not Off/ReachOnly).
-var allModes = []Mode{Vanilla, Compiler, CompRTS, STINT, STINTUnbalanced}
+var allModes = []Mode{Vanilla, Compiler, CompRTS, STINT}
 
 // script drives an engine through a minimal fork-join execution at the
 // spord level: the parent writes before the spawn (series with everything),
@@ -181,7 +181,7 @@ func TestTreapStatsPopulatedOnFinish(t *testing.T) {
 // it — and nothing for a page taken back from the freelist.
 func TestHistoryPageAllocations(t *testing.T) {
 	const warm = 100 // leaves the directory at 256 slots: no growth below 192 pages
-	e := newTreeEngine(Config{}, spord.New(), false)
+	e := newTreeEngine(Config{}, spord.New())
 	var idx uint64
 	touch := func() { idx++; e.pageFor(idx) }
 	for i := 0; i < warm; i++ {

@@ -49,19 +49,18 @@ const (
 // per word is a sufficient witness (§7): reads go into one multiread
 // antichain map, pruned by Series, instead of the read trees.
 type treeEngine struct {
-	stats      Stats
-	reach      Reach
-	onRace     func(Race)
-	timeAH     bool
-	unbalanced bool // STINTUnbalanced: new pages' trees skip rotations
-	pages      pagedir.Dir[histPage]
-	pool       *core.Pool  // node slabs shared by every page's trees
-	freePages  []*histPage // parked pages with reset trees, reused by pageFor
-	nPages     int         // histPages ever allocated (live + parked)
-	lastIdx    uint64
-	lastPage   *histPage
-	leftOf     core.LeftOfFunc
-	par, left  relMemo // reach.Parallel / reach.LeftOf answers already asked for
+	stats     Stats
+	reach     Reach
+	onRace    func(Race)
+	timeAH    bool
+	pages     pagedir.Dir[histPage]
+	pool      *core.Pool  // node slabs shared by every page's trees
+	freePages []*histPage // parked pages with reset trees, reused by pageFor
+	nPages    int         // histPages ever allocated (live + parked)
+	lastIdx   uint64
+	lastPage  *histPage
+	leftOf    core.LeftOfFunc
+	par, left relMemo // reach.Parallel / reach.LeftOf answers already asked for
 
 	// Quiescing and memory-cap state.
 	qthresh  int        // Config.QuiesceThreshold; 0 disables
@@ -109,15 +108,14 @@ func (m *relMemo) ask(acc, cur int32, rel func(acc, cur int32) bool) bool {
 	return e.yes
 }
 
-func newTreeEngine(cfg Config, reach Reach, unbalanced bool) *treeEngine {
+func newTreeEngine(cfg Config, reach Reach) *treeEngine {
 	e := &treeEngine{
-		reach:      reach,
-		onRace:     cfg.OnRace,
-		timeAH:     cfg.TimeAccessHistory,
-		unbalanced: unbalanced,
-		pool:       core.NewPool(),
-		qthresh:    cfg.QuiesceThreshold,
-		maxBytes:   cfg.MaxHistoryBytes,
+		reach:    reach,
+		onRace:   cfg.OnRace,
+		timeAH:   cfg.TimeAccessHistory,
+		pool:     core.NewPool(),
+		qthresh:  cfg.QuiesceThreshold,
+		maxBytes: cfg.MaxHistoryBytes,
 	}
 	if dag, ok := reach.(interface{ Series(a, b int32) bool }); ok {
 		e.series = dag.Series
@@ -160,10 +158,6 @@ func (e *treeEngine) pageFor(idx uint64) *histPage {
 			e.nPages++
 			p.read.Init(e.pool)
 			p.write.Init(e.pool)
-			if e.unbalanced {
-				p.read.SetBalancing(false)
-				p.write.SetBalancing(false)
-			}
 		}
 		p.read.SetBase(idx << pageWordBits)
 		p.write.SetBase(idx << pageWordBits)

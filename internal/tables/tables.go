@@ -380,37 +380,9 @@ func (s *Suite) Fig8() error {
 	return nil
 }
 
-// Ablation runs the one ablation: the treap against the same trees with
-// rotations off (a plain BST), the cost of imbalance.
-func (s *Suite) Ablation() error {
-	modes := []stint.Detector{stint.DetectorSTINT, stint.DetectorSTINTUnbalanced}
-	s.printf("== Ablation: interval treap vs unbalanced BST ==\n")
-	s.printf("%-6s |", "")
-	for _, m := range modes {
-		s.printf(" %-16s %10s %11s |", m, "time", "hist-bytes")
-	}
-	s.printf("\n")
-	for _, name := range workloads.Names() {
-		f, err := workloads.ByName(name, s.scale())
-		if err != nil {
-			return err
-		}
-		s.printf("%-6s |", name)
-		for _, m := range modes {
-			res, err := Measure(f, m, s.reps(), false)
-			if err != nil {
-				return err
-			}
-			s.printf(" %-16s %10v %11d |", "", res.Wall.Round(time.Millisecond), res.Stats.AccessHistoryBytes)
-		}
-		s.printf("\n")
-	}
-	return nil
-}
-
 // All regenerates every table in order.
 func (s *Suite) All() error {
-	for _, f := range []func() error{s.Fig1, s.Fig5, s.Fig6, s.Fig7, s.Fig8, s.Ablation} {
+	for _, f := range []func() error{s.Fig1, s.Fig5, s.Fig6, s.Fig7, s.Fig8} {
 		if err := f(); err != nil {
 			return err
 		}

@@ -9,7 +9,7 @@ import "fmt"
 
 // maxDetectShards bounds DetectShards. Shards cost a goroutine, an engine,
 // a private SP-Order structure (reachability memory scales with the worker
-// count), and a broadcast-ring cursor each, and the page hash cannot usefully
+// count), and a batch channel each, and the page hash cannot usefully
 // spread a program over more workers than it has distinct 64 KiB shadow
 // pages; four-digit counts are a configuration error, not a scale-up.
 const maxDetectShards = 1024
@@ -39,7 +39,7 @@ type optionsRule struct {
 // optionsRules is evaluated in order; the first violated rule wins.
 var optionsRules = []optionsRule{
 	{
-		bad: func(o *Options) bool { return o.Detector < DetectorOff || o.Detector > DetectorSTINTUnbalanced },
+		bad: func(o *Options) bool { return o.Detector < DetectorOff || o.Detector > DetectorSTINT },
 		err: func(o *Options) error { return fmt.Errorf("stint: unknown Detector %v", o.Detector) },
 	},
 	{
@@ -65,7 +65,7 @@ var optionsRules = []optionsRule{
 			return (o.Async || o.ParallelDetect) && !inert && !coalescingDetector(o.Detector)
 		},
 		err: func(o *Options) error {
-			return fmt.Errorf("stint: Async, DetectShards and ParallelDetect stream coalesced intervals and require a runtime-coalescing detector (comp+rts or a stint variant), got %v; for detection-off parallel execution use ParallelDetect with DetectorOff", o.Detector)
+			return fmt.Errorf("stint: Async, DetectShards and ParallelDetect stream coalesced intervals and require a runtime-coalescing detector (comp+rts or stint), got %v; for detection-off parallel execution use ParallelDetect with DetectorOff", o.Detector)
 		},
 	},
 	{
@@ -119,7 +119,7 @@ var optionsRules = []optionsRule{
 // which is all a pipeline streams.
 func coalescingDetector(d Detector) bool {
 	switch d {
-	case DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced:
+	case DetectorCompRTS, DetectorSTINT:
 		return true
 	}
 	return false

@@ -46,7 +46,6 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"shards compiler", Options{Detector: DetectorCompiler, Async: true, DetectShards: 2}, "runtime-coalescing"},
 		{"shards comp+rts ok", Options{Detector: DetectorCompRTS, Async: true, DetectShards: 2}, ""},
 		{"shards stint ok", Options{Detector: DetectorSTINT, Async: true, DetectShards: 4}, ""},
-		{"shards stint-unbalanced ok", Options{Detector: DetectorSTINTUnbalanced, Async: true, DetectShards: 2}, ""},
 		{"one shard ok", Options{Detector: DetectorSTINT, Async: true, DetectShards: 1}, ""},
 		{"zero shards ok", Options{Detector: DetectorSTINT, Async: true}, ""},
 		{"shards off ignored", Options{Detector: DetectorOff, Async: true, DetectShards: 2}, ""},
@@ -63,8 +62,10 @@ func TestNewRunnerValidationTable(t *testing.T) {
 		{"parallel-detect tracer", Options{Detector: DetectorSTINT, ParallelDetect: true, Tracer: &accessCounter{}}, "tracing"},
 		{"parallel-detect with async", Options{Detector: DetectorSTINT, ParallelDetect: true, Async: true}, "Async and ParallelDetect"},
 
-		// The detector is one of the seven named values.
+		// The detector is one of the six named values, 0–5; the first value
+		// past them is refused like any other.
 		{"unknown detector", Options{Detector: Detector(99)}, "unknown Detector"},
+		{"retired detector", Options{Detector: Detector(6)}, "unknown Detector"},
 		{"negative detector", Options{Detector: Detector(-1), Async: true}, "unknown Detector"},
 
 		// Plain configurations stay legal.
@@ -116,15 +117,15 @@ func TestMaxRacesDefaultApplied(t *testing.T) {
 }
 
 // TestCoalescingDetectorSet pins which detectors a pipeline may stream
-// intervals to: exactly the three detect.NewHistory builds an engine for.
+// intervals to: exactly the two detect.NewHistory builds an engine for.
 func TestCoalescingDetectorSet(t *testing.T) {
 	var got []Detector
-	for d := DetectorOff; d <= DetectorSTINTUnbalanced+8; d++ {
+	for d := DetectorOff; d <= DetectorSTINT+8; d++ {
 		if coalescingDetector(d) {
 			got = append(got, d)
 		}
 	}
-	want := []Detector{DetectorCompRTS, DetectorSTINT, DetectorSTINTUnbalanced}
+	want := []Detector{DetectorCompRTS, DetectorSTINT}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("coalescingDetector accepts %v, want %v", got, want)
 	}

@@ -12,7 +12,7 @@ import (
 
 var pipelineDetectors = []stint.Detector{
 	stint.DetectorVanilla, stint.DetectorCompiler, stint.DetectorCompRTS,
-	stint.DetectorSTINT, stint.DetectorSTINTUnbalanced,
+	stint.DetectorSTINT,
 }
 
 func TestGridReachability(t *testing.T) {

@@ -57,9 +57,6 @@ const (
 	DetectorCompRTS = detect.CompRTS
 	// DetectorSTINT is the paper's full system with the interval treap.
 	DetectorSTINT = detect.STINT
-	// DetectorSTINTUnbalanced is STINT with treap rotations off: the same
-	// trees as plain (unbalanced) BSTs, the one ablation.
-	DetectorSTINTUnbalanced = detect.STINTUnbalanced
 )
 
 // Race is one detected determinacy race.
@@ -135,7 +132,7 @@ type Options struct {
 	// and Stats come out identical to sync mode, not just equivalent.
 	//
 	// Requires DetectorOff or a runtime-coalescing detector (DetectorCompRTS
-	// or a STINT variant); incompatible with Async and Tracer. DetectShards
+	// or DetectorSTINT); incompatible with Async and Tracer. DetectShards
 	// sets the worker count (0 means one worker). OnRace may be invoked from
 	// any worker while the program is still running, and the program itself
 	// must be safe to execute in parallel (spawned siblings really do run
@@ -156,8 +153,8 @@ type Options struct {
 	// invoked from a worker goroutine while the program is still running;
 	// Run does not return until the stream has fully drained.
 	//
-	// Requires a runtime-coalescing detector (DetectorCompRTS or a STINT
-	// variant) — intervals are all the stream carries. Async is ignored
+	// Requires a runtime-coalescing detector (DetectorCompRTS or
+	// DetectorSTINT) — intervals are all the stream carries. Async is ignored
 	// under DetectorOff (there is nothing to pipeline) and pipelines only the
 	// reachability structure under DetectorReachOnly.
 	Async bool

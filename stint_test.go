@@ -275,7 +275,7 @@ func TestParseDetector(t *testing.T) {
 			t.Errorf("ParseDetector(%q) = %v, %v", d.String(), got, err)
 		}
 	}
-	for _, name := range []string{"bogus", "stint-skiplist"} {
+	for _, name := range []string{"bogus", "stint-skiplist", "stint-unbalanced"} {
 		if _, err := ParseDetector(name); err == nil || !strings.Contains(err.Error(), "unknown mode") {
 			t.Errorf("ParseDetector(%q) error = %v, want unknown mode", name, err)
 		}
