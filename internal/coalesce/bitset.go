@@ -10,10 +10,10 @@
 // slot and page boundaries), report them, and clear the bits for the next
 // strand — all in time proportional to the strand's own footprint.
 //
-// The first level is an open-addressed page directory (internal/pagedir)
-// rather than a Go map, and Flush retires every page to a per-BitSet
-// freelist: in steady state a strand's accesses allocate nothing, because
-// the next strand pops the same zeroed pages back off the freelist.
+// The first level is a page directory (internal/pagedir), and Flush parks
+// every page on the directory's freelist: in steady state a strand's
+// accesses allocate nothing, because the next strand binds the same zeroed
+// pages again.
 //
 // A detector uses two BitSets per strand: one for reads, one for writes.
 package coalesce
@@ -57,15 +57,16 @@ type page struct {
 
 // BitSet tracks the set of words accessed by the current strand.
 type BitSet struct {
-	dir      pagedir.Dir[page]
-	free     []*page // retired zeroed pages, reused by pageFor
-	allocs   int     // pages ever allocated (live + free)
-	touched  []uint64
-	lastIdx  uint64
-	lastPage *page
+	touched []uint64
 	// Calls and Words count hooks and their shadow words until Reset: SetSlot
 	// counts its own; a caller of SetRange, which counts nothing, counts here.
 	Calls, Words uint64
+	// dir opens with its page cache, so the four words every hook touches
+	// (the counters and the cache) are adjacent, and the words at either end
+	// of a BitSet, which a neighbouring BitSet's hot words may share a cache
+	// line with, change only per page or per strand: ParallelDetect's tasks
+	// own neighbouring BitSets on different cores.
+	dir pagedir.Dir[page]
 }
 
 // New returns an empty BitSet.
@@ -73,30 +74,15 @@ func New() *BitSet {
 	return &BitSet{}
 }
 
-// pageFor returns the page for the given page index, reusing a retired page
-// or allocating lazily, and lists it as touched — so the cached lastPage is
-// always listed, and SetSlot and SetRange's fast path need not check.
+// pageFor binds the page for the given page index and lists it as touched,
+// so the directory's cached page is always listed and SetSlot and
+// SetRange's fast path need not check. A parked page is zero already.
 func (b *BitSet) pageFor(idx uint64) *page {
-	if b.lastPage != nil && idx == b.lastIdx {
-		return b.lastPage
-	}
-	p := b.dir.Get(idx)
-	if p == nil {
-		if n := len(b.free); n > 0 {
-			p = b.free[n-1]
-			b.free[n-1] = nil
-			b.free = b.free[:n-1]
-		} else {
-			p = &page{}
-			b.allocs++
-		}
-		b.dir.Put(idx, p)
-	}
+	p, _ := b.dir.Bind(idx)
 	if !p.inList {
 		p.inList = true
 		b.touched = append(b.touched, idx)
 	}
-	b.lastIdx, b.lastPage = idx, p
 	return p
 }
 
@@ -110,7 +96,7 @@ func (b *BitSet) SetRange(addr mem.Addr, size uint64) {
 	w1 := (addr + size + mem.WordSize - 1) >> wordBits
 	// Fast path: the whole range lies in one 64-word slot of the cached
 	// page — a short range hook, or a per-access one SetSlot did not take.
-	if p := b.lastPage; p != nil && w0>>pageWordBits == b.lastIdx && (w1-1)>>pageWordBits == b.lastIdx {
+	if p := b.dir.Last(w0 >> pageWordBits); p != nil && (w1-1)>>pageWordBits == w0>>pageWordBits {
 		lo := w0 & (pageWords - 1)
 		hi := (w1-1)&(pageWords-1) + 1
 		slot := lo >> slotBits
@@ -181,8 +167,9 @@ func (b *BitSet) SetSlot(addr mem.Addr, size uint64) {
 	w, last := addr>>wordBits, (addr+size-1)>>wordBits
 	b.Calls++
 	b.Words += last - w + 1
-	p := b.lastPage
-	if idx := w >> pageWordBits; p == nil || idx != b.lastIdx {
+	idx := w >> pageWordBits
+	p := b.dir.Last(idx)
+	if p == nil {
 		p = b.pageFor(idx)
 	}
 	lo := w & (pageWords - 1)
@@ -232,9 +219,8 @@ func sortOrdered[T uint64 | int32](s []T) {
 // one interval per page, so every interval can be routed to — and its
 // history kept by — a single shadow page. It returns the total number of
 // distinct words that were set, i.e. the strand's deduplicated footprint.
-// All pages are retired to the freelist on the way out: their bits are zero
-// again, so the next strand can reuse them for any page index without
-// reinitialization.
+// Every page is parked on the way out: its bits are zero again, so the next
+// strand can bind it to any page index without reinitialization.
 func (b *BitSet) Flush(emit func(start mem.Addr, size uint64)) (words uint64) {
 	if len(b.touched) == 0 {
 		return 0
@@ -284,19 +270,15 @@ func (b *BitSet) Flush(emit func(start mem.Addr, size uint64)) (words uint64) {
 		emit(pendStart<<wordBits, (pendEnd-pendStart)<<wordBits)
 	}
 	b.touched = b.touched[:0]
-	// Every page is zeroed now; retire them all so the next strand reuses
-	// them instead of allocating, and drop the cache that pointed into the
-	// directory.
-	b.dir.Reset(func(p *page) { b.free = append(b.free, p) })
-	b.lastIdx, b.lastPage = 0, nil
+	b.dir.Reset(nil)
 	return words
 }
 
 // Reset discards any recorded accesses without reporting them, zeroes the
-// hook counters and retires every page to the freelist, retaining all
-// allocated capacity. After a completed strand Flush leaves the bits clean and
-// Reset is a cheap no-op walk; its real job is recovering from an aborted run
-// that died mid-strand with bits still set.
+// hook counters and parks every page, retaining all allocated capacity.
+// After a completed strand Flush leaves the bits clean and Reset is a cheap
+// no-op walk; its real job is recovering from an aborted run that died
+// mid-strand with bits still set.
 func (b *BitSet) Reset() {
 	b.Calls, b.Words = 0, 0
 	b.dir.Reset(func(p *page) {
@@ -305,12 +287,10 @@ func (b *BitSet) Reset() {
 			p.touched = p.touched[:0]
 			p.inList = false
 		}
-		b.free = append(b.free, p)
 	})
 	b.touched = b.touched[:0]
-	b.lastIdx, b.lastPage = 0, nil
 }
 
 // Pages returns the number of second-level pages ever allocated (live plus
-// retired), a proxy for the structure's footprint.
-func (b *BitSet) Pages() int { return b.allocs }
+// parked), a proxy for the structure's footprint.
+func (b *BitSet) Pages() int { return b.dir.Made() }

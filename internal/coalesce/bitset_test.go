@@ -357,8 +357,10 @@ func TestLastPageIsInList(t *testing.T) {
 	b, n := New(), naiveSet{}
 	check := func(op string, addr, size uint64) {
 		t.Helper()
-		if p := b.lastPage; p != nil && !p.inList {
-			t.Fatalf("after %s(%#x, %d): cached page %#x is not on the touched list", op, addr, size, b.lastIdx)
+		for idx := uint64(0); idx < 8; idx++ { // every page the mix reaches
+			if p := b.dir.Last(idx); p != nil && !p.inList {
+				t.Fatalf("after %s(%#x, %d): cached page %#x is not on the touched list", op, addr, size, idx)
+			}
 		}
 	}
 	for i := 0; i < 20000; i++ {

@@ -188,8 +188,8 @@ func TestHistoryPageAllocations(t *testing.T) {
 		touch()
 	}
 	e.Reset()
-	if got := testing.AllocsPerRun(warm-1, touch); got != 0 || len(e.freePages) != 0 {
-		t.Fatalf("a parked page cost %v allocations (%d still parked), want 0 (0)", got, len(e.freePages))
+	if got := testing.AllocsPerRun(warm-1, touch); got != 0 || e.pages.Parked() != 0 {
+		t.Fatalf("a parked page cost %v allocations (%d still parked), want 0 (0)", got, e.pages.Parked())
 	}
 	if got := testing.AllocsPerRun(50, touch); got != 1 {
 		t.Fatalf("a first-touched page cost %v allocations, want 1 (the shell)", got)
@@ -373,14 +373,14 @@ func TestParkedPageReportsItsNewPage(t *testing.T) {
 		} else if hist.stats.PagesQuiesced != 1 {
 			t.Fatalf("%s: page 3 did not quiesce", park)
 		}
-		if len(hist.freePages) != 1 {
-			t.Fatalf("%s: %d pages parked, want 1", park, len(hist.freePages))
+		if hist.pages.Parked() != 1 {
+			t.Fatalf("%s: %d pages parked, want 1", park, hist.pages.Parked())
 		}
 		races = races[:0]
 		const at = 9*pageBytes + pageBytes - 32 // up against the far end of page 9
 		racyPair(at)
-		if hist.nPages != 1 {
-			t.Fatalf("%s: %d page shells allocated, want the parked one taken back", park, hist.nPages)
+		if hist.pages.Made() != 1 {
+			t.Fatalf("%s: %d page shells allocated, want the parked one taken back", park, hist.pages.Made())
 		}
 		if len(races) == 0 {
 			t.Fatalf("%s: no race on the re-bound page", park)

@@ -26,17 +26,15 @@ type hashEngine struct {
 	expandRanges bool
 	timeAH       bool
 
-	// Quiescing and memory-cap state. Races never span a page (words are
-	// page-contained and flushed spans page-split), so attributing each
-	// race to the page of its start address is exact.
-	qthresh   int
-	maxBytes  uint64
-	capErr    error
-	pageRaces map[uint64]int32 // page index -> races produced
+	// Quiescing and memory-cap state. A race is a word's, so it is counted
+	// on that word's shadow page.
+	qthresh  int
+	maxBytes uint64
+	capErr   error
 }
 
 func newHashEngine(cfg Config, reach Reach, expandRanges bool) *hashEngine {
-	e := &hashEngine{
+	return &hashEngine{
 		reach:        reach,
 		table:        shadow.New(),
 		onRace:       cfg.OnRace,
@@ -45,17 +43,10 @@ func newHashEngine(cfg Config, reach Reach, expandRanges bool) *hashEngine {
 		qthresh:      cfg.QuiesceThreshold,
 		maxBytes:     cfg.MaxHistoryBytes,
 	}
-	if e.qthresh > 0 {
-		e.pageRaces = make(map[uint64]int32)
-	}
-	return e
 }
 
 func (e *hashEngine) race(r Race) {
 	e.stats.Races++
-	if e.qthresh > 0 {
-		e.pageRaces[uint64(r.Addr)>>coalesce.PageBytesBits]++
-	}
 	if e.onRace != nil {
 		e.onRace(r)
 	}
@@ -74,12 +65,11 @@ func (e *hashEngine) deadSpan(addr mem.Addr, size uint64) bool {
 // Coalescer).
 func (e *hashEngine) Retired(idx uint64) bool { return e.table.Retired(idx) }
 
-// quiescePage retires one shadow page: its 128 KiB of cells park on the
-// freelist and the directory maps it to the dead page. Word accesses and
-// flushed spans on the page become no-ops from here on.
+// quiescePage retires one shadow page: its 128 KiB of cells are parked and
+// the directory maps it to the dead page. Word accesses and flushed spans on
+// the page become no-ops from here on.
 func (e *hashEngine) quiescePage(idx uint64) {
 	e.table.Retire(idx)
-	delete(e.pageRaces, idx)
 	e.stats.PagesQuiesced++
 }
 
@@ -106,8 +96,8 @@ func (e *hashEngine) accessWord(addr mem.Addr, isWrite bool) {
 	} else if *r == shadow.None || e.reach.LeftOf(cur, *r) {
 		*r = cur
 	}
-	if e.qthresh > 0 && e.stats.Races != racesBefore {
-		if idx := uint64(addr) >> coalesce.PageBytesBits; e.pageRaces[idx] >= int32(e.qthresh) {
+	if n := int32(e.stats.Races - racesBefore); e.qthresh > 0 && n != 0 {
+		if idx := uint64(addr) >> coalesce.PageBytesBits; e.table.AddRaces(idx, n) >= int32(e.qthresh) {
 			e.quiescePage(idx)
 		}
 	}
@@ -250,17 +240,14 @@ func (e *hashEngine) Finish() {
 func (e *hashEngine) Stats() *Stats { return &e.stats }
 
 // Reset returns the engine to its freshly-constructed state: the shadow
-// table retires its pages to the freelist (capacity retained).
+// table parks its pages (capacity retained).
 func (e *hashEngine) Reset() {
 	e.table.Reset()
 	e.capErr = nil
-	for k := range e.pageRaces {
-		delete(e.pageRaces, k)
-	}
 	e.stats = Stats{}
 }
 
 // Footprint reports the engine's retained warm capacity.
 func (e *hashEngine) Footprint() Footprint {
-	return Footprint{HistPages: e.table.Pages() + e.table.FreePages()}
+	return Footprint{PageDirCap: e.table.Cap(), HistPages: e.table.Made()}
 }

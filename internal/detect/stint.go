@@ -53,14 +53,10 @@ type treeEngine struct {
 	reach     Reach
 	onRace    func(Race)
 	timeAH    bool
-	pages     pagedir.Dir[histPage]
-	pool      *core.Pool  // node slabs shared by every page's trees
-	freePages []*histPage // parked pages with reset trees, reused by pageFor
-	nPages    int         // histPages ever allocated (live + parked)
-	lastIdx   uint64
-	lastPage  *histPage
+	pool      *core.Pool // node slabs shared by every page's trees
 	leftOf    core.LeftOfFunc
 	par, left relMemo // reach.Parallel / reach.LeftOf answers already asked for
+	pages     pagedir.Dir[histPage]
 
 	// Quiescing and memory-cap state.
 	qthresh  int        // Config.QuiesceThreshold; 0 disables
@@ -79,9 +75,9 @@ type treeEngine struct {
 	series multiread.SeriesFunc // the Reach's Series, or nil: reads go to the read trees
 	reads  multiread.Map        // the general-DAG read history, when series is set
 
-	// dead is a quiesced page's directory entry — and lastPage's, while it
-	// is the last page asked for: a shell never initialized and never
-	// applied to. It sits last, so the hot fields keep their offsets.
+	// dead is a quiesced page's directory entry: a shell never initialized
+	// and never applied to. It sits last, so the hot fields keep their
+	// offsets.
 	dead histPage
 }
 
@@ -138,32 +134,21 @@ func newTreeEngine(cfg Config, reach Reach) *treeEngine {
 }
 
 // pageFor returns the history for the page containing byte index idx<<16,
-// creating its trees on first touch, or &e.dead once the page has quiesced.
-// A page bound to idx — new or parked — gets its trees based at the page's
-// first word.
+// binding it on first touch, or &e.dead once the page has quiesced.
 func (e *treeEngine) pageFor(idx uint64) *histPage {
-	if e.lastPage != nil && idx == e.lastIdx {
-		return e.lastPage
+	if p := e.pages.Last(idx); p != nil {
+		return p
 	}
-	p := e.pages.Get(idx)
-	if p == nil {
-		if n := len(e.freePages); n > 0 {
-			// A parked page's trees were Reset when it was retired, so but for
-			// their base it is a fresh page: same seeds, empty trees.
-			p = e.freePages[n-1]
-			e.freePages[n-1] = nil
-			e.freePages = e.freePages[:n-1]
-		} else {
-			p = &histPage{}
-			e.nPages++
-			p.read.Init(e.pool)
-			p.write.Init(e.pool)
-		}
+	p, fresh := e.pages.Bind(idx)
+	if fresh {
+		// A parked page's trees were Reset or Dropped, so Init writes the
+		// seed and pool they already hold: but for its base it is new.
+		p.read.Init(e.pool)
+		p.write.Init(e.pool)
 		p.read.SetBase(idx << pageWordBits)
 		p.write.SetBase(idx << pageWordBits)
-		e.pages.Put(idx, p)
+		p.races = 0
 	}
-	e.lastIdx, e.lastPage = idx, p
 	return p
 }
 
@@ -180,12 +165,7 @@ func (e *treeEngine) race(r Race) {
 // Retired reports whether page idx has quiesced. It reads the one-entry
 // cache but never fills it: a Coalescer asks from its hooks (see
 // Coalescer), between the strand flushes that own the cache.
-func (e *treeEngine) Retired(idx uint64) bool {
-	if e.lastPage != nil && idx == e.lastIdx {
-		return e.lastPage == &e.dead
-	}
-	return e.pages.Get(idx) == &e.dead
-}
+func (e *treeEngine) Retired(idx uint64) bool { return e.pages.Get(idx) == &e.dead }
 
 // StrandEnd samples the footprint high-water mark and the hard cap at the
 // strand boundary. Intervals whose page has quiesced were dropped before
@@ -264,11 +244,11 @@ func (e *treeEngine) interval(addr mem.Addr, size uint64, write bool) {
 
 // quiescePage retires one page's history: its tree counters are salvaged
 // into the retired aggregate (Finish still reports the work that was done),
-// its nodes go back to the shared pool, the empty shell parks on the page
-// freelist for reuse by live pages, and the directory and the one-entry
-// cache map idx to &e.dead so the page cannot silently come back. The retained
-// footprint is unchanged — no shell is allocated or freed — which is what
-// keeps Runner.footprint() stable across quiesce/reset cycles.
+// its nodes go back to the shared pool, and the directory parks the empty
+// shell for reuse by live pages and maps idx to &e.dead so the page cannot
+// silently come back. The retained footprint is unchanged — no shell is
+// allocated or freed — which is what keeps Runner.footprint() stable across
+// quiesce/reset cycles.
 func (e *treeEngine) quiescePage(idx uint64, pg *histPage) {
 	rs, ws := pg.read.Stats(), pg.write.Stats()
 	e.retired.Ops += rs.Ops + ws.Ops
@@ -276,10 +256,7 @@ func (e *treeEngine) quiescePage(idx uint64, pg *histPage) {
 	e.retired.Overlaps += rs.Overlaps + ws.Overlaps
 	pg.read.Drop()
 	pg.write.Drop()
-	pg.races = 0
-	e.pages.Put(idx, &e.dead)
-	e.freePages = append(e.freePages, pg)
-	e.lastIdx, e.lastPage = idx, &e.dead
+	e.pages.Retire(idx, &e.dead)
 	e.stats.PagesQuiesced++
 }
 
@@ -297,8 +274,7 @@ const histPageShellBytes = 256
 // (near) zero. Quiescing a page moves its nodes and shell onto free lists,
 // so retired pages leave this measure immediately.
 func (e *treeEngine) histBytes() uint64 {
-	live := uint64(e.pages.Len()) - e.stats.PagesQuiesced
-	return e.pool.LiveBytes() + live*histPageShellBytes + uint64(e.reads.Readers())*core.NodeBytes
+	return e.pool.LiveBytes() + uint64(e.pages.Live())*histPageShellBytes + uint64(e.reads.Readers())*core.NodeBytes
 }
 
 // CapError returns the history-cap error, if the footprint tripped
@@ -310,9 +286,6 @@ func (e *treeEngine) Finish() {
 	agg := e.retired // work done on since-quiesced pages still counts
 	var stored int
 	e.pages.Range(func(_ uint64, p *histPage) {
-		if p == &e.dead {
-			return
-		}
 		rs, ws := p.read.Stats(), p.write.Stats()
 		agg.Ops += rs.Ops + ws.Ops
 		agg.NodesVisited += rs.NodesVisited + ws.NodesVisited
@@ -330,24 +303,17 @@ func (e *treeEngine) Finish() {
 func (e *treeEngine) Stats() *Stats { return &e.stats }
 
 // Reset returns the engine to its freshly-constructed state with its warm
-// capacity retained: every live history page has its trees Reset (seeds
-// re-derived, contents dropped) and is parked on the page freelist, the
-// shared node pool rewinds wholesale, the directory keeps its backing
-// array. In steady state Reset allocates
+// capacity retained: every live history page has its trees Reset (contents
+// dropped) and is parked, the shared node pool rewinds wholesale, the
+// directory keeps its backing array. In steady state Reset allocates
 // nothing and the retained footprint (node slab, directory capacity,
 // page count) stops growing once the engine has seen its peak run.
 func (e *treeEngine) Reset() {
 	e.pages.Reset(func(p *histPage) {
-		if p == &e.dead {
-			return
-		}
 		p.read.Reset()
 		p.write.Reset()
-		p.races = 0
-		e.freePages = append(e.freePages, p)
 	})
 	e.pool.Reset()
-	e.lastIdx, e.lastPage = 0, nil
 	e.par, e.left = relMemo{}, relMemo{}
 	e.reads = multiread.Map{}
 	e.curID = 0
@@ -363,6 +329,6 @@ func (e *treeEngine) Footprint() Footprint {
 	return Footprint{
 		PoolNodes:  e.pool.Stats().Cap,
 		PageDirCap: e.pages.Cap(),
-		HistPages:  e.nPages,
+		HistPages:  e.pages.Made(),
 	}
 }

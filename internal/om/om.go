@@ -19,7 +19,11 @@
 // may still be referenced by the access history.
 package om
 
-import "math"
+import (
+	"math"
+
+	"stint/internal/slab"
+)
 
 // Node is an element of an order-maintenance list. Nodes are created only by
 // List.InsertAfter and are valid for the lifetime of the list.
@@ -52,73 +56,17 @@ const (
 	groupStride = 1 << 32
 )
 
-// omChunk is the slab granularity for nodes and groups: lists allocate
-// backing arrays this many elements at a time instead of one heap object
-// per insert, keeping per-spawn costs allocation-free in steady state.
-const omChunk = 128
-
 // List is an order-maintenance list. The zero value is an empty list ready
 // for use.
 type List struct {
 	head *group // first group, nil when empty
 	tail *group
 	len  int
-	// Nodes and groups are carved sequentially out of retained chunk tables;
-	// allocNode/allocGroup advance a (chunk, offset) cursor. Elements stay
-	// valid until Reset, which rewinds the cursors and zeroes the carved
-	// region — the backing arrays are reused, never released, so steady-state
+	// Nodes and groups are carved out of slabs: they stay valid until
+	// Reset, which rewinds both and keeps their chunks, so steady-state
 	// reuse allocates nothing.
-	nodeChunks [][]Node
-	nodeCur    int
-	nodeUsed   int
-	grpChunks  [][]group
-	grpCur     int
-	grpUsed    int
-}
-
-// allocNode carves a zero node out of the chunk table.
-func (l *List) allocNode() *Node {
-	if l.nodeUsed == omChunk {
-		l.nodeCur++
-		l.nodeUsed = 0
-	}
-	if l.nodeCur == len(l.nodeChunks) {
-		l.nodeChunks = append(l.nodeChunks, make([]Node, omChunk))
-	}
-	n := &l.nodeChunks[l.nodeCur][l.nodeUsed]
-	l.nodeUsed++
-	return n
-}
-
-// allocGroup carves a zero group out of the chunk table.
-func (l *List) allocGroup() *group {
-	if l.grpUsed == omChunk {
-		l.grpCur++
-		l.grpUsed = 0
-	}
-	if l.grpCur == len(l.grpChunks) {
-		l.grpChunks = append(l.grpChunks, make([]group, omChunk))
-	}
-	g := &l.grpChunks[l.grpCur][l.grpUsed]
-	l.grpUsed++
-	return g
-}
-
-// clearCarved zeroes the carved prefix of a chunk table: full chunks below
-// the cursor plus the carved head of the current chunk. Chunks past the
-// cursor are already zero (fresh from make, or cleared by an earlier Reset
-// and never re-carved).
-func clearCarved[T any](chunks [][]T, cur, used int) {
-	hi := cur
-	if hi >= len(chunks) {
-		hi = len(chunks) - 1
-	}
-	for i := 0; i < hi; i++ {
-		clear(chunks[i])
-	}
-	if hi >= 0 {
-		clear(chunks[hi][:used])
-	}
+	nodes  slab.Slab[Node]
+	groups slab.Slab[group]
 }
 
 // Reset empties the list for reuse, retaining every chunk it ever
@@ -128,11 +76,9 @@ func clearCarved[T any](chunks [][]T, cur, used int) {
 // dies at once). A Reset list is indistinguishable from NewList() except
 // for its retained capacity.
 func (l *List) Reset() {
-	clearCarved(l.nodeChunks, l.nodeCur, l.nodeUsed)
-	clearCarved(l.grpChunks, l.grpCur, l.grpUsed)
+	l.nodes.Reset()
+	l.groups.Reset()
 	l.head, l.tail, l.len = nil, nil, 0
-	l.nodeCur, l.nodeUsed = 0, 0
-	l.grpCur, l.grpUsed = 0, 0
 }
 
 // NewList returns an empty order-maintenance list.
@@ -157,7 +103,7 @@ func (l *List) InsertAfter(x *Node) *Node {
 		return l.pushFront()
 	}
 	g := x.group
-	n := l.allocNode()
+	n := l.nodes.New()
 	n.group, n.prev, n.next = g, x, x.next
 	if x.next != nil {
 		x.next.prev = n
@@ -176,9 +122,9 @@ func (l *List) InsertAfter(x *Node) *Node {
 
 // pushFront handles insertion at the head of the list.
 func (l *List) pushFront() *Node {
-	n := l.allocNode()
+	n := l.nodes.New()
 	if l.head == nil {
-		g := l.allocGroup()
+		g := l.groups.New()
 		g.label, g.size, g.first, g.last, g.list = math.MaxUint64/2, 1, n, n, l
 		n.group = g
 		n.label = math.MaxUint64 / 2
@@ -241,7 +187,7 @@ func (g *group) split() {
 	for i := 1; i < half; i++ {
 		mid = mid.next
 	}
-	ng := g.list.allocGroup()
+	ng := g.list.groups.New()
 	ng.size, ng.first, ng.last = g.size-half, mid.next, g.last
 	ng.prev, ng.next, ng.list = g, g.next, g.list
 	for n := ng.first; ; n = n.next {

@@ -271,3 +271,61 @@ func BenchmarkBefore(b *testing.B) {
 		Before(nodes[i%len(nodes)], nodes[(i*7+1)%len(nodes)])
 	}
 }
+
+// insertScript returns n random insertion points: entry i is the index of
+// the node the i-th insert goes after, or -1 for the front.
+func insertScript(seed int64, n int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	script := make([]int, n)
+	for i := range script {
+		script[i] = rng.Intn(i+1) - 1
+	}
+	return script
+}
+
+// replayInserts runs script on l into nodes, which must have room for it.
+func replayInserts(l *List, script []int, nodes []*Node) {
+	for i, after := range script {
+		var x *Node
+		if after >= 0 {
+			x = nodes[after]
+		}
+		nodes[i] = l.InsertAfter(x)
+	}
+}
+
+// TestResetMatchesFresh: a list Reset after another script answers the next
+// script exactly like a fresh list — every label and group label, so every
+// Before — and the warm rerun allocates nothing.
+func TestResetMatchesFresh(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		script := insertScript(seed, 700) // past several groups and slab chunks
+		fresh, reused := NewList(), NewList()
+		want, got := make([]*Node, len(script)), make([]*Node, len(script))
+		replayInserts(fresh, script, want)
+		replayInserts(reused, insertScript(seed+100, 900), make([]*Node, 900))
+		reused.Reset()
+		replayInserts(reused, script, got)
+		if reused.Len() != fresh.Len() {
+			t.Fatalf("seed %d: Len %d, fresh %d", seed, reused.Len(), fresh.Len())
+		}
+		for i := range script {
+			if got[i].label != want[i].label || got[i].group.label != want[i].group.label {
+				t.Fatalf("seed %d: node %d labelled (%d, %d), fresh (%d, %d)", seed, i,
+					got[i].group.label, got[i].label, want[i].group.label, want[i].label)
+			}
+			for j := range script {
+				if Before(got[i], got[j]) != Before(want[i], want[j]) {
+					t.Fatalf("seed %d: Before(%d, %d) differs from the fresh list", seed, i, j)
+				}
+			}
+		}
+		rerun := func() {
+			reused.Reset()
+			replayInserts(reused, script, got)
+		}
+		if n := testing.AllocsPerRun(5, rerun); n != 0 {
+			t.Fatalf("seed %d: a warm rerun cost %v allocations, want 0", seed, n)
+		}
+	}
+}

@@ -102,20 +102,20 @@ func TestDirectoryEquivalence(t *testing.T) {
 	}
 }
 
-// TestResetReusesPages checks that Reset retires pages to the freelist, that
-// a reused page reads as empty, and that refilling after Reset allocates
-// from the freelist rather than the heap.
+// TestResetReusesPages checks that Reset parks every page, that a reused
+// page reads as empty, and that refilling after Reset takes the parked
+// pages rather than allocating.
 func TestResetReusesPages(t *testing.T) {
 	tb := New()
 	w, r := tb.Cell(0x10000)
 	*w, *r = 7, 9
 	tb.Cell(0x20000)
-	if tb.Pages() != 2 || tb.FreePages() != 0 {
-		t.Fatalf("before reset: %d pages, %d free", tb.Pages(), tb.FreePages())
+	if tb.Pages() != 2 || tb.dir.Parked() != 0 {
+		t.Fatalf("before reset: %d pages, %d free", tb.Pages(), tb.dir.Parked())
 	}
 	tb.Reset()
-	if tb.Pages() != 0 || tb.FreePages() != 2 {
-		t.Fatalf("after reset: %d pages, %d free", tb.Pages(), tb.FreePages())
+	if tb.Pages() != 0 || tb.dir.Parked() != 2 {
+		t.Fatalf("after reset: %d pages, %d free", tb.Pages(), tb.dir.Parked())
 	}
 	if gw, gr := tb.Peek(0x10000); gw != None || gr != None {
 		t.Fatalf("stale data visible after reset: (%d,%d)", gw, gr)
@@ -126,7 +126,7 @@ func TestResetReusesPages(t *testing.T) {
 		t.Fatalf("reused page not reinitialized: (%d,%d)", *w, *r)
 	}
 	tb.Cell(0x30000)
-	if tb.Pages() != 2 || tb.FreePages() != 0 {
-		t.Fatalf("after refill: %d pages, %d free", tb.Pages(), tb.FreePages())
+	if tb.Pages() != 2 || tb.dir.Parked() != 0 {
+		t.Fatalf("after refill: %d pages, %d free", tb.Pages(), tb.dir.Parked())
 	}
 }

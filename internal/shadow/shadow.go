@@ -6,9 +6,9 @@
 // indexes a first-level table (an open-addressed page directory plus a
 // one-entry cache, playing the role of the paper's first-level array) and
 // the suffix indexes into a lazily allocated second-level page holding one
-// shadow cell per word. Pages retired through Reset park on a per-Table
-// freelist and are reinitialized on reuse, so repeated runs over the same
-// Table allocate no new pages in steady state.
+// shadow cell per word. Pages parked by Reset or Retire are reinitialized
+// when the directory binds them again, so repeated runs over the same Table
+// allocate no new pages in steady state.
 package shadow
 
 import (
@@ -30,10 +30,12 @@ const (
 const None int32 = -1
 
 // page holds the last writer and leftmost reader for every word of one
-// 64 KiB address range.
+// 64 KiB address range, and the races the page has produced (quiesce
+// accounting).
 type page struct {
 	writer [pageWords]int32
 	reader [pageWords]int32
+	races  int32
 }
 
 // dead is the directory's value for every retired page: its key stays in
@@ -46,16 +48,13 @@ func (p *page) init() {
 		p.writer[i] = None
 		p.reader[i] = None
 	}
+	p.races = 0
 }
 
 // Table is a two-level word-granularity shadow memory. The zero value is
 // not usable; call New.
 type Table struct {
-	dir      pagedir.Dir[page]
-	free     []*page
-	retired  int // directory entries holding &dead
-	lastIdx  uint64
-	lastPage *page
+	dir pagedir.Dir[page]
 }
 
 // New returns an empty shadow table.
@@ -63,34 +62,18 @@ func New() *Table {
 	return &Table{}
 }
 
-// newPage returns an initialized page, reusing a retired one when possible.
-func (t *Table) newPage() *page {
-	var p *page
-	if n := len(t.free); n > 0 {
-		p = t.free[n-1]
-		t.free[n-1] = nil
-		t.free = t.free[:n-1]
-	} else {
-		p = &page{}
-	}
-	p.init()
-	return p
-}
-
 // Cell returns pointers to the writer and reader slots for the word
-// containing byte address addr, allocating the page on first touch, or two
+// containing byte address addr, binding the page on first touch, or two
 // nils on a retired page.
 func (t *Table) Cell(addr mem.Addr) (writer, reader *int32) {
 	word := addr >> wordBits
 	idx := word >> pageWordBits
-	p := t.lastPage
-	if p == nil || idx != t.lastIdx {
-		p = t.dir.Get(idx)
-		if p == nil {
-			p = t.newPage()
-			t.dir.Put(idx, p)
+	p := t.dir.Last(idx)
+	if p == nil {
+		if p = t.dir.Find(idx); p == nil {
+			p, _ = t.dir.Bind(idx)
+			p.init()
 		}
-		t.lastIdx, t.lastPage = idx, p
 	}
 	if p == &dead {
 		return nil, nil
@@ -99,30 +82,22 @@ func (t *Table) Cell(addr mem.Addr) (writer, reader *int32) {
 	return &p.writer[off], &p.reader[off]
 }
 
-// Retire quiesces the page at index idx: its 128 KiB of shadow cells go
-// back on the freelist and the directory maps idx to the dead page, so
-// later Cell calls on it yield no cell. No-op if idx holds no live page.
-func (t *Table) Retire(idx uint64) {
+// AddRaces adds n to the race count of the live page at index idx and
+// returns the new count.
+func (t *Table) AddRaces(idx uint64, n int32) int32 {
 	p := t.dir.Get(idx)
-	if p == nil || p == &dead {
-		return
-	}
-	t.dir.Put(idx, &dead)
-	t.free = append(t.free, p)
-	t.retired++
-	if t.lastIdx == idx {
-		t.lastPage = &dead
-	}
+	p.races += n
+	return p.races
 }
+
+// Retire quiesces the page at index idx: its 128 KiB of shadow cells are
+// parked and the directory maps idx to the dead page, so later Cell calls
+// on it yield no cell. No-op if idx holds no live page.
+func (t *Table) Retire(idx uint64) { t.dir.Retire(idx, &dead) }
 
 // Retired reports whether the page at index idx has been retired. It reads
 // the one-entry cache but never fills it.
-func (t *Table) Retired(idx uint64) bool {
-	if t.lastPage != nil && idx == t.lastIdx {
-		return t.lastPage == &dead
-	}
-	return t.dir.Get(idx) == &dead
-}
+func (t *Table) Retired(idx uint64) bool { return t.dir.Get(idx) == &dead }
 
 // Peek returns the writer and reader for the word containing addr without
 // allocating; absent pages read as None.
@@ -136,25 +111,18 @@ func (t *Table) Peek(addr mem.Addr) (writer, reader int32) {
 	return p.writer[off], p.reader[off]
 }
 
-// Reset clears the table for a fresh detection run, retiring every page to
-// the freelist so the next run's Cell calls reuse them instead of
-// allocating.
-func (t *Table) Reset() {
-	t.dir.Reset(func(p *page) {
-		if p != &dead {
-			t.free = append(t.free, p)
-		}
-	})
-	t.retired = 0
-	t.lastIdx, t.lastPage = 0, nil
-}
+// Reset clears the table for a fresh detection run, parking every page so
+// the next run's Cell calls reuse them instead of allocating.
+func (t *Table) Reset() { t.dir.Reset(nil) }
 
 // Pages returns the number of live second-level pages, a proxy for the
 // shadow-memory footprint.
-func (t *Table) Pages() int { return t.dir.Len() - t.retired }
+func (t *Table) Pages() int { return t.dir.Live() }
 
-// FreePages returns the number of retired pages parked on the freelist.
-func (t *Table) FreePages() int { return len(t.free) }
+// Made returns the number of pages ever allocated, and Cap the directory's
+// slot capacity: the table's retained warm capacity.
+func (t *Table) Made() int { return t.dir.Made() }
+func (t *Table) Cap() int  { return t.dir.Cap() }
 
 // Bytes returns the approximate memory footprint of the table in bytes.
 func (t *Table) Bytes() uint64 {

@@ -111,24 +111,27 @@ func TestBytesFootprint(t *testing.T) {
 	}
 }
 
-// TestRetireParksThePage: a retired page's cells go back on the freelist,
-// the table hands out no cell on it and reads it as empty, a second Retire
-// or one of an absent page changes nothing, and Reset brings the page back
-// live without allocating.
+// TestRetireParksThePage: a retired page's cells are parked, the table
+// hands out no cell on it and reads it as empty, a second Retire or one of
+// an absent page changes nothing, and Reset brings the page back live, its
+// race count restarted, without allocating.
 func TestRetireParksThePage(t *testing.T) {
 	tb := New()
 	const idx, absent = 3, 9
 	addr := mem.Addr(idx << pageBytesBits)
 	w, _ := tb.Cell(addr + 8)
 	*w = 7
+	if tb.AddRaces(idx, 2) != 2 || tb.AddRaces(idx, 1) != 3 {
+		t.Fatal("AddRaces does not count the page's races")
+	}
 	tb.Cell(0)
-	pages, free, bytes := tb.Pages(), tb.FreePages(), tb.Bytes()
+	pages, free, bytes := tb.Pages(), tb.dir.Parked(), tb.Bytes()
 	for i := 0; i < 2; i++ {
 		tb.Retire(idx)
 		tb.Retire(absent)
-		if tb.Pages() != pages-1 || tb.FreePages() != free+1 || tb.Bytes() != bytes-pageWords*8 {
+		if tb.Pages() != pages-1 || tb.dir.Parked() != free+1 || tb.Bytes() != bytes-pageWords*8 {
 			t.Fatalf("Retire #%d: %d pages, %d free, %d bytes; want %d, %d, %d",
-				i+1, tb.Pages(), tb.FreePages(), tb.Bytes(), pages-1, free+1, bytes-pageWords*8)
+				i+1, tb.Pages(), tb.dir.Parked(), tb.Bytes(), pages-1, free+1, bytes-pageWords*8)
 		}
 	}
 	if w, r := tb.Cell(addr + 8); w != nil || r != nil {
@@ -149,6 +152,10 @@ func TestRetireParksThePage(t *testing.T) {
 	}
 	if cell == nil || *cell != None || tb.Retired(idx) || tb.Pages() != 1 {
 		t.Fatalf("after Reset the page is not live and empty: %d pages", tb.Pages())
+	}
+	tb.Cell(0) // both parked pages are bound again, the one that counted races too
+	if tb.AddRaces(idx, 1) != 1 || tb.AddRaces(0, 1) != 1 {
+		t.Fatal("a page bound again kept its race count")
 	}
 }
 

@@ -18,7 +18,10 @@
 // package tests verify the identity against a brute-force DAG oracle.
 package spord
 
-import "stint/internal/om"
+import (
+	"stint/internal/om"
+	"stint/internal/slab"
+)
 
 // Strand identifies a maximal instruction sequence with no parallel control.
 // Strands are created by SP and referenced by the access history for the
@@ -44,24 +47,16 @@ type Frame struct {
 // spawns (i.e. a sync strand has been reserved but not yet entered).
 func (f *Frame) Pending() bool { return f.sync != nil }
 
-// strandChunk is the slab granularity for Strand records: SP allocates
-// backing arrays this many strands at a time rather than one heap object
-// per strand.
-const strandChunk = 256
-
 // SP maintains SP-Order for one serial execution of a fork-join program.
 type SP struct {
 	eng     *om.List
 	heb     *om.List
 	strands []*Strand
-	// Strand records are carved sequentially out of retained chunks; Reset
-	// rewinds the (chunk, offset) cursor instead of dropping the backing
-	// arrays, so a reused SP allocates nothing in steady state.
-	chunks [][]Strand
-	curCk  int
-	usedCk int
-	cur    *Strand
-	seq    int32 // next sequential rank to hand out (see SeqRank)
+	// Strand records are carved out of a slab that Reset rewinds, so a
+	// reused SP allocates nothing in steady state.
+	recs slab.Slab[Strand]
+	cur  *Strand
+	seq  int32 // next sequential rank to hand out (see SeqRank)
 }
 
 // New returns an SP with a single root strand, which is also the current
@@ -79,7 +74,7 @@ func (sp *SP) start() {
 }
 
 // Reset rewinds the SP to the state New returns, retaining every strand
-// chunk and both order-maintenance lists' backing memory. All Strand
+// record and both order-maintenance lists' backing memory. All Strand
 // pointers handed out before the Reset are recycled wholesale; the access
 // history referencing them must be reset in the same breath. Because the
 // root strand is re-created through the identical insertion sequence, a
@@ -87,18 +82,8 @@ func (sp *SP) start() {
 func (sp *SP) Reset() {
 	sp.eng.Reset()
 	sp.heb.Reset()
-	hi := sp.curCk
-	if hi >= len(sp.chunks) {
-		hi = len(sp.chunks) - 1
-	}
-	for i := 0; i < hi; i++ {
-		clear(sp.chunks[i])
-	}
-	if hi >= 0 {
-		clear(sp.chunks[hi][:sp.usedCk])
-	}
+	sp.recs.Reset()
 	sp.strands = sp.strands[:0]
-	sp.curCk, sp.usedCk = 0, 0
 	sp.seq = 0
 	sp.start()
 }
@@ -113,15 +98,7 @@ func (sp *SP) makeCurrent(s *Strand) {
 }
 
 func (sp *SP) newStrand(eng, heb *om.Node) *Strand {
-	if sp.usedCk == strandChunk {
-		sp.curCk++
-		sp.usedCk = 0
-	}
-	if sp.curCk == len(sp.chunks) {
-		sp.chunks = append(sp.chunks, make([]Strand, strandChunk))
-	}
-	s := &sp.chunks[sp.curCk][sp.usedCk]
-	sp.usedCk++
+	s := sp.recs.New()
 	s.id, s.eng, s.heb = int32(len(sp.strands)), eng, heb
 	sp.strands = append(sp.strands, s)
 	return s

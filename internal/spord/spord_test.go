@@ -401,3 +401,99 @@ func BenchmarkParallelQuery(b *testing.B) {
 		Parallel(strands[i%len(strands)], strands[(i*13+7)%len(strands)])
 	}
 }
+
+// programScript returns a random fork-join program of up to n spawns as
+// ops: 'S' spawns a child from the current frame, 'E' ends the innermost
+// child (sync its frame, restore the continuation), 'Y' syncs the current
+// frame.
+func programScript(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var script []byte
+	depth := 0
+	for spawns := 0; spawns < n; {
+		switch r := rng.Intn(10); {
+		case r < 4 && depth < 12:
+			script = append(script, 'S')
+			depth++
+			spawns++
+		case r < 8 && depth > 0:
+			script = append(script, 'E')
+			depth--
+		default:
+			script = append(script, 'Y')
+		}
+	}
+	for ; depth > 0; depth-- {
+		script = append(script, 'E')
+	}
+	return append(script, 'Y')
+}
+
+// replayProgram runs script on sp with a preallocated frame stack, and
+// appends the current strand's ID after every op to ids if it is non-nil.
+func replayProgram(sp *SP, script []byte, frames []Frame, conts []*Strand, ids *[]int32) {
+	frames, conts = append(frames[:0], Frame{}), conts[:0]
+	for _, op := range script {
+		f := &frames[len(frames)-1]
+		switch op {
+		case 'S':
+			_, cont := sp.Spawn(f)
+			conts = append(conts, cont)
+			frames = append(frames, Frame{})
+		case 'E':
+			sp.Sync(f)
+			frames = frames[:len(frames)-1]
+			sp.Restore(conts[len(conts)-1])
+			conts = conts[:len(conts)-1]
+		case 'Y':
+			sp.Sync(f)
+		}
+		if ids != nil {
+			*ids = append(*ids, sp.CurrentID())
+		}
+	}
+}
+
+// TestResetMatchesFresh: an SP Reset after another program answers the
+// next program exactly like a fresh one — the current strand's ID after
+// every step, every SeqRank, and Parallel, LeftOf and SeqBefore over every
+// pair — and the warm rerun allocates nothing.
+func TestResetMatchesFresh(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		script := programScript(seed, 300) // past a slab chunk of strands
+		frames, conts := make([]Frame, 0, len(script)+1), make([]*Strand, 0, len(script))
+		fresh, reused := New(), New()
+		var want, got []int32
+		replayProgram(fresh, script, frames, conts, &want)
+		replayProgram(reused, programScript(seed+100, 400), frames, conts, nil)
+		reused.Reset()
+		replayProgram(reused, script, frames, conts, &got)
+		n := fresh.StrandCount()
+		if reused.StrandCount() != n || len(got) != len(want) {
+			t.Fatalf("seed %d: %d strands, fresh %d", seed, reused.StrandCount(), n)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: step %d on strand %d, fresh %d", seed, i, got[i], want[i])
+			}
+		}
+		for a := int32(0); a < int32(n); a++ {
+			if reused.SeqRank(a) != fresh.SeqRank(a) {
+				t.Fatalf("seed %d: SeqRank(%d) = %d, fresh %d", seed, a, reused.SeqRank(a), fresh.SeqRank(a))
+			}
+			for b := int32(0); b < int32(n); b++ {
+				if reused.Parallel(a, b) != fresh.Parallel(a, b) || reused.LeftOf(a, b) != fresh.LeftOf(a, b) ||
+					SeqBefore(reused.Strand(a), reused.Strand(b)) != SeqBefore(fresh.Strand(a), fresh.Strand(b)) {
+					t.Fatalf("seed %d: strands %d and %d related differently from the fresh SP", seed, a, b)
+				}
+			}
+		}
+		rerun := func() {
+			reused.Reset()
+			replayProgram(reused, script, frames, conts, nil)
+		}
+		if allocs := testing.AllocsPerRun(5, rerun); allocs != 0 {
+			t.Fatalf("seed %d: a warm rerun cost %v allocations, want 0", seed, allocs)
+		}
+	}
+}
