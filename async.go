@@ -22,21 +22,25 @@
 // structure. The only concurrency is the channel handoff; every stage
 // remains a sequential algorithm.
 //
-// All detector-side goroutines hang off one stage.Graph: launch wires the
-// stages, drain closes the stream and waits for the graph's merge, and the
-// results fields below are written before the graph reports done. A failure
-// — a stage's (a user OnRace panic, a guard tripping) or the program
-// body's (exec) — closes the graph's failure channel: stages waiting in
-// stage.Send or stage.Recv unwind, sends that would wait start reporting
-// false (publish then drops events on the floor — the run is already
-// doomed), and the failure propagates out of Run on the producer goroutine
-// exactly as in synchronous mode.
+// The stream has one writer, shared with ParallelDetect's merge
+// (parallel.go): writeInterval, writeCtl and writeChunk fill the working
+// batch and publish it when full; send counts every broadcast batch into
+// the stream totals. All detector-side goroutines hang off one stage.Graph:
+// launch wires the stages, and drain ends the stream, joins the graph and
+// merges the workers' results on the producer. A failure — a stage's (a
+// user OnRace panic, a guard tripping) or the program body's (exec) —
+// closes the graph's failure channel: stages waiting in stage.Send or
+// stage.Recv unwind, sends that would wait start reporting false (the
+// writer then drops events on the floor — the run is already doomed), and
+// the failure propagates out of Run on the producer goroutine exactly as in
+// synchronous mode.
 
 package stint
 
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"stint/internal/detect"
 	"stint/internal/evstream"
@@ -63,10 +67,9 @@ const (
 )
 
 // asyncState is a pipelined Runner's retained state and per-run results:
-// the mutator side (the serial producer's coalescer and working batch, or
-// ParallelDetect's chunk channel and bit-hashmap pool), the workers, the
-// run's stage graph, and the results the graph's stages write before Seal's
-// merge completes, read only after drain returns.
+// the mutator side (the serial producer's coalescer, or ParallelDetect's
+// chunk channel and bit-hashmap pool), the stream writer, the workers, the
+// run's stage graph, and the results, read only after drain returns.
 type asyncState struct {
 	// pool hands out every batch of the pipeline and takes each back when
 	// the last worker releases it.
@@ -74,38 +77,37 @@ type asyncState struct {
 	workers []*shardWorker
 	maxRec  int
 	graph   *stage.Graph
-	// batch is the serial producer's working batch and bits its coalescer,
-	// which drops nothing: dead-page intervals are the workers' histories'
-	// to drop. Under ParallelDetect both are nil: every task owns a
-	// working batch and borrows a Coalescer from the pool below for the
-	// length of a strand. The mutator side's share of the run's Stats — the
-	// hook counters — is read off the Coalescers at drain.
-	batch *evstream.Batch
-	bits  *detect.Coalescer
-	// Parallel-detect mode (parallel.go) feeds the workers from a merge stage
+	// out is the stream writer's working batch, taken once and kept across
+	// runs; blocked is the time its broadcasts waited, which the merge
+	// subtracts from its busy lap. The writer is the serial producer, or
+	// under ParallelDetect the merge stage.
+	out     *evstream.Batch
+	blocked time.Duration
+	// bits is the serial producer's coalescer, which drops nothing:
+	// dead-page intervals are the workers' histories' to drop. Under
+	// ParallelDetect it is nil: every task borrows a Coalescer from the
+	// pool below for the length of a strand. bitsAll is every Coalescer of
+	// the mutator side — the producer's one, or every one ParallelDetect's
+	// strands ever needed at once, the pool's high-water mark — and
+	// bitsFree the ones not lent out. Their hook counters are the mutator
+	// side's share of the run's Stats, read off them at drain.
+	bits     *detect.Coalescer
+	bitsMu   sync.Mutex
+	bitsAll  []*detect.Coalescer
+	bitsFree []*detect.Coalescer
+	// Parallel-detect mode (parallel.go) feeds the writer from a merge stage
 	// that every executor task sends its chunks to. nextTask hands out task
 	// identities to spawned children (the root is 0), execBusy accumulates
-	// the executor goroutines' busy nanoseconds, merged counts the chunks the
-	// merge took in and mergeCtl the structure events it synthesized from
-	// their terminators, seqBusy is the merge's busy time, and reorderPeak
-	// its reorder-buffer high-water mark. bitsAll is
-	// every Coalescer the run's strands ever needed at once — the pool's
-	// high-water mark — and bitsFree the ones not lent out.
+	// the executor goroutines' busy nanoseconds, seqBusy is the merge's busy
+	// time, and reorderPeak its reorder-buffer high-water mark.
 	chunks      chan evstream.Chunk
 	nextTask    atomic.Uint64
 	execBusy    atomic.Int64
-	merged      uint64
-	mergeCtl    uint64
 	seqBusy     stage.Meter
 	reorderPeak int
-	bitsMu      sync.Mutex
-	bitsAll     []*detect.Coalescer
-	bitsFree    []*detect.Coalescer
-	// Written by the graph's merge, read after graph.Wait(): the totals and
-	// the per-worker load breakdown behind Report.ShardLoad. (The serial
-	// producer, or ParallelDetect's merge stage, counts the stream totals
-	// into stats; the merge finalizer, which runs after every stage has
-	// returned, touches only the other fields.)
+	// The run's results: the writer counts the stream totals into stats;
+	// drain, once the graph has joined, folds in the workers' counters and
+	// builds the per-worker load breakdown behind Report.ShardLoad.
 	strands   int
 	stats     Stats
 	races     []Race
@@ -116,19 +118,18 @@ type asyncState struct {
 // batches in flight to the slowest worker — its channel's and the one it is
 // scanning — plus the working one, and the strand coalescer.
 func newAsyncState(ringDepth, batchEvents int) *asyncState {
-	as := &asyncState{
-		pool: evstream.NewBatchPool(ringDepth+2, batchEvents),
-		bits: detect.NewCoalescer(),
-	}
-	as.batch = as.pool.Get()
+	as := &asyncState{pool: evstream.NewBatchPool(ringDepth+2, batchEvents), bits: detect.NewCoalescer()}
+	as.out = as.pool.Get()
+	as.bitsAll = []*detect.Coalescer{as.bits}
 	return as
 }
 
 // reset re-arms the pipeline state for another run: the channels, batch
 // pool, workers and bit hashmaps retain their warm capacity and every
 // per-run result field zeroes. What an aborted run left in the channels
-// goes back to the pool. The stage graph is per-run (its channels cannot be
-// reused); launch recreates it.
+// goes back to the pool, and the working batch it left part-filled is
+// emptied. The stage graph is per-run (its channels cannot be reused);
+// launch recreates it.
 func (as *asyncState) reset() {
 	for _, w := range as.workers {
 		for len(w.in) > 0 {
@@ -138,14 +139,11 @@ func (as *asyncState) reset() {
 		}
 		w.reset()
 	}
-	if as.chunks != nil {
-		for len(as.chunks) > 0 {
-			as.pool.Put((<-as.chunks).Batch)
-		}
-	} else {
-		as.batch.Reset() // an aborted run leaves it part-filled
-		as.bits.Reset()
+	for len(as.chunks) > 0 {
+		as.pool.Put((<-as.chunks).Batch)
 	}
+	as.out.Reset()
+	as.blocked = 0
 	// An aborted run can strand lent-out Coalescers mid-strand; take them
 	// all back, clean.
 	as.bitsFree = as.bitsFree[:0]
@@ -155,7 +153,6 @@ func (as *asyncState) reset() {
 	}
 	as.nextTask.Store(0)
 	as.execBusy.Store(0)
-	as.merged, as.mergeCtl = 0, 0
 	as.seqBusy.Reset()
 	as.reorderPeak = 0
 	as.strands = 0
@@ -164,59 +161,98 @@ func (as *asyncState) reset() {
 	as.shardLoad = nil
 }
 
-// emitCtl ends the current strand: its intervals go into the stream, then
-// the structure event that ended it.
-func (as *asyncState) emitCtl(op evstream.Op) {
-	as.endStrand()
-	if as.batch.Full() {
-		as.publish()
-	}
-	as.batch.AppendCtl(op)
-}
-
-// endStrand flushes the finishing strand's intervals into the stream.
+// endStrand flushes the serial producer's finishing strand into the stream.
 func (as *asyncState) endStrand() {
 	as.bits.Flush(
-		func(addr, size uint64) { as.emitInterval(evstream.OpRead, addr, size) },
-		func(addr, size uint64) { as.emitInterval(evstream.OpWrite, addr, size) })
+		func(addr, size uint64) { as.writeInterval(evstream.OpRead, addr, size) },
+		func(addr, size uint64) { as.writeInterval(evstream.OpWrite, addr, size) })
 }
 
-// emitInterval appends one flushed interval, publishing the batch first
-// when it is full.
-func (as *asyncState) emitInterval(op evstream.Op, addr, size uint64) {
-	if as.batch.Full() {
+// writeInterval appends one interval event, publishing the working batch
+// first when it is full.
+func (as *asyncState) writeInterval(op evstream.Op, addr, size uint64) {
+	if as.out.Full() {
 		as.publish()
 	}
-	as.batch.AppendAccess(op, addr, size)
+	as.out.AppendAccess(op, addr, size)
 }
 
-// publish broadcasts the working batch, counting it into the stream totals,
-// and takes a fresh one from the pool. A false broadcast means the graph
-// failed and no worker took the batch: it is reset and reused, events are
-// dropped (the failure, re-raised by drain, is the run's result), and the
-// producer keeps running to its natural unwind point.
-func (as *asyncState) publish() {
-	as.stats.EventsStreamed += uint64(as.batch.Len())
-	as.stats.StreamBytes += uint64(as.batch.WireBytes())
-	if !as.broadcast(as.batch) {
-		as.batch.Reset()
-		return
+// writeCtl appends one structure event, publishing the working batch first
+// when it is full. It reports false when that publish failed.
+func (as *asyncState) writeCtl(op evstream.Op) bool {
+	if as.out.Full() && !as.publish() {
+		return false
 	}
-	as.batch = as.pool.Get()
+	as.out.AppendCtl(op)
+	return true
 }
 
-// drain flushes the root's final strand and the last (possibly partial,
-// possibly empty) batch, ends the stream, and waits for the stage
-// graph to finish — re-panicking the first stage failure, if any, on the
-// producer goroutine. After drain returns normally, strands, stats, and
-// races are exact, and the mutator side's hook counters are folded into
-// them.
+// writeChunk appends a chunk's events (Batch.AppendFrom re-bases the
+// compact delta across the seam) and returns src to the pool, publishing
+// the working batch first when the chunk does not fit. A chunk that does
+// not fit an empty batch either — it was cut because it was itself full —
+// is sent whole instead of copied. It reports false when a send failed.
+func (as *asyncState) writeChunk(src *evstream.Batch) bool {
+	ok := true
+	if !as.out.AppendFrom(src) {
+		if as.out.Len() > 0 {
+			ok = as.publish()
+		}
+		if ok && !as.out.AppendFrom(src) {
+			if ok = as.send(src); ok {
+				return true // the workers release src
+			}
+		}
+	}
+	as.pool.Put(src)
+	return ok
+}
+
+// publish sends the working batch and takes a fresh one from the pool. A
+// failed send means the graph failed and no worker took the batch: it is
+// reset and reused, its events dropped (the failure, re-raised by drain,
+// is the run's result), and publish reports false.
+func (as *asyncState) publish() bool {
+	if !as.send(as.out) {
+		as.out.Reset()
+		return false
+	}
+	as.out = as.pool.Get()
+	return true
+}
+
+// send counts b into the stream totals and broadcasts it to the workers,
+// adding the broadcast's time to blocked.
+func (as *asyncState) send(b *evstream.Batch) bool {
+	as.stats.EventsStreamed += uint64(b.Len())
+	as.stats.StreamBytes += uint64(b.WireBytes())
+	t0 := time.Now()
+	ok := as.broadcast(b)
+	as.blocked += time.Since(t0)
+	return ok
+}
+
+// drain ends the stream — the serial producer flushes the root's final
+// strand, publishes the last (possibly partial, possibly empty) batch and
+// ends every worker's stream; ParallelDetect sends the merge its end marker,
+// a zero Chunk, after the root's final chunk, which every other chunk
+// precedes (a task sends its chunks before its parent's join returns) —
+// then joins the stage graph, re-panicking the first stage failure on the
+// producer goroutine. After drain returns normally, strands, stats and
+// races are exact, and the mutator side's hook counters are folded in.
 func (as *asyncState) drain() {
-	as.endStrand()
-	as.publish()
-	as.endStream()
+	if as.chunks != nil {
+		stage.Send(as.graph, as.chunks, evstream.Chunk{})
+	} else {
+		as.endStrand()
+		as.publish()
+		as.endStream()
+	}
 	as.graph.Wait()
-	as.stats.Accumulate(as.bits.Hooks())
+	as.mergeSharded()
+	for _, c := range as.bitsAll {
+		as.stats.Accumulate(c.Hooks())
+	}
 }
 
 // exec runs the program body on Run's goroutine. Under a stage graph a

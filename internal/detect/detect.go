@@ -168,10 +168,11 @@ type Stats struct {
 	// the stint runner's consumer, not by the engines.
 	PipelineDetectTime time.Duration
 	// EventsStreamed and StreamBytes describe the pipelined modes' event
-	// stream: the logical events published through the pipeline — one per
-	// flushed interval plus one per structure event — and the wire bytes
-	// they occupied. Zero in synchronous mode. Populated by the stint
-	// runner's drain, not by the engines, and not Accumulated.
+	// stream: the logical events of the batches broadcast to the workers —
+	// one per flushed interval plus one per structure event — and those
+	// batches' wire bytes, counted at the broadcast in every pipeline.
+	// Zero in synchronous mode. Populated by the stint runner's stream
+	// writer, not by the engines, and not Accumulated.
 	EventsStreamed uint64
 	StreamBytes    uint64
 	// PagesQuiesced counts 64 KiB history pages retired because they hit

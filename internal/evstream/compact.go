@@ -172,8 +172,8 @@ func (b *Batch) AppendRange(op Op, addr uint64, count int, elem uint64) {
 // one varint is re-encoded against b's base, the rest copies verbatim, and
 // b inherits src's base. The source must start with an interval or range
 // event (a leading structure event has no delta to re-base, and panics): the
-// merge's chunks hold nothing else, their structure events are synthesized
-// from chunk terminators.
+// merge's chunks hold nothing else, their structure events are written from
+// the chunks' End.
 func (b *Batch) AppendFrom(src *Batch) bool {
 	if src.Len() == 0 {
 		return true

@@ -174,44 +174,23 @@ func (b *Batch) Release(p *BatchPool) {
 	}
 }
 
-// ChunkEnd says why a chunk was cut, which doubles as the merge stage's
-// traversal instruction (see stage.Reorder).
-type ChunkEnd uint8
-
-const (
-	// ChunkCut means the batch filled mid-strand; the same strand
-	// continues in the task's next chunk. No structure event.
-	ChunkCut ChunkEnd = iota
-	// ChunkSpawn means the strand ended at a Spawn: Child names the new
-	// task, whose chunk 0 is next in serial order; the task resumes at
-	// its next chunk index after the child's subtree completes.
-	ChunkSpawn
-	// ChunkSync means the strand ended at a strand-creating Sync; the
-	// task's next chunk continues after the join (no-op syncs are elided
-	// by the executor, exactly as on the serial paths).
-	ChunkSync
-	// ChunkTask means the task's final strand ended (the implicit final
-	// sync already ran): serial order restores the parent's continuation.
-	ChunkTask
-	// ChunkRoot means the root task's final strand ended: the stream is
-	// complete. Like ChunkTask but with no parent to restore.
-	ChunkRoot
-)
-
 // Chunk is one strand segment from one parallel-detect executor task:
-// access events only, plus the terminator and the task linkage the merge
-// reorders by (internal/stage.Reorder). Structure transitions are never
-// in-band — they are the terminator (End) — so the merge can both reorder
-// by task linkage and synthesize the serial spawn/restore/sync stream
-// without decoding a single event. Task identities are matching keys,
-// never an ordering — they come from a racing atomic counter, and
-// determinism is owed entirely to the structure-driven reorder walk.
+// access events only, plus the task linkage the merge reorders by
+// (internal/stage.Reorder) and the structure event that ended it. End is 0
+// for a mid-strand cut (the batch filled; the strand continues in the
+// task's next chunk), OpSpawn with Child naming the spawned task, OpSync for
+// a strand-creating sync, or OpRestore for the task's end — the root's ends
+// the stream. Structure events never ride in-band, so the merge both
+// reorders by them and writes them into the serial stream without decoding
+// a single event. Task identities are matching keys, never an ordering —
+// they come from a racing atomic counter, and determinism is owed entirely
+// to the structure-driven reorder walk.
 type Chunk struct {
 	Batch *Batch
 	Task  uint64 // identity of the emitting task
 	Idx   uint32 // chunk index within the task (0, 1, ...)
-	End   ChunkEnd
-	Child uint64 // task identity of the spawned child (ChunkSpawn only)
+	End   Op
+	Child uint64 // task identity of the spawned child (OpSpawn only)
 }
 
 // BatchPool is the pipelines' concurrency-safe batch allocator: the serial

@@ -48,7 +48,8 @@ func raceKeyLess(a, b keyedRace) bool {
 // max-heap (h[0] holds the largest retained key), so a run reporting far
 // more races than MaxRacesRecorded costs O(log max) per report and no
 // allocation beyond the bounded heap. A Collector is single-owner; stages
-// collect independently and Merge on the finalizer.
+// collect independently, and the producer Merges them once the graph has
+// joined.
 type Collector struct {
 	max int
 	h   []keyedRace

@@ -17,7 +17,7 @@ type chunkGen struct {
 	rng    *rand.Rand
 }
 
-func (g *chunkGen) add(task uint64, idx *uint32, end evstream.ChunkEnd, child uint64) {
+func (g *chunkGen) add(task uint64, idx *uint32, end evstream.Op, child uint64) {
 	g.chunks = append(g.chunks, evstream.Chunk{Task: task, Idx: *idx, End: end, Child: child})
 	*idx++
 }
@@ -27,28 +27,24 @@ func (g *chunkGen) task(id uint64, depth int) {
 	spans := g.rng.Intn(3)
 	for s := 0; s < spans; s++ {
 		for g.rng.Intn(3) == 0 {
-			g.add(id, &idx, evstream.ChunkCut, 0) // batch filled mid-strand
+			g.add(id, &idx, 0, 0) // batch filled mid-strand
 		}
 		if depth > 0 {
 			g.next++
 			child := g.next
-			g.add(id, &idx, evstream.ChunkSpawn, child)
+			g.add(id, &idx, evstream.OpSpawn, child)
 			g.task(child, depth-1) // child subtree next in serial order
 			if g.rng.Intn(2) == 0 {
-				g.add(id, &idx, evstream.ChunkSync, 0)
+				g.add(id, &idx, evstream.OpSync, 0)
 			}
 		}
 	}
-	end := evstream.ChunkTask
-	if id == 0 {
-		end = evstream.ChunkRoot
-	}
-	g.add(id, &idx, end, 0)
+	g.add(id, &idx, evstream.OpRestore, 0)
 }
 
-// TestReorderRandomArrival generates random programs, offers their chunks
-// in random arrival order, and asserts the emitted sequence is exactly the
-// serial order regardless of the permutation.
+// TestReorderRandomArrival generates random programs, adds their chunks in
+// random arrival order, draining Next after each, and asserts the returned
+// sequence is exactly the serial order regardless of the permutation.
 func TestReorderRandomArrival(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,10 +59,13 @@ func TestReorderRandomArrival(t *testing.T) {
 		r := NewReorder()
 		var got []evstream.Chunk
 		for _, c := range arrival {
-			r.Offer(c, func(c evstream.Chunk) { got = append(got, c) })
+			r.Add(c)
+			for c, ok := r.Next(); ok; c, ok = r.Next() {
+				got = append(got, c)
+			}
 		}
 		if !r.Done() {
-			t.Fatalf("seed %d: walk not done after all %d chunks offered", seed, len(serial))
+			t.Fatalf("seed %d: walk not done after all %d chunks added", seed, len(serial))
 		}
 		if r.Pending() != 0 {
 			t.Fatalf("seed %d: %d chunks still pending after done", seed, r.Pending())
@@ -87,19 +86,24 @@ func TestReorderRandomArrival(t *testing.T) {
 }
 
 // TestReorderSerialArrivalBuffersNothing checks the fast path: chunks
-// arriving already in serial order are emitted immediately, one held at a
-// time.
+// arriving already in serial order are returned by the next Next, one held
+// at a time, and Next reports false until the needed chunk arrives.
 func TestReorderSerialArrivalBuffersNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := &chunkGen{rng: rng}
 	g.task(0, 3)
 	r := NewReorder()
-	emitted := 0
-	for _, c := range g.chunks {
-		r.Offer(c, func(evstream.Chunk) { emitted++ })
+	for i, c := range g.chunks {
+		if _, ok := r.Next(); ok {
+			t.Fatalf("chunk %d: Next returned a chunk before it arrived", i)
+		}
+		r.Add(c)
+		if got, ok := r.Next(); !ok || got != c {
+			t.Fatalf("chunk %d: Next = %+v, %v, want the chunk just added", i, got, ok)
+		}
 	}
-	if emitted != len(g.chunks) {
-		t.Fatalf("emitted %d of %d", emitted, len(g.chunks))
+	if !r.Done() {
+		t.Fatal("walk not done after the root's final chunk")
 	}
 	if r.Peak() != 1 {
 		t.Fatalf("serial arrival peaked at %d pending chunks, want 1", r.Peak())
@@ -119,40 +123,30 @@ func mustPanic(t *testing.T, why string, fn func()) {
 // TestReorderProtocolViolations checks the walk rejects corrupt streams
 // loudly instead of silently misordering events.
 func TestReorderProtocolViolations(t *testing.T) {
-	drop := func(evstream.Chunk) {}
-
 	// Duplicates are caught while the first copy is still pending (an
 	// already-emitted key is forgotten — tracking every emitted key would
 	// cost memory proportional to the whole stream).
 	r := NewReorder()
-	r.Offer(evstream.Chunk{Task: 1, Idx: 0, End: evstream.ChunkCut}, drop)
+	r.Add(evstream.Chunk{Task: 1, Idx: 0})
 	mustPanic(t, "duplicate (task, idx)", func() {
-		r.Offer(evstream.Chunk{Task: 1, Idx: 0, End: evstream.ChunkCut}, drop)
+		r.Add(evstream.Chunk{Task: 1, Idx: 0})
 	})
 
 	r = NewReorder()
-	mustPanic(t, "task end with no suspended parent", func() {
-		r.Offer(evstream.Chunk{Task: 0, Idx: 0, End: evstream.ChunkTask}, drop)
-	})
-
-	r = NewReorder()
-	r.Offer(evstream.Chunk{Task: 0, Idx: 0, End: evstream.ChunkRoot}, drop)
-	if !r.Done() {
+	r.Add(evstream.Chunk{Task: 0, Idx: 0, End: evstream.OpRestore})
+	if _, ok := r.Next(); !ok || !r.Done() {
 		t.Fatal("single root chunk did not complete the walk")
 	}
-	mustPanic(t, "offer after done", func() {
-		r.Offer(evstream.Chunk{Task: 1, Idx: 0, End: evstream.ChunkCut}, drop)
+	mustPanic(t, "add after done", func() {
+		r.Add(evstream.Chunk{Task: 1, Idx: 0})
 	})
 
 	r = NewReorder()
-	r.Offer(evstream.Chunk{Task: 0, Idx: 0, End: evstream.ChunkSpawn, Child: 1}, drop)
-	mustPanic(t, "root end with a suspended task", func() {
-		r.Offer(evstream.Chunk{Task: 1, Idx: 0, End: evstream.ChunkRoot}, drop)
-	})
+	r.Add(evstream.Chunk{Task: 1, Idx: 0}) // pending forever
+	r.Add(evstream.Chunk{Task: 0, Idx: 0, End: evstream.OpRestore})
+	mustPanic(t, "root end with chunks pending", func() { r.Next() })
 
 	r = NewReorder()
-	r.Offer(evstream.Chunk{Task: 1, Idx: 0, End: evstream.ChunkCut}, drop) // pending forever
-	mustPanic(t, "root end with chunks pending", func() {
-		r.Offer(evstream.Chunk{Task: 0, Idx: 0, End: evstream.ChunkRoot}, drop)
-	})
+	r.Add(evstream.Chunk{Task: 0, Idx: 0, End: evstream.OpRead})
+	mustPanic(t, "unknown End", func() { r.Next() })
 }

@@ -4,7 +4,7 @@
 //
 // Topology:
 //
-//	task goroutines+coalescers ──chunk channel──▶ merge stage ──batch to every worker──▶ N workers ──▶ merge finalizer
+//	task goroutines+coalescers ──chunk channel──▶ merge stage ──batch to every worker──▶ N workers
 //
 // Each task goroutine is a chunk emitter: its hooks set bits in a strand-local
 // detect.Coalescer (borrowed from a pool for the length of the strand, so a
@@ -13,25 +13,24 @@
 // shared BatchPool) — the per-strand coalescing the serial pipeline's
 // producer does, here on the executor's parallelism. A chunk is cut — sent
 // down the one buffered chunk channel every task shares — when the strand
-// ends or, mid-flush, when the batch fills, and the strand-ending cuts
-// carry the structure transition as the chunk terminator (spawn naming the
-// child task, strand-creating sync, task end). Structure events never ride
-// in-band.
+// ends or, mid-flush, when the batch fills, and a strand-ending cut carries
+// the structure event that ended the strand as its End (a spawn naming the
+// child task, a strand-creating sync, a task end). Structure events never
+// ride in-band.
 //
-// The merge stage receives the chunks and feeds them to stage.Reorder,
-// which re-emits them in serial order: the depth-first walk of the spawn
-// tree that the serial executor takes by construction. The walk is driven
-// entirely by the chunks' own linkage (task identities and terminators),
+// The merge stage receives the chunks, adds them to stage.Reorder and takes
+// back every one that is next in serial order: the depth-first walk of the
+// spawn tree that the serial executor takes by construction. The walk is
+// driven entirely by the chunks' own linkage (task identities and ends),
 // so the output order — and with it batch composition and ultimately the
 // Report — depends only on the program, never on the scheduler. In serial
-// order the merge coalesces small chunks into full-size batches
-// (Batch.AppendFrom rebases the compact delta across the seam), appends
-// each terminator's structure event, and broadcasts the batches to the
-// same workers, over the same channels, the serial producer feeds. That is
-// all it does: the merged stream *is* the serial stream, and the workers
-// derive strand identities and reachability from its structure events
-// themselves (shards.go). Downstream of the merge, nothing knows the
-// execution was parallel.
+// order the merge hands each chunk and then its End to the stream writer the
+// serial producer uses (async.go), which coalesces small chunks into
+// full-size batches and broadcasts them to the same workers, over the same
+// channels. That is all it does: the merged stream *is* the serial stream,
+// and the workers derive strand identities and reachability from its
+// structure events themselves (shards.go). Downstream of the merge, nothing
+// knows the execution was parallel.
 //
 // Deadlock-freedom: the dependency chain is acyclic — executors block only
 // on sending to the chunk channel, the merge only on receiving from it and
@@ -60,10 +59,12 @@ import (
 // batches) before Get falls back to allocating.
 func newParallelState(ringDepth, batchEvents int) *asyncState {
 	queueDepth := ringDepth * 8
-	return &asyncState{
+	as := &asyncState{
 		chunks: make(chan evstream.Chunk, queueDepth),
 		pool:   evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents),
 	}
+	as.out = as.pool.Get()
+	return as
 }
 
 // startChunks makes t a chunk emitter under task identity id, with its own
@@ -79,17 +80,17 @@ func (t *Task) pause()  { t.rs.as.execBusy.Add(int64(time.Since(t.t0))) }
 func (t *Task) resume() { t.t0 = time.Now() }
 
 // fork runs f on its own goroutine. With a pipeline the caller's strand
-// ends here — its chunk's terminator is the spawn, naming the child task so
-// the merge walks the child's subtree before the caller's continuation — and
-// the child emits its own chunks under a fresh task identity, sealed with a
-// task-end terminator after its implicit final sync. A panic out of f fails
+// ends here — its chunk ends with the spawn, naming the child task so the
+// merge walks the child's subtree before the caller's continuation — and
+// the child emits its own chunks under a fresh task identity, the last
+// ending with OpRestore after its implicit final sync. A panic out of f fails
 // the run's graph (Run re-raises the first) once the child's subtasks join.
 func (t *Task) fork(f TaskFunc) {
 	rs := t.rs
 	var id uint64
 	if rs.as != nil {
 		id = rs.as.nextTask.Add(1)
-		t.cut(evstream.ChunkSpawn, id)
+		t.cut(evstream.OpSpawn, id)
 	}
 	t.wg.Add(1)
 	go func() {
@@ -107,7 +108,7 @@ func (t *Task) fork(f TaskFunc) {
 		f(child)
 		child.Sync()
 		if rs.as != nil {
-			child.cut(evstream.ChunkTask, 0)
+			child.cut(evstream.OpRestore, 0)
 		}
 	}()
 }
@@ -118,7 +119,7 @@ func (t *Task) fork(f TaskFunc) {
 func (t *Task) join() {
 	if t.batch != nil {
 		if t.pending {
-			t.cut(evstream.ChunkSync, 0)
+			t.cut(evstream.OpSync, 0)
 		}
 		t.pause()
 		defer t.resume()
@@ -138,10 +139,10 @@ func (t *Task) coalescer() *detect.Coalescer {
 	return t.bits
 }
 
-// cut ends the task's strand at a chunk terminator: its intervals flush
-// into the working batch, its Coalescer (hook counters and all, summed at
-// drain) goes back to the pool, and the chunk is published.
-func (t *Task) cut(end evstream.ChunkEnd, child uint64) {
+// cut ends the task's strand with the structure event end: its intervals
+// flush into the working batch, its Coalescer (hook counters and all,
+// summed at drain) goes back to the pool, and the chunk is published.
+func (t *Task) cut(end evstream.Op, child uint64) {
 	if c := t.bits; c != nil {
 		c.Flush(
 			func(addr, size uint64) { t.emitInterval(evstream.OpRead, addr, size) },
@@ -179,25 +180,25 @@ func (as *asyncState) returnBits(c *detect.Coalescer) {
 // cutting a mid-strand chunk first when the batch is full.
 func (t *Task) emitInterval(op evstream.Op, addr, size uint64) {
 	if t.batch.Full() {
-		t.publish(evstream.ChunkCut, 0)
+		t.publish(0, 0)
 	}
 	t.batch.AppendAccess(op, addr, size)
 }
 
-// publish sends the working batch as a chunk with the given terminator —
-// mid-strand (ChunkCut) when a flush fills it, or for cut at the strand's
-// end — and starts a fresh one unless the chunk was the task's last. A
-// false send means the graph failed: the batch is kept (reset, or back to
+// publish sends the working batch as a chunk ending with end — 0 when a
+// flush fills it mid-strand, or cut's structure event at the strand's end —
+// and starts a fresh one unless the chunk was the task's last (OpRestore).
+// A false send means the graph failed: the batch is kept (reset, or back to
 // the pool after the last chunk), events drop on the floor, and the
 // goroutine keeps unwinding to its natural exit (the failure is the run's
-// result, re-raised by drainParallel). The chunk index advances regardless
-// so the doomed stream stays internally consistent.
-func (t *Task) publish(end evstream.ChunkEnd, child uint64) {
+// result, re-raised by drain). The chunk index advances regardless so the
+// doomed stream stays internally consistent.
+func (t *Task) publish(end evstream.Op, child uint64) {
 	as := t.rs.as
 	t.pause()
 	sent := stage.Send(t.rs.graph, as.chunks, evstream.Chunk{Batch: t.batch, Task: t.id, Idx: t.idx, End: end, Child: child})
 	switch {
-	case end == evstream.ChunkTask || end == evstream.ChunkRoot:
+	case end == evstream.OpRestore:
 		if !sent {
 			as.pool.Put(t.batch)
 		}
@@ -211,135 +212,52 @@ func (t *Task) publish(end evstream.ChunkEnd, child uint64) {
 	t.resume()
 }
 
-// mergeParallel is the merge stage: it reorders the chunk stream into the
-// serial projection, coalesces it into full-size batches, and broadcasts
-// them, counting the stream totals as chunks arrive. It ends the workers'
-// streams at drainParallel's end marker, or when the graph fails. Its busy
-// meter lands in asyncState.seqBusy — reported as Report.SequencerBusy —
-// and excludes both chunk waits and broadcast blocking.
+// mergeParallel is the merge stage: it puts the chunk stream back in serial
+// order and writes each chunk, then its End, through the stream writer. It
+// returns when a write fails (the graph failed) or, at drain's end marker,
+// after publishing the writer's last batch and ending the workers' streams.
+// Its busy meter lands in asyncState.seqBusy — reported as
+// Report.SequencerBusy — and excludes both chunk waits and broadcast
+// blocking.
 func (as *asyncState) mergeParallel() {
-	out := as.pool.Get()
 	reorder := stage.NewReorder()
-	aborted := false
-	var blocked time.Duration // broadcast-blocking time inside the current lap
-
-	publish := func(b *evstream.Batch) {
-		t0 := time.Now()
-		if !as.broadcast(b) {
-			as.pool.Put(b)
-			aborted = true
-		}
-		blocked += time.Since(t0)
-	}
-	// flush broadcasts the accumulator and starts a fresh one; empty
-	// accumulators (flush on an already-cut boundary) publish nothing.
-	flush := func() {
-		if out.Len() == 0 {
-			return
-		}
-		publish(out)
-		out = as.pool.Get()
-	}
-	emit := func(c evstream.Chunk) {
-		if aborted {
-			as.pool.Put(c.Batch)
-			return
-		}
-		src := c.Batch
-		if !out.AppendFrom(src) { // an empty chunk always fits
-			flush()
-			if !aborted && !out.AppendFrom(src) {
-				// The chunk is itself full (it was cut mid-strand, or the
-				// tests' tiny geometry holds one event): forward it
-				// wholesale instead of copying.
-				publish(src)
-				src = nil
-			}
-		}
-		if src != nil {
-			as.pool.Put(src)
-		}
-		if aborted {
-			return
-		}
-		// The terminator becomes the structure event the serial stream
-		// would carry here.
-		var op evstream.Op
-		switch c.End {
-		case evstream.ChunkSpawn:
-			op = evstream.OpSpawn
-		case evstream.ChunkSync:
-			op = evstream.OpSync
-		case evstream.ChunkTask:
-			op = evstream.OpRestore
-		default: // ChunkCut, ChunkRoot: no structure event
-			return
-		}
-		if out.Full() {
-			flush()
-			if aborted {
-				return
-			}
-		}
-		out.AppendCtl(op)
-		as.mergeCtl++
-	}
-
 	// Each lap takes one chunk, waiting if need be, then whatever is
 	// already queued behind it.
-	for ended := false; !ended && !aborted; {
+	for {
 		c, ok, _ := stage.Recv(as.graph, as.chunks)
 		if !ok {
-			break // the graph failed
+			return // the graph failed
 		}
 		t0 := time.Now()
-		blocked = 0
-		for {
-			if ended = c.Batch == nil; ended {
-				break // drainParallel's end marker
+		as.blocked = 0
+		for c.Batch != nil {
+			reorder.Add(c)
+			for c, ok := reorder.Next(); ok; c, ok = reorder.Next() {
+				// The root's OpRestore ends the stream: it writes no
+				// structure event.
+				if !as.writeChunk(c.Batch) || c.End != 0 && !reorder.Done() && !as.writeCtl(c.End) {
+					return
+				}
 			}
-			as.merged++
-			as.stats.EventsStreamed += uint64(c.Batch.Len())
-			as.stats.StreamBytes += uint64(c.Batch.WireBytes())
-			reorder.Offer(c, emit)
 			if len(as.chunks) == 0 {
 				break
 			}
 			c = <-as.chunks
 		}
-		as.seqBusy.AddDur(time.Since(t0) - blocked)
+		as.seqBusy.AddDur(time.Since(t0) - as.blocked)
+		if c.Batch == nil {
+			break // drain's end marker
+		}
 	}
-	// The stream ended before the root chunk: only legal once the graph has
-	// failed (the root's chunk was then dropped). With the graph healthy
-	// the stream is structurally broken.
-	if !reorder.Done() && !as.graph.Failed() {
+	// The marker came before the root's final chunk. A healthy graph's
+	// stream is then structurally broken; a failed one dropped the root's
+	// chunk, and this panic loses to the first failure.
+	if !reorder.Done() {
 		panic("stint: parallel-detect chunk stream ended before the root task's final chunk")
 	}
-	if out.Len() > 0 && !aborted {
-		publish(out)
-	} else {
-		as.pool.Put(out)
+	if as.out.Len() > 0 {
+		as.publish()
 	}
 	as.endStream()
-	// Structure events are synthesized by the merge (one tag byte each): the
-	// totals match what the serial Async pipeline would have streamed for
-	// the same program.
-	as.stats.EventsStreamed += as.mergeCtl
-	as.stats.StreamBytes += as.mergeCtl
 	as.reorderPeak = reorder.Peak()
-}
-
-// drainParallel ends the chunk stream with its end marker, a zero Chunk,
-// waits out the stage graph — re-panicking the first stage failure on the
-// producer goroutine, exactly like drain — and folds the hook counters into
-// Stats. Called after the root's final chunk, so the marker never truncates
-// a healthy stream: every chunk is already sent (each task sends its
-// chunks before its parent's join returns, and the root joins everything
-// first).
-func (as *asyncState) drainParallel() {
-	stage.Send(as.graph, as.chunks, evstream.Chunk{})
-	as.graph.Wait()
-	for _, c := range as.bitsAll {
-		as.stats.Accumulate(c.Hooks())
-	}
 }

@@ -33,8 +33,8 @@ func midFlushProgram() *program {
 
 // TestMidFlushBatchBoundaries runs a program whose strands each flush more
 // intervals than the working batch holds. The serial producer must publish
-// mid-flush and the parallel executor must cut a ChunkCut chunk between two
-// intervals of one strand, and neither boundary may show in the Report.
+// mid-flush and the parallel executor must cut a mid-strand chunk between
+// two intervals of one strand, and neither boundary may show in the Report.
 func TestMidFlushBatchBoundaries(t *testing.T) {
 	p := midFlushProgram()
 	h := newHarness(t, nil, 1)
@@ -50,16 +50,11 @@ func TestMidFlushBatchBoundaries(t *testing.T) {
 			got := h.run(r, bufs, p, -1).rep
 			assertSameReport(t, fmt.Sprintf("batch=%d %s", batchEvents, m.Name), got, sync)
 			// A batch this small holds one event, so every event travelled
-			// alone: each multi-interval flush was cut.
-			if as := r.warm.as; m.Opts.ParallelDetect {
-				// Every strand-ending cut is one chunk (one per structure
-				// event plus the root's last); the rest are mid-flush cuts.
-				if as.merged <= as.mergeCtl+1 {
-					t.Errorf("batch=%d %s: %d chunks for %d strand ends: no mid-flush ChunkCut",
-						batchEvents, m.Name, as.merged, as.mergeCtl+1)
-				}
-			} else if batches := got.ShardLoad[0].BatchesScanned; batches < got.Stats.EventsStreamed {
-				t.Errorf("batch=%d %s: %d batches for %d events: no mid-flush publish",
+			// alone: each multi-interval flush was cut — by the serial
+			// producer, or by a ParallelDetect task into one-event chunks the
+			// merge forwards whole.
+			if batches := got.ShardLoad[0].BatchesScanned; batches < got.Stats.EventsStreamed {
+				t.Errorf("batch=%d %s: %d batches for %d events: no mid-flush cut",
 					batchEvents, m.Name, batches, got.Stats.EventsStreamed)
 			}
 		}
@@ -116,7 +111,7 @@ func TestShortRunStreamsBeforeDrain(t *testing.T) {
 
 // TestParallelWarmRunsReuseBatches: a task takes no working batch after its
 // final chunk, so once a ParallelDetect run ends every batch its pool ever
-// allocated is back in the pool, run after run (the program's peak stays
+// allocated is back in the pool but the stream writer's one, run after run (the program's peak stays
 // under the pool's bound, so none is dropped). Counted by emptying the pool
 // until a Get allocates.
 func TestParallelWarmRunsReuseBatches(t *testing.T) {
@@ -135,11 +130,51 @@ func TestParallelWarmRunsReuseBatches(t *testing.T) {
 		for allocs := pool.Allocs(); pool.Allocs() == allocs; {
 			held = append(held, pool.Get())
 		}
-		if n := uint64(len(held)); n != pool.Allocs() {
-			t.Errorf("run %d: %d of the pool's %d batches came back", run, n-1, pool.Allocs()-1)
+		// The stream writer keeps its working batch across runs.
+		if n := uint64(len(held)) + 1; n != pool.Allocs() {
+			t.Errorf("run %d: %d of the pool's %d batches came back", run, n-2, pool.Allocs()-1)
 		}
 		for _, b := range held {
 			pool.Put(b)
+		}
+	}
+}
+
+// TestOneBatchStreamCountsAlike pins the one accounting point: every
+// pipeline counts a batch as it broadcasts it, so a program whose whole
+// stream fits one batch at the default geometry streams the same events and
+// wire bytes on every row — ParallelDetect's chunk seams, which AppendFrom
+// re-bases, counted as the workers receive them.
+func TestOneBatchStreamCountsAlike(t *testing.T) {
+	var want Stats
+	for i, m := range pipeModes {
+		r, err := NewRunner(m.With(Options{Detector: DetectorSTINT}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := r.Arena().AllocWords("b", 1<<12)
+		rep, err := r.Run(func(task *Task) {
+			for c := 0; c < 8; c++ {
+				task.Spawn(func(ct *Task) {
+					for i := 0; i < 12; i++ {
+						ct.Store(buf, 256*c+8*i) // a gap after every word: one interval each
+					}
+				})
+			}
+			task.Sync()
+			task.LoadRange(buf, 0, 1024)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := rep.ShardLoad[0].BatchesScanned; b != 1 {
+			t.Fatalf("%s: the stream took %d batches, want 1", m.Name, b)
+		}
+		if i == 0 {
+			want = rep.Stats
+		} else if got := rep.Stats; got.EventsStreamed != want.EventsStreamed || got.StreamBytes != want.StreamBytes {
+			t.Errorf("%s: streamed %d events in %d B, %s streamed %d in %d B",
+				m.Name, got.EventsStreamed, got.StreamBytes, pipeModes[0].Name, want.EventsStreamed, want.StreamBytes)
 		}
 	}
 }

@@ -1,16 +1,18 @@
 // The detector side of every pipeline (Options.Async, DetectShards,
 // ParallelDetect): N workers, each fed every batch over its own buffered
 // channel and owning the access history of the shadow pages that hash to
-// it, and a merge.
+// it. drain merges their results once the graph has joined.
 //
 // Topology:
 //
-//	Async / DetectShards:  mutator+coalescer ───────────────────────────▶ batch to every worker ─▶ N workers ─▶ merge
-//	ParallelDetect:        task goroutines ─chunk channel─▶ reorder+coalesce ─▶ (same channels, same workers, same merge)
+//	Async / DetectShards:  mutator+coalescer ───────────────────────────▶ batch to every worker ─▶ N workers
+//	ParallelDetect:        task goroutines ─chunk channel─▶ reorder+coalesce ─▶ (same writer, same channels, same workers)
 //
 // N = max(DetectShards, 1): plain Async is the one-worker case. The stream
-// is the serial projection (async.go, parallel.go): per strand, its flushed
-// intervals — page-contained by construction — then the structure event.
+// is the serial projection, written by one writer (async.go) that the
+// serial producer and the ParallelDetect merge (parallel.go) share: per
+// strand, its flushed intervals — page-contained by construction — then
+// the structure event.
 //
 // Every worker scans every batch and replays every structure event
 // (spawn/restore/sync) on a private SP-Order structure (internal/spord, the
@@ -250,13 +252,13 @@ func (as *asyncState) buildWorkers(cfg detect.Config, n, ringDepth, maxRec int, 
 	}
 }
 
-// launch wires one run's stage graph: the workers over their channels,
-// under ParallelDetect the merge stage feeding them, and the merge
-// finalizer. First failure anywhere (a user OnRace panic in a worker, a
-// guard in the merge stage, a panic in the program body) closes the graph's
-// failure channel: every peer waiting in a stage.Send or stage.Recv
-// unwinds, the mutator side's broadcasts start failing, and drain's
-// graph.Wait re-raises the failure on the producer.
+// launch wires one run's stage graph: the workers over their channels and,
+// under ParallelDetect, the merge stage feeding them. First failure
+// anywhere (a user OnRace panic in a worker, a guard in the merge stage, a
+// panic in the program body) closes the graph's failure channel: every
+// peer waiting in a stage.Send or stage.Recv unwinds, the writer's
+// broadcasts start failing, and drain's graph.Wait re-raises the failure on
+// the producer.
 func (as *asyncState) launch() {
 	g := stage.NewGraph()
 	as.graph = g
@@ -266,7 +268,6 @@ func (as *asyncState) launch() {
 	if as.chunks != nil {
 		g.Go(as.mergeParallel)
 	}
-	g.Seal(as.mergeSharded)
 }
 
 // broadcast sends b to every worker in order, one reference each. It reports
@@ -296,13 +297,13 @@ func (as *asyncState) endStream() {
 	}
 }
 
-// mergeSharded folds the workers' results into canonical totals: counters
-// partition exactly across shards (pages are disjoint and intervals page-
-// contained); the hook counters are not theirs to report (the mutator side
-// counts them, drain folds them in); the strand count is any worker's —
-// they all replayed the same structure stream. It also assembles the
-// per-worker load breakdown (busy, batches, channel waits) behind
-// Report.ShardLoad.
+// mergeSharded folds the joined workers' results into canonical totals:
+// counters partition exactly across shards (pages are disjoint and
+// intervals page-contained); the hook counters are not theirs to report
+// (the mutator side counts them, drain folds them in); the strand count is
+// any worker's — they all replayed the same structure stream. It also
+// assembles the per-worker load breakdown (busy, batches, channel waits)
+// behind Report.ShardLoad.
 func (as *asyncState) mergeSharded() {
 	col := stage.NewCollector(as.maxRec)
 	as.shardLoad = make([]ShardLoad, len(as.workers))

@@ -493,9 +493,6 @@ func (r *Runner) footprint() detect.Footprint {
 		return f
 	}
 	if as := w.as; as != nil {
-		if as.bits != nil {
-			f.BitPages += as.bits.Pages()
-		}
 		for _, c := range as.bitsAll {
 			f.BitPages += c.Pages()
 		}
@@ -530,7 +527,6 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 		rs.graph = pipe.graph
 	} else if rs.parallel {
 		rs.graph = stage.NewGraph()
-		rs.graph.Seal(nil)
 	}
 	t := &Task{rs: rs, bits: rs.bits}
 	if rs.parallel {
@@ -544,18 +540,16 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 	start := time.Now()
 	rs.exec(root, t)
 	switch {
-	case rs.parallel && pipe != nil:
-		// The root's final chunk completes the serial projection; the
-		// drain waits out the merge and worker graph.
-		t.cut(evstream.ChunkRoot, 0)
-		pipe.drainParallel()
+	case pipe != nil:
+		if rs.parallel {
+			t.cut(evstream.OpRestore, 0) // the root's final chunk
+		}
+		// End the stream and join the worker graph: WallTime then covers
+		// max(compute, detect) plus the residual drain, and Stats are
+		// exact.
+		pipe.drain()
 	case rs.parallel:
 		rs.graph.Wait() // re-raises a spawned task's panic
-	case pipe != nil:
-		// Flush the stream and join the worker graph: WallTime then
-		// covers max(compute, detect) plus the residual drain, and Stats
-		// are exact.
-		pipe.drain()
 	case rs.rp != nil:
 		rs.rp.engine.Finish()
 	}
@@ -651,8 +645,9 @@ func (rs *runState) ctl(op evstream.Op) {
 			tr.Sync()
 		}
 	}
-	if rs.as != nil {
-		rs.as.emitCtl(op)
+	if as := rs.as; as != nil {
+		as.endStrand()
+		as.writeCtl(op)
 	} else if rs.rp != nil {
 		rs.rp.ctl(op)
 	} else if rs.strands {
