@@ -42,7 +42,8 @@ bench:
 # quiescing pair, and the trace layer's own pair: BenchmarkReplayWorkload
 # (the benchmark's five programs at its sizes, replayed with detection off
 # and with STINT; MB/s is decode throughput, ns/event the time per event the
-# replay charges) and BenchmarkRecordOverhead. (internal/depa is off the production path; its
+# replay charges, B/event the trace's bytes per such event) and
+# BenchmarkRecordOverhead (B/event for sequential word loads). (internal/depa is off the production path; its
 # BenchmarkViewPerRefill runs with `go test -bench . ./internal/depa`.)
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkTreapInsert|BenchmarkTreapSortedRun|BenchmarkShadowDirectory' -benchmem ./internal/core ./internal/shadow

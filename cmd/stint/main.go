@@ -90,16 +90,37 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
+// eventCounter counts the events it passes on to the trace Recorder.
+type eventCounter struct {
+	*trace.Recorder
+	n uint64
+}
+
+func (c *eventCounter) Spawn()                          { c.n++; c.Recorder.Spawn() }
+func (c *eventCounter) Restore()                        { c.n++; c.Recorder.Restore() }
+func (c *eventCounter) Sync()                           { c.n++; c.Recorder.Sync() }
+func (c *eventCounter) Read(a stint.Addr, size uint64)  { c.n++; c.Recorder.Read(a, size) }
+func (c *eventCounter) Write(a stint.Addr, size uint64) { c.n++; c.Recorder.Write(a, size) }
+func (c *eventCounter) ReadRange(a stint.Addr, n int, elem uint64) {
+	c.n++
+	c.Recorder.ReadRange(a, n, elem)
+}
+func (c *eventCounter) WriteRange(a stint.Addr, n int, elem uint64) {
+	c.n++
+	c.Recorder.WriteRange(a, n, elem)
+}
+
 func run(w workloads.Workload, opts stint.Options, traceOut string) error {
 	mode, shards := opts.Detector, opts.DetectShards
-	var rec *trace.Recorder
+	var rec *eventCounter
+	var f *os.File
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+		var err error
+		if f, err = os.Create(traceOut); err != nil {
 			return err
 		}
-		defer f.Close()
-		rec = trace.NewRecorder(f)
+		defer f.Close() // for the error returns; a written trace is closed below
+		rec = &eventCounter{Recorder: trace.NewRecorder(f)}
 		opts.Tracer = rec
 	}
 	r, err := stint.NewRunner(opts)
@@ -127,10 +148,18 @@ func run(w workloads.Workload, opts stint.Options, traceOut string) error {
 		return fmt.Errorf("result verification failed: %w", err)
 	}
 	if rec != nil {
-		if err := rec.Flush(); err != nil {
+		err := rec.Flush()
+		var fi os.FileInfo
+		if err == nil {
+			fi, err = f.Stat()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
-		fmt.Printf("trace written to %s\n", traceOut)
+		fmt.Printf("trace written to %s (%d bytes, %.2f B/event)\n", traceOut, fi.Size(), float64(fi.Size())/float64(max(rec.n, 1)))
 	}
 	fmt.Printf("time       %v (result verified)\n", rep.WallTime.Round(time.Microsecond))
 	if mode == stint.DetectorOff {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"stint"
@@ -42,8 +41,17 @@ func buildTrace(b *testing.B) []byte {
 	return buf.Bytes()
 }
 
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
+
+// BenchmarkRecordOverhead records sequential word loads; B/event is the
+// trace bytes per load.
 func BenchmarkRecordOverhead(b *testing.B) {
-	r, err := stint.NewRunner(stint.Options{Tracer: NewRecorder(io.Discard)})
+	var out countingWriter
+	rec := NewRecorder(&out)
+	r, err := stint.NewRunner(stint.Options{Tracer: rec})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,6 +65,10 @@ func BenchmarkRecordOverhead(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
+	if err := rec.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(out.n)/float64(b.N), "B/event")
 }
 
 // benchReplay replays the shared trace b.N times through one reused Runner
@@ -100,25 +112,28 @@ func recordWorkload(tb testing.TB, w workloads.Workload) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkReplayWorkload is the trace layer's own benchmark over the
-// repository benchmark's five programs at its sizes (serve-small and
-// serve-racy are the traces its service replays; sort's is 10.7 MB): the off
-// leg replays onto a DetectorOff Runner, so it is the decoder plus the hooks'
-// bare dispatch; the stint leg adds detection. ns/event divides the time by
-// the events a replay charges against Options.MaxEvents: every event but
-// restores and the end (recordings hold no empty range, the one such event
-// that reaches no Tracer).
+// benchPrograms are the repository benchmark's five programs at its sizes
+// (serve-small and serve-racy are the traces its service replays).
+var benchPrograms = []struct {
+	name string
+	new  func() workloads.Workload
+}{
+	{"sort", func() workloads.Workload { return workloads.NewSort(40000, 512) }},
+	{"mmul", func() workloads.Workload { return workloads.NewMMul(112, 16) }},
+	{"fft", func() workloads.Workload { return workloads.NewFFT(32768, 64) }},
+	{"serve-small", func() workloads.Workload { return workloads.NewChol(192, 16) }},
+	{"serve-racy", func() workloads.Workload { return workloads.NewRacyMMul(96, 16) }},
+}
+
+// BenchmarkReplayWorkload is the trace layer's own benchmark over
+// benchPrograms (sort's trace is 3.6 MB): the off leg replays onto a
+// DetectorOff Runner, so it is the decoder plus the hooks' bare dispatch; the
+// stint leg adds detection. ns/event divides the time, and B/event the trace's
+// length, by the events a replay charges against Options.MaxEvents: every
+// event but restores and the end (recordings hold no empty range, the one
+// such event that reaches no Tracer).
 func BenchmarkReplayWorkload(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		new  func() workloads.Workload
-	}{
-		{"sort", func() workloads.Workload { return workloads.NewSort(40000, 512) }},
-		{"mmul", func() workloads.Workload { return workloads.NewMMul(112, 16) }},
-		{"fft", func() workloads.Workload { return workloads.NewFFT(32768, 64) }},
-		{"serve-small", func() workloads.Workload { return workloads.NewChol(192, 16) }},
-		{"serve-racy", func() workloads.Workload { return workloads.NewRacyMMul(96, 16) }},
-	} {
+	for _, w := range benchPrograms {
 		b.Run(w.name, func(b *testing.B) {
 			raw := recordWorkload(b, w.new())
 			var seen kinds
@@ -148,6 +163,7 @@ func BenchmarkReplayWorkload(b *testing.B) {
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*events), "ns/event")
+					b.ReportMetric(float64(len(raw))/float64(events), "B/event")
 				})
 			}
 		})

@@ -36,8 +36,9 @@ func FuzzReplay(f *testing.F) {
 	})
 	rec.Flush()
 	f.Add(buf.Bytes())
-	// A valid prefix followed by garbage.
-	f.Add(append(append([]byte{}, buf.Bytes()[:len(buf.Bytes())-1]...), 0xff, 0x55, 0x80))
+	// A valid prefix followed by garbage: a one-byte form, a two-byte form
+	// and an unknown opcode.
+	f.Add(append(append([]byte{}, buf.Bytes()[:len(buf.Bytes())-1]...), 0xff, 0x55, 0x80, 0x60))
 	// An address operand overflowing 64 bits.
 	f.Add(readEvents(append(bytes.Repeat([]byte{0xff}, 10), 0x01, 0x04)))
 	// A trace cut mid-varint just past 64 KiB: eight-byte reads alternating
@@ -63,6 +64,25 @@ func FuzzReplay(f *testing.F) {
 			opWriteRange, 0x82, 0x01, 0x01, 0x80, 0x01) // +65, 1 × 128 bytes
 	}
 	f.Add(two[:windowBytes])
+	// A short form as the first access, of the predicted size 0, in each form.
+	f.Add(append(append([]byte{}, magic[:]...), opShort1, opShort2+1<<5, 0x05, opEnd))
+	// A one-byte store one word past a read at ^7, wrapping the address
+	// space, with a window's event's worth behind it for the decode step.
+	f.Add(append(append([]byte{}, magic[:]...), append([]byte{opRead, 0x0F, 0x04, opShort1 | 1<<6 | 1},
+		bytes.Repeat([]byte{opEnd}, maxEventBytes)...)...))
+	// Two-byte reads 300 words up and down after a five-byte read at 2^16, so
+	// one's tag sits at offset 65 535 and its second byte past the window's
+	// edge: whole, and cut between the two.
+	alt := append(append([]byte{}, magic[:]...), opRead, 0x80, 0x80, 0x08, 0x04)
+	for len(alt) < windowBytes+8 {
+		alt = append(alt, opShort2+0x1, 0x2C, opShort2+0xE, 0xD4) // +0x12C, -0x12C words
+	}
+	f.Add(append(alt, opEnd))
+	f.Add(alt[:windowBytes])
+	// A short form right after a range event, and one right after a size
+	// change.
+	f.Add(append(append([]byte{}, magic[:]...), opRead, 0x08, 0x04, opReadRange, 0x20, 0x04, 0x04, opShort1|1<<6|1, opEnd))
+	f.Add(append(append([]byte{}, magic[:]...), opRead, 0x08, 0x04, opWrite, 0x02, 0x08, opShort1|1<<5, opEnd))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Every input first replays with detection off, through a Tracer
@@ -88,7 +108,8 @@ func FuzzReplay(f *testing.F) {
 		}
 		for _, d := range []stint.Detector{stint.DetectorVanilla, stint.DetectorSTINT} {
 			rep, err := replayBoth(t, raw, Options{Detector: d}, Options{Detector: d})
-			// An access event is at least three bytes and at most 2^54+1 words.
+			// An access event is at least one byte, after the eight of the
+			// header, and at most 2^54+1 words.
 			if err == nil && len(raw) < 512 && rep.Stats.ReadAccesses+rep.Stats.WriteAccesses > uint64(len(raw))<<54 {
 				t.Fatalf("%d trace bytes cannot carry %d+%d words", len(raw), rep.Stats.ReadAccesses, rep.Stats.WriteAccesses)
 			}

@@ -21,8 +21,10 @@
 //
 // The format is a magic header followed by one-byte opcodes with uvarint
 // operands. Addresses are delta-encoded against the previous event's
-// address (zig-zag varints), which keeps traces of loop-heavy programs
-// small.
+// address (zig-zag varints). A per-access event whose size repeats the
+// previous one's and whose address lies a few words from a predicted one
+// takes one or two bytes instead (see stride), which keeps traces of
+// loop-heavy programs near one byte per access.
 package trace
 
 import (
@@ -48,7 +50,57 @@ const (
 	opReadRange  = 0x12 // addrDelta, count, elemBytes
 	opWriteRange = 0x13 // addrDelta, count, elemBytes
 	opEnd        = 0x7F // end of trace
+	// opShort2 … opShort2+0x3F: a per-access event in two bytes, the tag
+	// opShort2 + (write<<5 | base<<4 | delta>>8&0xF), then delta&0xFF:
+	// delta is a 12-bit signed word delta from stride.base(base).
+	opShort2 = 0x20
+	// opShort1 … 0xFF: a per-access event in one byte,
+	// opShort1 | write<<6 | base<<5 | delta&0x1F, with a 5-bit signed word
+	// delta.
+	opShort1 = 0x80
 )
+
+// form maps a short-form tag to its form's first code, opShort1 or
+// opShort2, and leaves every other opcode as it is.
+func form(code byte) byte {
+	if code >= opShort1 {
+		return opShort1
+	}
+	if code-opShort2 < 0x40 {
+		return opShort2
+	}
+	return code
+}
+
+// stride is the prediction both ends of a trace keep so that a short form
+// can leave out what it gets right: the last access or range event's
+// address, the movement that reached it, and the last per-access event's
+// size (0 before the first). A short form names an event of that size at a
+// word delta from one of two bases: the last address (base 0), or the last
+// address moved once more by the last movement (base 1).
+type stride struct {
+	addr, delta mem.Addr
+	size        uint64
+}
+
+// step is the one update rule, after every access or range event: addr is
+// its address, size its size for a per-access event and s.size for a range.
+func (s stride) step(addr mem.Addr, size uint64) stride {
+	return stride{addr: addr, delta: addr - s.addr, size: size}
+}
+
+func (s stride) base(b byte) mem.Addr { return s.addr + s.delta*mem.Addr(b) }
+
+// short1 is the address a one-byte form names.
+func (s stride) short1(code byte) mem.Addr {
+	return s.base(code>>5&1) + mem.Addr(int64(int8(code<<3))>>1)
+}
+
+// short2 is the address a two-byte form names: x is its tag less opShort2,
+// lo its second byte.
+func (s stride) short2(x, lo byte) mem.Addr {
+	return s.base(x>>4&1) + mem.Addr(int64(int16(uint16(x)<<12|uint16(lo)<<4))>>2)
+}
 
 var magic = [8]byte{'S', 'T', 'N', 'T', 'T', 'R', 'C', '1'}
 
@@ -59,83 +111,117 @@ const maxEventBytes = 1 + 3*binary.MaxVarintLen64
 // Recorder implements stint.Tracer, serializing events to an io.Writer.
 // Recorders are not safe for concurrent use; record serial executions only.
 type Recorder struct {
-	w        *bufio.Writer
-	lastAddr mem.Addr
-	err      error
-	wroteHdr bool
-	buf      [maxEventBytes]byte
+	w    io.Writer
+	buf  []byte // encoded bytes not yet written to w
+	pred stride
+	err  error // w's first error; nothing is written to w after it
 }
 
 // NewRecorder returns a Recorder writing to w. Call Flush when the run
 // completes.
 func NewRecorder(w io.Writer) *Recorder {
-	return &Recorder{w: bufio.NewWriterSize(w, 1<<16)}
+	return &Recorder{w: w, buf: append(make([]byte, 0, windowBytes), magic[:]...)}
 }
 
-func (r *Recorder) setErr(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
+// room makes room for one event, writing the buffered bytes out when fewer
+// than maxEventBytes are free, so that appending the event never grows buf.
+func (r *Recorder) room() {
+	if cap(r.buf)-len(r.buf) < maxEventBytes {
+		r.write()
 	}
 }
 
-// delta zig-zag-encodes the address movement since the last event.
+// write hands the buffered bytes to w in one Write.
+func (r *Recorder) write() {
+	if r.err == nil {
+		_, r.err = r.w.Write(r.buf)
+	}
+	r.buf = r.buf[:0]
+}
+
+// addrOperand zig-zag-encodes the address movement since the last event.
 func (r *Recorder) addrOperand(addr mem.Addr) uint64 {
-	d := int64(addr) - int64(r.lastAddr)
-	r.lastAddr = addr
+	d := int64(addr - r.pred.addr)
 	return uint64((d << 1) ^ (d >> 63))
 }
 
-// event encodes one opcode and its operands into the scratch buffer and
-// hands the whole event to the writer in one call.
-func (r *Recorder) event(code byte, vals ...uint64) {
-	if !r.wroteHdr {
-		r.wroteHdr = true
-		_, err := r.w.Write(magic[:])
-		r.setErr(err)
+// op records an event with no operands.
+func (r *Recorder) op(code byte) {
+	r.room()
+	r.buf = append(r.buf, code)
+}
+
+// access records a per-access event in the shortest form that carries it:
+// one byte, two, or the long form's opcode and two operands.
+func (r *Recorder) access(write byte, addr mem.Addr, size uint64) {
+	r.room()
+	if !r.short(write, addr, size) {
+		r.buf = binary.AppendUvarint(binary.AppendUvarint(append(r.buf, opRead+write), r.addrOperand(addr)), size)
 	}
-	r.buf[0] = code
-	n := 1
-	for _, v := range vals {
-		n += binary.PutUvarint(r.buf[n:], v)
+	r.pred = r.pred.step(addr, size)
+}
+
+// short appends a per-access event as a short form, one byte before two
+// and base 0 before base 1, and reports false when its size is not the
+// predicted one or no form's word delta reaches addr.
+func (r *Recorder) short(write byte, addr mem.Addr, size uint64) bool {
+	if size != r.pred.size {
+		return false
 	}
-	_, err := r.w.Write(r.buf[:n])
-	r.setErr(err)
+	for _, reach := range [2]int64{1 << 4, 1 << 11} {
+		for b := byte(0); b < 2; b++ {
+			off := int64(addr - r.pred.base(b))
+			if w := off >> 2; off&3 == 0 && -reach <= w && w < reach {
+				if reach == 1<<4 {
+					r.buf = append(r.buf, opShort1|write<<6|b<<5|byte(w)&0x1F)
+				} else {
+					r.buf = append(r.buf, opShort2+(write<<5|b<<4|byte(w>>8)&0xF), byte(w))
+				}
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// rangeEvent records a compiler-coalesced access.
+func (r *Recorder) rangeEvent(code byte, addr mem.Addr, count int, elemBytes uint64) {
+	r.room()
+	r.buf = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(append(r.buf, code),
+		r.addrOperand(addr)), uint64(count)), elemBytes)
+	r.pred = r.pred.step(addr, r.pred.size)
 }
 
 // Spawn records the start of a spawned child.
-func (r *Recorder) Spawn() { r.event(opSpawn) }
+func (r *Recorder) Spawn() { r.op(opSpawn) }
 
 // Restore records a child's return to its parent's continuation.
-func (r *Recorder) Restore() { r.event(opRestore) }
+func (r *Recorder) Restore() { r.op(opRestore) }
 
 // Sync records a strand-creating sync.
-func (r *Recorder) Sync() { r.event(opSync) }
+func (r *Recorder) Sync() { r.op(opSync) }
 
 // Read records a per-access load.
-func (r *Recorder) Read(addr mem.Addr, size uint64) {
-	r.event(opRead, r.addrOperand(addr), size)
-}
+func (r *Recorder) Read(addr mem.Addr, size uint64) { r.access(0, addr, size) }
 
 // Write records a per-access store.
-func (r *Recorder) Write(addr mem.Addr, size uint64) {
-	r.event(opWrite, r.addrOperand(addr), size)
-}
+func (r *Recorder) Write(addr mem.Addr, size uint64) { r.access(1, addr, size) }
 
 // ReadRange records a compiler-coalesced load.
 func (r *Recorder) ReadRange(addr mem.Addr, count int, elemBytes uint64) {
-	r.event(opReadRange, r.addrOperand(addr), uint64(count), elemBytes)
+	r.rangeEvent(opReadRange, addr, count, elemBytes)
 }
 
 // WriteRange records a compiler-coalesced store.
 func (r *Recorder) WriteRange(addr mem.Addr, count int, elemBytes uint64) {
-	r.event(opWriteRange, r.addrOperand(addr), uint64(count), elemBytes)
+	r.rangeEvent(opWriteRange, addr, count, elemBytes)
 }
 
-// Flush terminates and flushes the trace. The Recorder must not be used
-// afterwards.
+// Flush terminates the trace and writes out what is buffered. The Recorder
+// must not be used afterwards.
 func (r *Recorder) Flush() error {
-	r.event(opEnd)
-	r.setErr(r.w.Flush())
+	r.op(opEnd)
+	r.write()
 	return r.err
 }
 
@@ -193,7 +279,7 @@ type decoder struct {
 	win       []byte // br's buffered bytes; win[:pos] is decoded
 	pos       int
 	srcErr    error // src's first error (io.EOF at its end); src is not read after it
-	lastAddr  mem.Addr
+	pred      stride
 	err       error
 	maxEvents uint64 // 0 = unbounded
 	events    uint64
@@ -289,16 +375,35 @@ func nextAddr(last mem.Addr, raw uint64) mem.Addr {
 	return mem.Addr(int64(last) + (int64(raw>>1) ^ -int64(raw&1)))
 }
 
+// access validates a per-access event the switch decoded, moves the
+// prediction and replays it.
+func (d *decoder) access(t *stint.Task, write bool, addr mem.Addr, size uint64) {
+	// Validate before handing to the hook layer: LoadAt panics on wrapping
+	// spans, but a corrupt or adversarial trace must surface as a decode
+	// error, not a panic.
+	if mem.SpanWraps(addr, size) {
+		d.fail(fmt.Errorf("trace: access event at %#x spanning %d bytes wraps the address space", addr, size))
+		return
+	}
+	d.pred = d.pred.step(addr, size)
+	if write {
+		t.StoreAt(addr, size)
+	} else {
+		t.LoadAt(addr, size)
+	}
+}
+
 // replayBody consumes one task instance's events: up to its opRestore for
 // a spawned child (depth > 0), or up to opEnd for the root. Structural
 // validation happens before the corresponding API call, so an invalid
 // trace aborts without corrupting the run. The decode step takes a valid
-// access or range event with one- or two-byte operands on locals (window
-// rest, last address, event count); they go back to d for refill and for the
-// switch, which takes every other event and error (its Spawn runs a child).
+// short form, and an access or range event with one- or two-byte operands,
+// on locals (window rest, prediction, event count); they go back to d for
+// refill and for the switch, which takes every other event and error (its
+// Spawn runs a child).
 func (d *decoder) replayBody(t *stint.Task, depth int) {
 	pending := 0 // spawns since the last sync
-	rest, last, events := d.win[d.pos:], d.lastAddr, d.events
+	rest, s, events := d.win[d.pos:], d.pred, d.events
 	for {
 		if len(rest) < maxEventBytes {
 			if rest = d.refill(rest); len(rest) == 0 {
@@ -306,38 +411,60 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				return
 			}
 		}
-		// Below maxEventBytes src has ended: operands tells a cut operand from
+		// Below maxEventBytes src has ended: the switch tells a cut event from
 		// a whole one. At events == d.maxEvents the next charge fails (with no
 		// budget, this is the first event). A longer address leaves n 0 and
-		// rest[1:3] at or above 0x80, so n2 is 0 too.
-		if len(rest) >= maxEventBytes && rest[0]&^3 == opRead && events != d.maxEvents {
-			code := rest[0]
-			raw, n := uvarint2(rest[1], rest[2])
-			x, n2 := uvarint2(rest[1+n], rest[2+n])
-			i, a := 1+n+n2, nextAddr(last, raw)
-			if n2 != 0 && code < opReadRange && !mem.SpanWraps(a, x) {
-				events, last, rest = events+1, a, rest[i:]
-				if code == opRead {
-					t.LoadAt(a, x)
-				} else {
-					t.StoreAt(a, x)
+		// rest[1:3] at or above 0x80, so n2 is 0 too. A short form's size was
+		// a validated event's, so only its span can be refused.
+		if len(rest) >= maxEventBytes && events != d.maxEvents {
+			if code := rest[0]; code >= opShort1 {
+				if a := s.short1(code); !mem.SpanWraps(a, s.size) {
+					events, s, rest = events+1, s.step(a, s.size), rest[1:]
+					if code&0x40 == 0 {
+						t.LoadAt(a, s.size)
+					} else {
+						t.StoreAt(a, s.size)
+					}
+					continue
 				}
-				continue
-			}
-			if y, n3 := uvarint2(rest[i], rest[i+1]); n2 != 0 && n3 != 0 && code >= opReadRange && !mem.SpanWraps(a, x*y) {
-				events, last, rest = events+1, a, rest[i+n3:]
-				if code == opReadRange {
-					t.LoadRangeAt(a, int(x), y)
-				} else {
-					t.StoreRangeAt(a, int(x), y)
+			} else if x := code - opShort2; x < 0x40 {
+				if a := s.short2(x, rest[1]); !mem.SpanWraps(a, s.size) {
+					events, s, rest = events+1, s.step(a, s.size), rest[2:]
+					if x&0x20 == 0 {
+						t.LoadAt(a, s.size)
+					} else {
+						t.StoreAt(a, s.size)
+					}
+					continue
 				}
-				continue
+			} else if code&^3 == opRead {
+				raw, n := uvarint2(rest[1], rest[2])
+				x, n2 := uvarint2(rest[1+n], rest[2+n])
+				i, a := 1+n+n2, nextAddr(s.addr, raw)
+				if n2 != 0 && code < opReadRange && !mem.SpanWraps(a, x) {
+					events, s, rest = events+1, s.step(a, x), rest[i:]
+					if code == opRead {
+						t.LoadAt(a, x)
+					} else {
+						t.StoreAt(a, x)
+					}
+					continue
+				}
+				if y, n3 := uvarint2(rest[i], rest[i+1]); n2 != 0 && n3 != 0 && code >= opReadRange && !mem.SpanWraps(a, x*y) {
+					events, s, rest = events+1, s.step(a, s.size), rest[i+n3:]
+					if code == opReadRange {
+						t.LoadRangeAt(a, int(x), y)
+					} else {
+						t.StoreRangeAt(a, int(x), y)
+					}
+					continue
+				}
 			}
 		}
-		d.pos, d.lastAddr, d.events = len(d.win)-len(rest), last, events
+		d.pos, d.pred, d.events = len(d.win)-len(rest), s, events
 		code := d.win[d.pos]
 		d.pos++
-		switch code {
+		switch form(code) {
 		case opEnd:
 			if depth > 0 {
 				d.fail(fmt.Errorf("trace: %d unterminated tasks at end of trace", depth))
@@ -388,25 +515,30 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				d.fail(fmt.Errorf("trace: access event: %w", err))
 				return
 			}
-			d.lastAddr = nextAddr(d.lastAddr, ops[0])
-			addr, size := d.lastAddr, ops[1]
-			// Validate before handing to the hook layer: LoadAt panics on
-			// sizes beyond the encodings' 56-bit field and on wrapping spans,
-			// but a corrupt or adversarial trace must surface as a decode
-			// error, not a panic.
-			if size > evstream.MaxAccessSize {
-				d.fail(fmt.Errorf("trace: access event size %d outside the representable field", size))
+			// LoadAt panics on sizes beyond the encodings' 56-bit field too.
+			if ops[1] > evstream.MaxAccessSize {
+				d.fail(fmt.Errorf("trace: access event size %d outside the representable field", ops[1]))
 				return
 			}
-			if mem.SpanWraps(addr, size) {
-				d.fail(fmt.Errorf("trace: access event at %#x spanning %d bytes wraps the address space", addr, size))
+			d.access(t, code == opWrite, nextAddr(d.pred.addr, ops[0]), ops[1])
+
+		case opShort1:
+			if !d.charge() {
 				return
 			}
-			if code == opRead {
-				t.LoadAt(addr, size)
-			} else {
-				t.StoreAt(addr, size)
+			d.access(t, code&0x40 != 0, d.pred.short1(code), d.pred.size)
+
+		case opShort2:
+			if !d.charge() {
+				return
 			}
+			if d.pos == len(d.win) {
+				d.fail(fmt.Errorf("trace: access event: %w", d.short()))
+				return
+			}
+			x, lo := code-opShort2, d.win[d.pos]
+			d.pos++
+			d.access(t, x&0x20 != 0, d.pred.short2(x, lo), d.pred.size)
 
 		case opReadRange, opWriteRange:
 			if !d.charge() {
@@ -417,8 +549,7 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				d.fail(fmt.Errorf("trace: range event: %w", err))
 				return
 			}
-			d.lastAddr = nextAddr(d.lastAddr, ops[0])
-			addr, count, elem := d.lastAddr, ops[1], ops[2]
+			addr, count, elem := nextAddr(d.pred.addr, ops[0]), ops[1], ops[2]
 			// Validate before handing to the hook layer: LoadRangeAt panics
 			// on unrepresentable ranges, but a corrupt or adversarial trace
 			// must surface as a decode error, not a panic.
@@ -430,6 +561,7 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 				d.fail(fmt.Errorf("trace: range event at %#x spanning %d bytes wraps the address space", addr, size))
 				return
 			}
+			d.pred = d.pred.step(addr, d.pred.size)
 			if code == opReadRange {
 				t.LoadRangeAt(addr, int(count), elem)
 			} else {
@@ -443,7 +575,7 @@ func (d *decoder) replayBody(t *stint.Task, depth int) {
 		if d.err != nil {
 			return // the child the switch spawned failed
 		}
-		rest, last, events = d.win[d.pos:], d.lastAddr, d.events
+		rest, s, events = d.win[d.pos:], d.pred, d.events
 	}
 }
 

@@ -242,7 +242,8 @@ func TestTraceDeterministic(t *testing.T) {
 }
 
 func TestTraceCompactness(t *testing.T) {
-	// Sequential word accesses delta-encode to ~3 bytes per event.
+	// Sequential word accesses take the one-byte form: one long-form event,
+	// then one byte per access.
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	r, _ := stint.NewRunner(stint.Options{Tracer: rec})
@@ -256,8 +257,8 @@ func TestTraceCompactness(t *testing.T) {
 	}
 	rec.Flush()
 	perEvent := float64(buf.Len()) / 10000
-	if perEvent > 4 {
-		t.Errorf("trace uses %.1f bytes per sequential access, want <= 4", perEvent)
+	if perEvent > 1.01 {
+		t.Errorf("trace uses %.3f bytes per sequential access, want <= 1.01", perEvent)
 	}
 }
 
@@ -272,7 +273,7 @@ func TestReplayErrors(t *testing.T) {
 		{"bad magic", []byte("NOTATRACE!"), Options{Detector: stint.DetectorSTINT}},
 		{"truncated", good[:len(good)-2], Options{Detector: stint.DetectorSTINT}},
 		{"detector off", good, Options{}},
-		{"garbage opcode", append(append([]byte{}, good[:8]...), 0x55), Options{Detector: stint.DetectorSTINT}},
+		{"garbage opcode", append(append([]byte{}, good[:8]...), 0x60), Options{Detector: stint.DetectorSTINT}},
 	}
 	for _, c := range cases {
 		if _, err := Replay(bytes.NewReader(c.data), c.opts); err == nil {
@@ -421,8 +422,9 @@ func TestReplayReusedRunner(t *testing.T) {
 }
 
 // budgetTrace is a small recording whose events take the decode step and
-// the switch alike: spawns and a sync, and accesses and ranges with one-,
-// two-, three- and four-byte operands, racing across both spawns. events is
+// the switch alike: spawns and a sync, both short forms, and accesses and
+// ranges with one-, two-, three- and four-byte operands, racing across both
+// spawns. events is
 // what a replay charges against Options.MaxEvents: every event but the
 // restores and the end.
 func budgetTrace() (raw []byte, events uint64) {
@@ -431,7 +433,8 @@ func budgetTrace() (raw []byte, events uint64) {
 	const base = stint.Addr(1) << 20
 	rec.Spawn()
 	rec.Read(base, 4)                     // four-byte address delta
-	rec.Write(base+8, 4)                  // one-byte operands
+	rec.Write(base+8, 4)                  // one-byte form: +2 words
+	rec.Read(base+0x88, 4)                // two-byte form: +32 words
 	rec.Read(base+0x108, 0x80)            // two-byte address delta and size
 	rec.WriteRange(base, 0x80, 4)         // two-byte address delta and count
 	rec.ReadRange(base+0x4000, 3, 0x4000) // three-byte address delta and elem
@@ -444,7 +447,7 @@ func budgetTrace() (raw []byte, events uint64) {
 	rec.Sync()
 	rec.WriteRange(base+0x100, 0x80, 0x80)
 	rec.Flush()
-	return buf.Bytes(), 12
+	return buf.Bytes(), 13
 }
 
 // TestReplayMaxEvents sweeps the event budget over budgetTrace. Below its
@@ -607,6 +610,20 @@ func TestReplayRejectsWrappingAccess(t *testing.T) {
 		want := fmt.Sprintf(wraps, "access", ^stint.Addr(3), 4)
 		if rep, err := Replay(bytes.NewReader(raw), Options{Runner: r}); err == nil || err.Error() != want {
 			t.Fatalf("%v: want %q, got report %+v, err %v", d, want, rep, err)
+		}
+		// A read, then a store at ^3 in a short form, one word on in one byte
+		// or 100 words on in two, wraps in the long form's words, in the
+		// switch and (with a window's event's worth behind it) in the step.
+		for _, ev := range [][]byte{
+			{opRead, 0x0F, 0x04, opShort1 | 1<<6 | 1},        // read at ^7
+			{opRead, 0xA7, 0x06, 0x04, opShort2 + 1<<5, 100}, // read at ^403
+		} {
+			for _, tail := range []int{1, maxEventBytes} {
+				raw := append(append(append([]byte{}, magic[:]...), ev...), bytes.Repeat([]byte{opEnd}, tail)...)
+				if rep, err := Replay(bytes.NewReader(raw), Options{Runner: r}); err == nil || err.Error() != want {
+					t.Fatalf("%v: % x: want %q, got report %+v, err %v", d, ev, want, rep, err)
+				}
+			}
 		}
 	}
 }
@@ -771,9 +788,10 @@ func replayResult(src io.Reader, opts Options) string {
 var raceEnabled bool
 
 // forEachWorkloadTrace records every workloads.Names() program at its
-// default size and hands each trace to check. Under the race detector it
-// leaves out sort, whose trace is 62 MB.
-func forEachWorkloadTrace(t *testing.T, check func(name string, raw []byte)) {
+// default size, by the Recorder and in long forms only, and hands each pair of
+// traces to check. Under the race detector it leaves out sort, whose trace is
+// 21 MB (62 MB in long forms).
+func forEachWorkloadTrace(t *testing.T, check func(name string, raw, long []byte)) {
 	for _, name := range workloads.Names() {
 		if raceEnabled && name == "sort" {
 			t.Logf("%s skipped under the race detector", name)
@@ -783,7 +801,8 @@ func forEachWorkloadTrace(t *testing.T, check func(name string, raw []byte)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(name, recordWorkload(t, f()))
+		raw, long := recordBoth(t, f())
+		check(name, raw, long)
 	}
 }
 
@@ -796,7 +815,7 @@ func TestReplayShortReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forEachWorkloadTrace(t, func(name string, raw []byte) {
+	forEachWorkloadTrace(t, func(name string, raw, _ []byte) {
 		want, err := Replay(bytes.NewReader(raw), Options{Runner: r})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -820,36 +839,105 @@ func TestReplayShortReads(t *testing.T) {
 	})
 }
 
-// prefixTrace is a small recording holding every opcode, a multi-byte
-// address operand and a multi-byte range count.
+// prefixTrace is a small recording holding every long-form opcode, a
+// multi-byte address operand and a multi-byte range count, as the Recorder
+// wrote it before the short forms (testdata/prefix.trace).
 func prefixTrace(t *testing.T) []byte {
-	return record(t, []action{
-		{kind: 'S', body: []action{{kind: 'l', idx: 3}, {kind: 'W', idx: 0, n: 16}}},
-		{kind: 's', idx: 40},
-		{kind: 'L', idx: 0, n: bufWords},
-		{kind: 'Y'},
-		{kind: 'l', idx: 63},
-	})
-}
-
-// TestReplayPrefixErrors replays every prefix of a small trace. None may
-// panic, and each must end exactly as the bufio.Reader decoder that preceded
-// the byte window ended it: testdata/prefix_errors.golden holds that
-// decoder's outcome per prefix length.
-func TestReplayPrefixErrors(t *testing.T) {
-	raw := prefixTrace(t)
-	golden, err := os.ReadFile("testdata/prefix_errors.golden")
+	raw, err := os.ReadFile("testdata/prefix.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
-	if len(want) != len(raw)+1 {
-		t.Fatalf("golden table has %d prefixes, the trace %d", len(want), len(raw)+1)
+	return raw
+}
+
+// shortCalls are the events of shortTrace, a small recording holding both
+// short forms from both bases, forwards and backwards, one right after a
+// range event and one right after a size change, among long forms.
+var shortCalls = []call{
+	{code: opSpawn},
+	{opRead, 0x1000, 4, 0},       // long: the predicted size is 0
+	{opWrite, 0x1100, 4, 0},      // two bytes, base 0: +64 words
+	{opRead, 0x1200, 4, 0},       // one byte, base 1: the stride
+	{code: opRestore},            //
+	{opReadRange, 0x1000, 16, 4}, // long range: -0x200
+	{opWrite, 0x0e04, 4, 0},      // one byte, base 1: the stride +1 word
+	{opWrite, 0x4000, 8, 0},      // long: a new size, +0x31fc
+	{opRead, 0x723c, 8, 0},       // two bytes, base 1: the stride +16 words
+	{code: opSync},               //
+	{opRead, 0x7234, 8, 0},       // one byte, base 0: -2 words
+	{opWrite, 0x6e34, 8, 0},      // two bytes, base 0: -256 words
+}
+
+// shortTrace records shortCalls and checks the bytes against their layout
+// by hand.
+func shortTrace(t *testing.T) []byte {
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	for _, c := range shortCalls {
+		c.to(rec)
 	}
-	for n := range want {
-		got := fmt.Sprintf("%d %s", n, replayResult(bytes.NewReader(raw[:n]), Options{Detector: stint.DetectorSTINT}))
-		if got != want[n] {
-			t.Errorf("prefix %d:\n got: %s\nwant: %s", n, got, want[n])
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte{}, magic[:]...),
+		opSpawn,
+		opRead, 0x80, 0x40, 0x04,
+		opShort2+(1<<5|0<<4|0x0), 0x40,
+		opShort1|0<<6|1<<5|0x00,
+		opRestore,
+		opReadRange, 0xFF, 0x07, 0x10, 0x04,
+		opShort1|1<<6|1<<5|0x01,
+		opWrite, 0xF8, 0xC7, 0x01, 0x08,
+		opShort2+(0<<5|1<<4|0x0), 0x10,
+		opSync,
+		opShort1|0<<6|0<<5|0x1E,
+		opShort2+(1<<5|0<<4|0xF), 0x00,
+		opEnd)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("short-form fixture records as\n% x\nwant\n% x", buf.Bytes(), want)
+	}
+	return want
+}
+
+// TestShortFormsReplayTheirCalls: shortTrace replays to the events it
+// recorded through the switch and, with a window's event's worth of bytes
+// behind its end, through the decode step.
+func TestShortFormsReplayTheirCalls(t *testing.T) {
+	raw := shortTrace(t)
+	for _, pad := range []int{0, maxEventBytes} {
+		if got := hookCalls(t, append(raw, make([]byte, pad)...)); !slices.Equal(got, shortCalls) {
+			t.Errorf("padded by %d bytes, shortTrace replays to\n%v\nwant\n%v", pad, got, shortCalls)
+		}
+	}
+}
+
+// TestReplayPrefixErrors replays every prefix of two small traces. None may
+// panic, and each must end as its golden table says. prefix_errors.golden
+// holds the outcome per prefix length of the bufio.Reader decoder that
+// preceded the byte window, over a long-form trace; prefix_short_errors.golden
+// those of the short forms' first decoder, over shortTrace. A short form
+// cut after its tag fails as a long form cut after its opcode.
+func TestReplayPrefixErrors(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		raw    []byte
+	}{
+		{"testdata/prefix_errors.golden", prefixTrace(t)},
+		{"testdata/prefix_short_errors.golden", shortTrace(t)},
+	} {
+		golden, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+		if len(want) != len(c.raw)+1 {
+			t.Fatalf("%s has %d prefixes, the trace %d", c.golden, len(want), len(c.raw)+1)
+		}
+		for n := range want {
+			got := fmt.Sprintf("%d %s", n, replayResult(bytes.NewReader(c.raw[:n]), Options{Detector: stint.DetectorSTINT}))
+			if got != want[n] {
+				t.Errorf("%s, prefix %d:\n got: %s\nwant: %s", c.golden, n, got, want[n])
+			}
 		}
 	}
 }
@@ -952,9 +1040,9 @@ func TestReplayVarintEdges(t *testing.T) {
 	// Address, size, count and elem operands at the one-, two- and three-byte
 	// varint boundaries, each once well inside the window and once from its
 	// last byte on, so that all but the one-byte ones straddle the 64 KiB
-	// edge. Whole, each trace replays the operands it was recorded with; cut
-	// anywhere from its event's opcode to its end, it fails as the bufio
-	// decoder did.
+	// edge. Whole, each trace passes the hooks the operands its bytes encode
+	// (the event's and every filler read's); cut anywhere from its event's
+	// opcode to its end, it fails as the bufio decoder did.
 	for _, v := range []uint64{0x7f, 0x80, 0x3fff, 0x4000} {
 		for _, c := range []struct {
 			operand, kind string
@@ -968,10 +1056,10 @@ func TestReplayVarintEdges(t *testing.T) {
 			{"elem", "range", opWriteRange, []uint64{8, 1, v}, 2},
 		} {
 			for _, at := range []int{100, windowBytes - 1} {
-				raw, bounds := eventAt(c.code, c.ops, c.k, at)
+				raw, bounds, calls := eventAt(c.code, c.ops, c.k, at)
 				name := fmt.Sprintf("%s %#x at %d", c.operand, v, at)
-				if got := rerecord(t, raw); !bytes.Equal(got, raw) {
-					t.Errorf("%s: the replay's hooks record other operands", name)
+				if got := hookCalls(t, raw); !slices.Equal(got, calls) {
+					t.Errorf("%s: the replay passes other operands to the hooks", name)
 				}
 				start, end := bounds[0], bounds[len(bounds)-1]
 				for n := start; n <= end; n++ {
@@ -993,8 +1081,9 @@ func TestReplayVarintEdges(t *testing.T) {
 // eventAt is magic, then filler reads, then one event of code with
 // operands ops laid out so that operand k starts at stream offset at, then
 // a window's event's worth of filler and opEnd. bounds are the offsets of
-// the event's opcode, of each of its operands, and of its end.
-func eventAt(code byte, ops []uint64, k, at int) (raw []byte, bounds []int) {
+// the event's opcode, of each of its operands, and of its end; calls the
+// hook calls the trace encodes.
+func eventAt(code byte, ops []uint64, k, at int) (raw []byte, bounds []int, calls []call) {
 	ev, skip := []byte{code}, 0
 	for i, v := range ops {
 		if i == k {
@@ -1008,45 +1097,191 @@ func eventAt(code byte, ops []uint64, k, at int) (raw []byte, bounds []int) {
 	start := at - skip
 	for gap := start - len(raw); gap%3 != 0; gap -= 4 {
 		raw = append(raw, opRead, 0x00, 0x80, 0x01)
+		calls = append(calls, call{opRead, 0, 0x80, 0})
 	}
 	for len(raw) < start {
 		raw = append(raw, opRead, 0x00, 0x04)
+		calls = append(calls, call{opRead, 0, 4, 0})
 	}
 	bounds = []int{start, start + 1}
 	for _, v := range ops {
 		bounds = append(bounds, bounds[len(bounds)-1]+len(binary.AppendUvarint(nil, v)))
 	}
 	raw = append(raw, ev...)
+	addr := stint.Addr(int64(ops[0]>>1) ^ -int64(ops[0]&1)) // from 0, zig-zagged
+	calls = append(calls, call{code, addr, ops[1], 0})
+	if len(ops) == 3 {
+		calls[len(calls)-1].elem = ops[2]
+	}
 	for i := 0; i < maxEventBytes; i += 3 {
 		raw = append(raw, opRead, 0x00, 0x04) // the decode step takes a whole event
+		calls = append(calls, call{opRead, addr, 4, 0})
 	}
-	return append(raw, opEnd), bounds
+	return append(raw, opEnd), bounds, calls
 }
 
-// rerecord replays raw with detection off through a Runner whose Tracer is a
-// Recorder: a trace whose operands decode to what they encode, each in its
-// shortest form, records back to itself.
-func rerecord(t *testing.T, raw []byte) []byte {
+// call is one event a replay passes to the Runner, under its long form's
+// opcode: for an access, the address and the size or a range's count and
+// element size.
+type call struct {
+	code       byte
+	addr       stint.Addr
+	size, elem uint64
+}
+
+// to hands the event to tr.
+func (c call) to(tr stint.Tracer) {
+	switch c.code {
+	case opSpawn:
+		tr.Spawn()
+	case opRestore:
+		tr.Restore()
+	case opSync:
+		tr.Sync()
+	case opRead:
+		tr.Read(c.addr, c.size)
+	case opWrite:
+		tr.Write(c.addr, c.size)
+	case opReadRange:
+		tr.ReadRange(c.addr, int(c.size), c.elem)
+	case opWriteRange:
+		tr.WriteRange(c.addr, int(c.size), c.elem)
+	}
+}
+
+// calls is a Tracer logging every event.
+type calls []call
+
+func (c *calls) Spawn()                          { *c = append(*c, call{code: opSpawn}) }
+func (c *calls) Restore()                        { *c = append(*c, call{code: opRestore}) }
+func (c *calls) Sync()                           { *c = append(*c, call{code: opSync}) }
+func (c *calls) Read(a stint.Addr, size uint64)  { *c = append(*c, call{opRead, a, size, 0}) }
+func (c *calls) Write(a stint.Addr, size uint64) { *c = append(*c, call{opWrite, a, size, 0}) }
+func (c *calls) ReadRange(a stint.Addr, n int, elem uint64) {
+	*c = append(*c, call{opReadRange, a, uint64(n), elem})
+}
+func (c *calls) WriteRange(a stint.Addr, n int, elem uint64) {
+	*c = append(*c, call{opWriteRange, a, uint64(n), elem})
+}
+
+// hookCalls replays raw with detection off and returns its events.
+func hookCalls(t *testing.T, raw []byte) []call {
 	t.Helper()
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	r, err := stint.NewRunner(stint.Options{Tracer: rec})
+	var c calls
+	r, err := stint.NewRunner(stint.Options{Tracer: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Replay(bytes.NewReader(raw), Options{Runner: r}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
+	return c
+}
+
+// longRecorder is the test's own encoder of the format as it was before the
+// short forms: every event as its opcode and uvarint operands, an address as
+// the zig-zag delta from the previous access or range event's.
+type longRecorder struct {
+	raw  []byte
+	last stint.Addr
+}
+
+func newLongRecorder() *longRecorder { return &longRecorder{raw: append([]byte{}, magic[:]...)} }
+
+func (l *longRecorder) event(code byte, addr stint.Addr, ops ...uint64) {
+	d := int64(addr - l.last)
+	l.last = addr
+	l.raw = binary.AppendUvarint(append(l.raw, code), uint64(d<<1^d>>63))
+	for _, v := range ops {
+		l.raw = binary.AppendUvarint(l.raw, v)
 	}
-	return buf.Bytes()
+}
+
+func (l *longRecorder) Spawn()                          { l.raw = append(l.raw, opSpawn) }
+func (l *longRecorder) Restore()                        { l.raw = append(l.raw, opRestore) }
+func (l *longRecorder) Sync()                           { l.raw = append(l.raw, opSync) }
+func (l *longRecorder) Read(a stint.Addr, size uint64)  { l.event(opRead, a, size) }
+func (l *longRecorder) Write(a stint.Addr, size uint64) { l.event(opWrite, a, size) }
+func (l *longRecorder) ReadRange(a stint.Addr, n int, elem uint64) {
+	l.event(opReadRange, a, uint64(n), elem)
+}
+func (l *longRecorder) WriteRange(a stint.Addr, n int, elem uint64) {
+	l.event(opWriteRange, a, uint64(n), elem)
+}
+
+// tee hands every event to two Tracers.
+type tee [2]stint.Tracer
+
+func (t tee) Spawn()                          { t[0].Spawn(); t[1].Spawn() }
+func (t tee) Restore()                        { t[0].Restore(); t[1].Restore() }
+func (t tee) Sync()                           { t[0].Sync(); t[1].Sync() }
+func (t tee) Read(a stint.Addr, size uint64)  { t[0].Read(a, size); t[1].Read(a, size) }
+func (t tee) Write(a stint.Addr, size uint64) { t[0].Write(a, size); t[1].Write(a, size) }
+func (t tee) ReadRange(a stint.Addr, n int, elem uint64) {
+	t[0].ReadRange(a, n, elem)
+	t[1].ReadRange(a, n, elem)
+}
+func (t tee) WriteRange(a stint.Addr, n int, elem uint64) {
+	t[0].WriteRange(a, n, elem)
+	t[1].WriteRange(a, n, elem)
+}
+
+// recordBoth records one workload instance with detection off through a
+// Recorder and through longRecorder at once.
+func recordBoth(tb testing.TB, w workloads.Workload) (raw, long []byte) {
+	tb.Helper()
+	var buf bytes.Buffer
+	rec, l := NewRecorder(&buf), newLongRecorder()
+	r, err := stint.NewRunner(stint.Options{Tracer: tee{rec, l}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Setup(r)
+	if _, err := r.Run(w.Run); err != nil {
+		tb.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), append(l.raw, opEnd)
+}
+
+// TestShortFormsReplayAsLongForms: each benchmark program, recorded at once
+// by the Recorder and in long forms only by longRecorder, replays to the same
+// Report from both encodings under STINT and under Vanilla.
+func TestShortFormsReplayAsLongForms(t *testing.T) {
+	for _, p := range benchPrograms {
+		if raceEnabled && p.name == "sort" {
+			continue
+		}
+		raw, long := recordBoth(t, p.new())
+		for _, d := range []stint.Detector{stint.DetectorSTINT, stint.DetectorVanilla} {
+			want, err := Replay(bytes.NewReader(long), Options{Detector: d})
+			if err != nil {
+				t.Fatalf("%s long forms under %v: %v", p.name, d, err)
+			}
+			got, err := Replay(bytes.NewReader(raw), Options{Detector: d})
+			if err != nil || !sameReport(got, want) {
+				t.Fatalf("%s under %v: short forms replay to %+v, %v\nlong forms to %+v", p.name, d, got, err, want)
+			}
+		}
+	}
 }
 
 // recordingDigests are SHA-256 digests of each workload's recording at its
-// default size, taken from the Recorder that wrote the opcode and the
-// operands in two calls: recordings are byte-identical to that format.
+// default size; longDigests those of the format before the short forms,
+// which that Recorder wrote and longRecorder writes.
 var recordingDigests = map[string]string{
+	"chol":  "148228:d0455c83b2ea9d478f93b8bd85d8740c67be187696cf23439b91db7a6d364a63",
+	"fft":   "506364:321bbde564b6e60668c8d191c602fd46c32602b8f74b7c9dc5f6a2677dd82450",
+	"heat":  "399260:7d79945e95f36bec4f1f0c1291638518e202647d3544329f3f48d127691e1b9b",
+	"mmul":  "1352471:49e99e90e5cde543085c4b22b0920760a05c5cf4f542030b0de92044d0d277c1",
+	"sort":  "20769367:f82a3e487d8f5f67f06b1b3b4e40757868b082fdfe21a2dd494fff0aa89facf2",
+	"stra":  "1850615:1682654ba4c586dbae3421daa57744285b41c9a8f9cf33b08c73d5b9a7d1ab20",
+	"straz": "1731187:624dac1bcc5982896a1c683b1a88a81d2a4fe9340f2bce1390cad3c1026aacfb",
+}
+
+var longDigests = map[string]string{
 	"chol":  "150722:1442217cd6086b646a827fc6aa615852d704099fede00ecd3c42fa1588935e66",
 	"fft":   "1220256:ddcba2b33c4778f63fd24d5f54ace1ec191f796c301ded455ab916bb3c54c56a",
 	"heat":  "1029280:e69845c701e5b19783d23f9620e5b12869d5bc7dd015393ee71a684e3ec2d95f",
@@ -1057,12 +1292,16 @@ var recordingDigests = map[string]string{
 }
 
 // TestRecordingIsByteStable pins the wire format: every workload records to
-// the bytes it always has.
+// the bytes it always has, and longRecorder to the format's long forms.
 func TestRecordingIsByteStable(t *testing.T) {
-	forEachWorkloadTrace(t, func(name string, raw []byte) {
-		got := fmt.Sprintf("%d:%x", len(raw), sha256.Sum256(raw))
-		if got != recordingDigests[name] {
-			t.Errorf("%s: recording is %s, want %s", name, got, recordingDigests[name])
+	forEachWorkloadTrace(t, func(name string, raw, long []byte) {
+		for _, c := range []struct {
+			raw     []byte
+			digests map[string]string
+		}{{raw, recordingDigests}, {long, longDigests}} {
+			if got := fmt.Sprintf("%d:%x", len(c.raw), sha256.Sum256(c.raw)); got != c.digests[name] {
+				t.Errorf("%s: recording is %s, want %s", name, got, c.digests[name])
+			}
 		}
 	})
 }
