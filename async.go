@@ -96,11 +96,13 @@ type asyncState struct {
 	bitsAll  []*detect.Coalescer
 	bitsFree []*detect.Coalescer
 	// Parallel-detect mode (parallel.go) feeds the writer from a merge stage
-	// that every executor task sends its chunks to. nextTask hands out task
+	// that every executor task sends its chunks to, which puts them back in
+	// serial order with reorder (kept across runs). nextTask hands out task
 	// identities to spawned children (the root is 0), execBusy accumulates
 	// the executor goroutines' busy nanoseconds, seqBusy is the merge's busy
 	// time, and reorderPeak its reorder-buffer high-water mark.
 	chunks      chan evstream.Chunk
+	reorder     *stage.Reorder
 	nextTask    atomic.Uint64
 	execBusy    atomic.Int64
 	seqBusy     stage.Meter
@@ -141,6 +143,9 @@ func (as *asyncState) reset() {
 	}
 	for len(as.chunks) > 0 {
 		as.pool.Put((<-as.chunks).Batch)
+	}
+	if as.reorder != nil {
+		as.reorder.Reset()
 	}
 	as.out.Reset()
 	as.blocked = 0
@@ -188,10 +193,11 @@ func (as *asyncState) writeCtl(op evstream.Op) bool {
 }
 
 // writeChunk appends a chunk's events (Batch.AppendFrom re-bases the
-// compact delta across the seam) and returns src to the pool, publishing
-// the working batch first when the chunk does not fit. A chunk that does
-// not fit an empty batch either — it was cut because it was itself full —
-// is sent whole instead of copied. It reports false when a send failed.
+// compact delta across the seam) and returns src to the pool unless it is
+// a parked view, publishing the working batch first when the chunk does
+// not fit. A chunk that does not fit an empty batch either — it was cut
+// because it was itself full, and so was never parked as a view — is sent
+// whole instead of copied. It reports false when a send failed.
 func (as *asyncState) writeChunk(src *evstream.Batch) bool {
 	ok := true
 	if !as.out.AppendFrom(src) {
@@ -204,7 +210,9 @@ func (as *asyncState) writeChunk(src *evstream.Batch) bool {
 			}
 		}
 	}
-	as.pool.Put(src)
+	if !src.Parked() {
+		as.pool.Put(src)
+	}
 	return ok
 }
 
@@ -265,9 +273,7 @@ func (rs *runState) exec(root TaskFunc, t *Task) {
 		defer func() {
 			if p := recover(); p != nil {
 				g.Abort(p)
-				if t.wg != nil {
-					t.wg.Wait()
-				}
+				t.wg.Wait()
 				panic(p)
 			}
 		}()

@@ -7,6 +7,7 @@ package stint_test
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"testing"
 
 	"stint"
@@ -51,7 +52,8 @@ func runDetection(b *testing.B, f workloads.Factory, mode stint.Detector, timeAH
 // and the Runner resets between runs, so each fresh workload instance
 // re-derives identical buffer addresses over the warm pools instead of
 // paying allocate-per-iteration. Reset happens with the timer stopped — the
-// timed region is exactly the instrumented run.
+// timed region is exactly the instrumented run. It reports gc/op, the GC
+// cycles that completed during the timed runs, next to -benchmem's columns.
 func runBench(b *testing.B, f workloads.Factory, opts stint.Options, racy bool) *stint.Report {
 	b.Helper()
 	mode := opts.Detector
@@ -60,6 +62,8 @@ func runBench(b *testing.B, f workloads.Factory, opts stint.Options, racy bool) 
 		b.Fatal(err)
 	}
 	var last *stint.Report
+	var gcs uint64
+	cycles := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -67,9 +71,13 @@ func runBench(b *testing.B, f workloads.Factory, opts stint.Options, racy bool) 
 		r.Reset()
 		r.Arena().Reset()
 		w.Setup(r)
+		metrics.Read(cycles)
+		gcs -= cycles[0].Value.Uint64()
 		b.StartTimer()
 		rep, err := r.Run(w.Run)
 		b.StopTimer()
+		metrics.Read(cycles)
+		gcs += cycles[0].Value.Uint64()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,6 +91,7 @@ func runBench(b *testing.B, f workloads.Factory, opts stint.Options, racy bool) 
 		b.StartTimer()
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(gcs)/float64(b.N), "gc/op")
 	return last
 }
 
@@ -156,6 +165,9 @@ func BenchmarkFig5Sharded(b *testing.B) {
 // detection worker; the pipeline's critical path is the max of the three.
 // On a single core everything timeshares, so read the busy split for
 // headroom rather than expecting a wall-clock win over BenchmarkFig5.
+// gc/op (runBench) is the GC cycles a run's own garbage triggers; with
+// -benchmem, B/op and allocs/op are the executor's goroutine closures and
+// the program's.
 func BenchmarkFig5ParallelDetect(b *testing.B) {
 	benchEach(b, []stint.Detector{stint.DetectorCompRTS, stint.DetectorSTINT}, func(b *testing.B, f workloads.Factory, mode stint.Detector) {
 		rep := runBench(b, f, stint.Options{Detector: mode, ParallelDetect: true, DetectShards: 4}, false)

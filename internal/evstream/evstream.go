@@ -153,6 +153,9 @@ type Stats struct {
 // against Iter and Len never care which form they got. Beyond the storage a
 // compact batch is a count, a delta base and its holders' reference count —
 // no staging state, so a Batch is 72 bytes (a test pins it under 80).
+//
+// A parked batch (Park) is a third kind: a read-only compact view of frames
+// copied into someone else's store. It belongs to that store, not to a pool.
 type Batch struct {
 	Ev  []Event
 	Buf []byte
@@ -160,6 +163,7 @@ type Batch struct {
 	n       int    // compact form: event count
 	prev    uint64 // compact form: delta base (last interval address)
 	compact bool
+	parked  bool
 	refs    atomic.Int32 // holders left to Release (Share)
 }
 
@@ -174,8 +178,27 @@ func (b *Batch) Release(p *BatchPool) {
 	}
 }
 
+// Park copies src's frames to the end of store and makes b a view of the
+// copy, which AppendFrom and Iter read as they would src; it returns the
+// grown store. The caller keeps room for the frames (len(src.Buf) bytes of
+// spare capacity) so the copy never moves store, and with it no earlier
+// view. A view holds no pooled memory: it must never reach BatchPool.Put or
+// Release, and Put panics on one.
+func (b *Batch) Park(src *Batch, store []byte) []byte {
+	k := len(store)
+	if !src.compact || cap(store)-k < len(src.Buf) {
+		panic("evstream: Park needs a compact source and room in the store")
+	}
+	store = append(store, src.Buf...)
+	*b = Batch{Buf: store[k:len(store):len(store)], n: src.n, prev: src.prev, compact: true, parked: true}
+	return store
+}
+
+// Parked reports whether b is a view made by Park.
+func (b *Batch) Parked() bool { return b.parked }
+
 // Chunk is one strand segment from one parallel-detect executor task:
-// access events only, plus the task linkage the merge reorders by
+// access events only (Batch is nil when the segment has none), plus the task linkage the merge reorders by
 // (internal/stage.Reorder) and the structure event that ended it. End is 0
 // for a mid-strand cut (the batch filled; the strand continues in the
 // task's next chunk), OpSpawn with Child naming the spawned task, OpSync for
@@ -232,10 +255,15 @@ func (p *BatchPool) Get() *Batch {
 
 // Put returns a batch to the pool; beyond the limit it is dropped for the
 // garbage collector. Safe from any goroutine (a broadcast batch's last
-// Release recycles from whichever worker finishes last).
+// Release recycles from whichever worker finishes last). A parked view
+// panics: its bytes are a store's, and a pool that lent them out again
+// would corrupt the view's owner.
 func (p *BatchPool) Put(b *Batch) {
 	if b == nil || cap(b.Buf) == 0 {
 		return
+	}
+	if b.parked {
+		panic("evstream: a parked view reached BatchPool.Put")
 	}
 	p.mu.Lock()
 	if len(p.free) < p.limit {

@@ -9,14 +9,15 @@
 // Each task goroutine is a chunk emitter: its hooks set bits in a strand-local
 // detect.Coalescer (borrowed from a pool for the length of the strand, so a
 // task parked in Sync holds none), and when the strand ends the Coalescer
-// flushes its intervals into the task's private working batch (from the
-// shared BatchPool) — the per-strand coalescing the serial pipeline's
-// producer does, here on the executor's parallelism. A chunk is cut — sent
-// down the one buffered chunk channel every task shares — when the strand
-// ends or, mid-flush, when the batch fills, and a strand-ending cut carries
-// the structure event that ended the strand as its End (a spawn naming the
-// child task, a strand-creating sync, a task end). Structure events never
-// ride in-band.
+// flushes its intervals into the task's private working batch (taken from
+// the shared BatchPool at the strand's first interval) — the per-strand
+// coalescing the serial pipeline's producer does, here on the executor's
+// parallelism. A chunk is cut — sent down the one buffered chunk channel
+// every task shares, with its batch, or none if the strand wrote no
+// interval — when the strand ends or, mid-flush, when the batch fills, and
+// a strand-ending cut carries the structure event that ended the strand as
+// its End (a spawn naming the child task, a strand-creating sync, a task
+// end). Structure events never ride in-band.
 //
 // The merge stage receives the chunks, adds them to stage.Reorder and takes
 // back every one that is next in serial order: the depth-first walk of the
@@ -32,19 +33,27 @@
 // structure events themselves (shards.go). Downstream of the merge, nothing
 // knows the execution was parallel.
 //
+// Memory: a batch is out of the pool only while a strand writes into it,
+// while it is queued in the chunk channel, and while the workers read it.
+// The reorder buffer holds the chunks that arrive before their turn, as
+// many as the schedule's skew makes (Report.ReorderPeak counts them); it
+// keeps their bytes in its own store and gives their batches back at once,
+// so what skew costs is the bytes of the stream it holds, not a batch per
+// chunk. The Task frames, the reorder walk's stores, the pool and the
+// Coalescers are kept across runs, so a warm run allocates only what the
+// bare goroutine executor does: a goroutine closure per spawn.
+//
 // Deadlock-freedom: the dependency chain is acyclic — executors block only
 // on sending to the chunk channel, the merge only on receiving from it and
 // on sending to the workers' channels, workers only on receiving from
 // theirs. BatchPool.Get never blocks (it allocates on a dry pool), and the
 // reorder buffer is unbounded but finite (bounded by the stream's
-// scheduling skew; its peak is reported as Report.ReorderPeak). On abort
-// the graph's failure channel closes, and every blocked stage unwinds
-// exactly as in the serial pipeline.
+// scheduling skew). On abort the graph's failure channel closes, and every
+// blocked stage unwinds exactly as in the serial pipeline.
 
 package stint
 
 import (
-	"sync"
 	"time"
 
 	"stint/internal/detect"
@@ -54,23 +63,23 @@ import (
 
 // newParallelState builds the ParallelDetect pipeline state: a chunk
 // channel deep enough to keep the merge busy ahead of a burst of tiny
-// strand-end chunks, and a batch pool sized to cover every stage's working
-// set (queued chunks, in-flight broadcast batches, per-goroutine working
-// batches) before Get falls back to allocating.
+// strand-end chunks, the merge's reorder walk, and a batch pool. A batch is
+// out of the pool only while a strand's intervals are written into it,
+// queued, or broadcast: a chunk with no intervals carries none, and a
+// parked chunk gives its batch back. The pool's free list keeps as many
+// batches as fill the channel, as many again for tasks waiting to send into
+// a full one, the workers' channel and the writer's: fft at the
+// benchmark's size peaks near 700 out at once, and a bound it overran
+// (the channel alone) dropped some 65 batches a run, re-made by the next.
 func newParallelState(ringDepth, batchEvents int) *asyncState {
 	queueDepth := ringDepth * 8
 	as := &asyncState{
-		chunks: make(chan evstream.Chunk, queueDepth),
-		pool:   evstream.NewBatchPool(queueDepth+ringDepth+8, batchEvents),
+		chunks:  make(chan evstream.Chunk, queueDepth),
+		pool:    evstream.NewBatchPool(2*queueDepth+ringDepth+8, batchEvents),
+		reorder: stage.NewReorder(),
 	}
 	as.out = as.pool.Get()
 	return as
-}
-
-// startChunks makes t a chunk emitter under task identity id, with its own
-// working batch and busy lap.
-func (t *Task) startChunks(id uint64) {
-	t.id, t.batch, t.t0 = id, t.rs.as.pool.Get(), time.Now()
 }
 
 // pause banks the busy lap before a blocking handoff (chunk send, child
@@ -79,45 +88,52 @@ func (t *Task) startChunks(id uint64) {
 func (t *Task) pause()  { t.rs.as.execBusy.Add(int64(time.Since(t.t0))) }
 func (t *Task) resume() { t.t0 = time.Now() }
 
-// fork runs f on its own goroutine. With a pipeline the caller's strand
-// ends here — its chunk ends with the spawn, naming the child task so the
-// merge walks the child's subtree before the caller's continuation — and
-// the child emits its own chunks under a fresh task identity, the last
-// ending with OpRestore after its implicit final sync. A panic out of f fails
-// the run's graph (Run re-raises the first) once the child's subtasks join.
+// fork runs f on its own goroutine, in a Task frame from the run's frame
+// list. With a pipeline the caller's strand ends here — its chunk ends with
+// the spawn, naming the child task so the merge walks the child's subtree
+// before the caller's continuation — and the child emits its own chunks
+// under a fresh task identity, the last ending with OpRestore after its
+// implicit final sync.
 func (t *Task) fork(f TaskFunc) {
 	rs := t.rs
-	var id uint64
+	child := rs.frames.get(rs)
 	if rs.as != nil {
-		id = rs.as.nextTask.Add(1)
-		t.cut(evstream.OpSpawn, id)
+		child.id = rs.as.nextTask.Add(1)
+		t.cut(evstream.OpSpawn, child.id)
 	}
 	t.wg.Add(1)
-	go func() {
-		child := &Task{rs: rs, wg: &sync.WaitGroup{}}
-		defer func() {
-			if p := recover(); p != nil {
-				rs.graph.Abort(p)
-				child.wg.Wait()
-			}
-			t.wg.Done()
-		}()
-		if rs.as != nil {
-			child.startChunks(id)
+	go child.run(t, f)
+}
+
+// run is a forked task's goroutine. A panic out of f fails the run's graph
+// (Run re-raises the first) once the task's own children have joined. The
+// frame goes back to the list only then, when nothing of this goroutine
+// will touch it again; parent's join returns after that.
+func (t *Task) run(parent *Task, f TaskFunc) {
+	rs := t.rs
+	defer func() {
+		if p := recover(); p != nil {
+			rs.graph.Abort(p)
+			t.wg.Wait()
 		}
-		f(child)
-		child.Sync()
-		if rs.as != nil {
-			child.cut(evstream.OpRestore, 0)
-		}
+		rs.frames.put(t)
+		parent.wg.Done()
 	}()
+	if rs.as != nil {
+		t.resume()
+	}
+	f(t)
+	t.Sync()
+	if rs.as != nil {
+		t.cut(evstream.OpRestore, 0)
+	}
 }
 
 // join is Sync on the goroutine executor: a strand-creating sync (no-op
 // syncs are elided, exactly as on the serial paths) ends the current chunk,
 // then the task waits for its children — idle time, not execution.
 func (t *Task) join() {
-	if t.batch != nil {
+	if t.rs.as != nil {
 		if t.pending {
 			t.cut(evstream.OpSync, 0)
 		}
@@ -133,7 +149,7 @@ func (t *Task) join() {
 // memory hold one — or nil when the hooks go to a per-access Engine or
 // nowhere.
 func (t *Task) coalescer() *detect.Coalescer {
-	if t.bits == nil && t.batch != nil {
+	if t.bits == nil && t.rs.parallel && t.rs.as != nil {
 		t.bits = t.rs.as.borrowBits()
 	}
 	return t.bits
@@ -177,50 +193,48 @@ func (as *asyncState) returnBits(c *detect.Coalescer) {
 }
 
 // emitInterval appends one flushed interval to the task's working batch,
-// cutting a mid-strand chunk first when the batch is full.
+// taking one from the pool for the strand's first interval, and cutting a
+// mid-strand chunk first when the batch is full.
 func (t *Task) emitInterval(op evstream.Op, addr, size uint64) {
-	if t.batch.Full() {
+	if t.batch != nil && t.batch.Full() {
 		t.publish(0, 0)
+	}
+	if t.batch == nil {
+		t.batch = t.rs.as.pool.Get()
 	}
 	t.batch.AppendAccess(op, addr, size)
 }
 
-// publish sends the working batch as a chunk ending with end — 0 when a
-// flush fills it mid-strand, or cut's structure event at the strand's end —
-// and starts a fresh one unless the chunk was the task's last (OpRestore).
-// A false send means the graph failed: the batch is kept (reset, or back to
-// the pool after the last chunk), events drop on the floor, and the
-// goroutine keeps unwinding to its natural exit (the failure is the run's
-// result, re-raised by drain). The chunk index advances regardless so the
-// doomed stream stays internally consistent.
+// publish sends the working batch, nil if the strand wrote no interval, as
+// a chunk ending with end — 0 when a flush fills it mid-strand, or cut's
+// structure event at the strand's end. The task then holds no batch until
+// its next interval. A false send means the graph failed: the batch goes
+// back to the pool, its events drop on the floor, and the goroutine keeps
+// unwinding to its natural exit (the failure is the run's result,
+// re-raised by drain). The chunk index advances regardless so the doomed
+// stream stays internally consistent.
 func (t *Task) publish(end evstream.Op, child uint64) {
 	as := t.rs.as
 	t.pause()
-	sent := stage.Send(t.rs.graph, as.chunks, evstream.Chunk{Batch: t.batch, Task: t.id, Idx: t.idx, End: end, Child: child})
-	switch {
-	case end == evstream.OpRestore:
-		if !sent {
-			as.pool.Put(t.batch)
-		}
-		t.batch = nil
-	case sent:
-		t.batch = as.pool.Get()
-	default:
-		t.batch.Reset()
+	if !stage.Send(t.rs.graph, as.chunks, evstream.Chunk{Batch: t.batch, Task: t.id, Idx: t.idx, End: end, Child: child}) {
+		as.pool.Put(t.batch)
 	}
+	t.batch = nil
 	t.idx++
 	t.resume()
 }
 
 // mergeParallel is the merge stage: it puts the chunk stream back in serial
-// order and writes each chunk, then its End, through the stream writer. It
-// returns when a write fails (the graph failed) or, at drain's end marker,
-// after publishing the writer's last batch and ending the workers' streams.
-// Its busy meter lands in asyncState.seqBusy — reported as
-// Report.SequencerBusy — and excludes both chunk waits and broadcast
-// blocking.
+// order and writes each chunk, then its End, through the stream writer,
+// recycling each batch the reorder walk copies out of. It returns when a
+// write fails (the graph failed) or, at drain's end marker, after
+// publishing the writer's last batch and ending the workers' streams. The
+// marker is the zero Chunk, which no task sends: a chunk with End 0 is a
+// mid-strand cut, cut because its batch was full. The merge's busy meter
+// lands in asyncState.seqBusy — reported as Report.SequencerBusy — and
+// excludes both chunk waits and broadcast blocking.
 func (as *asyncState) mergeParallel() {
-	reorder := stage.NewReorder()
+	reorder := as.reorder
 	// Each lap takes one chunk, waiting if need be, then whatever is
 	// already queued behind it.
 	for {
@@ -230,12 +244,12 @@ func (as *asyncState) mergeParallel() {
 		}
 		t0 := time.Now()
 		as.blocked = 0
-		for c.Batch != nil {
-			reorder.Add(c)
+		for c != (evstream.Chunk{}) {
+			as.pool.Put(reorder.Add(c))
 			for c, ok := reorder.Next(); ok; c, ok = reorder.Next() {
 				// The root's OpRestore ends the stream: it writes no
 				// structure event.
-				if !as.writeChunk(c.Batch) || c.End != 0 && !reorder.Done() && !as.writeCtl(c.End) {
+				if c.Batch != nil && !as.writeChunk(c.Batch) || c.End != 0 && !reorder.Done() && !as.writeCtl(c.End) {
 					return
 				}
 			}
@@ -245,7 +259,7 @@ func (as *asyncState) mergeParallel() {
 			c = <-as.chunks
 		}
 		as.seqBusy.AddDur(time.Since(t0) - as.blocked)
-		if c.Batch == nil {
+		if c == (evstream.Chunk{}) {
 			break // drain's end marker
 		}
 	}

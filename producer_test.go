@@ -109,33 +109,51 @@ func TestShortRunStreamsBeforeDrain(t *testing.T) {
 	}
 }
 
-// TestParallelWarmRunsReuseBatches: a task takes no working batch after its
-// final chunk, so once a ParallelDetect run ends every batch its pool ever
-// allocated is back in the pool but the stream writer's one, run after run (the program's peak stays
-// under the pool's bound, so none is dropped). Counted by emptying the pool
-// until a Get allocates.
+// TestParallelWarmRunsReuseBatches: a ParallelDetect task takes a batch
+// only when its strand has an interval to write and sends it with the
+// chunk, and the merge gives back the batch of every chunk it parks. So
+// once a run ends no task and no parked chunk holds one: every batch the
+// pool ever allocated is back in it but the stream writer's, run after run
+// (the program's peak stays under the pool's bound, so none is dropped),
+// and a program whose tasks write nothing — spawns and syncs alone — has
+// needed no batch but the two the writer's one publish takes. Counted by
+// emptying the pool until a Get allocates.
 func TestParallelWarmRunsReuseBatches(t *testing.T) {
 	const spawns = 200
 	r, _ := NewRunner(Options{Detector: DetectorSTINT, ParallelDetect: true})
 	buf := r.Arena().AllocWords("b", 8*spawns)
-	prog := func(task *Task) {
+	bare := func(task *Task) {
+		for c := 0; c < spawns/4; c++ {
+			task.Spawn(func(ct *Task) {
+				ct.Spawn(func(*Task) {})
+				ct.Sync()
+			})
+		}
+	}
+	writes := func(task *Task) {
 		for c := 0; c < spawns; c++ {
 			task.Spawn(func(ct *Task) { ct.Store(buf, 8*c) })
 		}
 	}
+	pool := func() *evstream.BatchPool { return r.warm.as.pool }
+	for run := 0; run < 3; run++ {
+		r.Run(bare)
+		if n := pool().Allocs(); n != 2 {
+			t.Fatalf("run %d: tasks that write no interval took %d batches, want the writer's 2", run, n)
+		}
+	}
 	for run := 0; run < 6; run++ {
-		r.Run(prog)
-		pool := r.warm.as.pool
+		r.Run(writes)
 		var held []*evstream.Batch
-		for allocs := pool.Allocs(); pool.Allocs() == allocs; {
-			held = append(held, pool.Get())
+		for allocs := pool().Allocs(); pool().Allocs() == allocs; {
+			held = append(held, pool().Get())
 		}
 		// The stream writer keeps its working batch across runs.
-		if n := uint64(len(held)) + 1; n != pool.Allocs() {
-			t.Errorf("run %d: %d of the pool's %d batches came back", run, n-2, pool.Allocs()-1)
+		if n := uint64(len(held)) + 1; n != pool().Allocs() {
+			t.Errorf("run %d: %d of the pool's %d batches came back", run, n-2, pool().Allocs()-1)
 		}
 		for _, b := range held {
-			pool.Put(b)
+			pool().Put(b)
 		}
 	}
 }
