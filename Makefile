@@ -32,8 +32,9 @@ bench:
 # representative mix; decode on that, on a sequential stream and on wild
 # jumps), the workers' page-filter scan, the per-access hook cost over every
 # route (BenchmarkHookOverhead matches all four: sync, Async and ParallelDetect
-# reach the same BitSet through the same slot arm and should be within a few
-# ns of each other; Vanilla is the per-access Engine arm), its strided twin
+# reach the same BitSet through the same slot arm, BitSet.SetOpenSlot inlined
+# into Task.Load, and should be within a few ns of each other; Vanilla is the
+# per-access Engine arm, one call further in), its strided twin
 # BenchmarkHookOverheadStrided (every load 64 words past the last, mmul's
 # column pattern: the canary for an extra call on a slot change) and
 # BenchmarkHookOverheadElem (4-, 8- and 16-byte elements on every route:

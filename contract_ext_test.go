@@ -95,27 +95,98 @@ func TestFFTSortedRunsCountAlikeInEveryMode(t *testing.T) {
 	}
 }
 
-// triples is a racy program of hooks over 12-byte elements: element i
-// straddles two bitmap slots when i mod 64 is 21 or 42, so every strand
-// takes both hook arms.
-type triples struct{ buf *stint.Buffer }
+// hooks is a program of bare hooks over one buffer of n elements of elem
+// bytes, for TestSlotArmMatchesGenericArm's legs.
+type hooks struct {
+	name    string
+	n, elem int
+	body    func(t *stint.Task, b *stint.Buffer)
+	buf     *stint.Buffer
+}
 
-func (*triples) Name() string            { return "triples" }
-func (*triples) Params() string          { return "n=2048 elem=12" }
-func (w *triples) Setup(r *stint.Runner) { w.buf = r.Arena().Alloc("triples", 2048, 12) }
-func (*triples) Verify() error           { return nil }
-func (w *triples) Run(t *stint.Task) {
-	for k := 0; k < 4; k++ {
-		t.Spawn(func(c *stint.Task) {
-			for i := k; i < w.buf.Len(); i += 5 {
-				c.Store(w.buf, i)
+func (w *hooks) Name() string          { return w.name }
+func (*hooks) Params() string          { return "" }
+func (w *hooks) Setup(r *stint.Runner) { w.buf = r.Arena().Alloc(w.name, w.n, w.elem) }
+func (*hooks) Verify() error           { return nil }
+func (w *hooks) Run(t *stint.Task)     { w.body(t, w.buf) }
+func (w *hooks) factory() workloads.Factory {
+	return func() workloads.Workload { c := *w; return &c }
+}
+
+// slotArmLegs are racy hook programs at the slot arm's edges; each strand
+// takes both hook arms.
+var slotArmLegs = []*hooks{
+	// 12-byte elements: element i straddles two bitmap slots when i mod 64
+	// is 21 or 42.
+	{name: "triples", n: 2048, elem: 12, body: func(t *stint.Task, b *stint.Buffer) {
+		for k := 0; k < 4; k++ {
+			t.Spawn(func(c *stint.Task) {
+				for i := k; i < b.Len(); i += 5 {
+					c.Store(b, i)
+				}
+			})
+			for i := k; i < b.Len(); i += 7 {
+				t.Load(b, i)
 			}
-		})
-		for i := k; i < w.buf.Len(); i += 7 {
-			t.Load(w.buf, i)
 		}
-	}
-	t.Sync()
+		t.Sync()
+	}},
+	// Every store on another 64 KiB page of eight, then loads alternating
+	// between two pages: the one-entry page cache misses on every hook.
+	{name: "page-hopping", n: 8 << 14, elem: 4, body: func(t *stint.Task, b *stint.Buffer) {
+		for k := 0; k < 3; k++ {
+			t.Spawn(func(c *stint.Task) {
+				for i := k; i < 4096; i += 3 {
+					c.Store(b, i&7<<14|i>>3)
+				}
+			})
+			for i := k; i < 4096; i += 2 {
+				t.Load(b, i&1<<14|i>>1)
+			}
+		}
+		t.Sync()
+	}},
+	// 16-byte elements at an 8-byte offset through the raw-address hooks,
+	// one in 16 straddling two slots, racing aligned ones through Load.
+	{name: "slot-straddling", n: 1024, elem: 16, body: func(t *stint.Task, b *stint.Buffer) {
+		for k := 0; k < 3; k++ {
+			t.Spawn(func(c *stint.Task) {
+				for i := k; i < b.Len()-1; i += 2 {
+					c.StoreAt(b.Addr(i)+8, 16)
+					c.LoadAt(b.Addr(i+1)+8, 16)
+				}
+			})
+			for i := k; i < b.Len(); i += 3 {
+				t.Load(b, i)
+			}
+		}
+		t.Sync()
+	}},
+	// Sibling strands making the same accesses, one through Load/Store and
+	// one through LoadAt/StoreAt, in a slot-hopping order.
+	{name: "siblings", n: 4096, elem: 8, body: func(t *stint.Task, b *stint.Buffer) {
+		for k := 0; k < 2; k++ {
+			t.Spawn(func(c *stint.Task) {
+				for j := 0; j < b.Len(); j++ {
+					if i := j * 37 % b.Len(); i%3 == k {
+						c.Store(b, i)
+					} else {
+						c.Load(b, i)
+					}
+				}
+			})
+			t.Spawn(func(c *stint.Task) {
+				for j := 0; j < b.Len(); j++ {
+					if i := j * 37 % b.Len(); i%3 == k {
+						c.StoreAt(b.Addr(i), 8)
+					} else {
+						c.LoadAt(b.Addr(i), 8)
+					}
+				}
+			})
+			t.Sync()
+		}
+	}},
 }
 
 // TestSlotArmMatchesGenericArm: a Tracer sends every hook down the general
@@ -152,11 +223,13 @@ func TestSlotArmMatchesGenericArm(t *testing.T) {
 			t.Fatalf("racy leg quiesced %d pages with %d races: the dead-page check never ran", s.PagesQuiesced, s.Races)
 		}
 	})
-	t.Run("triples", func(t *testing.T) {
-		if s := run(t, func() workloads.Workload { return &triples{} }, base, true).Stats; s.Races == 0 {
-			t.Fatal("the triples leg found no race")
-		}
-	})
+	for _, leg := range slotArmLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			if s := run(t, leg.factory(), base, true).Stats; s.Races == 0 {
+				t.Fatalf("the %s leg found no race", leg.name)
+			}
+		})
+	}
 	for _, tc := range fig5Small {
 		t.Run(tc.name, func(t *testing.T) { run(t, tc.f, base, true) })
 	}
@@ -266,5 +339,24 @@ func TestParallelStoresFollowTheLastRun(t *testing.T) {
 		if got[i] > need[i] || big[i] <= need[i] {
 			t.Errorf("%s: %d kept after the fft run, %d after the small run, which needs at most %d", name, big[i], got[i], need[i])
 		}
+	}
+}
+
+// TestSerialStoresFollowTheLastRun is TestParallelStoresFollowTheLastRun's
+// sync twin for SP-Order's slabs: after the fft run, a Reset, a small run
+// and another Reset, the strand records and the two order lists' nodes and
+// groups are within what the small run could need, a record and a node per
+// list for each strand and the root, in blocks of 256, and a block of
+// groups per list. The fft run needs more, so the rest is released.
+func TestSerialStoresFollowTheLastRun(t *testing.T) {
+	r := newRunner(t, stint.Options{Detector: stint.DetectorSTINT})
+	runVerified(t, r, func() workloads.Workload { return workloads.NewFFT(32768, 64) })
+	r.Reset()
+	big := r.SerialRetained()
+	rep := runVerified(t, r, func() workloads.Workload { return workloads.NewChol(192, 16) })
+	r.Reset()
+	need := 3*((rep.Strands+256)/256*256) + 2*256
+	if got := r.SerialRetained(); got > need || big <= need {
+		t.Errorf("%d records, nodes and groups kept after the fft run, %d after the small run, which needs at most %d", big, got, need)
 	}
 }

@@ -80,8 +80,9 @@ var syncAct = act{kind: 'Y'}
 type bufSpec struct{ elems, words int }
 
 // harnessBufs are the byte code's buffers: three small ones (the last of
-// two-word elements) and a 128 KiB one straddling shadow-page boundaries.
-var harnessBufs = []bufSpec{{48, 1}, {96, 1}, {24, 2}, {32768, 1}}
+// three-word elements, so element 21 straddles two bitmap slots) and a
+// 128 KiB one straddling shadow-page boundaries.
+var harnessBufs = []bufSpec{{48, 1}, {96, 1}, {24, 3}, {32768, 1}}
 
 // program is a decoded harness program: its act tree, its buffers, the
 // pipeline geometry of its fresh runs, and phase, which picks its cells.

@@ -31,3 +31,7 @@ func (r *Runner) ParallelRetained() (storeBytes, chunks, queues, frames int) {
 	storeBytes, chunks, queues = r.warm.as.reorder.Retained()
 	return storeBytes, chunks, queues, len(r.warm.frames.free)
 }
+
+// SerialRetained returns how many strand records and order-list nodes and
+// groups a warm sync Runner keeps (spord.SP.Retained).
+func (r *Runner) SerialRetained() int { return r.warm.rp.sp.Retained() }

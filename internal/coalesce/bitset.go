@@ -42,9 +42,10 @@ const (
 	pageWordBits  = pageBytesBits - wordBits
 	pageWords     = 1 << pageWordBits
 	slotBits      = 6 // 64 words per slot
+	slotByteBits  = slotBits + wordBits
 	slotsPerPage  = pageWords >> slotBits
 	slotWordMask  = (1 << slotBits) - 1
-	SlotBytes     = 1 << (slotBits + wordBits) // one slot's address span (InSlot)
+	SlotBytes     = 1 << slotByteBits // one slot's address span (InSlot)
 )
 
 // page is the second-level table: one bit per word over 64 KiB of address
@@ -58,9 +59,9 @@ type page struct {
 // BitSet tracks the set of words accessed by the current strand.
 type BitSet struct {
 	touched []uint64
-	// Calls and Words count hooks and their shadow words until Reset: SetSlot
-	// counts its own; a caller of SetRange, which counts nothing, counts here.
-	Calls, Words uint64
+	// calls and extra count hooks and their words less one each until
+	// Reset (Hooks); a caller of SetRange, which counts nothing, calls Count.
+	calls, extra uint64
 	// dir opens with its page cache, so the four words every hook touches
 	// (the counters and the cache) are adjacent, and the words at either end
 	// of a BitSet, which a neighbouring BitSet's hot words may share a cache
@@ -69,13 +70,23 @@ type BitSet struct {
 	dir pagedir.Dir[page]
 }
 
-// New returns an empty BitSet.
+var idle page // every BitSet directory's idle page (pagedir.Dir.Idle)
+
+// New returns an empty BitSet; a zero BitSet lacks the idle page the arm reads.
 func New() *BitSet {
-	return &BitSet{}
+	b := &BitSet{}
+	b.dir.Idle(&idle)
+	return b
 }
 
+// Hooks returns the hooks counted since Reset and their shadow words.
+func (b *BitSet) Hooks() (calls, words uint64) { return b.calls, b.calls + b.extra }
+
+// Count counts a hook of words shadow words (mod 2^64, so 0 words is exact).
+func (b *BitSet) Count(words uint64) { b.calls, b.extra = b.calls+1, b.extra+words-1 }
+
 // pageFor binds the page for the given page index and lists it as touched,
-// so the directory's cached page is always listed and SetSlot and
+// so the directory's cached page is always listed and SetOpenSlot and
 // SetRange's fast path need not check. A parked page is zero already.
 func (b *BitSet) pageFor(idx uint64) *page {
 	p, _ := b.dir.Bind(idx)
@@ -95,7 +106,7 @@ func (b *BitSet) SetRange(addr mem.Addr, size uint64) {
 	w0 := addr >> wordBits
 	w1 := (addr + size + mem.WordSize - 1) >> wordBits
 	// Fast path: the whole range lies in one 64-word slot of the cached
-	// page — a short range hook, or a per-access one SetSlot did not take.
+	// page — a short range hook, or a slot SetSlot opens.
 	if p := b.dir.Last(w0 >> pageWordBits); p != nil && (w1-1)>>pageWordBits == w0>>pageWordBits {
 		lo := w0 & (pageWords - 1)
 		hi := (w1-1)&(pageWords-1) + 1
@@ -159,25 +170,31 @@ func InSlot(addr mem.Addr, size uint64) bool {
 	return size-1 < SlotBytes-addr&(SlotBytes-1) && addr < ^mem.Addr(SlotBytes-1)
 }
 
-// SetSlot counts an InSlot span as one hook and marks its words, in one body
-// whose only call is pageFor on a page change (a split-off fresh-slot case
-// costs strided loops a call per hook). The mask 2<<hi - 1<<lo needs no
-// branch: 2<<63 wraps to 0, and 0 - 1<<lo is every bit from lo up.
+// SetOpenSlot is the hook's inline arm: it counts and sets an InSlot span in
+// a slot already touched on the cached page and reports true, and sets
+// nothing otherwise. To fit the inliner's budget (cost 80 of 80, go1.24), it
+// reads Dir's cache fields, indexes the slot before testing the key (idle's
+// slots read 0), writes InSlot out and reuses its parameters.
+func (b *BitSet) SetOpenSlot(addr mem.Addr, size uint64) bool {
+	s := &b.dir.LastPage.bits[uint8(addr>>slotByteBits)]
+	if addr>>pageBytesBits != b.dir.LastKey || size-1 >= SlotBytes-addr&(SlotBytes-1) || addr >= ^mem.Addr(SlotBytes-1) || *s == 0 {
+		return false
+	}
+	addr &= SlotBytes - 1
+	size = (addr + size - 1) >> wordBits // the span's last word in the slot
+	addr >>= wordBits                    // and its first
+	*s |= 2<<size - 1<<addr              // no branch: 2<<63 wraps to 0
+	b.calls++
+	b.extra += size - addr
+	return true
+}
+
+// SetSlot counts an InSlot span SetOpenSlot declined as one hook and sets
+// it, opening its slot or binding its page; it inlines into the caller.
 func (b *BitSet) SetSlot(addr mem.Addr, size uint64) {
-	w, last := addr>>wordBits, (addr+size-1)>>wordBits
-	b.Calls++
-	b.Words += last - w + 1
-	idx := w >> pageWordBits
-	p := b.dir.Last(idx)
-	if p == nil {
-		p = b.pageFor(idx)
-	}
-	lo := w & (pageWords - 1)
-	slot := lo >> slotBits
-	if p.bits[slot] == 0 {
-		p.touched = append(p.touched, int32(slot))
-	}
-	p.bits[slot] |= 2<<(last&slotWordMask) - 1<<(lo&slotWordMask)
+	b.calls++
+	b.extra += (addr+size-1)>>wordBits - addr>>wordBits
+	b.SetRange(addr, size)
 }
 
 // Set marks the single word containing addr, counted as a one-word hook.
@@ -280,7 +297,7 @@ func (b *BitSet) Flush(emit func(start mem.Addr, size uint64)) (words uint64) {
 // no-op walk; its real job is recovering from an aborted run that died
 // mid-strand with bits still set.
 func (b *BitSet) Reset() {
-	b.Calls, b.Words = 0, 0
+	b.calls, b.extra = 0, 0
 	b.dir.Reset(func(p *page) {
 		if p.inList || len(p.touched) > 0 {
 			p.bits = [slotsPerPage]uint64{}

@@ -312,8 +312,9 @@ func TestWords(t *testing.T) {
 	}
 }
 
-// TestInSlot pins the slot arm's predicate at its edges, and SetSlot's mask
-// at both ends of a slot.
+// TestInSlot pins the slot arm's predicate at its edges, SetSlot's mask at
+// both ends of a slot, and SetOpenSlot, which takes exactly the InSlot spans
+// whose slot is open on the cached page and leaves the rest untouched.
 func TestInSlot(t *testing.T) {
 	const top = ^uint64(0)
 	for _, c := range []struct {
@@ -336,13 +337,33 @@ func TestInSlot(t *testing.T) {
 		}
 	}
 	b := New()
+	if b.SetOpenSlot(0x1000, 4) || b.SetOpenSlot(0, 4) {
+		t.Fatal("SetOpenSlot took a hook on a BitSet with no page")
+	}
 	b.SetSlot(0x1000, SlotBytes) // bits 0..63: 2<<63 wraps to 0
 	b.SetSlot(0x11fd, 3)         // bit 63 alone
 	b.SetSlot(0x1302, 1)         // bit 0 alone
+	for _, c := range []struct {
+		addr, size uint64
+		want       bool
+	}{
+		{0x1000, SlotBytes, true}, // a whole open slot
+		{0x11c0, 64, true},        // bits 48..63 of an open slot
+		{0x11f0, 17, false},       // one byte into the next, closed slot
+		{0x12fc, 8, false},        // straddles into an open slot
+		{0x1300, 0, false},        // empty
+		{0x1302, top, false},      // wraps back into the slot
+		{0x1400, 4, false},        // a closed slot
+		{0x11001000, 4, false},    // another page
+	} {
+		if got := b.SetOpenSlot(c.addr, c.size); got != c.want {
+			t.Errorf("SetOpenSlot(%#x, %d) = %v, want %v", c.addr, c.size, got, c.want)
+		}
+	}
 	ivs, words := flushAll(b)
-	compare(t, ivs, [][2]uint64{{0x1000, SlotBytes}, {0x11fc, 4}, {0x1300, 4}})
-	if words != 66 || b.Calls != 3 || b.Words != 66 {
-		t.Fatalf("set %d words; counted %d hooks of %d words; want 66, 3, 66", words, b.Calls, b.Words)
+	compare(t, ivs, [][2]uint64{{0x1000, SlotBytes}, {0x11c0, 64}, {0x1300, 4}})
+	if calls, counted := b.Hooks(); words != 81 || calls != 5 || counted != 146 {
+		t.Fatalf("set %d words; counted %d hooks of %d words; want 81, 5, 146", words, calls, counted)
 	}
 }
 

@@ -3,10 +3,11 @@ package coalesce
 import "testing"
 
 // FuzzSetRangeFlush decodes the input as ops — two-byte SetRange calls on
-// one page and single-word Sets spread over sixteen, and three-byte SetSlot
+// one page and single-word Sets spread over sixteen, and three-byte slot
 // spans of 1 to 256 bytes at any byte offset of the page's first sixteen
-// slots — and checks the flushed intervals and the hooks SetSlot and Set
-// counted against the naive word-set model.
+// slots, set as a hook sets them (SetOpenSlot, else SetSlot) — and checks
+// the flushed intervals and the hooks SetOpenSlot, SetSlot and Set counted
+// against the naive word-set model.
 func FuzzSetRangeFlush(f *testing.F) {
 	f.Add([]byte{0, 16, 1, 32, 0, 16})
 	f.Add([]byte{255, 255, 0, 1, 128, 64})
@@ -30,7 +31,9 @@ func FuzzSetRangeFlush(f *testing.F) {
 				if !InSlot(addr, size) {
 					t.Fatalf("InSlot(%#x, %d) = false for a span inside one slot", addr, size)
 				}
-				b.SetSlot(addr, size)
+				if !b.SetOpenSlot(addr, size) {
+					b.SetSlot(addr, size)
+				}
 				n.setRange(addr, size)
 				calls, words = calls+1, words+Words(addr, size)
 			default:
@@ -38,8 +41,8 @@ func FuzzSetRangeFlush(f *testing.F) {
 				n.setRange(a<<3, uint64(op))
 			}
 		}
-		if b.Calls != calls || b.Words != words {
-			t.Fatalf("counted %d hooks of %d words, want %d of %d", b.Calls, b.Words, calls, words)
+		if gotCalls, gotWords := b.Hooks(); gotCalls != calls || gotWords != words {
+			t.Fatalf("counted %d hooks of %d words, want %d of %d", gotCalls, gotWords, calls, words)
 		}
 		got, setWords := flushAll(b)
 		want := n.intervals()

@@ -18,7 +18,7 @@ import (
 // A Coalescer is single-goroutine; a parallel executor gives each running
 // strand its own.
 type Coalescer struct {
-	// rd and wr own the hook counters too (BitSet.Calls/Words): a hook is
+	// rd and wr own the hook counters too (BitSet.Hooks): a hook is
 	// counted where it sets its bits; a History never sees one.
 	rd, wr *coalesce.BitSet
 	// hist, if set, is the History this Coalescer flushes into on its own
@@ -47,7 +47,7 @@ func NewCoalescer() *Coalescer {
 	return &Coalescer{rd: coalesce.New(), wr: coalesce.New()}
 }
 
-// Bits returns the write or read BitSet for the slot arm's SetSlot, or nil
+// Bits returns the write or read BitSet for the slot arm, or nil
 // once the History behind it has retired a page: ReadHook/WriteHook drop
 // dead pages.
 func (c *Coalescer) Bits(write bool) *coalesce.BitSet {
@@ -63,16 +63,14 @@ func (c *Coalescer) Bits(write bool) *coalesce.BitSet {
 // ReadHook and WriteHook take any span: count the hook and its words, set
 // the strand's bits.
 func (c *Coalescer) ReadHook(addr mem.Addr, size uint64) {
-	c.rd.Calls++
-	c.rd.Words += coalesce.Words(addr, size)
+	c.rd.Count(coalesce.Words(addr, size))
 	if !c.live || !c.dead(addr, size) {
 		c.rd.SetRange(addr, size)
 	}
 }
 
 func (c *Coalescer) WriteHook(addr mem.Addr, size uint64) {
-	c.wr.Calls++
-	c.wr.Words += coalesce.Words(addr, size)
+	c.wr.Count(coalesce.Words(addr, size))
 	if !c.live || !c.dead(addr, size) {
 		c.wr.SetRange(addr, size)
 	}
@@ -103,7 +101,10 @@ func (c *Coalescer) Flush(read, write func(addr mem.Addr, size uint64)) {
 // Hooks returns the hook counters accumulated since the last Reset; every
 // other field of the Stats is zero, so Stats.Accumulate folds them in.
 func (c *Coalescer) Hooks() *Stats {
-	return &Stats{ReadHookCalls: c.rd.Calls, ReadAccesses: c.rd.Words, WriteHookCalls: c.wr.Calls, WriteAccesses: c.wr.Words}
+	s := &Stats{}
+	s.ReadHookCalls, s.ReadAccesses = c.rd.Hooks()
+	s.WriteHookCalls, s.WriteAccesses = c.wr.Hooks()
+	return s
 }
 
 // Reset discards whatever an aborted run left set and zeroes the counters,

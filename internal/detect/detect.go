@@ -154,10 +154,11 @@ type Stats struct {
 	// AccessHistoryBytes approximates the access-history footprint.
 	AccessHistoryBytes uint64
 	// AllocObjects and AllocBytes are the heap-allocation deltas measured
-	// around the instrumented run (runtime.ReadMemStats before and after):
-	// the detector's GC pressure, including the program under test. They
-	// are populated by the stint runner, not by the engines, and back the
-	// allocation-regression numbers in EXPERIMENTS.md.
+	// around the instrumented run, the program under test included. The
+	// stint runner reads them from runtime/metrics (/gc/heap/allocs), not
+	// the engines; that counts a P's cached span only when it is refilled or
+	// flushed, so a run of a few hundred objects can read low by up to one
+	// span per size class. They back EXPERIMENTS.md's allocation numbers.
 	AllocObjects uint64
 	AllocBytes   uint64
 	// PipelineDetectTime is the detector workers' summed busy time in the

@@ -63,23 +63,26 @@ type List struct {
 	tail *group
 	len  int
 	// Nodes and groups are carved out of slabs: they stay valid until
-	// Reset, which rewinds both and keeps their chunks, so steady-state
-	// reuse allocates nothing.
+	// Reset, which rewinds both and keeps the chunks the last run used, so
+	// steady-state reuse allocates nothing.
 	nodes  slab.Slab[Node]
 	groups slab.Slab[group]
 }
 
-// Reset empties the list for reuse, retaining every chunk it ever
-// allocated. All Nodes previously returned by InsertAfter are recycled
-// wholesale — the caller must drop every reference before Reset (race
-// detection only ever does this between runs, when the whole strand set
-// dies at once). A Reset list is indistinguishable from NewList() except
-// for its retained capacity.
+// Reset empties the list for reuse, keeping the chunks the last run used
+// (slab.Slab.Trim frees the rest past twice that). All Nodes returned by
+// InsertAfter are recycled wholesale — the caller must drop every reference
+// before Reset (race detection only ever does this between runs, when the
+// whole strand set dies at once). A Reset list is indistinguishable from
+// NewList() except for its retained capacity.
 func (l *List) Reset() {
-	l.nodes.Reset()
-	l.groups.Reset()
+	l.nodes.Trim()
+	l.groups.Trim()
 	l.head, l.tail, l.len = nil, nil, 0
 }
+
+// Retained returns how many nodes and groups the list's slabs hold.
+func (l *List) Retained() int { return l.nodes.Cap() + l.groups.Cap() }
 
 // NewList returns an empty order-maintenance list.
 func NewList() *List { return &List{} }

@@ -26,10 +26,14 @@ const minCap = 16
 
 // Dir maps uint64 page indices to *P and owns the pages' lifecycle. The
 // zero value is an empty directory. The cache sits first so that a hot
-// caller's inline Last probe reads the Dir's first two words.
+// caller's inline probe reads the Dir's first two words.
 type Dir[P any] struct {
-	lastIdx  uint64
-	lastPage *P // the page bound to lastIdx, or nil: Last's one entry
+	// Last's one entry, exported for an inline arm (a call to Last costs 14
+	// of its budget of 80) and written only by Dir: LastPage is bound to
+	// LastKey, or LastKey is NoKey and LastPage is idle (nil unless Idle).
+	LastKey  uint64
+	LastPage *P
+	idle     *P
 	keys     []uint64
 	vals     []*P // nil marks an empty slot
 	shift    uint // 64 - log2(len(vals)); hash top bits select the home slot
@@ -40,11 +44,18 @@ type Dir[P any] struct {
 	made     int  // pages ever allocated (live plus parked)
 }
 
+// NoKey is LastKey while the cache holds no page: no address prefix.
+const NoKey = ^uint64(0)
+
+// Idle sets, on an empty Dir, the page the cache holds while it holds none,
+// so an arm may read LastPage before it tests LastKey. Dir never writes it.
+func (d *Dir[P]) Idle(p *P) { d.idle, d.LastKey, d.LastPage = p, NoKey, p }
+
 // Last returns the page bound to idx if idx is the page asked for last,
 // and nil otherwise. It is the hot path's inline probe: call Bind on nil.
 func (d *Dir[P]) Last(idx uint64) *P {
-	if idx == d.lastIdx {
-		return d.lastPage
+	if idx == d.LastKey {
+		return d.LastPage
 	}
 	return nil
 }
@@ -69,16 +80,18 @@ func (d *Dir[P]) Bind(idx uint64) (p *P, fresh bool) {
 		d.made++
 	}
 	d.put(idx, p)
-	d.lastIdx, d.lastPage = idx, p
+	d.LastKey, d.LastPage = idx, p
 	return p, true
 }
 
 // Find returns the page bound to idx (a retired idx's sentinel) and caches
-// it, or nil if idx holds none. It inlines, so a hot caller that probes Find
-// before Bind pays no call on a cache miss for a bound page.
+// it, or nil, leaving the cache, if idx holds none. It inlines, so a hot
+// caller that probes Find before Bind pays no call on a cache miss.
 func (d *Dir[P]) Find(idx uint64) *P {
 	p := d.get(idx)
-	d.lastIdx, d.lastPage = idx, p // a nil page caches nothing: Last misses
+	if p != nil {
+		d.LastKey, d.LastPage = idx, p
+	}
 	return p
 }
 
@@ -104,7 +117,7 @@ func (d *Dir[P]) Retire(idx uint64, dead *P) {
 	d.free = append(d.free, p)
 	d.dead = dead
 	d.retired++
-	d.lastIdx, d.lastPage = idx, dead
+	d.LastKey, d.LastPage = idx, dead
 }
 
 // Range calls fn for every live (key, page) pair in unspecified order; the
@@ -137,7 +150,7 @@ func (d *Dir[P]) Reset(release func(*P)) {
 		}
 	}
 	d.n, d.retired = 0, 0
-	d.lastIdx, d.lastPage = 0, nil
+	d.LastKey, d.LastPage = NoKey, d.idle
 }
 
 // Live returns the number of bound pages, retired ones excluded.

@@ -209,7 +209,8 @@ func TestBindReusesParkedPage(t *testing.T) {
 }
 
 // TestFindFillsCache: Find caches a bound page, or the sentinel of a
-// retired one, and a miss binds nothing and leaves Last answering nil.
+// retired one, and a miss binds nothing, answers nil from Last and leaves
+// the cache as it was.
 func TestFindFillsCache(t *testing.T) {
 	var d Dir[payload]
 	dead := &payload{-1}
@@ -223,8 +224,36 @@ func TestFindFillsCache(t *testing.T) {
 	if d.Find(3) != dead || d.Last(3) != dead {
 		t.Fatal("Find did not cache a retired page's sentinel")
 	}
-	if d.Find(4) != nil || d.Last(4) != nil || d.Live() != 2 || d.Made() != 3 {
+	if d.Find(4) != nil || d.Last(4) != nil || d.Last(3) != dead || d.Live() != 2 || d.Made() != 3 {
 		t.Fatalf("Find on an unbound index: live %d made %d", d.Live(), d.Made())
+	}
+}
+
+// TestIdlePageFillsAnEmptyCache: with an idle page set, the cache holds it
+// under NoKey whenever it holds no page — at first, after Reset, after a
+// miss — so Last still answers nil and Bind never hands it out.
+func TestIdlePageFillsAnEmptyCache(t *testing.T) {
+	var d Dir[payload]
+	idle := &payload{-2}
+	d.Idle(idle)
+	empty := func(when string) {
+		t.Helper()
+		if d.LastKey != NoKey || d.LastPage != idle || d.Last(0) != nil {
+			t.Fatalf("%s: cache holds (%#x, %v), want (NoKey, idle)", when, d.LastKey, d.LastPage)
+		}
+	}
+	empty("fresh")
+	if d.Find(0) != nil {
+		t.Fatal("Find(0) on an empty Dir")
+	}
+	empty("after a miss")
+	if p, _ := d.Bind(0); p == idle || d.LastKey != 0 || d.LastPage != p {
+		t.Fatal("Bind(0) handed out or did not cache its page")
+	}
+	d.Reset(nil)
+	empty("after Reset")
+	if p, _ := d.Bind(1); p == idle {
+		t.Fatal("Bind handed out the idle page after Reset")
 	}
 }
 

@@ -52,7 +52,7 @@ type SP struct {
 	eng     *om.List
 	heb     *om.List
 	strands []*Strand
-	// Strand records are carved out of a slab that Reset rewinds, so a
+	// Strand records are carved out of a slab that Reset trims, so a
 	// reused SP allocates nothing in steady state.
 	recs slab.Slab[Strand]
 	cur  *Strand
@@ -73,8 +73,8 @@ func (sp *SP) start() {
 	sp.makeCurrent(root)
 }
 
-// Reset rewinds the SP to the state New returns, retaining every strand
-// record and both order-maintenance lists' backing memory. All Strand
+// Reset rewinds the SP to the state New returns, retaining the strand
+// records and order-list memory the last run used. All Strand
 // pointers handed out before the Reset are recycled wholesale; the access
 // history referencing them must be reset in the same breath. Because the
 // root strand is re-created through the identical insertion sequence, a
@@ -82,11 +82,15 @@ func (sp *SP) start() {
 func (sp *SP) Reset() {
 	sp.eng.Reset()
 	sp.heb.Reset()
-	sp.recs.Reset()
+	sp.recs.Trim()
 	sp.strands = sp.strands[:0]
 	sp.seq = 0
 	sp.start()
 }
+
+// Retained returns how many strand records and order-list nodes and groups
+// the SP's slabs hold.
+func (sp *SP) Retained() int { return sp.recs.Cap() + sp.eng.Retained() + sp.heb.Retained() }
 
 // makeCurrent stamps s with the next sequential rank and makes it current.
 // Every strand becomes current exactly once, so ranks are dense and strictly

@@ -697,17 +697,23 @@ func (rs *runState) ctl(op evstream.Op) {
 }
 
 // Load reports a read of element i of b (per-access instrumentation, like
-// the paper's __load_hook).
+// the paper's __load_hook). It carries access's slot arm in its own body.
 func (t *Task) Load(b *Buffer, i int) {
 	if t.Detecting() {
-		t.access(b.Addr(i), uint64(b.ElemBytes()), false)
+		if s := t.slotArm(false); s != nil && s.SetOpenSlot(b.Addr(i), uint64(b.ElemBytes())) {
+			return
+		}
+		t.hook(b.Addr(i), uint64(b.ElemBytes()), false)
 	}
 }
 
 // Store reports a write of element i of b.
 func (t *Task) Store(b *Buffer, i int) {
 	if t.Detecting() {
-		t.access(b.Addr(i), uint64(b.ElemBytes()), true)
+		if s := t.slotArm(true); s != nil && s.SetOpenSlot(b.Addr(i), uint64(b.ElemBytes())) {
+			return
+		}
+		t.hook(b.Addr(i), uint64(b.ElemBytes()), true)
 	}
 }
 
@@ -758,23 +764,39 @@ func (t *Task) StoreRangeAt(addr Addr, count int, elemBytes uint64) {
 	t.accessRange(addr, count, elemBytes, true)
 }
 
-// access is the one dispatch behind Load, Store, LoadAt and StoreAt, and
-// accessRange the one behind the four range hooks: check the operands, then
+// access is the one dispatch behind LoadAt and StoreAt: the slot arm, then
+// hook, the general arm behind Load and Store too; accessRange is the one
+// behind the four range hooks. The general arms check the operands, then
 // hand the access to the strand's Coalescer (which takes a range as one
-// span) or else the per-access Engine, then to the Tracer. The raw-address
-// hooks are a bare call into it, so they inline.
-//
-// Its slot arm is the hot path: a span inside one bitmap slot, on a strand
-// holding its Coalescer with no Tracer and a non-nil Coalescer.Bits, is one
-// BitSet.SetSlot call, ahead of the operand checks it cannot fail. It sits
-// here, not in Load/Store, so trace replay (LoadAt/StoreAt) saves as much.
+// span) or else the per-access Engine, then to the Tracer. The slot arm
+// (slotArm, then the inlined BitSet.SetOpenSlot) sets a span in a slot the
+// strand has touched on the cached page, ahead of checks it cannot fail.
+// Load and Store carry it too; LoadAt and StoreAt are a bare call, so they
+// inline and trace replay saves with the live run.
 func (t *Task) access(addr Addr, size uint64, write bool) {
+	if s := t.slotArm(write); s != nil && s.SetOpenSlot(addr, size) {
+		return
+	}
+	t.hook(addr, size, write)
+}
+
+// slotArm returns the BitSet the slot arm sets, or nil for the general arm:
+// the strand holds no Coalescer, a Tracer records, or Coalescer.Bits is nil
+// (a sync run whose History has retired a page).
+func (t *Task) slotArm(write bool) *coalesce.BitSet {
+	if c := t.bits; c != nil && t.rs.tracer == nil {
+		return c.Bits(write)
+	}
+	return nil
+}
+
+// hook's first case opens a slot or binds a page for a span the slot arm
+// declined (BitSet.SetSlot, which inlines: one SetRange call).
+func (t *Task) hook(addr Addr, size uint64, write bool) {
 	rs := t.rs
-	if c := t.bits; c != nil && rs.tracer == nil && coalesce.InSlot(addr, size) {
-		if b := c.Bits(write); b != nil {
-			b.SetSlot(addr, size)
-			return
-		}
+	if b := t.slotArm(write); b != nil && coalesce.InSlot(addr, size) {
+		b.SetSlot(addr, size)
+		return
 	}
 	checkAccess(size)
 	checkWrap(addr, size)
