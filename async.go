@@ -18,7 +18,7 @@
 // intervals the inline engine's StrandEnd applies, in the same order — reads
 // first, then writes — the producer follows them with the event that ended
 // the strand, and each
-// worker replays the stream one event at a time against its own SP-Order
+// worker replays the stream one event at a time against its own SP-bags
 // structure. The only concurrency is the channel handoff; every stage
 // remains a sequential algorithm.
 //

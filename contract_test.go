@@ -469,16 +469,19 @@ func (h *harness) same(label string, got, want outcome) {
 	}
 }
 
-// oracleWords runs p under the brute-force oracle engine.
+// oracleWords runs p with detection off under the brute-force oracle.
 func (h *harness) oracleWords(p *program) map[Addr]bool {
-	r, err := NewRunner(Options{Detector: DetectorVanilla})
+	// The oracle as a Tracer: the structure events build the program's DAG
+	// (an ancestor closure that shares nothing with spord), and the accesses
+	// go to the brute-force detector over it.
+	dag := oracle.NewDAG()
+	det := oracle.New(dag)
+	r, err := NewRunner(Options{Tracer: struct {
+		*oracle.DAG
+		*oracle.Detector
+	}{dag, det}})
 	if err != nil {
 		h.t.Fatal(err)
-	}
-	var det *oracle.Detector
-	r.newEngine = func(cfg detect.Config, reach detect.Reach) detect.Engine {
-		det = oracle.New(reach)
-		return det
 	}
 	bufs := p.alloc(r)
 	if _, err := r.Run(func(t *Task) { runActs(t, bufs, p.acts, -1) }); err != nil {

@@ -11,7 +11,7 @@
 // Parallel queries O(1); this bounds the runner to moderate DAG sizes
 // (tens of thousands of nodes), which is the intended scope — schedulers,
 // build graphs, futures patterns — rather than the million-strand fork-join
-// programs the stint runner handles with SP-Order.
+// programs the stint runner handles with SP-bags.
 //
 // The access history generalizes the paper's design exactly where theory
 // requires it:
@@ -192,18 +192,14 @@ func (r *reach) Series(a, b int32) bool {
 	return r.anc[int(b)*r.words+int(a)/64]&(1<<(uint(a)%64)) != 0
 }
 
-// Parallel reports whether a and b are logically parallel.
-func (r *reach) Parallel(a, b int32) bool {
-	return a != b && !r.Series(a, b) && !r.Series(b, a)
-}
-
 // CurrentID returns the executing node.
-func (r *reach) CurrentID() int32 { return int32(r.cur) }
+func (r *reach) CurrentID() int32 { return r.cur }
 
-// LeftOf is unused by the multi-reader engine but completes stint.Reach
-// (and serves the brute-force oracle): execution order stands in for the
-// sequential order.
-func (r *reach) LeftOf(a, b int32) bool { return a > b }
+// ParallelWithCurrent reports whether node stored, which ran before cur (so
+// does not succeed it), is parallel with it.
+func (r *reach) ParallelWithCurrent(stored int32) bool {
+	return stored != r.cur && !r.Series(stored, r.cur)
+}
 
 // Options configures a DAG runner.
 type Options struct {

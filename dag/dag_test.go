@@ -95,13 +95,15 @@ func TestReachabilityBitsets(t *testing.T) {
 		if r.Series(p[1], p[0]) {
 			t.Errorf("series(%d,%d) = true (reversed)", p[1], p[0])
 		}
-		if r.Parallel(p[0], p[1]) {
-			t.Errorf("Parallel(%d,%d) = true for series pair", p[0], p[1])
+		if r.cur = p[1]; r.ParallelWithCurrent(p[0]) {
+			t.Errorf("ParallelWithCurrent(%d) = true for series pair under %d", p[0], p[1])
 		}
 	}
 	for _, p := range [][2]NodeID{{b, c}, {e, a}, {e, d}} {
-		if !r.Parallel(p[0], p[1]) || !r.Parallel(p[1], p[0]) {
-			t.Errorf("Parallel(%d,%d) = false", p[0], p[1])
+		for _, q := range [][2]NodeID{p, {p[1], p[0]}} {
+			if r.cur = q[1]; !r.ParallelWithCurrent(q[0]) {
+				t.Errorf("ParallelWithCurrent(%d) = false under %d", q[0], q[1])
+			}
 		}
 	}
 }
@@ -332,9 +334,9 @@ func matchOracle(t *testing.T, seeds int64, bufWords int, gen func(rng *rand.Ran
 			for _, a := range accesses[id] {
 				addr, size := oBuf.Range(a.idx, a.n)
 				if a.write {
-					det.WriteHook(addr, size)
+					det.Write(addr, size)
 				} else {
-					det.ReadHook(addr, size)
+					det.Read(addr, size)
 				}
 			}
 		}

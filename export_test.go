@@ -32,6 +32,6 @@ func (r *Runner) ParallelRetained() (storeBytes, chunks, queues, frames int) {
 	return storeBytes, chunks, queues, len(r.warm.frames.free)
 }
 
-// SerialRetained returns how many strand records and order-list nodes and
-// groups a warm sync Runner keeps (spord.SP.Retained).
+// SerialRetained returns how many strand records and union-find entries a
+// warm sync Runner keeps (spord.SP.Retained).
 func (r *Runner) SerialRetained() int { return r.warm.rp.sp.Retained() }

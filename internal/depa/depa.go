@@ -16,15 +16,16 @@
 // walk over the two fork paths plus a block comparison at the divergence
 // point, touching only immutable words. That is what lets many detector
 // workers query reachability concurrently without sharing the mutable
-// order-maintenance lists of stint/internal/spord: a single sequencer
+// union-find of stint/internal/spord: a single sequencer
 // goroutine appends labels with a Builder, snapshots a read-only View, and
 // hands the View to any number of workers.
 //
 // The Builder mirrors spord's strand numbering exactly (per spawn: child,
 // continuation, and — first spawn of a block — the reserved sync strand), so
 // strand IDs from the serial execution address the same strands here. The
-// package tests differentially verify Precedes/Parallel/LeftOf/SeqRank
-// against spord on randomized fork-join DAGs.
+// package tests differentially verify Precedes/Parallel/LeftOf/SeqRank on
+// randomized fork-join DAGs against the DAG's ancestor closure, with spord's
+// numbering and ranks.
 package depa
 
 // A path entry packs the spawning task's sync-block index (high 32 bits)
@@ -293,7 +294,6 @@ func (v View) Parallel(a, b int32) bool {
 
 // LeftOf reports whether a is to the left of b: a is parallel with b and
 // precedes it in sequential order, or a is in series with b and follows it.
-// This matches spord.LeftOf for any two distinct strands.
 func (v View) LeftOf(a, b int32) bool {
 	if v.rec(a).seq < v.rec(b).seq {
 		return !v.Precedes(a, b)

@@ -4,40 +4,62 @@ import (
 	"math/rand"
 	"testing"
 
+	"stint/internal/oracle"
 	"stint/internal/spord"
 )
 
-// twin drives a spord.SP and a depa.Builder through the same fork-join
-// program, mirroring the event-stream producer's contract: Sync is only
-// issued for blocks with outstanding spawns, and every child is synced
-// before it returns.
+// twin drives a spord.SP, a depa.Builder and the brute-force oracle.DAG
+// through the same fork-join program, mirroring the event-stream
+// producer's contract: Sync is only issued for blocks with outstanding
+// spawns, and every child is synced before it returns. The SP fixes the
+// strand numbering and sequential ranks. The DAG, the ancestor closure of
+// the program's edges, is the reference for every pair: as each strand
+// enters, the twin records whether each strand that ran before is parallel
+// with it, and for such a pair "not parallel" is "precedes".
 type twin struct {
 	sp     *spord.SP
 	b      *Builder
+	dag    *oracle.DAG
 	frames []spord.Frame
 	conts  []*spord.Strand
+	ran    []int32           // strands in the order they became current
+	par    map[[2]int32]bool // {earlier, later}: parallel, as the later entered
 }
 
 func newTwin() *twin {
-	return &twin{sp: spord.New(), b: NewBuilder(), frames: make([]spord.Frame, 1)}
+	return &twin{sp: spord.New(), b: NewBuilder(), dag: oracle.NewDAG(), frames: make([]spord.Frame, 1),
+		ran: []int32{0}, par: map[[2]int32]bool{}}
+}
+
+// entered records the DAG's answers for the strand just made current.
+func (tw *twin) entered() {
+	cur := tw.dag.CurrentID()
+	if cur != tw.sp.CurrentID() || cur != tw.b.Current() {
+		panic("twin: strand id mismatch")
+	}
+	for _, s := range tw.ran {
+		tw.par[[2]int32{s, cur}] = tw.dag.ParallelWithCurrent(s)
+	}
+	tw.ran = append(tw.ran, cur)
 }
 
 func (tw *twin) spawn() {
 	_, cont := tw.sp.Spawn(&tw.frames[len(tw.frames)-1])
 	tw.conts = append(tw.conts, cont)
 	tw.frames = append(tw.frames, spord.Frame{})
-	if got, want := tw.b.Spawn(), tw.sp.CurrentID(); got != want {
-		panic("twin: spawn id mismatch")
-	}
+	tw.b.Spawn()
+	tw.dag.Spawn()
+	tw.entered()
 }
 
 func (tw *twin) sync() {
-	f := &tw.frames[len(tw.frames)-1]
-	if !f.Pending() {
+	before := tw.sp.CurrentID()
+	if tw.sp.Sync(&tw.frames[len(tw.frames)-1]).ID() == before {
 		return // producer elides strand-free syncs
 	}
-	tw.sp.Sync(f)
 	tw.b.Sync()
+	tw.dag.Sync()
+	tw.entered()
 }
 
 func (tw *twin) restore() {
@@ -47,6 +69,8 @@ func (tw *twin) restore() {
 	tw.conts = tw.conts[:len(tw.conts)-1]
 	tw.sp.Restore(cont)
 	tw.b.Restore()
+	tw.dag.Restore()
+	tw.entered()
 }
 
 // run executes a random program of n steps, then joins everything.
@@ -81,28 +105,41 @@ func (tw *twin) check(t *testing.T, seed int64) {
 	if got := v.StrandCount(); got != n {
 		t.Fatalf("seed %d: View.StrandCount: %d, want %d", seed, got, n)
 	}
+	if len(tw.ran) != n {
+		t.Fatalf("seed %d: %d strands ran of %d", seed, len(tw.ran), n)
+	}
 	for a := int32(0); a < int32(n); a++ {
 		if got, want := v.SeqRank(a), tw.sp.SeqRank(a); got != want {
 			t.Fatalf("seed %d: SeqRank(%d): depa %d, spord %d", seed, a, got, want)
 		}
 		for b := int32(0); b < int32(n); b++ {
-			sa, sb := tw.sp.Strand(a), tw.sp.Strand(b)
-			if got, want := v.Precedes(a, b), spord.Series(sa, sb); got != want {
-				t.Fatalf("seed %d: Precedes(%d,%d): depa %v, spord %v", seed, a, b, got, want)
+			// The definitions: a ∥ b when neither precedes the other; a is
+			// left-of b when a ∥ b and runs first, or b precedes a.
+			first := tw.sp.SeqRank(a) < tw.sp.SeqRank(b)
+			par := tw.par[[2]int32{a, b}]
+			if !first {
+				par = tw.par[[2]int32{b, a}]
 			}
-			if got, want := v.Parallel(a, b), tw.sp.Parallel(a, b); got != want {
-				t.Fatalf("seed %d: Parallel(%d,%d): depa %v, spord %v", seed, a, b, got, want)
+			series := a != b && first && !par
+			par = a != b && par
+			left := a != b && par == first
+			if got := v.Precedes(a, b); got != series {
+				t.Fatalf("seed %d: Precedes(%d,%d): depa %v, DAG %v", seed, a, b, got, series)
 			}
-			if got, want := v.LeftOf(a, b), tw.sp.LeftOf(a, b); got != want {
-				t.Fatalf("seed %d: LeftOf(%d,%d): depa %v, spord %v", seed, a, b, got, want)
+			if got := v.Parallel(a, b); got != par {
+				t.Fatalf("seed %d: Parallel(%d,%d): depa %v, DAG %v", seed, a, b, got, par)
+			}
+			if got := v.LeftOf(a, b); got != left {
+				t.Fatalf("seed %d: LeftOf(%d,%d): depa %v, DAG %v", seed, a, b, got, left)
 			}
 		}
 	}
 }
 
 // TestPrecedesAgainstSpordRandomDAGs differentially verifies the whole
-// label algebra — Precedes, Parallel, LeftOf, SeqRank — against SP-Order
-// over every strand pair of randomized fork-join programs.
+// label algebra — Precedes, Parallel, LeftOf, SeqRank — over every strand
+// pair of randomized fork-join programs, against the ancestor closure of
+// the program's DAG, with spord's strand numbering and ranks.
 func TestPrecedesAgainstSpordRandomDAGs(t *testing.T) {
 	seeds := 120
 	if testing.Short() {

@@ -11,7 +11,7 @@
 // goroutine (New); the stint runner's pipelines put a channel between the
 // two.
 //
-// All of them share a reachability substrate behind Reach (SP-Order,
+// All of them share a reachability substrate behind Reach (SP-bags,
 // stint/internal/spord, for fork-join programs) — exactly the four
 // configurations of the paper's Figure 5.
 package detect
@@ -25,23 +25,20 @@ import (
 )
 
 // Reach abstracts the reachability component. The fork-join runner supplies
-// SP-Order (stint/internal/spord); stint.Runner.RunStrands takes a caller's
+// SP-bags (stint/internal/spord); stint.Runner.RunStrands takes a caller's
 // (stint/pipeline's 2D grid, stint/dag's ancestor bitsets). Strands are
-// identified by dense int32 IDs; the engines only ever compare the currently
-// executing strand against stored IDs, plus stored-vs-new left-of
-// arbitration in the read history. Once two IDs exist, Parallel and LeftOf
-// must keep answering the same about them until the engine is Reset: the
-// tree engine remembers recent answers. A Reach that also has a method
-// Series(a, b int32) bool (a happens-before b) is a general DAG, whose reads
-// the tree engine keeps as antichains (see treeEngine).
+// dense int32 IDs, and the engines ask one question: is a stored strand,
+// which ran before the current one, parallel with it? For such a pair the
+// current strand is left-of the stored one — the read history's
+// arbitration — exactly when they are not parallel. A Reach that also has a
+// method Series(a, b int32) bool (a happens-before b) is a general DAG,
+// whose reads the tree engine keeps as antichains (see treeEngine).
 type Reach interface {
 	// CurrentID identifies the strand the program is executing now.
 	CurrentID() int32
-	// Parallel reports whether two strands are logically parallel.
-	Parallel(a, b int32) bool
-	// LeftOf reports whether strand a is left-of strand b: parallel and
-	// earlier in sequential order, or in series and later.
-	LeftOf(a, b int32) bool
+	// ParallelWithCurrent reports whether the stored strand, which ran
+	// before the current one, is logically parallel with it.
+	ParallelWithCurrent(stored int32) bool
 }
 
 // Mode selects a detector engine.
@@ -50,7 +47,7 @@ type Mode int
 const (
 	// Off disables detection entirely; hooks are not invoked.
 	Off Mode = iota
-	// ReachOnly maintains SP-Order but no access history, isolating the
+	// ReachOnly maintains SP-bags but no access history, isolating the
 	// reachability component's overhead (Figure 1's "reach." column).
 	ReachOnly
 	// Vanilla checks every memory access word by word against a two-level

@@ -76,7 +76,8 @@ func (e *hashEngine) quiescePage(idx uint64) {
 // accessWord performs the Feng–Leiserson check-and-update on one word: a
 // read races with a parallel last writer; a write races with a parallel
 // last writer or leftmost reader. Reads replace the stored reader only when
-// left-of it; writes always become the last writer.
+// left-of it, that is, not parallel with it (see Reach); writes always
+// become the last writer.
 func (e *hashEngine) accessWord(addr mem.Addr, isWrite bool) {
 	w, r := e.table.Cell(addr)
 	if w == nil {
@@ -85,15 +86,15 @@ func (e *hashEngine) accessWord(addr mem.Addr, isWrite bool) {
 	e.stats.HashOps++
 	cur := e.reach.CurrentID()
 	racesBefore := e.stats.Races
-	if *w != shadow.None && e.reach.Parallel(*w, cur) {
+	if *w != shadow.None && e.reach.ParallelWithCurrent(*w) {
 		e.race(Race{Addr: addr &^ 3, Size: mem.WordSize, Prev: *w, Cur: cur, PrevWrite: true, CurWrite: isWrite})
 	}
 	if isWrite {
-		if *r != shadow.None && e.reach.Parallel(*r, cur) {
+		if *r != shadow.None && e.reach.ParallelWithCurrent(*r) {
 			e.race(Race{Addr: addr &^ 3, Size: mem.WordSize, Prev: *r, Cur: cur, PrevWrite: false, CurWrite: true})
 		}
 		*w = cur
-	} else if *r == shadow.None || e.reach.LeftOf(cur, *r) {
+	} else if *r == shadow.None || !e.reach.ParallelWithCurrent(*r) {
 		*r = cur
 	}
 	if n := int32(e.stats.Races - racesBefore); e.qthresh > 0 && n != 0 {

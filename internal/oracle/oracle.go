@@ -1,114 +1,140 @@
-// Package oracle provides a brute-force reference race detector for
-// testing.
+// Package oracle provides a brute-force reference race detector for tests,
+// and a brute-force reachability for fork-join programs to drive it with.
 //
-// Instead of an access history, the oracle records every strand that ever
-// read or wrote each shadow word. After the run, RacingWords reports the
-// exact set of words on which two logically parallel strands performed
-// conflicting accesses — the ground truth every real detector is compared
+// The Detector records every strand that read or wrote each shadow word and
+// checks each strand's first read and first write of a word against every
+// earlier accessor of the word, asking its Reach only the detectors' one
+// question. RacingWords is the ground truth every real detector is compared
 // against: by Feng–Leiserson, a sound-and-complete detector reports a race
-// on a word if and only if that word has one.
-//
-// The oracle implements detect.Engine so the fork-join runner can drive it
-// like any production engine. It is O(accesses × strands²) in the worst
-// case and intended only for small randomized test programs.
+// on a word if and only if that word has one. It is O(accesses × strands).
 package oracle
 
 import (
+	"maps"
+	"math/big"
+	"slices"
+
 	"stint/internal/detect"
 	"stint/internal/mem"
 )
 
-// Detector is the brute-force engine.
+// Detector is the brute-force detector. Its access methods are a
+// stint.Tracer's, so a DAG and a Detector over it make up a Tracer.
 type Detector struct {
-	reach  detect.Reach
-	reads  map[mem.Addr]map[int32]struct{}
-	writes map[mem.Addr]map[int32]struct{}
-	stats  detect.Stats
+	reach            detect.Reach
+	readers, writers map[mem.Addr][]int32 // each word's accessors, each once
+	racy             map[mem.Addr]bool
 }
-
-var _ detect.Engine = (*Detector)(nil)
 
 // New returns an oracle over the given reachability structure.
 func New(reach detect.Reach) *Detector {
-	return &Detector{
-		reach:  reach,
-		reads:  make(map[mem.Addr]map[int32]struct{}),
-		writes: make(map[mem.Addr]map[int32]struct{}),
-	}
+	return &Detector{reach, map[mem.Addr][]int32{}, map[mem.Addr][]int32{}, map[mem.Addr]bool{}}
 }
 
-func (d *Detector) record(m map[mem.Addr]map[int32]struct{}, addr mem.Addr, size uint64) {
+func (d *Detector) access(addr mem.Addr, size uint64, write bool) {
 	cur := d.reach.CurrentID()
-	first := addr &^ 3
-	for a := first; a < addr+size; a += mem.WordSize {
-		set := m[a]
-		if set == nil {
-			set = make(map[int32]struct{})
-			m[a] = set
+	parallel := func(accessors []int32) bool { return slices.ContainsFunc(accessors, d.reach.ParallelWithCurrent) }
+	for a := addr &^ 3; a < addr+size; a += mem.WordSize {
+		race := false
+		switch {
+		case write && !slices.Contains(d.writers[a], cur):
+			race = parallel(d.writers[a]) || parallel(d.readers[a])
+			d.writers[a] = append(d.writers[a], cur)
+		case !write && !slices.Contains(d.readers[a], cur):
+			race = parallel(d.writers[a])
+			d.readers[a] = append(d.readers[a], cur)
 		}
-		set[cur] = struct{}{}
+		if race {
+			d.racy[a] = true
+		}
 	}
 }
 
-// ReadHook records a read access.
-func (d *Detector) ReadHook(addr mem.Addr, size uint64) { d.record(d.reads, addr, size) }
-
-// WriteHook records a write access.
-func (d *Detector) WriteHook(addr mem.Addr, size uint64) { d.record(d.writes, addr, size) }
-
-// ReadRangeHook records a coalesced read element by element.
-func (d *Detector) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
-	d.record(d.reads, addr, uint64(count)*elemBytes)
+// Read and Write record an access; ReadRange and WriteRange record
+// count elements of elemBytes each.
+func (d *Detector) Read(addr mem.Addr, size uint64)  { d.access(addr, size, false) }
+func (d *Detector) Write(addr mem.Addr, size uint64) { d.access(addr, size, true) }
+func (d *Detector) ReadRange(addr mem.Addr, count int, elemBytes uint64) {
+	d.access(addr, uint64(count)*elemBytes, false)
 }
-
-// WriteRangeHook records a coalesced write element by element.
-func (d *Detector) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) {
-	d.record(d.writes, addr, uint64(count)*elemBytes)
-}
-
-// StrandEnd is a no-op: the oracle needs no per-strand state.
-func (d *Detector) StrandEnd() {}
-
-// Finish is a no-op.
-func (d *Detector) Finish() {}
-
-// Stats returns zeroed counters; the oracle measures nothing.
-func (d *Detector) Stats() *detect.Stats { return &d.stats }
-
-// Reset drops all recorded accesses so the oracle can be reused. The maps
-// are reallocated rather than cleared: the oracle is a test-only reference
-// and retains no warm capacity.
-func (d *Detector) Reset() {
-	d.reads = make(map[mem.Addr]map[int32]struct{})
-	d.writes = make(map[mem.Addr]map[int32]struct{})
-	d.stats = detect.Stats{}
+func (d *Detector) WriteRange(addr mem.Addr, count int, elemBytes uint64) {
+	d.access(addr, uint64(count)*elemBytes, true)
 }
 
 // RacingWords returns the set of word addresses with at least one pair of
 // logically parallel conflicting accesses.
-func (d *Detector) RacingWords() map[mem.Addr]bool {
-	racy := make(map[mem.Addr]bool)
-	for addr, writers := range d.writes {
-		if d.wordRaces(writers, d.reads[addr]) {
-			racy[addr] = true
-		}
-	}
-	return racy
+func (d *Detector) RacingWords() map[mem.Addr]bool { return maps.Clone(d.racy) }
+
+// DAG is the series-parallel DAG of one serial fork-join execution, built
+// from its structure events alone — Spawn, Restore and Sync, as a
+// stint.Tracer receives them — with strands numbered as stint/internal/spord
+// numbers them (per spawn: child, continuation, and on a block's first spawn
+// its sync strand). Reachability is the ancestor closure of its edges, so it
+// shares nothing with the structures it is the reference for.
+type DAG struct {
+	anc    []*big.Int // anc[s]: the strands that precede s, as bits
+	frames []dagFrame
+	cur    int32
 }
 
-// wordRaces checks writer-writer and writer-reader pairs for parallelism.
-func (d *Detector) wordRaces(writers, readers map[int32]struct{}) bool {
-	for w1 := range writers {
-		for w2 := range writers {
-			if w1 < w2 && d.reach.Parallel(w1, w2) {
-				return true
-			}
-		}
-		for r := range readers {
-			if r != w1 && d.reach.Parallel(w1, r) {
-				return true
-			}
-		}
+// dagFrame is a running task: its reserved sync strand (-1: none), the
+// strands that sync joins, and the parent's continuation.
+type dagFrame struct {
+	sync, cont int32
+	joined     *big.Int
+}
+
+// NewDAG returns a DAG holding the root strand, which is current.
+func NewDAG() *DAG {
+	g := &DAG{frames: []dagFrame{{sync: -1, cont: -1, joined: new(big.Int)}}}
+	g.cur = g.strand(new(big.Int))
+	return g
+}
+
+func (g *DAG) strand(anc *big.Int) int32 {
+	g.anc = append(g.anc, anc)
+	return int32(len(g.anc) - 1)
+}
+
+// throughCur returns the current strand and the strands that precede it.
+func (g *DAG) throughCur() *big.Int { return new(big.Int).SetBit(g.anc[g.cur], int(g.cur), 1) }
+
+// Spawn starts a child task from the current strand.
+func (g *DAG) Spawn() {
+	top, below := &g.frames[len(g.frames)-1], g.throughCur()
+	child, cont := g.strand(below), g.strand(below)
+	if top.sync < 0 {
+		top.sync = g.strand(nil)
 	}
-	return false
+	g.frames = append(g.frames, dagFrame{sync: -1, cont: cont, joined: new(big.Int)})
+	g.cur = child
+}
+
+// Restore returns from the current task, which has synced, to its parent's
+// continuation; the task's final strand joins at the parent's next sync.
+func (g *DAG) Restore() {
+	cont := g.frames[len(g.frames)-1].cont
+	g.frames = g.frames[:len(g.frames)-1]
+	top := &g.frames[len(g.frames)-1]
+	top.joined.Or(top.joined, g.throughCur())
+	g.cur = cont
+}
+
+// Sync joins the current task's outstanding children, if it has any.
+func (g *DAG) Sync() {
+	if top := &g.frames[len(g.frames)-1]; top.sync >= 0 {
+		s := top.sync
+		g.anc[s] = top.joined.Or(top.joined, g.throughCur())
+		top.sync, top.joined = -1, new(big.Int)
+		g.cur = s
+	}
+}
+
+// CurrentID returns the current strand.
+func (g *DAG) CurrentID() int32 { return g.cur }
+
+// ParallelWithCurrent reports whether strand stored, which ran, is parallel
+// with the current strand.
+func (g *DAG) ParallelWithCurrent(stored int32) bool {
+	return stored != g.cur && g.anc[g.cur].Bit(int(stored)) == 0
 }

@@ -1,28 +1,23 @@
 package oracle
 
-import (
-	"testing"
-
-	"stint/internal/spord"
-)
+import "testing"
 
 func TestNoAccessesNoRaces(t *testing.T) {
-	sp := spord.New()
-	d := New(sp)
+	g := NewDAG()
+	d := New(g)
 	if len(d.RacingWords()) != 0 {
 		t.Fatal("empty oracle reports races")
 	}
 }
 
 func TestParallelWritesDetected(t *testing.T) {
-	sp := spord.New()
-	d := New(sp)
-	f := &spord.Frame{}
-	_, cont := sp.Spawn(f)
-	d.WriteHook(0x1000, 4)
-	sp.Restore(cont)
-	d.WriteHook(0x1000, 4)
-	sp.Sync(f)
+	g := NewDAG()
+	d := New(g)
+	g.Spawn()
+	d.Write(0x1000, 4)
+	g.Restore()
+	d.Write(0x1000, 4)
+	g.Sync()
 	racy := d.RacingWords()
 	if !racy[0x1000] || len(racy) != 1 {
 		t.Fatalf("RacingWords = %v, want {0x1000}", racy)
@@ -30,43 +25,40 @@ func TestParallelWritesDetected(t *testing.T) {
 }
 
 func TestSeriesWritesClean(t *testing.T) {
-	sp := spord.New()
-	d := New(sp)
-	f := &spord.Frame{}
-	d.WriteHook(0x1000, 4)
-	_, cont := sp.Spawn(f)
-	d.WriteHook(0x1000, 4)
-	sp.Restore(cont)
-	sp.Sync(f)
-	d.WriteHook(0x1000, 4) // after sync
+	g := NewDAG()
+	d := New(g)
+	d.Write(0x1000, 4)
+	g.Spawn()
+	d.Write(0x1000, 4)
+	g.Restore()
+	g.Sync()
+	d.Write(0x1000, 4) // after sync
 	if racy := d.RacingWords(); len(racy) != 0 {
 		t.Fatalf("series writes flagged: %v", racy)
 	}
 }
 
 func TestReadReadClean(t *testing.T) {
-	sp := spord.New()
-	d := New(sp)
-	f := &spord.Frame{}
-	_, cont := sp.Spawn(f)
-	d.ReadHook(0x1000, 4)
-	sp.Restore(cont)
-	d.ReadHook(0x1000, 4)
-	sp.Sync(f)
+	g := NewDAG()
+	d := New(g)
+	g.Spawn()
+	d.Read(0x1000, 4)
+	g.Restore()
+	d.Read(0x1000, 4)
+	g.Sync()
 	if racy := d.RacingWords(); len(racy) != 0 {
 		t.Fatalf("read-read flagged: %v", racy)
 	}
 }
 
 func TestRangeHooksExpandToWords(t *testing.T) {
-	sp := spord.New()
-	d := New(sp)
-	f := &spord.Frame{}
-	_, cont := sp.Spawn(f)
-	d.WriteRangeHook(0x1000, 4, 4) // words 0x1000..0x100c
-	sp.Restore(cont)
-	d.ReadRangeHook(0x1008, 2, 4) // words 0x1008, 0x100c
-	sp.Sync(f)
+	g := NewDAG()
+	d := New(g)
+	g.Spawn()
+	d.WriteRange(0x1000, 4, 4) // words 0x1000..0x100c
+	g.Restore()
+	d.ReadRange(0x1008, 2, 4) // words 0x1008, 0x100c
+	g.Sync()
 	racy := d.RacingWords()
 	if len(racy) != 2 || !racy[0x1008] || !racy[0x100c] {
 		t.Fatalf("RacingWords = %v, want exactly {0x1008, 0x100c}", racy)
@@ -74,14 +66,13 @@ func TestRangeHooksExpandToWords(t *testing.T) {
 }
 
 func TestUnalignedAccessCoversWords(t *testing.T) {
-	sp := spord.New()
-	d := New(sp)
-	f := &spord.Frame{}
-	_, cont := sp.Spawn(f)
-	d.WriteHook(0x1002, 4) // straddles words 0x1000 and 0x1004
-	sp.Restore(cont)
-	d.ReadHook(0x1004, 4)
-	sp.Sync(f)
+	g := NewDAG()
+	d := New(g)
+	g.Spawn()
+	d.Write(0x1002, 4) // straddles words 0x1000 and 0x1004
+	g.Restore()
+	d.Read(0x1004, 4)
+	g.Sync()
 	if racy := d.RacingWords(); !racy[0x1004] {
 		t.Fatalf("straddled word missed: %v", racy)
 	}

@@ -1,6 +1,5 @@
 // Package slab is the one carve-and-rewind allocator of the runtime's
-// bookkeeping: the order-maintenance lists' nodes and groups
-// (internal/om), SP-Order's strand records (internal/spord), and the
+// bookkeeping: SP-bags' strand and task records (internal/spord), and the
 // parallel merge's parked-chunk records and per-task queues
 // (internal/stage). Values are carved out of fixed-size chunks instead of
 // one heap object each, stay valid until Reset, and Reset rewinds the

@@ -12,7 +12,7 @@ package stage
 import "stint/internal/detect"
 
 // keyedRace pairs a race with the sequential rank of its Cur strand. Ranks
-// come from the engine's own SP-Order structure — the inline one, or a
+// come from the engine's own SP-bags structure — the inline one, or a
 // pipeline worker's private replay, which the root package's contract
 // harness and TestWorkersReplayTheSameSPOrder pin to agree.
 type keyedRace struct {

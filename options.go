@@ -8,7 +8,7 @@ package stint
 import "fmt"
 
 // maxDetectShards bounds DetectShards. Shards cost a goroutine, an engine,
-// a private SP-Order structure (reachability memory scales with the worker
+// a private SP-bags structure (reachability memory scales with the worker
 // count), and a batch channel each, and the page hash cannot usefully
 // spread a program over more workers than it has distinct 64 KiB shadow
 // pages; four-digit counts are a configuration error, not a scale-up.

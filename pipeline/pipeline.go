@@ -11,11 +11,11 @@
 // item. Two nodes are logically parallel exactly when one has a strictly
 // earlier stage and a strictly later item than the other. Reachability is
 // therefore pure index arithmetic; no order-maintenance structure is
-// needed. The left-of relation — which reader to keep per location — turns
-// out to be lexicographic comparison of (stage, item): among the readers a
-// later node can still race with, the lexicographically greatest is always
-// a witness (see the package tests, which verify this against a brute-force
-// oracle on random grid programs).
+// needed. The detector asks only whether a node that ran is parallel with
+// the running one and takes left-of, which reader to keep per location, as
+// its negation: under Run's item-major order, lexicographic (stage, item)
+// order, and among the readers a later node can still race with the
+// greatest is a witness (the package tests check both against an oracle).
 //
 // Everything downstream of reachability — hashmaps, treaps, hooks, the race
 // collector — is the fork-join detector's own: Run hands the grid to
@@ -84,12 +84,8 @@ func (g *grid) Parallel(a, b int32) bool {
 	return (sa-sb)*(ia-ib) < 0
 }
 
-// LeftOf is lexicographic (stage, item) order, greater side left-of.
-func (g *grid) LeftOf(a, b int32) bool {
-	sa, ia := g.decode(a)
-	sb, ib := g.decode(b)
-	return sa > sb || (sa == sb && ia > ib)
-}
+// ParallelWithCurrent reports whether node stored is parallel with cur.
+func (g *grid) ParallelWithCurrent(stored int32) bool { return g.Parallel(stored, g.cur) }
 
 // NodeFunc is the body of one grid node.
 type NodeFunc func(c *Cell, stage, item int)

@@ -41,21 +41,21 @@ func TestGridReachability(t *testing.T) {
 	}
 }
 
+// TestGridLeftOfIsStrictTotalOrder: the left-of the detector derives for a
+// node over every node that ran before it in item-major order, "not
+// parallel", is lexicographic (stage, item) order, greater side left-of — a
+// strict total order.
 func TestGridLeftOfIsStrictTotalOrder(t *testing.T) {
-	g := &grid{stages: 3, items: 3}
-	var ids []int32
-	for s := 0; s < 3; s++ {
-		for i := 0; i < 3; i++ {
-			ids = append(ids, g.encode(s, i))
-		}
-	}
-	for _, a := range ids {
-		if g.LeftOf(a, a) {
-			t.Error("LeftOf reflexive")
-		}
-		for _, b := range ids {
-			if a != b && g.LeftOf(a, b) == g.LeftOf(b, a) {
-				t.Errorf("LeftOf not antisymmetric for %d,%d", a, b)
+	g := &grid{stages: 4, items: 5}
+	n := int32(g.stages * g.items)
+	for cur := int32(0); cur < n; cur++ {
+		g.cur = cur
+		sc, ic := g.decode(cur)
+		for stored := int32(0); stored < cur; stored++ {
+			ss, is := g.decode(stored)
+			lex := sc > ss || (sc == ss && ic > is)
+			if left := !g.ParallelWithCurrent(stored); left != lex {
+				t.Errorf("(%d,%d) left-of (%d,%d) = %v, lexicographic %v", sc, ic, ss, is, left, lex)
 			}
 		}
 	}
@@ -229,9 +229,9 @@ func TestPipelineDetectorsMatchOracle(t *testing.T) {
 						addr, size = orBuf.Range(a.idx, a.n)
 					}
 					if a.write {
-						det.WriteHook(addr, size)
+						det.Write(addr, size)
 					} else {
-						det.ReadHook(addr, size)
+						det.Read(addr, size)
 					}
 				}
 			}

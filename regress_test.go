@@ -492,7 +492,7 @@ func TestAsyncZeroAndOneShardIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkersReplayTheSameSPOrder: every worker's private SP-Order has the
+// TestWorkersReplayTheSameSPOrder: every worker's private SP-bags has the
 // synchronous strands and ranks, so no reachability is shipped.
 func TestWorkersReplayTheSameSPOrder(t *testing.T) {
 	h := newHarness(t, nil, 1)

@@ -15,13 +15,12 @@
 // the structure event.
 //
 // Every worker scans every batch and replays every structure event
-// (spawn/restore/sync) on a private SP-Order structure (internal/spord, the
-// paper's reachability substrate, O(1) per query) through a replayer — the
-// one the inline detector runs. Strand IDs and both total orders are a
-// deterministic function of the structure stream, so all the workers'
-// structures — and the synchronous run's — agree on every ID, every
-// Parallel/LeftOf answer and every sequential rank; nothing about
-// reachability is shipped. The structure stream is tiny next to the interval
+// (spawn/restore/sync) on a private SP-bags structure (internal/spord,
+// near-constant per query) through a replayer — the one the inline detector
+// runs. Strand IDs and the bags are a deterministic function of the
+// structure stream, so all the workers' structures — and the synchronous
+// run's — agree on every ID, every answer about a stored strand and every
+// sequential rank; nothing about reachability is shipped. The structure stream is tiny next to the interval
 // stream (fft: 5 111 strands against 298 140 intervals), so replaying it N
 // times costs less than any hop that would share it; the price is that
 // reachability memory is per worker.
@@ -59,7 +58,7 @@ import (
 	"stint/internal/stage"
 )
 
-// replayer is the one structure replay: a private SP-Order structure, its
+// replayer is the one structure replay: a private SP-bags structure, its
 // replay stack (one frame per in-flight function instance, stack[0] the
 // root), the engine whose strands the structure events end, and the
 // canonical collector of its races. Every shard worker owns one, fed from
@@ -72,7 +71,7 @@ type replayer struct {
 	col    *stage.Collector
 }
 
-// replayFrame is a function instance's SP-Order frame and, if it was
+// replayFrame is a function instance's SP-bags frame and, if it was
 // spawned, the parent's continuation to restore when it returns.
 type replayFrame struct {
 	frame spord.Frame
@@ -88,7 +87,7 @@ type strandEngine interface {
 	Reset()
 }
 
-// newReplayer builds a replayer and, over its SP-Order structure, the engine
+// newReplayer builds a replayer and, over its SP-bags structure, the engine
 // build makes, whose races go to the collector — ranked by their later
 // strand's serial position — and then to user. The engine (and its OnRace
 // closure over the replayer) is retained across runs.
@@ -113,7 +112,7 @@ func (rp *replayer) reset() {
 }
 
 // ctl replays one structure event: the finishing strand's boundary is
-// sampled while it is still current, then SP-Order advances.
+// sampled while it is still current, then SP-bags advances.
 func (rp *replayer) ctl(op evstream.Op) {
 	rp.engine.StrandEnd()
 	top := len(rp.stack) - 1

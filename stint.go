@@ -46,7 +46,7 @@ type Detector = detect.Mode
 const (
 	// DetectorOff runs the program with no detection (the "base" column).
 	DetectorOff = detect.Off
-	// DetectorReachOnly maintains only SP-Order reachability (Figure 1's
+	// DetectorReachOnly maintains only SP-bags reachability (Figure 1's
 	// "reach." column).
 	DetectorReachOnly = detect.ReachOnly
 	// DetectorVanilla is the per-access word-granularity hashmap detector.
@@ -146,7 +146,7 @@ type Options struct {
 	// detector workers (one unless DetectShards asks for more) consume the
 	// strands' flushed intervals, each over its own bounded channel, overlapping
 	// compute and coalescing with the access history. Each worker rebuilds
-	// SP-Order from the stream's structure events and owns its share of the
+	// SP-bags from the stream's structure events and owns its share of the
 	// access history. Race reports and Stats are identical to the
 	// synchronous path (the stream is the serial order); wall clock
 	// approaches max(compute, detect) instead of their sum. OnRace is
@@ -160,11 +160,11 @@ type Options struct {
 	Async bool
 	// DetectShards is the worker count of the pipeline's detector side; 0
 	// means 1, and the two are the same code path. Every worker scans every
-	// batch, replays the structure events on a private SP-Order structure,
+	// batch, replays the structure events on a private SP-bags structure,
 	// keeps the intervals — page-contained as flushed — whose 64 KiB shadow
 	// page hashes to its shard, and owns that page's access history in its
 	// own page directory and treap node pool. Nothing is shared between
-	// workers, so reachability memory (one SP-Order structure per worker)
+	// workers, so reachability memory (one SP-bags structure per worker)
 	// scales with n. Race reports, counts, and Stats are canonical:
 	// independent of n and identical to the synchronous path. OnRace may be
 	// invoked from any worker (serialized, but in no deterministic order
@@ -216,9 +216,6 @@ type Options struct {
 type Runner struct {
 	opts  Options
 	arena *mem.Arena
-	// newEngine builds the synchronous engine: detect.New, or in tests a
-	// reference engine (e.g. the brute-force oracle) run through the runner.
-	newEngine func(cfg detect.Config, reach detect.Reach) detect.Engine
 	// asyncBatchEvents and asyncRingDepth override the async pipeline
 	// geometry when nonzero; tests use tiny values to force batch-boundary
 	// and backpressure edge cases.
@@ -244,7 +241,7 @@ type Runner struct {
 // A serial run's ctl ends strands into whichever of the two is set. bits and
 // engine are its hook arms, set only when hooks is: the one Coalescer every
 // Task hooks into (the Async producer's, or the inline engine's own), or the
-// per-access Engine (Vanilla, Compiler, the newEngine seam). hooks is false
+// per-access Engine (Vanilla, Compiler). hooks is false
 // under DetectorOff and ReachOnly (the paper's near-zero "reach." column
 // isolates reachability), so a nil arm is the hook path's whole check.
 type runState struct {
@@ -302,7 +299,7 @@ func (r *Runner) ensureWarm() {
 			w.bits = w.as.bits
 		}
 	default:
-		w.rp = newReplayer(cfg, maxRec, user, r.newEngine)
+		w.rp = newReplayer(cfg, maxRec, user, detect.New)
 		if w.bits = detect.CoalescerOf(w.rp.engine); w.bits == nil && w.hooks {
 			w.engine = w.rp.engine.(detect.Engine)
 		}
@@ -354,7 +351,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		return nil, err
 	}
 	opts.MaxRacesRecorded = defaultMaxRaces(opts.MaxRacesRecorded)
-	return &Runner{opts: opts, arena: mem.NewArena(), newEngine: detect.New}, nil
+	return &Runner{opts: opts, arena: mem.NewArena()}, nil
 }
 
 // Arena returns the Runner's address arena.
@@ -389,7 +386,7 @@ type Report struct {
 	// side of the utilization split is ShardLoad.
 	SequencerBusy time.Duration
 	// LabelViewSnapshots is always zero: no pipeline ships reachability
-	// labels any more (each worker replays SP-Order itself). The field
+	// labels any more (each worker replays SP-bags itself). The field
 	// stays for the benchmark's ledger, which still reads it.
 	LabelViewSnapshots uint64
 	// ExecutorBusy is the summed busy time of the parallel executor's task
@@ -406,7 +403,7 @@ type Report struct {
 	ReorderPeak int
 	// ShardLoad is each worker's load breakdown (pipelined modes only, nil
 	// otherwise; one entry under plain Async): busy time (scanning, page
-	// filtering, SP-Order replay, and detection;
+	// filtering, SP-bags replay, and detection;
 	// Stats.PipelineDetectTime is their sum), the batches it consumed, and
 	// the times the worker waited on its channel. A worker with many waits
 	// was starved (ahead of the stream); the low-wait outlier is the

@@ -29,7 +29,7 @@ func (r *Runner) RunStrands(reach Reach, n int, body func(t *Task, i int)) (*Rep
 	_, dag := reach.(interface{ Series(a, b int32) bool })
 	switch {
 	case o.Async || o.DetectShards > 0 || o.ParallelDetect:
-		return nil, fmt.Errorf("stint: RunStrands needs a synchronous Runner; pipeline workers replay SP-Order, not a caller's Reach")
+		return nil, fmt.Errorf("stint: RunStrands needs a synchronous Runner; pipeline workers replay SP-bags, not a caller's Reach")
 	case o.Tracer != nil:
 		return nil, fmt.Errorf("stint: RunStrands cannot trace; a trace records spawn/sync structure, and strands have none")
 	case dag && (o.Detector == DetectorVanilla || o.Detector == DetectorCompiler || o.Detector == DetectorCompRTS):
@@ -53,7 +53,7 @@ func (r *Runner) RunStrands(reach Reach, n int, body func(t *Task, i int)) (*Rep
 			user(race)
 		}
 	}
-	eng := r.newEngine(cfg, reach)
+	eng := detect.New(cfg, reach)
 	if t.bits = detect.CoalescerOf(eng); t.bits == nil && rs.hooks {
 		rs.engine = eng
 	}

@@ -15,9 +15,8 @@ type lineReach struct {
 	par bool
 }
 
-func (r *lineReach) CurrentID() int32         { return r.cur }
-func (r *lineReach) Parallel(a, b int32) bool { return r.par && a != b }
-func (r *lineReach) LeftOf(a, b int32) bool   { return a > b }
+func (r *lineReach) CurrentID() int32                      { return r.cur }
+func (r *lineReach) ParallelWithCurrent(stored int32) bool { return r.par && stored != r.cur }
 
 type dagReach struct{ lineReach }
 

@@ -2,7 +2,7 @@
 // binary stream and replays them through any detector configuration.
 //
 // A trace captures everything race detection needs — the spawn/sync
-// structure (from which SP-Order reachability is rebuilt) and the memory
+// structure (from which SP-bags reachability is rebuilt) and the memory
 // access events with their coalescing level — but not the computation
 // itself. Recording is cheap enough to run with detection off; the trace
 // can then be analyzed offline under every detector without re-executing

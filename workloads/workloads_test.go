@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -288,15 +289,17 @@ var benchPrograms = []struct {
 
 // warmGarbage sets up warm+runs instances of f on one Runner under opts,
 // all at the same addresses, runs the first warm of them, and then, after a
-// GC, the rest back to back. It returns the heap objects and bytes per run
-// those runs allocated and did not keep, and the GC cycles that completed
-// while they ran. What a run keeps is a pool reaching a new high-water
-// (the batches queued at once are a function of the schedule, and their
-// maximum is approached slowly): retained, not garbage. It reads
-// runtime.MemStats, which flushes every P's allocation cache;
-// Stats.AllocObjects reads runtime/metrics, which counts a cached span's
-// objects only when the span is refilled, so over one run of a few hundred
-// objects it can be off by a span per size class.
+// GC, the rest back to back with the collector paused. It returns the heap
+// objects and bytes per run those runs allocated and did not keep, and the
+// GC cycles that completed while they ran: a cycle in the window (only a
+// forced one can complete) empties sync.Pools, whose refills then count as
+// garbage. What a run keeps is a pool reaching a new high-water (the batches
+// queued at once are a function of the schedule, and their maximum is
+// approached slowly): retained, not garbage. It reads runtime.MemStats,
+// which flushes every P's allocation cache; Stats.AllocObjects reads
+// runtime/metrics, which counts a cached span's objects only when the span
+// is refilled, so over one run of a few hundred objects it can be off by a
+// span per size class.
 func warmGarbage(t *testing.T, f Factory, opts stint.Options) (objects, bytes float64, gcs uint32) {
 	t.Helper()
 	const warm, runs = 5, 15
@@ -311,9 +314,11 @@ func warmGarbage(t *testing.T, f Factory, opts stint.Options) (objects, bytes fl
 		ws[i].Setup(r)
 	}
 	var before, after, kept runtime.MemStats
+	gcPercent := 100
 	for i, w := range ws {
 		if i == warm {
 			runtime.GC()
+			gcPercent = debug.SetGCPercent(-1)
 			runtime.ReadMemStats(&before)
 		}
 		if _, err := r.Run(w.Run); err != nil {
@@ -321,6 +326,7 @@ func warmGarbage(t *testing.T, f Factory, opts stint.Options) (objects, bytes fl
 		}
 	}
 	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gcPercent)
 	runtime.GC()
 	runtime.ReadMemStats(&kept)
 	runtime.KeepAlive(r)
@@ -338,22 +344,33 @@ func warmGarbage(t *testing.T, f Factory, opts stint.Options) (objects, bytes fl
 // launch and one from Graph.Go, the merged race Collector, and the Report's
 // ShardLoad slice — plus, when races are recorded, that Collector's growth
 // and the Report's Races. Objects and bytes per run stay within 5 % of the
-// bare executor's plus that remainder, and no more GC cycles complete.
-// Under -race the counts are the race runtime's, and racy mmul races for
-// real.
+// bare executor's plus that remainder. The pair, bare and then STINT, is
+// measured up to three times and judged on the first attempt in which no GC
+// completed on either side; it fails if none is GC-free. Under -race the
+// counts are the race runtime's, and racy mmul races for real.
 func TestParallelDetectAllocatesLikeTheBareExecutor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race include the race runtime's")
 	}
 	const remObjects, remBytes = 8, 1 << 10
 	for _, p := range benchPrograms {
-		offObj, offBytes, offGC := warmGarbage(t, p.f, stint.Options{ParallelDetect: true})
-		obj, bytes, gcs := warmGarbage(t, p.f, stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true})
-		t.Logf("%s: %.0f objects, %.0f B, %d GCs per warm run; detection off %.0f, %.0f B, %d GCs",
-			p.name, obj, bytes, gcs, offObj, offBytes, offGC)
-		if obj > 1.05*offObj+remObjects+p.raceObjects || bytes > 1.05*offBytes+remBytes+p.raceBytes || gcs > offGC {
-			t.Errorf("%s: ParallelDetect leaves %.0f objects and %.0f B per warm run with %d GCs in 15 runs, detection off %.0f, %.0f B and %d",
-				p.name, obj, bytes, gcs, offObj, offBytes, offGC)
+		var offObj, offBytes, obj, bytes float64
+		var offGC, gcs uint32
+		for attempt := 0; attempt < 3; attempt++ {
+			offObj, offBytes, offGC = warmGarbage(t, p.f, stint.Options{ParallelDetect: true})
+			obj, bytes, gcs = warmGarbage(t, p.f, stint.Options{Detector: stint.DetectorSTINT, ParallelDetect: true})
+			t.Logf("%s, attempt %d: %.0f objects, %.0f B, %d GCs per warm run; detection off %.0f, %.0f B, %d GCs",
+				p.name, attempt+1, obj, bytes, gcs, offObj, offBytes, offGC)
+			if offGC == 0 && gcs == 0 {
+				break
+			}
+		}
+		switch {
+		case offGC != 0 || gcs != 0:
+			t.Errorf("%s: a GC completed during the measured runs of all three attempts", p.name)
+		case obj > 1.05*offObj+remObjects+p.raceObjects || bytes > 1.05*offBytes+remBytes+p.raceBytes:
+			t.Errorf("%s: ParallelDetect leaves %.0f objects and %.0f B per warm run, detection off %.0f and %.0f B",
+				p.name, obj, bytes, offObj, offBytes)
 		}
 	}
 }
