@@ -75,7 +75,6 @@ type asyncState struct {
 	// the last worker releases it.
 	pool    *evstream.BatchPool
 	workers []*shardWorker
-	maxRec  int
 	graph   *stage.Graph
 	// out is the stream writer's working batch, taken once and kept across
 	// runs; blocked is the time its broadcasts waited, which the merge
@@ -83,14 +82,13 @@ type asyncState struct {
 	// under ParallelDetect the merge stage.
 	out     *evstream.Batch
 	blocked time.Duration
-	// bits is the serial producer's coalescer, which drops nothing:
-	// dead-page intervals are the workers' histories' to drop. Under
-	// ParallelDetect it is nil: every task borrows a Coalescer from the
-	// pool below for the length of a strand. bitsAll is every Coalescer of
-	// the mutator side — the producer's one, or every one ParallelDetect's
-	// strands ever needed at once, the pool's high-water mark — and
-	// bitsFree the ones not lent out. Their hook counters are the mutator
-	// side's share of the run's Stats, read off them at drain.
+	// bits is the serial producer's coalescer. Under ParallelDetect it is
+	// nil: every task borrows a Coalescer from the pool below for the
+	// length of a strand. bitsAll is every Coalescer of the mutator side —
+	// the producer's one, or every one ParallelDetect's strands ever needed
+	// at once, the pool's high-water mark — and bitsFree the ones not lent
+	// out. Their hook counters are the mutator side's share of the run's
+	// Stats, read off them at drain.
 	bits     *detect.Coalescer
 	bitsMu   sync.Mutex
 	bitsAll  []*detect.Coalescer
@@ -108,8 +106,10 @@ type asyncState struct {
 	seqBusy     stage.Meter
 	reorderPeak int
 	// The run's results: the writer counts the stream totals into stats;
-	// drain, once the graph has joined, folds in the workers' counters and
-	// builds the per-worker load breakdown behind Report.ShardLoad.
+	// drain, once the graph has joined, folds in the workers' counters,
+	// merges their races into col (kept across runs) and builds the
+	// per-worker load breakdown behind Report.ShardLoad.
+	col       *stage.Collector
 	strands   int
 	stats     Stats
 	races     []Race

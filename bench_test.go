@@ -182,12 +182,13 @@ func BenchmarkFig5ParallelDetect(b *testing.B) {
 // BenchmarkFig5RacyQuiesce measures per-page quiescing on the racy
 // workload variants, where it earns its keep: a hot racy page keeps
 // producing the same races, and once PageQuiesceThreshold of them are
-// recorded the page's history is retired — subsequent accesses to it cost a
-// page lookup and nothing else. The quiesce-off/quiesce-on pair reports
+// recorded the page's history is retired — subsequent accesses to it still
+// set their strand's bits, and the History drops their intervals at a page
+// lookup without checking them. The quiesce-off/quiesce-on pair reports
 // hist-bytes-peak (the live access-history footprint quiescing shrinks),
 // pages-quiesced, and the race count that survives the threshold; the
-// quiesce-on-async leg is the same run through the Async pipeline, whose
-// producer streams dead-page intervals for the worker to drop. The
+// quiesce-on-async leg is the same run through the Async pipeline, where
+// the worker's History makes the same drops. The
 // race-free Figure 5 workloads are deliberately absent: quiescing never
 // triggers there, and TestQuiesceRaceFreeZeroDelta pins the zero-delta.
 func BenchmarkFig5RacyQuiesce(b *testing.B) {

@@ -127,28 +127,35 @@ func TestRawAccessWrappingAddressSpacePanics(t *testing.T) {
 	}
 }
 
-// TestTimeAccessHistorySyncTimesEachFlushOnce: a synchronous run with
-// TimeAccessHistory reports the strand flushes' apply time — positive, and
-// inside the wall clock it is a part of (the history behind the coalescer
-// is built with timing off, so nothing is counted twice).
+// TestTimeAccessHistorySyncTimesEachFlushOnce: a run with TimeAccessHistory
+// reports the strands' apply time, read by the one clock around the
+// History — positive, and inside what it is a part of: the synchronous
+// run's wall clock, or in every pipelined mode the workers' busy time.
 func TestTimeAccessHistorySyncTimesEachFlushOnce(t *testing.T) {
 	for _, d := range []Detector{DetectorCompRTS, DetectorSTINT} {
-		r, err := NewRunner(Options{Detector: d, TimeAccessHistory: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := r.Arena().AllocWords("b", 1<<14)
-		rep, err := r.Run(func(task *Task) {
-			for i := 0; i < 64; i++ {
-				task.Spawn(func(c *Task) { c.StoreRange(buf, i*256, 128) })
+		for _, m := range append([]pipeMode{{"sync", Options{}}}, pipeModes...) {
+			r, err := NewRunner(m.With(Options{Detector: d, TimeAccessHistory: true}))
+			if err != nil {
+				t.Fatal(err)
 			}
-			task.Sync()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ah := rep.Stats.AccessHistoryTime; ah <= 0 || ah >= rep.WallTime {
-			t.Fatalf("%v: AccessHistoryTime %v outside (0, wall %v)", d, ah, rep.WallTime)
+			buf := r.Arena().AllocWords("b", 1<<14)
+			rep, err := r.Run(func(task *Task) {
+				for i := 0; i < 64; i++ {
+					task.Spawn(func(c *Task) { c.StoreRange(buf, i*256, 128) })
+				}
+				task.Sync()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ah := rep.Stats.AccessHistoryTime
+			within, inside := rep.Stats.PipelineDetectTime, ah <= rep.Stats.PipelineDetectTime
+			if m.Name == "sync" {
+				within, inside = rep.WallTime, ah < rep.WallTime
+			}
+			if ah <= 0 || !inside {
+				t.Fatalf("%v %s: AccessHistoryTime %v outside (0, %v)", d, m.Name, ah, within)
+			}
 		}
 	}
 }

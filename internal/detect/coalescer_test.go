@@ -82,58 +82,6 @@ func TestCoalescerFlushMatchesBitSets(t *testing.T) {
 	}
 }
 
-// retiredPages stands in for the History behind a Coalescer: the pages it
-// lists have quiesced.
-type retiredPages struct {
-	pages map[uint64]bool
-	stats Stats
-}
-
-func (h *retiredPages) Retired(page uint64) bool { return h.pages[page] }
-func (h *retiredPages) Stats() *Stats            { return &h.stats }
-
-// TestCoalescerRegistryDrop: an access wholly inside a page the History has
-// retired is counted but sets no bit, on the word path as on the general
-// one; one straddling into a live page sets all its bits (the history drops
-// the dead piece); the slot arm closes from the first Flush after the
-// History retires a page.
-func TestCoalescerRegistryDrop(t *testing.T) {
-	h := &retiredPages{pages: map[uint64]bool{}}
-	c := NewCoalescer()
-	c.hist = h
-	const dead, live = 5 << 16, 6 << 16
-	h.pages[dead>>16], h.stats.PagesQuiesced = true, 1
-	c.Bits(true).SetSlot(dead+64, 8) // the History not asked yet: the slot arm is open
-	if got := flushOf(c); !reflect.DeepEqual(got, []ival{{dead + 64, 8, true}}) {
-		t.Fatalf("before the refresh: %v", got)
-	}
-	if c.Bits(false) != nil || c.Bits(true) != nil {
-		t.Fatal("the slot arm stays open once the History retired a page: dead-page accesses would set bits")
-	}
-	c.WriteHook(dead+64, 8)
-	c.ReadHook(dead+128, 4)
-	c.ReadHook(dead+192, 2)
-	c.WriteHook(dead+196, 4)
-	c.ReadHook(live-8, 16) // straddles dead → live
-	c.WriteHook(live+32, 4)
-	want := []ival{{live - 8, 8, false}, {live, 8, false}, {live + 32, 4, true}}
-	if got := flushOf(c); !reflect.DeepEqual(got, want) {
-		t.Fatalf("flush %v, want %v", got, want)
-	}
-	if h := c.Hooks(); h.WriteHookCalls != 4 || h.ReadHookCalls != 3 || h.ReadAccesses != 1+1+4 || h.WriteAccesses != 2+2+1+1 {
-		t.Fatalf("dropped accesses must still be counted: %+v", *h)
-	}
-	c.Reset()
-	if c.Bits(true) == nil {
-		t.Fatal("Reset left the slot arm closed")
-	}
-	*h = retiredPages{} // the History's own Reset, by its owner
-	c.WriteHook(dead+64, 8)
-	if got := flushOf(c); len(got) != 1 {
-		t.Fatalf("after Reset the page is live again, flush gave %v", got)
-	}
-}
-
 // TestCoalescerResetMidStrand: an aborted run's half-set strand must not
 // leak into the next one.
 func TestCoalescerResetMidStrand(t *testing.T) {
@@ -247,16 +195,18 @@ func runProgram(prog []progOp, sp *spord.SP, e hooked) {
 // TestHistoryConformsToInline: for every interval-fed mode, a Coalescer
 // flushed by hand into NewHistory's history reports exactly what New's
 // composition reports when driven through hooks — same Stats, same races in
-// the same order — on random programs, with quiescing off and on. The
-// by-hand Coalescer never asks its History, so with quiescing on this is
-// also the check that the composition's hook-side drop changes nothing.
+// the same order — on random programs, with quiescing off and on. The same
+// composition with TimeAccessHistory, whose clock holds each strand's
+// intervals until StrandEnd, reports the same races and Stats but for
+// AccessHistoryTime: a clock that applied them after the strand ended would
+// check them as another strand's.
 func TestHistoryConformsToInline(t *testing.T) {
 	for _, mode := range []Mode{CompRTS, STINT} {
 		for _, qthresh := range []int{0, 2} {
 			var total uint64
 			for seed := int64(0); seed < 30; seed++ {
 				prog := randomProgram(rand.New(rand.NewSource(seed)), 0, nil)
-				var inRaces, handRaces []Race
+				var inRaces, handRaces, timedRaces []Race
 				cfg := Config{Mode: mode, QuiesceThreshold: qthresh}
 
 				cfg.OnRace = func(r Race) { inRaces = append(inRaces, r) }
@@ -269,11 +219,25 @@ func TestHistoryConformsToInline(t *testing.T) {
 				hand := byHand{NewCoalescer(), NewHistory(cfg, sp)}
 				runProgram(prog, sp, hand)
 
+				cfg.OnRace = func(r Race) { timedRaces = append(timedRaces, r) }
+				cfg.TimeAccessHistory = true
+				sp = spord.New()
+				timed := New(cfg, sp)
+				runProgram(prog, sp, timed)
+
 				if !reflect.DeepEqual(inRaces, handRaces) {
 					t.Fatalf("%v q=%d seed %d: races differ:\ninline  %v\nby hand %v", mode, qthresh, seed, inRaces, handRaces)
 				}
 				if *in.Stats() != *hand.Stats() {
 					t.Fatalf("%v q=%d seed %d: stats differ:\ninline  %+v\nby hand %+v", mode, qthresh, seed, *in.Stats(), *hand.Stats())
+				}
+				if !reflect.DeepEqual(inRaces, timedRaces) {
+					t.Fatalf("%v q=%d seed %d: races differ:\nuntimed %v\ntimed   %v", mode, qthresh, seed, inRaces, timedRaces)
+				}
+				st := *timed.Stats()
+				st.AccessHistoryTime = 0
+				if *in.Stats() != st {
+					t.Fatalf("%v q=%d seed %d: stats differ:\nuntimed %+v\ntimed   %+v", mode, qthresh, seed, *in.Stats(), st)
 				}
 				if qthresh > 0 {
 					total += in.Stats().PagesQuiesced
@@ -288,23 +252,30 @@ func TestHistoryConformsToInline(t *testing.T) {
 	}
 }
 
-// TestInlineTimesTheFlushOnce: with TimeAccessHistory the composition times
-// each strand's apply loop itself; the history it wraps is built with timing
-// off, so the time is not counted a second time per interval.
+// TestInlineTimesTheFlushOnce: with TimeAccessHistory, New's composition
+// flushes into the one clock, which holds the strand's intervals until
+// StrandEnd and then applies them all under one pair of clock reads — the
+// history it wraps has no clock of its own.
 func TestInlineTimesTheFlushOnce(t *testing.T) {
 	sp := spord.New()
 	e := New(Config{Mode: STINT, TimeAccessHistory: true}, sp).(*inline)
-	if e.hist.(*treeEngine).timeAH {
-		t.Fatal("the wrapped history was built with timing on")
+	c, ok := e.hist.(*clocked)
+	if !ok {
+		t.Fatalf("the composition's history is a %T, not the clock", e.hist)
 	}
 	for i := uint64(0); i < 100; i++ {
 		e.WriteHook(0x10000+i*64, 8)
 	}
+	e.Flush(e.read, e.write)
+	if len(c.spans) != 100 || c.History.Stats().WriteIntervals != 0 {
+		t.Fatalf("the clock holds %d intervals and applied %d before StrandEnd, want 100 and 0", len(c.spans), c.History.Stats().WriteIntervals)
+	}
+	e.StrandEnd()
 	e.Finish()
 	if e.Stats().AccessHistoryTime <= 0 {
 		t.Fatal("TimeAccessHistory reported no access-history time")
 	}
-	if e.Stats().WriteIntervals != 100 {
-		t.Fatalf("timed flush applied %d write intervals, want 100", e.Stats().WriteIntervals)
+	if e.Stats().WriteIntervals != 100 || len(c.spans) != 0 {
+		t.Fatalf("timed flush applied %d write intervals and kept %d, want 100 and 0", e.Stats().WriteIntervals, len(c.spans))
 	}
 }

@@ -218,19 +218,21 @@ type Config struct {
 	Mode Mode
 	// OnRace, if set, receives every race as it is found.
 	OnRace func(Race)
-	// TimeAccessHistory enables the timers behind Figures 7 and 8: New's
-	// engines read the clock around each strand's flush (bitmap extraction
-	// excluded), a bare History around each interval.
+	// TimeAccessHistory enables the timer behind Figures 7 and 8:
+	// NewHistory wraps the History in a clock that holds each strand's
+	// intervals and applies them between two clock reads at StrandEnd, in
+	// New's composition and behind a pipeline alike (bitmap extraction and
+	// the stream excluded).
 	TimeAccessHistory bool
 	// QuiesceThreshold, when positive, retires a 64 KiB history page once
 	// it has produced that many races: its history drops back onto the free
-	// lists and later accesses wholly within it become no-ops. Zero
-	// disables quiescing.
+	// lists and the History drops later intervals (or, per access, words)
+	// on it unchecked. Zero disables quiescing.
 	QuiesceThreshold int
 	// MaxHistoryBytes, when positive, caps this engine's retained
 	// access-history footprint. The check runs at strand boundaries; on
 	// trip the history freezes (later accesses and intervals are dropped)
-	// and records a HistoryCapError retrievable via CapErrorOf.
+	// and records a HistoryCapError its CapError returns.
 	MaxHistoryBytes uint64
 }
 
@@ -263,6 +265,11 @@ type Engine interface {
 	// counters zero, and no access recorded before the Reset can influence
 	// a check after it.
 	Reset()
+	// CapError returns the HistoryCapError recorded once the footprint
+	// tripped Config.MaxHistoryBytes (or the node pool's ref space), or nil.
+	CapError() error
+	// Footprint reports the retained warm capacity.
+	Footprint() Footprint
 }
 
 // History is an access history fed a strand's intervals instead of its
@@ -280,8 +287,10 @@ type History interface {
 	// Finish samples the final strand boundary and totals the Stats.
 	Finish()
 	Stats() *Stats
-	// Reset has Engine.Reset's contract.
+	// Reset, CapError and Footprint have Engine's contracts.
 	Reset()
+	CapError() error
+	Footprint() Footprint
 }
 
 // New builds the engine for cfg.Mode over the given reachability structure.
@@ -301,52 +310,87 @@ func New(cfg Config, reach Reach) Engine {
 
 // NewHistory builds the history for a mode fed by runtime coalescing — the
 // only ones a pipeline can stream intervals to — or the no-op one for Off
-// and ReachOnly.
+// and ReachOnly; with TimeAccessHistory, behind a clock.
 func NewHistory(cfg Config, reach Reach) History {
+	var h History
 	switch cfg.Mode {
 	case Off, ReachOnly:
 		return &nopEngine{}
 	case CompRTS:
-		return newHashEngine(cfg, reach, false)
+		h = newHashEngine(cfg, reach, false)
 	case STINT:
-		return newTreeEngine(cfg, reach)
+		h = newTreeEngine(cfg, reach)
+	default:
+		panic(fmt.Sprintf("detect: no interval-fed engine for mode %v", cfg.Mode))
 	}
-	panic(fmt.Sprintf("detect: no interval-fed engine for mode %v", cfg.Mode))
+	if cfg.TimeAccessHistory {
+		h = &clocked{History: h}
+	}
+	return h
 }
 
-// inline is New's engine for the runtime-coalescing modes: a Coalescer
-// flushed into a History on the caller's goroutine — a pipeline with no
-// channel between its halves. With quiescing on the Coalescer asks the
-// History which pages have retired, so the hooks drop dead-page accesses.
-type inline struct {
-	*Coalescer
-	hist        History
-	read, write func(addr mem.Addr, size uint64) // hist's entry points, bound once
-	// With TimeAccessHistory a strand's intervals are collected before they
-	// are applied, so the timed section excludes bitmap extraction; hist is
-	// built with timing off.
-	timeAH       bool
-	spans        []span
-	keepR, keepW func(addr mem.Addr, size uint64)
-	stats        Stats
+// clocked is the one access-history clock: it holds a strand's intervals
+// and applies them to the History it wraps between two clock reads at
+// StrandEnd and Finish, while the strand is still current, so the time
+// (Stats.AccessHistoryTime) is the History's alone whoever flushed the
+// intervals to it — New's composition or a pipeline worker.
+type clocked struct {
+	History
+	spans []span
 }
 
-// span is a flushed interval awaiting its timed application.
+// span is a held interval.
 type span struct {
 	addr, size uint64
 	write      bool
 }
 
-func newInline(cfg Config, reach Reach) *inline {
-	e := &inline{Coalescer: NewCoalescer(), timeAH: cfg.TimeAccessHistory}
-	cfg.TimeAccessHistory = false
-	e.hist = NewHistory(cfg, reach)
-	if cfg.QuiesceThreshold > 0 {
-		e.Coalescer.hist = e.hist.(retirer)
+func (c *clocked) ReadInterval(addr mem.Addr, size uint64) {
+	c.spans = append(c.spans, span{addr, size, false})
+}
+
+func (c *clocked) WriteInterval(addr mem.Addr, size uint64) {
+	c.spans = append(c.spans, span{addr, size, true})
+}
+
+// apply applies the held intervals in arrival order, timed.
+func (c *clocked) apply() {
+	if len(c.spans) == 0 {
+		return
 	}
+	t0 := time.Now()
+	for _, s := range c.spans {
+		if s.write {
+			c.History.WriteInterval(s.addr, s.size)
+		} else {
+			c.History.ReadInterval(s.addr, s.size)
+		}
+	}
+	c.Stats().AccessHistoryTime += time.Since(t0)
+	c.spans = c.spans[:0]
+}
+
+func (c *clocked) StrandEnd() { c.apply(); c.History.StrandEnd() }
+func (c *clocked) Finish()    { c.apply(); c.History.Finish() }
+
+func (c *clocked) Reset() {
+	c.spans = c.spans[:0]
+	c.History.Reset()
+}
+
+// inline is New's engine for the runtime-coalescing modes: a Coalescer
+// flushed into a History on the caller's goroutine — a pipeline with no
+// channel between its halves, and the same two halves a pipeline has.
+type inline struct {
+	*Coalescer
+	hist        History
+	read, write func(addr mem.Addr, size uint64) // hist's entry points, bound once
+	stats       Stats
+}
+
+func newInline(cfg Config, reach Reach) *inline {
+	e := &inline{Coalescer: NewCoalescer(), hist: NewHistory(cfg, reach)}
 	e.read, e.write = e.hist.ReadInterval, e.hist.WriteInterval
-	e.keepR = func(addr mem.Addr, size uint64) { e.spans = append(e.spans, span{addr, size, false}) }
-	e.keepW = func(addr mem.Addr, size uint64) { e.spans = append(e.spans, span{addr, size, true}) }
 	return e
 }
 
@@ -358,30 +402,8 @@ func (e *inline) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) {
 	e.WriteHook(addr, uint64(count)*elemBytes)
 }
 
-// flush applies the finishing strand's intervals to the history.
-func (e *inline) flush() {
-	if !e.timeAH {
-		e.Flush(e.read, e.write)
-		return
-	}
-	e.spans = e.spans[:0]
-	e.Flush(e.keepR, e.keepW)
-	if len(e.spans) == 0 {
-		return
-	}
-	t0 := time.Now()
-	for _, s := range e.spans {
-		if s.write {
-			e.write(s.addr, s.size)
-		} else {
-			e.read(s.addr, s.size)
-		}
-	}
-	e.hist.Stats().AccessHistoryTime += time.Since(t0)
-}
-
-func (e *inline) StrandEnd() { e.flush(); e.hist.StrandEnd() }
-func (e *inline) Finish()    { e.flush(); e.hist.Finish() }
+func (e *inline) StrandEnd() { e.Flush(e.read, e.write); e.hist.StrandEnd() }
+func (e *inline) Finish()    { e.Flush(e.read, e.write); e.hist.Finish() }
 
 // Stats returns the history's counters with the hook counters folded in.
 func (e *inline) Stats() *Stats {
@@ -395,10 +417,10 @@ func (e *inline) Reset() {
 	e.hist.Reset()
 }
 
-func (e *inline) CapError() error { return CapErrorOf(e.hist) }
+func (e *inline) CapError() error { return e.hist.CapError() }
 
 func (e *inline) Footprint() Footprint {
-	f := FootprintOf(e.hist)
+	f := e.hist.Footprint()
 	f.BitPages = e.Pages()
 	return f
 }
@@ -421,15 +443,6 @@ func (f *Footprint) Add(o Footprint) {
 	f.PageDirCap += o.PageDirCap
 	f.HistPages += o.HistPages
 	f.BitPages += o.BitPages
-}
-
-// FootprintOf returns the warm footprint of an Engine or History, or a zero
-// Footprint for those that do not expose one (the no-op and oracle engines).
-func FootprintOf(e any) Footprint {
-	if f, ok := e.(interface{ Footprint() Footprint }); ok {
-		return f.Footprint()
-	}
-	return Footprint{}
 }
 
 // ErrHistoryCap is the sentinel every history-cap error unwraps to; callers
@@ -465,16 +478,6 @@ func samplePeak(st *Stats, b, limit uint64) error {
 	return nil
 }
 
-// CapErrorOf returns the history-cap error an Engine or History recorded,
-// or nil — nil for those without cap support (the no-op and oracle engines)
-// and for those that stayed under Config.MaxHistoryBytes.
-func CapErrorOf(e any) error {
-	if c, ok := e.(interface{ CapError() error }); ok {
-		return c.CapError()
-	}
-	return nil
-}
-
 // CoalescerOf returns the Coalescer in front of New's runtime-coalescing
 // engines, for callers that drive its hooks directly (StrandEnd still
 // flushes it), or nil for engines whose hooks reach the history itself.
@@ -498,3 +501,5 @@ func (e *nopEngine) StrandEnd()                           {}
 func (e *nopEngine) Finish()                              {}
 func (e *nopEngine) Stats() *Stats                        { return &e.stats }
 func (e *nopEngine) Reset()                               { e.stats = Stats{} }
+func (e *nopEngine) CapError() error                      { return nil }
+func (e *nopEngine) Footprint() Footprint                 { return Footprint{} }

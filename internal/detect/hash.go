@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"time"
-
 	"stint/internal/coalesce"
 	"stint/internal/mem"
 	"stint/internal/shadow"
@@ -24,7 +22,6 @@ type hashEngine struct {
 	table        *shadow.Table
 	onRace       func(Race)
 	expandRanges bool
-	timeAH       bool
 
 	// Quiescing and memory-cap state. A race is a word's, so it is counted
 	// on that word's shadow page.
@@ -39,7 +36,6 @@ func newHashEngine(cfg Config, reach Reach, expandRanges bool) *hashEngine {
 		table:        shadow.New(),
 		onRace:       cfg.OnRace,
 		expandRanges: expandRanges,
-		timeAH:       cfg.TimeAccessHistory,
 		qthresh:      cfg.QuiesceThreshold,
 		maxBytes:     cfg.MaxHistoryBytes,
 	}
@@ -54,16 +50,11 @@ func (e *hashEngine) race(r Race) {
 
 // deadSpan reports whether [addr, addr+size) lies entirely within one
 // retired page — the per-access hooks' fast path. Spans that straddle a
-// page boundary always proceed (accessWord drops the dead words), the rule
-// Coalescer.dead follows too.
+// page boundary always proceed (accessWord drops the dead words).
 func (e *hashEngine) deadSpan(addr mem.Addr, size uint64) bool {
 	first := addr >> coalesce.PageBytesBits
 	return e.stats.PagesQuiesced > 0 && (addr+size-1)>>coalesce.PageBytesBits == first && e.table.Retired(first)
 }
-
-// Retired reports whether shadow page idx has been quiesced (see
-// Coalescer).
-func (e *hashEngine) Retired(idx uint64) bool { return e.table.Retired(idx) }
 
 // quiescePage retires one shadow page: its 128 KiB of cells are parked and
 // the directory maps it to the dead page. Word accesses and flushed spans on
@@ -113,67 +104,45 @@ func (e *hashEngine) accessRange(addr mem.Addr, size uint64, isWrite bool) {
 	}
 }
 
-func (e *hashEngine) ReadHook(addr mem.Addr, size uint64) {
-	if e.capErr != nil {
-		return
-	}
-	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
-	}
-	e.accessRange(addr, size, false)
-}
-
-func (e *hashEngine) WriteHook(addr mem.Addr, size uint64) {
-	if e.capErr != nil {
-		return
-	}
-	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
-	}
-	e.accessRange(addr, size, true)
-}
+// ReadHook, WriteHook and the range hooks are Vanilla's and Compiler's
+// entry: hook counts one instrumentation call and checks its words.
+func (e *hashEngine) ReadHook(addr mem.Addr, size uint64)  { e.hook(addr, size, false) }
+func (e *hashEngine) WriteHook(addr mem.Addr, size uint64) { e.hook(addr, size, true) }
 
 func (e *hashEngine) ReadRangeHook(addr mem.Addr, count int, elemBytes uint64) {
-	if e.capErr != nil {
-		return
-	}
-	if e.expandRanges {
-		// Vanilla: the compiler emitted one hook per access.
-		for i := 0; i < count; i++ {
-			e.ReadHook(addr+mem.Addr(uint64(i)*elemBytes), elemBytes)
-		}
-		return
-	}
-	size := uint64(count) * elemBytes
-	e.stats.ReadHookCalls++
-	e.stats.ReadAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
-	}
-	e.accessRange(addr, size, false)
+	e.rangeHook(addr, count, elemBytes, false)
 }
 
 func (e *hashEngine) WriteRangeHook(addr mem.Addr, count int, elemBytes uint64) {
+	e.rangeHook(addr, count, elemBytes, true)
+}
+
+func (e *hashEngine) hook(addr mem.Addr, size uint64, isWrite bool) {
 	if e.capErr != nil {
 		return
 	}
-	if e.expandRanges {
-		for i := 0; i < count; i++ {
-			e.WriteHook(addr+mem.Addr(uint64(i)*elemBytes), elemBytes)
-		}
+	if isWrite {
+		e.stats.WriteHookCalls++
+		e.stats.WriteAccesses += coalesce.Words(addr, size)
+	} else {
+		e.stats.ReadHookCalls++
+		e.stats.ReadAccesses += coalesce.Words(addr, size)
+	}
+	if !e.deadSpan(addr, size) {
+		e.accessRange(addr, size, isWrite)
+	}
+}
+
+// rangeHook is one hook over the whole range, or under Vanilla one per
+// element: the compiler emitted one hook per access.
+func (e *hashEngine) rangeHook(addr mem.Addr, count int, elemBytes uint64, isWrite bool) {
+	if !e.expandRanges {
+		e.hook(addr, uint64(count)*elemBytes, isWrite)
 		return
 	}
-	size := uint64(count) * elemBytes
-	e.stats.WriteHookCalls++
-	e.stats.WriteAccesses += coalesce.Words(addr, size)
-	if e.deadSpan(addr, size) {
-		return
+	for i := 0; i < count; i++ {
+		e.hook(addr+mem.Addr(uint64(i)*elemBytes), elemBytes, isWrite)
 	}
-	e.accessRange(addr, size, true)
 }
 
 // StrandEnd samples the footprint high-water mark and the hard cap.
@@ -183,14 +152,19 @@ func (e *hashEngine) StrandEnd() {
 	}
 }
 
+// ReadInterval and WriteInterval are CompRTS's entry (see History).
+func (e *hashEngine) ReadInterval(addr mem.Addr, size uint64)  { e.apply(addr, size, false) }
+func (e *hashEngine) WriteInterval(addr mem.Addr, size uint64) { e.apply(addr, size, true) }
+
 // apply replays one page-contained interval of the current strand against
-// the word-granularity history. Intervals on retired pages drop before they
-// are counted — page-local, so every execution mode drops the same ones. A
-// page can also retire mid-interval (its threshold race fires inside
-// accessRange); the per-word guard there drops the rest of its words and
-// the check here drops its later intervals.
+// the word-granularity history, unless the history froze at its cap.
+// Intervals on retired pages drop before they are counted — page-local, so
+// every execution mode drops the same ones. A page can also retire
+// mid-interval (its threshold race fires inside accessRange); the per-word
+// guard there drops the rest of its words and the check here drops its
+// later intervals.
 func (e *hashEngine) apply(addr mem.Addr, size uint64, isWrite bool) {
-	if e.stats.PagesQuiesced > 0 && e.table.Retired(uint64(addr)>>coalesce.PageBytesBits) {
+	if e.capErr != nil || e.stats.PagesQuiesced > 0 && e.table.Retired(uint64(addr)>>coalesce.PageBytesBits) {
 		return
 	}
 	if isWrite {
@@ -201,25 +175,6 @@ func (e *hashEngine) apply(addr mem.Addr, size uint64, isWrite bool) {
 		e.stats.ReadIntervalBytes += size
 	}
 	e.accessRange(addr, size, isWrite)
-}
-
-// ReadInterval and WriteInterval are CompRTS's entry (see History) and the
-// one entry into apply.
-func (e *hashEngine) ReadInterval(addr mem.Addr, size uint64)  { e.interval(addr, size, false) }
-func (e *hashEngine) WriteInterval(addr mem.Addr, size uint64) { e.interval(addr, size, true) }
-
-func (e *hashEngine) interval(addr mem.Addr, size uint64, isWrite bool) {
-	if e.capErr != nil {
-		return
-	}
-	var t0 time.Time
-	if e.timeAH {
-		t0 = time.Now()
-	}
-	e.apply(addr, size, isWrite)
-	if e.timeAH {
-		e.stats.AccessHistoryTime += time.Since(t0)
-	}
 }
 
 // histBytes estimates the engine's live footprint for this run: the shadow

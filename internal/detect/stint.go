@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"time"
-
 	"stint/internal/coalesce"
 	"stint/internal/core"
 	"stint/internal/mem"
@@ -52,7 +50,6 @@ type treeEngine struct {
 	stats     Stats
 	reach     Reach
 	onRace    func(Race)
-	timeAH    bool
 	pool      *core.Pool // node slabs shared by every page's trees
 	leftOf    core.LeftOfFunc
 	par, left relMemo // reach.ParallelWithCurrent answers for race checks / left-of
@@ -110,7 +107,6 @@ func newTreeEngine(cfg Config, reach Reach) *treeEngine {
 	e := &treeEngine{
 		reach:    reach,
 		onRace:   cfg.OnRace,
-		timeAH:   cfg.TimeAccessHistory,
 		pool:     core.NewPool(),
 		qthresh:  cfg.QuiesceThreshold,
 		maxBytes: cfg.MaxHistoryBytes,
@@ -163,11 +159,6 @@ func (e *treeEngine) race(r Race) {
 		e.onRace(r)
 	}
 }
-
-// Retired reports whether page idx has quiesced. It reads the one-entry
-// cache but never fills it: a Coalescer asks from its hooks (see
-// Coalescer), between the strand flushes that own the cache.
-func (e *treeEngine) Retired(idx uint64) bool { return e.pages.Get(idx) == &e.dead }
 
 // StrandEnd samples the footprint high-water mark and the hard cap at the
 // strand boundary. Intervals whose page has quiesced were dropped before
@@ -223,9 +214,9 @@ func (e *treeEngine) apply(addr mem.Addr, size uint64, write bool) {
 	}
 }
 
-// ReadInterval and WriteInterval are the one entry into apply. With
-// TimeAccessHistory the clock is read per interval (the pipelines' workers;
-// the inline composition times a whole strand's flush itself).
+// ReadInterval and WriteInterval are the one entry into apply; interval
+// drops everything once the history froze at its cap. The clock, if any,
+// is the clocked History around this one.
 func (e *treeEngine) ReadInterval(addr mem.Addr, size uint64)  { e.interval(addr, size, false) }
 func (e *treeEngine) WriteInterval(addr mem.Addr, size uint64) { e.interval(addr, size, true) }
 
@@ -233,15 +224,8 @@ func (e *treeEngine) interval(addr mem.Addr, size uint64, write bool) {
 	if e.capErr != nil {
 		return
 	}
-	var t0 time.Time
-	if e.timeAH {
-		t0 = time.Now()
-	}
 	e.curID = e.reach.CurrentID()
 	e.apply(addr, size, write)
-	if e.timeAH {
-		e.stats.AccessHistoryTime += time.Since(t0)
-	}
 }
 
 // quiescePage retires one page's history: its tree counters are salvaged

@@ -33,11 +33,11 @@ type Result struct {
 
 // Measure runs one fresh instance of f under mode, averaged over reps runs,
 // verifying every run's computed result.
-func Measure(f workloads.Factory, mode stint.Detector, reps int, timeAH bool) (*Result, error) {
+func Measure(f workloads.Factory, mode stint.Detector, reps int, timed bool) (*Result, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	opts := stint.Options{Detector: mode, TimeAccessHistory: timeAH, MaxRacesRecorded: 4}
+	opts := stint.Options{Detector: mode, TimeAccessHistory: timed, MaxRacesRecorded: 4}
 	var agg Result
 	for rep := 0; rep < reps; rep++ {
 		w := f()

@@ -130,12 +130,12 @@ func TestQuiesceMidSortedRun(t *testing.T) {
 	h.check(p)
 }
 
-// TestQuiescePastRegistryCapacity retires 2 100 pages: the synchronous run
-// drops dead-page hooks at its Coalescer, the pipelines drop dead-page
-// intervals only at their workers' histories, so agreement across every
-// mode shows the hook-side drop never decides anything. The pipelines' drop
-// is engine-independent, so the modes run under STINT only (CompRTS takes
-// 2 s a run under -race).
+// TestQuiescePastRegistryCapacity retires 2 100 pages: every mode, the
+// synchronous run included, drops dead-page intervals at its History's one
+// apply predicate, so agreement across every mode shows that predicate
+// decides the same drops wherever the History runs. The drop is
+// engine-independent, so the modes run under STINT only (CompRTS takes 2 s
+// a run under -race).
 func TestQuiescePastRegistryCapacity(t *testing.T) {
 	const pages = 2100
 	var acts []act

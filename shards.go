@@ -85,6 +85,8 @@ type strandEngine interface {
 	Finish()
 	Stats() *Stats
 	Reset()
+	CapError() error
+	Footprint() detect.Footprint
 }
 
 // newReplayer builds a replayer and, over its SP-bags structure, the engine
@@ -232,7 +234,7 @@ func (w *shardWorker) owns(ev evstream.Event) bool {
 // serialized with a mutex — across workers their order is nondeterministic
 // (documented), but the recorded Report is canonical regardless.
 func (as *asyncState) buildWorkers(cfg detect.Config, n, ringDepth, maxRec int, user func(Race)) {
-	as.maxRec = maxRec
+	as.col = stage.NewCollector(maxRec)
 	if inner := user; inner != nil {
 		var raceMu sync.Mutex
 		user = func(race Race) {
@@ -304,12 +306,12 @@ func (as *asyncState) endStream() {
 // assembles the per-worker load breakdown (busy, batches, channel waits)
 // behind Report.ShardLoad.
 func (as *asyncState) mergeSharded() {
-	col := stage.NewCollector(as.maxRec)
+	as.col.Reset()
 	as.shardLoad = make([]ShardLoad, len(as.workers))
 	var detectBusy time.Duration
 	for i, w := range as.workers {
 		as.stats.Accumulate(&w.stats)
-		col.Merge(w.col)
+		as.col.Merge(w.col)
 		as.shardLoad[i] = ShardLoad{
 			Busy:           w.busy.Busy(),
 			BatchesScanned: w.batches,
@@ -322,5 +324,5 @@ func (as *asyncState) mergeSharded() {
 	}
 	as.stats.PipelineDetectTime = detectBusy
 	as.strands = as.workers[0].sp.StrandCount()
-	as.races = col.Sorted()
+	as.races = as.col.Sorted()
 }

@@ -111,8 +111,9 @@ type Options struct {
 	// MaxRacesRecorded bounds Report.Races (default 64; counts are exact
 	// regardless).
 	MaxRacesRecorded int
-	// TimeAccessHistory enables the access-history timers used by the
-	// benchmark harness (a few clock reads per strand).
+	// TimeAccessHistory enables the access-history timer used by the
+	// benchmark harness (two clock reads per strand, around the apply of
+	// its intervals, in every execution mode).
 	TimeAccessHistory bool
 	// ParallelDetect executes spawns on goroutines instead of serially,
 	// detecting races online. Each task goroutine coalesces its current
@@ -177,8 +178,8 @@ type Options struct {
 	DetectShards int
 	// PageQuiesceThreshold, when n > 0, retires a 64 KiB shadow page's
 	// access history once that page has produced n races: its treaps
-	// or shadow cells drop back onto the engine's free lists and later
-	// accesses wholly within the page become cheap no-ops. The
+	// or shadow cells drop back onto the engine's free lists and the
+	// history drops later accesses to the page unchecked. The
 	// decision is page-local and taken at deterministic points in the
 	// serial order, so races on pages that never quiesce stay byte-
 	// identical across every execution mode, and Stats.PagesQuiesced is
@@ -538,11 +539,11 @@ func (r *Runner) footprint() detect.Footprint {
 			f.BitPages += c.Pages()
 		}
 		for _, sw := range as.workers {
-			f.Add(detect.FootprintOf(sw.engine))
+			f.Add(sw.engine.Footprint())
 		}
 	}
 	if w.rp != nil {
-		f.Add(detect.FootprintOf(w.rp.engine))
+		f.Add(w.rp.engine.Footprint())
 	}
 	return f
 }
@@ -623,11 +624,11 @@ func (r *Runner) Run(root TaskFunc) (*Report, error) {
 // deterministic workload split).
 func (r *Runner) capError() error {
 	if rp := r.warm.rp; rp != nil {
-		return detect.CapErrorOf(rp.engine)
+		return rp.engine.CapError()
 	}
 	if as := r.warm.as; as != nil {
 		for _, sw := range as.workers {
-			if err := detect.CapErrorOf(sw.engine); err != nil {
+			if err := sw.engine.CapError(); err != nil {
 				return err
 			}
 		}
@@ -778,8 +779,7 @@ func (t *Task) access(addr Addr, size uint64, write bool) {
 }
 
 // slotArm returns the BitSet the slot arm sets, or nil for the general arm:
-// the strand holds no Coalescer, a Tracer records, or Coalescer.Bits is nil
-// (a sync run whose History has retired a page).
+// the strand holds no Coalescer, or a Tracer records.
 func (t *Task) slotArm(write bool) *coalesce.BitSet {
 	if c := t.bits; c != nil && t.rs.tracer == nil {
 		return c.Bits(write)

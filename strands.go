@@ -70,7 +70,7 @@ func (r *Runner) RunStrands(reach Reach, n int, body func(t *Task, i int)) (*Rep
 	allocs.stop()
 	rep.Strands, rep.Stats, rep.Races = n, *eng.Stats(), col.Sorted()
 	allocs.finish(rep)
-	if err := detect.CapErrorOf(eng); err != nil {
+	if err := eng.CapError(); err != nil {
 		return nil, err // Run's abort: the engine froze at the cap
 	}
 	return rep, nil
